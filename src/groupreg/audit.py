@@ -21,7 +21,9 @@ from .sampler import (Chain, ChainState, SubjectState, alpha_conditional,
 from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
                       nngp_log_density, conditional_means,
-                      build_ordered_neighbor_sets)
+                      build_neighbor_library, build_ordered_neighbor_sets,
+                      build_predecessor_patterns, kriging_factor, library_weights,
+                      lookup_entries, predecessor_weights)
 from .synth import ScenarioSpec, gen_indicator_curves
 from .transforms import (AffineTransform, affine_apply, affine_compose,
                          affine_inverse, karcher_mean, lie_exp, lie_log,
@@ -56,7 +58,7 @@ def _toy_state(seed=0, n_subjects=2):
     refresh_template_weights(state, geom)
     from .model import backward_values
     for blk in blocks:
-        refresh_subject_geometry(blk, geom, cov)
+        refresh_subject_geometry(blk, geom, state.factor, state.alpha)
         blk.Y_bw = backward_values(blk)
     return state, geom, hp
 
@@ -154,9 +156,9 @@ def detailed_balance_audit(n_pairs=100, seed=0, tol=1e-10):
         t_y = affine_compose(lie_exp(delta), t_x)
         try:
             lt_x, _ = forward_transform_log_target(
-                t_x, blk.T_r, state.X, blk.XT, geom, hp, state.cov)
+                t_x, blk.T_r, state.X, blk.XT, geom, hp, state.factor, state.alpha)
             lt_y, _ = forward_transform_log_target(
-                t_y, blk.T_r, state.X, blk.XT, geom, hp, state.cov)
+                t_y, blk.T_r, state.X, blk.XT, geom, hp, state.factor, state.alpha)
         except Exception:
             continue  # out of library: not a valid pair, draw another
         d_fwd = lie_log(affine_compose(t_y, affine_inverse(t_x)))
@@ -207,7 +209,6 @@ def nngp_oracle_audit(seed=0):
     t = affine_compose(AffineTransform.translation([0.37, -0.21]),
                        AffineTransform.rotation(0.05))
     targets = affine_apply(t, locs)
-    from .spatial import build_neighbor_library
     lib = build_neighbor_library(lattice, margin=3, m=10)
     nbr = lookup_neighbors(targets, lib)
     b, f = batched_nngp_weights(targets, nbr, locs, params)
@@ -216,7 +217,57 @@ def nngp_oracle_audit(seed=0):
     dense_means = p @ x
     rel = np.max(np.abs(nngp_means - dense_means)) / np.max(np.abs(dense_means))
     results.append(_check("oracle.m10_conditional_means_rel", rel, 1e-3))
+    results.append(_check("oracle.pattern_weights", pattern_weights_gap(), 1e-12))
     return results
+
+
+def weights_gap(weights, oracle, alpha):
+    """Gap between two (B, F) pairs: |dB| relative to max |B|, |dF| to alpha.
+
+    F is compared against alpha, its upper bound: near a lattice site F
+    falls to ~JITTER * alpha, where cancellation costs every way of
+    computing it its relative accuracy.
+    """
+    (b, f), (ob, of) = weights, oracle
+    return max(np.max(np.abs(b - ob)) / max(np.max(np.abs(ob)), 1.0e-300),
+               np.max(np.abs(f - of)) / alpha)
+
+
+def pattern_weights_gap():
+    """Pattern-cache (B, F) vs batched_nngp_weights, worst over all cases.
+
+    Covers template predecessor weights (the first m rows are padded) and
+    library weights for transformed sites, some in the margin, and for every
+    enlarged-lattice site, which puts targets exactly on the template's
+    border sites and in the margin; on a 1D lattice and on a 2D lattice with
+    anisotropic spacing and an offset origin; at several (alpha, rho).
+    """
+    cases = [
+        (make_lattice_1d(-4.0, 4.0, 0.1), 5,
+         AffineTransform.from_parts(np.array([[1.05]]), np.array([0.3]))),
+        (Lattice(shape=(9, 13), spacing=np.array([0.7, 1.3]), origin=np.array([-2.0, 0.5])), 3,
+         affine_compose(AffineTransform.translation([0.9, -1.1]),
+                        AffineTransform.rotation(0.2))),
+    ]
+    worst = 0.0
+    for lattice, margin, t in cases:
+        locs = lattice.locations()
+        nsets = build_ordered_neighbor_sets(locs, 10)
+        patterns = build_predecessor_patterns(lattice, nsets)
+        lib = build_neighbor_library(lattice, margin, 10)
+        targets = np.concatenate([affine_apply(t, locs), lib.enlarged.locations()])
+        entries = lookup_entries(targets, lib)
+        for alpha, rho in ((1.7, 0.05), (0.4, 1.5), (2.5, 3.0)):
+            params = CovarianceParams(alpha, rho)
+            factor = kriging_factor(lib, patterns, rho)
+            worst = max(
+                worst,
+                weights_gap(predecessor_weights(patterns, factor, alpha),
+                            batched_nngp_weights(locs, nsets, locs, params), alpha),
+                weights_gap(library_weights(targets, entries, lib, locs, factor, alpha),
+                            batched_nngp_weights(targets, lib.neighbor_indices[entries],
+                                                 locs, params), alpha))
+    return worst
 
 
 def _fd_jacobian_oracle(delta, h=1e-5):

@@ -15,7 +15,6 @@ Metropolis (with J(delta) correction and Robbins-Monro adaptation) for T_i.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,43 +32,12 @@ from .errors import NoRealLogarithm
 KERNEL_JITTER = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class KernelTemplate:
-    """Landmark locations, kernel width and weights of the template expansion."""
-
-    landmarks: np.ndarray = field(repr=False)   # (P, d)
-    tau: float = 1.0
-    weights: np.ndarray = field(default=None, repr=False)  # (P,)
-
-    def __post_init__(self):
-        lm = np.atleast_2d(np.asarray(self.landmarks, dtype=float))
-        object.__setattr__(self, "landmarks", lm)
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        w = self.weights
-        if w is None:
-            w = np.zeros(lm.shape[0])
-        w = np.asarray(w, dtype=float).ravel()
-        if w.size != lm.shape[0]:
-            raise ValueError("weights must have one entry per landmark")
-        object.__setattr__(self, "weights", w)
-
-
 def gauss_kernel(a, b, tau):
     """K(s, t) = exp(-||s - t||^2 / tau^2) between location stacks."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
     return np.exp(-d2 / tau ** 2)
-
-
-def kernel_template_eval(template, points):
-    """Template values sum_p K(s, landmark_p) w(p) at the given points."""
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    phi = gauss_kernel(np.atleast_2d(pts), template.landmarks, template.tau)
-    out = phi @ template.weights
-    return float(out[0]) if single else out
 
 
 def landmark_lattice(lattice, stride):

@@ -54,7 +54,9 @@ class RunConfig:
     tau: float = 1.5
     landmark_stride: int = 2
     init_iters: int = 10
-    threads: int = 0                # 0: take GROUPREG_THREADS from the environment
+    # Ignored: subjects are updated in one loop. Kept, and still validated,
+    # so existing config files parse and keep their config_hash.
+    threads: int = 0
 
     def validate(self):
         if self.model not in MODELS:
@@ -94,15 +96,6 @@ class RunConfig:
             rho_lower=self.rho_lower, rho_upper=self.rho_upper,
             mu0=self.mu0, lambda0=self.lambda0,
             a0_sigma=self.a0_sigma, a1_sigma=self.a1_sigma, m=self.m)
-
-    def effective_threads(self):
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("GROUPREG_THREADS", "1")
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
 
     def effective_sim_seed(self):
         return self.seed if self.sim_seed < 0 else self.sim_seed

@@ -15,7 +15,7 @@ beta update), so beta | sigma^2 ~ N(mu0, sigma^2 / lambda0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,8 +23,9 @@ from scipy.special import gammaln
 from .errors import DegenerateVariance, ValidationError
 from .grids import ActivationMap, Lattice
 from .interp import interpolate
-from .spatial import (CovarianceParams, NeighborLibrary, batched_nngp_weights,
-                      build_neighbor_library, build_ordered_neighbor_sets,
+from .spatial import (CovarianceParams, NeighborLibrary, PredecessorPatterns,
+                      batched_nngp_weights, build_neighbor_library,
+                      build_ordered_neighbor_sets, build_predecessor_patterns,
                       lookup_neighbors, nngp_log_density_from_weights)
 from .transforms import AffineTransform, affine_apply, composition_identity_gap
 
@@ -73,10 +74,6 @@ class SubjectBlock:
     XT: np.ndarray = field(repr=False)        # template values at T(S), template ordering
     Y_bw: np.ndarray = field(default=None, repr=False)  # Y interpolated at T_r(S)
 
-    def copy(self):
-        return replace(self, XT=self.XT.copy(),
-                       Y_bw=None if self.Y_bw is None else self.Y_bw.copy())
-
 
 def backward_values(block):
     """Y_i(T_i^r) on the template lattice, by cubic interpolation."""
@@ -98,16 +95,19 @@ class ModelGeometry:
     lattice: Lattice
     locations: np.ndarray = field(repr=False)
     neighbor_sets: np.ndarray = field(repr=False)   # (V, m) -1-padded, row-major order
+    predecessor_patterns: PredecessorPatterns = field(repr=False)
     library: NeighborLibrary = field(repr=False)
     sigma_s: np.ndarray = field(repr=False)
 
 
 def build_geometry(lattice, m, margin):
     locs = lattice.locations()
+    neighbor_sets = build_ordered_neighbor_sets(locs, m)
     return ModelGeometry(
         lattice=lattice,
         locations=locs,
-        neighbor_sets=build_ordered_neighbor_sets(locs, m),
+        neighbor_sets=neighbor_sets,
+        predecessor_patterns=build_predecessor_patterns(lattice, neighbor_sets),
         library=build_neighbor_library(lattice, margin, m),
         sigma_s=sigma_s_matrix(locs),
     )

@@ -12,30 +12,33 @@ neighbor sets. Reverse transforms are never standardized (their anchoring
 comes through the penalty terms).
 
 Randomness is drawn from counter-based streams keyed by
-(seed, iteration, phase, subject), so per-subject updates can run on a
-thread pool without changing results. GROUPREG_THREADS (or config.threads)
-caps the pool; the template sweep is intrinsically sequential.
+(seed, iteration, phase, subject), so a result does not depend on the order
+in which subjects are visited. Subjects are updated in one plain loop.
+
+NNGP weights come from the pattern cache (`spatial.KrigingFactor`) kept in
+`ChainState.factor`. It is built for the current rho at construction and
+for each rho proposal, kept on accept and dropped on reject; alpha only
+rescales F.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import (DegenerateInput, GroupregError, InsufficientSamples,
-                     NoRealLogarithm, OutOfLibraryBounds)
+                     NonPositiveScale, NoRealLogarithm, OutOfLibraryBounds)
 from .grids import ActivationMap
 from .interp import interpolate
 from .model import (Hyperparams, ModelGeometry, SubjectBlock, backward_values,
                     build_geometry, penalty_terms, pointwise_log_lik,
                     transform_log_prior, waic)
-from .spatial import (CovarianceParams, batched_nngp_weights,
-                      conditional_means, lookup_neighbors,
-                      nngp_log_density_from_weights)
+from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
+                      kriging_factor, library_weights, lookup_entries,
+                      nngp_log_density_from_weights, predecessor_weights)
 from .store import SampleStore
 from .transforms import (AffineTransform, affine_apply, affine_compose,
                          affine_inverse, karcher_mean, lie_exp, lie_log,
@@ -45,7 +48,6 @@ ADAPT_TARGET_RATE = 0.234
 
 # Phase tags for the counter-based random streams.
 _PH_XT, _PH_X, _PH_TFWD, _PH_TREV, _PH_BETA, _PH_ALPHA, _PH_RHO = range(7)
-_PH_INIT = 99
 
 
 def substream(seed, iteration, phase, subject=0):
@@ -119,6 +121,7 @@ class SubjectState(SubjectBlock):
     """SubjectBlock plus NNGP caches for the current forward transform."""
 
     locs: np.ndarray = field(default=None, repr=False)   # T(S), (V, d)
+    entry: np.ndarray = field(default=None, repr=False)  # library entry of each T(s_l)
     nbr: np.ndarray = field(default=None, repr=False)    # library neighbor sets
     B: np.ndarray = field(default=None, repr=False)
     F: np.ndarray = field(default=None, repr=False)
@@ -132,6 +135,7 @@ class ChainState:
     rho: float
     tB: np.ndarray = field(default=None, repr=False)     # template NNGP weights
     tF: np.ndarray = field(default=None, repr=False)
+    factor: KrigingFactor = field(default=None, repr=False)  # pattern cache at rho
     adapt_fwd: list = None
     adapt_rev: list = None
     iteration: int = 0
@@ -144,15 +148,26 @@ class ChainState:
 
 
 def refresh_template_weights(state, geom):
-    state.tB, state.tF = batched_nngp_weights(
-        geom.locations, geom.neighbor_sets, geom.locations, state.cov)
+    """Factor the neighbor patterns at state.rho and set the template (B, F)."""
+    state.factor = kriging_factor(geom.library, geom.predecessor_patterns, state.rho)
+    state.tB, state.tF = predecessor_weights(geom.predecessor_patterns, state.factor,
+                                             state.alpha)
 
 
-def refresh_subject_geometry(blk, geom, cov):
+def subject_geometry(t, geom, factor, alpha):
+    """T(S), its library entries and neighbor sets, and their (B, F).
+
+    Raises OutOfLibraryBounds when T moves a template site past the margin.
+    """
+    locs = affine_apply(t, geom.locations)
+    entry = lookup_entries(locs, geom.library)
+    b, f = library_weights(locs, entry, geom.library, geom.locations, factor, alpha)
+    return locs, entry, geom.library.neighbor_indices[entry], b, f
+
+
+def refresh_subject_geometry(blk, geom, factor, alpha):
     """Recompute T(S), library neighbor sets and (B, F) for one subject."""
-    blk.locs = affine_apply(blk.T, geom.locations)
-    blk.nbr = lookup_neighbors(blk.locs, geom.library)
-    blk.B, blk.F = batched_nngp_weights(blk.locs, blk.nbr, geom.locations, cov)
+    blk.locs, blk.entry, blk.nbr, blk.B, blk.F = subject_geometry(blk.T, geom, factor, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +292,11 @@ def update_beta_sigma(blk, x, hp, rng):
     lam_n = 1.0 / (float(xt @ xt) + float(x @ x) + hp.lambda0)
     mu_n = lam_n * (hp.mu0 * hp.lambda0 + float(xt @ y) + float(x @ ybw))
     rate = hp.a1_sigma + 0.5 * (float(y @ y) + float(ybw @ ybw)
-                                + hp.mu0 ** 2 * hp.lambda0 - mu_n ** 2 / lam_n)
-    rate = max(rate, 1e-12)  # NonPositiveScale guard
+                                + hp.mu0 ** 2 * hp.lambda0 - mu_n * mu_n / lam_n)
+    # mu_n * mu_n, not mu_n ** 2: a float power raises OverflowError instead
+    # of giving inf, which would escape the check below.
+    if not (np.isfinite(rate) and rate > 0.0):
+        raise NonPositiveScale(f"sigma^2 inverse-gamma rate is {rate}")
     sigma2 = 1.0 / rng.gamma(shape=hp.a0_sigma + v, scale=1.0 / rate)
     beta = rng.normal(mu_n, np.sqrt(lam_n * sigma2))
     return beta, sigma2
@@ -317,20 +335,21 @@ def update_rho(state, geom, hp, rng, step):
     accept_draw = np.log(rng.uniform())
     if not (hp.rho_lower < prop < hp.rho_upper):
         return False
-    cov_new = CovarianceParams(state.alpha, prop)
-    x = state.X
-    tB_new, tF_new = batched_nngp_weights(
-        geom.locations, geom.neighbor_sets, geom.locations, cov_new)
+    factor_new = kriging_factor(geom.library, geom.predecessor_patterns, prop)
+    x, alpha = state.X, state.alpha
+    tB_new, tF_new = predecessor_weights(geom.predecessor_patterns, factor_new, alpha)
     log_new = nngp_log_density_from_weights(x, x, geom.neighbor_sets, tB_new, tF_new)
     log_old = nngp_log_density_from_weights(x, x, geom.neighbor_sets, state.tB, state.tF)
     new_weights = []
     for blk in state.blocks:
-        b_new, f_new = batched_nngp_weights(blk.locs, blk.nbr, geom.locations, cov_new)
+        b_new, f_new = library_weights(blk.locs, blk.entry, geom.library, geom.locations,
+                                       factor_new, alpha)
         log_new += nngp_log_density_from_weights(x, blk.XT, blk.nbr, b_new, f_new)
         log_old += nngp_log_density_from_weights(x, blk.XT, blk.nbr, blk.B, blk.F)
         new_weights.append((b_new, f_new))
     if accept_draw < log_new - log_old:
         state.rho = prop
+        state.factor = factor_new
         state.tB, state.tF = tB_new, tF_new
         for blk, (b_new, f_new) in zip(state.blocks, new_weights):
             blk.B, blk.F = b_new, f_new
@@ -358,18 +377,18 @@ def lie_mh_log_acceptance(log_target_x, log_target_y, delta_fwd, delta_rev, prop
     return min(0.0, (log_target_y + lq_rev) - (log_target_x + lq_fwd))
 
 
-def forward_transform_log_target(t, t_r, x, xt, geom, hp, cov):
+def forward_transform_log_target(t, t_r, x, xt, geom, hp, factor, alpha):
     """T-dependent part of the joint: prior, NNGP terms of X(T), both penalties.
 
-    Raises OutOfLibraryBounds when T moves a template site past the margin.
+    Returns the log target and `subject_geometry(t, ...)`. Raises
+    OutOfLibraryBounds when T moves a template site past the margin.
     """
-    locs = affine_apply(t, geom.locations)
-    nbr = lookup_neighbors(locs, geom.library)
-    b, f = batched_nngp_weights(locs, nbr, geom.locations, cov)
+    caches = subject_geometry(t, geom, factor, alpha)
+    _, _, nbr, b, f = caches
     p1, p2 = penalty_terms(t, t_r)
     return (transform_log_prior(t, hp.a_T, hp.b_T, geom.sigma_s)
             + nngp_log_density_from_weights(x, xt, nbr, b, f)
-            - hp.lambda_r * (p1 + p2)), (locs, nbr, b, f)
+            - hp.lambda_r * (p1 + p2)), caches
 
 
 def reverse_transform_log_target(t_r, t, x, y_map, beta, sigma2, geom, hp):
@@ -401,7 +420,7 @@ def update_forward_transform(blk, state, geom, hp, adapt, rng):
         return False
     try:
         log_new, caches = forward_transform_log_target(
-            t_new, blk.T_r, state.X, blk.XT, geom, hp, state.cov)
+            t_new, blk.T_r, state.X, blk.XT, geom, hp, state.factor, state.alpha)
     except OutOfLibraryBounds:
         adapt.rejected_oob += 1
         adapt.record(False)
@@ -414,7 +433,7 @@ def update_forward_transform(blk, state, geom, hp, adapt, rng):
     accepted = accept_draw < log_acc
     if accepted:
         blk.T = t_new
-        blk.locs, blk.nbr, blk.B, blk.F = caches
+        blk.locs, blk.entry, blk.nbr, blk.B, blk.F = caches
     adapt.record(accepted, delta)
     return accepted
 
@@ -455,10 +474,9 @@ def standardize_forward_transforms(state, geom, karcher_tol=1e-10):
         return
     mean = karcher_mean([blk.T for blk in state.blocks], tol=karcher_tol)
     mean_inv = affine_inverse(mean)
-    cov = state.cov
     for blk in state.blocks:
         blk.T = affine_compose(blk.T, mean_inv)
-        refresh_subject_geometry(blk, geom, cov)
+        refresh_subject_geometry(blk, geom, state.factor, state.alpha)
 
 
 def standardize_scales(state):
@@ -649,20 +667,9 @@ class Chain:
             self.state.adapt_rev = [AdaptiveProposal(dim_lie) for _ in range(n)]
         refresh_template_weights(self.state, self.geom)
         for blk in self.state.blocks:
-            refresh_subject_geometry(blk, self.geom, self.state.cov)
+            refresh_subject_geometry(blk, self.geom, self.state.factor, self.state.alpha)
             if blk.Y_bw is None:
                 blk.Y_bw = backward_values(blk)
-        self.threads = config.effective_threads()
-
-    def _map_subjects(self, fn):
-        blocks = self.state.blocks
-        workers = min(self.threads, len(blocks))
-        if workers <= 1 or len(blocks) <= 1:
-            for i, blk in enumerate(blocks):
-                fn(i, blk)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda ib: fn(*ib), enumerate(blocks)))
 
     def sweep(self):
         state, geom, hp = self.state, self.geom, self.hp
@@ -670,23 +677,22 @@ class Chain:
         if it >= self.config.burn_in:
             for rec in state.adapt_fwd + state.adapt_rev:
                 rec.frozen = True
+        blocks = list(enumerate(state.blocks))
         try:
-            self._map_subjects(lambda i, blk: setattr(
-                blk, "XT", update_transformed_template(
-                    blk, state.X, substream(seed, it, _PH_XT, i))))
+            for i, blk in blocks:
+                blk.XT = update_transformed_template(
+                    blk, state.X, substream(seed, it, _PH_XT, i))
             update_template(state, geom, substream(seed, it, _PH_X))
-            self._map_subjects(lambda i, blk: update_forward_transform(
-                blk, state, geom, hp, state.adapt_fwd[i],
-                substream(seed, it, _PH_TFWD, i)))
-            self._map_subjects(lambda i, blk: update_reverse_transform(
-                blk, state, geom, hp, state.adapt_rev[i],
-                substream(seed, it, _PH_TREV, i)))
+            for i, blk in blocks:
+                update_forward_transform(blk, state, geom, hp, state.adapt_fwd[i],
+                                         substream(seed, it, _PH_TFWD, i))
+            for i, blk in blocks:
+                update_reverse_transform(blk, state, geom, hp, state.adapt_rev[i],
+                                         substream(seed, it, _PH_TREV, i))
             standardize_forward_transforms(state, geom, self.config.karcher_tol)
-
-            def beta_sigma(i, blk):
+            for i, blk in blocks:
                 blk.beta, blk.sigma2 = update_beta_sigma(
                     blk, state.X, hp, substream(seed, it, _PH_BETA, i))
-            self._map_subjects(beta_sigma)
             standardize_scales(state)
             update_alpha(state, geom, hp, substream(seed, it, _PH_ALPHA))
             update_rho(state, geom, hp, substream(seed, it, _PH_RHO),

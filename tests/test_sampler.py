@@ -1,0 +1,90 @@
+import numpy as np
+import pytest
+
+from groupreg.audit import weights_gap
+from groupreg.config import RunConfig, parse_config
+from groupreg.errors import NonPositiveScale, ValidationError
+from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
+from groupreg.model import Hyperparams, SubjectBlock
+from groupreg.sampler import Chain, update_beta_sigma
+from groupreg.spatial import batched_nngp_weights
+from groupreg.store import save_store
+from groupreg.synth import ScenarioSpec, base_glyph, gen_indicator_curves, rotate_glyph
+from groupreg.transforms import AffineTransform, affine_apply
+
+
+def small_glyph():
+    """The built-in glyph at half resolution (14x14, spacing 2), three rotations."""
+    glyph = base_glyph()
+    lattice = Lattice((14, 14), np.array([2.0, 2.0]), np.zeros(2))
+    small = ActivationMap(lattice, glyph.grid[::2, ::2].ravel())
+    return [rotate_glyph(small, a) for a in (-15.0, 0.0, 15.0)]
+
+
+def indicator():
+    maps, _ = gen_indicator_curves(ScenarioSpec("indicator", n_subjects=3, seed=3))
+    return maps
+
+
+# batched_nngp_weights forms squared distances as |s|^2 + |t|^2 - 2 s.t. On
+# the indicator lattice (|s| up to 5, spacing 0.05) that rounding alone puts
+# its B up to 1e-12 off a 40-digit reference, where the pattern cache stays
+# within 2e-14; the glyph lattice has integer coordinates, so there it is exact.
+CASES = {
+    "glyph": (small_glyph, dict(margin=5, seed=4), 1e-12),
+    "indicator": (indicator, dict(margin=40, seed=5, a0_alpha=0.2, b0_alpha=0.1), 1e-11),
+}
+
+
+def short_chain(case, sweeps=12):
+    make_maps, settings, _ = CASES[case]
+    cfg = RunConfig(total=sweeps, burn_in=sweeps // 2, thin=1, init_iters=3, **settings)
+    return Chain(make_maps(), cfg)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cached_weights_track_alpha_and_rho(case):
+    """After every sweep the cached (B, F) equal a fresh brute-force solve."""
+    chain = short_chain(case)
+    tol = CASES[case][2]
+    state, geom = chain.state, chain.geom
+    for _ in range(chain.config.total):
+        chain.sweep()
+        assert state.factor.rho == state.rho
+        oracle = batched_nngp_weights(geom.locations, geom.neighbor_sets, geom.locations,
+                                      state.cov)
+        assert weights_gap((state.tB, state.tF), oracle, state.alpha) < tol
+        for blk in state.blocks:
+            assert np.array_equal(blk.locs, affine_apply(blk.T, geom.locations))
+            oracle = batched_nngp_weights(blk.locs, blk.nbr, geom.locations, state.cov)
+            assert weights_gap((blk.B, blk.F), oracle, state.alpha) < tol
+    # Both rho outcomes were exercised, so a factor kept after a reject or
+    # dropped after an accept would have shown.
+    assert 0 < state.rho_accepts < state.rho_proposals
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_same_seed_gives_identical_store(case, tmp_path):
+    paths = []
+    for run in range(2):
+        store, _ = short_chain(case, sweeps=6).run()
+        paths.append(tmp_path / f"run{run}.bin")
+        save_store(store, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e200])
+def test_beta_sigma_rejects_non_finite_rate(bad):
+    lattice = make_lattice_1d(0.0, 3.0, 1.0)
+    y = np.array([1.0, bad, 0.5, 2.0])
+    ident = AffineTransform.identity(1)
+    blk = SubjectBlock(Y=ActivationMap(lattice, y), T=ident, T_r=ident, beta=1.0,
+                       sigma2=1.0, XT=np.ones(4), Y_bw=y)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonPositiveScale):
+        update_beta_sigma(blk, np.ones(4), Hyperparams(), np.random.default_rng(0))
+
+
+def test_threads_key_still_parsed_and_validated():
+    assert parse_config("threads=4\n").threads == 4
+    with pytest.raises(ValidationError):
+        parse_config("threads=-1\n")
