@@ -14,9 +14,9 @@ from .grids import ActivationMap, Lattice, make_lattice_1d
 from .model import (Hyperparams, build_geometry, gibbs_log_posterior,
                     invgamma_logpdf, normal_logpdf)
 from .sampler import (Chain, ChainState, SubjectState, alpha_conditional,
-                      build_sweep_structure, forward_transform_log_target,
+                      beta_sigma_conditional, forward_transform_log_target,
                       lie_mh_log_acceptance, mvn_logpdf, refresh_subject_geometry,
-                      refresh_template_weights, template_site_conditional,
+                      refresh_template_weights, template_conditional,
                       transformed_template_conditional)
 from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
@@ -63,12 +63,22 @@ def _toy_state(seed=0, n_subjects=2):
     return state, geom, hp
 
 
+def band_to_dense(ab):
+    """Symmetric dense matrix from LAPACK lower-band storage (Q[j + d, j] at [d, j])."""
+    v = ab.shape[1]
+    q = np.zeros((v, v))
+    for d in range(ab.shape[0]):
+        j = np.arange(v - d)
+        q[j + d, j] = q[j, j + d] = ab[d, :v - d]
+    return q
+
+
 def _joint(state, geom, hp):
     return gibbs_log_posterior(state.X, state.blocks, state.cov, hp, geom)
 
 
 def conjugacy_audit(seed=0, tol=1e-8):
-    """Closed-form conditional log-ratios vs joint log-ratios, all five updates."""
+    """Closed-form conditional log-ratios vs joint log-ratios, every conjugate update."""
     results = []
     state, geom, hp = _toy_state(seed)
     base = _joint(state, geom, hp)
@@ -86,23 +96,21 @@ def conjugacy_audit(seed=0, tol=1e-8):
     blk.XT[l] = old
     results.append(_check("conjugacy.XT_element", abs(closed - joint), tol))
 
-    # X element.
-    l = 1
-    mean_l, var_l = template_site_conditional(l, state.X, state, geom)
-    new_val = state.X[l] - 0.5
-    closed = (normal_logpdf(new_val, mean_l, var_l)
-              - normal_logpdf(state.X[l], mean_l, var_l))
-    old = state.X[l]
-    state.X[l] = new_val
+    # X as one block: the joint's change under a whole-vector move is the
+    # change of -1/2 x'Qx + b'x.
+    ab, b = template_conditional(state, geom)
+    q = band_to_dense(ab)
+    x = state.X
+    x_new = x + np.random.default_rng(seed + 2).normal(scale=0.5, size=x.size)
+    closed = -0.5 * (x_new @ q @ x_new - x @ q @ x) + b @ (x_new - x)
+    state.X = x_new
     joint = _joint(state, geom, hp) - base
-    state.X[l] = old
-    results.append(_check("conjugacy.X_element", abs(closed - joint), tol))
+    state.X = x
+    results.append(_check("conjugacy.X_block", abs(closed - joint), tol))
 
     # beta (sigma^2 held fixed).
     blk = state.blocks[1]
-    xt, y, ybw, x = blk.XT, blk.Y.values, blk.Y_bw, state.X
-    lam_n = 1.0 / (float(xt @ xt) + float(x @ x) + hp.lambda0)
-    mu_n = lam_n * (hp.mu0 * hp.lambda0 + float(xt @ y) + float(x @ ybw))
+    shape, rate, mu_n, lam_n = beta_sigma_conditional(blk, state.X, hp)
     new_beta = blk.beta + 0.3
     closed = (normal_logpdf(new_beta, mu_n, lam_n * blk.sigma2)
               - normal_logpdf(blk.beta, mu_n, lam_n * blk.sigma2))
@@ -112,20 +120,23 @@ def conjugacy_audit(seed=0, tol=1e-8):
     blk.beta = old
     results.append(_check("conjugacy.beta", abs(closed - joint), tol))
 
-    # sigma^2 (given beta): shape a0 + V + 1/2, rate includes the beta prior term.
-    v = y.size
-    ssd_f = float(np.sum((y - blk.beta * xt) ** 2))
-    ssd_b = float(np.sum((ybw - blk.beta * x) ** 2))
-    shape = hp.a0_sigma + v + 0.5
-    rate = hp.a1_sigma + 0.5 * (ssd_f + ssd_b + hp.lambda0 * (blk.beta - hp.mu0) ** 2)
+    # sigma^2 given beta: IG(shape + 1/2, rate + (beta - mu_n)^2 / (2 lam_n)).
     new_s2 = blk.sigma2 * 1.7
-    closed = (invgamma_logpdf(new_s2, shape, rate)
-              - invgamma_logpdf(blk.sigma2, shape, rate))
+    shape_b, rate_b = shape + 0.5, rate + 0.5 * (blk.beta - mu_n) ** 2 / lam_n
+    closed = (invgamma_logpdf(new_s2, shape_b, rate_b)
+              - invgamma_logpdf(blk.sigma2, shape_b, rate_b))
     old = blk.sigma2
     blk.sigma2 = new_s2
     joint = _joint(state, geom, hp) - base
-    blk.sigma2 = old
     results.append(_check("conjugacy.sigma2", abs(closed - joint), tol))
+
+    # sigma^2 as the sampler draws it, beta marginalized: the joint's change
+    # in sigma^2 at fixed beta is that of IG(sigma^2; shape, rate) times
+    # N(beta; mu_n, lam_n sigma^2).
+    closed = (invgamma_logpdf(new_s2, shape, rate) + normal_logpdf(blk.beta, mu_n, lam_n * new_s2)
+              - invgamma_logpdf(old, shape, rate) - normal_logpdf(blk.beta, mu_n, lam_n * old))
+    blk.sigma2 = old
+    results.append(_check("conjugacy.sigma2_marginal", abs(closed - joint), tol))
 
     # alpha.
     shape, rate = alpha_conditional(state, geom, hp)
@@ -239,12 +250,16 @@ def pattern_weights_gap():
     Covers template predecessor weights (the first m rows are padded) and
     library weights for transformed sites, some in the margin, and for every
     enlarged-lattice site, which puts targets exactly on the template's
-    border sites and in the margin; on a 1D lattice and on a 2D lattice with
+    border sites and in the margin; on the cosine and indicator 1D lattices
+    (the indicator's fine spacing over [-5, 5] is where squared distances
+    formed as |s|^2 + |t|^2 - 2 s.t lose digits) and on a 2D lattice with
     anisotropic spacing and an offset origin; at several (alpha, rho).
     """
     cases = [
         (make_lattice_1d(-4.0, 4.0, 0.1), 5,
          AffineTransform.from_parts(np.array([[1.05]]), np.array([0.3]))),
+        (make_lattice_1d(-5.0, 5.0, 0.05), 40,
+         AffineTransform.from_parts(np.array([[0.97]]), np.array([-0.4]))),
         (Lattice(shape=(9, 13), spacing=np.array([0.7, 1.3]), origin=np.array([-2.0, 0.5])), 3,
          affine_compose(AffineTransform.translation([0.9, -1.1]),
                         AffineTransform.rotation(0.2))),

@@ -12,6 +12,7 @@ artifacts. Exit codes: 0 ok, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import os
@@ -26,7 +27,8 @@ from .baseline import fit_conventional, inverse_warp
 from .config import RunConfig, load_config, parse_config
 from .errors import ConfigError, GroupregError, NumericalError, ValidationError
 from .grids import read_map_csv, write_map_csv
-from .sampler import run_chain, summarize
+from .model import build_geometry
+from .sampler import initialize, run_chain, summarize
 from .store import export_csv, load_store, save_store
 from .synth import ScenarioSpec, generate
 from .audit import run_all_audits
@@ -223,12 +225,16 @@ def _cmd_waic_scan(args):
     if cfg.model != "symmetric":
         raise ValidationError("waic-scan applies to the symmetric model")
     maps, _ = _load_maps(cfg)
+    # Initialization does not read lambda_r, so it runs once; each chain gets
+    # its own copy because a chain mutates its state.
+    initial = initialize(maps, cfg.hyperparams(), cfg,
+                         build_geometry(maps[0].lattice, cfg.m, cfg.margin))
     staging = _Staging(args.out)
     try:
         rows = []
         for lam in cfg.lambda_r_grid:
             sub_cfg = dataclasses.replace(cfg, lambda_r=lam).validate()
-            store, diag = _fit_once(sub_cfg, maps)
+            store, diag = run_chain(maps, sub_cfg, initial_state=copy.deepcopy(initial))
             tag = f"lambda_{lam:g}"
             save_store(store, staging.path(os.path.join(tag, "samples.bin")))
             _json_dump(diag, staging.path(os.path.join(tag, "diagnostics.json")))

@@ -19,6 +19,16 @@ NNGP weights come from the pattern cache (`spatial.KrigingFactor`) kept in
 `ChainState.factor`. It is built for the current rho at construction and
 for each rho proposal, kept on accept and dropped on reject; alpha only
 rescales F.
+
+X | rest is Gaussian with a sparse banded precision Q (`template_conditional`)
+and is drawn exactly in one block step (Rue 2001): a LAPACK banded Cholesky
+Q = L L^T, then x = Q^-1 b + L^-T z. The bandwidth w is the widest column
+span of this sweep's NNGP rows, about six lattice rows (168 on a 28x28
+lattice), so the step costs O(V w^2) time and O(V w) memory. On one core of
+a 2-core x86-64 machine it takes ~3 ms per sweep on 28x28 (assembly ~2 ms,
+factor ~1 ms), against ~14 ms for the site-by-site Gibbs loop it replaced
+(~18 us per site, O(V)); on synthetic lattices the two cross near 56x56,
+beyond which the block step is the slower one.
 """
 
 from __future__ import annotations
@@ -27,9 +37,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 from scipy.optimize import minimize
 
-from .errors import (DegenerateInput, GroupregError, InsufficientSamples,
+from .errors import (DegenerateInput, GroupregError, IllConditioned, InsufficientSamples,
                      NonPositiveScale, NoRealLogarithm, OutOfLibraryBounds)
 from .grids import ActivationMap
 from .interp import interpolate
@@ -191,104 +202,83 @@ def update_transformed_template(blk, x, rng):
     return mean + np.sqrt(var) * rng.standard_normal(mean.size)
 
 
-@dataclass
-class _SweepStructure:
-    """CSC-like reverse-dependency structure used by the sequential X sweep."""
+def _band_terms(cols, w, finv, n_band):
+    """Band slots and values of the upper-triangle pairs of each row's w w^T / F.
 
-    col_ptr: np.ndarray
-    rows: np.ndarray       # flat row index: [0, V) template, V + i*V + t subjects
-    w: np.ndarray          # B coefficient of the (row, column-site) pair
-    finv: np.ndarray       # 1 / F of the owning row
-    prec: np.ndarray       # full conditional precision per site (X-independent)
-    lin_data: np.ndarray   # backward data term sum_i beta_i Y_bw_i / sigma_i^2
-    r_flat: np.ndarray     # residuals x(t) - B_t x(N_t) per row, maintained in-sweep
+    cols and w are stored column-first, (k, n). Pair (p, q), p <= q, of a
+    row lands at [d, j] = [|c_p - c_q|, min(c_p, c_q)] of a Fortran-ordered
+    band with n_band rows, flat index j * n_band + d, so every off-diagonal
+    pair is added once, to the lower band. Yields one (slots, values) chunk
+    per p: small chunks stay in cache, where one (k^2 / 2, n) pass does not.
+    """
+    wf = w * finv
+    for p in range(len(cols)):
+        ci, cj = cols[p], cols[p:]
+        slot = np.minimum(ci, cj)    # j * n_band + d = min * (n_band - 2) + c_p + c_q
+        slot *= n_band - 2
+        slot += ci
+        slot += cj
+        yield slot.ravel(), (wf[p] * w[p:]).ravel()
 
 
-def build_sweep_structure(state, geom):
+def template_conditional(state, geom):
+    """Precision Q and linear term b of X | rest ~ N(Q^-1 b, Q^-1).
+
+    Q = (I - B_t)^T F_t^-1 (I - B_t) + sum_i B_i^T F_i^-1 B_i
+        + (sum_i beta_i^2 / sigma_i^2) I,
+    b = sum_i B_i^T (XT_i / F_i) + sum_i beta_i Y_bw,i / sigma_i^2.
+    Template row l has columns [l, predecessors] and weights [1, -B_t]; the
+    padded predecessor slots carry B = 0 and are pointed at l itself. Subject
+    rows are the library sets blk.nbr with weights blk.B. Q is returned in
+    LAPACK lower-band storage, Fortran-ordered, Q[j + d, j] at [d, j]; its
+    bandwidth is the widest column span of this state's rows.
+    """
     v = state.X.size
-    cols, rows, w, finv = [], [], [], []
-
-    def add(nbr, b, f, row_offset):
-        mask = nbr >= 0
-        r, c = np.nonzero(mask)
-        cols.append(nbr[r, c])
-        rows.append(row_offset + r)
-        w.append(b[r, c])
-        finv.append(1.0 / f[r])
-
-    add(geom.neighbor_sets, state.tB, state.tF, 0)
-    for i, blk in enumerate(state.blocks):
-        add(blk.nbr, blk.B, blk.F, v * (i + 1))
-    cols = np.concatenate(cols)
-    rows = np.concatenate(rows)
-    w = np.concatenate(w)
-    finv = np.concatenate(finv)
-
-    order = np.argsort(cols, kind="stable")
-    cols, rows, w, finv = cols[order], rows[order], w[order], finv[order]
-    counts = np.bincount(cols, minlength=v)
-    col_ptr = np.concatenate([[0], np.cumsum(counts)])
-
-    beta_prec = sum(blk.beta ** 2 / blk.sigma2 for blk in state.blocks)
-    prec = 1.0 / state.tF + np.bincount(cols, weights=w * w * finv, minlength=v) + beta_prec
-    lin_data = np.zeros(v)
-    for blk in state.blocks:
-        lin_data += blk.beta / blk.sigma2 * blk.Y_bw
-
-    r_flat = np.concatenate(
-        [state.X - conditional_means(state.X, geom.neighbor_sets, state.tB)]
-        + [blk.XT - conditional_means(state.X, blk.nbr, blk.B) for blk in state.blocks])
-    return _SweepStructure(col_ptr, rows, w, finv, prec, lin_data, r_flat)
-
-
-def template_site_conditional(l, x, state, geom, structure=None):
-    """Mean and variance of X(s_l) | rest, for the audit and the sweep."""
-    st = structure if structure is not None else build_sweep_structure(state, geom)
-    s, e = st.col_ptr[l], st.col_ptr[l + 1]
-    rs, ws, fi = st.rows[s:e], st.w[s:e], st.finv[s:e]
-    a = st.r_flat[rs] + ws * x[l]
-    nbr = geom.neighbor_sets[l]
-    kn = int(np.sum(nbr >= 0))
-    own = (state.tB[l, :kn] @ x[nbr[:kn]]) / state.tF[l] if kn else 0.0
-    mu = own + float(ws @ (a * fi)) + st.lin_data[l]
-    var = 1.0 / st.prec[l]
-    return var * mu, var
+    own = np.arange(v)[:, None]
+    nsets = geom.neighbor_sets
+    rows = [(np.hstack([own, np.where(nsets >= 0, nsets, own)]),
+             np.hstack([np.ones((v, 1)), -state.tB]), 1.0 / state.tF)]
+    blocks = state.blocks
+    b = np.zeros(v)
+    diag = 0.0
+    for blk in blocks:
+        b += np.bincount(blk.nbr.ravel(), (blk.B * (blk.XT / blk.F)[:, None]).ravel(), v)
+        b += blk.beta / blk.sigma2 * blk.Y_bw
+        diag += blk.beta ** 2 / blk.sigma2
+    if blocks:
+        rows.append((np.concatenate([blk.nbr for blk in blocks]),
+                     np.concatenate([blk.B for blk in blocks]),
+                     1.0 / np.concatenate([blk.F for blk in blocks])))
+    families = [(np.ascontiguousarray(c.T), np.ascontiguousarray(w.T), finv)
+                for c, w, finv in rows]
+    n_band = 1 + max(int(np.max(c.max(axis=0) - c.min(axis=0))) for c, _, _ in families)
+    slots, values = zip(*(t for f in families for t in _band_terms(*f, n_band)))
+    ab = np.bincount(np.concatenate(slots), np.concatenate(values), n_band * v)
+    ab = ab.reshape(v, n_band).T
+    ab[0] += diag
+    return ab, b
 
 
 def update_template(state, geom, rng):
-    """Sequential Gibbs sweep of X in site order, residuals kept current."""
-    x = state.X
-    v = x.size
-    st = build_sweep_structure(state, geom)
-    z = rng.standard_normal(v)
-    nsets = geom.neighbor_sets
-    ncounts = np.sum(nsets >= 0, axis=1)
-    col_ptr, rows, w, finv = st.col_ptr, st.rows, st.w, st.finv
-    r_flat, prec, lin_data = st.r_flat, st.prec, st.lin_data
-    tB, tF = state.tB, state.tF
-    for l in range(v):
-        s, e = col_ptr[l], col_ptr[l + 1]
-        rs = rows[s:e]
-        ws = w[s:e]
-        fi = finv[s:e]
-        xl = x[l]
-        a = r_flat[rs] + ws * xl
-        kn = ncounts[l]
-        own = (tB[l, :kn] @ x[nsets[l, :kn]]) / tF[l] if kn else 0.0
-        mu = own + ws @ (a * fi) + lin_data[l]
-        var = 1.0 / prec[l]
-        x_new = var * mu + np.sqrt(var) * z[l]
-        delta = x_new - xl
-        r_flat[rs] -= ws * delta
-        r_flat[l] += delta
-        x[l] = x_new
-    return x
+    """Exact block Gibbs draw x = Q^-1 b + L^-T z, with Q = L L^T banded."""
+    ab, b = template_conditional(state, geom)
+    chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise IllConditioned(f"template precision is not positive definite (dpbtrf info {info})")
+    mean, _ = dpbtrs(chol, b, lower=1)
+    noise, _ = dtbtrs(chol, rng.standard_normal(b.size), uplo="L", trans="T")
+    state.X = mean + noise
+    return state.X
 
 
-def update_beta_sigma(blk, x, hp, rng):
-    """Draw sigma^2 from its beta-marginalized conditional, then beta | sigma^2."""
+def beta_sigma_conditional(blk, x, hp):
+    """Parameters of (beta, sigma^2) | rest.
+
+    sigma^2 ~ IG(shape, rate) with beta marginalized out, then
+    beta | sigma^2 ~ N(mu_n, lam_n sigma^2). Returns (shape, rate, mu_n,
+    lam_n); raises NonPositiveScale when the rate is not positive and finite.
+    """
     xt, y, ybw = blk.XT, blk.Y.values, blk.Y_bw
-    v = y.size
     lam_n = 1.0 / (float(xt @ xt) + float(x @ x) + hp.lambda0)
     mu_n = lam_n * (hp.mu0 * hp.lambda0 + float(xt @ y) + float(x @ ybw))
     rate = hp.a1_sigma + 0.5 * (float(y @ y) + float(ybw @ ybw)
@@ -297,7 +287,13 @@ def update_beta_sigma(blk, x, hp, rng):
     # of giving inf, which would escape the check below.
     if not (np.isfinite(rate) and rate > 0.0):
         raise NonPositiveScale(f"sigma^2 inverse-gamma rate is {rate}")
-    sigma2 = 1.0 / rng.gamma(shape=hp.a0_sigma + v, scale=1.0 / rate)
+    return hp.a0_sigma + y.size, rate, mu_n, lam_n
+
+
+def update_beta_sigma(blk, x, hp, rng):
+    """Draw sigma^2 from its beta-marginalized conditional, then beta | sigma^2."""
+    shape, rate, mu_n, lam_n = beta_sigma_conditional(blk, x, hp)
+    sigma2 = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
     beta = rng.normal(mu_n, np.sqrt(lam_n * sigma2))
     return beta, sigma2
 

@@ -276,11 +276,9 @@ def batched_nngp_weights(targets, neighbor_idx, source_locations, params):
     safe_idx = np.where(neighbor_idx < 0, 0, neighbor_idx) if has_pad else neighbor_idx
     nbr = source_locations[safe_idx]  # (q, k, d)
 
-    gram = np.einsum("qkd,qjd->qkj", nbr, nbr)
-    sq = np.einsum("qkd,qkd->qk", nbr, nbr)
-    d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * gram
-    np.maximum(d2, 0.0, out=d2)
-    c_n = params.alpha * np.exp(-params.rho * np.sqrt(d2))
+    # Differences first, as in cov_matrix: |s|^2 + |t|^2 - 2 s.t would cancel.
+    diff = nbr[:, :, None, :] - nbr[:, None, :, :]
+    c_n = params.alpha * np.exp(-params.rho * np.sqrt(np.einsum("qkjd,qkjd->qkj", diff, diff)))
 
     dt = nbr - targets[:, None, :]
     c_t = params.alpha * np.exp(-params.rho * np.sqrt(np.einsum("qkd,qkd->qk", dt, dt)))

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from groupreg.audit import weights_gap
+from groupreg.audit import _toy_state, band_to_dense, weights_gap
 from groupreg.config import RunConfig, parse_config
-from groupreg.errors import NonPositiveScale, ValidationError
+from groupreg.errors import IllConditioned, NonPositiveScale, ValidationError
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.model import Hyperparams, SubjectBlock
-from groupreg.sampler import Chain, update_beta_sigma
+from groupreg.sampler import (Chain, ChainAborted, template_conditional, update_beta_sigma,
+                              update_template)
 from groupreg.spatial import batched_nngp_weights
 from groupreg.store import save_store
 from groupreg.synth import ScenarioSpec, base_glyph, gen_indicator_curves, rotate_glyph
@@ -26,13 +27,13 @@ def indicator():
     return maps
 
 
-# batched_nngp_weights forms squared distances as |s|^2 + |t|^2 - 2 s.t. On
-# the indicator lattice (|s| up to 5, spacing 0.05) that rounding alone puts
-# its B up to 1e-12 off a 40-digit reference, where the pattern cache stays
-# within 2e-14; the glyph lattice has integer coordinates, so there it is exact.
+# 1e-12 holds on both lattices only because batched_nngp_weights differences
+# the points before squaring: |s|^2 + |t|^2 - 2 s.t distances put its B 1e-12
+# off a 40-digit reference on the indicator lattice (|s| up to 5, spacing
+# 0.05). A stale factor would be off by more than 1e-4.
 CASES = {
     "glyph": (small_glyph, dict(margin=5, seed=4), 1e-12),
-    "indicator": (indicator, dict(margin=40, seed=5, a0_alpha=0.2, b0_alpha=0.1), 1e-11),
+    "indicator": (indicator, dict(margin=40, seed=5, a0_alpha=0.2, b0_alpha=0.1), 1e-12),
 }
 
 
@@ -71,6 +72,43 @@ def test_same_seed_gives_identical_store(case, tmp_path):
         paths.append(tmp_path / f"run{run}.bin")
         save_store(store, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_template_draws_match_block_conditional():
+    """20 000 block draws of X: mean and covariance against Q^-1 b and Q^-1."""
+    state, geom, _ = _toy_state()
+    # Weaken the data and X(T) terms 100-fold. As drawn, the X(T) values lie
+    # between the sites and, the 1D exponential kernel being Markov, leave X
+    # nearly independent across sites, where L^-T z and L^-1 z look alike.
+    for blk in state.blocks:
+        blk.sigma2 *= 100.0
+        blk.F = blk.F * 100.0
+    ab, b = template_conditional(state, geom)
+    cov = np.linalg.inv(band_to_dense(ab))
+    mean = cov @ b
+    rng = np.random.default_rng(11)
+    n = 20000
+    draws = np.array([update_template(state, geom, rng).copy() for _ in range(n)])
+    sd = np.sqrt(np.diag(cov))
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.0 * sd / np.sqrt(n))
+    # Standard error of a Gaussian sample covariance entry: sqrt((S_ii S_jj + S_ij^2) / n).
+    se = np.sqrt((np.outer(sd * sd, sd * sd) + cov * cov) / n)
+    assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 4.0 * se)
+
+
+def test_non_positive_definite_precision_raises():
+    state, geom, _ = _toy_state()
+    state.tF = -state.tF
+    for blk in state.blocks:
+        blk.F = -blk.F
+    with pytest.raises(IllConditioned):
+        update_template(state, geom, np.random.default_rng(0))
+
+    chain = short_chain("indicator")
+    chain.state.tF = -chain.state.tF
+    with pytest.raises(ChainAborted) as err:
+        chain.sweep()
+    assert isinstance(err.value.__cause__, IllConditioned)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1e200])
