@@ -77,7 +77,7 @@ def test_same_seed_gives_identical_store(case, tmp_path):
 def test_template_draws_match_block_conditional():
     """20 000 block draws of X: mean and covariance against Q^-1 b and Q^-1."""
     state, geom, _ = _toy_state()
-    # Weaken the data and X(T) terms 100-fold. As drawn, the X(T) values lie
+    # Weaken the data and X(T) terms 100-fold. As built, the X(T) values lie
     # between the sites and, the 1D exponential kernel being Markov, leave X
     # nearly independent across sites, where L^-T z and L^-1 z look alike.
     for blk in state.blocks:
