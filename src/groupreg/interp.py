@@ -5,6 +5,17 @@ Used for Y_i evaluated at reverse-transformed sites and for inverse warping.
 stencil. Boundary policy: "zero" treats values outside the lattice as 0 (the
 default; activation maps decay to baseline outside the region of interest),
 "clamp" replicates the edge value.
+
+The kernel is one gather for 1D and 2D alike. The grid is padded by `_PAD`
+sites per side with the boundary fill (zeros, or edge copies), so every
+stencil that touches the lattice lies inside the padded grid and the policy
+needs no mask. Index coordinates are clipped to [-3, n + 1] per axis before
+the floor: a stencil based there lies wholly in the padding, and so does the
+stencil of every clipped point, which therefore reads the fill as it would
+unclipped; the clip also keeps the integer cast defined for any finite
+query. Stencil values come from one `take` at precomputed flat offsets,
+weights are [1, t, t^2, t^3] @ `_M_CR`, and the 2D contraction runs one
+axis at a time. A query point that is not finite gives NaN.
 """
 
 from __future__ import annotations
@@ -13,28 +24,25 @@ import numpy as np
 
 BOUNDARY_POLICIES = ("zero", "clamp")
 
+# Catmull-Rom basis: the weights of p_{-1}, p_0, p_1, p_2 at fractional
+# offset t from p_0 are [1, t, t^2, t^3] @ _M_CR.
+_M_CR = 0.5 * np.array([[0.0, 2.0, 0.0, 0.0],
+                        [-1.0, 0.0, 1.0, 0.0],
+                        [2.0, -5.0, 4.0, -1.0],
+                        [-1.0, 3.0, -3.0, 1.0]])
 
-def _catmull_rom_weights(t):
-    """Weights for samples p_{-1}, p_0, p_1, p_2 at fractional offset t from p_0."""
-    t2 = t * t
-    t3 = t2 * t
-    w0 = 0.5 * (-t3 + 2.0 * t2 - t)
-    w1 = 0.5 * (3.0 * t3 - 5.0 * t2 + 2.0)
-    w2 = 0.5 * (-3.0 * t3 + 4.0 * t2 + t)
-    w3 = 0.5 * (t3 - t2)
-    return np.stack([w0, w1, w2, w3], axis=-1)
+# A stencil based at n + 1 spans sites n .. n + 3, so 4 fill sites per side
+# hold every stencil the clip allows.
+_PAD = 4
 
 
-def _axis_stencil(u, n, policy):
-    """Stencil indices (q, 4), in-range mask and weights along one axis."""
-    base = np.floor(u).astype(int)
-    t = u - base
-    idx = base[:, None] + np.arange(-1, 3)[None, :]
-    weights = _catmull_rom_weights(t)
-    if policy == "clamp":
-        return np.clip(idx, 0, n - 1), np.ones_like(idx, dtype=bool), weights
-    valid = (idx >= 0) & (idx < n)
-    return np.clip(idx, 0, n - 1), valid, weights
+def _padded(grid, boundary):
+    if boundary == "clamp":
+        return np.pad(grid, _PAD, mode="edge")
+    # Slice assignment into zeros: np.pad costs several times more per call.
+    out = np.zeros(tuple(n + 2 * _PAD for n in grid.shape))
+    out[(slice(_PAD, -_PAD),) * grid.ndim] = grid
+    return out
 
 
 def interpolate(amap, points, boundary="zero"):
@@ -43,7 +51,7 @@ def interpolate(amap, points, boundary="zero"):
     points: (q, d) array (or (d,) for a single point). Returns values (q,)
     (or a scalar). The lattice needs at least 4 sites per axis; queries may
     be anywhere, with out-of-domain stencil values handled by the boundary
-    policy.
+    policy. Points with a NaN or infinite coordinate give NaN.
     """
     if boundary not in BOUNDARY_POLICIES:
         raise ValueError(f"boundary must be one of {BOUNDARY_POLICIES}")
@@ -52,19 +60,42 @@ def interpolate(amap, points, boundary="zero"):
         raise ValueError("cubic interpolation needs >= 4 sites per axis")
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    u = lat.to_index_coords(pts)
+    # Index coordinates axis-major, (d, q): every step below then runs over
+    # the query points in long contiguous rows.
+    u = np.ascontiguousarray(lat.to_index_coords(pts).T)
+    q = u.shape[1]
+    # One sum tells whether every coordinate is finite (or some sum overflows).
+    all_finite = np.isfinite(u.sum())
+    if not all_finite:
+        finite = np.isfinite(u).all(axis=0)
+        u = np.where(finite, u, 0.0)
 
+    u = np.clip(u, -3.0, np.asarray(lat.shape, dtype=float)[:, None] + 1.0)
+    base = np.floor(u)
+    padded = _padded(amap.grid, boundary)
+    # Flat index of each stencil's first site (base - 1 per axis), and the
+    # flat offsets of the 4^d stencil sites from it.
+    strides = np.asarray(padded.strides) // padded.itemsize
+    first = (strides @ base + (_PAD - 1) * strides.sum()).astype(np.intp)
+    offsets = np.arange(4)
+    if lat.dim == 2:
+        offsets = (offsets[:, None] * strides[0] + offsets).ravel()
+    vals = padded.take(offsets[:, None] + first)        # (4^d, q)
+
+    t = (u - base).ravel()
+    powers = np.empty((4, t.size))
+    powers[0] = 1.0
+    powers[1] = t
+    np.multiply(t, t, out=powers[2])
+    np.multiply(powers[2], t, out=powers[3])
+    w = _M_CR.T @ powers                                # (4, d q)
     if lat.dim == 1:
-        idx, valid, w = _axis_stencil(u[:, 0], lat.shape[0], boundary)
-        vals = amap.values[idx] * valid
-        out = np.einsum("qk,qk->q", w, vals)
+        out = np.einsum("kq,kq->q", w, vals)
     else:
-        idx0, valid0, w0 = _axis_stencil(u[:, 0], lat.shape[0], boundary)
-        idx1, valid1, w1 = _axis_stencil(u[:, 1], lat.shape[1], boundary)
-        grid = amap.grid
-        patch = grid[idx0[:, :, None], idx1[:, None, :]]
-        patch = patch * (valid0[:, :, None] & valid1[:, None, :])
-        out = np.einsum("qj,qk,qjk->q", w0, w1, patch)
+        inner = np.einsum("jkq,kq->jq", vals.reshape(4, 4, q), w[:, q:])
+        out = np.einsum("jq,jq->q", w[:, :q], inner)
+    if not all_finite:
+        out[~finite] = np.nan
     return float(out[0]) if single else out
 
 

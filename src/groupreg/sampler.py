@@ -41,7 +41,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 from scipy.optimize import minimize
 
 from .errors import (DegenerateInput, GroupregError, IllConditioned, InsufficientSamples,
-                     NonPositiveScale, NoRealLogarithm, OutOfLibraryBounds)
+                     NonPositiveScale, NoRealLogarithm, OutOfLibraryBounds,
+                     SingularTransform)
 from .grids import ActivationMap
 from .interp import interpolate
 from .model import (Hyperparams, ModelGeometry, SubjectBlock, backward_values,
@@ -551,8 +552,15 @@ def fit_affine(y_map, x_map, beta, start, coarse=False):
     objs = [objective(t) for t in candidates]
     best = candidates[int(np.argmin(objs))]
 
+    def lie_objective(dv):
+        try:
+            t = lie_exp(dv)
+        except SingularTransform:   # a vertex with no invertible transform
+            return np.inf
+        return objective(t)
+
     x0 = lie_log(best)
-    res = minimize(lambda dv: objective(lie_exp(dv)), x0, method="Nelder-Mead",
+    res = minimize(lie_objective, x0, method="Nelder-Mead",
                    options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 400 * x0.size})
     if res.fun <= min(objs):
         return lie_exp(res.x)

@@ -1,4 +1,10 @@
+import pytest
+
 from groupreg.cli import main
+from groupreg.config import load_config
+from groupreg.errors import OutOfLibraryBounds
+from groupreg.sampler import Chain
+from groupreg.synth import ScenarioSpec, generate
 
 CONFIG = """scenario=indicator
 n_subjects=3
@@ -25,3 +31,35 @@ def test_waic_scan_matches_single_fits(tmp_path):
         assert main(["fit", "--config", str(cfg), "--lambda-r", lam, "--out", str(out)]) == 0
         scanned = tmp_path / "scan" / f"lambda_{lam}" / "samples.bin"
         assert scanned.read_bytes() == (out / "samples.bin").read_bytes()
+
+
+def _no_outputs_left(tmp_path, out):
+    assert not out.exists()
+    assert not list(tmp_path.glob(".groupreg-staging-*"))
+
+
+def test_fit_failing_at_setup_exits_3_and_writes_nothing(tmp_path, capsys):
+    """Cosine sim seed 0 leaves the neighbour library during set-up."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario=cosine\nn_subjects=3\nsim_seed=0\nseed=1\n"
+                   "total=4\nburn_in=2\nthin=1\n")
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "neighbor library" in capsys.readouterr().err
+    _no_outputs_left(tmp_path, out)
+    config = load_config(str(cfg))
+    maps, _ = generate(ScenarioSpec("cosine", n_subjects=3, seed=0))
+    with pytest.raises(OutOfLibraryBounds):
+        Chain(maps, config)
+
+
+@pytest.mark.parametrize("text", ["scenario=cosine\nthis line has no equals sign\n",
+                                  "scenario=cosine\ntotal=many\n",
+                                  "scenario=cosine\nno_such_key=1\n",
+                                  "scenario=cosine\ntotal=4\nburn_in=9\n"])
+def test_malformed_config_exits_2_and_writes_nothing(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    _no_outputs_left(tmp_path, out)

@@ -1,11 +1,48 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
-from groupreg.interp import interpolate, resample
-from groupreg.transforms import AffineTransform
+from groupreg.interp import BOUNDARY_POLICIES, interpolate, resample
+from groupreg.transforms import AffineTransform, affine_apply
+
+
+# Reference kernel: a per-axis stencil with index clipping and an in-range
+# mask, contracted by one einsum. It is the kernel `interpolate` replaced and
+# is valid wherever the floor of an index coordinate fits an int.
+def _oracle_weights(t):
+    t2 = t * t
+    t3 = t2 * t
+    w0 = 0.5 * (-t3 + 2.0 * t2 - t)
+    w1 = 0.5 * (3.0 * t3 - 5.0 * t2 + 2.0)
+    w2 = 0.5 * (-3.0 * t3 + 4.0 * t2 + t)
+    w3 = 0.5 * (t3 - t2)
+    return np.stack([w0, w1, w2, w3], axis=-1)
+
+
+def _oracle_axis(u, n, policy):
+    base = np.floor(u).astype(int)
+    idx = base[:, None] + np.arange(-1, 3)[None, :]
+    weights = _oracle_weights(u - base)
+    if policy == "clamp":
+        return np.clip(idx, 0, n - 1), np.ones_like(idx, dtype=bool), weights
+    return np.clip(idx, 0, n - 1), (idx >= 0) & (idx < n), weights
+
+
+def oracle_interpolate(amap, points, boundary="zero"):
+    lat = amap.lattice
+    u = lat.to_index_coords(np.asarray(points, dtype=float))
+    if lat.dim == 1:
+        idx, valid, w = _oracle_axis(u[:, 0], lat.shape[0], boundary)
+        return np.einsum("qk,qk->q", w, amap.values[idx] * valid)
+    idx0, valid0, w0 = _oracle_axis(u[:, 0], lat.shape[0], boundary)
+    idx1, valid1, w1 = _oracle_axis(u[:, 1], lat.shape[1], boundary)
+    patch = amap.grid[idx0[:, :, None], idx1[:, None, :]]
+    patch = patch * (valid0[:, :, None] & valid1[:, None, :])
+    return np.einsum("qj,qk,qjk->q", w0, w1, patch)
 
 
 def linear_map():
@@ -90,3 +127,84 @@ class TestInterpolate2D:
         q = np.array([[-0.3, 2.6], [0.2, 2.55]])  # stencils fully interior
         want = q[:, 0] + 4.0 * q[:, 1]
         assert np.max(np.abs(interpolate(amap, q) - want)) < 1e-10
+
+
+class TestKernelMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), boundary=st.sampled_from(BOUNDARY_POLICIES),
+           shape=st.lists(st.integers(4, 9), min_size=2, max_size=2),
+           spacing=st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=2, max_size=2),
+           origin=st.lists(st.integers(-8, 8), min_size=2, max_size=2),
+           angle=st.floats(-np.pi, np.pi), log_scale=st.floats(-0.7, 0.7),
+           shift=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_warps_far_points_and_sites(self, dim, boundary, shape, spacing, origin,
+                                               angle, log_scale, shift, seed):
+        """New kernel == the reference within 1e-14 max|values| on any query."""
+        rng = np.random.default_rng(seed)
+        # Dyadic spacing and origin make site coordinates exact integers in
+        # index space, so the floor sits exactly on a site.
+        lat = Lattice(tuple(shape[:dim]), np.array(spacing[:dim]),
+                      0.25 * np.array(origin[:dim], dtype=float))
+        amap = ActivationMap(lat, rng.normal(size=lat.n_sites) * 10.0 ** rng.uniform(-3, 3))
+        locs = lat.locations()
+        if dim == 1:
+            warp = AffineTransform.from_parts([[np.exp(log_scale)]], shift[:1])
+        else:
+            c, s = np.cos(angle), np.sin(angle)
+            warp = AffineTransform.from_parts(np.exp(log_scale) * np.array([[c, -s], [s, c]]),
+                                              shift)
+        lower, upper = lat.bounds()
+        extent = upper - lower
+        # Every integer index from -6 to n + 5 on each axis, through the clip
+        # points at -3 and n + 1, and points up to 1e6 extents away.
+        ints = [np.arange(-6, n + 6) for n in lat.shape]
+        grid_idx = np.stack(np.meshgrid(*ints, indexing="ij"), axis=-1).reshape(-1, dim)
+        far = lower + extent * rng.choice([-1e6, -40.0, -1.5, 2.5, 40.0, 1e6], size=(50, dim))
+        points = np.concatenate([
+            affine_apply(warp, locs),
+            lower + extent * rng.uniform(-0.3, 1.3, size=(200, dim)),
+            lat.origin + grid_idx * lat.spacing,
+            far + rng.uniform(-1.0, 1.0, size=far.shape),
+        ])
+        got = interpolate(amap, points, boundary=boundary)
+        want = oracle_interpolate(amap, points, boundary=boundary)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(amap.values))
+
+    def test_non_dyadic_offset_lattice(self):
+        lat = Lattice((7, 9), np.array([0.7, 1.3]), np.array([-2.1, 3.4]))
+        amap = ActivationMap(lat, np.random.default_rng(5).normal(size=63))
+        rng = np.random.default_rng(6)
+        lower, upper = lat.bounds()
+        points = lower + (upper - lower) * rng.uniform(-0.5, 1.5, size=(500, 2))
+        for boundary in BOUNDARY_POLICIES:
+            got = interpolate(amap, points, boundary=boundary)
+            want = oracle_interpolate(amap, points, boundary=boundary)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(amap.values))
+
+
+class TestNonFiniteQueries:
+    def test_nan_and_inf_give_nan_without_invalid_casts(self):
+        amap = linear_map()
+        q = np.array([[np.nan], [np.inf], [-np.inf], [1e30], [-1e30], [2.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = interpolate(amap, q)
+            clamped = interpolate(amap, q, boundary="clamp")
+        assert np.isnan(got[:3]).all() and np.isnan(clamped[:3]).all()
+        assert got[3] == 0.0 and got[4] == 0.0
+        assert clamped[3] == 31.0 and clamped[4] == 1.0
+        assert got[5] == pytest.approx(8.5, abs=1e-10)
+
+    def test_2d_point_with_one_bad_coordinate(self):
+        lat = Lattice((6, 6), np.array([1.0, 1.0]), np.zeros(2))
+        amap = ActivationMap(lat, np.arange(36.0) + 1.0)
+        q = np.array([[np.nan, 2.0], [2.0, np.inf], [1e30, 2.0], [2.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = interpolate(amap, q)
+            clamped = interpolate(amap, q, boundary="clamp")
+        assert np.isnan(got[:2]).all() and np.isnan(clamped[:2]).all()
+        assert got[2] == 0.0
+        assert clamped[2] == pytest.approx(amap.grid[5, 2])
+        assert got[3] == pytest.approx(amap.grid[2, 3])

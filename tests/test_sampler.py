@@ -3,15 +3,18 @@ import pytest
 
 from groupreg.audit import _toy_state, band_to_dense, weights_gap
 from groupreg.config import RunConfig, parse_config
-from groupreg.errors import IllConditioned, NonPositiveScale, ValidationError
+from groupreg import sampler
+from groupreg.errors import IllConditioned, NonPositiveScale, SingularTransform, ValidationError
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
-from groupreg.model import Hyperparams, SubjectBlock
-from groupreg.sampler import (Chain, ChainAborted, template_conditional, update_beta_sigma,
-                              update_template)
+from groupreg.interp import interpolate
+from groupreg.model import Hyperparams, SubjectBlock, build_geometry
+from groupreg.sampler import (Chain, ChainAborted, fit_affine, initialize, template_conditional,
+                              update_beta_sigma, update_template)
 from groupreg.spatial import batched_nngp_weights
 from groupreg.store import save_store
-from groupreg.synth import ScenarioSpec, base_glyph, gen_indicator_curves, rotate_glyph
-from groupreg.transforms import AffineTransform, affine_apply
+from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, rotate_glyph,
+                            rotation_about_center)
+from groupreg.transforms import AffineTransform, affine_apply, affine_compose, lie_exp, lie_log
 
 
 def small_glyph():
@@ -126,3 +129,48 @@ def test_threads_key_still_parsed_and_validated():
     assert parse_config("threads=4\n").threads == 4
     with pytest.raises(ValidationError):
         parse_config("threads=-1\n")
+
+
+def test_fit_affine_recovers_a_known_warp():
+    """Noise-free Y = X(T) with T a rotation and shift: fit_affine finds T."""
+    glyph = base_glyph()
+    truth = affine_compose(AffineTransform.translation([1.0, -0.5]),
+                           rotation_about_center(glyph.lattice, np.deg2rad(10.0)))
+    y = glyph.with_values(interpolate(glyph, affine_apply(truth, glyph.lattice.locations())))
+    got = fit_affine(y, glyph, 1.0, AffineTransform.identity(2), coarse=True)
+    assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
+
+
+def test_fit_affine_scores_singular_vertices_as_infinite(monkeypatch):
+    """A Nelder-Mead vertex with no invertible transform is a worse vertex, not a failure."""
+    glyph = base_glyph()
+    truth = rotation_about_center(glyph.lattice, np.deg2rad(5.0))
+    y = glyph.with_values(interpolate(glyph, affine_apply(truth, glyph.lattice.locations())))
+
+    raised = []
+
+    def lie_exp_singular_above(dv):
+        if dv[0] > 0.002:
+            raised.append(dv)
+            raise SingularTransform("test: singular region of the Lie coordinates")
+        return lie_exp(dv)
+
+    monkeypatch.setattr(sampler, "lie_exp", lie_exp_singular_above)
+    got = fit_affine(y, glyph, 1.0, AffineTransform.identity(2))
+    assert raised
+    assert lie_log(got)[0] <= 0.002
+    assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-2
+
+
+def test_initialize_is_deterministic():
+    maps = small_glyph()
+    cfg = RunConfig(margin=5, seed=4, init_iters=3)
+    geom = build_geometry(maps[0].lattice, cfg.m, cfg.margin)
+    first, second = (initialize(maps, cfg.hyperparams(), cfg, geom) for _ in range(2))
+    assert np.array_equal(first.X, second.X)
+    assert (first.alpha, first.rho) == (second.alpha, second.rho)
+    for a, b in zip(first.blocks, second.blocks, strict=True):
+        assert np.array_equal(a.T.matrix, b.T.matrix)
+        assert np.array_equal(a.T_r.matrix, b.T_r.matrix)
+        assert (a.beta, a.sigma2) == (b.beta, b.sigma2)
+        assert np.array_equal(a.XT, b.XT) and np.array_equal(a.Y_bw, b.Y_bw)

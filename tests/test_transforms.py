@@ -4,12 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupreg.errors import NoRealLogarithm, SingularTransform
-from groupreg.transforms import (AffineTransform, adjoint_matrix, affine_apply,
+from groupreg.errors import NoRealLogarithm, NumericalError, SingularTransform
+from groupreg.transforms import (DET_EPS, AffineTransform, adjoint_matrix, affine_apply,
                                  affine_compose, affine_inverse,
                                  composition_identity_gap, generator_from_vector,
                                  karcher_mean, lie_exp, lie_log,
-                                 proposal_jacobian, standardize)
+                                 proposal_jacobian, standardize, vector_from_generator)
 
 
 def translation(*b):
@@ -257,3 +257,122 @@ class TestStandardize:
         twice = standardize(once)
         for a, b in zip(once, twice):
             assert np.max(np.abs(a.matrix - b.matrix)) < 1e-8
+
+
+class TestConstructionChecks:
+    """The checks AffineTransform makes on every matrix, pinned one by one."""
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 4), (1, 1), (3,), (2, 2, 2)])
+    def test_wrong_shape(self, shape):
+        with pytest.raises(ValueError):
+            AffineTransform(np.ones(shape))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("col,value,ok", [
+        (0, 1e-12, True), (0, -1e-12, True),
+        (0, np.nextafter(1e-12, 1.0), False), (0, -np.nextafter(1e-12, 1.0), False),
+        (-1, 1.0 + 0.999 * (1e-12 + 1e-5), True), (-1, 1.0 - 0.999 * (1e-12 + 1e-5), True),
+        (-1, 1.0 + 1.001 * (1e-12 + 1e-5), False), (-1, 1.0 - 1.001 * (1e-12 + 1e-5), False),
+    ])
+    def test_last_row_tolerance(self, dim, col, value, ok):
+        """atol 1e-12 on the zeros, 1e-12 + 1e-5 on the final 1, as np.allclose."""
+        h = np.eye(dim + 1)
+        h[-1, col] = value
+        bottom = np.eye(dim + 1)[-1]
+        assert np.allclose(h[-1], bottom, atol=1e-12) == ok
+        if ok:
+            assert np.array_equal(AffineTransform(h).matrix[-1], bottom)
+        else:
+            with pytest.raises(ValueError):
+                AffineTransform(h)
+
+    @pytest.mark.parametrize("a", [
+        [[DET_EPS]], [[-DET_EPS]], [[DET_EPS, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -DET_EPS]],
+        [[1.0, 2.0], [0.5, 1.0]]])
+    def test_det_at_threshold_is_singular(self, a):
+        with pytest.raises(SingularTransform):
+            AffineTransform.from_parts(a, np.zeros(len(a)))
+
+    def test_det_just_above_threshold_constructs(self):
+        AffineTransform.from_parts([[2.0 * DET_EPS]], [0.0])
+        AffineTransform.from_parts([[1.0, 0.0], [0.0, -2.0 * DET_EPS]], [0.0, 0.0])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A", "b", "last"])
+    def test_non_finite_entry_is_singular(self, dim, bad, where):
+        h = np.eye(dim + 1)
+        h[{"A": (0, 0), "b": (0, dim), "last": (dim, 0)}[where]] = bad
+        with pytest.raises(SingularTransform):
+            AffineTransform(h)
+        assert issubclass(SingularTransform, NumericalError)
+
+    def test_lie_exp_overflow_is_singular(self):
+        for delta in ([800.0, 0.0], [800.0, 0.0, 0.0, 0.0, 800.0, 0.0],
+                      [0.0, 1e200, 0.0, -1e200, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]):
+            with pytest.raises(SingularTransform):
+                lie_exp(np.array(delta))
+        # det e^L = e^{tr L} below DET_EPS
+        with pytest.raises(SingularTransform):
+            lie_exp(np.array([-20.0, 0.0, 0.0, 0.0, -20.0, 0.0]))
+
+
+def _delta(ell, u=(0.3, -0.7)):
+    ell = np.asarray(ell, dtype=float)
+    return np.array([ell[0, 0], ell[0, 1], u[0], ell[1, 0], ell[1, 1], u[1]])
+
+
+# Generators for the float 2x2 kernels: complex eigenvalue pairs, repeated
+# eigenvalues (pure scaling, and a Jordan block), near-zero generators, and
+# norms past 0.8 that take phi1 through its squaring branch.
+KERNEL_CASES = {
+    "complex_pair": [[0.1, -1.2], [1.1, 0.05]],
+    "rotation": [[0.0, -0.5], [0.5, 0.0]],
+    "scaling_up": [[0.3, 0.0], [0.0, 0.3]],
+    "scaling_down": [[-0.7, 0.0], [0.0, -0.7]],
+    "jordan": [[0.2, 0.4], [0.0, 0.2]],
+    "near_zero": [[1e-9, -3e-10], [2e-10, -1e-9]],
+    "tiny": [[1e-200, 0.0], [0.0, 1e-200]],
+    "zero": [[0.0, 0.0], [0.0, 0.0]],
+    "real_distinct": [[0.4, 0.3], [0.2, -0.1]],
+    "squaring_real": [[1.5, 0.8], [0.3, -1.0]],
+    "squaring_complex": [[0.3, -2.5], [2.0, 0.1]],
+    "squaring_scaling": [[-2.0, 0.0], [0.0, -2.0]],
+    "squaring_jordan": [[1.1, 1.7], [0.0, 1.1]],
+}
+
+
+class TestFloatKernelsMatchScipy:
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_lie_exp_matches_expm(self, name):
+        delta = _delta(KERNEL_CASES[name])
+        want = scipy.linalg.expm(generator_from_vector(delta))
+        got = lie_exp(delta).matrix
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_lie_log_matches_logm(self, name):
+        # exp of each generator, whose principal log is the generator itself
+        # (every case has eigenvalue imaginary parts inside (-pi, pi)).
+        delta = _delta(KERNEL_CASES[name])
+        h = scipy.linalg.expm(generator_from_vector(delta))
+        got = lie_log(AffineTransform(h))
+        want = vector_from_generator(np.real(scipy.linalg.logm(h)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - delta)) <= 1e-12 * max(1.0, np.max(np.abs(delta)))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_affine_inverse_matches_inv(self, name):
+        h = scipy.linalg.expm(generator_from_vector(_delta(KERNEL_CASES[name])))
+        got = affine_inverse(AffineTransform(h)).matrix
+        want = np.linalg.inv(h)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("ell,u", [(0.9, -2.0), (-1e-9, 0.5), (0.0, 1.5), (-3.0, 0.1)])
+    def test_1d(self, ell, u):
+        delta = np.array([ell, u])
+        h = scipy.linalg.expm(generator_from_vector(delta))
+        assert np.max(np.abs(lie_exp(delta).matrix - h)) <= 1e-13 * np.max(np.abs(h))
+        assert np.max(np.abs(lie_log(AffineTransform(h)) - delta)) <= 1e-13 * max(1.0, abs(u))
+        assert np.max(np.abs(affine_inverse(AffineTransform(h)).matrix
+                             - np.linalg.inv(h))) <= 1e-13 * np.max(np.abs(h)) / h[0, 0]
