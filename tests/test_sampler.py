@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from groupreg import sampler
 from groupreg.audit import _toy_state, band_to_dense, weights_gap
 from groupreg.config import RunConfig, parse_config
-from groupreg import sampler
 from groupreg.errors import IllConditioned, NonPositiveScale, SingularTransform, ValidationError
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.interp import interpolate
