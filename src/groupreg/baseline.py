@@ -8,8 +8,9 @@ affine class and marginal-t prior as the symmetric model so the comparison
 isolates the symmetric-GP contribution. No reverse transforms, no intensity
 scale beta, no inverse-consistency penalty.
 
-Sampling: conjugate Gibbs for w and sigma_i^2, the same Lie-algebra
-Metropolis (with J(delta) correction and Robbins-Monro adaptation) for T_i.
+Sampling: conjugate Gibbs for w and sigma_i^2, and for T_i the symmetric
+model's Lie-group Metropolis step (`sampler.lie_mh_step`, with the J(delta)
+correction and Robbins-Monro adaptation).
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from .errors import IllConditioned
 from .grids import ActivationMap
 from .interp import interpolate
 from .model import sigma_s_matrix, transform_log_prior
-from .sampler import (AdaptiveProposal, _draw_delta, lie_mh_log_acceptance,
-                      fit_affine, substream)
+from .sampler import AdaptiveProposal, fit_affine, lie_mh_step, substream
 from .store import SampleStore
-from .transforms import (AffineTransform, affine_apply, affine_compose,
-                         affine_inverse, lie_exp, lie_log)
-from .errors import NoRealLogarithm
+from .transforms import AffineTransform, affine_apply, affine_inverse
 
 KERNEL_JITTER = 1e-8
 
@@ -74,6 +72,15 @@ def conventional_w_conditional(phis, ys, sigma2s, gram_chol):
 
 def _phi_at(transform, locations, landmarks, tau):
     return gauss_kernel(affine_apply(transform, locations), landmarks, tau)
+
+
+def conventional_log_target(t, phi, y, w, sigma2, hp, sigma_s):
+    """T-dependent part of the conventional joint: prior and Gaussian log-likelihood.
+
+    `phi` is the kernel design at the transformed sites T(S).
+    """
+    r = y - phi @ w
+    return transform_log_prior(t, hp.a_T, hp.b_T, sigma_s) - 0.5 * float(r @ r) / sigma2
 
 
 def fit_conventional(maps, config):
@@ -132,33 +139,16 @@ def fit_conventional(maps, config):
                                            scale=1.0 / rate)
         # T_i | rest: Lie-MH against the kernel-template likelihood.
         for i in range(n):
-            rng_i = substream(seed, it, 2, i)
-            delta, prop_cov = _draw_delta(adapt[i], rng_i)
-            accept_draw = np.log(rng_i.uniform())
-            t_new = affine_compose(lie_exp(delta), ts[i])
-            try:
-                lie_log(t_new)
-                delta_rev = lie_log(affine_compose(ts[i], affine_inverse(t_new)))
-            except NoRealLogarithm:
-                adapt[i].rejected_nolog += 1
-                adapt[i].record(False)
-                continue
-            phi_new = _phi_at(t_new, locs, landmarks, config.tau)
-            y = maps[i].values
-            def loglik(phi, s2=sigma2s[i]):
-                r = y - phi @ w
-                return -0.5 * float(r @ r) / s2
-            log_new = (transform_log_prior(t_new, hp.a_T, hp.b_T, sigma_s)
-                       + loglik(phi_new))
-            log_old = (transform_log_prior(ts[i], hp.a_T, hp.b_T, sigma_s)
-                       + loglik(phis[i]))
-            log_acc = lie_mh_log_acceptance(log_old, log_new, delta, delta_rev,
-                                            prop_cov)
-            accepted = accept_draw < log_acc
-            if accepted:
-                ts[i] = t_new
-                phis[i] = phi_new
-            adapt[i].record(accepted, delta)
+            y, s2 = maps[i].values, sigma2s[i]
+
+            def target(t):
+                phi = _phi_at(t, locs, landmarks, config.tau)
+                return conventional_log_target(t, phi, y, w, s2, hp, sigma_s), phi
+
+            log_old = conventional_log_target(ts[i], phis[i], y, w, s2, hp, sigma_s)
+            step = lie_mh_step(ts[i], log_old, target, adapt[i], substream(seed, it, 2, i))
+            if step is not None:
+                ts[i], phis[i] = step
 
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
             kept_x.append(gauss_kernel(locs, landmarks, config.tau) @ w)

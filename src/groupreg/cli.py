@@ -110,25 +110,24 @@ def _load_maps(cfg):
     return maps, truth
 
 
-def _write_manifest(staging, command, cfg, artifacts):
-    manifest = {
-        "command": command,
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "version": __version__,
-        "artifacts": sorted(artifacts),
-    }
-    with open(os.path.join(staging, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _json_dump(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 class _Staging:
-    """Write artifacts to a scratch dir; promote on success, drop on failure."""
+    """Write artifacts to a scratch dir; promote on success, drop on failure.
 
-    def __init__(self, out_dir):
+    `with _Staging(out, command, cfg) as staging:` writes manifest.json, which
+    lists every file staged, and moves the files to `out` when the block
+    exits normally; on any exception the scratch dir is deleted instead.
+    """
+
+    def __init__(self, out_dir, command, cfg):
         self.out_dir = out_dir
+        self.command = command
+        self.cfg = cfg
         parent = os.path.dirname(os.path.abspath(out_dir)) or "."
         os.makedirs(parent, exist_ok=True)
         self.dir = tempfile.mkdtemp(prefix=".groupreg-staging-", dir=parent)
@@ -138,26 +137,37 @@ class _Staging:
         os.makedirs(os.path.dirname(full), exist_ok=True)
         return full
 
-    def promote(self):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            if exc_type is None:
+                self._write_manifest()
+                self._promote()
+        finally:
+            shutil.rmtree(self.dir, ignore_errors=True)
+        return False
+
+    def _write_manifest(self):
+        artifacts = sorted(
+            os.path.relpath(os.path.join(root, name), self.dir).replace(os.sep, "/")
+            for root, _, names in os.walk(self.dir) for name in names)
+        cfg = self.cfg
+        _json_dump({"command": self.command, "config": cfg.to_dict(),
+                    "config_hash": cfg.config_hash(), "seed": cfg.seed,
+                    "version": __version__, "artifacts": artifacts},
+                   os.path.join(self.dir, "manifest.json"))
+
+    def _promote(self):
         os.makedirs(self.out_dir, exist_ok=True)
         for name in sorted(os.listdir(self.dir)):
-            src = os.path.join(self.dir, name)
             dst = os.path.join(self.out_dir, name)
             if os.path.isdir(dst):
                 shutil.rmtree(dst)
             elif os.path.exists(dst):
                 os.remove(dst)
-            shutil.move(src, dst)
-        shutil.rmtree(self.dir, ignore_errors=True)
-
-    def discard(self):
-        shutil.rmtree(self.dir, ignore_errors=True)
-
-
-def _json_dump(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            shutil.move(os.path.join(self.dir, name), dst)
 
 
 def _cmd_simulate(args):
@@ -165,13 +175,9 @@ def _cmd_simulate(args):
     if not cfg.scenario:
         raise ValidationError("simulate needs scenario=... in the config")
     maps, truth = _load_maps(cfg)
-    staging = _Staging(args.out)
-    try:
-        names = []
+    with _Staging(args.out, "simulate", cfg) as staging:
         for i, amap in enumerate(maps):
-            name = f"map{i:02d}.csv"
-            write_map_csv(amap, staging.path(name))
-            names.append(name)
+            write_map_csv(amap, staging.path(f"map{i:02d}.csv"))
         write_map_csv(truth.template, staging.path("template.csv"))
         truth_doc = {
             "scenario": cfg.scenario,
@@ -181,12 +187,6 @@ def _cmd_simulate(args):
             "template": "template.csv",
         }
         _json_dump(truth_doc, staging.path("truth.json"))
-        _write_manifest(staging.dir, "simulate", cfg,
-                        names + ["template.csv", "truth.json"])
-        staging.promote()
-    except BaseException:
-        staging.discard()
-        raise
     print(f"wrote {len(maps)} maps + truth to {args.out}")
     return 0
 
@@ -203,17 +203,10 @@ def _cmd_fit(args, force_model=None):
         cfg = dataclasses.replace(cfg, model=force_model).validate()
     maps, _ = _load_maps(cfg)
     store, diagnostics = _fit_once(cfg, maps)
-    staging = _Staging(args.out)
-    try:
+    with _Staging(args.out, "fit", cfg) as staging:
         save_store(store, staging.path("samples.bin"))
         export_csv(store, staging.path("samples.csv"))
         _json_dump(diagnostics, staging.path("diagnostics.json"))
-        _write_manifest(staging.dir, "fit", cfg,
-                        ["samples.bin", "samples.csv", "diagnostics.json"])
-        staging.promote()
-    except BaseException:
-        staging.discard()
-        raise
     print(f"model={cfg.model} samples={store.n_samples} "
           f"waic={diagnostics.get('waic', float('nan')):.4f} "
           f"ic_error={diagnostics.get('mean_ic_error', float('nan')):.5f} -> {args.out}")
@@ -229,8 +222,7 @@ def _cmd_waic_scan(args):
     # its own copy because a chain mutates its state.
     initial = initialize(maps, cfg.hyperparams(), cfg,
                          build_geometry(maps[0].lattice, cfg.m, cfg.margin))
-    staging = _Staging(args.out)
-    try:
+    with _Staging(args.out, "waic-scan", cfg) as staging:
         rows = []
         for lam in cfg.lambda_r_grid:
             sub_cfg = dataclasses.replace(cfg, lambda_r=lam).validate()
@@ -245,11 +237,6 @@ def _cmd_waic_scan(args):
             fh.write("lambda_r,waic,mean_ic_error\n")
             for lam, w, ic in rows:
                 fh.write(f"{lam!r},{w!r},{ic!r}\n")
-        _write_manifest(staging.dir, "waic-scan", cfg, ["waic_table.csv"])
-        staging.promote()
-    except BaseException:
-        staging.discard()
-        raise
     best = min(rows, key=lambda r: r[1])
     print(f"best lambda_r by WAIC: {best[0]:g} -> {args.out}/waic_table.csv")
     return 0
@@ -270,8 +257,7 @@ def _cmd_summarize(args):
     lattice = _store_lattice(store)
     from .grids import ActivationMap
 
-    staging = _Staging(args.out)
-    try:
+    with _Staging(args.out, "summarize", cfg) as staging:
         grids = {
             "template_mean.csv": summary.mean,
             "template_sd.csv": summary.sd,
@@ -289,12 +275,6 @@ def _cmd_summarize(args):
             for i, t in enumerate(summary.mean_reverse):
                 fh.write(f"{i},reverse," +
                          ";".join(repr(v) for v in t.matrix.ravel()) + "\n")
-        _write_manifest(staging.dir, "summarize", cfg,
-                        list(grids) + ["transforms_mean.csv"])
-        staging.promote()
-    except BaseException:
-        staging.discard()
-        raise
     print(f"summaries (level {cfg.credible_level}) -> {args.out}")
     return 0
 
@@ -308,19 +288,10 @@ def _cmd_inverse_warp(args):
         raise ValidationError(
             f"store has {len(summary.mean_forward)} subjects, config supplies {len(maps)} maps")
     warped, mean_map = inverse_warp(maps, summary.mean_forward)
-    staging = _Staging(args.out)
-    try:
-        names = []
+    with _Staging(args.out, "inverse-warp", cfg) as staging:
         for i, amap in enumerate(warped):
-            name = f"warped{i:02d}.csv"
-            write_map_csv(amap, staging.path(name))
-            names.append(name)
+            write_map_csv(amap, staging.path(f"warped{i:02d}.csv"))
         write_map_csv(mean_map, staging.path("warped_mean.csv"))
-        _write_manifest(staging.dir, "inverse-warp", cfg, names + ["warped_mean.csv"])
-        staging.promote()
-    except BaseException:
-        staging.discard()
-        raise
     print(f"inverse-warped {len(warped)} maps -> {args.out}")
     return 0
 

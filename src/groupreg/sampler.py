@@ -29,6 +29,14 @@ a 2-core x86-64 machine it takes ~3 ms per sweep on 28x28 (assembly ~2 ms,
 factor ~1 ms), against ~14 ms for the site-by-site Gibbs loop it replaced
 (~18 us per site, O(V)); on synthetic lattices the two cross near 56x56,
 beyond which the block step is the slower one.
+
+T_i, T_i^r and the baseline's T_i all move by one Metropolis step on the
+affine group, `lie_mh_step`: propose exp(delta) t, delta ~ N(0, adaptive
+cov), and accept by the J(delta)-corrected `lie_mh_log_acceptance`. A
+proposal with no real logarithm (`rejected_nolog`) or whose log target
+raises OutOfLibraryBounds (`rejected_oob`) is rejected outright. Each step
+draws delta, then the accept uniform, whether it rejects or not, so every
+per-(iteration, phase, subject) stream advances by the same draws.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
 from .store import SampleStore
 from .transforms import (AffineTransform, affine_apply, affine_compose,
                          affine_inverse, karcher_mean, lie_exp, lie_log,
-                         proposal_jacobian)
+                         proposal_jacobian, standardize)
 
 ADAPT_TARGET_RATE = 0.234
 
@@ -374,91 +382,82 @@ def lie_mh_log_acceptance(log_target_x, log_target_y, delta_fwd, delta_rev, prop
     return min(0.0, (log_target_y + lq_rev) - (log_target_x + lq_fwd))
 
 
-def forward_transform_log_target(t, t_r, x, xt, geom, hp, factor, alpha):
+def forward_log_target(t, t_r, x, xt, weights, geom, hp):
     """T-dependent part of the joint: prior, NNGP terms of X(T), both penalties.
 
-    Returns the log target and `subject_geometry(t, ...)`. Raises
-    OutOfLibraryBounds when T moves a template site past the margin.
+    `weights` is the (nbr, B, F) of T(S): a subject's cached weights for its
+    current T, or `subject_geometry(t, ...)[2:]` for a proposal.
     """
-    caches = subject_geometry(t, geom, factor, alpha)
-    _, _, nbr, b, f = caches
+    nbr, b, f = weights
     p1, p2 = penalty_terms(t, t_r)
     return (transform_log_prior(t, hp.a_T, hp.b_T, geom.sigma_s)
             + nngp_log_density_from_weights(x, xt, nbr, b, f)
-            - hp.lambda_r * (p1 + p2)), caches
+            - hp.lambda_r * (p1 + p2))
 
 
-def reverse_transform_log_target(t_r, t, x, y_map, beta, sigma2, geom, hp):
-    """T^r-dependent part: prior, backward SSD (1/2 weighted), both penalties."""
-    pts = affine_apply(t_r, geom.locations)
-    y_bw = interpolate(y_map, pts)
+def reverse_log_target(t_r, t, x, y_bw, beta, sigma2, geom, hp):
+    """T^r-dependent part: prior, SSD of y_bw = Y(T^r(S)) (1/2 weighted), both penalties."""
     ssd = float(np.sum((y_bw - beta * x) ** 2))
     p1, p2 = penalty_terms(t, t_r)
     return (transform_log_prior(t_r, hp.a_Tr, hp.b_Tr, geom.sigma_s)
-            - 0.5 * ssd / sigma2 - hp.lambda_r * (p1 + p2)), y_bw
+            - 0.5 * ssd / sigma2 - hp.lambda_r * (p1 + p2))
 
 
-def _draw_delta(adapt, rng):
+def lie_mh_step(t, log_old, log_target, adapt, rng):
+    """One random-walk Metropolis step t -> exp(delta) t on the affine group.
+
+    `log_old` is the log target at t; `log_target(t_new)` returns the log
+    target at the proposal and a payload the caller keeps on accept. Returns
+    (t_new, payload) on accept and None otherwise.
+    """
     cov = adapt.proposal_cov()
     delta = np.linalg.cholesky(cov) @ rng.standard_normal(adapt.dim)
-    return delta, cov
-
-
-def update_forward_transform(blk, state, geom, hp, adapt, rng):
-    delta, prop_cov = _draw_delta(adapt, rng)
     accept_draw = np.log(rng.uniform())
-    t_new = affine_compose(lie_exp(delta), blk.T)
+    t_new = affine_compose(lie_exp(delta), t)
     try:
         lie_log(t_new)  # proposals without a real logarithm are rejected
-        delta_rev = lie_log(affine_compose(blk.T, affine_inverse(t_new)))
+        delta_rev = lie_log(affine_compose(t, affine_inverse(t_new)))
     except NoRealLogarithm:
         adapt.rejected_nolog += 1
         adapt.record(False)
-        return False
+        return None
     try:
-        log_new, caches = forward_transform_log_target(
-            t_new, blk.T_r, state.X, blk.XT, geom, hp, state.factor, state.alpha)
+        log_new, payload = log_target(t_new)
     except OutOfLibraryBounds:
         adapt.rejected_oob += 1
         adapt.record(False)
-        return False
-    p1, p2 = penalty_terms(blk.T, blk.T_r)
-    log_old = (transform_log_prior(blk.T, hp.a_T, hp.b_T, geom.sigma_s)
-               + nngp_log_density_from_weights(state.X, blk.XT, blk.nbr, blk.B, blk.F)
-               - hp.lambda_r * (p1 + p2))
-    log_acc = lie_mh_log_acceptance(log_old, log_new, delta, delta_rev, prop_cov)
-    accepted = accept_draw < log_acc
-    if accepted:
-        blk.T = t_new
-        blk.locs, blk.entry, blk.nbr, blk.B, blk.F = caches
+        return None
+    accepted = accept_draw < lie_mh_log_acceptance(log_old, log_new, delta, delta_rev, cov)
     adapt.record(accepted, delta)
-    return accepted
+    return (t_new, payload) if accepted else None
+
+
+def update_forward_transform(blk, state, geom, hp, adapt, rng):
+    def target(t):
+        caches = subject_geometry(t, geom, state.factor, state.alpha)
+        return forward_log_target(t, blk.T_r, state.X, blk.XT, caches[2:], geom, hp), caches
+
+    log_old = forward_log_target(blk.T, blk.T_r, state.X, blk.XT, (blk.nbr, blk.B, blk.F),
+                                 geom, hp)
+    step = lie_mh_step(blk.T, log_old, target, adapt, rng)
+    if step is None:
+        return False
+    blk.T, (blk.locs, blk.entry, blk.nbr, blk.B, blk.F) = step
+    return True
 
 
 def update_reverse_transform(blk, state, geom, hp, adapt, rng):
-    delta, prop_cov = _draw_delta(adapt, rng)
-    accept_draw = np.log(rng.uniform())
-    t_new = affine_compose(lie_exp(delta), blk.T_r)
-    try:
-        lie_log(t_new)
-        delta_rev = lie_log(affine_compose(blk.T_r, affine_inverse(t_new)))
-    except NoRealLogarithm:
-        adapt.rejected_nolog += 1
-        adapt.record(False)
+    def target(t_r):
+        y_bw = interpolate(blk.Y, affine_apply(t_r, geom.locations))
+        return reverse_log_target(t_r, blk.T, state.X, y_bw, blk.beta, blk.sigma2, geom, hp), y_bw
+
+    log_old = reverse_log_target(blk.T_r, blk.T, state.X, blk.Y_bw, blk.beta, blk.sigma2,
+                                 geom, hp)
+    step = lie_mh_step(blk.T_r, log_old, target, adapt, rng)
+    if step is None:
         return False
-    log_new, y_bw_new = reverse_transform_log_target(
-        t_new, blk.T, state.X, blk.Y, blk.beta, blk.sigma2, geom, hp)
-    ssd_old = float(np.sum((blk.Y_bw - blk.beta * state.X) ** 2))
-    p1, p2 = penalty_terms(blk.T, blk.T_r)
-    log_old = (transform_log_prior(blk.T_r, hp.a_Tr, hp.b_Tr, geom.sigma_s)
-               - 0.5 * ssd_old / blk.sigma2 - hp.lambda_r * (p1 + p2))
-    log_acc = lie_mh_log_acceptance(log_old, log_new, delta, delta_rev, prop_cov)
-    accepted = accept_draw < log_acc
-    if accepted:
-        blk.T_r = t_new
-        blk.Y_bw = y_bw_new
-    adapt.record(accepted, delta)
-    return accepted
+    blk.T_r, blk.Y_bw = step
+    return True
 
 
 def standardize_forward_transforms(state, geom, karcher_tol=1e-10):
@@ -469,10 +468,9 @@ def standardize_forward_transforms(state, geom, karcher_tol=1e-10):
     """
     if not state.blocks:
         return
-    mean = karcher_mean([blk.T for blk in state.blocks], tol=karcher_tol)
-    mean_inv = affine_inverse(mean)
-    for blk in state.blocks:
-        blk.T = affine_compose(blk.T, mean_inv)
+    ts = standardize([blk.T for blk in state.blocks], tol=karcher_tol)
+    for blk, t in zip(state.blocks, ts):
+        blk.T = t
         refresh_subject_geometry(blk, geom, state.factor, state.alpha)
 
 
@@ -597,9 +595,7 @@ def initialize(maps, hp, config, geom):
         for i in range(n):
             xt = interpolate(x_map, affine_apply(ts[i], pts))
             betas[i] = fit_scale(maps[i].values, xt)
-        mean = karcher_mean(ts, tol=config.karcher_tol)
-        mean_inv = affine_inverse(mean)
-        ts = [affine_compose(t, mean_inv) for t in ts]
+        ts = standardize(ts, tol=config.karcher_tol)
         betas = betas / np.mean(betas)
         x_new = np.mean(
             [interpolate(maps[i], affine_apply(affine_inverse(ts[i]), pts)) / betas[i]

@@ -77,51 +77,58 @@ def save_store(store, path):
 
 
 def load_store(path):
+    """Read a store written by `save_store`.
+
+    Raises ValidationError on a bad magic, a truncated header or header
+    length, a header that is not valid JSON or lacks a field, a record
+    length prefix that does not match the header, or a body that is shorter
+    or longer than the header's n_records records.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(MAGIC):
         raise ValidationError(f"{path}: not a sample store (bad magic)")
     off = len(MAGIC)
+    if len(blob) < off + 8:
+        raise ValidationError(f"{path}: truncated header length")
     (hlen,) = struct.unpack_from("<Q", blob, off)
     off += 8
-    meta = json.loads(blob[off:off + hlen].decode("utf-8"))
+    if len(blob) - off < hlen:
+        raise ValidationError(f"{path}: truncated header")
+    try:
+        meta = json.loads(blob[off:off + hlen].decode("utf-8"))
+        n_rec = int(meta["n_records"])
+        n = int(meta["n_subjects"])
+        dim = int(meta["dim"])
+        v = int(np.prod(meta["shape"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: bad header: {exc}") from exc
+    if min(n_rec, n, v) < 0 or dim not in (1, 2):
+        raise ValidationError(f"{path}: bad header: n_records={n_rec}, n_subjects={n}, "
+                              f"dim={dim}, {v} sites")
     off += hlen
-    n_rec = int(meta["n_records"])
-    n = int(meta["n_subjects"])
-    dim = int(meta["dim"])
-    v = int(np.prod(meta["shape"]))
     hsz = (dim + 1) ** 2
     per_subject = 2 * hsz + 2
     expect = v + n * per_subject + 2
+    body = len(blob) - off
+    if body != 8 * (expect + 1) * n_rec:
+        raise ValidationError(f"{path}: {body} bytes of records, expected {n_rec} records "
+                              f"of {8 * (expect + 1)} bytes")
 
-    x = np.empty((n_rec, v))
-    h_fwd = np.empty((n_rec, n, dim + 1, dim + 1))
-    h_rev = np.empty((n_rec, n, dim + 1, dim + 1))
-    beta = np.empty((n_rec, n))
-    sigma2 = np.empty((n_rec, n))
-    alpha = np.empty(n_rec)
-    rho = np.empty(n_rec)
-    for s in range(n_rec):
-        (plen,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        vals = np.frombuffer(blob, dtype="<f8", count=plen // 8, offset=off)
-        off += plen
-        if vals.size != expect:
-            raise ValidationError(f"{path}: record {s} has {vals.size} values, expected {expect}")
-        x[s] = vals[:v]
-        pos = v
-        for i in range(n):
-            h_fwd[s, i] = vals[pos:pos + hsz].reshape(dim + 1, dim + 1)
-            pos += hsz
-            h_rev[s, i] = vals[pos:pos + hsz].reshape(dim + 1, dim + 1)
-            pos += hsz
-            beta[s, i] = vals[pos]
-            sigma2[s, i] = vals[pos + 1]
-            pos += 2
-        alpha[s] = vals[pos]
-        rho[s] = vals[pos + 1]
-    return SampleStore(meta=meta, X=x, H_fwd=h_fwd, H_rev=h_rev, beta=beta,
-                       sigma2=sigma2, alpha=alpha, rho=rho)
+    rec = np.frombuffer(blob, dtype="<u8", offset=off).reshape(n_rec, expect + 1)
+    bad = np.flatnonzero(rec[:, 0] != 8 * expect)
+    if bad.size:
+        s = int(bad[0])
+        raise ValidationError(f"{path}: record {s} has {int(rec[s, 0])} bytes, "
+                              f"expected {8 * expect}")
+    vals = rec[:, 1:].view("<f8").astype(float)
+    subj = vals[:, v:v + n * per_subject].reshape(n_rec, n, per_subject)
+    shape = (n_rec, n, dim + 1, dim + 1)
+    return SampleStore(meta=meta, X=vals[:, :v],
+                       H_fwd=subj[:, :, :hsz].reshape(shape),
+                       H_rev=subj[:, :, hsz:2 * hsz].reshape(shape),
+                       beta=subj[:, :, 2 * hsz], sigma2=subj[:, :, 2 * hsz + 1],
+                       alpha=vals[:, -2], rho=vals[:, -1])
 
 
 def export_csv(store, path):

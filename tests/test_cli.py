@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from groupreg import cli
 from groupreg.cli import main
 from groupreg.config import load_config
 from groupreg.errors import OutOfLibraryBounds
@@ -63,3 +66,35 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, text):
     out = tmp_path / "fit"
     assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
     _no_outputs_left(tmp_path, out)
+
+
+def test_waic_scan_manifest_lists_every_staged_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.replace("lambda_r_grid=0.5,2", "lambda_r_grid=2"))
+    out = tmp_path / "scan"
+    assert main(["waic-scan", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["lambda_2/diagnostics.json", "lambda_2/samples.bin",
+                                     "waic_table.csv"]
+    assert manifest["command"] == "waic-scan"
+
+
+def test_fit_baseline_writes_its_artifacts_reproducibly(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    runs = [tmp_path / "base0", tmp_path / "base1"]
+    for out in runs:
+        assert main(["fit-baseline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in runs[0].iterdir()) == [
+        "diagnostics.json", "manifest.json", "samples.bin", "samples.csv"]
+    manifest = json.loads((runs[0] / "manifest.json").read_text())
+    assert manifest["config"]["model"] == "conventional"
+    assert manifest["artifacts"] == ["diagnostics.json", "samples.bin", "samples.csv"]
+    assert (runs[0] / "samples.bin").read_bytes() == (runs[1] / "samples.bin").read_bytes()
+
+
+def test_failing_audit_exits_4(monkeypatch, capsys):
+    failing = [{"name": "test.check", "value": 1.0, "tol": 0.5, "passed": False}]
+    monkeypatch.setattr(cli, "run_all_audits", lambda seed: (failing, False))
+    assert main(["audit"]) == 4
+    assert "[FAIL] test.check" in capsys.readouterr().out

@@ -4,12 +4,14 @@ import pytest
 from groupreg import sampler
 from groupreg.audit import _toy_state, band_to_dense, weights_gap
 from groupreg.config import RunConfig, parse_config
-from groupreg.errors import IllConditioned, NonPositiveScale, SingularTransform, ValidationError
+from groupreg.errors import (IllConditioned, NonPositiveScale, OutOfLibraryBounds,
+                             SingularTransform, ValidationError)
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.interp import interpolate
 from groupreg.model import Hyperparams, SubjectBlock, build_geometry
-from groupreg.sampler import (Chain, ChainAborted, fit_affine, initialize, template_conditional,
-                              update_beta_sigma, update_template)
+from groupreg.sampler import (AdaptiveProposal, Chain, ChainAborted, fit_affine, initialize,
+                              lie_mh_step, template_conditional, update_beta_sigma,
+                              update_forward_transform, update_template)
 from groupreg.spatial import batched_nngp_weights
 from groupreg.store import save_store
 from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, rotate_glyph,
@@ -174,3 +176,58 @@ def test_initialize_is_deterministic():
         assert np.array_equal(a.T_r.matrix, b.T_r.matrix)
         assert (a.beta, a.sigma2) == (b.beta, b.sigma2)
         assert np.array_equal(a.XT, b.XT) and np.array_equal(a.Y_bw, b.Y_bw)
+
+
+def assert_step_draws_used(rng, seed, dim):
+    """The step took delta and the accept uniform from its stream, and nothing else."""
+    ref = np.random.default_rng(seed)
+    ref.standard_normal(dim)
+    ref.uniform()
+    assert rng.uniform() == ref.uniform()
+
+
+def test_lie_mh_step_rejects_out_of_library_proposals():
+    def out_of_library(t):
+        raise OutOfLibraryBounds("test: proposal left the library")
+
+    t = AffineTransform.rotation(0.3)
+    before = t.matrix.copy()
+    adapt = AdaptiveProposal(6)
+    rng = np.random.default_rng(0)
+    assert lie_mh_step(t, 0.0, out_of_library, adapt, rng) is None
+    assert (adapt.rejected_oob, adapt.rejected_nolog) == (1, 0)
+    assert (adapt.proposals, adapt.accepts) == (1, 0)
+    assert np.array_equal(t.matrix, before)
+    assert_step_draws_used(rng, 0, 6)
+
+
+def test_lie_mh_step_rejects_proposals_without_a_real_logarithm():
+    """With lambda = 1 (1e4 times the initial scale), seed 3 proposes a
+    transform with no real logarithm; the target is never evaluated."""
+    def never(t):
+        raise AssertionError("log target evaluated for a rejected proposal")
+
+    t = AffineTransform.rotation(2.5)
+    before = t.matrix.copy()
+    adapt = AdaptiveProposal(6, log_lambda=0.0)
+    rng = np.random.default_rng(3)
+    assert lie_mh_step(t, 0.0, never, adapt, rng) is None
+    assert (adapt.rejected_nolog, adapt.rejected_oob) == (1, 0)
+    assert (adapt.proposals, adapt.accepts) == (1, 0)
+    assert np.array_equal(t.matrix, before)
+    assert_step_draws_used(rng, 3, 6)
+
+
+def test_rejected_forward_update_leaves_the_subject_unchanged(monkeypatch):
+    state, geom, hp = _toy_state()
+    blk = state.blocks[0]
+    kept = (blk.T, blk.locs, blk.nbr, blk.B, blk.F)
+
+    def out_of_library(*args):
+        raise OutOfLibraryBounds("test: proposal left the library")
+
+    monkeypatch.setattr(sampler, "subject_geometry", out_of_library)
+    adapt = AdaptiveProposal(2)
+    assert not update_forward_transform(blk, state, geom, hp, adapt, np.random.default_rng(0))
+    assert (adapt.rejected_oob, adapt.proposals) == (1, 1)
+    assert all(a is b for a, b in zip(kept, (blk.T, blk.locs, blk.nbr, blk.B, blk.F)))
