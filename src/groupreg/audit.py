@@ -40,7 +40,7 @@ def _toy_state(seed=0, n_subjects=2):
     rng = np.random.default_rng(seed)
     lattice = Lattice(shape=(4,), spacing=np.array([1.0]), origin=np.array([0.0]))
     hp = Hyperparams(lambda_r=1.2, m=2)
-    geom = build_geometry(lattice, m=hp.m, margin=4)
+    geom = build_geometry(lattice, hp, margin=4)
     cov = CovarianceParams(alpha=1.3, rho=0.8)
 
     x = rng.normal(size=4)
@@ -173,8 +173,8 @@ def _balance_gap(log_target, n_pairs, rng, prop_cov):
             continue
         d_fwd = lie_log(affine_compose(t_y, affine_inverse(t_x)))
         d_rev = lie_log(affine_compose(t_x, affine_inverse(t_y)))
-        la_xy = lie_mh_log_acceptance(lt_x, lt_y, d_fwd, d_rev, prop_cov)
-        la_yx = lie_mh_log_acceptance(lt_y, lt_x, d_rev, d_fwd, prop_cov)
+        la_xy = lie_mh_log_acceptance(lt_x, lt_y, d_fwd)
+        la_yx = lie_mh_log_acceptance(lt_y, lt_x, d_rev)
         lq_xy = mvn_logpdf(d_fwd, prop_cov) - np.log(proposal_jacobian(d_fwd))
         lq_yx = mvn_logpdf(d_rev, prop_cov) - np.log(proposal_jacobian(d_rev))
         lhs = la_xy + lt_x + lq_xy

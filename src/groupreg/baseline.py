@@ -22,7 +22,7 @@ import numpy as np
 from .errors import IllConditioned
 from .grids import ActivationMap
 from .interp import interpolate
-from .model import sigma_s_matrix, transform_log_prior
+from .model import TransformPrior, sigma_s_matrix
 from .sampler import AdaptiveProposal, fit_affine, lie_mh_step, substream
 from .store import SampleStore
 from .transforms import AffineTransform, affine_apply, affine_inverse
@@ -74,13 +74,14 @@ def _phi_at(transform, locations, landmarks, tau):
     return gauss_kernel(affine_apply(transform, locations), landmarks, tau)
 
 
-def conventional_log_target(t, phi, y, w, sigma2, hp, sigma_s):
+def conventional_log_target(t, phi, y, w, sigma2, prior):
     """T-dependent part of the conventional joint: prior and Gaussian log-likelihood.
 
-    `phi` is the kernel design at the transformed sites T(S).
+    `phi` is the kernel design at the transformed sites T(S); `prior` is the
+    `TransformPrior` of T.
     """
     r = y - phi @ w
-    return transform_log_prior(t, hp.a_T, hp.b_T, sigma_s) - 0.5 * float(r @ r) / sigma2
+    return prior.log_density(t) - 0.5 * float(r @ r) / sigma2
 
 
 def fit_conventional(maps, config):
@@ -102,7 +103,7 @@ def fit_conventional(maps, config):
 
     landmarks = landmark_lattice(lattice, config.landmark_stride)
     gram, gram_chol = _chol_gram(landmarks, config.tau)
-    sigma_s = sigma_s_matrix(locs)
+    prior = TransformPrior(hp.a_T, hp.b_T, sigma_s_matrix(locs))
 
     # Initialization: coarse-fit transforms against the mean map, ridge w.
     mean_map = ActivationMap(lattice, np.mean([m.values for m in maps], axis=0))
@@ -143,9 +144,9 @@ def fit_conventional(maps, config):
 
             def target(t):
                 phi = _phi_at(t, locs, landmarks, config.tau)
-                return conventional_log_target(t, phi, y, w, s2, hp, sigma_s), phi
+                return conventional_log_target(t, phi, y, w, s2, prior), phi
 
-            log_old = conventional_log_target(ts[i], phis[i], y, w, s2, hp, sigma_s)
+            log_old = conventional_log_target(ts[i], phis[i], y, w, s2, prior)
             step = lie_mh_step(ts[i], log_old, target, adapt[i], substream(seed, it, 2, i))
             if step is not None:
                 ts[i], phis[i] = step

@@ -220,8 +220,8 @@ def _cmd_waic_scan(args):
     maps, _ = _load_maps(cfg)
     # Initialization does not read lambda_r, so it runs once; each chain gets
     # its own copy because a chain mutates its state.
-    initial = initialize(maps, cfg.hyperparams(), cfg,
-                         build_geometry(maps[0].lattice, cfg.m, cfg.margin))
+    hp = cfg.hyperparams()
+    initial = initialize(maps, hp, cfg, build_geometry(maps[0].lattice, hp, cfg.margin))
     with _Staging(args.out, "waic-scan", cfg) as staging:
         rows = []
         for lam in cfg.lambda_r_grid:

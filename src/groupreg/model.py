@@ -89,27 +89,74 @@ def sigma_s_matrix(locations):
 
 
 @dataclass(frozen=True, eq=False)
+class TransformPrior:
+    """Gamma-marginalized transform prior for one (a, b, Sigma_s).
+
+    Marginalizing the N(M0, lambda_T^{-1} I (x) Sigma_s^{-1}) prior over
+    lambda_T ~ Gamma(a, b) gives a multivariate t with 2a degrees of freedom,
+    location identity and scale (b/a) I (x) Sigma_s^{-1}. The normalizing
+    terms depend only on (a, b, Sigma_s) and are computed once, here;
+    `log_density` evaluates the quadratic form blockwise (one Sigma_s block
+    per output coordinate) to avoid the Kronecker product.
+    """
+
+    a: float
+    b: float
+    sigma_s: np.ndarray = field(repr=False)
+    log_norm: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d = self.sigma_s.shape[0] - 1
+        nu = 2.0 * self.a
+        p = d * (d + 1)
+        sign, logdet_s = np.linalg.slogdet(self.sigma_s)
+        if sign <= 0:
+            raise ValidationError("sigma_s must be positive definite")
+        logdet_scale = p * np.log(self.b / self.a) - d * logdet_s
+        object.__setattr__(self, "log_norm", float(
+            gammaln((nu + p) / 2.0) - gammaln(nu / 2.0)
+            - 0.5 * p * np.log(nu * np.pi) - 0.5 * logdet_scale))
+
+    def log_density(self, t):
+        d = t.dim
+        nu = 2.0 * self.a
+        p = d * (d + 1)
+        # rows of [A b] minus those of the identity: row k maps (s, 1) -> coord k
+        dev = t.matrix[:-1] - np.eye(d, d + 1)
+        # quad form under scale^{-1} = (a/b) I (x) Sigma_s
+        quad = (self.a / self.b) * float(np.einsum("ki,ij,kj->", dev, self.sigma_s, dev))
+        return float(self.log_norm - 0.5 * (nu + p) * np.log1p(quad / nu))
+
+
+@dataclass(frozen=True, eq=False)
 class ModelGeometry:
-    """Static per-run spatial structures shared by density and sampler code."""
+    """Static per-run structures shared by density and sampler code.
+
+    The lattice and its NNGP neighbor structures, and the forward and reverse
+    transform priors, whose scale is the lattice's coordinate Gram matrix.
+    """
 
     lattice: Lattice
     locations: np.ndarray = field(repr=False)
     neighbor_sets: np.ndarray = field(repr=False)   # (V, m) -1-padded, row-major order
     predecessor_patterns: PredecessorPatterns = field(repr=False)
     library: NeighborLibrary = field(repr=False)
-    sigma_s: np.ndarray = field(repr=False)
+    prior_T: TransformPrior = field(repr=False)
+    prior_Tr: TransformPrior = field(repr=False)
 
 
-def build_geometry(lattice, m, margin):
+def build_geometry(lattice, hp, margin):
     locs = lattice.locations()
-    neighbor_sets = build_ordered_neighbor_sets(locs, m)
+    neighbor_sets = build_ordered_neighbor_sets(locs, hp.m)
+    sigma_s = sigma_s_matrix(locs)
     return ModelGeometry(
         lattice=lattice,
         locations=locs,
         neighbor_sets=neighbor_sets,
         predecessor_patterns=build_predecessor_patterns(lattice, neighbor_sets),
-        library=build_neighbor_library(lattice, margin, m),
-        sigma_s=sigma_s_matrix(locs),
+        library=build_neighbor_library(lattice, margin, hp.m),
+        prior_T=TransformPrior(hp.a_T, hp.b_T, sigma_s),
+        prior_Tr=TransformPrior(hp.a_Tr, hp.b_Tr, sigma_s),
     )
 
 
@@ -150,31 +197,6 @@ def mvt_logpdf(x, mu, scale, nu):
 def transform_coord_vector(t):
     """vec(M) with M = [A b]^T: per output coordinate k, (A_k1..A_kd, b_k)."""
     return np.column_stack([t.A, t.b]).ravel()
-
-
-def transform_log_prior(t, a, b, sigma_s):
-    """Log density of the gamma-marginalized transform prior.
-
-    Marginalizing the N(M0, lambda_T^{-1} I (x) Sigma_s^{-1}) prior over
-    lambda_T ~ Gamma(a, b) gives a multivariate t with 2a degrees of freedom,
-    location identity and scale (b/a) I (x) Sigma_s^{-1}. Computed blockwise
-    (one Sigma_s block per output coordinate) to avoid the Kronecker product.
-    """
-    d = t.dim
-    nu = 2.0 * a
-    m = np.column_stack([t.A, t.b])             # (d, d+1): row k maps (s,1) -> coord k
-    m0 = np.column_stack([np.eye(d), np.zeros(d)])
-    dev = m - m0
-    # quad form under scale^{-1} = (a/b) I (x) Sigma_s
-    quad = (a / b) * float(np.einsum("ki,ij,kj->", dev, sigma_s, dev))
-    p = d * (d + 1)
-    sign, logdet_s = np.linalg.slogdet(sigma_s)
-    if sign <= 0:
-        raise ValidationError("sigma_s must be positive definite")
-    logdet_scale = p * np.log(b / a) - d * logdet_s
-    return float(gammaln((nu + p) / 2.0) - gammaln(nu / 2.0)
-                 - 0.5 * p * np.log(nu * np.pi) - 0.5 * logdet_scale
-                 - 0.5 * (nu + p) * np.log1p(quad / nu))
 
 
 def normal_logpdf(x, mean, var):
@@ -233,8 +255,8 @@ def gibbs_log_posterior(x, blocks, cov, hp, geom, rho_in_support_only=True):
         _, nbr, b, f = subject_weights(blk, geom, cov)
         total += nngp_log_density_from_weights(x, blk.XT, nbr, b, f)
 
-        total += transform_log_prior(blk.T, hp.a_T, hp.b_T, geom.sigma_s)
-        total += transform_log_prior(blk.T_r, hp.a_Tr, hp.b_Tr, geom.sigma_s)
+        total += geom.prior_T.log_density(blk.T)
+        total += geom.prior_Tr.log_density(blk.T_r)
         total += normal_logpdf(blk.beta, hp.mu0, blk.sigma2 / hp.lambda0)
         total += invgamma_logpdf(blk.sigma2, hp.a0_sigma, hp.a1_sigma)
     return float(total)

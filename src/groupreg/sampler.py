@@ -54,15 +54,13 @@ from .errors import (DegenerateInput, GroupregError, IllConditioned, Insufficien
 from .grids import ActivationMap
 from .interp import interpolate
 from .model import (Hyperparams, ModelGeometry, SubjectBlock, backward_values,
-                    build_geometry, penalty_terms, pointwise_log_lik,
-                    transform_log_prior, waic)
+                    build_geometry, penalty_terms, pointwise_log_lik, waic)
 from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
                       kriging_factor, library_weights, lookup_entries,
                       nngp_log_density_from_weights, predecessor_weights)
 from .store import SampleStore
 from .transforms import (AffineTransform, affine_apply, affine_compose,
-                         affine_inverse, karcher_mean, lie_exp, lie_log,
-                         proposal_jacobian, standardize)
+                         affine_inverse, karcher_mean, lie_exp, lie_log, standardize)
 
 ADAPT_TARGET_RATE = 0.234
 
@@ -375,11 +373,16 @@ def mvn_logpdf(x, cov):
                  - np.sum(np.log(np.diag(chol))))
 
 
-def lie_mh_log_acceptance(log_target_x, log_target_y, delta_fwd, delta_rev, prop_cov):
-    """log acceptance for y = exp(delta_fwd) x under q(y|x) = p(delta) |J(delta)|^-1."""
-    lq_fwd = mvn_logpdf(delta_fwd, prop_cov) - np.log(proposal_jacobian(delta_fwd))
-    lq_rev = mvn_logpdf(delta_rev, prop_cov) - np.log(proposal_jacobian(delta_rev))
-    return min(0.0, (log_target_y + lq_rev) - (log_target_x + lq_fwd))
+def lie_mh_log_acceptance(log_old, log_new, delta):
+    """log acceptance of y = exp(delta) x, delta from a symmetric density.
+
+    The Hastings ratio of this proposal is J(delta) / J(-delta) with
+    J(delta) = prod over the eigenvalues lam of ad_delta of lam / (1 - e^-lam).
+    As f(lam) / f(-lam) = e^lam for f(lam) = lam / (1 - e^-lam), the ratio is
+    e^{tr ad_delta} = e^{tr L}, L the linear block of delta.
+    """
+    trace = delta[0] if delta.size == 2 else delta[0] + delta[4]
+    return min(0.0, log_new - log_old + float(trace))
 
 
 def forward_log_target(t, t_r, x, xt, weights, geom, hp):
@@ -390,7 +393,7 @@ def forward_log_target(t, t_r, x, xt, weights, geom, hp):
     """
     nbr, b, f = weights
     p1, p2 = penalty_terms(t, t_r)
-    return (transform_log_prior(t, hp.a_T, hp.b_T, geom.sigma_s)
+    return (geom.prior_T.log_density(t)
             + nngp_log_density_from_weights(x, xt, nbr, b, f)
             - hp.lambda_r * (p1 + p2))
 
@@ -399,7 +402,7 @@ def reverse_log_target(t_r, t, x, y_bw, beta, sigma2, geom, hp):
     """T^r-dependent part: prior, SSD of y_bw = Y(T^r(S)) (1/2 weighted), both penalties."""
     ssd = float(np.sum((y_bw - beta * x) ** 2))
     p1, p2 = penalty_terms(t, t_r)
-    return (transform_log_prior(t_r, hp.a_Tr, hp.b_Tr, geom.sigma_s)
+    return (geom.prior_Tr.log_density(t_r)
             - 0.5 * ssd / sigma2 - hp.lambda_r * (p1 + p2))
 
 
@@ -416,7 +419,6 @@ def lie_mh_step(t, log_old, log_target, adapt, rng):
     t_new = affine_compose(lie_exp(delta), t)
     try:
         lie_log(t_new)  # proposals without a real logarithm are rejected
-        delta_rev = lie_log(affine_compose(t, affine_inverse(t_new)))
     except NoRealLogarithm:
         adapt.rejected_nolog += 1
         adapt.record(False)
@@ -427,7 +429,7 @@ def lie_mh_step(t, log_old, log_target, adapt, rng):
         adapt.rejected_oob += 1
         adapt.record(False)
         return None
-    accepted = accept_draw < lie_mh_log_acceptance(log_old, log_new, delta, delta_rev, cov)
+    accepted = accept_draw < lie_mh_log_acceptance(log_old, log_new, delta)
     adapt.record(accepted, delta)
     return (t_new, payload) if accepted else None
 
@@ -654,7 +656,7 @@ class Chain:
                     and np.allclose(amap.lattice.origin, lattice.origin)):
                 raise DegenerateInput("all subject maps must share one lattice")
         self.maps = list(maps)
-        self.geom = build_geometry(lattice, config.m, config.margin)
+        self.geom = build_geometry(lattice, self.hp, config.margin)
         self.seed = config.seed
         if initial_state is None:
             initial_state = initialize(self.maps, self.hp, config, self.geom)

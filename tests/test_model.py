@@ -5,9 +5,8 @@ from scipy.stats import gamma as gamma_dist
 
 from groupreg.errors import DegenerateVariance
 from groupreg.grids import ActivationMap, make_lattice_1d
-from groupreg.model import (Hyperparams, SubjectBlock, sigma_s_matrix,
-                            symmetric_loss, transform_coord_vector,
-                            transform_log_prior, waic)
+from groupreg.model import (Hyperparams, SubjectBlock, TransformPrior, sigma_s_matrix,
+                            symmetric_loss, transform_coord_vector, waic)
 from groupreg.transforms import AffineTransform, affine_inverse
 
 LAT = make_lattice_1d(-2.0, 2.0, 0.5)
@@ -76,11 +75,11 @@ class TestTransformLogPrior:
 
     def test_identity_is_mode(self):
         rng = np.random.default_rng(2)
-        at_mode = transform_log_prior(AffineTransform.identity(1), 2.0, 1.0, self.sigma_s)
+        at_mode = TransformPrior(2.0, 1.0, self.sigma_s).log_density(AffineTransform.identity(1))
         for _ in range(50):
             t = AffineTransform.from_parts([[1.0 + 0.2 * rng.standard_normal()]],
                                            [0.5 * rng.standard_normal()])
-            assert transform_log_prior(t, 2.0, 1.0, self.sigma_s) <= at_mode + 1e-12
+            assert TransformPrior(2.0, 1.0, self.sigma_s).log_density(t) <= at_mode + 1e-12
 
     def test_monotone_along_ray(self):
         direction = np.array([0.08, 0.3])
@@ -88,7 +87,7 @@ class TestTransformLogPrior:
         for step in (0.5, 1.0, 2.0, 4.0):
             t = AffineTransform.from_parts([[1.0 + direction[0] * step]],
                                            [direction[1] * step])
-            val = transform_log_prior(t, 2.0, 1.0, self.sigma_s)
+            val = TransformPrior(2.0, 1.0, self.sigma_s).log_density(t)
             assert val < prev
             prev = val
 
@@ -115,7 +114,7 @@ class TestTransformLogPrior:
 
         for scale, shift in ((1.0, 0.0), (1.1, 0.3), (0.9, -0.5), (1.3, 1.0)):
             t = AffineTransform.from_parts([[scale]], [shift])
-            closed = np.exp(transform_log_prior(t, a, b, self.sigma_s))
+            closed = np.exp(TransformPrior(a, b, self.sigma_s).log_density(t))
             assert closed == pytest.approx(numeric_density(t), abs=1e-6)
 
     def test_normal_limit_large_dof(self):
@@ -131,7 +130,7 @@ class TestTransformLogPrior:
             half = np.linalg.solve(chol, x)
             normal = (-0.5 * half @ half - np.log(2.0 * np.pi)
                       - np.sum(np.log(np.diag(chol))))
-            got = transform_log_prior(t, big, big, self.sigma_s)
+            got = TransformPrior(big, big, self.sigma_s).log_density(t)
             assert got == pytest.approx(normal, abs=1e-4)
 
     def test_2d_blockwise_matches_kronecker(self):
@@ -140,7 +139,7 @@ class TestTransformLogPrior:
         ss = sigma_s_matrix(lat2_locs)
         t = AffineTransform.from_parts([[1.05, 0.1], [-0.08, 0.93]], [0.4, -0.2])
         a, b = 1.5, 0.8
-        got = transform_log_prior(t, a, b, ss)
+        got = TransformPrior(a, b, ss).log_density(t)
         # oracle: explicit Kronecker scale matrix and the generic mvt density
         from groupreg.model import mvt_logpdf
         scale = (b / a) * np.kron(np.eye(2), np.linalg.inv(ss))

@@ -167,7 +167,7 @@ def test_fit_affine_scores_singular_vertices_as_infinite(monkeypatch):
 def test_initialize_is_deterministic():
     maps = small_glyph()
     cfg = RunConfig(margin=5, seed=4, init_iters=3)
-    geom = build_geometry(maps[0].lattice, cfg.m, cfg.margin)
+    geom = build_geometry(maps[0].lattice, cfg.hyperparams(), cfg.margin)
     first, second = (initialize(maps, cfg.hyperparams(), cfg, geom) for _ in range(2))
     assert np.array_equal(first.X, second.X)
     assert (first.alpha, first.rho) == (second.alpha, second.rho)
