@@ -10,8 +10,7 @@ from .spatial import CovarianceParams, build_neighbor_library, dense_kriging
 from .store import SampleStore, export_csv, load_store, save_store
 from .synth import ScenarioSpec, generate
 from .transforms import (AffineTransform, affine_apply, affine_compose,
-                         affine_inverse, karcher_mean, lie_exp, lie_log,
-                         proposal_jacobian, standardize)
+                         affine_inverse, karcher_mean, lie_exp, lie_log, standardize)
 
 __all__ = [
     "ActivationMap", "AffineTransform", "Chain", "CovarianceParams",
@@ -19,7 +18,7 @@ __all__ = [
     "SubjectBlock", "affine_apply", "affine_compose", "affine_inverse",
     "build_neighbor_library", "dense_kriging", "export_csv", "generate",
     "gibbs_log_posterior", "karcher_mean", "lie_exp", "lie_log", "load_config",
-    "load_store", "make_lattice_1d", "parse_config", "proposal_jacobian",
-    "read_map_csv", "run_chain", "save_store", "standardize", "summarize",
-    "symmetric_loss", "waic", "write_map_csv",
+    "load_store", "make_lattice_1d", "parse_config", "read_map_csv", "run_chain",
+    "save_store", "standardize", "summarize", "symmetric_loss", "waic",
+    "write_map_csv",
 ]

@@ -9,8 +9,8 @@ isolates the symmetric-GP contribution. No reverse transforms, no intensity
 scale beta, no inverse-consistency penalty.
 
 Sampling: conjugate Gibbs for w and sigma_i^2, and for T_i the symmetric
-model's Lie-group Metropolis step (`sampler.lie_mh_step`, with the J(delta)
-correction and Robbins-Monro adaptation).
+model's Lie-group Metropolis step (`sampler.lie_mh_step`, with its
+closed-form Hastings term and Robbins-Monro adaptation).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import IllConditioned
 from .grids import ActivationMap
 from .interp import interpolate
-from .model import TransformPrior, sigma_s_matrix
+from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
 from .sampler import AdaptiveProposal, fit_affine, lie_mh_step, substream
 from .store import SampleStore
 from .transforms import AffineTransform, affine_apply, affine_inverse
@@ -82,6 +82,24 @@ def conventional_log_target(t, phi, y, w, sigma2, prior):
     """
     r = y - phi @ w
     return prior.log_density(t) - 0.5 * float(r @ r) / sigma2
+
+
+def conventional_log_joint(maps, ts, w, sigma2s, landmarks, tau, gram_chol, hp, prior):
+    """Log joint density of the conventional model, up to a constant.
+
+    w ~ N(0, K_gram) with `gram_chol` its Cholesky factor; per subject, T_i
+    from `prior`, sigma_i^2 ~ InvGamma(a0_sigma, a1_sigma) and
+    Y_i ~ N(Phi(T_i) w, sigma_i^2 I). The audit checks the T_i target's
+    differences against this one's.
+    """
+    half = np.linalg.solve(gram_chol, w)
+    total = -0.5 * float(half @ half) - float(np.sum(np.log(np.diag(gram_chol))))
+    for amap, t, s2 in zip(maps, ts, sigma2s):
+        r = amap.values - _phi_at(t, amap.lattice.locations(), landmarks, tau) @ w
+        total += (prior.log_density(t) - 0.5 * float(r @ r) / s2
+                  - 0.5 * r.size * np.log(2.0 * np.pi * s2)
+                  + invgamma_logpdf(s2, hp.a0_sigma, hp.a1_sigma))
+    return float(total)
 
 
 def fit_conventional(maps, config):
@@ -186,6 +204,8 @@ def fit_conventional(maps, config):
         "forward_acceptance": [r.acceptance_rate() for r in adapt],
         "forward_acceptance_post_burnin": [r.acceptance_rate(post_only=True)
                                            for r in adapt],
+        "rejected_out_of_library": [r.rejected_oob for r in adapt],
+        "rejected_no_real_log": [r.rejected_nolog for r in adapt],
         "sigma2_last": list(sigma2s),
         "n_landmarks": int(landmarks.shape[0]),
     }

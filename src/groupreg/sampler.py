@@ -32,7 +32,11 @@ beyond which the block step is the slower one.
 
 T_i, T_i^r and the baseline's T_i all move by one Metropolis step on the
 affine group, `lie_mh_step`: propose exp(delta) t, delta ~ N(0, adaptive
-cov), and accept by the J(delta)-corrected `lie_mh_log_acceptance`. A
+cov), and accept with log probability min(0, log pi(y) - log pi(x)
++ (d + 1) tr L), L the linear block of delta (`lie_mh_log_acceptance`).
+The log targets are densities in the matrix entries of (A, b), and
+(d + 1) tr L is the exact log Hastings ratio of this proposal in those
+coordinates; no proposal density or reverse increment is evaluated. A
 proposal with no real logarithm (`rejected_nolog`) or whose log target
 raises OutOfLibraryBounds (`rejected_oob`) is rejected outright. Each step
 draws delta, then the accept uniform, whether it rejects or not, so every
@@ -365,24 +369,21 @@ def update_rho(state, geom, hp, rng, step):
 # Lie-group Metropolis-Hastings for the transforms
 # ---------------------------------------------------------------------------
 
-def mvn_logpdf(x, cov):
-    x = np.asarray(x, dtype=float)
-    chol = np.linalg.cholesky(cov)
-    half = np.linalg.solve(chol, x)
-    return float(-0.5 * (x.size * np.log(2.0 * np.pi) + float(half @ half))
-                 - np.sum(np.log(np.diag(chol))))
-
-
 def lie_mh_log_acceptance(log_old, log_new, delta):
     """log acceptance of y = exp(delta) x, delta from a symmetric density.
 
-    The Hastings ratio of this proposal is J(delta) / J(-delta) with
-    J(delta) = prod over the eigenvalues lam of ad_delta of lam / (1 - e^-lam).
-    As f(lam) / f(-lam) = e^lam for f(lam) = lam / (1 - e^-lam), the ratio is
-    e^{tr ad_delta} = e^{tr L}, L the linear block of delta.
+    The log targets are densities in the matrix entries of (A, b), where the
+    proposal density is q(y | x) = N(delta) / |det d vec(y) / d delta|. That
+    Jacobian factors as det(dexp_delta) |det A_y|^d, and the reverse move is
+    -delta, so the Gaussian terms cancel. Over the eigenvalues lam of
+    ad_delta, dexp_delta has eigenvalues (e^lam - 1) / lam, so
+    det(dexp_delta) / det(dexp_-delta) = e^{tr ad_delta} = e^{tr L}, L the
+    linear block of delta; and |det A_y / det A_x|^d = e^{d tr L}. Hence
+    log q(x | y) - log q(y | x) = (d + 1) tr L.
     """
-    trace = delta[0] if delta.size == 2 else delta[0] + delta[4]
-    return min(0.0, log_new - log_old + float(trace))
+    if delta.size == 2:
+        return min(0.0, log_new - log_old + 2.0 * float(delta[0]))
+    return min(0.0, log_new - log_old + 3.0 * float(delta[0] + delta[4]))
 
 
 def forward_log_target(t, t_r, x, xt, weights, geom, hp):

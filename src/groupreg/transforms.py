@@ -290,40 +290,6 @@ def lie_exp(delta):
     return AffineTransform(np.array(h))
 
 
-def adjoint_matrix(delta):
-    """Matrix of ad_delta = [delta, .] on the affine algebra, in lie coordinates."""
-    g = generator_from_vector(delta)
-    d = g.shape[0] - 1
-    n = d * (d + 1)
-    ad = np.empty((n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        basis = generator_from_vector(e)
-        ad[:, k] = vector_from_generator(g @ basis - basis @ g)
-    return ad
-
-
-def proposal_jacobian(delta):
-    """Volume correction J(delta) for the proposal T' = exp(delta) T.
-
-    Product of lam / (1 - exp(-lam)) over the nonzero eigenvalues of the
-    adjoint representation of delta. Complex eigenvalues come in conjugate
-    pairs, so the product is real and positive; the empty product (delta = 0)
-    is 1.
-    """
-    ad = adjoint_matrix(delta)
-    lam = np.linalg.eigvals(ad)
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    nonzero = lam[np.abs(lam) > 1e-12 * scale]
-    if nonzero.size == 0:
-        return 1.0
-    prod = np.prod(nonzero / -np.expm1(-nonzero))
-    if abs(prod.imag) > 1e-9 * max(1.0, abs(prod.real)):
-        raise FloatingPointError("adjoint spectrum product is not real")
-    return float(prod.real)
-
-
 def composition_identity_gap(t1, t2):
     """Frobenius norm of (H_{t1} H_{t2} - I): zero iff t2 = t1^{-1}."""
     h = t1.matrix @ t2.matrix

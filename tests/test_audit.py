@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from groupreg import audit
-from groupreg.audit import detailed_balance_audit, run_all_audits
+from groupreg.audit import detailed_balance_audit, run_all_audits, target_audit
 
 
 def test_every_audit_check_passes():
@@ -10,9 +11,27 @@ def test_every_audit_check_passes():
               for r in results if not r["passed"]]
     assert passed and not failed, failed
     names = {r["name"] for r in results}
-    assert len(results) == len(names) == 15
-    assert {"oracle.pattern_weights", "detailed_balance.max_gap",
-            "detailed_balance.reverse_max_gap"} <= names
+    assert len(results) == len(names) == 17
+    assert {"oracle.pattern_weights", "detailed_balance.max_gap_1d",
+            "detailed_balance.max_gap_2d", "target.forward", "target.reverse",
+            "target.conventional"} <= names
+
+
+def test_detailed_balance_audit_fails_with_the_trace_only_hastings_factor(monkeypatch):
+    """A factor of 1 on tr L, not d + 1, breaks detailed balance in 1D and 2D."""
+    def factor_one(log_old, log_new, delta):
+        trace = delta[0] if delta.size == 2 else delta[0] + delta[4]
+        return min(0.0, log_new - log_old + float(trace))
+
+    monkeypatch.setattr(audit, "lie_mh_log_acceptance", factor_one)
+    assert not any(r["passed"] for r in detailed_balance_audit())
+
+
+def test_target_audit_fails_on_a_noise_log_target(monkeypatch):
+    rng = np.random.default_rng(0)
+    for name in ("forward_log_target", "reverse_log_target", "conventional_log_target"):
+        monkeypatch.setattr(audit, name, lambda *args: rng.normal(scale=50.0))
+    assert not any(r["passed"] for r in target_audit())
 
 
 def test_detailed_balance_audit_raises_errors_other_than_out_of_library(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import norm
 
 from groupreg import sampler
 from groupreg.audit import _toy_state, band_to_dense, weights_gap
@@ -216,6 +218,65 @@ def test_lie_mh_step_rejects_proposals_without_a_real_logarithm():
     assert (adapt.proposals, adapt.accepts) == (1, 0)
     assert np.array_equal(t.matrix, before)
     assert_step_draws_used(rng, 3, 6)
+
+
+# 1D stationarity toy: pi(a, b) = N(a; 1, 0.3^2) on (0.3, 3) times N(b; 0.5, 1),
+# a density in the entries (a, b) of T(s) = a s + b, as the model's targets are.
+A_MEAN, A_SD, A_LO, A_HI, B_MEAN, B_SD = 1.0, 0.3, 0.3, 3.0, 0.5, 1.0
+# Allowed |mean - truth| in batch-means Monte-Carlo standard errors.
+STATIONARITY_Z = 5.0
+
+
+def toy_log_target(t):
+    (a, b), = t.matrix[:1].tolist()
+    if not A_LO < a < A_HI:
+        return -np.inf, None
+    return -0.5 * ((a - A_MEAN) / A_SD) ** 2 - 0.5 * ((b - B_MEAN) / B_SD) ** 2, None
+
+
+def stationarity_z_scores(n_steps=20000, n_batches=50, seed=0):
+    """(mean - truth) / batch-means MCSE of E[a], Var[a], E[b], Var[b] over a
+    lie_mh_step chain with the fixed proposal covariance 0.15 I."""
+    adapt = AdaptiveProposal(2, log_lambda=np.log(0.15), frozen=True)
+    rng = np.random.default_rng(seed)
+    t = AffineTransform.from_parts([[A_MEAN]], [B_MEAN])
+    log_old = toy_log_target(t)[0]
+    draws = np.empty((n_steps, 2))
+    for k in range(n_steps):
+        step = lie_mh_step(t, log_old, toy_log_target, adapt, rng)
+        if step is not None:
+            t = step[0]
+            log_old = toy_log_target(t)[0]
+        draws[k] = t.matrix[0]
+
+    density = lambda a: norm.pdf(a, A_MEAN, A_SD)
+    mass = quad(density, A_LO, A_HI)[0]
+    mean_a = quad(lambda a: a * density(a), A_LO, A_HI)[0] / mass
+    var_a = quad(lambda a: (a - mean_a) ** 2 * density(a), A_LO, A_HI)[0] / mass
+    a, b = draws.T
+    stats = {"E[a]": (a, mean_a), "Var[a]": ((a - mean_a) ** 2, var_a),
+             "E[b]": (b, B_MEAN), "Var[b]": ((b - B_MEAN) ** 2, B_SD ** 2)}
+    z = {}
+    for name, (values, truth) in stats.items():
+        batch_means = values.reshape(n_batches, -1).mean(axis=1)
+        mcse = batch_means.std(ddof=1) / np.sqrt(n_batches)
+        z[name] = (values.mean() - truth) / mcse
+    return z
+
+
+def test_lie_mh_step_samples_its_target():
+    """Mean and variance of a and b match quadrature within STATIONARITY_Z MCSEs."""
+    z = stationarity_z_scores()
+    assert all(abs(v) < STATIONARITY_Z for v in z.values()), z
+
+
+def test_stationarity_test_sees_the_tr_l_hastings_factor(monkeypatch):
+    """With the factor on tr L set to 1 instead of d + 1 = 2, the chain samples
+    pi(a, b) / a, whose E[a] is ~0.095 below the target's, and the test fails."""
+    monkeypatch.setattr(sampler, "lie_mh_log_acceptance",
+                        lambda log_old, log_new, delta: min(0.0, log_new - log_old + delta[0]))
+    z = stationarity_z_scores()
+    assert z["E[a]"] < -STATIONARITY_Z, z
 
 
 def test_rejected_forward_update_leaves_the_subject_unchanged(monkeypatch):

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupreg.errors import NoRealLogarithm, NumericalError, SingularTransform
-from groupreg.transforms import (DET_EPS, AffineTransform, adjoint_matrix, affine_apply,
+from groupreg.transforms import (DET_EPS, AffineTransform, affine_apply,
                                  affine_compose, affine_inverse,
                                  composition_identity_gap, generator_from_vector,
                                  karcher_mean, lie_exp, lie_log,
-                                 proposal_jacobian, standardize, vector_from_generator)
+                                 standardize, vector_from_generator)
 
 
 def translation(*b):
@@ -155,46 +155,31 @@ class TestLieLogExp:
         assert np.max(np.abs(lie_log(lie_exp(delta)) - delta)) < 1e-9
 
 
-class TestProposalJacobian:
-    def test_zero_is_one(self):
-        assert proposal_jacobian(np.zeros(6)) == 1.0
-        assert proposal_jacobian(np.zeros(2)) == 1.0
+def adjoint_log_volume(delta):
+    """log J(delta): the sum over the nonzero eigenvalues lam of ad_delta = [delta, .]
+    of log(lam / (1 - e^-lam)), with ad_delta built column by column."""
+    g = generator_from_vector(delta)
+    n = delta.size
+    ad = np.empty((n, n))
+    for k in range(n):
+        basis = generator_from_vector(np.eye(n)[k])
+        ad[:, k] = vector_from_generator(g @ basis - basis @ g)
+    lam = np.linalg.eigvals(ad)
+    lam = lam[np.abs(lam) > 1e-12]
+    return float(np.sum(np.log(lam / -np.expm1(-lam))).real)
 
-    def test_symmetric_spectrum_closed_form(self):
-        # delta with linear part diag(a, -a): ad-spectrum {0, 0, +-2a, +-a}
-        # (brackets of a traceless diagonal matrix), so
-        # J = prod over {2a, -2a, a, -a} of lam/(1 - e^-lam).
-        a = 0.5
-        delta = np.array([a, 0.0, 0.0, 0.0, -a, 0.0])
-        lam = np.linalg.eigvals(adjoint_matrix(delta))
-        expect_spec = sorted([2 * a, -2 * a, a, -a, 0.0, 0.0])
-        assert np.allclose(sorted(lam.real), expect_spec, atol=1e-12)
-        assert np.max(np.abs(lam.imag)) < 1e-12
-        expected = 1.0
-        for v in (2 * a, -2 * a, a, -a):
-            expected *= v / (1.0 - np.exp(-v))
-        assert np.isclose(proposal_jacobian(delta), expected, rtol=1e-12)
 
-    def test_always_positive(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            n = 6 if rng.uniform() < 0.5 else 2
-            assert proposal_jacobian(rng.standard_normal(n)) > 0.0
-
-    def test_negation_symmetry_for_symmetric_spectrum(self):
-        delta = np.array([0.5, 0.0, 0.0, 0.0, -0.5, 0.0])
-        assert np.isclose(proposal_jacobian(delta), proposal_jacobian(-delta),
-                          rtol=1e-12)
-
-    def test_matches_finite_difference_volume_oracle(self):
-        from groupreg.audit import _fd_jacobian_oracle
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            dim = 2 if rng.uniform() < 0.5 else 1
-            delta = 0.4 * rng.standard_normal(dim * (dim + 1))
-            j = proposal_jacobian(delta)
-            j_fd = _fd_jacobian_oracle(delta)
-            assert abs(j - j_fd) / j_fd < 0.02
+class TestHastingsTerm:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_adjoint_log_volume_ratio_is_the_linear_trace(self, dim):
+        """log J(delta) - log J(-delta) = tr L, L the linear block of delta: the
+        eigen-form Hastings term reduces to the closed form the sampler uses."""
+        rng = np.random.default_rng(dim)
+        for _ in range(50):
+            delta = 0.5 * rng.standard_normal(dim * (dim + 1))
+            trace = delta[0] if dim == 1 else delta[0] + delta[4]
+            ratio = adjoint_log_volume(delta) - adjoint_log_volume(-delta)
+            assert abs(ratio - trace) < 1e-12
 
 
 class TestKarcherMean:
