@@ -414,8 +414,7 @@ def lie_mh_step(t, log_old, log_target, adapt, rng):
     target at the proposal and a payload the caller keeps on accept. Returns
     (t_new, payload) on accept and None otherwise.
     """
-    cov = adapt.proposal_cov()
-    delta = np.linalg.cholesky(cov) @ rng.standard_normal(adapt.dim)
+    delta = np.linalg.cholesky(adapt.proposal_cov()) @ rng.standard_normal(adapt.dim)
     accept_draw = np.log(rng.uniform())
     t_new = affine_compose(lie_exp(delta), t)
     try:
