@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .errors import IllConditioned
-from .grids import ActivationMap
+from .grids import ActivationMap, common_lattice
 from .interp import interpolate
 from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
 from .sampler import AdaptiveProposal, fit_affine, lie_mh_step, substream
@@ -112,7 +112,7 @@ def fit_conventional(maps, config):
     """
     config.validate()
     hp = config.hyperparams()
-    lattice = maps[0].lattice
+    lattice = common_lattice(maps)
     locs = lattice.locations()
     v = lattice.n_sites
     n = len(maps)
@@ -138,7 +138,7 @@ def fit_conventional(maps, config):
     adapt = [AdaptiveProposal(d * (d + 1)) for _ in range(n)]
     ident = np.eye(d + 1)
 
-    kept_x, kept_h, kept_s2, kept_w = [], [], [], []
+    kept_x, kept_h, kept_s2 = [], [], []
     t_start = time.perf_counter()
     for it in range(config.total):
         if it >= config.burn_in:
@@ -173,7 +173,6 @@ def fit_conventional(maps, config):
             kept_x.append(gauss_kernel(locs, landmarks, config.tau) @ w)
             kept_h.append(np.stack([t.matrix for t in ts]))
             kept_s2.append(list(sigma2s))
-            kept_w.append(w.copy())
     runtime = time.perf_counter() - t_start
 
     s = len(kept_x)
@@ -219,6 +218,7 @@ def inverse_warp(maps, transforms):
     Y_i is Y_i(T_i^{-1}(.)); each output map is Y_i resampled at the
     inverse-transformed sites. Returns (warped maps, across-subject mean map).
     """
+    common_lattice(maps)
     warped = []
     for amap, t in zip(maps, transforms):
         pts = affine_apply(affine_inverse(t), amap.lattice.locations())

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import fit_conventional, inverse_warp
-from .config import RunConfig, load_config, parse_config
+from .config import RunConfig, load_config, parse_lambda_r_grid
 from .errors import ConfigError, GroupregError, NumericalError, ValidationError
 from .grids import read_map_csv, write_map_csv
 from .model import build_geometry
@@ -32,7 +32,6 @@ from .sampler import initialize, run_chain, summarize
 from .store import export_csv, load_store, save_store
 from .synth import ScenarioSpec, generate
 from .audit import run_all_audits
-from .transforms import AffineTransform
 
 
 def _build_parser():
@@ -90,7 +89,7 @@ def _load_run_config(args):
         updates["lambda_r"] = args.lambda_r
     grid = getattr(args, "lambda_r_grid", None)
     if grid:
-        updates["lambda_r_grid"] = tuple(float(s) for s in grid.split(",") if s.strip())
+        updates["lambda_r_grid"] = parse_lambda_r_grid(grid)
     if getattr(args, "level", None) is not None:
         updates["credible_level"] = args.level
     if updates:

@@ -49,14 +49,10 @@ class RunConfig:
     a0_sigma: float = 2.0
     a1_sigma: float = 1.0
     rho_step: float = 0.1
-    karcher_tol: float = 1e-10
     credible_level: float = 0.95
     tau: float = 1.5
     landmark_stride: int = 2
     init_iters: int = 10
-    # Ignored: subjects are updated in one loop. Kept, and still validated,
-    # so existing config files parse and keep their config_hash.
-    threads: int = 0
 
     def validate(self):
         if self.model not in MODELS:
@@ -83,19 +79,12 @@ class RunConfig:
             raise ValidationError("rho_step must be > 0")
         if self.init_iters < 1:
             raise ValidationError("init_iters must be >= 1")
-        if self.threads < 0:
-            raise ValidationError("threads must be >= 0")
         self.hyperparams()  # validates all prior hyperparameters
         return self
 
     def hyperparams(self):
-        return Hyperparams(
-            lambda_r=self.lambda_r, a_T=self.a_T, b_T=self.b_T,
-            a_Tr=self.a_Tr, b_Tr=self.b_Tr,
-            a0_alpha=self.a0_alpha, b0_alpha=self.b0_alpha,
-            rho_lower=self.rho_lower, rho_upper=self.rho_upper,
-            mu0=self.mu0, lambda0=self.lambda0,
-            a0_sigma=self.a0_sigma, a1_sigma=self.a1_sigma, m=self.m)
+        return Hyperparams(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(Hyperparams)})
 
     def effective_sim_seed(self):
         return self.seed if self.sim_seed < 0 else self.sim_seed
@@ -114,18 +103,26 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
 
-_INT_KEYS = {"n_subjects", "sim_seed", "seed", "total", "burn_in", "thin", "m",
-             "margin", "landmark_stride", "init_iters", "threads"}
-_FLOAT_KEYS = {"noise_sd", "lambda_r", "a_T", "b_T", "a_Tr", "b_Tr", "a0_alpha",
-               "b0_alpha", "rho_lower", "rho_upper", "lambda0", "mu0",
-               "a0_sigma", "a1_sigma", "rho_step", "karcher_tol",
-               "credible_level", "tau"}
-_STR_KEYS = {"model", "scenario"}
-_LIST_KEYS = {"maps", "lambda_r_grid"}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+_EXPECTED = {int: "an integer", float: "a number"}
+
+
+def parse_lambda_r_grid(text, line=None):
+    """Comma-separated lambda_r values, as the config key and the CLI flag give them."""
+    try:
+        grid = tuple(float(s) for s in text.split(",") if s.strip())
+        if grid:
+            return grid
+    except ValueError:
+        pass
+    raise ParseError(f"lambda_r_grid needs comma-separated numbers, got {text!r}", line=line)
 
 
 def parse_config(text):
-    """Parse key=value config text into a validated RunConfig."""
+    """Parse key=value config text into a validated RunConfig.
+
+    A scalar key takes the type of its field's default.
+    """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -135,28 +132,18 @@ def parse_config(text):
             raise ParseError(f"expected key=value, got {raw!r}", line=lineno)
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ParseError(f"{key} needs an integer, got {val!r}", line=lineno)
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ParseError(f"{key} needs a number, got {val!r}", line=lineno)
-        elif key in _STR_KEYS:
-            values[key] = val
-        elif key == "maps":
+        if key not in _DEFAULTS:
+            raise ParseError(f"unknown key {key!r}", line=lineno)
+        if key == "maps":
             values[key] = tuple(p for p in (s.strip() for s in val.split(",")) if p)
         elif key == "lambda_r_grid":
-            try:
-                values[key] = tuple(float(s) for s in val.split(",") if s.strip())
-            except ValueError:
-                raise ParseError(f"lambda_r_grid needs comma-separated numbers, got {val!r}",
-                                 line=lineno)
+            values[key] = parse_lambda_r_grid(val, line=lineno)
         else:
-            raise ParseError(f"unknown key {key!r}", line=lineno)
+            kind = type(_DEFAULTS[key])
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                raise ParseError(f"{key} needs {_EXPECTED[kind]}, got {val!r}", line=lineno)
     cfg = RunConfig(**values)
     for path in cfg.maps:
         if not os.path.exists(path):

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-numerical failures with 3, audit failures with 4.
+numerical failures with 3.
 """
 
 
@@ -40,7 +40,7 @@ class NoRealLogarithm(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """Iterative procedure failed to converge within max_iter."""
+    """Iterative procedure failed to converge within its iteration limit."""
 
 
 class IllConditioned(NumericalError):
@@ -65,7 +65,3 @@ class DegenerateInput(NumericalError):
 
 class InsufficientSamples(NumericalError):
     """Posterior summaries need at least two samples."""
-
-
-class AuditFailure(GroupregError):
-    """An invariant audit reported a failing check (exit code 4)."""

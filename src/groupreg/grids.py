@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegenerateInput, ValidationError
 
 
 def _as_vector(x, dim):
@@ -105,6 +105,19 @@ class ActivationMap:
         return ActivationMap(self.lattice, values)
 
 
+def common_lattice(maps):
+    """The one lattice all maps share; DegenerateInput if there are none or they differ."""
+    if not maps:
+        raise DegenerateInput("need at least one subject map")
+    lattice = maps[0].lattice
+    for amap in maps[1:]:
+        if amap.lattice.shape != lattice.shape or not (
+                np.allclose(amap.lattice.spacing, lattice.spacing)
+                and np.allclose(amap.lattice.origin, lattice.origin)):
+            raise DegenerateInput("all subject maps must share one lattice")
+    return lattice
+
+
 def write_map_csv(amap, path):
     lat = amap.lattice
     lines = [
@@ -132,9 +145,16 @@ def read_map_csv(path):
         if parts[0] != key:
             raise ValidationError(f"{path}: expected header line '{key}', got '{parts[0]}'")
         header[key] = parts[1:]
-    shape = tuple(int(x) for x in header["dims"])
-    lattice = Lattice(shape=shape,
-                      spacing=np.array([float(x) for x in header["spacing"]]),
-                      origin=np.array([float(x) for x in header["origin"]]))
-    values = np.array([[float(x) for x in ln.split(",")] for ln in lines])
-    return ActivationMap(lattice, values.ravel())
+    try:
+        lattice = Lattice(shape=tuple(int(x) for x in header["dims"]),
+                          spacing=np.array([float(x) for x in header["spacing"]]),
+                          origin=np.array([float(x) for x in header["origin"]]))
+        rows = [[float(x) for x in ln.split(",")] for ln in lines]
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    width = lattice.shape[1] if lattice.dim == 2 else 1
+    if len(rows) != lattice.shape[0] or any(len(row) != width for row in rows):
+        raise ValidationError(
+            f"{path}: expected {lattice.shape[0]} value rows of {width} for dims "
+            f"{','.join(map(str, lattice.shape))}")
+    return ActivationMap(lattice, np.array(rows).ravel())

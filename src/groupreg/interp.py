@@ -2,27 +2,24 @@
 
 Used for Y_i evaluated at reverse-transformed sites and for inverse warping.
 2D interpolation is separable: the 1D kernel is applied per axis over a 4x4
-stencil. Boundary policy: "zero" treats values outside the lattice as 0 (the
-default; activation maps decay to baseline outside the region of interest),
-"clamp" replicates the edge value.
+stencil. Values outside the lattice are 0: activation maps decay to baseline
+outside the region of interest.
 
 The kernel is one gather for 1D and 2D alike. The grid is padded by `_PAD`
-sites per side with the boundary fill (zeros, or edge copies), so every
-stencil that touches the lattice lies inside the padded grid and the policy
-needs no mask. Index coordinates are clipped to [-3, n + 1] per axis before
-the floor: a stencil based there lies wholly in the padding, and so does the
-stencil of every clipped point, which therefore reads the fill as it would
-unclipped; the clip also keeps the integer cast defined for any finite
-query. Stencil values come from one `take` at precomputed flat offsets,
-weights are [1, t, t^2, t^3] @ `_M_CR`, and the 2D contraction runs one
-axis at a time. A query point that is not finite gives NaN.
+zero sites per side, so every stencil that touches the lattice lies inside
+the padded grid and needs no mask. Index coordinates are clipped to
+[-3, n + 1] per axis before the floor: a stencil based there lies wholly in
+the padding, and so does the stencil of every clipped point, which
+therefore reads zeros as it would unclipped; the clip also keeps the
+integer cast defined for any finite query. Stencil values come from one
+`take` at precomputed flat offsets, weights are [1, t, t^2, t^3] @ `_M_CR`,
+and the 2D contraction runs one axis at a time. A query point that is not
+finite gives NaN.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BOUNDARY_POLICIES = ("zero", "clamp")
 
 # Catmull-Rom basis: the weights of p_{-1}, p_0, p_1, p_2 at fractional
 # offset t from p_0 are [1, t, t^2, t^3] @ _M_CR.
@@ -31,30 +28,26 @@ _M_CR = 0.5 * np.array([[0.0, 2.0, 0.0, 0.0],
                         [2.0, -5.0, 4.0, -1.0],
                         [-1.0, 3.0, -3.0, 1.0]])
 
-# A stencil based at n + 1 spans sites n .. n + 3, so 4 fill sites per side
+# A stencil based at n + 1 spans sites n .. n + 3, so 4 zero sites per side
 # hold every stencil the clip allows.
 _PAD = 4
 
 
-def _padded(grid, boundary):
-    if boundary == "clamp":
-        return np.pad(grid, _PAD, mode="edge")
+def _padded(grid):
     # Slice assignment into zeros: np.pad costs about ten times as much per call.
     out = np.zeros(tuple(n + 2 * _PAD for n in grid.shape))
     out[(slice(_PAD, -_PAD),) * grid.ndim] = grid
     return out
 
 
-def interpolate(amap, points, boundary="zero"):
+def interpolate(amap, points):
     """Cubic interpolation of an activation map at query points.
 
     points: (q, d) array (or (d,) for a single point). Returns values (q,)
     (or a scalar). The lattice needs at least 4 sites per axis; queries may
-    be anywhere, with out-of-domain stencil values handled by the boundary
-    policy. Points with a NaN or infinite coordinate give NaN.
+    be anywhere, with stencil values outside the lattice read as 0. Points
+    with a NaN or infinite coordinate give NaN.
     """
-    if boundary not in BOUNDARY_POLICIES:
-        raise ValueError(f"boundary must be one of {BOUNDARY_POLICIES}")
     lat = amap.lattice
     if any(n < 4 for n in lat.shape):
         raise ValueError("cubic interpolation needs >= 4 sites per axis")
@@ -72,7 +65,7 @@ def interpolate(amap, points, boundary="zero"):
 
     u = np.clip(u, -3.0, np.asarray(lat.shape, dtype=float)[:, None] + 1.0)
     base = np.floor(u)
-    padded = _padded(amap.grid, boundary)
+    padded = _padded(amap.grid)
     # Flat index of each stencil's first site (base - 1 per axis), and the
     # flat offsets of the 4^d stencil sites from it.
     strides = np.asarray(padded.strides) // padded.itemsize
@@ -98,10 +91,3 @@ def interpolate(amap, points, boundary="zero"):
         out[~finite] = np.nan
     return float(out[0]) if single else out
 
-
-def resample(amap, transform, boundary="zero"):
-    """Map with values amap(T(s)) on amap's own lattice (pull-back by T)."""
-    from .transforms import affine_apply
-
-    pts = affine_apply(transform, amap.lattice.locations())
-    return amap.with_values(interpolate(amap, pts, boundary=boundary))

@@ -23,10 +23,10 @@ from scipy.special import gammaln
 from .errors import DegenerateVariance, ValidationError
 from .grids import ActivationMap, Lattice
 from .interp import interpolate
-from .spatial import (CovarianceParams, NeighborLibrary, PredecessorPatterns,
-                      batched_nngp_weights, build_neighbor_library,
-                      build_ordered_neighbor_sets, build_predecessor_patterns,
-                      lookup_neighbors, nngp_log_density_from_weights)
+from .spatial import (NeighborLibrary, PredecessorPatterns, batched_nngp_weights,
+                      build_neighbor_library, build_ordered_neighbor_sets,
+                      build_predecessor_patterns, lookup_neighbors,
+                      nngp_log_density_from_weights)
 from .transforms import AffineTransform, affine_apply, composition_identity_gap
 
 
@@ -165,40 +165,6 @@ def penalty_terms(t, t_r):
     return composition_identity_gap(t, t_r), composition_identity_gap(t_r, t)
 
 
-def symmetric_loss(x, blocks, lambda_r):
-    """Bi-directional loss as written: per subject,
-    ||Y(T_r) - beta X||^2/sigma^2 + ||Y - beta X(T)||^2/sigma^2
-    + lambda_r (||T T_r - Id||_F + ||T_r T - Id||_F).
-    """
-    total = 0.0
-    for blk in blocks:
-        y_bw = backward_values(blk)
-        ssd_b = float(np.sum((y_bw - blk.beta * x) ** 2))
-        ssd_f = float(np.sum((blk.Y.values - blk.beta * blk.XT) ** 2))
-        p1, p2 = penalty_terms(blk.T, blk.T_r)
-        total += (ssd_f + ssd_b) / blk.sigma2 + lambda_r * (p1 + p2)
-    return total
-
-
-def mvt_logpdf(x, mu, scale, nu):
-    """Multivariate t log density with scale matrix `scale` and df `nu`."""
-    x = np.asarray(x, dtype=float)
-    p = x.size
-    dev = x - mu
-    chol = np.linalg.cholesky(scale)
-    half = np.linalg.solve(chol, dev)
-    quad = float(half @ half)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(gammaln((nu + p) / 2.0) - gammaln(nu / 2.0)
-                 - 0.5 * p * np.log(nu * np.pi) - 0.5 * logdet
-                 - 0.5 * (nu + p) * np.log1p(quad / nu))
-
-
-def transform_coord_vector(t):
-    """vec(M) with M = [A b]^T: per output coordinate k, (A_k1..A_kd, b_k)."""
-    return np.column_stack([t.A, t.b]).ravel()
-
-
 def normal_logpdf(x, mean, var):
     return float(-0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var))
 
@@ -224,7 +190,7 @@ def subject_weights(block, geom, cov):
     return locs, nbr, b, f
 
 
-def gibbs_log_posterior(x, blocks, cov, hp, geom, rho_in_support_only=True):
+def gibbs_log_posterior(x, blocks, cov, hp, geom):
     """Unnormalized log Gibbs posterior over all latent quantities.
 
     Sum of: the (1/2-weighted SSD) exponentiated loss, the NNGP log prior of
@@ -232,8 +198,6 @@ def gibbs_log_posterior(x, blocks, cov, hp, geom, rho_in_support_only=True):
     neighbor sets), transform log priors in both directions, and the
     beta / sigma^2 / alpha / rho log priors.
     """
-    if rho_in_support_only and not (hp.rho_lower < cov.rho < hp.rho_upper):
-        return -np.inf
     x = np.asarray(x, dtype=float)
     total = uniform_logpdf(cov.rho, hp.rho_lower, hp.rho_upper)
     total += invgamma_logpdf(cov.alpha, hp.a0_alpha, hp.b0_alpha)

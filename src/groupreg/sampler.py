@@ -55,10 +55,10 @@ from scipy.optimize import minimize
 from .errors import (DegenerateInput, GroupregError, IllConditioned, InsufficientSamples,
                      NonPositiveScale, NoRealLogarithm, OutOfLibraryBounds,
                      SingularTransform)
-from .grids import ActivationMap
+from .grids import ActivationMap, common_lattice
 from .interp import interpolate
-from .model import (Hyperparams, ModelGeometry, SubjectBlock, backward_values,
-                    build_geometry, penalty_terms, pointwise_log_lik, waic)
+from .model import (SubjectBlock, build_geometry, penalty_terms, pointwise_log_lik,
+                    waic)
 from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
                       kriging_factor, library_weights, lookup_entries,
                       nngp_log_density_from_weights, predecessor_weights)
@@ -86,7 +86,7 @@ class AdaptiveProposal:
     log lambda moves by k^{-0.6} * (accept - 0.234) per proposal during
     burn-in; the proposal covariance is lambda * (cov of accepted deltas
     + 1e-8 I). Both freeze at the end of burn-in so the post-burn-in chain
-    is Markov.
+    is Markov, and the frozen covariance is factored once.
     """
 
     dim: int
@@ -102,6 +102,7 @@ class AdaptiveProposal:
     post_accepts: int = 0
     rejected_oob: int = 0
     rejected_nolog: int = 0
+    _factor: np.ndarray = field(default=None, init=False, repr=False)   # cached while frozen
 
     def __post_init__(self):
         if self._mean is None:
@@ -116,6 +117,15 @@ class AdaptiveProposal:
             base = np.eye(self.dim)
         return np.exp(self.log_lambda) * (base + 1e-8 * np.eye(self.dim))
 
+    def proposal_factor(self):
+        """Lower Cholesky factor of `proposal_cov()`, computed once while frozen."""
+        if self.frozen and self._factor is not None:
+            return self._factor
+        factor = np.linalg.cholesky(self.proposal_cov())
+        if self.frozen:
+            self._factor = factor
+        return factor
+
     def record(self, accepted, delta=None):
         self.proposals += 1
         self.accepts += int(accepted)
@@ -123,6 +133,7 @@ class AdaptiveProposal:
             self.post_proposals += 1
             self.post_accepts += int(accepted)
             return
+        self._factor = None
         self.k += 1
         gamma = self.k ** -0.6
         self.log_lambda += gamma * ((1.0 if accepted else 0.0) - ADAPT_TARGET_RATE)
@@ -256,10 +267,9 @@ def template_conditional(state, geom):
         b += np.bincount(blk.nbr.ravel(), (blk.B * (blk.XT / blk.F)[:, None]).ravel(), v)
         b += blk.beta / blk.sigma2 * blk.Y_bw
         diag += blk.beta ** 2 / blk.sigma2
-    if blocks:
-        rows.append((np.concatenate([blk.nbr for blk in blocks]),
-                     np.concatenate([blk.B for blk in blocks]),
-                     1.0 / np.concatenate([blk.F for blk in blocks])))
+    rows.append((np.concatenate([blk.nbr for blk in blocks]),
+                 np.concatenate([blk.B for blk in blocks]),
+                 1.0 / np.concatenate([blk.F for blk in blocks])))
     families = [(np.ascontiguousarray(c.T), np.ascontiguousarray(w.T), finv)
                 for c, w, finv in rows]
     n_band = 1 + max(int(np.max(c.max(axis=0) - c.min(axis=0))) for c, _, _ in families)
@@ -414,7 +424,7 @@ def lie_mh_step(t, log_old, log_target, adapt, rng):
     target at the proposal and a payload the caller keeps on accept. Returns
     (t_new, payload) on accept and None otherwise.
     """
-    delta = np.linalg.cholesky(adapt.proposal_cov()) @ rng.standard_normal(adapt.dim)
+    delta = adapt.proposal_factor() @ rng.standard_normal(adapt.dim)
     accept_draw = np.log(rng.uniform())
     t_new = affine_compose(lie_exp(delta), t)
     try:
@@ -462,15 +472,13 @@ def update_reverse_transform(blk, state, geom, hp, adapt, rng):
     return True
 
 
-def standardize_forward_transforms(state, geom, karcher_tol=1e-10):
+def standardize_forward_transforms(state, geom):
     """Right-translate {T_i} by the inverse Karcher mean; re-bind X(T_i) sets.
 
     Standardization is a relabeling: the stored X(T_i) values are carried
     over, only the site locations (and hence neighbor sets / weights) move.
     """
-    if not state.blocks:
-        return
-    ts = standardize([blk.T for blk in state.blocks], tol=karcher_tol)
+    ts = standardize([blk.T for blk in state.blocks])
     for blk, t in zip(state.blocks, ts):
         blk.T = t
         refresh_subject_geometry(blk, geom, state.factor, state.alpha)
@@ -485,8 +493,6 @@ def standardize_scales(state):
     (beta, X) non-identifiability; the alpha draw that follows re-equilibrates
     the GP amplitude to the rescaled template.
     """
-    if not state.blocks:
-        return
     bar = float(np.mean([blk.beta for blk in state.blocks]))
     if not np.isfinite(bar) or bar <= 1e-8:
         return
@@ -577,9 +583,7 @@ def initialize(maps, hp, config, geom):
     Stops after config.init_iters passes or when the template change drops
     below 1e-4 relative.
     """
-    if not maps:
-        raise DegenerateInput("need at least one subject map")
-    lattice = maps[0].lattice
+    lattice = common_lattice(maps)
     for amap in maps:
         if np.ptp(amap.values) == 0.0:
             raise DegenerateInput("constant map: scale regression undefined")
@@ -597,7 +601,7 @@ def initialize(maps, hp, config, geom):
         for i in range(n):
             xt = interpolate(x_map, affine_apply(ts[i], pts))
             betas[i] = fit_scale(maps[i].values, xt)
-        ts = standardize(ts, tol=config.karcher_tol)
+        ts = standardize(ts)
         betas = betas / np.mean(betas)
         x_new = np.mean(
             [interpolate(maps[i], affine_apply(affine_inverse(ts[i]), pts)) / betas[i]
@@ -607,27 +611,18 @@ def initialize(maps, hp, config, geom):
         if rel < 1e-4:
             break
 
-    return _finalize_initial_state(maps, hp, config, geom, x, ts, betas)
-
-
-def _finalize_initial_state(maps, hp, config, geom, x, ts, betas):
-    lattice = maps[0].lattice
     x_map = ActivationMap(lattice, x)
-    pts = geom.locations
     blocks = []
-    for i, amap in enumerate(maps):
-        t = ts[i]
+    for amap, t, beta in zip(maps, ts, betas):
         t_r = affine_inverse(t)
         xt = interpolate(x_map, affine_apply(t, pts))
-        resid = amap.values - betas[i] * xt
-        sigma2 = max(float(np.mean(resid ** 2)), 1e-12)
+        sigma2 = max(float(np.mean((amap.values - beta * xt) ** 2)), 1e-12)
         y_bw = interpolate(amap, affine_apply(t_r, pts))
-        blocks.append(SubjectState(Y=amap, T=t, T_r=t_r, beta=float(betas[i]),
+        blocks.append(SubjectState(Y=amap, T=t, T_r=t_r, beta=float(beta),
                                    sigma2=sigma2, XT=xt, Y_bw=y_bw))
     alpha = max(float(np.var(x)), 1e-12)
     rho = 0.5 * (hp.rho_lower + hp.rho_upper)
-    state = ChainState(X=x.copy(), blocks=blocks, alpha=alpha, rho=rho)
-    return state
+    return ChainState(X=x.copy(), blocks=blocks, alpha=alpha, rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +644,7 @@ class Chain:
         config.validate()
         self.config = config
         self.hp = config.hyperparams()
-        lattice = maps[0].lattice
-        for amap in maps[1:]:
-            if amap.lattice.shape != lattice.shape or not (
-                    np.allclose(amap.lattice.spacing, lattice.spacing)
-                    and np.allclose(amap.lattice.origin, lattice.origin)):
-                raise DegenerateInput("all subject maps must share one lattice")
+        lattice = common_lattice(maps)
         self.maps = list(maps)
         self.geom = build_geometry(lattice, self.hp, config.margin)
         self.seed = config.seed
@@ -663,15 +653,11 @@ class Chain:
         self.state = initial_state
         n = len(self.state.blocks)
         dim_lie = lattice.dim * (lattice.dim + 1)
-        if self.state.adapt_fwd is None:
-            self.state.adapt_fwd = [AdaptiveProposal(dim_lie) for _ in range(n)]
-        if self.state.adapt_rev is None:
-            self.state.adapt_rev = [AdaptiveProposal(dim_lie) for _ in range(n)]
+        self.state.adapt_fwd = [AdaptiveProposal(dim_lie) for _ in range(n)]
+        self.state.adapt_rev = [AdaptiveProposal(dim_lie) for _ in range(n)]
         refresh_template_weights(self.state, self.geom)
         for blk in self.state.blocks:
             refresh_subject_geometry(blk, self.geom, self.state.factor, self.state.alpha)
-            if blk.Y_bw is None:
-                blk.Y_bw = backward_values(blk)
 
     def sweep(self):
         state, geom, hp = self.state, self.geom, self.hp
@@ -691,7 +677,7 @@ class Chain:
             for i, blk in blocks:
                 update_reverse_transform(blk, state, geom, hp, state.adapt_rev[i],
                                          substream(seed, it, _PH_TREV, i))
-            standardize_forward_transforms(state, geom, self.config.karcher_tol)
+            standardize_forward_transforms(state, geom)
             for i, blk in blocks:
                 blk.beta, blk.sigma2 = update_beta_sigma(
                     blk, state.X, hp, substream(seed, it, _PH_BETA, i))
@@ -718,7 +704,7 @@ class Chain:
     def inverse_consistency_error(self):
         """Mean over subjects of ||H_T H_Tr - I||_F at the current state."""
         gaps = [penalty_terms(blk.T, blk.T_r)[0] for blk in self.state.blocks]
-        return float(np.mean(gaps)) if gaps else 0.0
+        return float(np.mean(gaps))
 
     def run(self):
         """Run the configured chain; returns (SampleStore, diagnostics dict)."""
@@ -732,16 +718,13 @@ class Chain:
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
                 st = self.state
                 kept_x.append(st.X.copy())
-                kept_hf.append(np.stack([blk.T.matrix for blk in st.blocks])
-                               if st.blocks else np.zeros((0, 0, 0)))
-                kept_hr.append(np.stack([blk.T_r.matrix for blk in st.blocks])
-                               if st.blocks else np.zeros((0, 0, 0)))
+                kept_hf.append(np.stack([blk.T.matrix for blk in st.blocks]))
+                kept_hr.append(np.stack([blk.T_r.matrix for blk in st.blocks]))
                 kept_beta.append([blk.beta for blk in st.blocks])
                 kept_s2.append([blk.sigma2 for blk in st.blocks])
                 kept_alpha.append(st.alpha)
                 kept_rho.append(st.rho)
-                if st.blocks:
-                    kept_ll.append(pointwise_log_lik(st.X, st.blocks))
+                kept_ll.append(pointwise_log_lik(st.X, st.blocks))
                 kept_ic.append(self.inverse_consistency_error())
         runtime = time.perf_counter() - t_start
 

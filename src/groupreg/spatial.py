@@ -50,15 +50,6 @@ class CovarianceParams:
             raise ValueError(f"alpha and rho must be > 0, got {self.alpha}, {self.rho}")
 
 
-def exp_cov(s, t, params):
-    """Covariance between two locations (or broadcastable stacks of them)."""
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    t = np.atleast_2d(np.asarray(t, dtype=float))
-    dist = np.linalg.norm(s - t, axis=-1)
-    out = params.alpha * np.exp(-params.rho * dist)
-    return float(out[0]) if out.size == 1 else out
-
-
 def cov_matrix(a, b, params):
     """Cross-covariance matrix between location stacks a (n,d) and b (m,d)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -180,10 +171,6 @@ class NeighborLibrary:
     # Entries grouped by their neighbors' offsets from the first neighbor.
     pattern_ids: np.ndarray = field(repr=False)       # (n_lib,) int
     pattern_dist: np.ndarray = field(repr=False)      # (P, k, k) neighbor distances
-
-    @property
-    def n_entries(self):
-        return self.enlarged.n_sites
 
 
 def build_neighbor_library(lattice, margin, m):

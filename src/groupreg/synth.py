@@ -14,7 +14,7 @@ generating template lives in the midpoint space the model estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -22,6 +22,9 @@ DET_EPS = 1e-12
 # Tolerance on the homogeneous last row, as np.allclose(atol=1e-12) applies it.
 _ROW_ATOL = 1e-12
 _ROW_RTOL = 1e-5
+# Karcher mean: stop when the mean log-step norm drops below KARCHER_TOL.
+KARCHER_TOL = 1e-10
+KARCHER_MAX_ITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +93,6 @@ class AffineTransform:
         c, s = np.cos(theta), np.sin(theta)
         return cls.from_parts(np.array([[c, -s], [s, c]]), np.zeros(2))
 
-    @classmethod
-    def scaling(cls, factors):
-        f = np.atleast_1d(np.asarray(factors, dtype=float))
-        return cls.from_parts(np.diag(f), np.zeros(f.size))
-
 
 def affine_apply(transform, points):
     """Apply T(s) = A s + b to one point (d,) or a stack (n, d)."""
@@ -133,19 +131,6 @@ def _lie_entries(delta):
     if delta.size not in (2, 6):
         raise ValueError(f"lie vector must have length 2 or 6, got {delta.size}")
     return (1 if delta.size == 2 else 2), delta.tolist()
-
-
-def generator_from_vector(delta):
-    """Reshape lie coordinates into the (d+1)x(d+1) generator (zero last row)."""
-    d, entries = _lie_entries(delta)
-    g = np.zeros((d + 1, d + 1))
-    g[:d, :] = np.reshape(entries, (d, d + 1))
-    return g
-
-
-def vector_from_generator(gen):
-    d = gen.shape[0] - 1
-    return gen[:d, :].ravel().copy()
 
 
 # Closed-form 2x2 spectral calculus. For a real 2x2 matrix with eigenvalues
@@ -296,32 +281,32 @@ def composition_identity_gap(t1, t2):
     return float(np.linalg.norm(h - np.eye(h.shape[0])))
 
 
-def karcher_mean(transforms, tol=1e-10, max_iter=100):
+def karcher_mean(transforms):
     """Intrinsic (Karcher/Frechet) mean via the iterative log-domain update.
 
     Repeats T_bar <- T_bar * exp(mean_i log(T_bar^{-1} T_i)) until the mean
-    log-step norm drops below tol. NoRealLogarithm from any T_bar^{-1} T_i
-    propagates.
+    log-step norm drops below KARCHER_TOL. NoRealLogarithm from any
+    T_bar^{-1} T_i propagates.
     """
     transforms = list(transforms)
     if not transforms:
         raise ValueError("karcher_mean needs at least one transform")
     mean = AffineTransform.identity(transforms[0].dim)
-    for _ in range(max_iter):
+    for _ in range(KARCHER_MAX_ITER):
         mean_inv = affine_inverse(mean)
         logs = np.stack([lie_log(affine_compose(mean_inv, t)) for t in transforms])
         step = logs.mean(axis=0)
-        if np.linalg.norm(step) < tol:
+        if np.linalg.norm(step) < KARCHER_TOL:
             return mean
         mean = affine_compose(mean, lie_exp(step))
-    raise NoConvergence(f"karcher_mean did not converge in {max_iter} iterations")
+    raise NoConvergence(f"karcher_mean did not converge in {KARCHER_MAX_ITER} iterations")
 
 
-def standardize(transforms, tol=1e-10, max_iter=100):
+def standardize(transforms):
     """Right-translate all transforms by the inverse Karcher mean.
 
     The result has Karcher mean identity, and relative geometry is preserved
     exactly: Ti' (Tj')^{-1} = Ti Tj^{-1}.
     """
-    mean_inv = affine_inverse(karcher_mean(transforms, tol=tol, max_iter=max_iter))
+    mean_inv = affine_inverse(karcher_mean(transforms))
     return [affine_compose(t, mean_inv) for t in transforms]

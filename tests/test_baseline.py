@@ -1,9 +1,12 @@
 import numpy as np
+import pytest
 
 from groupreg import baseline, sampler
 from groupreg.config import RunConfig
-from groupreg.errors import OutOfLibraryBounds
+from groupreg.errors import DegenerateInput, OutOfLibraryBounds
+from groupreg.grids import ActivationMap, Lattice
 from groupreg.synth import ScenarioSpec, gen_indicator_curves
+from groupreg.transforms import AffineTransform
 
 
 def test_fit_conventional_reports_rejection_counts(monkeypatch):
@@ -22,3 +25,11 @@ def test_fit_conventional_reports_rejection_counts(monkeypatch):
     assert diag["rejected_out_of_library"] == [4, 4, 4]
     assert diag["rejected_no_real_log"] == [0, 0, 0]
     assert np.all(store.H_fwd == store.H_fwd[0])
+
+
+def test_inverse_warp_needs_maps_on_one_lattice():
+    """A mean map over two lattices has no meaning; the warp refuses it."""
+    maps = [ActivationMap(Lattice((n,), 0.1, 0.0), np.arange(n, dtype=float))
+            for n in (41, 45)]
+    with pytest.raises(DegenerateInput):
+        baseline.inverse_warp(maps, [AffineTransform.identity(1)] * 2)

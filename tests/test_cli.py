@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from groupreg import cli
 from groupreg.cli import main
 from groupreg.config import load_config
 from groupreg.errors import OutOfLibraryBounds
+from groupreg.grids import ActivationMap, Lattice, write_map_csv
 from groupreg.sampler import Chain
 from groupreg.synth import ScenarioSpec, generate
 
@@ -98,3 +100,75 @@ def test_failing_audit_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_all_audits", lambda seed: (failing, False))
     assert main(["audit"]) == 4
     assert "[FAIL] test.check" in capsys.readouterr().out
+
+
+def test_rerun_from_manifest_is_bit_exact(tmp_path):
+    """The manifest's config, written back as key=value text, refits the same samples."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    first = tmp_path / "first"
+    assert main(["fit", "--config", str(cfg), "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    lines = [f"{key}={','.join(map(str, value)) if isinstance(value, list) else value}"
+             for key, value in manifest["config"].items()]
+    rerun_cfg = tmp_path / "rerun.cfg"
+    rerun_cfg.write_text("\n".join(lines) + "\n")
+    second = tmp_path / "second"
+    assert main(["fit", "--config", str(rerun_cfg), "--out", str(second)]) == 0
+    rerun = json.loads((second / "manifest.json").read_text())
+    assert rerun["config"] == manifest["config"]
+    assert rerun["config_hash"] == manifest["config_hash"]
+    assert (second / "samples.bin").read_bytes() == (first / "samples.bin").read_bytes()
+
+
+def _bump(lattice):
+    x = lattice.locations()[:, 0]
+    return ActivationMap(lattice, np.exp(-((x - x.mean()) / 0.8) ** 2))
+
+
+def _write_maps(tmp_path, maps):
+    paths = []
+    for i, amap in enumerate(maps):
+        paths.append(tmp_path / f"map{i}.csv")
+        write_map_csv(amap, paths[-1])
+    return paths
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-baseline"])
+@pytest.mark.parametrize("other", [Lattice((45,), 0.1, 0.0), Lattice((41,), 0.1, 0.5)],
+                         ids=["shape", "origin"])
+def test_maps_on_different_lattices_exit_3(tmp_path, capsys, command, other):
+    paths = _write_maps(tmp_path, [_bump(Lattice((41,), 0.1, 0.0)), _bump(other)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"maps={paths[0]},{paths[1]}\ntotal=4\nburn_in=2\nthin=1\n"
+                   "margin=40\ninit_iters=2\n")
+    out = tmp_path / "fit"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert "share one lattice" in capsys.readouterr().err
+    _no_outputs_left(tmp_path, out)
+
+
+@pytest.mark.parametrize("row", ["1.0,x,3.0,4.0,5.0", "1.0,2.0,3.0,4.0"],
+                         ids=["non-numeric", "ragged"])
+def test_malformed_map_file_exits_2(tmp_path, capsys, row):
+    lattice = Lattice((5, 5), 1.0, 0.0)
+    path, = _write_maps(tmp_path, [ActivationMap(lattice, np.arange(25.0))])
+    lines = path.read_text().splitlines()
+    lines[4] = row
+    path.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"maps={path}\ntotal=4\nburn_in=2\n")
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert str(path) in capsys.readouterr().err
+    _no_outputs_left(tmp_path, out)
+
+
+def test_malformed_lambda_r_grid_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "scan"
+    assert main(["waic-scan", "--config", str(cfg), "--lambda-r-grid", "a,b",
+                 "--out", str(out)]) == 2
+    assert "lambda_r_grid needs comma-separated numbers" in capsys.readouterr().err
+    _no_outputs_left(tmp_path, out)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
-from groupreg.interp import BOUNDARY_POLICIES, interpolate, resample
+from groupreg.interp import interpolate
 from groupreg.transforms import AffineTransform, affine_apply
 
 
 # Reference kernel: a per-axis stencil with index clipping and an in-range
-# mask, contracted by one einsum. It is the kernel `interpolate` replaced and
+# mask (zero fill outside the lattice), contracted by one einsum. It is the kernel `interpolate` replaced and
 # is valid wherever the floor of an index coordinate fits an int.
 def _oracle_weights(t):
     t2 = t * t
@@ -23,23 +23,21 @@ def _oracle_weights(t):
     return np.stack([w0, w1, w2, w3], axis=-1)
 
 
-def _oracle_axis(u, n, policy):
+def _oracle_axis(u, n):
     base = np.floor(u).astype(int)
     idx = base[:, None] + np.arange(-1, 3)[None, :]
     weights = _oracle_weights(u - base)
-    if policy == "clamp":
-        return np.clip(idx, 0, n - 1), np.ones_like(idx, dtype=bool), weights
     return np.clip(idx, 0, n - 1), (idx >= 0) & (idx < n), weights
 
 
-def oracle_interpolate(amap, points, boundary="zero"):
+def oracle_interpolate(amap, points):
     lat = amap.lattice
     u = lat.to_index_coords(np.asarray(points, dtype=float))
     if lat.dim == 1:
-        idx, valid, w = _oracle_axis(u[:, 0], lat.shape[0], boundary)
+        idx, valid, w = _oracle_axis(u[:, 0], lat.shape[0])
         return np.einsum("qk,qk->q", w, amap.values[idx] * valid)
-    idx0, valid0, w0 = _oracle_axis(u[:, 0], lat.shape[0], boundary)
-    idx1, valid1, w1 = _oracle_axis(u[:, 1], lat.shape[1], boundary)
+    idx0, valid0, w0 = _oracle_axis(u[:, 0], lat.shape[0])
+    idx1, valid1, w1 = _oracle_axis(u[:, 1], lat.shape[1])
     patch = amap.grid[idx0[:, :, None], idx1[:, None, :]]
     patch = patch * (valid0[:, :, None] & valid1[:, None, :])
     return np.einsum("qj,qk,qjk->q", w0, w1, patch)
@@ -70,10 +68,6 @@ class TestInterpolate1D:
     def test_far_outside_fill_zero(self):
         assert interpolate(linear_map(), np.array([[40.0]]))[0] == 0.0
         assert interpolate(linear_map(), np.array([[-7.0]]))[0] == 0.0
-
-    def test_clamp_boundary(self):
-        got = interpolate(linear_map(), np.array([[40.0]]), boundary="clamp")
-        assert got[0] == pytest.approx(31.0)
 
     def test_needs_four_sites(self):
         lat = make_lattice_1d(0.0, 2.0, 1.0)
@@ -116,8 +110,8 @@ class TestInterpolate2D:
     def test_resample_identity(self):
         lat2 = Lattice((5, 5), np.array([1.0, 1.0]), np.zeros(2))
         amap = ActivationMap(lat2, np.random.default_rng(1).normal(size=25))
-        out = resample(amap, AffineTransform.identity(2))
-        assert np.max(np.abs(out.values - amap.values)) < 1e-12
+        out = interpolate(amap, affine_apply(AffineTransform.identity(2), lat2.locations()))
+        assert np.max(np.abs(out - amap.values)) < 1e-12
 
     def test_nonunit_spacing_offset_lattice(self):
         lat = Lattice((6, 6), np.array([0.5, 0.25]), np.array([-1.0, 2.0]))
@@ -131,14 +125,14 @@ class TestInterpolate2D:
 
 class TestKernelMatchesOracle:
     @settings(max_examples=200, deadline=None)
-    @given(dim=st.sampled_from([1, 2]), boundary=st.sampled_from(BOUNDARY_POLICIES),
+    @given(dim=st.sampled_from([1, 2]),
            shape=st.lists(st.integers(4, 9), min_size=2, max_size=2),
            spacing=st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=2, max_size=2),
            origin=st.lists(st.integers(-8, 8), min_size=2, max_size=2),
            angle=st.floats(-np.pi, np.pi), log_scale=st.floats(-0.7, 0.7),
            shift=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=2),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_random_warps_far_points_and_sites(self, dim, boundary, shape, spacing, origin,
+    def test_random_warps_far_points_and_sites(self, dim, shape, spacing, origin,
                                                angle, log_scale, shift, seed):
         """New kernel == the reference within 1e-14 max|values| on any query."""
         rng = np.random.default_rng(seed)
@@ -167,8 +161,8 @@ class TestKernelMatchesOracle:
             lat.origin + grid_idx * lat.spacing,
             far + rng.uniform(-1.0, 1.0, size=far.shape),
         ])
-        got = interpolate(amap, points, boundary=boundary)
-        want = oracle_interpolate(amap, points, boundary=boundary)
+        got = interpolate(amap, points)
+        want = oracle_interpolate(amap, points)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(amap.values))
 
     def test_non_dyadic_offset_lattice(self):
@@ -177,10 +171,9 @@ class TestKernelMatchesOracle:
         rng = np.random.default_rng(6)
         lower, upper = lat.bounds()
         points = lower + (upper - lower) * rng.uniform(-0.5, 1.5, size=(500, 2))
-        for boundary in BOUNDARY_POLICIES:
-            got = interpolate(amap, points, boundary=boundary)
-            want = oracle_interpolate(amap, points, boundary=boundary)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(amap.values))
+        got = interpolate(amap, points)
+        want = oracle_interpolate(amap, points)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(amap.values))
 
 
 class TestNonFiniteQueries:
@@ -190,10 +183,8 @@ class TestNonFiniteQueries:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = interpolate(amap, q)
-            clamped = interpolate(amap, q, boundary="clamp")
-        assert np.isnan(got[:3]).all() and np.isnan(clamped[:3]).all()
+        assert np.isnan(got[:3]).all()
         assert got[3] == 0.0 and got[4] == 0.0
-        assert clamped[3] == 31.0 and clamped[4] == 1.0
         assert got[5] == pytest.approx(8.5, abs=1e-10)
 
     def test_2d_point_with_one_bad_coordinate(self):
@@ -203,8 +194,6 @@ class TestNonFiniteQueries:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = interpolate(amap, q)
-            clamped = interpolate(amap, q, boundary="clamp")
-        assert np.isnan(got[:2]).all() and np.isnan(clamped[:2]).all()
+        assert np.isnan(got[:2]).all()
         assert got[2] == 0.0
-        assert clamped[2] == pytest.approx(amap.grid[5, 2])
         assert got[3] == pytest.approx(amap.grid[2, 3])

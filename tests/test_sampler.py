@@ -5,9 +5,9 @@ from scipy.stats import norm
 
 from groupreg import sampler
 from groupreg.audit import _toy_state, band_to_dense, weights_gap
-from groupreg.config import RunConfig, parse_config
-from groupreg.errors import (IllConditioned, NonPositiveScale, OutOfLibraryBounds,
-                             SingularTransform, ValidationError)
+from groupreg.config import RunConfig
+from groupreg.errors import (DegenerateInput, IllConditioned, NonPositiveScale,
+                             OutOfLibraryBounds, SingularTransform)
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.interp import interpolate
 from groupreg.model import Hyperparams, SubjectBlock, build_geometry
@@ -129,10 +129,9 @@ def test_beta_sigma_rejects_non_finite_rate(bad):
         update_beta_sigma(blk, np.ones(4), Hyperparams(), np.random.default_rng(0))
 
 
-def test_threads_key_still_parsed_and_validated():
-    assert parse_config("threads=4\n").threads == 4
-    with pytest.raises(ValidationError):
-        parse_config("threads=-1\n")
+def test_chain_needs_at_least_one_map():
+    with pytest.raises(DegenerateInput):
+        Chain([], RunConfig(total=2, burn_in=1))
 
 
 def test_fit_affine_recovers_a_known_warp():
@@ -186,6 +185,27 @@ def assert_step_draws_used(rng, seed, dim):
     ref.standard_normal(dim)
     ref.uniform()
     assert rng.uniform() == ref.uniform()
+
+
+def test_frozen_proposal_factor_is_cached_and_exact():
+    """While adapting, each factor is the current covariance's; once frozen,
+    one factor equal to a fresh Cholesky is reused."""
+    adapt = AdaptiveProposal(2)
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        factor = adapt.proposal_factor()
+        assert np.array_equal(factor, np.linalg.cholesky(adapt.proposal_cov()))
+        adapt.record(True, 0.01 * rng.standard_normal(2))
+        assert not np.array_equal(adapt.proposal_factor(), factor)
+    adapt.frozen = True
+    factor = adapt.proposal_factor()
+    assert adapt.proposal_factor() is factor
+    assert np.array_equal(factor, np.linalg.cholesky(adapt.proposal_cov()))
+    adapt.frozen = False
+    adapt.record(True, 0.01 * rng.standard_normal(2))
+    adapt.frozen = True
+    assert np.array_equal(adapt.proposal_factor(), np.linalg.cholesky(adapt.proposal_cov()))
+    assert not np.array_equal(adapt.proposal_factor(), factor)
 
 
 def test_lie_mh_step_rejects_out_of_library_proposals():

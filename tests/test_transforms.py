@@ -7,9 +7,23 @@ from hypothesis import strategies as st
 from groupreg.errors import NoRealLogarithm, NumericalError, SingularTransform
 from groupreg.transforms import (DET_EPS, AffineTransform, affine_apply,
                                  affine_compose, affine_inverse,
-                                 composition_identity_gap, generator_from_vector,
-                                 karcher_mean, lie_exp, lie_log,
-                                 standardize, vector_from_generator)
+                                 composition_identity_gap, karcher_mean, lie_exp,
+                                 lie_log, standardize)
+
+
+def generator_from_vector(delta):
+    """Lie coordinates as the (d+1)x(d+1) generator, zero last row (oracle)."""
+    delta = np.asarray(delta, dtype=float)
+    d = 1 if delta.size == 2 else 2
+    g = np.zeros((d + 1, d + 1))
+    g[:d, :] = delta.reshape(d, d + 1)
+    return g
+
+
+def vector_from_generator(gen):
+    """Top d rows of a generator, flattened row-major: its Lie coordinates."""
+    d = gen.shape[0] - 1
+    return gen[:d, :].ravel().copy()
 
 
 def translation(*b):
@@ -21,7 +35,7 @@ class TestApply:
         assert np.allclose(affine_apply(AffineTransform.identity(2), [1.0, 2.0]), [1, 2])
 
     def test_pure_scaling(self):
-        t = AffineTransform.scaling([2.0, 2.0])
+        t = AffineTransform.from_parts(np.diag([2.0, 2.0]), [0.0, 0.0])
         assert np.allclose(affine_apply(t, [1.0, 1.0]), [2, 2])
 
     def test_exact_rotation(self):
