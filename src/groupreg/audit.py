@@ -421,7 +421,7 @@ def geometry_audit(seed=0):
     # Standardization invariant over a short real chain.
     spec = ScenarioSpec(scenario="indicator", n_subjects=3, seed=3)
     maps, _ = gen_indicator_curves(spec)
-    cfg = RunConfig(total=6, burn_in=5, thin=1, margin=40, seed=5,
+    cfg = RunConfig(total=6, burn_in=5, thin=1, seed=5,
                     a0_alpha=0.2, b0_alpha=0.1, init_iters=3)
     chain = Chain(maps, cfg)
     worst = 0.0

@@ -27,7 +27,6 @@ from .baseline import fit_conventional, inverse_warp
 from .config import RunConfig, load_config, parse_lambda_r_grid
 from .errors import ConfigError, GroupregError, NumericalError, ValidationError
 from .grids import read_map_csv, write_map_csv
-from .model import build_geometry
 from .sampler import initialize, run_chain, summarize
 from .store import export_csv, load_store, save_store
 from .synth import ScenarioSpec, generate
@@ -219,8 +218,7 @@ def _cmd_waic_scan(args):
     maps, _ = _load_maps(cfg)
     # Initialization does not read lambda_r, so it runs once; each chain gets
     # its own copy because a chain mutates its state.
-    hp = cfg.hyperparams()
-    initial = initialize(maps, hp, cfg, build_geometry(maps[0].lattice, hp, cfg.margin))
+    initial = initialize(maps, cfg.hyperparams(), cfg)
     with _Staging(args.out, "waic-scan", cfg) as staging:
         rows = []
         for lam in cfg.lambda_r_grid:

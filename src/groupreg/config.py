@@ -3,6 +3,8 @@
 Config text is UTF-8, one `key=value` per line, '#' starts a comment.
 Omitted keys take the defaults below (transform-prior shapes/rates 0.1,
 neighborhood size 10, decay-range upper bound 3, chain 30000/15000/10).
+The neighbor-library margin is not a key: `sampler.Chain` sizes it from the
+initial transforms. Nor is the rho proposal step (`sampler.RHO_STEP`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ class RunConfig:
     burn_in: int = 15000
     thin: int = 10
     m: int = 10
-    margin: int = 5
     lambda_r: float = 1.0
     lambda_r_grid: tuple = (0.1, 1.0, 10.0, 100.0)
     a_T: float = 0.1
@@ -48,7 +49,6 @@ class RunConfig:
     mu0: float = 1.0
     a0_sigma: float = 2.0
     a1_sigma: float = 1.0
-    rho_step: float = 0.1
     credible_level: float = 0.95
     tau: float = 1.5
     landmark_stride: int = 2
@@ -65,8 +65,6 @@ class RunConfig:
             raise ValidationError("burn-in must be >= 0")
         if self.thin < 1:
             raise ValidationError("thin >= 1 is required")
-        if self.margin < 0:
-            raise ValidationError("margin must be >= 0")
         if not 0.0 < self.credible_level < 1.0:
             raise ValidationError("credible_level must lie in (0, 1)")
         if self.n_subjects < 1:
@@ -75,8 +73,6 @@ class RunConfig:
             raise ValidationError("tau must be > 0")
         if self.landmark_stride < 1:
             raise ValidationError("landmark_stride must be >= 1")
-        if self.rho_step <= 0:
-            raise ValidationError("rho_step must be > 0")
         if self.init_iters < 1:
             raise ValidationError("init_iters must be >= 1")
         self.hyperparams()  # validates all prior hyperparameters

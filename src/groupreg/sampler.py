@@ -67,6 +67,8 @@ from .transforms import (AffineTransform, affine_apply, affine_compose,
                          affine_inverse, karcher_mean, lie_exp, lie_log, standardize)
 
 ADAPT_TARGET_RATE = 0.234
+RHO_STEP = 0.1        # standard deviation of the random-walk rho proposal
+LIBRARY_SLACK = 5     # library grid steps beyond the initial transforms' reach
 
 # Phase tags for the counter-based random streams.
 _PH_XT, _PH_X, _PH_TFWD, _PH_TREV, _PH_BETA, _PH_ALPHA, _PH_RHO = range(7)
@@ -345,10 +347,10 @@ def update_alpha(state, geom, hp, rng):
     return new_alpha
 
 
-def update_rho(state, geom, hp, rng, step):
+def update_rho(state, geom, hp, rng):
     """Random-walk Metropolis on rho; proposals outside (L, U) are rejected."""
     state.rho_proposals += 1
-    prop = state.rho + step * rng.standard_normal()
+    prop = state.rho + RHO_STEP * rng.standard_normal()
     accept_draw = np.log(rng.uniform())
     if not (hp.rho_lower < prop < hp.rho_upper):
         return False
@@ -573,7 +575,7 @@ def fit_affine(y_map, x_map, beta, start, coarse=False):
     return best
 
 
-def initialize(maps, hp, config, geom):
+def initialize(maps, hp, config):
     """Alternating template/transform initialization (deterministic).
 
     Repeats: fit each T_i by warping beta_i X to Y_i (coarse grid on the
@@ -581,14 +583,15 @@ def initialize(maps, hp, config, geom):
     no-intercept regression, standardize T at identity and beta at 1, then
     re-estimate X as the mean of back-warped maps Y_i(T_i^{-1})/beta_i.
     Stops after config.init_iters passes or when the template change drops
-    below 1e-4 relative.
+    below 1e-4 relative. Needs only the maps' lattice: the neighbor library
+    is sized afterwards from the transforms found here (`library_margin`).
     """
     lattice = common_lattice(maps)
     for amap in maps:
         if np.ptp(amap.values) == 0.0:
             raise DegenerateInput("constant map: scale regression undefined")
 
-    pts = geom.locations
+    pts = lattice.locations()
     x = np.mean([amap.values for amap in maps], axis=0)
     n = len(maps)
     ts = [AffineTransform.identity(lattice.dim) for _ in range(n)]
@@ -637,8 +640,29 @@ class ChainAborted(GroupregError):
         self.snapshot = snapshot
 
 
+def library_margin(lattice, blocks):
+    """Library margin in grid steps that holds every T_i(S), plus LIBRARY_SLACK.
+
+    The overshoot is how far any transformed site lies outside the lattice's
+    bounding box, in grid steps of any axis; the margin is its ceiling plus
+    the slack, which leaves room for the chain's first moves.
+    """
+    locs, last = lattice.locations(), np.asarray(lattice.shape) - 1
+    over = 0.0
+    for blk in blocks:
+        u = lattice.to_index_coords(affine_apply(blk.T, locs))
+        over = max(over, float(np.max(-u)), float(np.max(u - last)))
+    return int(np.ceil(over)) + LIBRARY_SLACK
+
+
 class Chain:
-    """The full Gibbs/Metropolis sweep over one dataset."""
+    """The full Gibbs/Metropolis sweep over one dataset.
+
+    The neighbor library is sized from the initial state, by
+    `library_margin`, so no set-up fails for want of margin. A chain that
+    moves a transform further out still rejects that move, or aborts if
+    standardization takes a subject past the library.
+    """
 
     def __init__(self, maps, config, initial_state=None):
         config.validate()
@@ -646,10 +670,11 @@ class Chain:
         self.hp = config.hyperparams()
         lattice = common_lattice(maps)
         self.maps = list(maps)
-        self.geom = build_geometry(lattice, self.hp, config.margin)
         self.seed = config.seed
         if initial_state is None:
-            initial_state = initialize(self.maps, self.hp, config, self.geom)
+            initial_state = initialize(self.maps, self.hp, config)
+        self.geom = build_geometry(lattice, self.hp,
+                                   library_margin(lattice, initial_state.blocks))
         self.state = initial_state
         n = len(self.state.blocks)
         dim_lie = lattice.dim * (lattice.dim + 1)
@@ -683,8 +708,7 @@ class Chain:
                     blk, state.X, hp, substream(seed, it, _PH_BETA, i))
             standardize_scales(state)
             update_alpha(state, geom, hp, substream(seed, it, _PH_ALPHA))
-            update_rho(state, geom, hp, substream(seed, it, _PH_RHO),
-                       self.config.rho_step)
+            update_rho(state, geom, hp, substream(seed, it, _PH_RHO))
         except GroupregError as exc:
             raise ChainAborted(f"sweep {it} failed: {exc}", self.snapshot()) from exc
         state.iteration += 1
@@ -773,6 +797,7 @@ class Chain:
             "rejected_out_of_library": [r.rejected_oob for r in st.adapt_fwd],
             "rejected_no_real_log": [r.rejected_nolog + rr.rejected_nolog
                                      for r, rr in zip(st.adapt_fwd, st.adapt_rev)],
+            "library_margin": self.geom.library.margin,
             "beta_last": [blk.beta for blk in st.blocks],
             "sigma2_last": [blk.sigma2 for blk in st.blocks],
         }

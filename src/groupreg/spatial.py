@@ -14,15 +14,24 @@ Pattern cache. On a regular lattice the k x k covariance of a neighbor set
 depends only on the set's shape (its members' offsets in lattice steps) and
 on rho, because C = alpha (R(rho) + JITTER I). Library entries and template
 predecessor sets are therefore grouped into patterns when they are built
-(189 library patterns for 1444 entries on a 28x28 lattice with margin 5 and
+(330 library patterns for 2116 entries on a 28x28 lattice with margin 9 and
 m = 10; 26 predecessor patterns), each stored as its k x k distance matrix.
 A `KrigingFactor` holds, for one rho, (R + JITTER I)^-1 per library pattern
 and the unit-alpha weights of every predecessor pattern; weights for any
 alpha follow as B = (R + JITTER I)^-1 r_t and F = alpha (1 - B . r_t), so a
 weights call costs k exps per row and one small mat-vec instead of a k x k
-solve. The tables take P k^2 doubles per family (about 150 kB for the 28x28
+solve. The tables take P k^2 doubles per family (about 260 kB for the 28x28
 library) plus one int per entry or site. `batched_nngp_weights` re-solves
 every row and stays the brute-force oracle the cache is checked against.
+
+Library build. Entries are ranked by squared distances formed from integer
+lattice offsets, not from differenced coordinates, so an entry's neighbor
+set depends only on its offsets from the template sites, never on the
+margin or the origin. With equal spacing on every axis those distances are
+integers in units of the spacing, so equal distances compare equal and ties
+break toward the smaller index. Entries are ranked in row blocks sized so
+that one (rows, V) array takes `_BLOCK_BYTES`: the build needs O(V) memory
+per block row instead of an (n_lib, V, d) tensor, and O(n_lib V log V) time.
 """
 
 from __future__ import annotations
@@ -36,6 +45,12 @@ from .grids import Lattice
 
 JITTER = 1e-10
 VAR_FLOOR = 1e-12
+# One (rows, V) array of a library build block. Much smaller blocks left
+# glyph28 sweeps a third slower: glibc sizes its dynamic mmap and trim
+# thresholds from the largest block freed, and below ~4 MB the sweep's
+# several MB of temporaries went back to the OS and faulted in again on
+# every sweep.
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -111,6 +126,11 @@ def build_ordered_neighbor_sets(locations, m):
     return out
 
 
+def _site_coords(shape, low=0):
+    """(n, d) integer index coordinates of every site of a grid, row-major, from `low`."""
+    return np.stack(np.unravel_index(np.arange(int(np.prod(shape))), shape), axis=-1) + low
+
+
 def _pattern_table(keys):
     """Pattern id of every row of an integer key table, and each pattern's first row."""
     _, first, ids = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -140,7 +160,7 @@ class PredecessorPatterns:
 
 def build_predecessor_patterns(lattice, neighbor_sets):
     """Group `build_ordered_neighbor_sets` rows of a lattice by relative shape."""
-    coords = np.stack(np.unravel_index(np.arange(lattice.n_sites), lattice.shape), axis=-1)
+    coords = _site_coords(lattice.shape)
     mask = neighbor_sets >= 0
     offsets = np.where(mask[:, :, None], coords[np.where(mask, neighbor_sets, 0)]
                        - coords[:, None, :], 0)
@@ -174,6 +194,7 @@ class NeighborLibrary:
 
 
 def build_neighbor_library(lattice, margin, m):
+    """The m-nearest template sites of every site of the lattice grown by `margin` steps."""
     margin = int(margin)
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -182,14 +203,20 @@ def build_neighbor_library(lattice, margin, m):
         spacing=lattice.spacing,
         origin=lattice.origin - margin * lattice.spacing,
     )
-    template_locs = lattice.locations()
-    lib_locs = enlarged.locations()
+    template = _site_coords(lattice.shape)
+    entries = _site_coords(enlarged.shape, -margin)
+    # Squared distance in units of the finest spacing: integers when the
+    # spacing is equal on every axis, so equal distances compare equal.
+    axis_weight = (lattice.spacing / lattice.spacing.min()) ** 2
     k = min(m, lattice.n_sites)
-    d = np.linalg.norm(lib_locs[:, None, :] - template_locs[None, :, :], axis=-1)
-    neighbor_indices = np.ascontiguousarray(np.argsort(d, axis=1, kind="stable")[:, :k])
-    del d
-    coords = np.stack(np.unravel_index(neighbor_indices, lattice.shape), axis=-1)
-    offsets = coords - coords[:, :1, :]
+    rows = max(1, _BLOCK_BYTES // (8 * lattice.n_sites))
+    neighbor_indices = np.empty((len(entries), k), dtype=int)
+    for start in range(0, len(entries), rows):
+        block = entries[start:start + rows]
+        dist2 = sum(w * (block[:, None, a] - template[None, :, a]) ** 2
+                    for a, w in enumerate(axis_weight))
+        neighbor_indices[start:start + rows] = np.argsort(dist2, axis=1, kind="stable")[:, :k]
+    offsets = template[neighbor_indices] - template[neighbor_indices[:, :1]]
     pattern_ids, first = _pattern_table(offsets.reshape(len(offsets), -1))
     return NeighborLibrary(template=lattice, enlarged=enlarged, margin=margin,
                            m=m, neighbor_indices=neighbor_indices, pattern_ids=pattern_ids,
@@ -210,8 +237,7 @@ def lookup_entries(points, library):
     shape = library.enlarged.shape
     for a, n in enumerate(shape):
         if np.any(idx[:, a] < 0) or np.any(idx[:, a] >= n):
-            raise OutOfLibraryBounds(
-                "point outside the neighbor library (increase margin or reject the move)")
+            raise OutOfLibraryBounds("point outside the neighbor library")
     flat = np.ravel_multi_index(tuple(idx[:, a] for a in range(len(shape))), shape)
     return flat[0] if single else flat
 
@@ -224,27 +250,6 @@ def lookup_neighbors(points, library):
     `lookup_entries`.
     """
     return library.neighbor_indices[lookup_entries(points, library)]
-
-
-def nngp_weights(target, neighbors, params):
-    """Kriging weights B and conditional variance F for one target location.
-
-    neighbors: (k, d) locations (k may be 0, giving B empty and F = alpha).
-    F = C(t,t) - B C_N B^T, clamped below at 1e-12 * alpha.
-    """
-    target = np.asarray(target, dtype=float).reshape(1, -1)
-    neighbors = np.atleast_2d(np.asarray(neighbors, dtype=float))
-    if neighbors.size == 0:
-        return np.empty(0), float(params.alpha)
-    c_n = cov_matrix(neighbors, neighbors, params)
-    c_n[np.diag_indices_from(c_n)] += JITTER * params.alpha
-    c_t = cov_matrix(target, neighbors, params)[0]
-    try:
-        b = np.linalg.solve(c_n, c_t)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned("neighbor covariance not invertible after jitter") from exc
-    f = params.alpha - float(b @ c_t)
-    return b, max(f, VAR_FLOOR * params.alpha)
 
 
 def batched_nngp_weights(targets, neighbor_idx, source_locations, params):

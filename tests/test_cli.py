@@ -5,11 +5,7 @@ import pytest
 
 from groupreg import cli
 from groupreg.cli import main
-from groupreg.config import load_config
-from groupreg.errors import OutOfLibraryBounds
 from groupreg.grids import ActivationMap, Lattice, write_map_csv
-from groupreg.sampler import Chain
-from groupreg.synth import ScenarioSpec, generate
 
 CONFIG = """scenario=indicator
 n_subjects=3
@@ -18,7 +14,6 @@ seed=5
 total=4
 burn_in=2
 thin=1
-margin=40
 init_iters=2
 a0_alpha=0.2
 b0_alpha=0.1
@@ -44,18 +39,16 @@ def _no_outputs_left(tmp_path, out):
 
 
 def test_fit_failing_at_setup_exits_3_and_writes_nothing(tmp_path, capsys):
-    """Cosine sim seed 0 leaves the neighbour library during set-up."""
+    """A constant map leaves the scale regression of initialization undefined."""
+    lattice = Lattice((41,), 0.1, 0.0)
+    flat = ActivationMap(lattice, np.full(lattice.n_sites, 0.5))
+    paths = _write_maps(tmp_path, [_bump(lattice), flat])
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("scenario=cosine\nn_subjects=3\nsim_seed=0\nseed=1\n"
-                   "total=4\nburn_in=2\nthin=1\n")
+    cfg.write_text(f"maps={paths[0]},{paths[1]}\ntotal=4\nburn_in=2\nthin=1\n")
     out = tmp_path / "fit"
     assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 3
-    assert "neighbor library" in capsys.readouterr().err
+    assert "constant map" in capsys.readouterr().err
     _no_outputs_left(tmp_path, out)
-    config = load_config(str(cfg))
-    maps, _ = generate(ScenarioSpec("cosine", n_subjects=3, seed=0))
-    with pytest.raises(OutOfLibraryBounds):
-        Chain(maps, config)
 
 
 @pytest.mark.parametrize("text", ["scenario=cosine\nthis line has no equals sign\n",
@@ -67,6 +60,17 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, text):
     cfg.write_text(text)
     out = tmp_path / "fit"
     assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    _no_outputs_left(tmp_path, out)
+
+
+@pytest.mark.parametrize("key", ["margin=40", "rho_step=0.2"])
+def test_retired_config_keys_exit_2(tmp_path, capsys, key):
+    """The library margin is derived from the data and the rho step is fixed."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario=cosine\n{key}\n")
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown key" in capsys.readouterr().err
     _no_outputs_left(tmp_path, out)
 
 
@@ -141,7 +145,7 @@ def test_maps_on_different_lattices_exit_3(tmp_path, capsys, command, other):
     paths = _write_maps(tmp_path, [_bump(Lattice((41,), 0.1, 0.0)), _bump(other)])
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"maps={paths[0]},{paths[1]}\ntotal=4\nburn_in=2\nthin=1\n"
-                   "margin=40\ninit_iters=2\n")
+                   "init_iters=2\n")
     out = tmp_path / "fit"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert "share one lattice" in capsys.readouterr().err

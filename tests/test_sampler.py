@@ -10,14 +10,14 @@ from groupreg.errors import (DegenerateInput, IllConditioned, NonPositiveScale,
                              OutOfLibraryBounds, SingularTransform)
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.interp import interpolate
-from groupreg.model import Hyperparams, SubjectBlock, build_geometry
+from groupreg.model import Hyperparams, SubjectBlock
 from groupreg.sampler import (AdaptiveProposal, Chain, ChainAborted, fit_affine, initialize,
                               lie_mh_step, template_conditional, update_beta_sigma,
                               update_forward_transform, update_template)
 from groupreg.spatial import batched_nngp_weights
 from groupreg.store import save_store
-from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, rotate_glyph,
-                            rotation_about_center)
+from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, generate,
+                            rotate_glyph, rotation_about_center)
 from groupreg.transforms import AffineTransform, affine_apply, affine_compose, lie_exp, lie_log
 
 
@@ -39,8 +39,8 @@ def indicator():
 # off a 40-digit reference on the indicator lattice (|s| up to 5, spacing
 # 0.05). A stale factor would be off by more than 1e-4.
 CASES = {
-    "glyph": (small_glyph, dict(margin=5, seed=4), 1e-12),
-    "indicator": (indicator, dict(margin=40, seed=5, a0_alpha=0.2, b0_alpha=0.1), 1e-12),
+    "glyph": (small_glyph, dict(seed=4), 1e-12),
+    "indicator": (indicator, dict(seed=5, a0_alpha=0.2, b0_alpha=0.1), 1e-12),
 }
 
 
@@ -134,6 +134,17 @@ def test_chain_needs_at_least_one_map():
         Chain([], RunConfig(total=2, burn_in=1))
 
 
+@pytest.mark.parametrize("sim_seed", [0, 2, 3])
+def test_library_holds_far_initial_transforms(sim_seed):
+    """These cosine fits start 8 to 11 grid steps past the lattice, beyond a 5-step library."""
+    maps, _ = generate(ScenarioSpec("cosine", n_subjects=3, seed=sim_seed))
+    chain = Chain(maps, RunConfig(total=3, burn_in=1, thin=1, seed=1))
+    assert chain.geom.library.margin > 5 + sampler.LIBRARY_SLACK
+    store, diagnostics = chain.run()
+    assert store.n_samples == 2
+    assert diagnostics["library_margin"] == chain.geom.library.margin
+
+
 def test_fit_affine_recovers_a_known_warp():
     """Noise-free Y = X(T) with T a rotation and shift: fit_affine finds T."""
     glyph = base_glyph()
@@ -167,9 +178,8 @@ def test_fit_affine_scores_singular_vertices_as_infinite(monkeypatch):
 
 def test_initialize_is_deterministic():
     maps = small_glyph()
-    cfg = RunConfig(margin=5, seed=4, init_iters=3)
-    geom = build_geometry(maps[0].lattice, cfg.hyperparams(), cfg.margin)
-    first, second = (initialize(maps, cfg.hyperparams(), cfg, geom) for _ in range(2))
+    cfg = RunConfig(seed=4, init_iters=3)
+    first, second = (initialize(maps, cfg.hyperparams(), cfg) for _ in range(2))
     assert np.array_equal(first.X, second.X)
     assert (first.alpha, first.rho) == (second.alpha, second.rho)
     for a, b in zip(first.blocks, second.blocks, strict=True):

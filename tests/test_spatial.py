@@ -1,17 +1,38 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from groupreg.errors import OutOfLibraryBounds
 from groupreg.grids import Lattice, make_lattice_1d
-from groupreg.spatial import (CovarianceParams, batched_nngp_weights,
+from groupreg.spatial import (JITTER, VAR_FLOOR, CovarianceParams, batched_nngp_weights,
                               build_neighbor_library,
                               build_ordered_neighbor_sets, conditional_means,
                               cov_matrix, dense_gp_log_density, dense_kriging,
-                              lookup_neighbors, nngp_log_density, nngp_weights)
+                              lookup_neighbors, nngp_log_density)
+from groupreg.synth import ScenarioSpec, gen_indicator_curves
 
 
 def grid2d(n, spacing=1.0):
     return Lattice((n, n), np.array([spacing, spacing]), np.zeros(2))
+
+
+def nngp_weights(target, neighbors, params):
+    """Kriging weights B and conditional variance F of one target (one-row oracle).
+
+    neighbors: (k, d) locations (k may be 0, giving B empty and F = alpha).
+    F = C(t,t) - B C_N B^T, clamped below at 1e-12 * alpha.
+    """
+    target = np.asarray(target, dtype=float).reshape(1, -1)
+    neighbors = np.atleast_2d(np.asarray(neighbors, dtype=float))
+    if neighbors.size == 0:
+        return np.empty(0), float(params.alpha)
+    c_n = cov_matrix(neighbors, neighbors, params)
+    c_n[np.diag_indices_from(c_n)] += JITTER * params.alpha
+    c_t = cov_matrix(target, neighbors, params)[0]
+    b = np.linalg.solve(c_n, c_t)
+    f = params.alpha - float(b @ c_t)
+    return b, max(f, VAR_FLOOR * params.alpha)
 
 
 class TestExpCov:
@@ -114,6 +135,27 @@ class TestNeighborLibrary:
         lat = Lattice((28, 28), np.array([1.0, 1.0]), np.zeros(2))
         lib = build_neighbor_library(lat, 5, 10)
         assert lib.neighbor_indices.shape[0] == 38 * 38
+
+    def test_build_memory_is_bounded(self):
+        # An (n_lib, V, d) distance tensor alone would take 3364 x 2304 x 2 x 8 B = 124 MB.
+        lat = Lattice((48, 48), np.array([1.0, 1.0]), np.zeros(2))
+        tracemalloc.start()
+        try:
+            build_neighbor_library(lat, 5, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    def test_indicator_sets_are_exact_and_margin_free(self):
+        """Sets rank integer offsets, ties to the smaller index, whatever the margin."""
+        lat = gen_indicator_curves(ScenarioSpec("indicator", n_subjects=1, seed=0))[0][0].lattice
+        small, large = build_neighbor_library(lat, 5, 10), build_neighbor_library(lat, 9, 10)
+        assert np.array_equal(small.neighbor_indices, large.neighbor_indices[4:-4])
+        sites = np.arange(lat.n_sites)
+        for entry, got in zip(range(-9, lat.n_sites + 9), large.neighbor_indices):
+            expect = np.argsort(np.abs(entry - sites), kind="stable")[:10]
+            assert got.tolist() == expect.tolist()
 
     def test_exhaustive_sort_oracle(self):
         lat = make_lattice_1d(0.0, 9.0, 1.0)
