@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baseline import (conventional_log_joint, conventional_log_target, gauss_kernel,
-                       landmark_lattice)
+from .baseline import (conventional_log_joint, conventional_log_target,
+                       conventional_sigma2_conditional, conventional_w_conditional,
+                       gauss_kernel, kernel_gram, landmark_lattice)
 from .config import RunConfig
 from .errors import OutOfLibraryBounds
 from .grids import ActivationMap, Lattice, make_lattice_1d
@@ -78,6 +79,26 @@ def band_to_dense(ab):
 
 def _joint(state, geom, hp):
     return gibbs_log_posterior(state.X, state.blocks, state.cov, hp, geom)
+
+
+TOY_TAU = 1.5
+
+
+def _toy_conventional(state, geom, hp, rng):
+    """The toy state's maps under the conventional model, with a landmark on every site.
+
+    Returns the landmarks, K^-1, a random w and log_joint(ts, w, sigma2s),
+    the model's `conventional_log_joint` on the toy maps.
+    """
+    maps = [blk.Y for blk in state.blocks]
+    landmarks = landmark_lattice(geom.lattice, 1)
+    gram_chol, k_inv = kernel_gram(landmarks, TOY_TAU)
+
+    def log_joint(ts, w, sigma2s):
+        return conventional_log_joint(maps, ts, w, sigma2s, landmarks, TOY_TAU, gram_chol, hp,
+                                      geom.prior_T)
+
+    return landmarks, k_inv, rng.normal(size=landmarks.shape[0]), log_joint
 
 
 def conjugacy_audit(seed=0, tol=1e-8):
@@ -151,6 +172,26 @@ def conjugacy_audit(seed=0, tol=1e-8):
     joint = _joint(state, geom, hp) - base
     state.alpha = old_alpha
     results.append(_check("conjugacy.alpha", abs(closed - joint), tol))
+
+    # The baseline's w and sigma^2 against the conventional model's joint.
+    rng = np.random.default_rng(seed + 4)
+    landmarks, k_inv, w, log_joint = _toy_conventional(state, geom, hp, rng)
+    ts = [blk.T for blk in state.blocks]
+    ys = [blk.Y.values for blk in state.blocks]
+    sigma2s = [blk.sigma2 for blk in state.blocks]
+    phis = [gauss_kernel(affine_apply(t, geom.locations), landmarks, TOY_TAU) for t in ts]
+    conv_base = log_joint(ts, w, sigma2s)
+    prec, _, mean = conventional_w_conditional(phis, ys, sigma2s, k_inv)
+    w_new = w + rng.normal(scale=0.5, size=w.size)
+    closed = -0.5 * ((w_new - mean) @ prec @ (w_new - mean) - (w - mean) @ prec @ (w - mean))
+    joint = log_joint(ts, w_new, sigma2s) - conv_base
+    results.append(_check("conjugacy.conventional_w", abs(closed - joint), tol))
+
+    shape, rate = conventional_sigma2_conditional(ys[1], phis[1], w, hp)
+    new_s2 = sigma2s[1] * 1.7
+    closed = invgamma_logpdf(new_s2, shape, rate) - invgamma_logpdf(sigma2s[1], shape, rate)
+    joint = log_joint(ts, w, [sigma2s[0], new_s2]) - conv_base
+    results.append(_check("conjugacy.conventional_sigma2", abs(closed - joint), tol))
     return results
 
 
@@ -167,16 +208,11 @@ def target_audit(seed=0, tol=1e-8):
     base = _joint(state, geom, hp)
     worst = {"target.forward": 0.0, "target.reverse": 0.0, "target.conventional": 0.0}
 
-    maps = [b.Y for b in state.blocks]
     locs = geom.locations
-    landmarks = landmark_lattice(geom.lattice, 1)
-    tau = 1.5
-    gram_chol = np.linalg.cholesky(gauss_kernel(landmarks, landmarks, tau))
-    w = rng.normal(size=landmarks.shape[0])
+    landmarks, _, w, log_joint = _toy_conventional(state, geom, hp, rng)
     ts = [b.T for b in state.blocks]
     sigma2s = [b.sigma2 for b in state.blocks]
-    conv_base = conventional_log_joint(maps, ts, w, sigma2s, landmarks, tau, gram_chol, hp,
-                                       geom.prior_T)
+    conv_base = log_joint(ts, w, sigma2s)
 
     for _ in range(5):
         t_old, t_r_old, y_bw_old = blk.T, blk.T_r, blk.Y_bw
@@ -202,13 +238,12 @@ def target_audit(seed=0, tol=1e-8):
         blk.T_r, blk.Y_bw = t_r_old, y_bw_old
         worst["target.reverse"] = max(worst["target.reverse"], abs(closed - joint))
 
-        y, s2 = maps[0].values, sigma2s[0]
-        phi_new, phi_old = (gauss_kernel(affine_apply(t, locs), landmarks, tau)
+        y, s2 = blk.Y.values, sigma2s[0]
+        phi_new, phi_old = (gauss_kernel(affine_apply(t, locs), landmarks, TOY_TAU)
                             for t in (t_new, t_old))
         closed = (conventional_log_target(t_new, phi_new, y, w, s2, geom.prior_T)
                   - conventional_log_target(t_old, phi_old, y, w, s2, geom.prior_T))
-        joint = conventional_log_joint(maps, [t_new] + ts[1:], w, sigma2s, landmarks, tau,
-                                       gram_chol, hp, geom.prior_T) - conv_base
+        joint = log_joint([t_new] + ts[1:], w, sigma2s) - conv_base
         worst["target.conventional"] = max(worst["target.conventional"], abs(closed - joint))
     return [_check(name, gap, tol) for name, gap in worst.items()]
 

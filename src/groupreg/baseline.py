@@ -8,14 +8,15 @@ affine class and marginal-t prior as the symmetric model so the comparison
 isolates the symmetric-GP contribution. No reverse transforms, no intensity
 scale beta, no inverse-consistency penalty.
 
-Sampling: conjugate Gibbs for w and sigma_i^2, and for T_i the symmetric
-model's Lie-group Metropolis step (`sampler.lie_mh_step`, with its
-closed-form Hastings term and Robbins-Monro adaptation).
+Sampling: `ConventionalChain`, run by the symmetric model's loop
+(`sampler.Chain.run`). Each sweep is conjugate Gibbs for w and sigma_i^2,
+and for T_i the symmetric model's Lie-group Metropolis step
+(`sampler.lie_mh_step`, with its closed-form Hastings term and
+Robbins-Monro adaptation). K^-1 and the kernel design at the lattice sites
+are computed once per chain.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -23,8 +24,7 @@ from .errors import IllConditioned
 from .grids import ActivationMap, common_lattice
 from .interp import interpolate
 from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
-from .sampler import AdaptiveProposal, fit_affine, lie_mh_step, substream
-from .store import SampleStore
+from .sampler import AdaptiveProposal, Chain, fit_affine, lie_mh_step, substream
 from .transforms import AffineTransform, affine_apply, affine_inverse
 
 KERNEL_JITTER = 1e-8
@@ -46,28 +46,34 @@ def landmark_lattice(lattice, stride):
     return locs[::stride, ::stride].reshape(-1, 2)
 
 
-def _chol_gram(landmarks, tau):
+def kernel_gram(landmarks, tau):
+    """Cholesky factor of the landmark Gram matrix K (jittered), and K^-1."""
     k = gauss_kernel(landmarks, landmarks, tau)
     k[np.diag_indices_from(k)] += KERNEL_JITTER
     try:
-        return k, np.linalg.cholesky(k)
+        chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError as exc:
         raise IllConditioned("kernel Gram matrix not PD after jitter") from exc
+    eye = np.eye(k.shape[0])
+    return chol, np.linalg.solve(chol.T, np.linalg.solve(chol, eye))
 
 
-def conventional_w_conditional(phis, ys, sigma2s, gram_chol):
+def conventional_w_conditional(phis, ys, sigma2s, k_inv):
     """Precision and mean of w | rest: K^{-1} + sum Phi^T Phi / sigma^2."""
-    p = gram_chol.shape[0]
-    eye = np.eye(p)
-    k_inv = np.linalg.solve(gram_chol.T, np.linalg.solve(gram_chol, eye))
     prec = k_inv.copy()
-    lin = np.zeros(p)
+    lin = np.zeros(k_inv.shape[0])
     for phi, y, s2 in zip(phis, ys, sigma2s):
         prec += phi.T @ phi / s2
         lin += phi.T @ y / s2
     chol = np.linalg.cholesky(0.5 * (prec + prec.T))
     mean = np.linalg.solve(chol.T, np.linalg.solve(chol, lin))
     return prec, chol, mean
+
+
+def conventional_sigma2_conditional(y, phi, w, hp):
+    """Shape and rate of sigma^2 | rest ~ IG(a0 + V/2, a1 + |Y - Phi w|^2 / 2)."""
+    r = y - phi @ w
+    return hp.a0_sigma + y.size / 2.0, hp.a1_sigma + 0.5 * float(r @ r)
 
 
 def _phi_at(transform, locations, landmarks, tau):
@@ -102,113 +108,80 @@ def conventional_log_joint(maps, ts, w, sigma2s, landmarks, tau, gram_chol, hp, 
     return float(total)
 
 
-def fit_conventional(maps, config):
-    """MCMC for the conventional model; returns (SampleStore, diagnostics).
+class ConventionalChain(Chain):
+    """MCMC for the conventional model; `Chain.run` and `Chain.sweep` drive it.
 
-    The store shares the symmetric model's record layout: the template is
-    evaluated on the map lattice and stored as X, reverse transforms are
-    identity and beta is 1; records are tagged with the model id in the
-    header.
+    A sweep draws w | rest, then each sigma_i^2 | rest, then each T_i, from
+    the streams (seed, iteration, 0), (.., 1, i) and (.., 2, i). The records
+    share the symmetric model's layout: the template is evaluated on the map
+    lattice and stored as X, reverse transforms are identity, beta is 1,
+    alpha and rho are NaN, and the header's lambda_r is 0, as the model has
+    no inverse-consistency penalty.
     """
-    config.validate()
-    hp = config.hyperparams()
-    lattice = common_lattice(maps)
-    locs = lattice.locations()
-    v = lattice.n_sites
-    n = len(maps)
-    d = lattice.dim
-    seed = config.seed
 
-    landmarks = landmark_lattice(lattice, config.landmark_stride)
-    gram, gram_chol = _chol_gram(landmarks, config.tau)
-    prior = TransformPrior(hp.a_T, hp.b_T, sigma_s_matrix(locs))
+    def __init__(self, maps, config):
+        config.validate()
+        self.config = config
+        self.hp = hp = config.hyperparams()
+        self.lattice = lattice = common_lattice(maps)
+        self.maps = list(maps)
+        self.seed = config.seed
+        self.lambda_r = 0.0
+        self.iteration = 0
+        n, d = len(maps), lattice.dim
+        self.locs = lattice.locations()
+        self.landmarks = landmark_lattice(lattice, config.landmark_stride)
+        _, self.k_inv = kernel_gram(self.landmarks, config.tau)
+        self.design = gauss_kernel(self.locs, self.landmarks, config.tau)
+        self.prior = TransformPrior(hp.a_T, hp.b_T, sigma_s_matrix(self.locs))
+        self.ys = [m.values for m in maps]
+        self.proposals = {"forward": [AdaptiveProposal(d * (d + 1)) for _ in range(n)]}
 
-    # Initialization: coarse-fit transforms against the mean map, ridge w.
-    mean_map = ActivationMap(lattice, np.mean([m.values for m in maps], axis=0))
-    ts = [fit_affine(maps[i], mean_map, 1.0, AffineTransform.identity(d), coarse=True)
-          for i in range(n)]
-    phis = [_phi_at(t, locs, landmarks, config.tau) for t in ts]
-    sigma2s = [1.0] * n
-    _, chol, w = conventional_w_conditional(phis, [m.values for m in maps],
-                                            sigma2s, gram_chol)
-    for i in range(n):
-        resid = maps[i].values - phis[i] @ w
-        sigma2s[i] = max(float(np.mean(resid ** 2)), 1e-12)
+        # Initialization: coarse-fit transforms against the mean map, ridge w.
+        mean_map = ActivationMap(lattice, np.mean(self.ys, axis=0))
+        self.ts = [fit_affine(m, mean_map, 1.0, AffineTransform.identity(d), coarse=True)
+                   for m in maps]
+        self.phis = [_phi_at(t, self.locs, self.landmarks, config.tau) for t in self.ts]
+        _, _, self.w = conventional_w_conditional(self.phis, self.ys, [1.0] * n, self.k_inv)
+        self.sigma2s = [max(float(np.mean((y - phi @ self.w) ** 2)), 1e-12)
+                        for y, phi in zip(self.ys, self.phis)]
 
-    adapt = [AdaptiveProposal(d * (d + 1)) for _ in range(n)]
-    ident = np.eye(d + 1)
-
-    kept_x, kept_h, kept_s2 = [], [], []
-    t_start = time.perf_counter()
-    for it in range(config.total):
-        if it >= config.burn_in:
-            for rec in adapt:
-                rec.frozen = True
+    def updates(self, it):
+        seed = self.seed
         # w | rest: conjugate multivariate normal.
-        rng = substream(seed, it, 0)
-        _, chol, mean = conventional_w_conditional(
-            phis, [m.values for m in maps], sigma2s, gram_chol)
-        w = mean + np.linalg.solve(chol.T, rng.standard_normal(w.size))
+        _, chol, mean = conventional_w_conditional(self.phis, self.ys, self.sigma2s, self.k_inv)
+        z = substream(seed, it, 0).standard_normal(mean.size)
+        self.w = w = mean + np.linalg.solve(chol.T, z)
         # sigma_i^2 | rest.
-        for i in range(n):
-            rng_i = substream(seed, it, 1, i)
-            resid = maps[i].values - phis[i] @ w
-            rate = hp.a1_sigma + 0.5 * float(resid @ resid)
-            sigma2s[i] = 1.0 / rng_i.gamma(shape=hp.a0_sigma + v / 2.0,
-                                           scale=1.0 / rate)
+        for i, (y, phi) in enumerate(zip(self.ys, self.phis)):
+            shape, rate = conventional_sigma2_conditional(y, phi, w, self.hp)
+            self.sigma2s[i] = 1.0 / substream(seed, it, 1, i).gamma(shape=shape,
+                                                                    scale=1.0 / rate)
         # T_i | rest: Lie-MH against the kernel-template likelihood.
-        for i in range(n):
-            y, s2 = maps[i].values, sigma2s[i]
+        for i, adapt in enumerate(self.proposals["forward"]):
+            y, s2 = self.ys[i], self.sigma2s[i]
 
             def target(t):
-                phi = _phi_at(t, locs, landmarks, config.tau)
-                return conventional_log_target(t, phi, y, w, s2, prior), phi
+                phi = _phi_at(t, self.locs, self.landmarks, self.config.tau)
+                return conventional_log_target(t, phi, y, w, s2, self.prior), phi
 
-            log_old = conventional_log_target(ts[i], phis[i], y, w, s2, prior)
-            step = lie_mh_step(ts[i], log_old, target, adapt[i], substream(seed, it, 2, i))
+            log_old = conventional_log_target(self.ts[i], self.phis[i], y, w, s2, self.prior)
+            step = lie_mh_step(self.ts[i], log_old, target, adapt, substream(seed, it, 2, i))
             if step is not None:
-                ts[i], phis[i] = step
+                self.ts[i], self.phis[i] = step
 
-        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-            kept_x.append(gauss_kernel(locs, landmarks, config.tau) @ w)
-            kept_h.append(np.stack([t.matrix for t in ts]))
-            kept_s2.append(list(sigma2s))
-    runtime = time.perf_counter() - t_start
+    def record(self):
+        n, d = len(self.maps), self.lattice.dim
+        return (self.design @ self.w, np.stack([t.matrix for t in self.ts]),
+                np.broadcast_to(np.eye(d + 1), (n, d + 1, d + 1)), np.ones(n),
+                list(self.sigma2s), np.nan, np.nan), None
 
-    s = len(kept_x)
-    meta = {
-        "model": "conventional",
-        "seed": seed,
-        "config_hash": config.config_hash(),
-        "lambda_r": 0.0,
-        "dim": d,
-        "shape": list(lattice.shape),
-        "spacing": [float(x) for x in lattice.spacing],
-        "origin": [float(x) for x in lattice.origin],
-        "n_subjects": n,
-    }
-    store = SampleStore(
-        meta=meta,
-        X=np.asarray(kept_x),
-        H_fwd=np.asarray(kept_h),
-        H_rev=np.broadcast_to(ident, (s, n, d + 1, d + 1)).copy(),
-        beta=np.ones((s, n)),
-        sigma2=np.asarray(kept_s2, dtype=float),
-        alpha=np.full(s, np.nan),
-        rho=np.full(s, np.nan),
-    )
-    diagnostics = {
-        "runtime_seconds": runtime,
-        "n_samples": s,
-        "forward_acceptance": [r.acceptance_rate() for r in adapt],
-        "forward_acceptance_post_burnin": [r.acceptance_rate(post_only=True)
-                                           for r in adapt],
-        "rejected_out_of_library": [r.rejected_oob for r in adapt],
-        "rejected_no_real_log": [r.rejected_nolog for r in adapt],
-        "sigma2_last": list(sigma2s),
-        "n_landmarks": int(landmarks.shape[0]),
-    }
-    return store, diagnostics
+    def snapshot(self):
+        return {"iteration": self.iteration, "sigma2": list(self.sigma2s),
+                "transforms": [t.matrix.tolist() for t in self.ts]}
+
+    def model_diagnostics(self, extras):
+        return {"sigma2_last": list(self.sigma2s), "n_landmarks": int(self.landmarks.shape[0])}
 
 
 def inverse_warp(maps, transforms):

@@ -1,10 +1,14 @@
 """Command-line surface.
 
 Subcommands: simulate, fit, fit-baseline, waic-scan, summarize, inverse-warp,
-audit. Every artifact-producing run writes a manifest.json (resolved config,
-config hash, seed, package version); re-running with the manifest's config
-reproduces the outputs bit-exactly. Outputs are staged in a scratch
-directory and promoted only on success, so failed runs leave no partial
+audit. `fit` runs the chain class that the config's model names
+(`sampler.Chain` or `baseline.ConventionalChain`); `fit-baseline` is `fit`
+with model=conventional, and `waic-scan` runs one symmetric `Chain` per
+lambda_r value from one initialization. Every artifact-producing run writes
+a manifest.json (resolved config, config hash, seed, package version);
+re-running with the manifest's config reproduces the outputs bit-exactly.
+Outputs are staged in a scratch directory and promoted only on success, so
+failed runs, an aborted chain of either model included, leave no partial
 artifacts. Exit codes: 0 ok, 2 config error, 3 numerical failure,
 4 invariant-audit failure.
 """
@@ -23,11 +27,11 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .baseline import fit_conventional, inverse_warp
+from .baseline import ConventionalChain, inverse_warp
 from .config import RunConfig, load_config, parse_lambda_r_grid
 from .errors import ConfigError, GroupregError, NumericalError, ValidationError
 from .grids import read_map_csv, write_map_csv
-from .sampler import initialize, run_chain, summarize
+from .sampler import Chain, initialize, summarize
 from .store import export_csv, load_store, save_store
 from .synth import ScenarioSpec, generate
 from .audit import run_all_audits
@@ -189,18 +193,13 @@ def _cmd_simulate(args):
     return 0
 
 
-def _fit_once(cfg, maps):
-    if cfg.model == "conventional":
-        return fit_conventional(maps, cfg)
-    return run_chain(maps, cfg)
-
-
 def _cmd_fit(args, force_model=None):
     cfg = _load_run_config(args)
     if force_model:
         cfg = dataclasses.replace(cfg, model=force_model).validate()
     maps, _ = _load_maps(cfg)
-    store, diagnostics = _fit_once(cfg, maps)
+    chain_class = ConventionalChain if cfg.model == "conventional" else Chain
+    store, diagnostics = chain_class(maps, cfg).run()
     with _Staging(args.out, "fit", cfg) as staging:
         save_store(store, staging.path("samples.bin"))
         export_csv(store, staging.path("samples.csv"))
@@ -223,7 +222,7 @@ def _cmd_waic_scan(args):
         rows = []
         for lam in cfg.lambda_r_grid:
             sub_cfg = dataclasses.replace(cfg, lambda_r=lam).validate()
-            store, diag = run_chain(maps, sub_cfg, initial_state=copy.deepcopy(initial))
+            store, diag = Chain(maps, sub_cfg, initial_state=copy.deepcopy(initial)).run()
             tag = f"lambda_{lam:g}"
             save_store(store, staging.path(os.path.join(tag, "samples.bin")))
             _json_dump(diag, staging.path(os.path.join(tag, "diagnostics.json")))

@@ -171,9 +171,6 @@ class ChainState:
     tB: np.ndarray = field(default=None, repr=False)     # template NNGP weights
     tF: np.ndarray = field(default=None, repr=False)
     factor: KrigingFactor = field(default=None, repr=False)  # pattern cache at rho
-    adapt_fwd: list = None
-    adapt_rev: list = None
-    iteration: int = 0
     rho_proposals: int = 0
     rho_accepts: int = 0
 
@@ -656,7 +653,12 @@ def library_margin(lattice, blocks):
 
 
 class Chain:
-    """The full Gibbs/Metropolis sweep over one dataset.
+    """The symmetric model's chain, and the run loop and sweep of every model.
+
+    A model's `__init__` sets the `config`, `maps`, `lattice`, `lambda_r`,
+    `proposals` (by direction) and `iteration` that these read; it supplies
+    `updates`, `record`, `snapshot` and `model_diagnostics`
+    (`baseline.ConventionalChain` is the other model).
 
     The neighbor library is sized from the initial state, by
     `library_margin`, so no set-up fails for want of margin. A chain that
@@ -668,9 +670,11 @@ class Chain:
         config.validate()
         self.config = config
         self.hp = config.hyperparams()
-        lattice = common_lattice(maps)
+        self.lattice = lattice = common_lattice(maps)
         self.maps = list(maps)
         self.seed = config.seed
+        self.lambda_r = config.lambda_r
+        self.iteration = 0
         if initial_state is None:
             initial_state = initialize(self.maps, self.hp, config)
         self.geom = build_geometry(lattice, self.hp,
@@ -678,45 +682,60 @@ class Chain:
         self.state = initial_state
         n = len(self.state.blocks)
         dim_lie = lattice.dim * (lattice.dim + 1)
-        self.state.adapt_fwd = [AdaptiveProposal(dim_lie) for _ in range(n)]
-        self.state.adapt_rev = [AdaptiveProposal(dim_lie) for _ in range(n)]
+        self.proposals = {direction: [AdaptiveProposal(dim_lie) for _ in range(n)]
+                          for direction in ("forward", "reverse")}
         refresh_template_weights(self.state, self.geom)
         for blk in self.state.blocks:
             refresh_subject_geometry(blk, self.geom, self.state.factor, self.state.alpha)
 
     def sweep(self):
-        state, geom, hp = self.state, self.geom, self.hp
-        it, seed = state.iteration, self.seed
+        """`updates`, with the proposals frozen after burn-in; ChainAborted on failure."""
+        it = self.iteration
         if it >= self.config.burn_in:
-            for rec in state.adapt_fwd + state.adapt_rev:
-                rec.frozen = True
-        blocks = list(enumerate(state.blocks))
+            for recs in self.proposals.values():
+                for rec in recs:
+                    rec.frozen = True
         try:
-            for i, blk in blocks:
-                blk.XT = update_transformed_template(
-                    blk, state.X, substream(seed, it, _PH_XT, i))
-            update_template(state, geom, substream(seed, it, _PH_X))
-            for i, blk in blocks:
-                update_forward_transform(blk, state, geom, hp, state.adapt_fwd[i],
-                                         substream(seed, it, _PH_TFWD, i))
-            for i, blk in blocks:
-                update_reverse_transform(blk, state, geom, hp, state.adapt_rev[i],
-                                         substream(seed, it, _PH_TREV, i))
-            standardize_forward_transforms(state, geom)
-            for i, blk in blocks:
-                blk.beta, blk.sigma2 = update_beta_sigma(
-                    blk, state.X, hp, substream(seed, it, _PH_BETA, i))
-            standardize_scales(state)
-            update_alpha(state, geom, hp, substream(seed, it, _PH_ALPHA))
-            update_rho(state, geom, hp, substream(seed, it, _PH_RHO))
+            self.updates(it)
         except GroupregError as exc:
             raise ChainAborted(f"sweep {it} failed: {exc}", self.snapshot()) from exc
-        state.iteration += 1
+        self.iteration += 1
+
+    def updates(self, it):
+        """One sweep's updates, in the order of the module docstring."""
+        state, geom, hp, seed = self.state, self.geom, self.hp, self.seed
+        blocks = list(enumerate(state.blocks))
+        for i, blk in blocks:
+            blk.XT = update_transformed_template(
+                blk, state.X, substream(seed, it, _PH_XT, i))
+        update_template(state, geom, substream(seed, it, _PH_X))
+        for i, blk in blocks:
+            update_forward_transform(blk, state, geom, hp, self.proposals["forward"][i],
+                                     substream(seed, it, _PH_TFWD, i))
+        for i, blk in blocks:
+            update_reverse_transform(blk, state, geom, hp, self.proposals["reverse"][i],
+                                     substream(seed, it, _PH_TREV, i))
+        standardize_forward_transforms(state, geom)
+        for i, blk in blocks:
+            blk.beta, blk.sigma2 = update_beta_sigma(
+                blk, state.X, hp, substream(seed, it, _PH_BETA, i))
+        standardize_scales(state)
+        update_alpha(state, geom, hp, substream(seed, it, _PH_ALPHA))
+        update_rho(state, geom, hp, substream(seed, it, _PH_RHO))
+
+    def record(self):
+        """The current state's `SampleStore` fields, and what `model_diagnostics` reads."""
+        st = self.state
+        fields = (st.X.copy(), np.stack([blk.T.matrix for blk in st.blocks]),
+                  np.stack([blk.T_r.matrix for blk in st.blocks]),
+                  [blk.beta for blk in st.blocks], [blk.sigma2 for blk in st.blocks],
+                  st.alpha, st.rho)
+        return fields, (pointwise_log_lik(st.X, st.blocks), self.inverse_consistency_error())
 
     def snapshot(self):
         state = self.state
         return {
-            "iteration": state.iteration,
+            "iteration": self.iteration,
             "alpha": state.alpha,
             "rho": state.rho,
             "beta": [blk.beta for blk in state.blocks],
@@ -734,84 +753,57 @@ class Chain:
         """Run the configured chain; returns (SampleStore, diagnostics dict)."""
         cfg = self.config
         t_start = time.perf_counter()
-        kept_x, kept_hf, kept_hr = [], [], []
-        kept_beta, kept_s2, kept_alpha, kept_rho = [], [], [], []
-        kept_ll, kept_ic = [], []
+        kept = []
         for it in range(cfg.total):
             self.sweep()
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-                st = self.state
-                kept_x.append(st.X.copy())
-                kept_hf.append(np.stack([blk.T.matrix for blk in st.blocks]))
-                kept_hr.append(np.stack([blk.T_r.matrix for blk in st.blocks]))
-                kept_beta.append([blk.beta for blk in st.blocks])
-                kept_s2.append([blk.sigma2 for blk in st.blocks])
-                kept_alpha.append(st.alpha)
-                kept_rho.append(st.rho)
-                kept_ll.append(pointwise_log_lik(st.X, st.blocks))
-                kept_ic.append(self.inverse_consistency_error())
+                kept.append(self.record())
         runtime = time.perf_counter() - t_start
 
-        lattice = self.geom.lattice
+        fields, extras = zip(*kept)
+        lattice = self.lattice
         meta = {
             "model": cfg.model,
             "seed": cfg.seed,
             "config_hash": cfg.config_hash(),
-            "lambda_r": cfg.lambda_r,
+            "lambda_r": self.lambda_r,
             "dim": lattice.dim,
             "shape": list(lattice.shape),
             "spacing": [float(s) for s in lattice.spacing],
             "origin": [float(o) for o in lattice.origin],
-            "n_subjects": len(self.state.blocks),
+            "n_subjects": len(self.maps),
         }
-        store = SampleStore(
-            meta=meta,
-            X=np.asarray(kept_x),
-            H_fwd=np.asarray(kept_hf),
-            H_rev=np.asarray(kept_hr),
-            beta=np.asarray(kept_beta, dtype=float),
-            sigma2=np.asarray(kept_s2, dtype=float),
-            alpha=np.asarray(kept_alpha, dtype=float),
-            rho=np.asarray(kept_rho, dtype=float),
-        )
-        diagnostics = self._diagnostics(kept_ll, kept_ic, runtime)
+        store = SampleStore(meta, *(np.asarray(col, dtype=float) for col in zip(*fields)))
+        diagnostics = {
+            "runtime_seconds": runtime,
+            "iterations": self.iteration,
+            "n_samples": len(kept),
+            "rejected_out_of_library": [r.rejected_oob for r in self.proposals["forward"]],
+            "rejected_no_real_log": [sum(r.rejected_nolog for r in recs)
+                                     for recs in zip(*self.proposals.values())],
+        }
+        for direction, recs in self.proposals.items():
+            diagnostics[f"{direction}_acceptance"] = [r.acceptance_rate() for r in recs]
+            diagnostics[f"{direction}_acceptance_post_burnin"] = [
+                r.acceptance_rate(post_only=True) for r in recs]
+        diagnostics.update(self.model_diagnostics(extras))
         return store, diagnostics
 
-    def _diagnostics(self, kept_ll, kept_ic, runtime):
+    def model_diagnostics(self, extras):
+        """rho acceptance, last scalar values, mean IC error and WAIC of the kept records."""
         st = self.state
-        diag = {
-            "runtime_seconds": runtime,
-            "iterations": st.iteration,
-            "n_samples": len(kept_ic),
+        kept_ll, kept_ic = zip(*extras)
+        return {
             "rho_acceptance": (st.rho_accepts / st.rho_proposals
                                if st.rho_proposals else float("nan")),
             "alpha_last": st.alpha,
             "rho_last": st.rho,
-            "mean_ic_error": float(np.mean(kept_ic)) if kept_ic else float("nan"),
-            "forward_acceptance": [r.acceptance_rate() for r in st.adapt_fwd],
-            "forward_acceptance_post_burnin": [r.acceptance_rate(post_only=True)
-                                               for r in st.adapt_fwd],
-            "reverse_acceptance": [r.acceptance_rate() for r in st.adapt_rev],
-            "reverse_acceptance_post_burnin": [r.acceptance_rate(post_only=True)
-                                               for r in st.adapt_rev],
-            "rejected_out_of_library": [r.rejected_oob for r in st.adapt_fwd],
-            "rejected_no_real_log": [r.rejected_nolog + rr.rejected_nolog
-                                     for r, rr in zip(st.adapt_fwd, st.adapt_rev)],
+            "mean_ic_error": float(np.mean(kept_ic)),
             "library_margin": self.geom.library.margin,
             "beta_last": [blk.beta for blk in st.blocks],
             "sigma2_last": [blk.sigma2 for blk in st.blocks],
+            "waic": waic(np.asarray(kept_ll)) if len(kept_ll) >= 2 else float("nan"),
         }
-        if len(kept_ll) >= 2:
-            ll = np.asarray(kept_ll)
-            diag["waic"] = waic(ll)
-        else:
-            diag["waic"] = float("nan")
-        return diag
-
-
-def run_chain(maps, config, initial_state=None):
-    """Fit the symmetric model; deterministic given config + seed."""
-    return Chain(maps, config, initial_state=initial_state).run()
 
 
 # ---------------------------------------------------------------------------

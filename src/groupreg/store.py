@@ -11,10 +11,12 @@ Layout (all integers little-endian uint64, all floats little-endian float64):
     f64[]   X (V values), then per subject: H_T ((d+1)^2, row-major),
             H_Tr ((d+1)^2), beta, sigma2; then alpha, rho
 
-The header is written after all records are known, so rewriting the same
-samples yields bit-identical files. `export_csv` writes one row per record
-with named columns; values use shortest-roundtrip repr so they re-parse
-exactly.
+`records` builds the payloads as one (n_records, P) matrix in this order,
+and both writers write from it: `save_store` as the records above, and
+`export_csv` as one row per record, with named columns in the same order and
+values in shortest-roundtrip repr so they re-parse exactly. `load_store`
+reads the layout back. The header is written after all records are known,
+so rewriting the same samples yields bit-identical files.
 """
 
 from __future__ import annotations
@@ -50,30 +52,28 @@ class SampleStore:
         return int(self.meta.get("n_subjects", self.beta.shape[1] if self.beta.ndim == 2 else 0))
 
 
-def _header_bytes(store):
-    meta = dict(store.meta)
-    meta["n_records"] = int(store.n_samples)
-    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def records(store):
+    """(S, P) float64 matrix of the record payloads, in the layout's order."""
+    s, n = store.n_samples, store.n_subjects
+    hsz = store.H_fwd.shape[-1] ** 2
+    subjects = np.concatenate([store.H_fwd.reshape(s, n, hsz), store.H_rev.reshape(s, n, hsz),
+                               store.beta[:, :, None], store.sigma2[:, :, None]], axis=2)
+    return np.concatenate([store.X, subjects.reshape(s, n * (2 * hsz + 2)),
+                           store.alpha[:, None], store.rho[:, None]], axis=1, dtype="<f8")
 
 
 def save_store(store, path):
-    n = store.n_subjects
-    hdr = _header_bytes(store)
+    vals = records(store)
+    body = np.empty((vals.shape[0], vals.shape[1] + 1), dtype="<u8")
+    body[:, 0] = 8 * vals.shape[1]
+    body[:, 1:] = vals.view("<u8")
+    meta = {**store.meta, "n_records": int(store.n_samples)}
+    hdr = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(hdr)))
         fh.write(hdr)
-        for s in range(store.n_samples):
-            parts = [np.asarray(store.X[s], dtype="<f8").ravel()]
-            for i in range(n):
-                parts.append(np.asarray(store.H_fwd[s, i], dtype="<f8").ravel())
-                parts.append(np.asarray(store.H_rev[s, i], dtype="<f8").ravel())
-                parts.append(np.array([store.beta[s, i]], dtype="<f8"))
-                parts.append(np.array([store.sigma2[s, i]], dtype="<f8"))
-            parts.append(np.array([store.alpha[s], store.rho[s]], dtype="<f8"))
-            payload = np.concatenate(parts).tobytes()
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+        fh.write(body.data)
 
 
 def load_store(path):
@@ -144,13 +144,5 @@ def export_csv(store, path):
     cols.extend(["alpha", "rho"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for s in range(store.n_samples):
-            row = [repr(float(val)) for val in store.X[s]]
-            for i in range(n):
-                row.extend(repr(float(val)) for val in store.H_fwd[s, i].ravel())
-                row.extend(repr(float(val)) for val in store.H_rev[s, i].ravel())
-                row.append(repr(float(store.beta[s, i])))
-                row.append(repr(float(store.sigma2[s, i])))
-            row.append(repr(float(store.alpha[s])))
-            row.append(repr(float(store.rho[s])))
-            fh.write(",".join(row) + "\n")
+        for row in records(store):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

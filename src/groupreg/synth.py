@@ -24,6 +24,7 @@ from .interp import interpolate
 from .transforms import (AffineTransform, affine_apply, standardize)
 
 SCENARIO_DEFAULT_NOISE = {"indicator": 0.5, "cosine": 0.1, "glyph": 0.0}
+COSINE_HALFWIDTH = 2.0   # truncation half-width L of the cosine template
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,6 @@ class ScenarioSpec:
     n_subjects: int = 3
     noise_sd: float = -1.0          # < 0: scenario default
     seed: int = 0
-    cosine_halfwidth: float = 2.0   # truncation half-width L
     glyph_angles_deg: tuple = ()    # empty: default (-15, 0, +15, ...) cycle
     curve_params: tuple = ()        # explicit 1D (scale, shift) truths; empty: draw seeded
 
@@ -115,8 +115,7 @@ def gen_cosine_curves(spec):
     if spec.scenario != "cosine":
         raise ValidationError("spec.scenario must be 'cosine'")
     lattice = make_lattice_1d(-4.0, 4.0, 0.1)
-    halfwidth = spec.cosine_halfwidth
-    return _curves(lambda s: cosine_template(s, halfwidth), lattice, spec)
+    return _curves(lambda s: cosine_template(s, COSINE_HALFWIDTH), lattice, spec)
 
 
 def base_glyph():

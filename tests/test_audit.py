@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from groupreg import audit
-from groupreg.audit import detailed_balance_audit, run_all_audits, target_audit
+from groupreg import audit, baseline
+from groupreg.audit import conjugacy_audit, detailed_balance_audit, run_all_audits, target_audit
 
 
 def test_every_audit_check_passes():
@@ -11,10 +11,11 @@ def test_every_audit_check_passes():
               for r in results if not r["passed"]]
     assert passed and not failed, failed
     names = {r["name"] for r in results}
-    assert len(results) == len(names) == 17
+    assert len(results) == len(names) == 19
     assert {"oracle.pattern_weights", "detailed_balance.max_gap_1d",
             "detailed_balance.max_gap_2d", "target.forward", "target.reverse",
-            "target.conventional"} <= names
+            "target.conventional", "conjugacy.conventional_w",
+            "conjugacy.conventional_sigma2"} <= names
 
 
 def test_detailed_balance_audit_fails_with_the_trace_only_hastings_factor(monkeypatch):
@@ -32,6 +33,25 @@ def test_target_audit_fails_on_a_noise_log_target(monkeypatch):
     for name in ("forward_log_target", "reverse_log_target", "conventional_log_target"):
         monkeypatch.setattr(audit, name, lambda *args: rng.normal(scale=50.0))
     assert not any(r["passed"] for r in target_audit())
+
+
+def w_without_prior(phis, ys, sigma2s, k_inv):
+    """The w conditional with its K^-1 term dropped."""
+    return baseline.conventional_w_conditional(phis, ys, sigma2s, np.zeros_like(k_inv))
+
+
+def sigma2_full_shape(y, phi, w, hp):
+    """The sigma^2 conditional with V, not V / 2, added to its shape."""
+    shape, rate = baseline.conventional_sigma2_conditional(y, phi, w, hp)
+    return shape + y.size / 2.0, rate
+
+
+@pytest.mark.parametrize("name, wrong, check", [
+    ("conventional_w_conditional", w_without_prior, "conjugacy.conventional_w"),
+    ("conventional_sigma2_conditional", sigma2_full_shape, "conjugacy.conventional_sigma2")])
+def test_conjugacy_audit_fails_on_a_wrong_baseline_conditional(monkeypatch, name, wrong, check):
+    monkeypatch.setattr(audit, name, wrong)
+    assert {r["name"] for r in conjugacy_audit() if not r["passed"]} == {check}
 
 
 def test_detailed_balance_audit_raises_errors_other_than_out_of_library(monkeypatch):
