@@ -21,8 +21,8 @@ from .model import (Hyperparams, TransformPrior, build_geometry, gibbs_log_poste
 from .sampler import (Chain, ChainState, SubjectState, alpha_conditional,
                       beta_sigma_conditional, forward_log_target, lie_mh_log_acceptance,
                       refresh_subject_geometry, refresh_template_weights,
-                      reverse_log_target, subject_geometry, template_conditional,
-                      transformed_template_conditional)
+                      reverse_log_target, rho_log_target, rho_weights, subject_geometry,
+                      template_conditional, transformed_template_conditional)
 from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
                       nngp_log_density, conditional_means,
@@ -81,9 +81,6 @@ def _joint(state, geom, hp):
     return gibbs_log_posterior(state.X, state.blocks, state.cov, hp, geom)
 
 
-TOY_TAU = 1.5
-
-
 def _toy_conventional(state, geom, hp, rng):
     """The toy state's maps under the conventional model, with a landmark on every site.
 
@@ -92,10 +89,10 @@ def _toy_conventional(state, geom, hp, rng):
     """
     maps = [blk.Y for blk in state.blocks]
     landmarks = landmark_lattice(geom.lattice, 1)
-    gram_chol, k_inv = kernel_gram(landmarks, TOY_TAU)
+    gram_chol, k_inv = kernel_gram(landmarks)
 
     def log_joint(ts, w, sigma2s):
-        return conventional_log_joint(maps, ts, w, sigma2s, landmarks, TOY_TAU, gram_chol, hp,
+        return conventional_log_joint(maps, ts, w, sigma2s, landmarks, gram_chol, hp,
                                       geom.prior_T)
 
     return landmarks, k_inv, rng.normal(size=landmarks.shape[0]), log_joint
@@ -179,7 +176,7 @@ def conjugacy_audit(seed=0, tol=1e-8):
     ts = [blk.T for blk in state.blocks]
     ys = [blk.Y.values for blk in state.blocks]
     sigma2s = [blk.sigma2 for blk in state.blocks]
-    phis = [gauss_kernel(affine_apply(t, geom.locations), landmarks, TOY_TAU) for t in ts]
+    phis = [gauss_kernel(affine_apply(t, geom.locations), landmarks) for t in ts]
     conv_base = log_joint(ts, w, sigma2s)
     prec, _, mean = conventional_w_conditional(phis, ys, sigma2s, k_inv)
     w_new = w + rng.normal(scale=0.5, size=w.size)
@@ -200,13 +197,15 @@ def target_audit(seed=0, tol=1e-8):
 
     A transform move changes the forward, reverse or conventional log target
     by what it changes the model's joint log density: `gibbs_log_posterior`
-    for the symmetric model, `conventional_log_joint` for the baseline.
+    for the symmetric model, `conventional_log_joint` for the baseline. So
+    does a move of rho change rho's log target.
     """
     state, geom, hp = _toy_state(seed)
     blk = state.blocks[0]
     rng = np.random.default_rng(seed + 3)
     base = _joint(state, geom, hp)
-    worst = {"target.forward": 0.0, "target.reverse": 0.0, "target.conventional": 0.0}
+    worst = dict.fromkeys(("target.forward", "target.reverse", "target.conventional",
+                           "target.rho"), 0.0)
 
     locs = geom.locations
     landmarks, _, w, log_joint = _toy_conventional(state, geom, hp, rng)
@@ -239,12 +238,23 @@ def target_audit(seed=0, tol=1e-8):
         worst["target.reverse"] = max(worst["target.reverse"], abs(closed - joint))
 
         y, s2 = blk.Y.values, sigma2s[0]
-        phi_new, phi_old = (gauss_kernel(affine_apply(t, locs), landmarks, TOY_TAU)
+        phi_new, phi_old = (gauss_kernel(affine_apply(t, locs), landmarks)
                             for t in (t_new, t_old))
         closed = (conventional_log_target(t_new, phi_new, y, w, s2, geom.prior_T)
                   - conventional_log_target(t_old, phi_old, y, w, s2, geom.prior_T))
         joint = log_joint([t_new] + ts[1:], w, sigma2s) - conv_base
         worst["target.conventional"] = max(worst["target.conventional"], abs(closed - joint))
+
+    rho_old = state.rho
+    log_old = rho_log_target(state, ((state.tB, state.tF), [(b.B, b.F) for b in state.blocks]),
+                             geom)
+    for rho in (0.3, 1.1, 2.6):
+        factor = kriging_factor(geom.library, geom.predecessor_patterns, rho)
+        closed = rho_log_target(state, rho_weights(state, geom, factor), geom) - log_old
+        state.rho = rho
+        joint = _joint(state, geom, hp) - base
+        state.rho = rho_old
+        worst["target.rho"] = max(worst["target.rho"], abs(closed - joint))
     return [_check(name, gap, tol) for name, gap in worst.items()]
 
 

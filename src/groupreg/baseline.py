@@ -2,11 +2,14 @@
 
 Generative model: Y_i(s_v) = X(T_i(s_v)) + sigma_i eps with the template
 parameterized as X(s) = sum_p K(s, s_p~) w(p), K a Gaussian kernel of width
-tau, landmarks on a (possibly coarser) sub-lattice, and priors
-w ~ N(0, K_gram), sigma_i^2 ~ InvGamma(a0, a1). Transforms use the same
-affine class and marginal-t prior as the symmetric model so the comparison
-isolates the symmetric-GP contribution. No reverse transforms, no intensity
-scale beta, no inverse-consistency penalty.
+tau = KERNEL_WIDTH, landmarks on every LANDMARK_STRIDE-th lattice site per
+axis, and priors w ~ N(0, K_gram), sigma_i^2 ~ InvGamma(a0, a1). The width
+and the stride are fixed, not config keys. tau is in physical units, so it
+spans 1.5 grid steps on the glyph lattice, 15 on the cosine curves and 30 on
+the indicator curves. Transforms use the same affine class and marginal-t
+prior as the symmetric model so the comparison isolates the symmetric-GP
+contribution. No reverse transforms, no intensity scale beta, no
+inverse-consistency penalty.
 
 Sampling: `ConventionalChain`, run by the symmetric model's loop
 (`sampler.Chain.run`). Each sweep is conjugate Gibbs for w and sigma_i^2,
@@ -28,14 +31,17 @@ from .sampler import AdaptiveProposal, Chain, fit_affine, lie_mh_step, substream
 from .transforms import AffineTransform, affine_apply, affine_inverse
 
 KERNEL_JITTER = 1e-8
+KERNEL_WIDTH = 1.5      # tau
+LANDMARK_STRIDE = 2
 
 
-def gauss_kernel(a, b, tau):
-    """K(s, t) = exp(-||s - t||^2 / tau^2) between location stacks."""
+def gauss_kernel(a, b):
+    """K(s, t) = exp(-||s - t||^2 / tau^2) between location stacks, the squared
+    distances summed axis by axis over (len(a), len(b)) arrays."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    return np.exp(-d2 / tau ** 2)
+    d2 = sum((a[:, k, None] - b[None, :, k]) ** 2 for k in range(a.shape[1]))
+    return np.exp(-d2 / KERNEL_WIDTH ** 2)
 
 
 def landmark_lattice(lattice, stride):
@@ -46,9 +52,9 @@ def landmark_lattice(lattice, stride):
     return locs[::stride, ::stride].reshape(-1, 2)
 
 
-def kernel_gram(landmarks, tau):
+def kernel_gram(landmarks):
     """Cholesky factor of the landmark Gram matrix K (jittered), and K^-1."""
-    k = gauss_kernel(landmarks, landmarks, tau)
+    k = gauss_kernel(landmarks, landmarks)
     k[np.diag_indices_from(k)] += KERNEL_JITTER
     try:
         chol = np.linalg.cholesky(k)
@@ -76,10 +82,6 @@ def conventional_sigma2_conditional(y, phi, w, hp):
     return hp.a0_sigma + y.size / 2.0, hp.a1_sigma + 0.5 * float(r @ r)
 
 
-def _phi_at(transform, locations, landmarks, tau):
-    return gauss_kernel(affine_apply(transform, locations), landmarks, tau)
-
-
 def conventional_log_target(t, phi, y, w, sigma2, prior):
     """T-dependent part of the conventional joint: prior and Gaussian log-likelihood.
 
@@ -90,7 +92,7 @@ def conventional_log_target(t, phi, y, w, sigma2, prior):
     return prior.log_density(t) - 0.5 * float(r @ r) / sigma2
 
 
-def conventional_log_joint(maps, ts, w, sigma2s, landmarks, tau, gram_chol, hp, prior):
+def conventional_log_joint(maps, ts, w, sigma2s, landmarks, gram_chol, hp, prior):
     """Log joint density of the conventional model, up to a constant.
 
     w ~ N(0, K_gram) with `gram_chol` its Cholesky factor; per subject, T_i
@@ -101,7 +103,7 @@ def conventional_log_joint(maps, ts, w, sigma2s, landmarks, tau, gram_chol, hp, 
     half = np.linalg.solve(gram_chol, w)
     total = -0.5 * float(half @ half) - float(np.sum(np.log(np.diag(gram_chol))))
     for amap, t, s2 in zip(maps, ts, sigma2s):
-        r = amap.values - _phi_at(t, amap.lattice.locations(), landmarks, tau) @ w
+        r = amap.values - gauss_kernel(affine_apply(t, amap.lattice.locations()), landmarks) @ w
         total += (prior.log_density(t) - 0.5 * float(r @ r) / s2
                   - 0.5 * r.size * np.log(2.0 * np.pi * s2)
                   + invgamma_logpdf(s2, hp.a0_sigma, hp.a1_sigma))
@@ -120,20 +122,17 @@ class ConventionalChain(Chain):
     """
 
     def __init__(self, maps, config):
-        config.validate()
         self.config = config
-        self.hp = hp = config.hyperparams()
         self.lattice = lattice = common_lattice(maps)
         self.maps = list(maps)
-        self.seed = config.seed
         self.lambda_r = 0.0
         self.iteration = 0
         n, d = len(maps), lattice.dim
         self.locs = lattice.locations()
-        self.landmarks = landmark_lattice(lattice, config.landmark_stride)
-        _, self.k_inv = kernel_gram(self.landmarks, config.tau)
-        self.design = gauss_kernel(self.locs, self.landmarks, config.tau)
-        self.prior = TransformPrior(hp.a_T, hp.b_T, sigma_s_matrix(self.locs))
+        self.landmarks = landmark_lattice(lattice, LANDMARK_STRIDE)
+        _, self.k_inv = kernel_gram(self.landmarks)
+        self.design = gauss_kernel(self.locs, self.landmarks)
+        self.prior = TransformPrior(config.a_T, config.b_T, sigma_s_matrix(self.locs))
         self.ys = [m.values for m in maps]
         self.proposals = {"forward": [AdaptiveProposal(d * (d + 1)) for _ in range(n)]}
 
@@ -141,20 +140,20 @@ class ConventionalChain(Chain):
         mean_map = ActivationMap(lattice, np.mean(self.ys, axis=0))
         self.ts = [fit_affine(m, mean_map, 1.0, AffineTransform.identity(d), coarse=True)
                    for m in maps]
-        self.phis = [_phi_at(t, self.locs, self.landmarks, config.tau) for t in self.ts]
+        self.phis = [gauss_kernel(affine_apply(t, self.locs), self.landmarks) for t in self.ts]
         _, _, self.w = conventional_w_conditional(self.phis, self.ys, [1.0] * n, self.k_inv)
         self.sigma2s = [max(float(np.mean((y - phi @ self.w) ** 2)), 1e-12)
                         for y, phi in zip(self.ys, self.phis)]
 
     def updates(self, it):
-        seed = self.seed
+        seed = self.config.seed
         # w | rest: conjugate multivariate normal.
         _, chol, mean = conventional_w_conditional(self.phis, self.ys, self.sigma2s, self.k_inv)
         z = substream(seed, it, 0).standard_normal(mean.size)
         self.w = w = mean + np.linalg.solve(chol.T, z)
         # sigma_i^2 | rest.
         for i, (y, phi) in enumerate(zip(self.ys, self.phis)):
-            shape, rate = conventional_sigma2_conditional(y, phi, w, self.hp)
+            shape, rate = conventional_sigma2_conditional(y, phi, w, self.config)
             self.sigma2s[i] = 1.0 / substream(seed, it, 1, i).gamma(shape=shape,
                                                                     scale=1.0 / rate)
         # T_i | rest: Lie-MH against the kernel-template likelihood.
@@ -162,7 +161,7 @@ class ConventionalChain(Chain):
             y, s2 = self.ys[i], self.sigma2s[i]
 
             def target(t):
-                phi = _phi_at(t, self.locs, self.landmarks, self.config.tau)
+                phi = gauss_kernel(affine_apply(t, self.locs), self.landmarks)
                 return conventional_log_target(t, phi, y, w, s2, self.prior), phi
 
             log_old = conventional_log_target(self.ts[i], self.phis[i], y, w, s2, self.prior)

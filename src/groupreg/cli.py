@@ -4,13 +4,14 @@ Subcommands: simulate, fit, fit-baseline, waic-scan, summarize, inverse-warp,
 audit. `fit` runs the chain class that the config's model names
 (`sampler.Chain` or `baseline.ConventionalChain`); `fit-baseline` is `fit`
 with model=conventional, and `waic-scan` runs one symmetric `Chain` per
-lambda_r value from one initialization. Every artifact-producing run writes
-a manifest.json (resolved config, config hash, seed, package version);
-re-running with the manifest's config reproduces the outputs bit-exactly.
-Outputs are staged in a scratch directory and promoted only on success, so
-failed runs, an aborted chain of either model included, leave no partial
-artifacts. Exit codes: 0 ok, 2 config error, 3 numerical failure,
-4 invariant-audit failure.
+lambda_r value from one initialization. A flag overrides its config key, and
+only the commands whose outputs the key reaches have it. Every
+artifact-producing run writes a manifest.json (resolved config, config hash,
+seed, package version); re-running with the manifest's config reproduces
+the outputs bit-exactly. Outputs are staged in a scratch directory and
+promoted only on success, so failed runs, an aborted chain of either model
+included, leave no partial artifacts. Exit codes: 0 ok, 2 config error,
+3 numerical failure, 4 invariant-audit failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import __version__
 from .baseline import ConventionalChain, inverse_warp
 from .config import RunConfig, load_config, parse_lambda_r_grid
 from .errors import ConfigError, GroupregError, NumericalError, ValidationError
-from .grids import read_map_csv, write_map_csv
+from .grids import ActivationMap, Lattice, read_map_csv, write_map_csv
 from .sampler import Chain, initialize, summarize
 from .store import export_csv, load_store, save_store
 from .synth import ScenarioSpec, generate
@@ -52,12 +53,13 @@ def _build_parser():
     p = sub.add_parser("simulate", help="generate a synthetic scenario")
     common(p)
 
-    for name, hint in (("fit", "fit the symmetric (or chosen) model"),
-                       ("fit-baseline", "fit the conventional kernel-template model")):
-        p = sub.add_parser(name, help=hint)
-        common(p)
-        p.add_argument("--model", choices=("symmetric", "conventional"), default=None)
-        p.add_argument("--lambda-r", type=float, default=None, dest="lambda_r")
+    p = sub.add_parser("fit", help="fit the model the config names (default symmetric)")
+    common(p)
+    p.add_argument("--lambda-r", type=float, default=None, dest="lambda_r")
+
+    p = sub.add_parser("fit-baseline", help="fit the conventional kernel-template model")
+    common(p)
+    p.set_defaults(model="conventional")
 
     p = sub.add_parser("waic-scan", help="fit per lambda_r grid value, emit a WAIC table")
     common(p)
@@ -66,7 +68,8 @@ def _build_parser():
 
     p = sub.add_parser("summarize", help="posterior summaries of a sample store")
     p.add_argument("store", help="path to a samples.bin store")
-    common(p)
+    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--level", type=float, default=None, help="credible level")
 
     p = sub.add_parser("inverse-warp", help="pull subject maps back to template space")
@@ -82,7 +85,7 @@ def _load_run_config(args):
     if getattr(args, "config", None):
         cfg = load_config(args.config)
     else:
-        cfg = RunConfig().validate()
+        cfg = RunConfig()
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
@@ -95,9 +98,7 @@ def _load_run_config(args):
         updates["lambda_r_grid"] = parse_lambda_r_grid(grid)
     if getattr(args, "level", None) is not None:
         updates["credible_level"] = args.level
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates).validate()
-    return cfg
+    return dataclasses.replace(cfg, **updates)
 
 
 def _load_maps(cfg):
@@ -193,10 +194,8 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_fit(args, force_model=None):
+def _cmd_fit(args):
     cfg = _load_run_config(args)
-    if force_model:
-        cfg = dataclasses.replace(cfg, model=force_model).validate()
     maps, _ = _load_maps(cfg)
     chain_class = ConventionalChain if cfg.model == "conventional" else Chain
     store, diagnostics = chain_class(maps, cfg).run()
@@ -217,11 +216,11 @@ def _cmd_waic_scan(args):
     maps, _ = _load_maps(cfg)
     # Initialization does not read lambda_r, so it runs once; each chain gets
     # its own copy because a chain mutates its state.
-    initial = initialize(maps, cfg.hyperparams(), cfg)
+    initial = initialize(maps, cfg)
     with _Staging(args.out, "waic-scan", cfg) as staging:
         rows = []
         for lam in cfg.lambda_r_grid:
-            sub_cfg = dataclasses.replace(cfg, lambda_r=lam).validate()
+            sub_cfg = dataclasses.replace(cfg, lambda_r=lam)
             store, diag = Chain(maps, sub_cfg, initial_state=copy.deepcopy(initial)).run()
             tag = f"lambda_{lam:g}"
             save_store(store, staging.path(os.path.join(tag, "samples.bin")))
@@ -239,8 +238,6 @@ def _cmd_waic_scan(args):
 
 
 def _store_lattice(store):
-    from .grids import Lattice
-
     return Lattice(shape=tuple(store.meta["shape"]),
                    spacing=np.array(store.meta["spacing"]),
                    origin=np.array(store.meta["origin"]))
@@ -251,8 +248,6 @@ def _cmd_summarize(args):
     store = load_store(args.store)
     summary = summarize(store, level=cfg.credible_level)
     lattice = _store_lattice(store)
-    from .grids import ActivationMap
-
     with _Staging(args.out, "summarize", cfg) as staging:
         grids = {
             "template_mean.csv": summary.mean,
@@ -311,7 +306,7 @@ def main(argv=None):
     handlers = {
         "simulate": _cmd_simulate,
         "fit": _cmd_fit,
-        "fit-baseline": lambda a: _cmd_fit(a, force_model="conventional"),
+        "fit-baseline": _cmd_fit,
         "waic-scan": _cmd_waic_scan,
         "summarize": _cmd_summarize,
         "inverse-warp": _cmd_inverse_warp,

@@ -1,10 +1,13 @@
 """Run configuration: key=value text files, defaults, validation.
 
 Config text is UTF-8, one `key=value` per line, '#' starts a comment.
-Omitted keys take the defaults below (transform-prior shapes/rates 0.1,
-neighborhood size 10, decay-range upper bound 3, chain 30000/15000/10).
-The neighbor-library margin is not a key: `sampler.Chain` sizes it from the
-initial transforms. Nor is the rho proposal step (`sampler.RHO_STEP`).
+Omitted keys take the field defaults. `RunConfig` extends
+`model.Hyperparams`, so the prior hyperparameters and lambda_r are declared
+there once, and the chains use the config itself as their hyperparameters.
+A config is validated whenever it is built: by `RunConfig(...)`,
+`dataclasses.replace` or `parse_config`. Not keys: the neighbor-library
+margin (derived by `sampler.Chain`), `sampler.RHO_STEP`, and the baseline's
+`KERNEL_WIDTH` and `LANDMARK_STRIDE`.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .model import Hyperparams
+from .synth import SCENARIO_DEFAULT_NOISE
 
 MODELS = ("symmetric", "conventional")
-SCENARIOS = ("", "indicator", "cosine", "glyph")
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Hyperparams):
     model: str = "symmetric"
-    scenario: str = ""
+    scenario: str = ""              # empty: the maps come from `maps`
     maps: tuple = ()
     n_subjects: int = 3
     noise_sd: float = -1.0          # < 0 means: use the scenario default
@@ -34,31 +37,17 @@ class RunConfig:
     total: int = 30000
     burn_in: int = 15000
     thin: int = 10
-    m: int = 10
-    lambda_r: float = 1.0
     lambda_r_grid: tuple = (0.1, 1.0, 10.0, 100.0)
-    a_T: float = 0.1
-    b_T: float = 0.1
-    a_Tr: float = 0.1
-    b_Tr: float = 0.1
-    a0_alpha: float = 2.0
-    b0_alpha: float = 1.0
-    rho_lower: float = 0.0
-    rho_upper: float = 3.0
-    lambda0: float = 1.0
-    mu0: float = 1.0
-    a0_sigma: float = 2.0
-    a1_sigma: float = 1.0
     credible_level: float = 0.95
-    tau: float = 1.5
-    landmark_stride: int = 2
     init_iters: int = 10
 
-    def validate(self):
+    def __post_init__(self):
+        super().__post_init__()
         if self.model not in MODELS:
             raise ValidationError(f"model must be one of {MODELS}")
-        if self.scenario not in SCENARIOS:
-            raise ValidationError(f"scenario must be one of {SCENARIOS[1:]} (or omitted)")
+        if self.scenario and self.scenario not in SCENARIO_DEFAULT_NOISE:
+            raise ValidationError(
+                f"scenario must be one of {tuple(SCENARIO_DEFAULT_NOISE)} (or omitted)")
         if not self.burn_in < self.total:
             raise ValidationError("burn-in < total is required")
         if self.burn_in < 0:
@@ -69,18 +58,8 @@ class RunConfig:
             raise ValidationError("credible_level must lie in (0, 1)")
         if self.n_subjects < 1:
             raise ValidationError("n_subjects must be >= 1")
-        if self.tau <= 0:
-            raise ValidationError("tau must be > 0")
-        if self.landmark_stride < 1:
-            raise ValidationError("landmark_stride must be >= 1")
         if self.init_iters < 1:
             raise ValidationError("init_iters must be >= 1")
-        self.hyperparams()  # validates all prior hyperparameters
-        return self
-
-    def hyperparams(self):
-        return Hyperparams(**{f.name: getattr(self, f.name)
-                              for f in dataclasses.fields(Hyperparams)})
 
     def effective_sim_seed(self):
         return self.seed if self.sim_seed < 0 else self.sim_seed
@@ -144,7 +123,7 @@ def parse_config(text):
     for path in cfg.maps:
         if not os.path.exists(path):
             raise ValidationError(f"map path does not exist: {path}")
-    return cfg.validate()
+    return cfg
 
 
 def load_config(path):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, ValidationError
+from .interp import MIN_AXIS_SITES
 
 
 def _as_vector(x, dim):
@@ -106,10 +107,14 @@ class ActivationMap:
 
 
 def common_lattice(maps):
-    """The one lattice all maps share; DegenerateInput if there are none or they differ."""
+    """The one lattice all maps share; DegenerateInput if there are none, they
+    differ, or an axis has too few sites for cubic interpolation."""
     if not maps:
         raise DegenerateInput("need at least one subject map")
     lattice = maps[0].lattice
+    if min(lattice.shape) < MIN_AXIS_SITES:
+        raise DegenerateInput(f"maps need at least {MIN_AXIS_SITES} sites on every lattice "
+                              f"axis, got shape {lattice.shape}")
     for amap in maps[1:]:
         if amap.lattice.shape != lattice.shape or not (
                 np.allclose(amap.lattice.spacing, lattice.spacing)

@@ -31,6 +31,7 @@ _M_CR = 0.5 * np.array([[0.0, 2.0, 0.0, 0.0],
 # A stencil based at n + 1 spans sites n .. n + 3, so 4 zero sites per side
 # hold every stencil the clip allows.
 _PAD = 4
+MIN_AXIS_SITES = 4      # the stencil's width: fewer sites on an axis cannot be interpolated
 
 
 def _padded(grid):
@@ -49,8 +50,8 @@ def interpolate(amap, points):
     with a NaN or infinite coordinate give NaN.
     """
     lat = amap.lattice
-    if any(n < 4 for n in lat.shape):
-        raise ValueError("cubic interpolation needs >= 4 sites per axis")
+    if any(n < MIN_AXIS_SITES for n in lat.shape):
+        raise ValueError(f"cubic interpolation needs >= {MIN_AXIS_SITES} sites per axis")
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     # Index coordinates axis-major, (d, q): every step below then runs over

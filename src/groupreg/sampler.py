@@ -344,6 +344,27 @@ def update_alpha(state, geom, hp, rng):
     return new_alpha
 
 
+def rho_weights(state, geom, factor):
+    """The template's (B, F) and each subject's, at the rho of `factor` and the state's alpha."""
+    return (predecessor_weights(geom.predecessor_patterns, factor, state.alpha),
+            [library_weights(blk.locs, blk.entry, geom.library, geom.locations, factor,
+                             state.alpha) for blk in state.blocks])
+
+
+def rho_log_target(state, weights, geom):
+    """rho-dependent part of the joint: the NNGP log densities of X and each X(T_i).
+
+    `weights` is (template (B, F), [subject (B, F)]): the state's cached
+    weights, or `rho_weights(...)` for a proposal.
+    """
+    x = state.X
+    (tb, tf), subjects = weights
+    log = nngp_log_density_from_weights(x, x, geom.neighbor_sets, tb, tf)
+    for blk, (b, f) in zip(state.blocks, subjects):
+        log += nngp_log_density_from_weights(x, blk.XT, blk.nbr, b, f)
+    return log
+
+
 def update_rho(state, geom, hp, rng):
     """Random-walk Metropolis on rho; proposals outside (L, U) are rejected."""
     state.rho_proposals += 1
@@ -352,23 +373,14 @@ def update_rho(state, geom, hp, rng):
     if not (hp.rho_lower < prop < hp.rho_upper):
         return False
     factor_new = kriging_factor(geom.library, geom.predecessor_patterns, prop)
-    x, alpha = state.X, state.alpha
-    tB_new, tF_new = predecessor_weights(geom.predecessor_patterns, factor_new, alpha)
-    log_new = nngp_log_density_from_weights(x, x, geom.neighbor_sets, tB_new, tF_new)
-    log_old = nngp_log_density_from_weights(x, x, geom.neighbor_sets, state.tB, state.tF)
-    new_weights = []
-    for blk in state.blocks:
-        b_new, f_new = library_weights(blk.locs, blk.entry, geom.library, geom.locations,
-                                       factor_new, alpha)
-        log_new += nngp_log_density_from_weights(x, blk.XT, blk.nbr, b_new, f_new)
-        log_old += nngp_log_density_from_weights(x, blk.XT, blk.nbr, blk.B, blk.F)
-        new_weights.append((b_new, f_new))
-    if accept_draw < log_new - log_old:
+    new = rho_weights(state, geom, factor_new)
+    old = ((state.tB, state.tF), [(blk.B, blk.F) for blk in state.blocks])
+    if accept_draw < rho_log_target(state, new, geom) - rho_log_target(state, old, geom):
         state.rho = prop
         state.factor = factor_new
-        state.tB, state.tF = tB_new, tF_new
-        for blk, (b_new, f_new) in zip(state.blocks, new_weights):
-            blk.B, blk.F = b_new, f_new
+        (state.tB, state.tF), subjects = new
+        for blk, (b, f) in zip(state.blocks, subjects):
+            blk.B, blk.F = b, f
         state.rho_accepts += 1
         return True
     return False
@@ -572,7 +584,7 @@ def fit_affine(y_map, x_map, beta, start, coarse=False):
     return best
 
 
-def initialize(maps, hp, config):
+def initialize(maps, config):
     """Alternating template/transform initialization (deterministic).
 
     Repeats: fit each T_i by warping beta_i X to Y_i (coarse grid on the
@@ -621,7 +633,7 @@ def initialize(maps, hp, config):
         blocks.append(SubjectState(Y=amap, T=t, T_r=t_r, beta=float(beta),
                                    sigma2=sigma2, XT=xt, Y_bw=y_bw))
     alpha = max(float(np.var(x)), 1e-12)
-    rho = 0.5 * (hp.rho_lower + hp.rho_upper)
+    rho = 0.5 * (config.rho_lower + config.rho_upper)
     return ChainState(X=x.copy(), blocks=blocks, alpha=alpha, rho=rho)
 
 
@@ -667,17 +679,14 @@ class Chain:
     """
 
     def __init__(self, maps, config, initial_state=None):
-        config.validate()
         self.config = config
-        self.hp = config.hyperparams()
         self.lattice = lattice = common_lattice(maps)
         self.maps = list(maps)
-        self.seed = config.seed
         self.lambda_r = config.lambda_r
         self.iteration = 0
         if initial_state is None:
-            initial_state = initialize(self.maps, self.hp, config)
-        self.geom = build_geometry(lattice, self.hp,
+            initial_state = initialize(self.maps, config)
+        self.geom = build_geometry(lattice, config,
                                    library_margin(lattice, initial_state.blocks))
         self.state = initial_state
         n = len(self.state.blocks)
@@ -703,7 +712,7 @@ class Chain:
 
     def updates(self, it):
         """One sweep's updates, in the order of the module docstring."""
-        state, geom, hp, seed = self.state, self.geom, self.hp, self.seed
+        state, geom, hp, seed = self.state, self.geom, self.config, self.config.seed
         blocks = list(enumerate(state.blocks))
         for i, blk in blocks:
             blk.XT = update_transformed_template(
@@ -838,8 +847,7 @@ def summarize(store, level=0.95):
     lower = np.quantile(x, tail, axis=0)
     upper = np.quantile(x, 1.0 - tail, axis=0)
     mean_fwd, mean_rev = [], []
-    n = store.H_fwd.shape[1] if store.H_fwd.ndim == 4 else 0
-    for i in range(n):
+    for i in range(store.n_subjects):
         mean_fwd.append(karcher_mean(
             [AffineTransform(h) for h in store.H_fwd[:, i]]))
         mean_rev.append(karcher_mean(

@@ -49,7 +49,7 @@ class SampleStore:
 
     @property
     def n_subjects(self):
-        return int(self.meta.get("n_subjects", self.beta.shape[1] if self.beta.ndim == 2 else 0))
+        return int(self.meta["n_subjects"])
 
 
 def records(store):
@@ -135,7 +135,7 @@ def export_csv(store, path):
     """One row per thinned sample, shortest-roundtrip float formatting."""
     n = store.n_subjects
     v = store.X.shape[1]
-    hsz = store.H_fwd.shape[-1] ** 2 if n else 0
+    hsz = store.H_fwd.shape[-1] ** 2
     cols = [f"X_{l}" for l in range(v)]
     for i in range(n):
         cols.extend(f"T{i}_h{j}" for j in range(hsz))

@@ -3,6 +3,7 @@ import pytest
 
 from groupreg import audit, baseline
 from groupreg.audit import conjugacy_audit, detailed_balance_audit, run_all_audits, target_audit
+from groupreg.spatial import nngp_log_density_from_weights
 
 
 def test_every_audit_check_passes():
@@ -11,10 +12,10 @@ def test_every_audit_check_passes():
               for r in results if not r["passed"]]
     assert passed and not failed, failed
     names = {r["name"] for r in results}
-    assert len(results) == len(names) == 19
+    assert len(results) == len(names) == 20
     assert {"oracle.pattern_weights", "detailed_balance.max_gap_1d",
             "detailed_balance.max_gap_2d", "target.forward", "target.reverse",
-            "target.conventional", "conjugacy.conventional_w",
+            "target.conventional", "target.rho", "conjugacy.conventional_w",
             "conjugacy.conventional_sigma2"} <= names
 
 
@@ -30,9 +31,20 @@ def test_detailed_balance_audit_fails_with_the_trace_only_hastings_factor(monkey
 
 def test_target_audit_fails_on_a_noise_log_target(monkeypatch):
     rng = np.random.default_rng(0)
-    for name in ("forward_log_target", "reverse_log_target", "conventional_log_target"):
+    for name in ("forward_log_target", "reverse_log_target", "conventional_log_target",
+                 "rho_log_target"):
         monkeypatch.setattr(audit, name, lambda *args: rng.normal(scale=50.0))
     assert not any(r["passed"] for r in target_audit())
+
+
+def test_target_audit_fails_on_a_rho_target_without_its_template_term(monkeypatch):
+    """Only the subjects' NNGP terms: the check on rho's target, and no other, fails."""
+    def subjects_only(state, weights, geom):
+        return sum(nngp_log_density_from_weights(state.X, blk.XT, blk.nbr, b, f)
+                   for blk, (b, f) in zip(state.blocks, weights[1]))
+
+    monkeypatch.setattr(audit, "rho_log_target", subjects_only)
+    assert {r["name"] for r in target_audit() if not r["passed"]} == {"target.rho"}
 
 
 def w_without_prior(phis, ys, sigma2s, k_inv):

@@ -65,6 +65,16 @@ def test_fit_baseline_abort_exits_3_and_writes_nothing(monkeypatch, tmp_path, ca
     assert not out.exists() and not list(tmp_path.glob(".groupreg-staging-*"))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_gauss_kernel_matches_the_difference_tensor(d):
+    """Summed axis by axis, the squared distances keep every bit of the tensor sum."""
+    rng = np.random.default_rng(d)
+    a, b = rng.normal(scale=3.0, size=(50, d)), rng.normal(scale=3.0, size=(20, d))
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    expected = np.exp(-d2 / baseline.KERNEL_WIDTH ** 2)
+    assert np.array_equal(baseline.gauss_kernel(a, b).view(np.uint64), expected.view(np.uint64))
+
+
 def test_inverse_warp_needs_maps_on_one_lattice():
     """A mean map over two lattices has no meaning; the warp refuses it."""
     maps = [ActivationMap(Lattice((n,), 0.1, 0.0), np.arange(n, dtype=float))

@@ -63,14 +63,40 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, text):
     _no_outputs_left(tmp_path, out)
 
 
-@pytest.mark.parametrize("key", ["margin=40", "rho_step=0.2"])
+@pytest.mark.parametrize("key", ["margin=40", "rho_step=0.2", "tau=2.0", "landmark_stride=3"])
 def test_retired_config_keys_exit_2(tmp_path, capsys, key):
-    """The library margin is derived from the data and the rho step is fixed."""
+    """The library margin is derived from the data; the rho step and the baseline's
+    kernel width and landmark stride are fixed."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"scenario=cosine\n{key}\n")
     out = tmp_path / "fit"
     assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
     assert "unknown key" in capsys.readouterr().err
+    _no_outputs_left(tmp_path, out)
+
+
+@pytest.mark.parametrize("argv", [["fit", "--model", "conventional"],
+                                  ["fit-baseline", "--model", "symmetric"],
+                                  ["fit-baseline", "--lambda-r", "7"],
+                                  ["summarize", "samples.bin", "--seed", "3"]])
+def test_flags_that_change_no_output_are_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    _no_outputs_left(tmp_path, out)
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-baseline"])
+def test_maps_too_small_to_interpolate_exit_3(tmp_path, capsys, command):
+    lattice = Lattice((3, 3), 1.0, 0.0)
+    paths = _write_maps(tmp_path, [ActivationMap(lattice, np.arange(9.0) + k) for k in (0, 1)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"maps={paths[0]},{paths[1]}\ntotal=4\nburn_in=2\nthin=1\n")
+    out = tmp_path / "fit"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert "at least 4 sites on every lattice axis" in capsys.readouterr().err
     _no_outputs_left(tmp_path, out)
 
 

@@ -179,7 +179,7 @@ def test_fit_affine_scores_singular_vertices_as_infinite(monkeypatch):
 def test_initialize_is_deterministic():
     maps = small_glyph()
     cfg = RunConfig(seed=4, init_iters=3)
-    first, second = (initialize(maps, cfg.hyperparams(), cfg) for _ in range(2))
+    first, second = (initialize(maps, cfg) for _ in range(2))
     assert np.array_equal(first.X, second.X)
     assert (first.alpha, first.rho) == (second.alpha, second.rho)
     for a, b in zip(first.blocks, second.blocks, strict=True):
