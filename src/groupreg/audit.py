@@ -19,10 +19,11 @@ from .interp import interpolate
 from .model import (Hyperparams, TransformPrior, build_geometry, gibbs_log_posterior,
                     invgamma_logpdf, normal_logpdf, sigma_s_matrix)
 from .sampler import (Chain, ChainState, SubjectState, alpha_conditional,
-                      beta_sigma_conditional, forward_log_target, lie_mh_log_acceptance,
-                      refresh_subject_geometry, refresh_template_weights,
-                      reverse_log_target, rho_log_target, rho_weights, subject_geometry,
-                      template_conditional, transformed_template_conditional)
+                      beta_sigma_conditional, forward_log_target, initialize,
+                      lie_mh_log_acceptance, refresh_subject_geometry,
+                      refresh_template_weights, reverse_log_target, rho_log_target,
+                      rho_weights, subject_geometry, template_conditional,
+                      transformed_template_conditional)
 from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
                       nngp_log_density, conditional_means,
@@ -463,18 +464,27 @@ def geometry_audit(seed=0):
     gap_pair = float(np.linalg.norm(karcher_mean(pair).matrix - np.eye(3)))
     results.append(_check("geometry.karcher_fixed_points", max(gap_single, gap_pair), 1e-10))
 
-    # Standardization invariant over a short real chain.
+    # The records of a short real chain, started off forward Karcher mean
+    # identity, are standardized: forward Karcher mean identity, mean beta 1,
+    # every H_T H_Tr and beta_i X as in the state.
     spec = ScenarioSpec(scenario="indicator", n_subjects=3, seed=3)
     maps, _ = gen_indicator_curves(spec)
     cfg = RunConfig(total=6, burn_in=5, thin=1, seed=5,
                     a0_alpha=0.2, b0_alpha=0.1, init_iters=3)
-    chain = Chain(maps, cfg)
+    state = initialize(maps, cfg)
+    for blk in state.blocks:
+        blk.T = affine_compose(blk.T, AffineTransform.translation([0.3]))
+    chain = Chain(maps, cfg, initial_state=state)
     worst = 0.0
     for _ in range(cfg.total):
         chain.sweep()
-        mean = karcher_mean([blk.T for blk in chain.state.blocks])
-        worst = max(worst, float(np.linalg.norm(lie_log(mean))))
-    results.append(_check("geometry.post_sweep_mean_identity", worst, 1e-8))
+        (x, h_fwd, h_rev, betas, *_), _ = chain.record()
+        mean = karcher_mean([AffineTransform(h) for h in h_fwd])
+        worst = max(worst, float(np.linalg.norm(lie_log(mean))), abs(np.mean(betas) - 1.0),
+                    *(max(np.max(np.abs(f @ r - blk.T.matrix @ blk.T_r.matrix)),
+                          np.max(np.abs(beta * x - blk.beta * chain.state.X)))
+                      for f, r, beta, blk in zip(h_fwd, h_rev, betas, chain.state.blocks)))
+    results.append(_check("geometry.recorded_draws_standardized", worst, 1e-8))
     return results
 
 

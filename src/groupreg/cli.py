@@ -86,13 +86,8 @@ def _load_run_config(args):
         cfg = load_config(args.config)
     else:
         cfg = RunConfig()
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "model", None):
-        updates["model"] = args.model
-    if getattr(args, "lambda_r", None) is not None:
-        updates["lambda_r"] = args.lambda_r
+    updates = {key: value for key in ("seed", "model", "lambda_r")
+               if (value := getattr(args, key, None)) is not None}
     grid = getattr(args, "lambda_r_grid", None)
     if grid:
         updates["lambda_r_grid"] = parse_lambda_r_grid(grid)
@@ -260,12 +255,10 @@ def _cmd_summarize(args):
             write_map_csv(ActivationMap(lattice, vals), staging.path(name))
         with open(staging.path("transforms_mean.csv"), "w", encoding="utf-8") as fh:
             fh.write("subject,direction,entries\n")
-            for i, t in enumerate(summary.mean_forward):
-                fh.write(f"{i},forward," +
-                         ";".join(repr(v) for v in t.matrix.ravel()) + "\n")
-            for i, t in enumerate(summary.mean_reverse):
-                fh.write(f"{i},reverse," +
-                         ";".join(repr(v) for v in t.matrix.ravel()) + "\n")
+            for direction, ts in (("forward", summary.mean_forward),
+                                  ("reverse", summary.mean_reverse)):
+                for i, t in enumerate(ts):
+                    fh.write(f"{i},{direction}," + ";".join(map(repr, t.matrix.ravel())) + "\n")
     print(f"summaries (level {cfg.credible_level}) -> {args.out}")
     return 0
 

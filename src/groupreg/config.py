@@ -5,7 +5,9 @@ Omitted keys take the field defaults. `RunConfig` extends
 `model.Hyperparams`, so the prior hyperparameters and lambda_r are declared
 there once, and the chains use the config itself as their hyperparameters.
 A config is validated whenever it is built: by `RunConfig(...)`,
-`dataclasses.replace` or `parse_config`. Not keys: the neighbor-library
+`dataclasses.replace` or `parse_config`. Every float setting must be
+finite, and lambda_r keeps its default under model=conventional, whose
+outputs it does not reach. Not keys: the neighbor-library
 margin (derived by `sampler.Chain`), `sampler.RHO_STEP`, and the baseline's
 `KERNEL_WIDTH` and `LANDMARK_STRIDE`.
 """
@@ -45,6 +47,8 @@ class RunConfig(Hyperparams):
         super().__post_init__()
         if self.model not in MODELS:
             raise ValidationError(f"model must be one of {MODELS}")
+        if self.model == "conventional" and self.lambda_r != Hyperparams.lambda_r:
+            raise ValidationError("lambda_r reaches no output of model=conventional")
         if self.scenario and self.scenario not in SCENARIO_DEFAULT_NOISE:
             raise ValidationError(
                 f"scenario must be one of {tuple(SCENARIO_DEFAULT_NOISE)} (or omitted)")

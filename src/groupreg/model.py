@@ -15,7 +15,7 @@ beta update), so beta | sigma^2 ~ N(mu0, sigma^2 / lambda0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import gammaln
@@ -50,6 +50,10 @@ class Hyperparams:
     m: int = 10
 
     def __post_init__(self):
+        for f in fields(self):      # a subclass's fields too, and each value of a tuple
+            values = np.ravel(getattr(self, f.name))
+            if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+                raise ValidationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("a_T", "b_T", "a_Tr", "b_Tr", "a0_alpha", "b0_alpha",
                      "lambda0", "a0_sigma", "a1_sigma"):
             if getattr(self, name) <= 0:
@@ -182,14 +186,6 @@ def uniform_logpdf(x, lower, upper):
     return -np.inf
 
 
-def subject_weights(block, geom, cov):
-    """Library neighbor sets and (B, F) for a subject's transformed sites."""
-    locs = affine_apply(block.T, geom.locations)
-    nbr = lookup_neighbors(locs, geom.library)
-    b, f = batched_nngp_weights(locs, nbr, geom.locations, cov)
-    return locs, nbr, b, f
-
-
 def gibbs_log_posterior(x, blocks, cov, hp, geom):
     """Unnormalized log Gibbs posterior over all latent quantities.
 
@@ -216,7 +212,9 @@ def gibbs_log_posterior(x, blocks, cov, hp, geom):
         p1, p2 = penalty_terms(blk.T, blk.T_r)
         total += -hp.lambda_r * (p1 + p2)
 
-        _, nbr, b, f = subject_weights(blk, geom, cov)
+        locs = affine_apply(blk.T, geom.locations)
+        nbr = lookup_neighbors(locs, geom.library)
+        b, f = batched_nngp_weights(locs, nbr, geom.locations, cov)
         total += nngp_log_density_from_weights(x, blk.XT, nbr, b, f)
 
         total += geom.prior_T.log_density(blk.T)

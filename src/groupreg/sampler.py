@@ -1,15 +1,17 @@
 """MCMC engine for the symmetric registration model.
 
 Per-iteration sweep order (the template conditionals consume the freshest
-transformed-template values):
+transformed-template values), each a Gibbs or Metropolis step:
 
     {X(T_i)} for all i  ->  X  ->  {T_i}  ->  {T_i^r}
-      ->  standardize({T_i})  ->  {beta_i, sigma_i^2}  ->  alpha  ->  rho
+      ->  {beta_i, sigma_i^2}  ->  alpha  ->  rho
 
-Forward transforms are Karcher-standardized after every sweep; the stored
-X(T_i) values are carried over and re-bound to the relabeled locations'
-neighbor sets. Reverse transforms are never standardized (their anchoring
-comes through the penalty terms).
+The model identifies the transforms only up to a common right-translation
+of the T_i, and beta and X only up to a common scale. The chain leaves both
+free. `Chain.record` identifies each kept draw instead, as a function of
+that draw alone (`standardize_forward_transforms`, `standardize_scales`),
+so the records are an exact push-forward of the sampled posterior and the
+chain state is never changed by them.
 
 Randomness is drawn from counter-based streams keyed by
 (seed, iteration, phase, subject), so a result does not depend on the order
@@ -483,34 +485,28 @@ def update_reverse_transform(blk, state, geom, hp, adapt, rng):
     return True
 
 
-def standardize_forward_transforms(state, geom):
-    """Right-translate {T_i} by the inverse Karcher mean; re-bind X(T_i) sets.
+def standardize_forward_transforms(ts, ts_r):
+    """T_i M^-1 and M T_i^r, M the Karcher mean of the T_i.
 
-    Standardization is a relabeling: the stored X(T_i) values are carried
-    over, only the site locations (and hence neighbor sets / weights) move.
+    The forward transforms get Karcher mean identity, and each pair keeps
+    its H_T H_Tr, so the inverse-consistency error of a draw is unchanged.
     """
-    ts = standardize([blk.T for blk in state.blocks])
-    for blk, t in zip(state.blocks, ts):
-        blk.T = t
-        refresh_subject_geometry(blk, geom, state.factor, state.alpha)
+    mean = karcher_mean(ts)
+    mean_inv = affine_inverse(mean)
+    return ([affine_compose(t, mean_inv) for t in ts],
+            [affine_compose(mean, t_r) for t_r in ts_r])
 
 
-def standardize_scales(state):
-    """Rescale so mean(beta) = 1, moving the scale into the template.
+def standardize_scales(x, betas, alpha):
+    """beta_i / c, c X and c^2 alpha, c = mean(beta): the betas get mean 1.
 
-    The products beta_i * X and beta_i * X(T_i) are invariant: beta_i is
-    divided by the mean while X and the stored X(T_i) are multiplied by it.
-    Like the transform standardization, this pins the scale direction of the
-    (beta, X) non-identifiability; the alpha draw that follows re-equilibrates
-    the GP amplitude to the rescaled template.
+    Every beta_i X, and the GP prior's alpha relative to X, are unchanged.
+    Raises NonPositiveScale unless c is positive and finite.
     """
-    bar = float(np.mean([blk.beta for blk in state.blocks]))
-    if not np.isfinite(bar) or bar <= 1e-8:
-        return
-    for blk in state.blocks:
-        blk.beta /= bar
-        blk.XT = blk.XT * bar
-    state.X = state.X * bar
+    bar = float(np.mean(betas))
+    if not (np.isfinite(bar) and bar > 0.0):
+        raise NonPositiveScale(f"mean beta is {bar}; the scale cannot be standardized")
+    return [beta / bar for beta in betas], x * bar, alpha * bar * bar
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +670,7 @@ class Chain:
 
     The neighbor library is sized from the initial state, by
     `library_margin`, so no set-up fails for want of margin. A chain that
-    moves a transform further out still rejects that move, or aborts if
-    standardization takes a subject past the library.
+    moves a transform further out rejects that move.
     """
 
     def __init__(self, maps, config, initial_state=None):
@@ -697,6 +692,13 @@ class Chain:
         for blk in self.state.blocks:
             refresh_subject_geometry(blk, self.geom, self.state.factor, self.state.alpha)
 
+    def guarded(self, what, step, *args):
+        """step(*args), with a GroupregError re-raised as ChainAborted and a snapshot."""
+        try:
+            return step(*args)
+        except GroupregError as exc:
+            raise ChainAborted(f"{what} failed: {exc}", self.snapshot()) from exc
+
     def sweep(self):
         """`updates`, with the proposals frozen after burn-in; ChainAborted on failure."""
         it = self.iteration
@@ -704,10 +706,7 @@ class Chain:
             for recs in self.proposals.values():
                 for rec in recs:
                     rec.frozen = True
-        try:
-            self.updates(it)
-        except GroupregError as exc:
-            raise ChainAborted(f"sweep {it} failed: {exc}", self.snapshot()) from exc
+        self.guarded(f"sweep {it}", self.updates, it)
         self.iteration += 1
 
     def updates(self, it):
@@ -724,22 +723,30 @@ class Chain:
         for i, blk in blocks:
             update_reverse_transform(blk, state, geom, hp, self.proposals["reverse"][i],
                                      substream(seed, it, _PH_TREV, i))
-        standardize_forward_transforms(state, geom)
         for i, blk in blocks:
             blk.beta, blk.sigma2 = update_beta_sigma(
                 blk, state.X, hp, substream(seed, it, _PH_BETA, i))
-        standardize_scales(state)
         update_alpha(state, geom, hp, substream(seed, it, _PH_ALPHA))
         update_rho(state, geom, hp, substream(seed, it, _PH_RHO))
 
     def record(self):
-        """The current state's `SampleStore` fields, and what `model_diagnostics` reads."""
+        """The current draw's `SampleStore` fields, standardized, and what
+        `model_diagnostics` reads.
+
+        The fields are the draw with its forward transforms at Karcher mean
+        identity and its betas at mean 1 (`standardize_forward_transforms`,
+        `standardize_scales`); the chain state is left as it is. The
+        pointwise log-likelihood and the inverse-consistency error are the
+        same for the raw and the standardized draw.
+        """
         st = self.state
-        fields = (st.X.copy(), np.stack([blk.T.matrix for blk in st.blocks]),
-                  np.stack([blk.T_r.matrix for blk in st.blocks]),
-                  [blk.beta for blk in st.blocks], [blk.sigma2 for blk in st.blocks],
-                  st.alpha, st.rho)
-        return fields, (pointwise_log_lik(st.X, st.blocks), self.inverse_consistency_error())
+        ts, ts_r = standardize_forward_transforms([blk.T for blk in st.blocks],
+                                                  [blk.T_r for blk in st.blocks])
+        betas, x, alpha = standardize_scales(st.X, [blk.beta for blk in st.blocks], st.alpha)
+        fields = (x, np.stack([t.matrix for t in ts]), np.stack([t.matrix for t in ts_r]),
+                  betas, [blk.sigma2 for blk in st.blocks], alpha, st.rho)
+        ic_error = np.mean([penalty_terms(blk.T, blk.T_r)[0] for blk in st.blocks])
+        return fields, (pointwise_log_lik(st.X, st.blocks), ic_error)
 
     def snapshot(self):
         state = self.state
@@ -753,11 +760,6 @@ class Chain:
             "reverse_transforms": [blk.T_r.matrix.tolist() for blk in state.blocks],
         }
 
-    def inverse_consistency_error(self):
-        """Mean over subjects of ||H_T H_Tr - I||_F at the current state."""
-        gaps = [penalty_terms(blk.T, blk.T_r)[0] for blk in self.state.blocks]
-        return float(np.mean(gaps))
-
     def run(self):
         """Run the configured chain; returns (SampleStore, diagnostics dict)."""
         cfg = self.config
@@ -766,7 +768,7 @@ class Chain:
         for it in range(cfg.total):
             self.sweep()
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-                kept.append(self.record())
+                kept.append(self.guarded(f"recording sweep {it}", self.record))
         runtime = time.perf_counter() - t_start
 
         fields, extras = zip(*kept)
@@ -799,7 +801,11 @@ class Chain:
         return store, diagnostics
 
     def model_diagnostics(self, extras):
-        """rho acceptance, last scalar values, mean IC error and WAIC of the kept records."""
+        """rho acceptance, last scalar values, mean IC error and WAIC of the kept records.
+
+        The `*_last` values are the raw chain state after the last sweep, not
+        standardized as the records are.
+        """
         st = self.state
         kept_ll, kept_ic = zip(*extras)
         return {
@@ -834,8 +840,10 @@ class PosteriorSummary:
 def summarize(store, level=0.95):
     """Location-wise mean/sd/ratio and equal-tailed credible intervals.
 
-    The ratio is reported as 0 where sd < 1e-12. Posterior-mean transforms
-    are Karcher means of the sampled transforms, per subject and direction.
+    The store's draws are standardized as `Chain.record` writes them, so
+    these summarize the identified template and transforms. The ratio is
+    reported as 0 where sd < 1e-12. Posterior-mean transforms are Karcher
+    means of the sampled transforms, per subject and direction.
     """
     x = np.asarray(store.X, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from groupreg import audit, baseline
-from groupreg.audit import conjugacy_audit, detailed_balance_audit, run_all_audits, target_audit
+from groupreg import audit, baseline, sampler
+from groupreg.audit import (conjugacy_audit, detailed_balance_audit, geometry_audit,
+                            run_all_audits, target_audit)
 from groupreg.spatial import nngp_log_density_from_weights
 
 
@@ -16,7 +17,7 @@ def test_every_audit_check_passes():
     assert {"oracle.pattern_weights", "detailed_balance.max_gap_1d",
             "detailed_balance.max_gap_2d", "target.forward", "target.reverse",
             "target.conventional", "target.rho", "conjugacy.conventional_w",
-            "conjugacy.conventional_sigma2"} <= names
+            "conjugacy.conventional_sigma2", "geometry.recorded_draws_standardized"} <= names
 
 
 def test_detailed_balance_audit_fails_with_the_trace_only_hastings_factor(monkeypatch):
@@ -80,3 +81,13 @@ def test_detailed_balance_audit_raises_errors_other_than_out_of_library(monkeypa
     monkeypatch.setattr(audit, "forward_log_target", fails_once)
     with pytest.raises(ValueError, match="broken log target"):
         detailed_balance_audit()
+
+
+@pytest.mark.parametrize("name, unchanged", [
+    ("standardize_forward_transforms", lambda ts, ts_r: (ts, ts_r)),
+    ("standardize_scales", lambda x, betas, alpha: (betas, x, alpha))])
+def test_geometry_audit_fails_on_records_left_unstandardized(monkeypatch, name, unchanged):
+    """The raw state as the record: the check on the recorded draws, and no other, fails."""
+    monkeypatch.setattr(sampler, name, unchanged)
+    failed = {r["name"] for r in geometry_audit() if not r["passed"]}
+    assert failed == {"geometry.recorded_draws_standardized"}

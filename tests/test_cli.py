@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from groupreg import cli
+from groupreg import cli, sampler
 from groupreg.cli import main
 from groupreg.grids import ActivationMap, Lattice, write_map_csv
 
@@ -54,7 +54,8 @@ def test_fit_failing_at_setup_exits_3_and_writes_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("text", ["scenario=cosine\nthis line has no equals sign\n",
                                   "scenario=cosine\ntotal=many\n",
                                   "scenario=cosine\nno_such_key=1\n",
-                                  "scenario=cosine\ntotal=4\nburn_in=9\n"])
+                                  "scenario=cosine\ntotal=4\nburn_in=9\n",
+                                  "scenario=cosine\na_T=nan\n"])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -85,6 +86,32 @@ def test_flags_that_change_no_output_are_rejected(tmp_path, capsys, argv):
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    _no_outputs_left(tmp_path, out)
+
+
+def test_lambda_r_under_the_conventional_model_exits_2(tmp_path, capsys):
+    """The conventional model has no inverse-consistency penalty for lambda_r to weigh."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG + "model=conventional\n")
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg), "--lambda-r", "7", "--out", str(out)]) == 2
+    assert "lambda_r reaches no output of model=conventional" in capsys.readouterr().err
+    _no_outputs_left(tmp_path, out)
+
+
+def test_fit_failing_while_recording_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """Negative betas leave the first kept draw's scale undefined."""
+    def negative_betas(blk, x, hp, rng):
+        beta, sigma2 = update_beta_sigma(blk, x, hp, rng)
+        return -abs(beta), sigma2
+
+    update_beta_sigma = sampler.update_beta_sigma
+    monkeypatch.setattr(sampler, "update_beta_sigma", negative_betas)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "recording sweep 2 failed: mean beta is" in capsys.readouterr().err
     _no_outputs_left(tmp_path, out)
 
 

@@ -26,3 +26,15 @@ def test_an_invalid_config_raises_however_it_is_built(key, value, message):
         dataclasses.replace(RunConfig(), **{key: value})
     with pytest.raises(ValidationError, match=message):
         parse_config(f"scenario=cosine\n{key}={value}\n")
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_FIELDS + ["lambda_r_grid"])
+def test_a_non_finite_setting_is_rejected(key, value):
+    """Each float field, and a value of the lambda_r grid, must be finite."""
+    text = f"0.5,{value}" if key == "lambda_r_grid" else value
+    with pytest.raises(ValidationError, match=f"{key} must be finite"):
+        parse_config(f"scenario=cosine\n{key}={text}\n")

@@ -18,7 +18,8 @@ from groupreg.spatial import batched_nngp_weights
 from groupreg.store import save_store
 from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, generate,
                             rotate_glyph, rotation_about_center)
-from groupreg.transforms import AffineTransform, affine_apply, affine_compose, lie_exp, lie_log
+from groupreg.transforms import (AffineTransform, affine_apply, affine_compose, karcher_mean,
+                                 lie_exp, lie_log)
 
 
 def small_glyph():
@@ -127,6 +128,53 @@ def test_beta_sigma_rejects_non_finite_rate(bad):
                        sigma2=1.0, XT=np.ones(4), Y_bw=y)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonPositiveScale):
         update_beta_sigma(blk, np.ones(4), Hyperparams(), np.random.default_rng(0))
+
+
+def test_records_are_standardized_and_the_chain_is_not(monkeypatch):
+    """From forward transforms right-translated off Karcher mean identity, with
+    every forward proposal rejected, one sweep leaves each T_i as it was,
+    while its record has forward Karcher mean identity and mean beta 1."""
+    maps = indicator()
+    cfg = RunConfig(total=1, burn_in=0, thin=1, seed=5, a0_alpha=0.2, b0_alpha=0.1,
+                    init_iters=3)
+    state = initialize(maps, cfg)
+    shift = AffineTransform.from_parts([[1.05]], [0.3])
+    for blk in state.blocks:
+        blk.T = affine_compose(blk.T, shift)
+    chain = Chain(maps, cfg, initial_state=state)
+    before = [blk.T.matrix.copy() for blk in state.blocks]
+    assert np.linalg.norm(lie_log(karcher_mean([blk.T for blk in state.blocks]))) > 0.01
+
+    def out_of_library(*args):
+        raise OutOfLibraryBounds("test: proposal left the library")
+
+    monkeypatch.setattr(sampler, "subject_geometry", out_of_library)
+    store, diagnostics = chain.run()
+    assert diagnostics["rejected_out_of_library"] == [1, 1, 1]
+    for blk, t in zip(chain.state.blocks, before, strict=True):
+        assert np.array_equal(blk.T.matrix, t)
+    assert store.n_samples == 1
+    for h_fwd, betas in zip(store.H_fwd, store.beta, strict=True):
+        mean = karcher_mean([AffineTransform(h) for h in h_fwd])
+        assert np.linalg.norm(lie_log(mean)) <= 1e-8
+        assert abs(np.mean(betas) - 1.0) <= 1e-12
+
+
+def negative_betas(blk, x, hp, rng):
+    """`update_beta_sigma` with the sign of beta flipped to negative."""
+    beta, sigma2 = update_beta_sigma(blk, x, hp, rng)
+    return -abs(beta), sigma2
+
+
+def test_a_failure_while_recording_aborts_the_chain(monkeypatch):
+    """Mean beta below 0 on the first kept sweep: ChainAborted, with the snapshot."""
+    monkeypatch.setattr(sampler, "update_beta_sigma", negative_betas)
+    chain = short_chain("indicator", sweeps=4)
+    with pytest.raises(ChainAborted, match="recording sweep 2 failed") as err:
+        chain.run()
+    assert isinstance(err.value.__cause__, NonPositiveScale)
+    assert err.value.snapshot["iteration"] == 3
+    assert all(beta < 0 for beta in err.value.snapshot["beta"])
 
 
 def test_chain_needs_at_least_one_map():
