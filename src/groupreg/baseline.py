@@ -27,7 +27,7 @@ from .errors import IllConditioned
 from .grids import ActivationMap, common_lattice
 from .interp import interpolate
 from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
-from .sampler import AdaptiveProposal, Chain, fit_affine, lie_mh_step, substream
+from .sampler import AdaptiveProposal, Chain, fit_affine, lie_mh_step
 from .transforms import AffineTransform, affine_apply, affine_inverse
 
 KERNEL_JITTER = 1e-8
@@ -113,12 +113,12 @@ def conventional_log_joint(maps, ts, w, sigma2s, landmarks, gram_chol, hp, prior
 class ConventionalChain(Chain):
     """MCMC for the conventional model; `Chain.run` and `Chain.sweep` drive it.
 
-    A sweep draws w | rest, then each sigma_i^2 | rest, then each T_i, from
-    the streams (seed, iteration, 0), (.., 1, i) and (.., 2, i). The records
-    share the symmetric model's layout: the template is evaluated on the map
-    lattice and stored as X, reverse transforms are identity, beta is 1,
-    alpha and rho are NaN, and the header's lambda_r is 0, as the model has
-    no inverse-consistency penalty.
+    A sweep draws w | rest, then each sigma_i^2 | rest, then each T_i, all
+    from the chain's one generator. The records share the symmetric model's
+    layout: the template is evaluated on the map lattice and stored as X,
+    reverse transforms are identity, beta is 1, alpha and rho are NaN, and
+    the header's lambda_r is 0, as the model has no inverse-consistency
+    penalty.
     """
 
     def __init__(self, maps, config):
@@ -127,6 +127,7 @@ class ConventionalChain(Chain):
         self.maps = list(maps)
         self.lambda_r = 0.0
         self.iteration = 0
+        self.rng = np.random.default_rng(config.seed)
         n, d = len(maps), lattice.dim
         self.locs = lattice.locations()
         self.landmarks = landmark_lattice(lattice, LANDMARK_STRIDE)
@@ -145,17 +146,15 @@ class ConventionalChain(Chain):
         self.sigma2s = [max(float(np.mean((y - phi @ self.w) ** 2)), 1e-12)
                         for y, phi in zip(self.ys, self.phis)]
 
-    def updates(self, it):
-        seed = self.config.seed
+    def updates(self):
         # w | rest: conjugate multivariate normal.
         _, chol, mean = conventional_w_conditional(self.phis, self.ys, self.sigma2s, self.k_inv)
-        z = substream(seed, it, 0).standard_normal(mean.size)
+        z = self.rng.standard_normal(mean.size)
         self.w = w = mean + np.linalg.solve(chol.T, z)
         # sigma_i^2 | rest.
         for i, (y, phi) in enumerate(zip(self.ys, self.phis)):
             shape, rate = conventional_sigma2_conditional(y, phi, w, self.config)
-            self.sigma2s[i] = 1.0 / substream(seed, it, 1, i).gamma(shape=shape,
-                                                                    scale=1.0 / rate)
+            self.sigma2s[i] = 1.0 / self.rng.gamma(shape=shape, scale=1.0 / rate)
         # T_i | rest: Lie-MH against the kernel-template likelihood.
         for i, adapt in enumerate(self.proposals["forward"]):
             y, s2 = self.ys[i], self.sigma2s[i]
@@ -165,7 +164,7 @@ class ConventionalChain(Chain):
                 return conventional_log_target(t, phi, y, w, s2, self.prior), phi
 
             log_old = conventional_log_target(self.ts[i], self.phis[i], y, w, s2, self.prior)
-            step = lie_mh_step(self.ts[i], log_old, target, adapt, substream(seed, it, 2, i))
+            step = lie_mh_step(self.ts[i], log_old, target, adapt, self.rng)
             if step is not None:
                 self.ts[i], self.phis[i] = step
 

@@ -6,10 +6,11 @@ Omitted keys take the field defaults. `RunConfig` extends
 there once, and the chains use the config itself as their hyperparameters.
 A config is validated whenever it is built: by `RunConfig(...)`,
 `dataclasses.replace` or `parse_config`. Every float setting must be
-finite, and lambda_r keeps its default under model=conventional, whose
-outputs it does not reach. Not keys: the neighbor-library
-margin (derived by `sampler.Chain`), `sampler.RHO_STEP`, and the baseline's
-`KERNEL_WIDTH` and `LANDMARK_STRIDE`.
+finite, the seed must be >= 0 (a negative sim_seed means "use seed"), and
+lambda_r keeps its default under model=conventional, whose outputs it does
+not reach. Not keys: the neighbor-library margin (derived by
+`sampler.Chain`), `sampler.RHO_STEP`, and the baseline's `KERNEL_WIDTH` and
+`LANDMARK_STRIDE`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class RunConfig(Hyperparams):
             raise ValidationError("n_subjects must be >= 1")
         if self.init_iters < 1:
             raise ValidationError("init_iters must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
     def effective_sim_seed(self):
         return self.seed if self.sim_seed < 0 else self.sim_seed

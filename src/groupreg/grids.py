@@ -44,11 +44,13 @@ class Lattice:
             raise ValidationError(f"lattice dimension must be 1 or 2, got {d}")
         if any(n < 1 for n in shape):
             raise ValidationError("lattice shape entries must be >= 1")
-        spacing = _as_vector(self.spacing, d)
-        if np.any(spacing <= 0):
-            raise ValidationError("lattice spacing must be > 0")
+        spacing, origin = _as_vector(self.spacing, d), _as_vector(self.origin, d)
+        if not np.all(np.isfinite(spacing) & (spacing > 0)):
+            raise ValidationError("lattice spacing must be finite and > 0")
+        if not np.all(np.isfinite(origin)):
+            raise ValidationError("lattice origin must be finite")
         object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", _as_vector(self.origin, d))
+        object.__setattr__(self, "origin", origin)
 
     @property
     def dim(self):
@@ -155,11 +157,14 @@ def read_map_csv(path):
                           spacing=np.array([float(x) for x in header["spacing"]]),
                           origin=np.array([float(x) for x in header["origin"]]))
         rows = [[float(x) for x in ln.split(",")] for ln in lines]
-    except ValueError as exc:
+    except (ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
     width = lattice.shape[1] if lattice.dim == 2 else 1
     if len(rows) != lattice.shape[0] or any(len(row) != width for row in rows):
         raise ValidationError(
             f"{path}: expected {lattice.shape[0]} value rows of {width} for dims "
             f"{','.join(map(str, lattice.shape))}")
-    return ActivationMap(lattice, np.array(rows).ravel())
+    values = np.array(rows).ravel()
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{path}: map values must be finite")
+    return ActivationMap(lattice, values)

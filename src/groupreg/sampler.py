@@ -13,9 +13,9 @@ that draw alone (`standardize_forward_transforms`, `standardize_scales`),
 so the records are an exact push-forward of the sampled posterior and the
 chain state is never changed by them.
 
-Randomness is drawn from counter-based streams keyed by
-(seed, iteration, phase, subject), so a result does not depend on the order
-in which subjects are visited. Subjects are updated in one plain loop.
+Each chain owns one generator, `np.random.default_rng(config.seed)`, and
+every update draws from it in sweep order; subjects are updated in one plain
+loop.
 
 NNGP weights come from the pattern cache (`spatial.KrigingFactor`) kept in
 `ChainState.factor`. It is built for the current rho at construction and
@@ -41,8 +41,8 @@ The log targets are densities in the matrix entries of (A, b), and
 coordinates; no proposal density or reverse increment is evaluated. A
 proposal with no real logarithm (`rejected_nolog`) or whose log target
 raises OutOfLibraryBounds (`rejected_oob`) is rejected outright. Each step
-draws delta, then the accept uniform, whether it rejects or not, so every
-per-(iteration, phase, subject) stream advances by the same draws.
+draws delta, then the accept uniform, whether it rejects or not, so it
+advances the chain's generator by the same draws either way.
 """
 
 from __future__ import annotations
@@ -71,16 +71,6 @@ from .transforms import (AffineTransform, affine_apply, affine_compose,
 ADAPT_TARGET_RATE = 0.234
 RHO_STEP = 0.1        # standard deviation of the random-walk rho proposal
 LIBRARY_SLACK = 5     # library grid steps beyond the initial transforms' reach
-
-# Phase tags for the counter-based random streams.
-_PH_XT, _PH_X, _PH_TFWD, _PH_TREV, _PH_BETA, _PH_ALPHA, _PH_RHO = range(7)
-
-
-def substream(seed, iteration, phase, subject=0):
-    """Deterministic per-(iteration, phase, subject) generator."""
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(int(iteration), int(phase), int(subject)))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 @dataclass
@@ -664,7 +654,8 @@ class Chain:
     """The symmetric model's chain, and the run loop and sweep of every model.
 
     A model's `__init__` sets the `config`, `maps`, `lattice`, `lambda_r`,
-    `proposals` (by direction) and `iteration` that these read; it supplies
+    `proposals` (by direction), `iteration` and `rng` (the chain's one
+    generator, seeded by `config.seed`) that these read; it supplies
     `updates`, `record`, `snapshot` and `model_diagnostics`
     (`baseline.ConventionalChain` is the other model).
 
@@ -679,6 +670,7 @@ class Chain:
         self.maps = list(maps)
         self.lambda_r = config.lambda_r
         self.iteration = 0
+        self.rng = np.random.default_rng(config.seed)
         if initial_state is None:
             initial_state = initialize(self.maps, config)
         self.geom = build_geometry(lattice, config,
@@ -706,28 +698,23 @@ class Chain:
             for recs in self.proposals.values():
                 for rec in recs:
                     rec.frozen = True
-        self.guarded(f"sweep {it}", self.updates, it)
+        self.guarded(f"sweep {it}", self.updates)
         self.iteration += 1
 
-    def updates(self, it):
+    def updates(self):
         """One sweep's updates, in the order of the module docstring."""
-        state, geom, hp, seed = self.state, self.geom, self.config, self.config.seed
-        blocks = list(enumerate(state.blocks))
-        for i, blk in blocks:
-            blk.XT = update_transformed_template(
-                blk, state.X, substream(seed, it, _PH_XT, i))
-        update_template(state, geom, substream(seed, it, _PH_X))
-        for i, blk in blocks:
-            update_forward_transform(blk, state, geom, hp, self.proposals["forward"][i],
-                                     substream(seed, it, _PH_TFWD, i))
-        for i, blk in blocks:
-            update_reverse_transform(blk, state, geom, hp, self.proposals["reverse"][i],
-                                     substream(seed, it, _PH_TREV, i))
-        for i, blk in blocks:
-            blk.beta, blk.sigma2 = update_beta_sigma(
-                blk, state.X, hp, substream(seed, it, _PH_BETA, i))
-        update_alpha(state, geom, hp, substream(seed, it, _PH_ALPHA))
-        update_rho(state, geom, hp, substream(seed, it, _PH_RHO))
+        state, geom, hp, rng = self.state, self.geom, self.config, self.rng
+        for blk in state.blocks:
+            blk.XT = update_transformed_template(blk, state.X, rng)
+        update_template(state, geom, rng)
+        for blk, adapt in zip(state.blocks, self.proposals["forward"]):
+            update_forward_transform(blk, state, geom, hp, adapt, rng)
+        for blk, adapt in zip(state.blocks, self.proposals["reverse"]):
+            update_reverse_transform(blk, state, geom, hp, adapt, rng)
+        for blk in state.blocks:
+            blk.beta, blk.sigma2 = update_beta_sigma(blk, state.X, hp, rng)
+        update_alpha(state, geom, hp, rng)
+        update_rho(state, geom, hp, rng)
 
     def record(self):
         """The current draw's `SampleStore` fields, standardized, and what

@@ -41,6 +41,8 @@ class ScenarioSpec:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
         if self.n_subjects < 1:
             raise ValidationError("n_subjects must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
     @property
     def effective_noise_sd(self):

@@ -55,7 +55,8 @@ def test_fit_failing_at_setup_exits_3_and_writes_nothing(tmp_path, capsys):
                                   "scenario=cosine\ntotal=many\n",
                                   "scenario=cosine\nno_such_key=1\n",
                                   "scenario=cosine\ntotal=4\nburn_in=9\n",
-                                  "scenario=cosine\na_T=nan\n"])
+                                  "scenario=cosine\na_T=nan\n",
+                                  "scenario=cosine\nseed=-1\n"])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -86,6 +87,15 @@ def test_flags_that_change_no_output_are_rejected(tmp_path, capsys, argv):
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    _no_outputs_left(tmp_path, out)
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
     _no_outputs_left(tmp_path, out)
 
 
@@ -205,13 +215,16 @@ def test_maps_on_different_lattices_exit_3(tmp_path, capsys, command, other):
     _no_outputs_left(tmp_path, out)
 
 
-@pytest.mark.parametrize("row", ["1.0,x,3.0,4.0,5.0", "1.0,2.0,3.0,4.0"],
-                         ids=["non-numeric", "ragged"])
-def test_malformed_map_file_exits_2(tmp_path, capsys, row):
+@pytest.mark.parametrize("index, line", [(4, "1.0,x,3.0,4.0,5.0"), (4, "1.0,2.0,3.0,4.0"),
+                                         (4, "1.0,nan,3.0,4.0,5.0"), (4, "1.0,2.0,inf,4.0,5.0"),
+                                         (1, "spacing,nan"), (2, "origin,inf")],
+                         ids=["non-numeric", "ragged", "nan-value", "inf-value",
+                              "nan-spacing", "inf-origin"])
+def test_malformed_map_file_exits_2(tmp_path, capsys, index, line):
     lattice = Lattice((5, 5), 1.0, 0.0)
     path, = _write_maps(tmp_path, [ActivationMap(lattice, np.arange(25.0))])
     lines = path.read_text().splitlines()
-    lines[4] = row
+    lines[index] = line
     path.write_text("\n".join(lines) + "\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"maps={path}\ntotal=4\nburn_in=2\n")

@@ -18,6 +18,7 @@ def test_run_config_declares_no_hyperparameter_again():
     ("thin", 0, "thin >= 1"),                    # a run setting
     ("a_T", -1.0, "a_T must be > 0"),            # a prior hyperparameter
     ("scenario", "spiral", "scenario must be one of"),
+    ("seed", -1, "seed must be >= 0"),
 ])
 def test_an_invalid_config_raises_however_it_is_built(key, value, message):
     with pytest.raises(ValidationError, match=message):

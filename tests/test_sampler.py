@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from groupreg import sampler
+from groupreg import baseline, sampler
 from groupreg.audit import _toy_state, band_to_dense, weights_gap
 from groupreg.config import RunConfig
 from groupreg.errors import (DegenerateInput, IllConditioned, NonPositiveScale,
@@ -193,6 +193,24 @@ def test_library_holds_far_initial_transforms(sim_seed):
     assert diagnostics["library_margin"] == chain.geom.library.margin
 
 
+def test_a_sweep_builds_no_random_generator(monkeypatch):
+    """Both models draw every update from the one generator their __init__ builds."""
+    maps = indicator()
+    chains = [Chain(maps, RunConfig(total=3, burn_in=1, thin=1, seed=1)),
+              baseline.ConventionalChain(maps, RunConfig(model="conventional", total=3,
+                                                         burn_in=1, thin=1, seed=1))]
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a sweep built a random generator")
+
+    for name in ("SeedSequence", "Philox", "PCG64", "Generator", "default_rng"):
+        monkeypatch.setattr(np.random, name, no_generator)
+    for chain in chains:
+        chain.sweep()
+        chain.sweep()
+        assert chain.iteration == 2
+
+
 def test_fit_affine_recovers_a_known_warp():
     """Noise-free Y = X(T) with T a rotation and shift: fit_affine finds T."""
     glyph = base_glyph()
@@ -238,7 +256,7 @@ def test_initialize_is_deterministic():
 
 
 def assert_step_draws_used(rng, seed, dim):
-    """The step took delta and the accept uniform from its stream, and nothing else."""
+    """The step took delta and the accept uniform from its generator, and nothing else."""
     ref = np.random.default_rng(seed)
     ref.standard_normal(dim)
     ref.uniform()

@@ -105,6 +105,10 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             ScenarioSpec("pyramid")
 
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            ScenarioSpec("cosine", seed=-3)
+
     def test_generate_dispatch(self):
         for name in ("indicator", "cosine", "glyph"):
             maps, truth = generate(ScenarioSpec(name, seed=1))
