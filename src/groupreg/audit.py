@@ -18,11 +18,10 @@ from .grids import ActivationMap, Lattice, make_lattice_1d
 from .interp import interpolate
 from .model import (Hyperparams, TransformPrior, build_geometry, gibbs_log_posterior,
                     invgamma_logpdf, normal_logpdf, sigma_s_matrix)
-from .sampler import (Chain, ChainState, SubjectState, alpha_conditional,
-                      beta_sigma_conditional, forward_log_target, initialize,
-                      lie_mh_log_acceptance, refresh_subject_geometry,
-                      refresh_template_weights, reverse_log_target, rho_log_target,
-                      rho_weights, subject_geometry, template_conditional,
+from .sampler import (Chain, ChainState, alpha_conditional, beta_sigma_conditional,
+                      forward_log_target, initialize, lie_mh_log_acceptance,
+                      refresh_caches, reverse_log_target, rho_log_target, rho_weights,
+                      subject_geometry, template_conditional,
                       transformed_template_conditional)
 from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
@@ -48,23 +47,22 @@ def _toy_state(seed=0, n_subjects=2):
 
     x = rng.normal(size=4)
     params = [(1.05, 0.3), (0.95, -0.2)][:n_subjects]
-    blocks = []
+    ts, ts_r, maps, betas, sigma2s, xts = [], [], [], [], [], []
     for scale, shift in params:
         t = AffineTransform.from_parts(np.array([[scale]]), np.array([shift]))
-        t_r = affine_compose(affine_inverse(t),
-                             AffineTransform.from_parts(np.array([[1.0]]),
-                                                        np.array([rng.normal() * 0.05])))
-        y = ActivationMap(lattice, rng.normal(size=4) + 1.0)
-        blk = SubjectState(Y=y, T=t, T_r=t_r, beta=float(rng.uniform(0.8, 1.2)),
-                           sigma2=float(rng.uniform(0.4, 0.9)),
-                           XT=rng.normal(size=4))
-        blocks.append(blk)
-    state = ChainState(X=x, blocks=blocks, alpha=cov.alpha, rho=cov.rho)
-    refresh_template_weights(state, geom)
-    from .model import backward_values
-    for blk in blocks:
-        refresh_subject_geometry(blk, geom, state.factor, state.alpha)
-        blk.Y_bw = backward_values(blk)
+        ts.append(t)
+        ts_r.append(affine_compose(affine_inverse(t),
+                                   AffineTransform.from_parts(np.array([[1.0]]),
+                                                              np.array([rng.normal() * 0.05]))))
+        maps.append(ActivationMap(lattice, rng.normal(size=4) + 1.0))
+        betas.append(rng.uniform(0.8, 1.2))
+        sigma2s.append(rng.uniform(0.4, 0.9))
+        xts.append(rng.normal(size=4))
+    y_bw = [interpolate(amap, affine_apply(t_r, geom.locations)) for amap, t_r in zip(maps, ts_r)]
+    state = ChainState(X=x, maps=maps, T=ts, T_r=ts_r, Y=np.stack([m.values for m in maps]),
+                       XT=np.stack(xts), Y_bw=np.stack(y_bw), beta=np.array(betas),
+                       sigma2=np.array(sigma2s), alpha=cov.alpha, rho=cov.rho)
+    refresh_caches(state, geom)
     return state, geom, hp
 
 
@@ -79,7 +77,7 @@ def band_to_dense(ab):
 
 
 def _joint(state, geom, hp):
-    return gibbs_log_posterior(state.X, state.blocks, state.cov, hp, geom)
+    return gibbs_log_posterior(state, hp, geom)
 
 
 def _toy_conventional(state, geom, hp, rng):
@@ -88,7 +86,7 @@ def _toy_conventional(state, geom, hp, rng):
     Returns the landmarks, K^-1, a random w and log_joint(ts, w, sigma2s),
     the model's `conventional_log_joint` on the toy maps.
     """
-    maps = [blk.Y for blk in state.blocks]
+    maps = state.maps
     landmarks = landmark_lattice(geom.lattice, 1)
     gram_chol, k_inv = kernel_gram(landmarks)
 
@@ -106,16 +104,15 @@ def conjugacy_audit(seed=0, tol=1e-8):
     base = _joint(state, geom, hp)
 
     # X(T_i) element.
-    blk = state.blocks[0]
-    mean, var = transformed_template_conditional(blk, state.X)
-    l = 2
-    new_val = blk.XT[l] + 0.7
+    mean, var = transformed_template_conditional(state)
+    l = 0, 2
+    new_val = state.XT[l] + 0.7
     closed = (normal_logpdf(new_val, mean[l], var[l])
-              - normal_logpdf(blk.XT[l], mean[l], var[l]))
-    old = blk.XT[l]
-    blk.XT[l] = new_val
+              - normal_logpdf(state.XT[l], mean[l], var[l]))
+    old = state.XT[l]
+    state.XT[l] = new_val
     joint = _joint(state, geom, hp) - base
-    blk.XT[l] = old
+    state.XT[l] = old
     results.append(_check("conjugacy.XT_element", abs(closed - joint), tol))
 
     # X as one block: the joint's change under a whole-vector move is the
@@ -130,34 +127,33 @@ def conjugacy_audit(seed=0, tol=1e-8):
     state.X = x
     results.append(_check("conjugacy.X_block", abs(closed - joint), tol))
 
-    # beta (sigma^2 held fixed).
-    blk = state.blocks[1]
-    shape, rate, mu_n, lam_n = beta_sigma_conditional(blk, state.X, hp)
-    new_beta = blk.beta + 0.3
-    closed = (normal_logpdf(new_beta, mu_n, lam_n * blk.sigma2)
-              - normal_logpdf(blk.beta, mu_n, lam_n * blk.sigma2))
-    old = blk.beta
-    blk.beta = new_beta
+    # beta (sigma^2 held fixed), of subject 1.
+    shape, rate, mu_n, lam_n = beta_sigma_conditional(state, hp)
+    rate, mu_n, lam_n = rate[1], mu_n[1], lam_n[1]
+    beta, s2 = state.beta[1], state.sigma2[1]
+    new_beta = beta + 0.3
+    closed = (normal_logpdf(new_beta, mu_n, lam_n * s2)
+              - normal_logpdf(beta, mu_n, lam_n * s2))
+    state.beta[1] = new_beta
     joint = _joint(state, geom, hp) - base
-    blk.beta = old
+    state.beta[1] = beta
     results.append(_check("conjugacy.beta", abs(closed - joint), tol))
 
     # sigma^2 given beta: IG(shape + 1/2, rate + (beta - mu_n)^2 / (2 lam_n)).
-    new_s2 = blk.sigma2 * 1.7
-    shape_b, rate_b = shape + 0.5, rate + 0.5 * (blk.beta - mu_n) ** 2 / lam_n
+    new_s2 = s2 * 1.7
+    shape_b, rate_b = shape + 0.5, rate + 0.5 * (beta - mu_n) ** 2 / lam_n
     closed = (invgamma_logpdf(new_s2, shape_b, rate_b)
-              - invgamma_logpdf(blk.sigma2, shape_b, rate_b))
-    old = blk.sigma2
-    blk.sigma2 = new_s2
+              - invgamma_logpdf(s2, shape_b, rate_b))
+    state.sigma2[1] = new_s2
     joint = _joint(state, geom, hp) - base
     results.append(_check("conjugacy.sigma2", abs(closed - joint), tol))
 
     # sigma^2 as the sampler draws it, beta marginalized: the joint's change
     # in sigma^2 at fixed beta is that of IG(sigma^2; shape, rate) times
     # N(beta; mu_n, lam_n sigma^2).
-    closed = (invgamma_logpdf(new_s2, shape, rate) + normal_logpdf(blk.beta, mu_n, lam_n * new_s2)
-              - invgamma_logpdf(old, shape, rate) - normal_logpdf(blk.beta, mu_n, lam_n * old))
-    blk.sigma2 = old
+    closed = (invgamma_logpdf(new_s2, shape, rate) + normal_logpdf(beta, mu_n, lam_n * new_s2)
+              - invgamma_logpdf(s2, shape, rate) - normal_logpdf(beta, mu_n, lam_n * s2))
+    state.sigma2[1] = s2
     results.append(_check("conjugacy.sigma2_marginal", abs(closed - joint), tol))
 
     # alpha.
@@ -174,9 +170,7 @@ def conjugacy_audit(seed=0, tol=1e-8):
     # The baseline's w and sigma^2 against the conventional model's joint.
     rng = np.random.default_rng(seed + 4)
     landmarks, k_inv, w, log_joint = _toy_conventional(state, geom, hp, rng)
-    ts = [blk.T for blk in state.blocks]
-    ys = [blk.Y.values for blk in state.blocks]
-    sigma2s = [blk.sigma2 for blk in state.blocks]
+    ts, ys, sigma2s = state.T, state.Y, list(state.sigma2)
     phis = [gauss_kernel(affine_apply(t, geom.locations), landmarks) for t in ts]
     conv_base = log_joint(ts, w, sigma2s)
     prec, _, mean = conventional_w_conditional(phis, ys, sigma2s, k_inv)
@@ -202,7 +196,6 @@ def target_audit(seed=0, tol=1e-8):
     does a move of rho change rho's log target.
     """
     state, geom, hp = _toy_state(seed)
-    blk = state.blocks[0]
     rng = np.random.default_rng(seed + 3)
     base = _joint(state, geom, hp)
     worst = dict.fromkeys(("target.forward", "target.reverse", "target.conventional",
@@ -210,35 +203,35 @@ def target_audit(seed=0, tol=1e-8):
 
     locs = geom.locations
     landmarks, _, w, log_joint = _toy_conventional(state, geom, hp, rng)
-    ts = [b.T for b in state.blocks]
-    sigma2s = [b.sigma2 for b in state.blocks]
+    ts, sigma2s = list(state.T), list(state.sigma2)
     conv_base = log_joint(ts, w, sigma2s)
 
+    # Moves of subject 0's transforms.
+    xt, beta, s2 = state.XT[0], state.beta[0], state.sigma2[0]
     for _ in range(5):
-        t_old, t_r_old, y_bw_old = blk.T, blk.T_r, blk.Y_bw
+        t_old, t_r_old = state.T[0], state.T_r[0]
         t_new = affine_compose(lie_exp(0.05 * rng.standard_normal(2)), t_old)
-        closed = (forward_log_target(t_new, t_r_old, state.X, blk.XT,
+        closed = (forward_log_target(t_new, t_r_old, state.X, xt,
                                      subject_geometry(t_new, geom, state.factor, state.alpha)[2:],
                                      geom, hp)
-                  - forward_log_target(t_old, t_r_old, state.X, blk.XT,
-                                       (blk.nbr, blk.B, blk.F), geom, hp))
-        blk.T = t_new
+                  - forward_log_target(t_old, t_r_old, state.X, xt,
+                                       (state.nbr[0], state.B[0], state.F[0]), geom, hp))
+        state.T[0] = t_new
         joint = _joint(state, geom, hp) - base
-        blk.T = t_old
+        state.T[0] = t_old
         worst["target.forward"] = max(worst["target.forward"], abs(closed - joint))
 
         t_r_new = affine_compose(lie_exp(0.05 * rng.standard_normal(2)), t_r_old)
-        y_bw_new = interpolate(blk.Y, affine_apply(t_r_new, locs))
-        closed = (reverse_log_target(t_r_new, t_old, state.X, y_bw_new, blk.beta, blk.sigma2,
-                                     geom, hp)
-                  - reverse_log_target(t_r_old, t_old, state.X, y_bw_old, blk.beta,
-                                       blk.sigma2, geom, hp))
-        blk.T_r, blk.Y_bw = t_r_new, None    # the joint re-interpolates Y at T^r(S)
+        y_bw_new = interpolate(state.maps[0], affine_apply(t_r_new, locs))
+        closed = (reverse_log_target(t_r_new, t_old, state.X, y_bw_new, beta, s2, geom, hp)
+                  - reverse_log_target(t_r_old, t_old, state.X, state.Y_bw[0], beta, s2,
+                                       geom, hp))
+        state.T_r[0] = t_r_new
         joint = _joint(state, geom, hp) - base
-        blk.T_r, blk.Y_bw = t_r_old, y_bw_old
+        state.T_r[0] = t_r_old
         worst["target.reverse"] = max(worst["target.reverse"], abs(closed - joint))
 
-        y, s2 = blk.Y.values, sigma2s[0]
+        y = state.Y[0]
         phi_new, phi_old = (gauss_kernel(affine_apply(t, locs), landmarks)
                             for t in (t_new, t_old))
         closed = (conventional_log_target(t_new, phi_new, y, w, s2, geom.prior_T)
@@ -247,8 +240,7 @@ def target_audit(seed=0, tol=1e-8):
         worst["target.conventional"] = max(worst["target.conventional"], abs(closed - joint))
 
     rho_old = state.rho
-    log_old = rho_log_target(state, ((state.tB, state.tF), [(b.B, b.F) for b in state.blocks]),
-                             geom)
+    log_old = rho_log_target(state, ((state.tB, state.tF), (state.B, state.F)), geom)
     for rho in (0.3, 1.1, 2.6):
         factor = kriging_factor(geom.library, geom.predecessor_patterns, rho)
         closed = rho_log_target(state, rho_weights(state, geom, factor), geom) - log_old
@@ -317,12 +309,11 @@ def detailed_balance_audit(n_pairs=100, seed=0, tol=1e-6):
     balance holds for any pi, so `target_audit` checks the targets.
     """
     state, geom, hp = _toy_state(seed, n_subjects=1)
-    blk = state.blocks[0]
     rng = np.random.default_rng(seed + 1)
 
     def forward(t):
         weights = subject_geometry(t, geom, state.factor, state.alpha)[2:]
-        return forward_log_target(t, blk.T_r, state.X, blk.XT, weights, geom, hp)
+        return forward_log_target(t, state.T_r[0], state.X, state.XT[0], weights, geom, hp)
 
     def start_1d(rng):
         return AffineTransform.from_parts(np.array([[rng.uniform(0.85, 1.15)]]),
@@ -472,18 +463,19 @@ def geometry_audit(seed=0):
     cfg = RunConfig(total=6, burn_in=5, thin=1, seed=5,
                     a0_alpha=0.2, b0_alpha=0.1, init_iters=3)
     state = initialize(maps, cfg)
-    for blk in state.blocks:
-        blk.T = affine_compose(blk.T, AffineTransform.translation([0.3]))
+    state.T = [affine_compose(t, AffineTransform.translation([0.3])) for t in state.T]
     chain = Chain(maps, cfg, initial_state=state)
     worst = 0.0
     for _ in range(cfg.total):
         chain.sweep()
         (x, h_fwd, h_rev, betas, *_), _ = chain.record()
         mean = karcher_mean([AffineTransform(h) for h in h_fwd])
+        st = chain.state
         worst = max(worst, float(np.linalg.norm(lie_log(mean))), abs(np.mean(betas) - 1.0),
-                    *(max(np.max(np.abs(f @ r - blk.T.matrix @ blk.T_r.matrix)),
-                          np.max(np.abs(beta * x - blk.beta * chain.state.X)))
-                      for f, r, beta, blk in zip(h_fwd, h_rev, betas, chain.state.blocks)))
+                    *(max(np.max(np.abs(f @ r - t.matrix @ t_r.matrix)),
+                          np.max(np.abs(beta * x - raw_beta * st.X)))
+                      for f, r, beta, t, t_r, raw_beta
+                      in zip(h_fwd, h_rev, betas, st.T, st.T_r, st.beta)))
     results.append(_check("geometry.recorded_draws_standardized", worst, 1e-8))
     return results
 

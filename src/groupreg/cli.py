@@ -9,9 +9,11 @@ only the commands whose outputs the key reaches have it. Every
 artifact-producing run writes a manifest.json (resolved config, config hash,
 seed, package version); re-running with the manifest's config reproduces
 the outputs bit-exactly. Outputs are staged in a scratch directory and
-promoted only on success, so failed runs, an aborted chain of either model
-included, leave no partial artifacts. Exit codes: 0 ok, 2 config error,
-3 numerical failure, 4 invariant-audit failure.
+promoted only on success, so failed runs leave no partial artifacts; a chain
+that aborts (`ChainAborted`) writes its state at the failure to --out as
+snapshot.json, and nothing else. `inverse-warp` refuses maps on another
+lattice than the store's. Exit codes: 0 ok, 2 config error, 3 numerical
+failure, 4 invariant-audit failure.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from . import __version__
 from .baseline import ConventionalChain, inverse_warp
 from .config import RunConfig, load_config, parse_lambda_r_grid
 from .errors import ConfigError, GroupregError, NumericalError, ValidationError
-from .grids import ActivationMap, Lattice, read_map_csv, write_map_csv
-from .sampler import Chain, initialize, summarize
+from .grids import ActivationMap, Lattice, common_lattice, read_map_csv, write_map_csv
+from .sampler import Chain, ChainAborted, initialize, summarize
 from .store import export_csv, load_store, save_store
 from .synth import ScenarioSpec, generate
 from .audit import run_all_audits
@@ -267,6 +269,9 @@ def _cmd_inverse_warp(args):
     cfg = _load_run_config(args)
     maps, _ = _load_maps(cfg)
     store = load_store(args.store)
+    fitted, given = _store_lattice(store), common_lattice(maps)
+    if not fitted.matches(given):
+        raise ValidationError(f"the store was fitted on {fitted}, the maps lie on {given}")
     summary = summarize(store, level=cfg.credible_level)
     if len(summary.mean_forward) != len(maps):
         raise ValidationError(
@@ -307,6 +312,12 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
+    except ChainAborted as exc:
+        print(f"error: numerical: {exc}", file=sys.stderr)
+        if getattr(args, "out", None):
+            os.makedirs(args.out, exist_ok=True)
+            _json_dump(exc.snapshot, os.path.join(args.out, "snapshot.json"))
+        return 3
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -74,6 +74,11 @@ class Lattice:
         upper = self.origin + self.spacing * (np.asarray(self.shape) - 1)
         return self.origin.copy(), upper
 
+    def matches(self, other):
+        """Same shape, and spacing and origin equal up to rounding."""
+        return (self.shape == other.shape and np.allclose(self.spacing, other.spacing)
+                and np.allclose(self.origin, other.origin))
+
     def to_index_coords(self, points):
         """Map physical points to fractional index coordinates."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -117,11 +122,8 @@ def common_lattice(maps):
     if min(lattice.shape) < MIN_AXIS_SITES:
         raise DegenerateInput(f"maps need at least {MIN_AXIS_SITES} sites on every lattice "
                               f"axis, got shape {lattice.shape}")
-    for amap in maps[1:]:
-        if amap.lattice.shape != lattice.shape or not (
-                np.allclose(amap.lattice.spacing, lattice.spacing)
-                and np.allclose(amap.lattice.origin, lattice.origin)):
-            raise DegenerateInput("all subject maps must share one lattice")
+    if not all(amap.lattice.matches(lattice) for amap in maps[1:]):
+        raise DegenerateInput("all subject maps must share one lattice")
     return lattice
 
 

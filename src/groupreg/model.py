@@ -11,6 +11,10 @@ inverse-gamma shape a0+V for sigma^2) hold exactly. The Frobenius penalty
 terms enter with weight lambda_r as written. lambda_0 acts as a prior
 precision for beta (the only dimensionally coherent reading of the closed-form
 beta update), so beta | sigma^2 ~ N(mu0, sigma^2 / lambda0).
+
+The joint log density and the pointwise log-likelihood read a chain state
+(`sampler.ChainState`): per-subject fields stacked over subjects, one (N, V)
+or (N,) array each, and the maps and transforms as length-N lists.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DegenerateVariance, ValidationError
-from .grids import ActivationMap, Lattice
+from .grids import Lattice
 from .interp import interpolate
 from .spatial import (NeighborLibrary, PredecessorPatterns, batched_nngp_weights,
                       build_neighbor_library, build_ordered_neighbor_sets,
                       build_predecessor_patterns, lookup_neighbors,
                       nngp_log_density_from_weights)
-from .transforms import AffineTransform, affine_apply, composition_identity_gap
+from .transforms import affine_apply, composition_identity_gap
 
 
 @dataclass(frozen=True)
@@ -64,25 +68,6 @@ class Hyperparams:
             raise ValidationError("lambda_r must be >= 0")
         if self.m < 1:
             raise ValidationError("m must be >= 1")
-
-
-@dataclass
-class SubjectBlock:
-    """Per-subject latent state: data map, transforms, scale, noise, X(T_i)."""
-
-    Y: ActivationMap
-    T: AffineTransform
-    T_r: AffineTransform
-    beta: float
-    sigma2: float
-    XT: np.ndarray = field(repr=False)        # template values at T(S), template ordering
-    Y_bw: np.ndarray = field(default=None, repr=False)  # Y interpolated at T_r(S)
-
-
-def backward_values(block):
-    """Y_i(T_i^r) on the template lattice, by cubic interpolation."""
-    pts = affine_apply(block.T_r, block.Y.lattice.locations())
-    return interpolate(block.Y, pts)
 
 
 def sigma_s_matrix(locations):
@@ -170,14 +155,18 @@ def penalty_terms(t, t_r):
 
 
 def normal_logpdf(x, mean, var):
-    return float(-0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var))
+    """Sum of the N(x; mean, var) log densities over the broadcast arguments."""
+    x = np.asarray(x, dtype=float)
+    return float(np.sum(-0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)))
 
 
 def invgamma_logpdf(x, shape, rate):
-    if x <= 0:
+    """Sum of the IG(x; shape, rate) log densities over x; -inf unless every x > 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         return -np.inf
-    return float(shape * np.log(rate) - gammaln(shape)
-                 - (shape + 1.0) * np.log(x) - rate / x)
+    return float(np.sum(shape * np.log(rate) - gammaln(shape)
+                        - (shape + 1.0) * np.log(x) - rate / x))
 
 
 def uniform_logpdf(x, lower, upper):
@@ -186,15 +175,17 @@ def uniform_logpdf(x, lower, upper):
     return -np.inf
 
 
-def gibbs_log_posterior(x, blocks, cov, hp, geom):
-    """Unnormalized log Gibbs posterior over all latent quantities.
+def gibbs_log_posterior(state, hp, geom):
+    """Unnormalized log Gibbs posterior over all latent quantities of a chain state.
 
     Sum of: the (1/2-weighted SSD) exponentiated loss, the NNGP log prior of
     X, the NNGP conditional log densities of each X(T_i) given X (library
     neighbor sets), transform log priors in both directions, and the
-    beta / sigma^2 / alpha / rho log priors.
+    beta / sigma^2 / alpha / rho log priors. Reads none of the state's
+    caches: Y_i(T_i^r(S)) is interpolated, and the weights of T_i(S) solved, here.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(state.X, dtype=float)
+    cov = state.cov
     total = uniform_logpdf(cov.rho, hp.rho_lower, hp.rho_upper)
     total += invgamma_logpdf(cov.alpha, hp.a0_alpha, hp.b0_alpha)
 
@@ -202,42 +193,38 @@ def gibbs_log_posterior(x, blocks, cov, hp, geom):
                                   geom.locations, cov)
     total += nngp_log_density_from_weights(x, x, geom.neighbor_sets, tb, tf)
 
-    v = x.size
-    for blk in blocks:
-        y_bw = blk.Y_bw if blk.Y_bw is not None else backward_values(blk)
-        ssd_f = float(np.sum((blk.Y.values - blk.beta * blk.XT) ** 2))
-        ssd_b = float(np.sum((y_bw - blk.beta * x) ** 2))
-        total += -0.5 * (ssd_f + ssd_b) / blk.sigma2
-        total += -float(v) * np.log(2.0 * np.pi * blk.sigma2)  # 2V terms, -1/2 log(2 pi s2) each
-        p1, p2 = penalty_terms(blk.T, blk.T_r)
-        total += -hp.lambda_r * (p1 + p2)
+    locs = np.concatenate([affine_apply(t, geom.locations) for t in state.T])
+    nbr = lookup_neighbors(locs, geom.library)
+    b, f = batched_nngp_weights(locs, nbr, geom.locations, cov)
+    total += nngp_log_density_from_weights(x, state.XT.ravel(), nbr, b, f)
 
-        locs = affine_apply(blk.T, geom.locations)
-        nbr = lookup_neighbors(locs, geom.library)
-        b, f = batched_nngp_weights(locs, nbr, geom.locations, cov)
-        total += nngp_log_density_from_weights(x, blk.XT, nbr, b, f)
-
-        total += geom.prior_T.log_density(blk.T)
-        total += geom.prior_Tr.log_density(blk.T_r)
-        total += normal_logpdf(blk.beta, hp.mu0, blk.sigma2 / hp.lambda0)
-        total += invgamma_logpdf(blk.sigma2, hp.a0_sigma, hp.a1_sigma)
+    y_bw = np.stack([interpolate(amap, affine_apply(t_r, geom.locations))
+                     for amap, t_r in zip(state.maps, state.T_r)])
+    beta, sigma2 = state.beta, state.sigma2
+    ssd = (np.sum((state.Y - beta[:, None] * state.XT) ** 2, axis=1)
+           + np.sum((y_bw - beta[:, None] * x) ** 2, axis=1))
+    # 2V residual terms per subject, -1/2 log(2 pi sigma_i^2) each.
+    total += float(np.sum(-0.5 * ssd / sigma2 - x.size * np.log(2.0 * np.pi * sigma2)))
+    total += normal_logpdf(beta, hp.mu0, sigma2 / hp.lambda0)
+    total += invgamma_logpdf(sigma2, hp.a0_sigma, hp.a1_sigma)
+    for t, t_r in zip(state.T, state.T_r):
+        total += (geom.prior_T.log_density(t) + geom.prior_Tr.log_density(t_r)
+                  - hp.lambda_r * sum(penalty_terms(t, t_r)))
     return float(total)
 
 
-def pointwise_log_lik(x, blocks):
-    """Log pseudo-likelihood of the 2NV bidirectional residual terms.
+def pointwise_log_lik(state):
+    """Log pseudo-likelihood of the 2NV bidirectional residual terms of a chain state.
 
     Per subject: V forward terms log N(Y_l - beta XT_l | 0, sigma^2) followed
     by V backward terms log N(Y_bw_l - beta X_l | 0, sigma^2). Concatenated
     over subjects; this is one WAIC row per posterior sample.
     """
-    rows = []
-    for blk in blocks:
-        const = -0.5 * np.log(2.0 * np.pi * blk.sigma2)
-        fwd = const - 0.5 * (blk.Y.values - blk.beta * blk.XT) ** 2 / blk.sigma2
-        bwd = const - 0.5 * (blk.Y_bw - blk.beta * x) ** 2 / blk.sigma2
-        rows.extend([fwd, bwd])
-    return np.concatenate(rows)
+    beta, sigma2 = state.beta[:, None], state.sigma2[:, None]
+    const = -0.5 * np.log(2.0 * np.pi * sigma2)
+    fwd = const - 0.5 * (state.Y - beta * state.XT) ** 2 / sigma2
+    bwd = const - 0.5 * (state.Y_bw - beta * state.X) ** 2 / sigma2
+    return np.stack([fwd, bwd], axis=1).ravel()
 
 
 def waic(pointwise):

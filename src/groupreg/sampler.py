@@ -13,9 +13,12 @@ that draw alone (`standardize_forward_transforms`, `standardize_scales`),
 so the records are an exact push-forward of the sampled posterior and the
 chain state is never changed by them.
 
-Each chain owns one generator, `np.random.default_rng(config.seed)`, and
-every update draws from it in sweep order; subjects are updated in one plain
-loop.
+`ChainState` stacks the subjects, one array per field, and each Gibbs
+phase is one call for all of them; only the T_i and T_i^r Metropolis steps
+and the sigma_i^2, beta_i draws loop over subjects. Each chain owns one
+generator, `np.random.default_rng(config.seed)`, and every update draws from
+it in sweep order: the (N, V) draw of the X(T_i) takes subject 0's normals
+first, as a loop over subjects would.
 
 NNGP weights come from the pattern cache (`spatial.KrigingFactor`) kept in
 `ChainState.factor`. It is built for the current rho at construction and
@@ -59,8 +62,7 @@ from .errors import (DegenerateInput, GroupregError, IllConditioned, Insufficien
                      SingularTransform)
 from .grids import ActivationMap, common_lattice
 from .interp import interpolate
-from .model import (SubjectBlock, build_geometry, penalty_terms, pointwise_log_lik,
-                    waic)
+from .model import build_geometry, penalty_terms, pointwise_log_lik, waic
 from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
                       kriging_factor, library_weights, lookup_entries,
                       nngp_log_density_from_weights, predecessor_weights)
@@ -85,11 +87,9 @@ class AdaptiveProposal:
 
     dim: int
     log_lambda: float = np.log(1e-4)
-    k: int = 0
     frozen: bool = False
     _mean: np.ndarray = None
     _m2: np.ndarray = None
-    n_accepted_cov: int = 0
     proposals: int = 0
     accepts: int = 0
     post_proposals: int = 0
@@ -103,6 +103,16 @@ class AdaptiveProposal:
             self._mean = np.zeros(self.dim)
         if self._m2 is None:
             self._m2 = np.zeros((self.dim, self.dim))
+
+    @property
+    def k(self):
+        """Proposals made while adapting."""
+        return self.proposals - self.post_proposals
+
+    @property
+    def n_accepted_cov(self):
+        """Accepted deltas in the empirical covariance: those accepted while adapting."""
+        return self.accepts - self.post_accepts
 
     def proposal_cov(self):
         if self.n_accepted_cov >= 5:
@@ -120,7 +130,7 @@ class AdaptiveProposal:
             self._factor = factor
         return factor
 
-    def record(self, accepted, delta=None):
+    def record(self, accepted, delta):
         self.proposals += 1
         self.accepts += int(accepted)
         if self.frozen:
@@ -128,11 +138,9 @@ class AdaptiveProposal:
             self.post_accepts += int(accepted)
             return
         self._factor = None
-        self.k += 1
         gamma = self.k ** -0.6
         self.log_lambda += gamma * ((1.0 if accepted else 0.0) - ADAPT_TARGET_RATE)
-        if accepted and delta is not None:
-            self.n_accepted_cov += 1
+        if accepted:
             d = np.asarray(delta, dtype=float) - self._mean
             self._mean += d / self.n_accepted_cov
             self._m2 += np.outer(d, np.asarray(delta, dtype=float) - self._mean)
@@ -144,22 +152,29 @@ class AdaptiveProposal:
 
 
 @dataclass
-class SubjectState(SubjectBlock):
-    """SubjectBlock plus NNGP caches for the current forward transform."""
-
-    locs: np.ndarray = field(default=None, repr=False)   # T(S), (V, d)
-    entry: np.ndarray = field(default=None, repr=False)  # library entry of each T(s_l)
-    nbr: np.ndarray = field(default=None, repr=False)    # library neighbor sets
-    B: np.ndarray = field(default=None, repr=False)
-    F: np.ndarray = field(default=None, repr=False)
-
-
-@dataclass
 class ChainState:
+    """The chain's latent state. Subject i has maps[i], T[i], T_r[i], beta[i],
+    sigma2[i] and row i of the (N, V) arrays Y (the map's values), XT (X at
+    T_i(S)), Y_bw (Y_i at T_i^r(S)) and F, and of the NNGP caches of T_i(S):
+    locs (N, V, d), library entries (N, V), neighbor sets nbr and weights B
+    (N, V, k)."""
+
     X: np.ndarray
-    blocks: list
+    maps: list
+    T: list
+    T_r: list
+    Y: np.ndarray = field(repr=False)
+    XT: np.ndarray = field(repr=False)
+    Y_bw: np.ndarray = field(repr=False)
+    beta: np.ndarray
+    sigma2: np.ndarray
     alpha: float
     rho: float
+    locs: np.ndarray = field(default=None, repr=False)
+    entry: np.ndarray = field(default=None, repr=False)
+    nbr: np.ndarray = field(default=None, repr=False)
+    B: np.ndarray = field(default=None, repr=False)
+    F: np.ndarray = field(default=None, repr=False)
     tB: np.ndarray = field(default=None, repr=False)     # template NNGP weights
     tF: np.ndarray = field(default=None, repr=False)
     factor: KrigingFactor = field(default=None, repr=False)  # pattern cache at rho
@@ -169,13 +184,6 @@ class ChainState:
     @property
     def cov(self):
         return CovarianceParams(self.alpha, self.rho)
-
-
-def refresh_template_weights(state, geom):
-    """Factor the neighbor patterns at state.rho and set the template (B, F)."""
-    state.factor = kriging_factor(geom.library, geom.predecessor_patterns, state.rho)
-    state.tB, state.tF = predecessor_weights(geom.predecessor_patterns, state.factor,
-                                             state.alpha)
 
 
 def subject_geometry(t, geom, factor, alpha):
@@ -189,30 +197,38 @@ def subject_geometry(t, geom, factor, alpha):
     return locs, entry, geom.library.neighbor_indices[entry], b, f
 
 
-def refresh_subject_geometry(blk, geom, factor, alpha):
-    """Recompute T(S), library neighbor sets and (B, F) for one subject."""
-    blk.locs, blk.entry, blk.nbr, blk.B, blk.F = subject_geometry(blk.T, geom, factor, alpha)
+def refresh_caches(state, geom):
+    """Factor the neighbor patterns at state.rho; set the template's (B, F) and
+    every subject's NNGP caches for its current T_i."""
+    state.factor = kriging_factor(geom.library, geom.predecessor_patterns, state.rho)
+    state.tB, state.tF = predecessor_weights(geom.predecessor_patterns, state.factor,
+                                             state.alpha)
+    caches = [subject_geometry(t, geom, state.factor, state.alpha) for t in state.T]
+    state.locs, state.entry, state.nbr, state.B, state.F = map(np.stack, zip(*caches))
 
 
 # ---------------------------------------------------------------------------
 # Gibbs conditionals
 # ---------------------------------------------------------------------------
 
-def transformed_template_conditional(blk, x):
-    """Mean and variance vectors of X(T_i(s_l)) | rest for all l.
+def transformed_template_conditional(state):
+    """Mean and variance of X(T_i(s_l)) | rest, (N, V) each.
 
     Precision beta^2/sigma^2 + 1/F, mean term beta*Y_l/sigma^2 + B x(N)/F:
     the beta-consistent form, reducing to the flat-scale formula at beta=1.
     """
-    prec = blk.beta ** 2 / blk.sigma2 + 1.0 / blk.F
-    lin = blk.beta * blk.Y.values / blk.sigma2 + conditional_means(x, blk.nbr, blk.B) / blk.F
+    beta, sigma2 = state.beta[:, None], state.sigma2[:, None]
+    prec = beta ** 2 / sigma2 + 1.0 / state.F
+    lin = beta * state.Y / sigma2 + conditional_means(state.X, state.nbr, state.B) / state.F
     var = 1.0 / prec
     return lin * var, var
 
 
-def update_transformed_template(blk, x, rng):
-    mean, var = transformed_template_conditional(blk, x)
-    return mean + np.sqrt(var) * rng.standard_normal(mean.size)
+def update_transformed_template(state, rng):
+    """Draw every X(T_i) at once; the (N, V) normal draw takes subject 0's row first."""
+    mean, var = transformed_template_conditional(state)
+    state.XT = mean + np.sqrt(var) * rng.standard_normal(mean.shape)
+    return state.XT
 
 
 def _band_terms(cols, w, finv, n_band):
@@ -242,32 +258,29 @@ def template_conditional(state, geom):
     b = sum_i B_i^T (XT_i / F_i) + sum_i beta_i Y_bw,i / sigma_i^2.
     Template row l has columns [l, predecessors] and weights [1, -B_t]; the
     padded predecessor slots carry B = 0 and are pointed at l itself. Subject
-    rows are the library sets blk.nbr with weights blk.B. Q is returned in
-    LAPACK lower-band storage, Fortran-ordered, Q[j + d, j] at [d, j]; its
-    bandwidth is the widest column span of this state's rows.
+    rows are the library sets state.nbr with weights state.B, all subjects'
+    rows one family. Q is returned in LAPACK lower-band storage,
+    Fortran-ordered, Q[j + d, j] at [d, j]; its bandwidth is the widest
+    column span of this state's rows.
     """
     v = state.X.size
     own = np.arange(v)[:, None]
     nsets = geom.neighbor_sets
+    k = state.nbr.shape[-1]
+    nbr, weights = state.nbr.reshape(-1, k), state.B.reshape(-1, k)
+    xt_f = (state.XT / state.F).ravel()
+    b = np.bincount(nbr.ravel(), (weights * xt_f[:, None]).ravel(), v)
+    b += (state.beta / state.sigma2) @ state.Y_bw
     rows = [(np.hstack([own, np.where(nsets >= 0, nsets, own)]),
-             np.hstack([np.ones((v, 1)), -state.tB]), 1.0 / state.tF)]
-    blocks = state.blocks
-    b = np.zeros(v)
-    diag = 0.0
-    for blk in blocks:
-        b += np.bincount(blk.nbr.ravel(), (blk.B * (blk.XT / blk.F)[:, None]).ravel(), v)
-        b += blk.beta / blk.sigma2 * blk.Y_bw
-        diag += blk.beta ** 2 / blk.sigma2
-    rows.append((np.concatenate([blk.nbr for blk in blocks]),
-                 np.concatenate([blk.B for blk in blocks]),
-                 1.0 / np.concatenate([blk.F for blk in blocks])))
+             np.hstack([np.ones((v, 1)), -state.tB]), 1.0 / state.tF),
+            (nbr, weights, 1.0 / state.F.ravel())]
     families = [(np.ascontiguousarray(c.T), np.ascontiguousarray(w.T), finv)
                 for c, w, finv in rows]
     n_band = 1 + max(int(np.max(c.max(axis=0) - c.min(axis=0))) for c, _, _ in families)
     slots, values = zip(*(t for f in families for t in _band_terms(*f, n_band)))
     ab = np.bincount(np.concatenate(slots), np.concatenate(values), n_band * v)
     ab = ab.reshape(v, n_band).T
-    ab[0] += diag
+    ab[0] += np.sum(state.beta ** 2 / state.sigma2)
     return ab, b
 
 
@@ -283,44 +296,41 @@ def update_template(state, geom, rng):
     return state.X
 
 
-def beta_sigma_conditional(blk, x, hp):
-    """Parameters of (beta, sigma^2) | rest.
+def beta_sigma_conditional(state, hp):
+    """Parameters of (beta_i, sigma_i^2) | rest for every subject.
 
-    sigma^2 ~ IG(shape, rate) with beta marginalized out, then
-    beta | sigma^2 ~ N(mu_n, lam_n sigma^2). Returns (shape, rate, mu_n,
-    lam_n); raises NonPositiveScale when the rate is not positive and finite.
+    sigma_i^2 ~ IG(shape, rate_i) with beta_i marginalized out, then
+    beta_i | sigma_i^2 ~ N(mu_i, lam_i sigma_i^2). Returns (shape, rate,
+    mu, lam), the last three (N,); raises NonPositiveScale unless every
+    rate is positive and finite.
     """
-    xt, y, ybw = blk.XT, blk.Y.values, blk.Y_bw
-    lam_n = 1.0 / (float(xt @ xt) + float(x @ x) + hp.lambda0)
-    mu_n = lam_n * (hp.mu0 * hp.lambda0 + float(xt @ y) + float(x @ ybw))
-    rate = hp.a1_sigma + 0.5 * (float(y @ y) + float(ybw @ ybw)
-                                + hp.mu0 ** 2 * hp.lambda0 - mu_n * mu_n / lam_n)
-    # mu_n * mu_n, not mu_n ** 2: a float power raises OverflowError instead
-    # of giving inf, which would escape the check below.
-    if not (np.isfinite(rate) and rate > 0.0):
+    x, xt, y, ybw = state.X, state.XT, state.Y, state.Y_bw
+    row_dot = lambda a, b: np.einsum("nv,nv->n", a, b)
+    lam = 1.0 / (row_dot(xt, xt) + float(x @ x) + hp.lambda0)
+    mu = lam * (hp.mu0 * hp.lambda0 + row_dot(xt, y) + ybw @ x)
+    rate = hp.a1_sigma + 0.5 * (row_dot(y, y) + row_dot(ybw, ybw)
+                                + hp.mu0 ** 2 * hp.lambda0 - mu * mu / lam)
+    if not np.all(np.isfinite(rate) & (rate > 0.0)):
         raise NonPositiveScale(f"sigma^2 inverse-gamma rate is {rate}")
-    return hp.a0_sigma + y.size, rate, mu_n, lam_n
+    return hp.a0_sigma + y.shape[1], rate, mu, lam
 
 
-def update_beta_sigma(blk, x, hp, rng):
-    """Draw sigma^2 from its beta-marginalized conditional, then beta | sigma^2."""
-    shape, rate, mu_n, lam_n = beta_sigma_conditional(blk, x, hp)
-    sigma2 = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
-    beta = rng.normal(mu_n, np.sqrt(lam_n * sigma2))
-    return beta, sigma2
+def update_beta_sigma(state, hp, rng):
+    """Draw each sigma_i^2 from its beta-marginalized conditional, then beta_i | sigma_i^2."""
+    shape, rate, mu, lam = beta_sigma_conditional(state, hp)
+    for i in range(rate.size):
+        state.sigma2[i] = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate[i])
+        state.beta[i] = rng.normal(mu[i], np.sqrt(lam[i] * state.sigma2[i]))
 
 
 def alpha_conditional(state, geom, hp):
     """Shape and rate of the conjugate inverse-gamma conditional for alpha."""
     x = state.X
-    v = x.size
-    n = len(state.blocks)
     resid_t = x - conditional_means(x, geom.neighbor_sets, state.tB)
-    quad = float(np.sum(resid_t ** 2 * state.alpha / state.tF))
-    for blk in state.blocks:
-        resid = blk.XT - conditional_means(x, blk.nbr, blk.B)
-        quad += float(np.sum(resid ** 2 * state.alpha / blk.F))
-    shape = hp.a0_alpha + v * (n + 1) / 2.0
+    resid = state.XT - conditional_means(x, state.nbr, state.B)
+    quad = (float(np.sum(resid_t ** 2 * state.alpha / state.tF))
+            + float(np.sum(resid ** 2 * state.alpha / state.F)))
+    shape = hp.a0_alpha + x.size * (len(state.T) + 1) / 2.0
     rate = hp.b0_alpha + 0.5 * quad
     return shape, rate
 
@@ -330,31 +340,31 @@ def update_alpha(state, geom, hp, rng):
     new_alpha = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
     ratio = new_alpha / state.alpha
     state.tF = state.tF * ratio
-    for blk in state.blocks:
-        blk.F = blk.F * ratio
+    state.F = state.F * ratio
     state.alpha = new_alpha
     return new_alpha
 
 
 def rho_weights(state, geom, factor):
-    """The template's (B, F) and each subject's, at the rho of `factor` and the state's alpha."""
+    """The template's (B, F) and the subjects' stacked (B, F), at the rho of `factor`
+    and the state's alpha."""
+    n, v, d = state.locs.shape
+    b, f = library_weights(state.locs.reshape(-1, d), state.entry.ravel(), geom.library,
+                           geom.locations, factor, state.alpha)
     return (predecessor_weights(geom.predecessor_patterns, factor, state.alpha),
-            [library_weights(blk.locs, blk.entry, geom.library, geom.locations, factor,
-                             state.alpha) for blk in state.blocks])
+            (b.reshape(n, v, -1), f.reshape(n, v)))
 
 
 def rho_log_target(state, weights, geom):
-    """rho-dependent part of the joint: the NNGP log densities of X and each X(T_i).
+    """rho-dependent part of the joint: the NNGP log densities of X and of every X(T_i).
 
-    `weights` is (template (B, F), [subject (B, F)]): the state's cached
+    `weights` is (template (B, F), subjects' (B, F)): the state's cached
     weights, or `rho_weights(...)` for a proposal.
     """
     x = state.X
-    (tb, tf), subjects = weights
-    log = nngp_log_density_from_weights(x, x, geom.neighbor_sets, tb, tf)
-    for blk, (b, f) in zip(state.blocks, subjects):
-        log += nngp_log_density_from_weights(x, blk.XT, blk.nbr, b, f)
-    return log
+    (tb, tf), (b, f) = weights
+    return (nngp_log_density_from_weights(x, x, geom.neighbor_sets, tb, tf)
+            + nngp_log_density_from_weights(x, state.XT, state.nbr, b, f))
 
 
 def update_rho(state, geom, hp, rng):
@@ -366,13 +376,11 @@ def update_rho(state, geom, hp, rng):
         return False
     factor_new = kriging_factor(geom.library, geom.predecessor_patterns, prop)
     new = rho_weights(state, geom, factor_new)
-    old = ((state.tB, state.tF), [(blk.B, blk.F) for blk in state.blocks])
+    old = ((state.tB, state.tF), (state.B, state.F))
     if accept_draw < rho_log_target(state, new, geom) - rho_log_target(state, old, geom):
         state.rho = prop
         state.factor = factor_new
-        (state.tB, state.tF), subjects = new
-        for blk, (b, f) in zip(state.blocks, subjects):
-            blk.B, blk.F = b, f
+        (state.tB, state.tF), (state.B, state.F) = new
         state.rho_accepts += 1
         return True
     return False
@@ -434,44 +442,48 @@ def lie_mh_step(t, log_old, log_target, adapt, rng):
         lie_log(t_new)  # proposals without a real logarithm are rejected
     except NoRealLogarithm:
         adapt.rejected_nolog += 1
-        adapt.record(False)
+        adapt.record(False, delta)
         return None
     try:
         log_new, payload = log_target(t_new)
     except OutOfLibraryBounds:
         adapt.rejected_oob += 1
-        adapt.record(False)
+        adapt.record(False, delta)
         return None
     accepted = accept_draw < lie_mh_log_acceptance(log_old, log_new, delta)
     adapt.record(accepted, delta)
     return (t_new, payload) if accepted else None
 
 
-def update_forward_transform(blk, state, geom, hp, adapt, rng):
+def update_forward_transform(i, state, geom, hp, adapt, rng):
+    """One Lie-MH step of T_i; on accept, T_i and row i of its NNGP caches change."""
     def target(t):
         caches = subject_geometry(t, geom, state.factor, state.alpha)
-        return forward_log_target(t, blk.T_r, state.X, blk.XT, caches[2:], geom, hp), caches
+        return forward_log_target(t, state.T_r[i], state.X, state.XT[i], caches[2:],
+                                  geom, hp), caches
 
-    log_old = forward_log_target(blk.T, blk.T_r, state.X, blk.XT, (blk.nbr, blk.B, blk.F),
-                                 geom, hp)
-    step = lie_mh_step(blk.T, log_old, target, adapt, rng)
+    log_old = forward_log_target(state.T[i], state.T_r[i], state.X, state.XT[i],
+                                 (state.nbr[i], state.B[i], state.F[i]), geom, hp)
+    step = lie_mh_step(state.T[i], log_old, target, adapt, rng)
     if step is None:
         return False
-    blk.T, (blk.locs, blk.entry, blk.nbr, blk.B, blk.F) = step
+    state.T[i], (state.locs[i], state.entry[i], state.nbr[i], state.B[i], state.F[i]) = step
     return True
 
 
-def update_reverse_transform(blk, state, geom, hp, adapt, rng):
+def update_reverse_transform(i, state, geom, hp, adapt, rng):
+    """One Lie-MH step of T_i^r; on accept, T_i^r and row i of Y_bw change."""
     def target(t_r):
-        y_bw = interpolate(blk.Y, affine_apply(t_r, geom.locations))
-        return reverse_log_target(t_r, blk.T, state.X, y_bw, blk.beta, blk.sigma2, geom, hp), y_bw
+        y_bw = interpolate(state.maps[i], affine_apply(t_r, geom.locations))
+        return reverse_log_target(t_r, state.T[i], state.X, y_bw, state.beta[i],
+                                  state.sigma2[i], geom, hp), y_bw
 
-    log_old = reverse_log_target(blk.T_r, blk.T, state.X, blk.Y_bw, blk.beta, blk.sigma2,
-                                 geom, hp)
-    step = lie_mh_step(blk.T_r, log_old, target, adapt, rng)
+    log_old = reverse_log_target(state.T_r[i], state.T[i], state.X, state.Y_bw[i],
+                                 state.beta[i], state.sigma2[i], geom, hp)
+    step = lie_mh_step(state.T_r[i], log_old, target, adapt, rng)
     if step is None:
         return False
-    blk.T_r, blk.Y_bw = step
+    state.T_r[i], state.Y_bw[i] = step
     return True
 
 
@@ -496,7 +508,7 @@ def standardize_scales(x, betas, alpha):
     bar = float(np.mean(betas))
     if not (np.isfinite(bar) and bar > 0.0):
         raise NonPositiveScale(f"mean beta is {bar}; the scale cannot be standardized")
-    return [beta / bar for beta in betas], x * bar, alpha * bar * bar
+    return betas / bar, x * bar, alpha * bar * bar
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +622,15 @@ def initialize(maps, config):
             break
 
     x_map = ActivationMap(lattice, x)
-    blocks = []
-    for amap, t, beta in zip(maps, ts, betas):
-        t_r = affine_inverse(t)
-        xt = interpolate(x_map, affine_apply(t, pts))
-        sigma2 = max(float(np.mean((amap.values - beta * xt) ** 2)), 1e-12)
-        y_bw = interpolate(amap, affine_apply(t_r, pts))
-        blocks.append(SubjectState(Y=amap, T=t, T_r=t_r, beta=float(beta),
-                                   sigma2=sigma2, XT=xt, Y_bw=y_bw))
+    ts_r = [affine_inverse(t) for t in ts]
+    y = np.stack([amap.values for amap in maps])
+    xt = np.stack([interpolate(x_map, affine_apply(t, pts)) for t in ts])
+    y_bw = np.stack([interpolate(amap, affine_apply(t_r, pts)) for amap, t_r in zip(maps, ts_r)])
+    sigma2 = np.maximum(np.mean((y - betas[:, None] * xt) ** 2, axis=1), 1e-12)
     alpha = max(float(np.var(x)), 1e-12)
     rho = 0.5 * (config.rho_lower + config.rho_upper)
-    return ChainState(X=x.copy(), blocks=blocks, alpha=alpha, rho=rho)
+    return ChainState(X=x.copy(), maps=list(maps), T=ts, T_r=ts_r, Y=y, XT=xt, Y_bw=y_bw,
+                      beta=betas, sigma2=sigma2, alpha=alpha, rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +645,7 @@ class ChainAborted(GroupregError):
         self.snapshot = snapshot
 
 
-def library_margin(lattice, blocks):
+def library_margin(lattice, ts):
     """Library margin in grid steps that holds every T_i(S), plus LIBRARY_SLACK.
 
     The overshoot is how far any transformed site lies outside the lattice's
@@ -643,10 +653,8 @@ def library_margin(lattice, blocks):
     the slack, which leaves room for the chain's first moves.
     """
     locs, last = lattice.locations(), np.asarray(lattice.shape) - 1
-    over = 0.0
-    for blk in blocks:
-        u = lattice.to_index_coords(affine_apply(blk.T, locs))
-        over = max(over, float(np.max(-u)), float(np.max(u - last)))
+    u = lattice.to_index_coords(np.concatenate([affine_apply(t, locs) for t in ts]))
+    over = max(0.0, float(np.max(-u)), float(np.max(u - last)))
     return int(np.ceil(over)) + LIBRARY_SLACK
 
 
@@ -673,16 +681,13 @@ class Chain:
         self.rng = np.random.default_rng(config.seed)
         if initial_state is None:
             initial_state = initialize(self.maps, config)
-        self.geom = build_geometry(lattice, config,
-                                   library_margin(lattice, initial_state.blocks))
+        self.geom = build_geometry(lattice, config, library_margin(lattice, initial_state.T))
         self.state = initial_state
-        n = len(self.state.blocks)
+        n = len(self.state.T)
         dim_lie = lattice.dim * (lattice.dim + 1)
         self.proposals = {direction: [AdaptiveProposal(dim_lie) for _ in range(n)]
                           for direction in ("forward", "reverse")}
-        refresh_template_weights(self.state, self.geom)
-        for blk in self.state.blocks:
-            refresh_subject_geometry(blk, self.geom, self.state.factor, self.state.alpha)
+        refresh_caches(self.state, self.geom)
 
     def guarded(self, what, step, *args):
         """step(*args), with a GroupregError re-raised as ChainAborted and a snapshot."""
@@ -692,9 +697,9 @@ class Chain:
             raise ChainAborted(f"{what} failed: {exc}", self.snapshot()) from exc
 
     def sweep(self):
-        """`updates`, with the proposals frozen after burn-in; ChainAborted on failure."""
+        """`updates`, with the proposals frozen when burn-in ends; ChainAborted on failure."""
         it = self.iteration
-        if it >= self.config.burn_in:
+        if it == self.config.burn_in:
             for recs in self.proposals.values():
                 for rec in recs:
                     rec.frozen = True
@@ -704,15 +709,13 @@ class Chain:
     def updates(self):
         """One sweep's updates, in the order of the module docstring."""
         state, geom, hp, rng = self.state, self.geom, self.config, self.rng
-        for blk in state.blocks:
-            blk.XT = update_transformed_template(blk, state.X, rng)
+        update_transformed_template(state, rng)
         update_template(state, geom, rng)
-        for blk, adapt in zip(state.blocks, self.proposals["forward"]):
-            update_forward_transform(blk, state, geom, hp, adapt, rng)
-        for blk, adapt in zip(state.blocks, self.proposals["reverse"]):
-            update_reverse_transform(blk, state, geom, hp, adapt, rng)
-        for blk in state.blocks:
-            blk.beta, blk.sigma2 = update_beta_sigma(blk, state.X, hp, rng)
+        for i, adapt in enumerate(self.proposals["forward"]):
+            update_forward_transform(i, state, geom, hp, adapt, rng)
+        for i, adapt in enumerate(self.proposals["reverse"]):
+            update_reverse_transform(i, state, geom, hp, adapt, rng)
+        update_beta_sigma(state, hp, rng)
         update_alpha(state, geom, hp, rng)
         update_rho(state, geom, hp, rng)
 
@@ -727,13 +730,12 @@ class Chain:
         same for the raw and the standardized draw.
         """
         st = self.state
-        ts, ts_r = standardize_forward_transforms([blk.T for blk in st.blocks],
-                                                  [blk.T_r for blk in st.blocks])
-        betas, x, alpha = standardize_scales(st.X, [blk.beta for blk in st.blocks], st.alpha)
+        ts, ts_r = standardize_forward_transforms(st.T, st.T_r)
+        betas, x, alpha = standardize_scales(st.X, st.beta, st.alpha)
         fields = (x, np.stack([t.matrix for t in ts]), np.stack([t.matrix for t in ts_r]),
-                  betas, [blk.sigma2 for blk in st.blocks], alpha, st.rho)
-        ic_error = np.mean([penalty_terms(blk.T, blk.T_r)[0] for blk in st.blocks])
-        return fields, (pointwise_log_lik(st.X, st.blocks), ic_error)
+                  betas, st.sigma2.copy(), alpha, st.rho)  # sweeps write sigma2 in place
+        ic_error = np.mean([penalty_terms(t, t_r)[0] for t, t_r in zip(st.T, st.T_r)])
+        return fields, (pointwise_log_lik(st), ic_error)
 
     def snapshot(self):
         state = self.state
@@ -741,10 +743,10 @@ class Chain:
             "iteration": self.iteration,
             "alpha": state.alpha,
             "rho": state.rho,
-            "beta": [blk.beta for blk in state.blocks],
-            "sigma2": [blk.sigma2 for blk in state.blocks],
-            "transforms": [blk.T.matrix.tolist() for blk in state.blocks],
-            "reverse_transforms": [blk.T_r.matrix.tolist() for blk in state.blocks],
+            "beta": state.beta.tolist(),
+            "sigma2": state.sigma2.tolist(),
+            "transforms": [t.matrix.tolist() for t in state.T],
+            "reverse_transforms": [t.matrix.tolist() for t in state.T_r],
         }
 
     def run(self):
@@ -802,8 +804,8 @@ class Chain:
             "rho_last": st.rho,
             "mean_ic_error": float(np.mean(kept_ic)),
             "library_margin": self.geom.library.margin,
-            "beta_last": [blk.beta for blk in st.blocks],
-            "sigma2_last": [blk.sigma2 for blk in st.blocks],
+            "beta_last": st.beta.tolist(),
+            "sigma2_last": st.sigma2.tolist(),
             "waic": waic(np.asarray(kept_ll)) if len(kept_ll) >= 2 else float("nan"),
         }
 

@@ -352,12 +352,12 @@ def predecessor_weights(predecessors, factor, alpha):
 
 
 def conditional_means(values, neighbor_idx, weights):
-    """B_l . x(N_l) for each row, honoring -1 padding."""
-    if neighbor_idx.size and np.any(neighbor_idx[:, -1] < 0):
+    """B_l . x(N_l) for each row, honoring -1 padding; rows may be stacked, (..., k)."""
+    if neighbor_idx.size and np.any(neighbor_idx[..., -1] < 0):
         mask = neighbor_idx >= 0
         safe_idx = np.where(mask, neighbor_idx, 0)
-        return np.einsum("qk,qk->q", weights, values[safe_idx] * mask)
-    return np.einsum("qk,qk->q", weights, values[neighbor_idx])
+        return np.einsum("...k,...k->...", weights, values[safe_idx] * mask)
+    return np.einsum("...k,...k->...", weights, values[neighbor_idx])
 
 
 def nngp_log_density_from_weights(values, target_values, neighbor_idx, weights, f):

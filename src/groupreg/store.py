@@ -80,9 +80,10 @@ def load_store(path):
     """Read a store written by `save_store`.
 
     Raises ValidationError on a bad magic, a truncated header or header
-    length, a header that is not valid JSON or lacks a field, a record
-    length prefix that does not match the header, or a body that is shorter
-    or longer than the header's n_records records.
+    length, a header that is not valid JSON, lacks a field or has a shape
+    with other than `dim` axes, a record length prefix that does not match
+    the header, or a body that is shorter or longer than the header's
+    n_records records.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -100,12 +101,13 @@ def load_store(path):
         n_rec = int(meta["n_records"])
         n = int(meta["n_subjects"])
         dim = int(meta["dim"])
-        v = int(np.prod(meta["shape"]))
+        shape = [int(k) for k in meta["shape"]]
+        v = int(np.prod(shape))
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: bad header: {exc}") from exc
-    if min(n_rec, n, v) < 0 or dim not in (1, 2):
+    if min(n_rec, n, v) < 0 or dim not in (1, 2) or len(shape) != dim:
         raise ValidationError(f"{path}: bad header: n_records={n_rec}, n_subjects={n}, "
-                              f"dim={dim}, {v} sites")
+                              f"dim={dim}, shape={shape}")
     off += hlen
     hsz = (dim + 1) ** 2
     per_subject = 2 * hsz + 2

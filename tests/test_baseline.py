@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -55,14 +57,18 @@ def test_conventional_sweep_failure_aborts_the_chain(monkeypatch):
     assert len(err.value.snapshot["transforms"]) == 3
 
 
-def test_fit_baseline_abort_exits_3_and_writes_nothing(monkeypatch, tmp_path, capsys):
+def test_fit_baseline_abort_exits_3_and_writes_only_the_snapshot(monkeypatch, tmp_path,
+                                                                   capsys):
     _fail_in_sweep(monkeypatch, sweep=1)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scenario=indicator\nsim_seed=3\nseed=1\ntotal=4\nburn_in=2\nthin=1\n")
     out = tmp_path / "fit"
     assert main(["fit-baseline", "--config", str(cfg), "--out", str(out)]) == 3
     assert "sweep 1 failed" in capsys.readouterr().err
-    assert not out.exists() and not list(tmp_path.glob(".groupreg-staging-*"))
+    assert sorted(p.name for p in out.iterdir()) == ["snapshot.json"]
+    assert not list(tmp_path.glob(".groupreg-staging-*"))
+    snapshot = json.loads((out / "snapshot.json").read_text())
+    assert snapshot["iteration"] == 1 and len(snapshot["transforms"]) == 3
 
 
 @pytest.mark.parametrize("d", [1, 2])

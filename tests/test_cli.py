@@ -5,7 +5,9 @@ import pytest
 
 from groupreg import cli, sampler
 from groupreg.cli import main
+from groupreg.errors import NonPositiveScale
 from groupreg.grids import ActivationMap, Lattice, write_map_csv
+from groupreg.store import SampleStore, save_store
 
 CONFIG = """scenario=indicator
 n_subjects=3
@@ -36,6 +38,13 @@ def test_waic_scan_matches_single_fits(tmp_path):
 def _no_outputs_left(tmp_path, out):
     assert not out.exists()
     assert not list(tmp_path.glob(".groupreg-staging-*"))
+
+
+def only_snapshot(tmp_path, out):
+    """The snapshot.json that an aborted chain leaves in `out`, its only file."""
+    assert sorted(p.name for p in out.iterdir()) == ["snapshot.json"]
+    assert not list(tmp_path.glob(".groupreg-staging-*"))
+    return json.loads((out / "snapshot.json").read_text())
 
 
 def test_fit_failing_at_setup_exits_3_and_writes_nothing(tmp_path, capsys):
@@ -109,11 +118,13 @@ def test_lambda_r_under_the_conventional_model_exits_2(tmp_path, capsys):
     _no_outputs_left(tmp_path, out)
 
 
-def test_fit_failing_while_recording_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    """Negative betas leave the first kept draw's scale undefined."""
-    def negative_betas(blk, x, hp, rng):
-        beta, sigma2 = update_beta_sigma(blk, x, hp, rng)
-        return -abs(beta), sigma2
+def test_fit_failing_while_recording_exits_3_and_writes_only_the_snapshot(
+        tmp_path, capsys, monkeypatch):
+    """Negative betas leave the first kept draw's scale undefined. The snapshot
+    counts the sweeps done: sweep 2 finished, and then its record failed."""
+    def negative_betas(state, hp, rng):
+        update_beta_sigma(state, hp, rng)
+        state.beta = -np.abs(state.beta)
 
     update_beta_sigma = sampler.update_beta_sigma
     monkeypatch.setattr(sampler, "update_beta_sigma", negative_betas)
@@ -122,7 +133,33 @@ def test_fit_failing_while_recording_exits_3_and_writes_nothing(tmp_path, capsys
     out = tmp_path / "fit"
     assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 3
     assert "recording sweep 2 failed: mean beta is" in capsys.readouterr().err
-    _no_outputs_left(tmp_path, out)
+    snapshot = only_snapshot(tmp_path, out)
+    assert snapshot["iteration"] == 3
+    assert all(beta < 0 for beta in snapshot["beta"])
+
+
+@pytest.mark.parametrize("command", ["fit", "waic-scan"])
+def test_symmetric_sweep_failure_exits_3_and_writes_only_the_snapshot(
+        tmp_path, capsys, monkeypatch, command):
+    """The alpha update of sweep 1 fails: the first chain aborts before any record."""
+    update_alpha = sampler.update_alpha
+    calls = []
+
+    def failing_from_sweep_1(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise NonPositiveScale("test: forced failure in a sweep")
+        return update_alpha(*args)
+
+    monkeypatch.setattr(sampler, "update_alpha", failing_from_sweep_1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert "sweep 1 failed: test: forced failure" in capsys.readouterr().err
+    snapshot = only_snapshot(tmp_path, out)
+    assert snapshot["iteration"] == 1
+    assert len(snapshot["transforms"]) == len(snapshot["reverse_transforms"]) == 3
 
 
 @pytest.mark.parametrize("command", ["fit", "fit-baseline"])
@@ -160,6 +197,46 @@ def test_fit_baseline_writes_its_artifacts_reproducibly(tmp_path):
     assert manifest["config"]["model"] == "conventional"
     assert manifest["artifacts"] == ["diagnostics.json", "samples.bin", "samples.csv"]
     assert (runs[0] / "samples.bin").read_bytes() == (runs[1] / "samples.bin").read_bytes()
+
+
+def test_simulate_fit_summarize_and_inverse_warp_write_their_manifests(tmp_path):
+    """Each command exits 0 and writes exactly the files its manifest lists."""
+    (tmp_path / "sim.cfg").write_text("scenario=cosine\nn_subjects=2\nseed=1\n")
+    maps = ",".join(str(tmp_path / "sim" / f"map{i:02d}.csv") for i in range(2))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"maps={maps}\nseed=1\ntotal=4\nburn_in=2\nthin=1\ninit_iters=2\n")
+    store = str(tmp_path / "fit" / "samples.bin")
+    runs = [("sim", ["simulate", "--config", str(tmp_path / "sim.cfg")]),
+            ("fit", ["fit", "--config", str(cfg)]),
+            ("summary", ["summarize", store]),
+            ("warp", ["inverse-warp", store, "--config", str(cfg)])]
+    for name, argv in runs:
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            manifest["artifacts"] + ["manifest.json"])
+
+
+def test_inverse_warp_of_maps_on_another_lattice_exits_2(tmp_path, capsys):
+    """A store fitted on 41 sites at spacing 0.1, maps on 60 sites at spacing 0.2."""
+    n, eye = 2, np.broadcast_to(np.eye(2), (2, 2, 2, 2))
+    meta = {"model": "symmetric", "seed": 0, "config_hash": "", "lambda_r": 1.0, "dim": 1,
+            "shape": [41], "spacing": [0.1], "origin": [0.0], "n_subjects": n}
+    store = tmp_path / "samples.bin"
+    save_store(SampleStore(meta, X=np.zeros((2, 41)), H_fwd=eye, H_rev=eye,
+                           beta=np.ones((2, n)), sigma2=np.ones((2, n)), alpha=np.ones(2),
+                           rho=np.ones(2)), store)
+    paths = _write_maps(tmp_path, [_bump(Lattice((60,), 0.2, -3.0))] * n)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"maps={paths[0]},{paths[1]}\n")
+    out = tmp_path / "warp"
+    assert main(["inverse-warp", str(store), "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "shape=(41,), spacing=array([0.1])" in err
+    assert "shape=(60,), spacing=array([0.2]), origin=array([-3.])" in err
+    _no_outputs_left(tmp_path, out)
 
 
 def test_failing_audit_exits_4(monkeypatch, capsys):

@@ -8,13 +8,14 @@ from groupreg.audit import _toy_state, band_to_dense, weights_gap
 from groupreg.config import RunConfig
 from groupreg.errors import (DegenerateInput, IllConditioned, NonPositiveScale,
                              OutOfLibraryBounds, SingularTransform)
-from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
+from groupreg.grids import ActivationMap, Lattice
 from groupreg.interp import interpolate
-from groupreg.model import Hyperparams, SubjectBlock
-from groupreg.sampler import (AdaptiveProposal, Chain, ChainAborted, fit_affine, initialize,
-                              lie_mh_step, template_conditional, update_beta_sigma,
-                              update_forward_transform, update_template)
-from groupreg.spatial import batched_nngp_weights
+from groupreg.sampler import (AdaptiveProposal, Chain, ChainAborted, beta_sigma_conditional,
+                              fit_affine, initialize, lie_mh_step, rho_weights,
+                              template_conditional, transformed_template_conditional,
+                              update_beta_sigma, update_forward_transform, update_template,
+                              update_transformed_template)
+from groupreg.spatial import batched_nngp_weights, kriging_factor, library_weights
 from groupreg.store import save_store
 from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, generate,
                             rotate_glyph, rotation_about_center)
@@ -63,13 +64,58 @@ def test_cached_weights_track_alpha_and_rho(case):
         oracle = batched_nngp_weights(geom.locations, geom.neighbor_sets, geom.locations,
                                       state.cov)
         assert weights_gap((state.tB, state.tF), oracle, state.alpha) < tol
-        for blk in state.blocks:
-            assert np.array_equal(blk.locs, affine_apply(blk.T, geom.locations))
-            oracle = batched_nngp_weights(blk.locs, blk.nbr, geom.locations, state.cov)
-            assert weights_gap((blk.B, blk.F), oracle, state.alpha) < tol
+        for i, t in enumerate(state.T):
+            assert np.array_equal(state.locs[i], affine_apply(t, geom.locations))
+            assert np.array_equal(state.nbr[i], geom.library.neighbor_indices[state.entry[i]])
+            oracle = batched_nngp_weights(state.locs[i], state.nbr[i], geom.locations,
+                                          state.cov)
+            assert weights_gap((state.B[i], state.F[i]), oracle, state.alpha) < tol
     # Both rho outcomes were exercised, so a factor kept after a reject or
     # dropped after an accept would have shown.
     assert 0 < state.rho_accepts < state.rho_proposals
+
+
+def glyph_after_two_sweeps():
+    chain = short_chain("glyph")
+    chain.sweep()
+    chain.sweep()
+    return chain.state, chain.geom, chain.config
+
+
+@pytest.mark.parametrize("make_state", [_toy_state, glyph_after_two_sweeps],
+                         ids=["toy-1d", "glyph-2d"])
+def test_stacked_phases_match_a_loop_over_subjects(make_state):
+    """Each stacked phase against a per-subject loop: the X(T_i) draw takes the
+    loop's numbers, the subjects' rho weights are the loop's, and the sigma^2,
+    beta draws match the loop's up to the rounding of the row sums."""
+    state, geom, hp = make_state()
+    mean, var = transformed_template_conditional(state)
+    ref = np.random.default_rng(3)
+    loop = [mean[i] + np.sqrt(var[i]) * ref.standard_normal(mean.shape[1])
+            for i in range(len(state.T))]
+    assert np.array_equal(update_transformed_template(state, np.random.default_rng(3)), loop)
+
+    factor = kriging_factor(geom.library, geom.predecessor_patterns, 0.7)
+    _, (b, f) = rho_weights(state, geom, factor)
+    for i in range(len(state.T)):
+        bi, fi = library_weights(state.locs[i], state.entry[i], geom.library, geom.locations,
+                                 factor, state.alpha)
+        assert np.array_equal(b[i], bi) and np.array_equal(f[i], fi)
+
+    shape, rate, mu, lam = beta_sigma_conditional(state, hp)
+    ref = np.random.default_rng(5)
+    for i in range(len(state.T)):
+        xt, y, ybw, x = state.XT[i], state.Y[i], state.Y_bw[i], state.X
+        lam_i = 1.0 / (xt @ xt + x @ x + hp.lambda0)
+        mu_i = lam_i * (hp.mu0 * hp.lambda0 + xt @ y + x @ ybw)
+        rate_i = hp.a1_sigma + 0.5 * (y @ y + ybw @ ybw + hp.mu0 ** 2 * hp.lambda0
+                                      - mu_i * mu_i / lam_i)
+        assert np.allclose([lam[i], mu[i], rate[i]], [lam_i, mu_i, rate_i], rtol=1e-12, atol=0)
+        sigma2_i = 1.0 / ref.gamma(shape=shape, scale=1.0 / rate_i)
+        beta_i = ref.normal(mu_i, np.sqrt(lam_i * sigma2_i))
+        loop[i] = sigma2_i, beta_i
+    update_beta_sigma(state, hp, np.random.default_rng(5))
+    assert np.allclose(np.column_stack([state.sigma2, state.beta]), loop, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -88,9 +134,8 @@ def test_template_draws_match_block_conditional():
     # Weaken the data and X(T) terms 100-fold. As built, the X(T) values lie
     # between the sites and, the 1D exponential kernel being Markov, leave X
     # nearly independent across sites, where L^-T z and L^-1 z look alike.
-    for blk in state.blocks:
-        blk.sigma2 *= 100.0
-        blk.F = blk.F * 100.0
+    state.sigma2 *= 100.0
+    state.F = state.F * 100.0
     ab, b = template_conditional(state, geom)
     cov = np.linalg.inv(band_to_dense(ab))
     mean = cov @ b
@@ -107,8 +152,7 @@ def test_template_draws_match_block_conditional():
 def test_non_positive_definite_precision_raises():
     state, geom, _ = _toy_state()
     state.tF = -state.tF
-    for blk in state.blocks:
-        blk.F = -blk.F
+    state.F = -state.F
     with pytest.raises(IllConditioned):
         update_template(state, geom, np.random.default_rng(0))
 
@@ -121,13 +165,13 @@ def test_non_positive_definite_precision_raises():
 
 @pytest.mark.parametrize("bad", [np.nan, 1e200])
 def test_beta_sigma_rejects_non_finite_rate(bad):
-    lattice = make_lattice_1d(0.0, 3.0, 1.0)
-    y = np.array([1.0, bad, 0.5, 2.0])
-    ident = AffineTransform.identity(1)
-    blk = SubjectBlock(Y=ActivationMap(lattice, y), T=ident, T_r=ident, beta=1.0,
-                       sigma2=1.0, XT=np.ones(4), Y_bw=y)
+    """One subject's non-finite rate fails the update before any subject is drawn."""
+    state, _, hp = _toy_state()
+    state.Y[1, 1] = state.Y_bw[1, 1] = bad
+    before = state.beta.copy(), state.sigma2.copy()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonPositiveScale):
-        update_beta_sigma(blk, np.ones(4), Hyperparams(), np.random.default_rng(0))
+        update_beta_sigma(state, hp, np.random.default_rng(0))
+    assert np.array_equal(state.beta, before[0]) and np.array_equal(state.sigma2, before[1])
 
 
 def test_records_are_standardized_and_the_chain_is_not(monkeypatch):
@@ -139,11 +183,10 @@ def test_records_are_standardized_and_the_chain_is_not(monkeypatch):
                     init_iters=3)
     state = initialize(maps, cfg)
     shift = AffineTransform.from_parts([[1.05]], [0.3])
-    for blk in state.blocks:
-        blk.T = affine_compose(blk.T, shift)
+    state.T = [affine_compose(t, shift) for t in state.T]
     chain = Chain(maps, cfg, initial_state=state)
-    before = [blk.T.matrix.copy() for blk in state.blocks]
-    assert np.linalg.norm(lie_log(karcher_mean([blk.T for blk in state.blocks]))) > 0.01
+    before = [t.matrix.copy() for t in state.T]
+    assert np.linalg.norm(lie_log(karcher_mean(state.T))) > 0.01
 
     def out_of_library(*args):
         raise OutOfLibraryBounds("test: proposal left the library")
@@ -151,8 +194,8 @@ def test_records_are_standardized_and_the_chain_is_not(monkeypatch):
     monkeypatch.setattr(sampler, "subject_geometry", out_of_library)
     store, diagnostics = chain.run()
     assert diagnostics["rejected_out_of_library"] == [1, 1, 1]
-    for blk, t in zip(chain.state.blocks, before, strict=True):
-        assert np.array_equal(blk.T.matrix, t)
+    for t, matrix in zip(chain.state.T, before, strict=True):
+        assert np.array_equal(t.matrix, matrix)
     assert store.n_samples == 1
     for h_fwd, betas in zip(store.H_fwd, store.beta, strict=True):
         mean = karcher_mean([AffineTransform(h) for h in h_fwd])
@@ -160,10 +203,10 @@ def test_records_are_standardized_and_the_chain_is_not(monkeypatch):
         assert abs(np.mean(betas) - 1.0) <= 1e-12
 
 
-def negative_betas(blk, x, hp, rng):
-    """`update_beta_sigma` with the sign of beta flipped to negative."""
-    beta, sigma2 = update_beta_sigma(blk, x, hp, rng)
-    return -abs(beta), sigma2
+def negative_betas(state, hp, rng):
+    """`update_beta_sigma` with the sign of every beta flipped to negative."""
+    update_beta_sigma(state, hp, rng)
+    state.beta = -np.abs(state.beta)
 
 
 def test_a_failure_while_recording_aborts_the_chain(monkeypatch):
@@ -248,11 +291,10 @@ def test_initialize_is_deterministic():
     first, second = (initialize(maps, cfg) for _ in range(2))
     assert np.array_equal(first.X, second.X)
     assert (first.alpha, first.rho) == (second.alpha, second.rho)
-    for a, b in zip(first.blocks, second.blocks, strict=True):
-        assert np.array_equal(a.T.matrix, b.T.matrix)
-        assert np.array_equal(a.T_r.matrix, b.T_r.matrix)
-        assert (a.beta, a.sigma2) == (b.beta, b.sigma2)
-        assert np.array_equal(a.XT, b.XT) and np.array_equal(a.Y_bw, b.Y_bw)
+    for a, b in zip(first.T + first.T_r, second.T + second.T_r, strict=True):
+        assert np.array_equal(a.matrix, b.matrix)
+    for name in ("Y", "XT", "Y_bw", "beta", "sigma2"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 def assert_step_draws_used(rng, seed, dim):
@@ -375,16 +417,20 @@ def test_stationarity_test_sees_the_tr_l_hastings_factor(monkeypatch):
     assert z["E[a]"] < -STATIONARITY_Z, z
 
 
+CACHES = ("locs", "entry", "nbr", "B", "F")
+
+
 def test_rejected_forward_update_leaves_the_subject_unchanged(monkeypatch):
     state, geom, hp = _toy_state()
-    blk = state.blocks[0]
-    kept = (blk.T, blk.locs, blk.nbr, blk.B, blk.F)
+    t = state.T[0]
+    kept = [getattr(state, name).copy() for name in CACHES]
 
     def out_of_library(*args):
         raise OutOfLibraryBounds("test: proposal left the library")
 
     monkeypatch.setattr(sampler, "subject_geometry", out_of_library)
     adapt = AdaptiveProposal(2)
-    assert not update_forward_transform(blk, state, geom, hp, adapt, np.random.default_rng(0))
+    assert not update_forward_transform(0, state, geom, hp, adapt, np.random.default_rng(0))
     assert (adapt.rejected_oob, adapt.proposals) == (1, 1)
-    assert all(a is b for a, b in zip(kept, (blk.T, blk.locs, blk.nbr, blk.B, blk.F)))
+    assert state.T[0] is t
+    assert all(np.array_equal(getattr(state, name), a) for name, a in zip(CACHES, kept))

@@ -60,7 +60,7 @@ def test_csv_values_reparse_exactly(tmp_path):
 
 DAMAGE = ("bad magic", "truncated header length", "truncated header", "header not json",
           "header lacks a field", "truncated length prefix", "truncated payload",
-          "wrong length prefix", "trailing bytes")
+          "wrong length prefix", "trailing bytes", "shape of another dim")
 
 
 def _damaged(blob):
@@ -74,6 +74,9 @@ def _damaged(blob):
     wrong_prefix[head + hlen:head + hlen + 8] = struct.pack("<Q", 8)
     no_field = b'{"dim":2}'
     missing = MAGIC + struct.pack("<Q", len(no_field)) + no_field + blob[head + hlen:]
+    # The same 6 sites as one axis: the record length still matches dim 2.
+    one_axis = blob[head:head + hlen].replace(b'"shape":[2,3]', b'"shape":[6]')
+    flat = MAGIC + struct.pack("<Q", len(one_axis)) + one_axis + blob[head + hlen:]
     return {
         "bad magic": b"X" + blob[1:],
         "truncated header length": blob[:head - 3],
@@ -84,6 +87,7 @@ def _damaged(blob):
         "truncated payload": blob[:-5],
         "wrong length prefix": bytes(wrong_prefix),
         "trailing bytes": blob + b"\0",
+        "shape of another dim": flat,
     }
 
 
