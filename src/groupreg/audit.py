@@ -15,7 +15,7 @@ from .baseline import (conventional_log_joint, conventional_log_target,
 from .config import RunConfig
 from .errors import OutOfLibraryBounds
 from .grids import ActivationMap, Lattice, make_lattice_1d
-from .interp import interpolate
+from .interp import Warp
 from .model import (Hyperparams, TransformPrior, build_geometry, gibbs_log_posterior,
                     invgamma_logpdf, normal_logpdf, sigma_s_matrix)
 from .sampler import (Chain, ChainState, alpha_conditional, beta_sigma_conditional,
@@ -58,7 +58,7 @@ def _toy_state(seed=0, n_subjects=2):
         betas.append(rng.uniform(0.8, 1.2))
         sigma2s.append(rng.uniform(0.4, 0.9))
         xts.append(rng.normal(size=4))
-    y_bw = [interpolate(amap, affine_apply(t_r, geom.locations)) for amap, t_r in zip(maps, ts_r)]
+    y_bw = [Warp(amap, geom.locations)(t_r) for amap, t_r in zip(maps, ts_r)]
     state = ChainState(X=x, maps=maps, T=ts, T_r=ts_r, Y=np.stack([m.values for m in maps]),
                        XT=np.stack(xts), Y_bw=np.stack(y_bw), beta=np.array(betas),
                        sigma2=np.array(sigma2s), alpha=cov.alpha, rho=cov.rho)
@@ -222,7 +222,7 @@ def target_audit(seed=0, tol=1e-8):
         worst["target.forward"] = max(worst["target.forward"], abs(closed - joint))
 
         t_r_new = affine_compose(lie_exp(0.05 * rng.standard_normal(2)), t_r_old)
-        y_bw_new = interpolate(state.maps[0], affine_apply(t_r_new, locs))
+        y_bw_new = state.warps[0](t_r_new)
         closed = (reverse_log_target(t_r_new, t_old, state.X, y_bw_new, beta, s2, geom, hp)
                   - reverse_log_target(t_r_old, t_old, state.X, state.Y_bw[0], beta, s2,
                                        geom, hp))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import IllConditioned
 from .grids import ActivationMap, common_lattice
-from .interp import interpolate
+from .interp import Warp
 from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
 from .sampler import AdaptiveProposal, Chain, fit_affine, lie_mh_step
 from .transforms import AffineTransform, affine_apply, affine_inverse
@@ -192,7 +192,7 @@ def inverse_warp(maps, transforms):
     common_lattice(maps)
     warped = []
     for amap, t in zip(maps, transforms):
-        pts = affine_apply(affine_inverse(t), amap.lattice.locations())
-        warped.append(amap.with_values(interpolate(amap, pts)))
+        warp = Warp(amap, amap.lattice.locations())
+        warped.append(amap.with_values(warp(affine_inverse(t))))
     mean = warped[0].with_values(np.mean([m.values for m in warped], axis=0))
     return warped, mean

@@ -11,9 +11,12 @@ seed, package version); re-running with the manifest's config reproduces
 the outputs bit-exactly. Outputs are staged in a scratch directory and
 promoted only on success, so failed runs leave no partial artifacts; a chain
 that aborts (`ChainAborted`) writes its state at the failure to --out as
-snapshot.json, and nothing else. `inverse-warp` refuses maps on another
-lattice than the store's. Exit codes: 0 ok, 2 config error, 3 numerical
-failure, 4 invariant-audit failure.
+snapshot.json, and nothing else. After `fit`, `fit-baseline` or `waic-scan`
+ends, by success or abort, --out holds that run's files only: what an
+earlier one of these runs left there (the files its manifest.json lists,
+the manifest, a snapshot.json) is deleted first (`_clear_previous_run`).
+`inverse-warp` refuses maps on another lattice than the store's. Exit
+codes: 0 ok, 2 config error, 3 numerical failure, 4 invariant-audit failure.
 """
 
 from __future__ import annotations
@@ -116,6 +119,46 @@ def _json_dump(obj, path):
         fh.write("\n")
 
 
+def _json_object(path):
+    """The JSON object in `path`, or None if there is none."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
+CHAIN_COMMANDS = ("fit", "fit-baseline", "waic-scan")
+
+
+def _clear_previous_run(out_dir):
+    """Delete from out_dir what an earlier fit, fit-baseline or waic-scan wrote.
+
+    That is the files its manifest.json lists, the manifest, and the
+    snapshot.json of an aborted chain. A manifest of another command (the
+    maps of `simulate` may be this run's inputs), a listed path that leaves
+    out_dir, and a snapshot.json without a chain's fields are left alone.
+    """
+    root = os.path.abspath(out_dir)
+    manifest = os.path.join(root, "manifest.json")
+    doc = _json_object(manifest)
+    if doc is not None and doc.get("command") in CHAIN_COMMANDS:
+        for name in doc.get("artifacts", []):
+            path = os.path.abspath(os.path.join(root, str(name)))
+            if os.path.commonpath([root, path]) == root and os.path.isfile(path):
+                os.remove(path)
+                parent = os.path.dirname(path)
+                while parent != root and not os.listdir(parent):  # waic-scan's lambda_* dirs
+                    os.rmdir(parent)
+                    parent = os.path.dirname(parent)
+        os.remove(manifest)
+    snapshot = os.path.join(root, "snapshot.json")
+    doc = _json_object(snapshot)
+    if doc is not None and {"iteration", "transforms"} <= doc.keys():
+        os.remove(snapshot)
+
+
 class _Staging:
     """Write artifacts to a scratch dir; promote on success, drop on failure.
 
@@ -161,6 +204,8 @@ class _Staging:
 
     def _promote(self):
         os.makedirs(self.out_dir, exist_ok=True)
+        if self.command in CHAIN_COMMANDS:
+            _clear_previous_run(self.out_dir)
         for name in sorted(os.listdir(self.dir)):
             dst = os.path.join(self.out_dir, name)
             if os.path.isdir(dst):
@@ -316,6 +361,7 @@ def main(argv=None):
         print(f"error: numerical: {exc}", file=sys.stderr)
         if getattr(args, "out", None):
             os.makedirs(args.out, exist_ok=True)
+            _clear_previous_run(args.out)
             _json_dump(exc.snapshot, os.path.join(args.out, "snapshot.json"))
         return 3
     except ConfigError as exc:

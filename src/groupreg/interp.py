@@ -5,16 +5,28 @@ Used for Y_i evaluated at reverse-transformed sites and for inverse warping.
 stencil. Values outside the lattice are 0: activation maps decay to baseline
 outside the region of interest.
 
-The kernel is one gather for 1D and 2D alike. The grid is padded by `_PAD`
-zero sites per side, so every stencil that touches the lattice lies inside
-the padded grid and needs no mask. Index coordinates are clipped to
-[-3, n + 1] per axis before the floor: a stencil based there lies wholly in
-the padding, and so does the stencil of every clipped point, which
-therefore reads zeros as it would unclipped; the clip also keeps the
-integer cast defined for any finite query. Stencil values come from one
-`take` at precomputed flat offsets, weights are [1, t, t^2, t^3] @ `_M_CR`,
-and the 2D contraction runs one axis at a time. A query point that is not
-finite gives NaN.
+One kernel, `_Stencil.sample`, serves 1D and 2D alike and takes index
+coordinates axis-major, (d, q), so every step runs over the query points in
+long contiguous rows. What depends only on the map is built once per
+`_Stencil`: the grid padded by `_PAD` zero sites per side, so every stencil
+that touches the lattice lies inside the padded grid and needs no mask; the
+padded grid's strides; the flat offsets of the 4^d stencil sites; and the
+clip bounds. Index coordinates are clipped to [-3, n + 1] per axis before
+the floor: a stencil based there lies wholly in the padding, and so does the
+stencil of every clipped point, which therefore reads zeros as it would
+unclipped; the clip also keeps the integer cast defined for any finite
+query. Stencil values come from one `take` at the flat offsets, weights are
+[1, t, t^2, t^3] @ `_M_CR`, and the 2D contraction runs one axis at a time.
+A query point that is not finite gives NaN.
+
+Two entry points call that kernel:
+- `interpolate(amap, points)` samples a map once at (q, d) points;
+- `Warp(amap, sites)` samples one map at T(S) for many affine T and fixed
+  sites S. It also keeps S as a (d, q) array, and `warp(t)` computes the
+  index coordinates (A S + b - origin) / spacing in that layout, which gives
+  the same bits as `interpolate(amap, affine_apply(t, sites))`. The
+  set-up's transform fits and the reverse-transform step evaluate one map
+  at thousands of T, so the per-map work is paid once, not per T.
 """
 
 from __future__ import annotations
@@ -41,6 +53,56 @@ def _padded(grid):
     return out
 
 
+class _Stencil:
+    """The cubic kernel over one map, with everything that depends only on the map built."""
+
+    def __init__(self, amap):
+        lat = amap.lattice
+        if any(n < MIN_AXIS_SITES for n in lat.shape):
+            raise ValueError(f"cubic interpolation needs >= {MIN_AXIS_SITES} sites per axis")
+        self.dim = lat.dim
+        self._upper = np.asarray(lat.shape, dtype=float)[:, None] + 1.0
+        self._padded = _padded(amap.grid)
+        # Flat index of a stencil's first site (base - 1 per axis) is
+        # strides @ base + _first, and the 4^d stencil sites lie at `_offsets` from it.
+        self._strides = np.asarray(self._padded.strides) // self._padded.itemsize
+        self._first = (_PAD - 1) * self._strides.sum()
+        offsets = np.arange(4)
+        if lat.dim == 2:
+            offsets = (offsets[:, None] * self._strides[0] + offsets).ravel()
+        self._offsets = offsets[:, None]
+
+    def sample(self, u):
+        """Values at index coordinates u, (d, q) and C-contiguous; returns (q,)."""
+        q = u.shape[1]
+        finite = np.isfinite(u)
+        all_finite = finite.all()
+        if not all_finite:
+            finite = finite.all(axis=0)
+            u = np.where(finite, u, 0.0)
+
+        u = np.clip(u, -3.0, self._upper)
+        base = np.floor(u)
+        first = (self._strides @ base + self._first).astype(np.intp)
+        vals = self._padded.take(self._offsets + first)        # (4^d, q)
+
+        t = (u - base).ravel()
+        powers = np.empty((4, t.size))
+        powers[0] = 1.0
+        powers[1] = t
+        np.multiply(t, t, out=powers[2])
+        np.multiply(powers[2], t, out=powers[3])
+        w = _M_CR.T @ powers                                # (4, d q)
+        if self.dim == 1:
+            out = np.einsum("kq,kq->q", w, vals)
+        else:
+            inner = np.einsum("jkq,kq->jq", vals.reshape(4, 4, q), w[:, q:])
+            out = np.einsum("jq,jq->q", w[:, :q], inner)
+        if not all_finite:
+            out[~finite] = np.nan
+        return out
+
+
 def interpolate(amap, points):
     """Cubic interpolation of an activation map at query points.
 
@@ -49,46 +111,32 @@ def interpolate(amap, points):
     be anywhere, with stencil values outside the lattice read as 0. Points
     with a NaN or infinite coordinate give NaN.
     """
-    lat = amap.lattice
-    if any(n < MIN_AXIS_SITES for n in lat.shape):
-        raise ValueError(f"cubic interpolation needs >= {MIN_AXIS_SITES} sites per axis")
+    stencil = _Stencil(amap)
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    # Index coordinates axis-major, (d, q): every step below then runs over
-    # the query points in long contiguous rows.
-    u = np.ascontiguousarray(lat.to_index_coords(pts).T)
-    q = u.shape[1]
-    # One sum tells whether every coordinate is finite (or some sum overflows).
-    all_finite = np.isfinite(u.sum())
-    if not all_finite:
-        finite = np.isfinite(u).all(axis=0)
-        u = np.where(finite, u, 0.0)
-
-    u = np.clip(u, -3.0, np.asarray(lat.shape, dtype=float)[:, None] + 1.0)
-    base = np.floor(u)
-    padded = _padded(amap.grid)
-    # Flat index of each stencil's first site (base - 1 per axis), and the
-    # flat offsets of the 4^d stencil sites from it.
-    strides = np.asarray(padded.strides) // padded.itemsize
-    first = (strides @ base + (_PAD - 1) * strides.sum()).astype(np.intp)
-    offsets = np.arange(4)
-    if lat.dim == 2:
-        offsets = (offsets[:, None] * strides[0] + offsets).ravel()
-    vals = padded.take(offsets[:, None] + first)        # (4^d, q)
-
-    t = (u - base).ravel()
-    powers = np.empty((4, t.size))
-    powers[0] = 1.0
-    powers[1] = t
-    np.multiply(t, t, out=powers[2])
-    np.multiply(powers[2], t, out=powers[3])
-    w = _M_CR.T @ powers                                # (4, d q)
-    if lat.dim == 1:
-        out = np.einsum("kq,kq->q", w, vals)
-    else:
-        inner = np.einsum("jkq,kq->jq", vals.reshape(4, 4, q), w[:, q:])
-        out = np.einsum("jq,jq->q", w[:, :q], inner)
-    if not all_finite:
-        out[~finite] = np.nan
+    u = np.ascontiguousarray(amap.lattice.to_index_coords(pts).T)
+    out = stencil.sample(u)
     return float(out[0]) if single else out
 
+
+class Warp(_Stencil):
+    """One map sampled at T(S) for many affine transforms T and fixed sites S.
+
+    `Warp(amap, sites)(t)` equals `interpolate(amap, affine_apply(t, sites))`
+    bit for bit: sites is (q, d), the result (q,). The padded grid, the
+    stencil offsets and the clip bounds are built here, once, with the sites
+    as a (d, q) array and the lattice's origin and spacing as columns.
+    """
+
+    def __init__(self, amap, sites):
+        super().__init__(amap)
+        sites = np.asarray(sites, dtype=float)
+        if sites.ndim != 2 or sites.shape[1] != self.dim:
+            raise ValueError(f"sites must be (q, {self.dim}), got shape {sites.shape}")
+        self._sites = np.ascontiguousarray(sites.T)
+        self._origin = amap.lattice.origin[:, None]
+        self._spacing = amap.lattice.spacing[:, None]
+
+    def __call__(self, t):
+        u = (t.A @ self._sites + t.b[:, None] - self._origin) / self._spacing
+        return self.sample(u)

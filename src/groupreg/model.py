@@ -26,7 +26,7 @@ from scipy.special import gammaln
 
 from .errors import DegenerateVariance, ValidationError
 from .grids import Lattice
-from .interp import interpolate
+from .interp import Warp
 from .spatial import (NeighborLibrary, PredecessorPatterns, batched_nngp_weights,
                       build_neighbor_library, build_ordered_neighbor_sets,
                       build_predecessor_patterns, lookup_neighbors,
@@ -198,7 +198,7 @@ def gibbs_log_posterior(state, hp, geom):
     b, f = batched_nngp_weights(locs, nbr, geom.locations, cov)
     total += nngp_log_density_from_weights(x, state.XT.ravel(), nbr, b, f)
 
-    y_bw = np.stack([interpolate(amap, affine_apply(t_r, geom.locations))
+    y_bw = np.stack([Warp(amap, geom.locations)(t_r)
                      for amap, t_r in zip(state.maps, state.T_r)])
     beta, sigma2 = state.beta, state.sigma2
     ssd = (np.sum((state.Y - beta[:, None] * state.XT) ** 2, axis=1)

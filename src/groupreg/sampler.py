@@ -61,7 +61,7 @@ from .errors import (DegenerateInput, GroupregError, IllConditioned, Insufficien
                      NonPositiveScale, NoRealLogarithm, OutOfLibraryBounds,
                      SingularTransform)
 from .grids import ActivationMap, common_lattice
-from .interp import interpolate
+from .interp import Warp
 from .model import build_geometry, penalty_terms, pointwise_log_lik, waic
 from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
                       kriging_factor, library_weights, lookup_entries,
@@ -157,7 +157,7 @@ class ChainState:
     sigma2[i] and row i of the (N, V) arrays Y (the map's values), XT (X at
     T_i(S)), Y_bw (Y_i at T_i^r(S)) and F, and of the NNGP caches of T_i(S):
     locs (N, V, d), library entries (N, V), neighbor sets nbr and weights B
-    (N, V, k)."""
+    (N, V, k). `warps[i]` samples maps[i] at T(S) for the reverse step."""
 
     X: np.ndarray
     maps: list
@@ -178,6 +178,7 @@ class ChainState:
     tB: np.ndarray = field(default=None, repr=False)     # template NNGP weights
     tF: np.ndarray = field(default=None, repr=False)
     factor: KrigingFactor = field(default=None, repr=False)  # pattern cache at rho
+    warps: list = field(default=None, repr=False)
     rho_proposals: int = 0
     rho_accepts: int = 0
 
@@ -198,8 +199,10 @@ def subject_geometry(t, geom, factor, alpha):
 
 
 def refresh_caches(state, geom):
-    """Factor the neighbor patterns at state.rho; set the template's (B, F) and
-    every subject's NNGP caches for its current T_i."""
+    """Factor the neighbor patterns at state.rho; set the template's (B, F),
+    every subject's NNGP caches for its current T_i, and one `Warp` of each
+    subject map at the template sites, for the reverse step."""
+    state.warps = [Warp(amap, geom.locations) for amap in state.maps]
     state.factor = kriging_factor(geom.library, geom.predecessor_patterns, state.rho)
     state.tB, state.tF = predecessor_weights(geom.predecessor_patterns, state.factor,
                                              state.alpha)
@@ -474,7 +477,7 @@ def update_forward_transform(i, state, geom, hp, adapt, rng):
 def update_reverse_transform(i, state, geom, hp, adapt, rng):
     """One Lie-MH step of T_i^r; on accept, T_i^r and row i of Y_bw change."""
     def target(t_r):
-        y_bw = interpolate(state.maps[i], affine_apply(t_r, geom.locations))
+        y_bw = state.warps[i](t_r)
         return reverse_log_target(t_r, state.T[i], state.X, y_bw, state.beta[i],
                                   state.sigma2[i], geom, hp), y_bw
 
@@ -554,12 +557,17 @@ def _coarse_grid(lattice):
 
 
 def fit_affine(y_map, x_map, beta, start, coarse=False):
-    """Affine transform minimizing ||Y - beta X(T)||^2, coarse grid + Nelder-Mead."""
-    pts = y_map.lattice.locations()
+    """Affine transform minimizing ||Y - beta X(T)||^2, coarse grid + Nelder-Mead.
+
+    The objective warps X to Y's sites thousands of times per call, always
+    the same map at the same sites, so one `Warp` is built per call and each
+    evaluation pays only for the transform and the stencil.
+    """
+    warp = Warp(x_map, y_map.lattice.locations())
     y = y_map.values
 
     def objective(t):
-        xt = interpolate(x_map, affine_apply(t, pts))
+        xt = warp(t)
         r = y - beta * xt
         return float(r @ r)
 
@@ -592,6 +600,10 @@ def initialize(maps, config):
     Stops after config.init_iters passes or when the template change drops
     below 1e-4 relative. Needs only the maps' lattice: the neighbor library
     is sized afterwards from the transforms found here (`library_margin`).
+
+    Every warp goes through a prebuilt `Warp`: one per subject map for the
+    back-warps, built once, and one per pass for X(T_i) (besides the one
+    each `fit_affine` call builds for its objective).
     """
     lattice = common_lattice(maps)
     for amap in maps:
@@ -599,6 +611,7 @@ def initialize(maps, config):
             raise DegenerateInput("constant map: scale regression undefined")
 
     pts = lattice.locations()
+    back = [Warp(amap, pts) for amap in maps]
     x = np.mean([amap.values for amap in maps], axis=0)
     n = len(maps)
     ts = [AffineTransform.identity(lattice.dim) for _ in range(n)]
@@ -608,14 +621,13 @@ def initialize(maps, config):
         x_map = ActivationMap(lattice, x)
         ts = [fit_affine(maps[i], x_map, betas[i], ts[i], coarse=(it == 0))
               for i in range(n)]
+        warp = Warp(x_map, pts)
         for i in range(n):
-            xt = interpolate(x_map, affine_apply(ts[i], pts))
-            betas[i] = fit_scale(maps[i].values, xt)
+            betas[i] = fit_scale(maps[i].values, warp(ts[i]))
         ts = standardize(ts)
         betas = betas / np.mean(betas)
-        x_new = np.mean(
-            [interpolate(maps[i], affine_apply(affine_inverse(ts[i]), pts)) / betas[i]
-             for i in range(n)], axis=0)
+        x_new = np.mean([back[i](affine_inverse(ts[i])) / betas[i] for i in range(n)],
+                        axis=0)
         rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12)
         x = x_new
         if rel < 1e-4:
@@ -624,8 +636,9 @@ def initialize(maps, config):
     x_map = ActivationMap(lattice, x)
     ts_r = [affine_inverse(t) for t in ts]
     y = np.stack([amap.values for amap in maps])
-    xt = np.stack([interpolate(x_map, affine_apply(t, pts)) for t in ts])
-    y_bw = np.stack([interpolate(amap, affine_apply(t_r, pts)) for amap, t_r in zip(maps, ts_r)])
+    warp = Warp(x_map, pts)
+    xt = np.stack([warp(t) for t in ts])
+    y_bw = np.stack([w(t_r) for w, t_r in zip(back, ts_r)])
     sigma2 = np.maximum(np.mean((y - betas[:, None] * xt) ** 2, axis=1), 1e-12)
     alpha = max(float(np.var(x)), 1e-12)
     rho = 0.5 * (config.rho_lower + config.rho_upper)
@@ -689,12 +702,20 @@ class Chain:
                           for direction in ("forward", "reverse")}
         refresh_caches(self.state, self.geom)
 
-    def guarded(self, what, step, *args):
-        """step(*args), with a GroupregError re-raised as ChainAborted and a snapshot."""
+    def guarded(self, stage, sweep, step):
+        """step(), with a GroupregError re-raised as ChainAborted and a snapshot.
+
+        `stage` is "sweep" for a failure inside sweep `sweep`, "record" for one
+        while recording it. The snapshot names both (`failed_sweep`, `stage`):
+        its `iteration` counts the sweeps done, which is `sweep` for the first
+        and `sweep + 1` for the second.
+        """
         try:
-            return step(*args)
+            return step()
         except GroupregError as exc:
-            raise ChainAborted(f"{what} failed: {exc}", self.snapshot()) from exc
+            what = f"sweep {sweep}" if stage == "sweep" else f"recording sweep {sweep}"
+            snapshot = dict(self.snapshot(), failed_sweep=sweep, stage=stage)
+            raise ChainAborted(f"{what} failed: {exc}", snapshot) from exc
 
     def sweep(self):
         """`updates`, with the proposals frozen when burn-in ends; ChainAborted on failure."""
@@ -703,7 +724,7 @@ class Chain:
             for recs in self.proposals.values():
                 for rec in recs:
                     rec.frozen = True
-        self.guarded(f"sweep {it}", self.updates)
+        self.guarded("sweep", it, self.updates)
         self.iteration += 1
 
     def updates(self):
@@ -757,7 +778,7 @@ class Chain:
         for it in range(cfg.total):
             self.sweep()
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-                kept.append(self.guarded(f"recording sweep {it}", self.record))
+                kept.append(self.guarded("record", it, self.record))
         runtime = time.perf_counter() - t_start
 
         fields, extras = zip(*kept)

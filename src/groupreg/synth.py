@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import ActivationMap, Lattice, make_lattice_1d
-from .interp import interpolate
+from .interp import Warp
 from .transforms import (AffineTransform, affine_apply, standardize)
 
 SCENARIO_DEFAULT_NOISE = {"indicator": 0.5, "cosine": 0.1, "glyph": 0.0}
@@ -143,8 +143,7 @@ def rotation_about_center(lattice, angle_rad):
 def rotate_glyph(amap, angle_deg):
     """Rotate an image counterclockwise (in index coordinates) about its center."""
     t = rotation_about_center(amap.lattice, -np.deg2rad(angle_deg))
-    pts = affine_apply(t, amap.lattice.locations())
-    return amap.with_values(interpolate(amap, pts))
+    return amap.with_values(Warp(amap, amap.lattice.locations())(t))
 
 
 def gen_rotated_glyphs(spec):

@@ -69,6 +69,7 @@ def test_fit_baseline_abort_exits_3_and_writes_only_the_snapshot(monkeypatch, tm
     assert not list(tmp_path.glob(".groupreg-staging-*"))
     snapshot = json.loads((out / "snapshot.json").read_text())
     assert snapshot["iteration"] == 1 and len(snapshot["transforms"]) == 3
+    assert (snapshot["failed_sweep"], snapshot["stage"]) == (1, "sweep")
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -135,23 +135,28 @@ def test_fit_failing_while_recording_exits_3_and_writes_only_the_snapshot(
     assert "recording sweep 2 failed: mean beta is" in capsys.readouterr().err
     snapshot = only_snapshot(tmp_path, out)
     assert snapshot["iteration"] == 3
+    assert (snapshot["failed_sweep"], snapshot["stage"]) == (2, "record")
     assert all(beta < 0 for beta in snapshot["beta"])
+
+
+def _fail_alpha_from_sweep_1(monkeypatch):
+    update_alpha = sampler.update_alpha
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise NonPositiveScale("test: forced failure in a sweep")
+        return update_alpha(*args)
+
+    monkeypatch.setattr(sampler, "update_alpha", failing)
 
 
 @pytest.mark.parametrize("command", ["fit", "waic-scan"])
 def test_symmetric_sweep_failure_exits_3_and_writes_only_the_snapshot(
         tmp_path, capsys, monkeypatch, command):
     """The alpha update of sweep 1 fails: the first chain aborts before any record."""
-    update_alpha = sampler.update_alpha
-    calls = []
-
-    def failing_from_sweep_1(*args):
-        calls.append(args)
-        if len(calls) > 1:
-            raise NonPositiveScale("test: forced failure in a sweep")
-        return update_alpha(*args)
-
-    monkeypatch.setattr(sampler, "update_alpha", failing_from_sweep_1)
+    _fail_alpha_from_sweep_1(monkeypatch)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG)
     out = tmp_path / "out"
@@ -159,7 +164,39 @@ def test_symmetric_sweep_failure_exits_3_and_writes_only_the_snapshot(
     assert "sweep 1 failed: test: forced failure" in capsys.readouterr().err
     snapshot = only_snapshot(tmp_path, out)
     assert snapshot["iteration"] == 1
+    assert (snapshot["failed_sweep"], snapshot["stage"]) == (1, "sweep")
     assert len(snapshot["transforms"]) == len(snapshot["reverse_transforms"]) == 3
+
+
+@pytest.mark.parametrize("command", ["fit", "waic-scan"])
+def test_out_holds_one_runs_files_after_abort_and_after_success(tmp_path, monkeypatch,
+                                                                command):
+    """Success, abort, success into one --out: an abort deletes the files the
+    earlier manifest lists, a success deletes the earlier snapshot, and a file
+    that groupreg did not write stays."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine")
+
+    def run_files():
+        manifest = json.loads((out / "manifest.json").read_text())
+        return sorted(manifest["artifacts"] + ["manifest.json", "notes.txt"])
+
+    def files():
+        return sorted(p.relative_to(out).as_posix()
+                      for p in out.rglob("*") if p.is_file())
+
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    success = run_files()
+    assert files() == success
+    _fail_alpha_from_sweep_1(monkeypatch)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "snapshot.json"]
+    monkeypatch.undo()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert files() == run_files() == success
 
 
 @pytest.mark.parametrize("command", ["fit", "fit-baseline"])

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
-from groupreg.interp import interpolate
-from groupreg.transforms import AffineTransform, affine_apply
+from groupreg.interp import Warp, interpolate
+from groupreg.transforms import AffineTransform, affine_apply, lie_exp
 
 
 # Reference kernel: a per-axis stencil with index clipping and an in-range
@@ -197,3 +197,64 @@ class TestNonFiniteQueries:
         assert np.isnan(got[:2]).all()
         assert got[2] == 0.0
         assert got[3] == pytest.approx(amap.grid[2, 3])
+
+
+def _off_lattice(dim):
+    lat = Lattice((37,) if dim == 1 else (11, 9), np.array([0.7, 1.3][:dim]),
+                  np.array([-2.1, 3.4][:dim]))
+    return ActivationMap(lat, np.random.default_rng(dim).normal(size=lat.n_sites))
+
+
+def assert_warp_is_the_two_call_path(amap, sites, t):
+    want = interpolate(amap, affine_apply(t, sites))
+    got = Warp(amap, sites)(t)
+    assert np.array_equal(got, want, equal_nan=True)
+    return got
+
+
+class TestWarp:
+    """`Warp(amap, sites)(t)` is `interpolate(amap, affine_apply(t, sites))` bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_random_transforms(self, dim):
+        amap = _off_lattice(dim)
+        rng = np.random.default_rng(10 + dim)
+        sites = amap.lattice.locations()
+        warp = Warp(amap, sites)
+        for scale in (1e-4, 1e-2, 0.2, 1.0):
+            for _ in range(50):
+                t = lie_exp(scale * rng.standard_normal(dim * (dim + 1)))
+                assert np.array_equal(warp(t), interpolate(amap, affine_apply(t, sites)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sites_off_the_lattice_and_in_the_padding(self, dim):
+        """Shifts by fractions of the extent put sites past the lattice, where
+        the stencils read the zero padding, and past the clip bounds."""
+        amap = _off_lattice(dim)
+        lower, upper = amap.lattice.bounds()
+        extent = upper - lower
+        # Other sites than the lattice's: random points around it.
+        sites = lower + extent * np.random.default_rng(3).uniform(-0.2, 1.2, size=(300, dim))
+        for frac in (-3.0, -0.97, -0.5, 0.03, 0.5, 0.97, 3.0, 1e6):
+            got = assert_warp_is_the_two_call_path(amap, sites,
+                                                   AffineTransform.translation(frac * extent))
+            if abs(frac) >= 3.0:
+                assert not got.any()
+            elif abs(frac) > 0.9:
+                assert got.any() and (got == 0.0).any()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_an_image_that_overflows_gives_nan_rows(self, dim):
+        amap = _off_lattice(dim)
+        a = np.eye(dim)
+        a[0, 0] = 1e308          # sites away from 0 on axis 0 map to +-inf
+        with np.errstate(over="ignore"):
+            got = assert_warp_is_the_two_call_path(
+                amap, amap.lattice.locations(), AffineTransform.from_parts(a, np.zeros(dim)))
+        assert np.isnan(got).any() and np.isfinite(got).any()
+
+    def test_needs_four_sites_per_axis(self):
+        for shape in ((3,), (3, 5), (5, 3)):
+            lat = Lattice(shape, np.ones(len(shape)), np.zeros(len(shape)))
+            with pytest.raises(ValueError, match="needs >= 4 sites per axis"):
+                Warp(ActivationMap(lat, np.zeros(lat.n_sites)), lat.locations())

@@ -297,6 +297,31 @@ def test_initialize_is_deterministic():
         assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
+class _TwoCallWarp:
+    """The path `Warp` replaced: a fresh `interpolate` call per transform."""
+
+    def __init__(self, amap, sites):
+        self.amap, self.sites = amap, sites
+
+    def __call__(self, t):
+        return interpolate(self.amap, affine_apply(t, self.sites))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_initialize_is_unchanged_by_the_prebuilt_warps(monkeypatch, case):
+    """Every warp of the set-up through `Warp` gives the bits of the two-call path."""
+    make_maps, settings, _ = CASES[case]
+    cfg = RunConfig(init_iters=2, **settings)
+    maps = make_maps()
+    fast = initialize(maps, cfg)
+    monkeypatch.setattr(sampler, "Warp", _TwoCallWarp)
+    slow = initialize(maps, cfg)
+    for a, b in zip(fast.T + fast.T_r, slow.T + slow.T_r, strict=True):
+        assert np.array_equal(a.matrix, b.matrix)
+    for name in ("X", "beta", "sigma2", "XT", "Y_bw"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name))
+
+
 def assert_step_draws_used(rng, seed, dim):
     """The step took delta and the accept uniform from its generator, and nothing else."""
     ref = np.random.default_rng(seed)
