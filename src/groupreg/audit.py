@@ -28,7 +28,7 @@ from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       nngp_log_density, conditional_means,
                       build_neighbor_library, build_ordered_neighbor_sets,
                       build_predecessor_patterns, kriging_factor, library_weights,
-                      lookup_entries, predecessor_weights)
+                      lookup_entries, neighbor_distances, predecessor_weights)
 from .synth import ScenarioSpec, gen_indicator_curves
 from .transforms import (AffineTransform, affine_apply, affine_compose,
                          affine_inverse, karcher_mean, lie_exp, lie_log)
@@ -421,6 +421,7 @@ def pattern_weights_gap():
         lib = build_neighbor_library(lattice, margin, 10)
         targets = np.concatenate([affine_apply(t, locs), lib.enlarged.locations()])
         entries = lookup_entries(targets, lib)
+        dist = neighbor_distances(targets, entries, lib, locs)
         for alpha, rho in ((1.7, 0.05), (0.4, 1.5), (2.5, 3.0)):
             params = CovarianceParams(alpha, rho)
             factor = kriging_factor(lib, patterns, rho)
@@ -428,7 +429,7 @@ def pattern_weights_gap():
                 worst,
                 weights_gap(predecessor_weights(patterns, factor, alpha),
                             batched_nngp_weights(locs, nsets, locs, params), alpha),
-                weights_gap(library_weights(targets, entries, lib, locs, factor, alpha),
+                weights_gap(library_weights(dist, entries, lib, factor, alpha),
                             batched_nngp_weights(targets, lib.neighbor_indices[entries],
                                                  locs, params), alpha))
     return worst

@@ -17,7 +17,8 @@ stencil of every clipped point, which therefore reads zeros as it would
 unclipped; the clip also keeps the integer cast defined for any finite
 query. Stencil values come from one `take` at the flat offsets, weights are
 [1, t, t^2, t^3] @ `_M_CR`, and the 2D contraction runs one axis at a time.
-A query point that is not finite gives NaN.
+A query point that is not finite gives NaN, and so does one whose image or
+index coordinates overflow, without a warning.
 
 Two entry points call that kernel:
 - `interpolate(amap, points)` samples a map once at (q, d) points;
@@ -114,7 +115,9 @@ def interpolate(amap, points):
     stencil = _Stencil(amap)
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    u = np.ascontiguousarray(amap.lattice.to_index_coords(pts).T)
+    # An index coordinate that overflows gives NaN, as in `Warp.__call__`.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.ascontiguousarray(amap.lattice.to_index_coords(pts).T)
     out = stencil.sample(u)
     return float(out[0]) if single else out
 
@@ -138,5 +141,7 @@ class Warp(_Stencil):
         self._spacing = amap.lattice.spacing[:, None]
 
     def __call__(self, t):
-        u = (t.A @ self._sites + t.b[:, None] - self._origin) / self._spacing
+        # A T(S) that overflows gives NaN rows, as a non-finite query does.
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (t.A @ self._sites + t.b[:, None] - self._origin) / self._spacing
         return self.sample(u)

@@ -23,7 +23,11 @@ first, as a loop over subjects would.
 NNGP weights come from the pattern cache (`spatial.KrigingFactor`) kept in
 `ChainState.factor`. It is built for the current rho at construction and
 for each rho proposal, kept on accept and dropped on reject; alpha only
-rescales F.
+rescales F. The distances from each T_i(S) to its neighbor sets do not
+depend on rho, so the state keeps them, `ChainState.dist` (N, V, k), in
+place of the transformed sites: `subject_geometry` computes them, a forward
+accept stores them, and a rho proposal only inverts one matrix per distinct
+library pattern and exponentiates the cached distances (`rho_weights`).
 
 X | rest is Gaussian with a sparse banded precision Q (`template_conditional`)
 and is drawn exactly in one block step (Rue 2001): a LAPACK banded Cholesky
@@ -64,7 +68,7 @@ from .grids import ActivationMap, common_lattice
 from .interp import Warp
 from .model import build_geometry, penalty_terms, pointwise_log_lik, waic
 from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
-                      kriging_factor, library_weights, lookup_entries,
+                      kriging_factor, library_weights, lookup_entries, neighbor_distances,
                       nngp_log_density_from_weights, predecessor_weights)
 from .store import SampleStore
 from .transforms import (AffineTransform, affine_apply, affine_compose,
@@ -156,8 +160,9 @@ class ChainState:
     """The chain's latent state. Subject i has maps[i], T[i], T_r[i], beta[i],
     sigma2[i] and row i of the (N, V) arrays Y (the map's values), XT (X at
     T_i(S)), Y_bw (Y_i at T_i^r(S)) and F, and of the NNGP caches of T_i(S):
-    locs (N, V, d), library entries (N, V), neighbor sets nbr and weights B
-    (N, V, k). `warps[i]` samples maps[i] at T(S) for the reverse step."""
+    library entries (N, V), neighbor sets nbr, their distances dist from
+    T_i(S) and weights B (N, V, k). `warps[i]` samples maps[i] at T(S) for
+    the reverse step."""
 
     X: np.ndarray
     maps: list
@@ -170,7 +175,7 @@ class ChainState:
     sigma2: np.ndarray
     alpha: float
     rho: float
-    locs: np.ndarray = field(default=None, repr=False)
+    dist: np.ndarray = field(default=None, repr=False)
     entry: np.ndarray = field(default=None, repr=False)
     nbr: np.ndarray = field(default=None, repr=False)
     B: np.ndarray = field(default=None, repr=False)
@@ -188,14 +193,16 @@ class ChainState:
 
 
 def subject_geometry(t, geom, factor, alpha):
-    """T(S), its library entries and neighbor sets, and their (B, F).
+    """The library entries of T(S), their neighbor sets and distances, and (B, F).
 
-    Raises OutOfLibraryBounds when T moves a template site past the margin.
+    Returns (dist, entry, nbr, B, F). Raises OutOfLibraryBounds when T moves
+    a template site past the margin.
     """
     locs = affine_apply(t, geom.locations)
     entry = lookup_entries(locs, geom.library)
-    b, f = library_weights(locs, entry, geom.library, geom.locations, factor, alpha)
-    return locs, entry, geom.library.neighbor_indices[entry], b, f
+    dist = neighbor_distances(locs, entry, geom.library, geom.locations)
+    b, f = library_weights(dist, entry, geom.library, factor, alpha)
+    return dist, entry, geom.library.neighbor_indices[entry], b, f
 
 
 def refresh_caches(state, geom):
@@ -207,7 +214,7 @@ def refresh_caches(state, geom):
     state.tB, state.tF = predecessor_weights(geom.predecessor_patterns, state.factor,
                                              state.alpha)
     caches = [subject_geometry(t, geom, state.factor, state.alpha) for t in state.T]
-    state.locs, state.entry, state.nbr, state.B, state.F = map(np.stack, zip(*caches))
+    state.dist, state.entry, state.nbr, state.B, state.F = map(np.stack, zip(*caches))
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +357,12 @@ def update_alpha(state, geom, hp, rng):
 
 def rho_weights(state, geom, factor):
     """The template's (B, F) and the subjects' stacked (B, F), at the rho of `factor`
-    and the state's alpha."""
-    n, v, d = state.locs.shape
-    b, f = library_weights(state.locs.reshape(-1, d), state.entry.ravel(), geom.library,
-                           geom.locations, factor, state.alpha)
+    and the state's alpha, from the cached neighbor distances."""
+    n, v, k = state.dist.shape
+    b, f = library_weights(state.dist.reshape(-1, k), state.entry.ravel(), geom.library,
+                           factor, state.alpha)
     return (predecessor_weights(geom.predecessor_patterns, factor, state.alpha),
-            (b.reshape(n, v, -1), f.reshape(n, v)))
+            (b.reshape(n, v, k), f.reshape(n, v)))
 
 
 def rho_log_target(state, weights, geom):
@@ -470,7 +477,7 @@ def update_forward_transform(i, state, geom, hp, adapt, rng):
     step = lie_mh_step(state.T[i], log_old, target, adapt, rng)
     if step is None:
         return False
-    state.T[i], (state.locs[i], state.entry[i], state.nbr[i], state.B[i], state.F[i]) = step
+    state.T[i], (state.dist[i], state.entry[i], state.nbr[i], state.B[i], state.F[i]) = step
     return True
 
 

@@ -11,18 +11,25 @@ jitter of 1e-10 * alpha and conditional variances are clamped at
 template sites only.
 
 Pattern cache. On a regular lattice the k x k covariance of a neighbor set
-depends only on the set's shape (its members' offsets in lattice steps) and
-on rho, because C = alpha (R(rho) + JITTER I). Library entries and template
-predecessor sets are therefore grouped into patterns when they are built
-(330 library patterns for 2116 entries on a 28x28 lattice with margin 9 and
-m = 10; 26 predecessor patterns), each stored as its k x k distance matrix.
+depends only on its distance matrix and on rho, because
+C = alpha (R(rho) + JITTER I). Library entries and template predecessor sets
+are therefore grouped into patterns when they are built, each stored as its
+k x k distance matrix. A library pattern is a distinct distance matrix:
+entries are grouped by offset shape (their neighbors' offsets in lattice
+steps), and shapes whose matrices are equal bit for bit, such as mirror
+images, are merged, so equal matrices get one inverse and bit-identical
+weights (88 matrices from 330 offset shapes for the 2116 entries of a 28x28
+lattice with margin 9 and m = 10). A predecessor pattern is an offset shape
+with its padding marked (26 on that lattice, all with distinct matrices).
 A `KrigingFactor` holds, for one rho, (R + JITTER I)^-1 per library pattern
 and the unit-alpha weights of every predecessor pattern; weights for any
-alpha follow as B = (R + JITTER I)^-1 r_t and F = alpha (1 - B . r_t), so a
-weights call costs k exps per row and one small mat-vec instead of a k x k
-solve. The tables take P k^2 doubles per family (about 260 kB for the 28x28
-library) plus one int per entry or site. `batched_nngp_weights` re-solves
-every row and stays the brute-force oracle the cache is checked against.
+alpha follow as B = (R + JITTER I)^-1 r_t and F = alpha (1 - B . r_t), with
+r_t = exp(-rho d_t) from the target-to-neighbor distances d_t of
+`neighbor_distances`, so a weights call costs k exps per row and one small
+mat-vec instead of a k x k solve. The tables take P k^2 doubles per family
+(about 70 kB for the 28x28 library) plus one int per entry or site.
+`batched_nngp_weights` re-solves every row and stays the brute-force oracle
+the cache is checked against.
 
 Library build. Entries are ranked by squared distances formed from integer
 lattice offsets, not from differenced coordinates, so an entry's neighbor
@@ -188,7 +195,7 @@ class NeighborLibrary:
     margin: int
     m: int
     neighbor_indices: np.ndarray = field(repr=False)  # (n_lib, min(m, V)) int
-    # Entries grouped by their neighbors' offsets from the first neighbor.
+    # Entries grouped by the distance matrix of their neighbor sets.
     pattern_ids: np.ndarray = field(repr=False)       # (n_lib,) int
     pattern_dist: np.ndarray = field(repr=False)      # (P, k, k) neighbor distances
 
@@ -216,11 +223,15 @@ def build_neighbor_library(lattice, margin, m):
         dist2 = sum(w * (block[:, None, a] - template[None, :, a]) ** 2
                     for a, w in enumerate(axis_weight))
         neighbor_indices[start:start + rows] = np.argsort(dist2, axis=1, kind="stable")[:, :k]
+    # Group by offset shape, then merge the shapes whose distance matrices
+    # are equal bit for bit (mirror images are), keyed on the matrices' bits.
     offsets = template[neighbor_indices] - template[neighbor_indices[:, :1]]
-    pattern_ids, first = _pattern_table(offsets.reshape(len(offsets), -1))
+    shape_ids, first = _pattern_table(offsets.reshape(len(offsets), -1))
+    shape_dist = _offset_distances(offsets[first], lattice.spacing)
+    dist_ids, first = _pattern_table(shape_dist.reshape(len(shape_dist), -1).view(np.int64))
     return NeighborLibrary(template=lattice, enlarged=enlarged, margin=margin,
-                           m=m, neighbor_indices=neighbor_indices, pattern_ids=pattern_ids,
-                           pattern_dist=_offset_distances(offsets[first], lattice.spacing))
+                           m=m, neighbor_indices=neighbor_indices,
+                           pattern_ids=dist_ids[shape_ids], pattern_dist=shape_dist[first])
 
 
 def lookup_entries(points, library):
@@ -330,16 +341,26 @@ def kriging_factor(library, predecessors, rho):
     return KrigingFactor(rho=float(rho), library_inv=library_inv, template_b=b, template_f=f)
 
 
-def library_weights(targets, entries, library, source_locations, factor, alpha):
-    """(B, F) of targets conditioned on their library entries' neighbor sets.
+def neighbor_distances(targets, entries, library, source_locations):
+    """(q, k) distances from each target to its library entry's neighbor sites.
 
-    Equals batched_nngp_weights(targets, library.neighbor_indices[entries],
-    source_locations, CovarianceParams(alpha, factor.rho)) up to rounding.
+    They depend on the targets only, not on rho or alpha, so a chain keeps
+    them in its state and `library_weights` weights them at each rho.
     """
     # np.take gathers these small tables about twice as fast as fancy indexing.
     nbr = np.take(library.neighbor_indices, entries, axis=0)
     dt = np.take(source_locations, nbr, axis=0) - targets[:, None, :]
-    r_t = np.exp(-factor.rho * np.sqrt(np.einsum("qkd,qkd->qk", dt, dt)))
+    return np.sqrt(np.einsum("qkd,qkd->qk", dt, dt))
+
+
+def library_weights(dist, entries, library, factor, alpha):
+    """(B, F) of targets conditioned on their library entries' neighbor sets.
+
+    With dist = neighbor_distances(targets, entries, library, source_locations),
+    equals batched_nngp_weights(targets, library.neighbor_indices[entries],
+    source_locations, CovarianceParams(alpha, factor.rho)) up to rounding.
+    """
+    r_t = np.exp(-factor.rho * dist)
     inv = np.take(factor.library_inv, np.take(library.pattern_ids, entries), axis=0)
     b = np.einsum("qkj,qj->qk", inv, r_t)
     f = alpha * (1.0 - np.einsum("qk,qk->q", b, r_t))

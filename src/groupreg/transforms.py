@@ -95,13 +95,17 @@ class AffineTransform:
 
 
 def affine_apply(transform, points):
-    """Apply T(s) = A s + b to one point (d,) or a stack (n, d)."""
+    """Apply T(s) = A s + b to one point (d,) or a stack (n, d).
+
+    An image that overflows comes back non-finite, without a warning.
+    """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != transform.dim:
         raise ValueError(f"points have dim {pts.shape[1]}, transform has dim {transform.dim}")
-    out = pts @ transform.A.T + transform.b
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = pts @ transform.A.T + transform.b
     return out[0] if single else out
 
 

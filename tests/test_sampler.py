@@ -15,7 +15,8 @@ from groupreg.sampler import (AdaptiveProposal, Chain, ChainAborted, beta_sigma_
                               template_conditional, transformed_template_conditional,
                               update_beta_sigma, update_forward_transform, update_template,
                               update_transformed_template)
-from groupreg.spatial import batched_nngp_weights, kriging_factor, library_weights
+from groupreg.spatial import (batched_nngp_weights, kriging_factor, library_weights,
+                              neighbor_distances, predecessor_weights)
 from groupreg.store import save_store
 from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, generate,
                             rotate_glyph, rotation_about_center)
@@ -54,7 +55,8 @@ def short_chain(case, sweeps=12):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cached_weights_track_alpha_and_rho(case):
-    """After every sweep the cached (B, F) equal a fresh brute-force solve."""
+    """After every sweep the cached distances equal ones recomputed from T_i,
+    and the cached (B, F) equal a fresh brute-force solve."""
     chain = short_chain(case)
     tol = CASES[case][2]
     state, geom = chain.state, chain.geom
@@ -65,10 +67,11 @@ def test_cached_weights_track_alpha_and_rho(case):
                                       state.cov)
         assert weights_gap((state.tB, state.tF), oracle, state.alpha) < tol
         for i, t in enumerate(state.T):
-            assert np.array_equal(state.locs[i], affine_apply(t, geom.locations))
+            locs = affine_apply(t, geom.locations)
+            assert np.array_equal(state.dist[i], neighbor_distances(
+                locs, state.entry[i], geom.library, geom.locations))
             assert np.array_equal(state.nbr[i], geom.library.neighbor_indices[state.entry[i]])
-            oracle = batched_nngp_weights(state.locs[i], state.nbr[i], geom.locations,
-                                          state.cov)
+            oracle = batched_nngp_weights(locs, state.nbr[i], geom.locations, state.cov)
             assert weights_gap((state.B[i], state.F[i]), oracle, state.alpha) < tol
     # Both rho outcomes were exercised, so a factor kept after a reject or
     # dropped after an accept would have shown.
@@ -86,7 +89,8 @@ def glyph_after_two_sweeps():
                          ids=["toy-1d", "glyph-2d"])
 def test_stacked_phases_match_a_loop_over_subjects(make_state):
     """Each stacked phase against a per-subject loop: the X(T_i) draw takes the
-    loop's numbers, the subjects' rho weights are the loop's, and the sigma^2,
+    loop's numbers, the subjects' rho weights from the cached distances are
+    the loop's from each subject's transformed sites, and the sigma^2,
     beta draws match the loop's up to the rounding of the row sums."""
     state, geom, hp = make_state()
     mean, var = transformed_template_conditional(state)
@@ -97,9 +101,10 @@ def test_stacked_phases_match_a_loop_over_subjects(make_state):
 
     factor = kriging_factor(geom.library, geom.predecessor_patterns, 0.7)
     _, (b, f) = rho_weights(state, geom, factor)
-    for i in range(len(state.T)):
-        bi, fi = library_weights(state.locs[i], state.entry[i], geom.library, geom.locations,
-                                 factor, state.alpha)
+    for i, t in enumerate(state.T):
+        dist = neighbor_distances(affine_apply(t, geom.locations), state.entry[i],
+                                  geom.library, geom.locations)
+        bi, fi = library_weights(dist, state.entry[i], geom.library, factor, state.alpha)
         assert np.array_equal(b[i], bi) and np.array_equal(f[i], fi)
 
     shape, rate, mu, lam = beta_sigma_conditional(state, hp)
@@ -123,6 +128,30 @@ def test_same_seed_gives_identical_store(case, tmp_path):
     paths = []
     for run in range(2):
         store, _ = short_chain(case, sweeps=6).run()
+        paths.append(tmp_path / f"run{run}.bin")
+        save_store(store, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rho_weights_from_cached_distances_give_the_chain_of_recomputed_ones(
+        case, tmp_path, monkeypatch):
+    """A chain whose rho step recomputes the distances from each T_i writes the
+    same store, byte for byte, as one that reads them from the state."""
+    def from_transforms(state, geom, factor):
+        n, v, k = state.dist.shape
+        locs = np.concatenate([affine_apply(t, geom.locations) for t in state.T])
+        entries = state.entry.ravel()
+        b, f = library_weights(neighbor_distances(locs, entries, geom.library, geom.locations),
+                               entries, geom.library, factor, state.alpha)
+        return (predecessor_weights(geom.predecessor_patterns, factor, state.alpha),
+                (b.reshape(n, v, k), f.reshape(n, v)))
+
+    paths = []
+    for run in range(2):
+        if run:
+            monkeypatch.setattr(sampler, "rho_weights", from_transforms)
+        store, _ = short_chain(case).run()
         paths.append(tmp_path / f"run{run}.bin")
         save_store(store, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -442,7 +471,7 @@ def test_stationarity_test_sees_the_tr_l_hastings_factor(monkeypatch):
     assert z["E[a]"] < -STATIONARITY_Z, z
 
 
-CACHES = ("locs", "entry", "nbr", "B", "F")
+CACHES = ("dist", "entry", "nbr", "B", "F")
 
 
 def test_rejected_forward_update_leaves_the_subject_unchanged(monkeypatch):

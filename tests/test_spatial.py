@@ -5,8 +5,8 @@ import pytest
 
 from groupreg.errors import OutOfLibraryBounds
 from groupreg.grids import Lattice, make_lattice_1d
-from groupreg.spatial import (JITTER, VAR_FLOOR, CovarianceParams, batched_nngp_weights,
-                              build_neighbor_library,
+from groupreg.spatial import (JITTER, VAR_FLOOR, CovarianceParams, _offset_distances,
+                              _site_coords, batched_nngp_weights, build_neighbor_library,
                               build_ordered_neighbor_sets, conditional_means,
                               cov_matrix, dense_gp_log_density, dense_kriging,
                               lookup_neighbors, nngp_log_density)
@@ -166,6 +166,40 @@ class TestNeighborLibrary:
             d = np.abs(locs[:, 0] - round(p))
             expect = np.argsort(d, kind="stable")[:2]
             assert got.tolist() == expect.tolist()
+
+
+class TestPatternTable:
+    """Library entries are grouped by the bits of their neighbor distance matrix."""
+
+    LATTICES = {
+        "glyph": (Lattice((28, 28), np.array([1.0, 1.0]), np.zeros(2)), 9),
+        "anisotropic": (Lattice((9, 13), np.array([0.7, 1.3]), np.array([-2.0, 0.5])), 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    def test_every_entry_gets_its_own_distance_matrix(self, name):
+        lat, margin = self.LATTICES[name]
+        lib = build_neighbor_library(lat, margin, 10)
+        sites = _site_coords(lat.shape)[lib.neighbor_indices]        # (n_lib, k, d)
+        own = _offset_distances(sites, lat.spacing)
+        assert np.array_equal(lib.pattern_dist[lib.pattern_ids], own)
+        # No two patterns hold the same matrix: every repeat was merged.
+        flat = lib.pattern_dist.reshape(len(lib.pattern_dist), -1)
+        assert len(np.unique(flat, axis=0)) == len(flat)
+        # Swapping the axes of a shape keeps its matrix on the square lattice,
+        # so such shapes share a pattern; with unequal spacings it changes
+        # every matrix, so they cannot.
+        swapped = _offset_distances(sites[..., ::-1], lat.spacing)
+        same = np.all(swapped == own, axis=(1, 2))
+        assert same.all() if name == "glyph" else not same.any()
+
+    def test_glyph_library_has_88_matrices_from_330_shapes(self):
+        lat, margin = self.LATTICES["glyph"]
+        lib = build_neighbor_library(lat, margin, 10)
+        sites = _site_coords(lat.shape)[lib.neighbor_indices]
+        shapes = (sites - sites[:, :1]).reshape(len(sites), -1)
+        assert len(np.unique(shapes, axis=0)) == 330
+        assert lib.pattern_dist.shape == (88, 10, 10)
 
 
 class TestLookup:

@@ -51,6 +51,11 @@ class TestApply:
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
         assert np.allclose(affine_apply(t, pts), [[1, -1], [3, 0]])
 
+    def test_an_image_that_overflows_gives_non_finite_rows_without_a_warning(self):
+        t = AffineTransform.from_parts(np.diag([1e308, 1.0]), [0.0, 0.0])
+        got = affine_apply(t, np.array([[0.0, 2.0], [3.0, 2.0], [-3.0, 2.0]]))
+        assert np.array_equal(got, [[0.0, 2.0], [np.inf, 2.0], [-np.inf, 2.0]])
+
 
 class TestCompose:
     def test_inverse_pair_gives_identity(self):
