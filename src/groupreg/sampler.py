@@ -33,11 +33,14 @@ X | rest is Gaussian with a sparse banded precision Q (`template_conditional`)
 and is drawn exactly in one block step (Rue 2001): a LAPACK banded Cholesky
 Q = L L^T, then x = Q^-1 b + L^-T z. The bandwidth w is the widest column
 span of this sweep's NNGP rows, about six lattice rows (168 on a 28x28
-lattice), so the step costs O(V w^2) time and O(V w) memory. On one core of
-a 2-core x86-64 machine it takes ~3 ms per sweep on 28x28 (assembly ~2 ms,
-factor ~1 ms), against ~14 ms for the site-by-site Gibbs loop it replaced
-(~18 us per site, O(V)); on synthetic lattices the two cross near 56x56,
-beyond which the block step is the slower one.
+lattice), so the step costs O(V w^2) time and O(V w) memory. Q's band slots
+are built once per chain (`TemplateBand`, kept in `ChainState.band`), and a
+sweep only writes the pair values into the chain's buffers and sums them.
+On one core of a 2-core x86-64 machine the step takes ~3 ms per sweep on
+28x28 (assembly ~1.4 ms, factor ~1.5 ms) and ~0.2-0.4 ms on the 1D curves
+(V = 81 and 201), against ~14 ms on 28x28 for the site-by-site Gibbs loop it
+replaced (~18 us per site, O(V)); on synthetic lattices the two cross near
+56x56, beyond which the block step is the slower one.
 
 T_i, T_i^r and the baseline's T_i all move by one Metropolis step on the
 affine group, `lie_mh_step`: propose exp(delta) t, delta ~ N(0, adaptive
@@ -162,7 +165,7 @@ class ChainState:
     T_i(S)), Y_bw (Y_i at T_i^r(S)) and F, and of the NNGP caches of T_i(S):
     library entries (N, V), neighbor sets nbr, their distances dist from
     T_i(S) and weights B (N, V, k). `warps[i]` samples maps[i] at T(S) for
-    the reverse step."""
+    the reverse step, and `band` assembles the X step's precision."""
 
     X: np.ndarray
     maps: list
@@ -184,6 +187,7 @@ class ChainState:
     tF: np.ndarray = field(default=None, repr=False)
     factor: KrigingFactor = field(default=None, repr=False)  # pattern cache at rho
     warps: list = field(default=None, repr=False)
+    band: TemplateBand = field(default=None, repr=False)   # Q's slot tables and buffers
     rho_proposals: int = 0
     rho_accepts: int = 0
 
@@ -215,6 +219,7 @@ def refresh_caches(state, geom):
                                              state.alpha)
     caches = [subject_geometry(t, geom, state.factor, state.alpha) for t in state.T]
     state.dist, state.entry, state.nbr, state.B, state.F = map(np.stack, zip(*caches))
+    state.band = TemplateBand(geom, len(state.T))
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +246,93 @@ def update_transformed_template(state, rng):
     return state.XT
 
 
-def _band_terms(cols, w, finv, n_band):
-    """Band slots and values of the upper-triangle pairs of each row's w w^T / F.
+def _template_cols(geom):
+    """(m + 1, V) column-first: template row l has columns [l, predecessors],
+    the padded predecessor slots pointed at l itself."""
+    nsets = geom.neighbor_sets
+    own = np.arange(len(nsets))[:, None]
+    return np.hstack([own, np.where(nsets >= 0, nsets, own)]).T
 
-    cols and w are stored column-first, (k, n). Pair (p, q), p <= q, of a
-    row lands at [d, j] = [|c_p - c_q|, min(c_p, c_q)] of a Fortran-ordered
-    band with n_band rows, flat index j * n_band + d, so every off-diagonal
-    pair is added once, to the lower band. Yields one (slots, values) chunk
-    per p: small chunks stay in cache, where one (k^2 / 2, n) pass does not.
+
+def _pair_slots(cols, n_band):
+    """Band slot of every upper-triangle column pair of every row.
+
+    cols is column-first, (k, n). Pair (p, q), p <= q, of a row lands at
+    [d, j] = [|c_p - c_q|, min(c_p, c_q)] of a Fortran-ordered band with
+    n_band rows, flat index j * n_band + d = min * (n_band - 2) + c_p + c_q,
+    so every off-diagonal pair is added once, to the lower band. Returns
+    (k (k + 1) / 2, n): the pairs in `np.triu_indices` order, rows inside.
     """
-    wf = w * finv
-    for p in range(len(cols)):
-        ci, cj = cols[p], cols[p:]
-        slot = np.minimum(ci, cj)    # j * n_band + d = min * (n_band - 2) + c_p + c_q
-        slot *= n_band - 2
-        slot += ci
-        slot += cj
-        yield slot.ravel(), (wf[p] * w[p:]).ravel()
+    iu, ju = np.triu_indices(len(cols))
+    ci, cj = cols[iu], cols[ju]
+    return np.minimum(ci, cj) * (n_band - 2) + ci + cj
+
+
+class _PairFamily:
+    """One family of NNGP rows of Q, with k columns each: buffers for the
+    rows' (k, n) weights w and w / F and their (n,) 1 / F, and views of this
+    family's part of the band's slots and values, (k (k + 1) / 2, n) each."""
+
+    def __init__(self, k, n, slots, values):
+        self.iu, self.ju = np.triu_indices(k)
+        self.w, self.wf, self.finv = np.empty((k, n)), np.empty((k, n)), np.empty(n)
+        shape = (self.iu.size, n)
+        self.slots, self.values = slots.reshape(shape), values.reshape(shape)
+        self.w_ju = np.empty(shape)
+
+    def fill_values(self):
+        """values = (w / F)[iu] * w[ju], from the w and 1 / F the caller wrote."""
+        np.multiply(self.w, self.finv, out=self.wf)
+        # mode="clip" writes straight into `out`; the default "raise" buffers it.
+        np.take(self.wf, self.iu, axis=0, out=self.values, mode="clip")
+        np.take(self.w, self.ju, axis=0, out=self.w_ju, mode="clip")
+        self.values *= self.w_ju
+
+
+class TemplateBand:
+    """A chain's workspace for the band of Q in `template_conditional`.
+
+    Q sums w w^T / F over two families of NNGP rows: the template's
+    (`_template_cols`) and the subjects', each the neighbor set of its
+    library entry. Neither family's columns ever change, so the band slots
+    of their pairs (`_pair_slots`) are built once, per template row and per
+    library entry, and built again only when the band height that a state
+    needs changes. A call gathers the subjects' slots by entry, writes every
+    pair's value into buffers held here, and sums all pairs, template family
+    first, with one bincount. Of size O(V w) it allocates only the band.
+    """
+
+    def __init__(self, geom, n_subjects):
+        v = geom.locations.shape[0]
+        k_t, k = geom.neighbor_sets.shape[1] + 1, geom.library.neighbor_indices.shape[1]
+        split = k_t * (k_t + 1) // 2 * v
+        self.slots = np.empty(split + k * (k + 1) // 2 * n_subjects * v, dtype=np.intp)
+        self.values = np.empty(self.slots.size)
+        self.template = _PairFamily(k_t, v, self.slots[:split], self.values[:split])
+        self.template.w[0] = 1.0
+        self.subjects = _PairFamily(k, n_subjects * v, self.slots[split:], self.values[split:])
+        self.template_span = int(np.max(np.ptp(_template_cols(geom), axis=0)))
+        self.entry_span = np.ptp(geom.library.neighbor_indices, axis=1)
+        self.n_band = 0               # the band height the slot tables are built for
+        self.entry_slots = None       # (k (k + 1) / 2, n_lib)
+
+    def precision(self, state, geom):
+        """Sum of w w^T / F over both families: the (n_band, V) band, Fortran-ordered."""
+        n_band = 1 + max(self.template_span, int(np.max(self.entry_span[state.entry])))
+        if n_band != self.n_band:
+            self.template.slots[...] = _pair_slots(_template_cols(geom), n_band)
+            self.entry_slots = _pair_slots(geom.library.neighbor_indices.T, n_band)
+            self.n_band = n_band
+        np.take(self.entry_slots, state.entry.ravel(), axis=1, out=self.subjects.slots,
+                mode="clip")
+        np.negative(state.tB.T, out=self.template.w[1:])
+        np.divide(1.0, state.tF, out=self.template.finv)
+        np.copyto(self.subjects.w, state.B.reshape(-1, state.B.shape[-1]).T)
+        np.divide(1.0, state.F.ravel(), out=self.subjects.finv)
+        self.template.fill_values()
+        self.subjects.fill_values()
+        v = state.X.size
+        return np.bincount(self.slots, self.values, n_band * v).reshape(v, n_band).T
 
 
 def template_conditional(state, geom):
@@ -270,26 +345,22 @@ def template_conditional(state, geom):
     padded predecessor slots carry B = 0 and are pointed at l itself. Subject
     rows are the library sets state.nbr with weights state.B, all subjects'
     rows one family. Q is returned in LAPACK lower-band storage,
-    Fortran-ordered, Q[j + d, j] at [d, j]; its bandwidth is the widest
-    column span of this state's rows.
+    Fortran-ordered, Q[j + d, j] at [d, j], assembled by `state.band`.
+
+    Its bandwidth is the widest column span of this state's rows, not of
+    every library entry: on 28x28 the state's rows need 169 band rows and the
+    library's widest entry 225, and `dpbtrf` takes ~1.5 ms at 169 against
+    ~2.2 ms at 225 (one core of a 2-core x86-64 machine). The slot tables
+    are rebuilt when the height changes, which no measured chain did. A call
+    costs ~1.4 ms on 28x28, most of it the bincount into the ~1 MB band, and
+    ~0.1-0.4 ms on the 1D curves; besides the band it allocates only O(N V k).
     """
     v = state.X.size
-    own = np.arange(v)[:, None]
-    nsets = geom.neighbor_sets
     k = state.nbr.shape[-1]
-    nbr, weights = state.nbr.reshape(-1, k), state.B.reshape(-1, k)
     xt_f = (state.XT / state.F).ravel()
-    b = np.bincount(nbr.ravel(), (weights * xt_f[:, None]).ravel(), v)
+    b = np.bincount(state.nbr.ravel(), (state.B.reshape(-1, k) * xt_f[:, None]).ravel(), v)
     b += (state.beta / state.sigma2) @ state.Y_bw
-    rows = [(np.hstack([own, np.where(nsets >= 0, nsets, own)]),
-             np.hstack([np.ones((v, 1)), -state.tB]), 1.0 / state.tF),
-            (nbr, weights, 1.0 / state.F.ravel())]
-    families = [(np.ascontiguousarray(c.T), np.ascontiguousarray(w.T), finv)
-                for c, w, finv in rows]
-    n_band = 1 + max(int(np.max(c.max(axis=0) - c.min(axis=0))) for c, _, _ in families)
-    slots, values = zip(*(t for f in families for t in _band_terms(*f, n_band)))
-    ab = np.bincount(np.concatenate(slots), np.concatenate(values), n_band * v)
-    ab = ab.reshape(v, n_band).T
+    ab = state.band.precision(state, geom)
     ab[0] += np.sum(state.beta ** 2 / state.sigma2)
     return ab, b
 

@@ -52,12 +52,16 @@ from .grids import Lattice
 
 JITTER = 1e-10
 VAR_FLOOR = 1e-12
-# One (rows, V) array of a library build block. Much smaller blocks left
-# glyph28 sweeps a third slower: glibc sizes its dynamic mmap and trim
-# thresholds from the largest block freed, and below ~4 MB the sweep's
-# several MB of temporaries went back to the OS and faulted in again on
-# every sweep.
-_BLOCK_BYTES = 1 << 22
+# One (rows, V) array of a library build block. The build holds a few such
+# arrays at once, and smaller blocks build faster too: on a 28x28 lattice
+# with margin 9, 76 ms at 256 kB against 120 ms at 4 MB. Since the template
+# step keeps its pair buffers (`sampler.TemplateBand`), sweep speed does not
+# depend on the block: glyph28 sweeps ran at 76-102/s after a build with
+# 256 kB blocks and 76-109/s with 4 MB ones (fresh processes, one core of a
+# 2-core x86-64 machine), where a sweep that allocated several MB of
+# temporaries ran a third slower with small blocks, glibc having sized its
+# mmap threshold from the largest block freed.
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -243,12 +247,13 @@ def lookup_entries(points, library):
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    u = library.enlarged.to_index_coords(pts)
-    idx = np.floor(u + 0.5).astype(int)  # round half-up per axis
+    rounded = np.floor(library.enlarged.to_index_coords(pts) + 0.5)  # half-up per axis
     shape = library.enlarged.shape
-    for a, n in enumerate(shape):
-        if np.any(idx[:, a] < 0) or np.any(idx[:, a] >= n):
-            raise OutOfLibraryBounds("point outside the neighbor library")
+    # Checked on the floats: a NaN fails both comparisons, and neither a
+    # non-finite nor a huge coordinate reaches the integer cast.
+    if not np.all((rounded >= 0) & (rounded < shape)):
+        raise OutOfLibraryBounds("point outside the neighbor library")
+    idx = rounded.astype(int)
     flat = np.ravel_multi_index(tuple(idx[:, a] for a in range(len(shape))), shape)
     return flat[0] if single else flat
 

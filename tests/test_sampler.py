@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -176,6 +178,93 @@ def test_template_draws_match_block_conditional():
     # Standard error of a Gaussian sample covariance entry: sqrt((S_ii S_jj + S_ij^2) / n).
     se = np.sqrt((np.outer(sd * sd, sd * sd) + cov * cov) / n)
     assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 4.0 * se)
+
+
+def band_terms(cols, w, finv, n_band):
+    """Band slots and values of the upper-triangle pairs of each row's w w^T / F,
+    one (slots, values) chunk per p; cols and w are column-first, (k, n)."""
+    wf = w * finv
+    for p in range(len(cols)):
+        ci, cj = cols[p], cols[p:]
+        slot = np.minimum(ci, cj)    # j * n_band + d = min * (n_band - 2) + c_p + c_q
+        slot *= n_band - 2
+        slot += ci
+        slot += cj
+        yield slot.ravel(), (wf[p] * w[p:]).ravel()
+
+
+def chunked_template_conditional(state, geom):
+    """(ab, b) of `template_conditional`, assembled anew on each call: every row's
+    slots and values recomputed, chunk by chunk, then summed by one bincount."""
+    v = state.X.size
+    own = np.arange(v)[:, None]
+    nsets = geom.neighbor_sets
+    k = state.nbr.shape[-1]
+    nbr, weights = state.nbr.reshape(-1, k), state.B.reshape(-1, k)
+    xt_f = (state.XT / state.F).ravel()
+    b = np.bincount(nbr.ravel(), (weights * xt_f[:, None]).ravel(), v)
+    b += (state.beta / state.sigma2) @ state.Y_bw
+    rows = [(np.hstack([own, np.where(nsets >= 0, nsets, own)]),
+             np.hstack([np.ones((v, 1)), -state.tB]), 1.0 / state.tF),
+            (nbr, weights, 1.0 / state.F.ravel())]
+    families = [(np.ascontiguousarray(c.T), np.ascontiguousarray(w.T), finv)
+                for c, w, finv in rows]
+    n_band = 1 + max(int(np.max(c.max(axis=0) - c.min(axis=0))) for c, _, _ in families)
+    slots, values = zip(*(t for f in families for t in band_terms(*f, n_band)))
+    ab = np.bincount(np.concatenate(slots), np.concatenate(values), n_band * v)
+    ab = ab.reshape(v, n_band).T
+    ab[0] += np.sum(state.beta ** 2 / state.sigma2)
+    return ab, b
+
+
+def assert_template_conditional_is_the_chunked_one(state, geom):
+    ab, b = template_conditional(state, geom)
+    want_ab, want_b = chunked_template_conditional(state, geom)
+    assert ab.shape == want_ab.shape and ab.flags.f_contiguous
+    assert np.array_equal(ab, want_ab) and np.array_equal(b, want_b)
+    return ab.shape[0]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_template_conditional_is_the_chunked_assembly_bit_for_bit(case):
+    """The slot tables built once per chain give the (ab, b) of the full
+    assembly, bit for bit, after every sweep of a chain."""
+    chain = short_chain(case, sweeps=6)
+    for _ in range(chain.config.total):
+        chain.sweep()
+        assert_template_conditional_is_the_chunked_one(chain.state, chain.geom)
+
+
+def test_template_conditional_rebuilds_its_slots_when_the_band_height_changes():
+    """A row moved onto the library entry whose neighbors span the most
+    columns widens the band; moved back, it narrows it again. Slot tables
+    left at the old height would put every pair in the wrong place."""
+    state, geom, _ = glyph_after_two_sweeps()
+    lib = geom.library
+    before = assert_template_conditional_is_the_chunked_one(state, geom)
+    widest = int(np.argmax(np.ptp(lib.neighbor_indices, axis=1)))
+    entry = state.entry[0, 5]
+    for moved in (widest, entry):
+        state.entry[0, 5] = moved
+        state.nbr[0, 5] = lib.neighbor_indices[moved]
+        height = assert_template_conditional_is_the_chunked_one(state, geom)
+        assert (height > before) == (moved == widest)
+    assert height == before
+
+
+def test_template_conditional_allocates_little_beyond_its_band():
+    """Once the slot tables are built, a call's peak allocation is at most
+    twice the band it returns: the pair slots and values live in the chain."""
+    state, geom, _ = glyph_after_two_sweeps()
+    template_conditional(state, geom)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ab, _ = template_conditional(state, geom)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ab.nbytes, (peak, ab.nbytes)
 
 
 def test_non_positive_definite_precision_raises():
@@ -486,5 +575,21 @@ def test_rejected_forward_update_leaves_the_subject_unchanged(monkeypatch):
     adapt = AdaptiveProposal(2)
     assert not update_forward_transform(0, state, geom, hp, adapt, np.random.default_rng(0))
     assert (adapt.rejected_oob, adapt.proposals) == (1, 1)
+    assert state.T[0] is t
+    assert all(np.array_equal(getattr(state, name), a) for name, a in zip(CACHES, kept))
+
+
+def test_forward_proposal_whose_image_overflows_is_rejected_out_of_library(monkeypatch):
+    """T(S) with infinite and huge coordinates: the library lookup raises
+    OutOfLibraryBounds, not a cast warning (an error under the suite's
+    filterwarnings), so the step counts the proposal in rejected_oob."""
+    state, geom, hp = _toy_state()
+    t = state.T[0]
+    kept = [getattr(state, name).copy() for name in CACHES]
+    monkeypatch.setattr(sampler, "lie_exp",
+                        lambda delta: AffineTransform.from_parts([[1e308]], [0.0]))
+    adapt = AdaptiveProposal(2)
+    assert not update_forward_transform(0, state, geom, hp, adapt, np.random.default_rng(0))
+    assert (adapt.rejected_oob, adapt.rejected_nolog, adapt.proposals) == (1, 0, 1)
     assert state.T[0] is t
     assert all(np.array_equal(getattr(state, name), a) for name, a in zip(CACHES, kept))

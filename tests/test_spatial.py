@@ -9,8 +9,9 @@ from groupreg.spatial import (JITTER, VAR_FLOOR, CovarianceParams, _offset_dista
                               _site_coords, batched_nngp_weights, build_neighbor_library,
                               build_ordered_neighbor_sets, conditional_means,
                               cov_matrix, dense_gp_log_density, dense_kriging,
-                              lookup_neighbors, nngp_log_density)
+                              lookup_entries, lookup_neighbors, nngp_log_density)
 from groupreg.synth import ScenarioSpec, gen_indicator_curves
+from groupreg.transforms import AffineTransform, affine_apply
 
 
 def grid2d(n, spacing=1.0):
@@ -228,6 +229,17 @@ class TestLookup:
             lookup_neighbors(np.array([9.0, 2.0]), self.lib)
         with pytest.raises(OutOfLibraryBounds):
             lookup_neighbors(np.array([[2.0, 2.0], [-2.0, 0.0]]), self.lib)
+
+    def test_an_image_that_overflows_is_out_of_bounds(self):
+        """Rejected on the floats, with no cast warning first (an error in this suite)."""
+        t = AffineTransform.from_parts(np.diag([1e308, 1.0]), np.zeros(2))
+        with pytest.raises(OutOfLibraryBounds):
+            lookup_entries(affine_apply(t, self.lat.locations()), self.lib)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_points_are_out_of_bounds(self, bad):
+        with pytest.raises(OutOfLibraryBounds):
+            lookup_entries(np.array([[2.0, 2.0], [bad, 1.0]]), self.lib)
 
     def test_rounding_error_bound(self):
         # max distance of the returned set exceeds the true m-nearest
