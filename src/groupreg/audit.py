@@ -187,6 +187,15 @@ def conjugacy_audit(seed=0, tol=1e-8):
     return results
 
 
+def _geometry(h, state, geom):
+    """`subject_geometry`'s caches of a stack of one T; OutOfLibraryBounds
+    where that T leaves the library."""
+    inside, caches = subject_geometry(h, geom, state.factor, state.alpha)
+    if not inside[0]:
+        raise OutOfLibraryBounds("transform outside the neighbor library")
+    return caches
+
+
 def target_audit(seed=0, tol=1e-8):
     """Each Metropolis log target's change vs the joint log density's change.
 
@@ -206,36 +215,37 @@ def target_audit(seed=0, tol=1e-8):
     ts, sigma2s = list(state.T), list(state.sigma2)
     conv_base = log_joint(ts, w, sigma2s)
 
-    # Moves of subject 0's transforms.
-    xt, beta, s2 = state.XT[0], state.beta[0], state.sigma2[0]
+    # Moves of subject 0's transforms, each target evaluated on a stack of one.
+    xt, beta, s2 = state.XT[:1], state.beta[:1], state.sigma2[:1]
     for _ in range(5):
         t_old, t_r_old = state.T[0], state.T_r[0]
         t_new = affine_compose(lie_exp(0.05 * rng.standard_normal(2)), t_old)
-        closed = (forward_log_target(t_new, t_r_old, state.X, xt,
-                                     subject_geometry(t_new, geom, state.factor, state.alpha)[2:],
-                                     geom, hp)
-                  - forward_log_target(t_old, t_r_old, state.X, xt,
-                                       (state.nbr[0], state.B[0], state.F[0]), geom, hp))
+        h_old, h_r_old, h_new = t_old.matrix[None], t_r_old.matrix[None], t_new.matrix[None]
+        closed = (forward_log_target(h_new, h_r_old, state.X, xt,
+                                     _geometry(h_new, state, geom)[2:], geom, hp)[0]
+                  - forward_log_target(h_old, h_r_old, state.X, xt,
+                                       (state.nbr[:1], state.B[:1], state.F[:1]), geom, hp)[0])
         state.T[0] = t_new
         joint = _joint(state, geom, hp) - base
         state.T[0] = t_old
         worst["target.forward"] = max(worst["target.forward"], abs(closed - joint))
 
         t_r_new = affine_compose(lie_exp(0.05 * rng.standard_normal(2)), t_r_old)
-        y_bw_new = state.warps[0](t_r_new)
-        closed = (reverse_log_target(t_r_new, t_old, state.X, y_bw_new, beta, s2, geom, hp)
-                  - reverse_log_target(t_r_old, t_old, state.X, state.Y_bw[0], beta, s2,
-                                       geom, hp))
+        y_bw_new = state.warps[0](t_r_new)[None]
+        h_r_new = t_r_new.matrix[None]
+        closed = (reverse_log_target(h_r_new, h_old, state.X, y_bw_new, beta, s2, geom, hp)[0]
+                  - reverse_log_target(h_r_old, h_old, state.X, state.Y_bw[:1], beta, s2,
+                                       geom, hp)[0])
         state.T_r[0] = t_r_new
         joint = _joint(state, geom, hp) - base
         state.T_r[0] = t_r_old
         worst["target.reverse"] = max(worst["target.reverse"], abs(closed - joint))
 
-        y = state.Y[0]
-        phi_new, phi_old = (gauss_kernel(affine_apply(t, locs), landmarks)
+        y = state.Y[:1]
+        phi_new, phi_old = (gauss_kernel(affine_apply(t, locs), landmarks)[None]
                             for t in (t_new, t_old))
-        closed = (conventional_log_target(t_new, phi_new, y, w, s2, geom.prior_T)
-                  - conventional_log_target(t_old, phi_old, y, w, s2, geom.prior_T))
+        closed = (conventional_log_target(h_new, phi_new, y, w, s2, geom.prior_T)[0]
+                  - conventional_log_target(h_old, phi_old, y, w, s2, geom.prior_T)[0])
         joint = log_joint([t_new] + ts[1:], w, sigma2s) - conv_base
         worst["target.conventional"] = max(worst["target.conventional"], abs(closed - joint))
 
@@ -312,8 +322,9 @@ def detailed_balance_audit(n_pairs=100, seed=0, tol=1e-6):
     rng = np.random.default_rng(seed + 1)
 
     def forward(t):
-        weights = subject_geometry(t, geom, state.factor, state.alpha)[2:]
-        return forward_log_target(t, state.T_r[0], state.X, state.XT[0], weights, geom, hp)
+        h = t.matrix[None]
+        return forward_log_target(h, state.T_r[0].matrix[None], state.X, state.XT[:1],
+                                  _geometry(h, state, geom)[2:], geom, hp)[0]
 
     def start_1d(rng):
         return AffineTransform.from_parts(np.array([[rng.uniform(0.85, 1.15)]]),

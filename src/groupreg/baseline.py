@@ -13,10 +13,12 @@ inverse-consistency penalty.
 
 Sampling: `ConventionalChain`, run by the symmetric model's loop
 (`sampler.Chain.run`). Each sweep is conjugate Gibbs for w and sigma_i^2,
-and for T_i the symmetric model's Lie-group Metropolis step
+and moves every T_i by the symmetric model's Lie-group Metropolis step
 (`sampler.lie_mh_step`, with its closed-form Hastings term and
-Robbins-Monro adaptation). K^-1 and the kernel design at the lattice sites
-are computed once per chain.
+Robbins-Monro adaptation), one call for all subjects: given w and the
+sigma_i^2 the T_i are independent, so their kernel designs at the proposed
+sites and their log targets are computed stacked. K^-1 and the kernel
+design at the lattice sites are computed once per chain.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .grids import ActivationMap, common_lattice
 from .interp import Warp
 from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
 from .sampler import AdaptiveProposal, Chain, fit_affine, lie_mh_step
-from .transforms import AffineTransform, affine_apply, affine_inverse
+from .transforms import (AffineTransform, affine_apply, affine_inverse, apply_stack,
+                         matrix_stack)
 
 KERNEL_JITTER = 1e-8
 KERNEL_WIDTH = 1.5      # tau
@@ -82,14 +85,17 @@ def conventional_sigma2_conditional(y, phi, w, hp):
     return hp.a0_sigma + y.size / 2.0, hp.a1_sigma + 0.5 * float(r @ r)
 
 
-def conventional_log_target(t, phi, y, w, sigma2, prior):
-    """T-dependent part of the conventional joint: prior and Gaussian log-likelihood.
+def conventional_log_target(h, phi, y, w, sigma2, prior):
+    """T-dependent part of the conventional joint, per subject: prior and
+    Gaussian log-likelihood.
 
-    `phi` is the kernel design at the transformed sites T(S); `prior` is the
-    `TransformPrior` of T.
+    h is an (n, d + 1, d + 1) stack of the subjects' T, `phi` (n, V, L) the
+    kernel designs at their transformed sites T(S), y (n, V) their maps and
+    sigma2 (n,) their noise variances; `prior` is the `TransformPrior` of T.
+    Returns (n,).
     """
     r = y - phi @ w
-    return prior.log_density(t) - 0.5 * float(r @ r) / sigma2
+    return prior.log_density(h) - 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / sigma2
 
 
 def conventional_log_joint(maps, ts, w, sigma2s, landmarks, gram_chol, hp, prior):
@@ -134,14 +140,14 @@ class ConventionalChain(Chain):
         _, self.k_inv = kernel_gram(self.landmarks)
         self.design = gauss_kernel(self.locs, self.landmarks)
         self.prior = TransformPrior(config.a_T, config.b_T, sigma_s_matrix(self.locs))
-        self.ys = [m.values for m in maps]
+        self.ys = np.stack([m.values for m in maps])
         self.proposals = {"forward": [AdaptiveProposal(d * (d + 1)) for _ in range(n)]}
 
         # Initialization: coarse-fit transforms against the mean map, ridge w.
         mean_map = ActivationMap(lattice, np.mean(self.ys, axis=0))
         self.ts = [fit_affine(m, mean_map, 1.0, AffineTransform.identity(d), coarse=True)
                    for m in maps]
-        self.phis = [gauss_kernel(affine_apply(t, self.locs), self.landmarks) for t in self.ts]
+        self.phis = self.designs(matrix_stack(self.ts))
         _, _, self.w = conventional_w_conditional(self.phis, self.ys, [1.0] * n, self.k_inv)
         self.sigma2s = [max(float(np.mean((y - phi @ self.w) ** 2)), 1e-12)
                         for y, phi in zip(self.ys, self.phis)]
@@ -155,18 +161,30 @@ class ConventionalChain(Chain):
         for i, (y, phi) in enumerate(zip(self.ys, self.phis)):
             shape, rate = conventional_sigma2_conditional(y, phi, w, self.config)
             self.sigma2s[i] = 1.0 / self.rng.gamma(shape=shape, scale=1.0 / rate)
-        # T_i | rest: Lie-MH against the kernel-template likelihood.
-        for i, adapt in enumerate(self.proposals["forward"]):
-            y, s2 = self.ys[i], self.sigma2s[i]
+        # T_i | rest: Lie-MH against the kernel-template likelihood, all subjects at once.
+        sigma2s = np.array(self.sigma2s)
 
-            def target(t):
-                phi = gauss_kernel(affine_apply(t, self.locs), self.landmarks)
-                return conventional_log_target(t, phi, y, w, s2, self.prior), phi
+        def target(rows, proposals):
+            h = matrix_stack(proposals)
+            phi = self.designs(h)
+            return (np.ones(rows.size, dtype=bool),
+                    conventional_log_target(h, phi, self.ys[rows], w, sigma2s[rows], self.prior),
+                    (phi,))
 
-            log_old = conventional_log_target(self.ts[i], self.phis[i], y, w, s2, self.prior)
-            step = lie_mh_step(self.ts[i], log_old, target, adapt, self.rng)
-            if step is not None:
-                self.ts[i], self.phis[i] = step
+        log_old = conventional_log_target(matrix_stack(self.ts), self.phis, self.ys, w, sigma2s,
+                                          self.prior)
+        accepted, t_new, phi = lie_mh_step(self.ts, log_old, target,
+                                           self.proposals["forward"], self.rng)
+        for i, t in zip(np.flatnonzero(accepted), t_new):
+            self.ts[i] = t
+        if t_new:
+            self.phis[accepted] = phi[0]
+
+    def designs(self, h):
+        """The (n, V, L) kernel designs at T(S) of an (n, d + 1, d + 1) stack of T."""
+        locs = apply_stack(h, self.locs)
+        n, v, d = locs.shape
+        return gauss_kernel(locs.reshape(-1, d), self.landmarks).reshape(n, v, -1)
 
     def record(self):
         n, d = len(self.maps), self.lattice.dim

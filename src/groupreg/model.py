@@ -31,7 +31,7 @@ from .spatial import (NeighborLibrary, PredecessorPatterns, batched_nngp_weights
                       build_neighbor_library, build_ordered_neighbor_sets,
                       build_predecessor_patterns, lookup_neighbors,
                       nngp_log_density_from_weights)
-from .transforms import affine_apply, composition_identity_gap
+from .transforms import AffineTransform, apply_stack, composition_identity_gap, matrix_stack
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,20 @@ class TransformPrior:
             gammaln((nu + p) / 2.0) - gammaln(nu / 2.0)
             - 0.5 * p * np.log(nu * np.pi) - 0.5 * logdet_scale))
 
-    def log_density(self, t):
-        d = t.dim
+    def log_density(self, h):
+        """Log density of each matrix of an (n, d + 1, d + 1) stack of
+        homogeneous matrices, (n,); of one `AffineTransform`, a float."""
+        if isinstance(h, AffineTransform):
+            return float(self.log_density(h.matrix[None])[0])
+        n, d = len(h), h.shape[-1] - 1
         nu = 2.0 * self.a
         p = d * (d + 1)
         # rows of [A b] minus those of the identity: row k maps (s, 1) -> coord k
-        dev = t.matrix[:-1] - np.eye(d, d + 1)
-        # quad form under scale^{-1} = (a/b) I (x) Sigma_s
-        quad = (self.a / self.b) * float(np.einsum("ki,ij,kj->", dev, self.sigma_s, dev))
-        return float(self.log_norm - 0.5 * (nu + p) * np.log1p(quad / nu))
+        dev = h[:, :-1] - np.eye(d, d + 1)
+        # quad form under scale^{-1} = (a/b) I (x) Sigma_s, one (1, p) @ (p, 1)
+        # product per matrix, so a row's value does not depend on n
+        quad = (dev @ self.sigma_s).reshape(n, 1, p) @ dev.reshape(n, p, 1)
+        return self.log_norm - 0.5 * (nu + p) * np.log1p((self.a / self.b) * quad[:, 0, 0] / nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +154,10 @@ def build_geometry(lattice, hp, margin):
     )
 
 
-def penalty_terms(t, t_r):
-    """The two Frobenius identity gaps ||H_T H_Tr - I||_F, ||H_Tr H_T - I||_F."""
-    return composition_identity_gap(t, t_r), composition_identity_gap(t_r, t)
+def penalty_terms(h, h_r):
+    """The two Frobenius identity gaps ||H_T H_Tr - I||_F, ||H_Tr H_T - I||_F
+    of each pair of two (n, d + 1, d + 1) stacks of T and T^r; (n,) each."""
+    return composition_identity_gap(h, h_r), composition_identity_gap(h_r, h)
 
 
 def normal_logpdf(x, mean, var):
@@ -193,7 +199,8 @@ def gibbs_log_posterior(state, hp, geom):
                                   geom.locations, cov)
     total += nngp_log_density_from_weights(x, x, geom.neighbor_sets, tb, tf)
 
-    locs = np.concatenate([affine_apply(t, geom.locations) for t in state.T])
+    h, h_r = matrix_stack(state.T), matrix_stack(state.T_r)
+    locs = apply_stack(h, geom.locations).reshape(-1, geom.lattice.dim)
     nbr = lookup_neighbors(locs, geom.library)
     b, f = batched_nngp_weights(locs, nbr, geom.locations, cov)
     total += nngp_log_density_from_weights(x, state.XT.ravel(), nbr, b, f)
@@ -207,9 +214,9 @@ def gibbs_log_posterior(state, hp, geom):
     total += float(np.sum(-0.5 * ssd / sigma2 - x.size * np.log(2.0 * np.pi * sigma2)))
     total += normal_logpdf(beta, hp.mu0, sigma2 / hp.lambda0)
     total += invgamma_logpdf(sigma2, hp.a0_sigma, hp.a1_sigma)
-    for t, t_r in zip(state.T, state.T_r):
-        total += (geom.prior_T.log_density(t) + geom.prior_Tr.log_density(t_r)
-                  - hp.lambda_r * sum(penalty_terms(t, t_r)))
+    p1, p2 = penalty_terms(h, h_r)
+    total += float(np.sum(geom.prior_T.log_density(h) + geom.prior_Tr.log_density(h_r)
+                          - hp.lambda_r * (p1 + p2)))
     return float(total)
 
 

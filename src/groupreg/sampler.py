@@ -13,12 +13,12 @@ that draw alone (`standardize_forward_transforms`, `standardize_scales`),
 so the records are an exact push-forward of the sampled posterior and the
 chain state is never changed by them.
 
-`ChainState` stacks the subjects, one array per field, and each Gibbs
-phase is one call for all of them; only the T_i and T_i^r Metropolis steps
-and the sigma_i^2, beta_i draws loop over subjects. Each chain owns one
-generator, `np.random.default_rng(config.seed)`, and every update draws from
-it in sweep order: the (N, V) draw of the X(T_i) takes subject 0's normals
-first, as a loop over subjects would.
+`ChainState` stacks the subjects, one array per field, and each phase is
+one call for all of them; only the sigma_i^2, beta_i draws loop over
+subjects. Each chain owns one generator, `np.random.default_rng(config.seed)`,
+and every update draws from it in sweep order: the (N, V) draw of the X(T_i)
+takes subject 0's normals first, as a loop over subjects would, and so do
+the transform steps (below).
 
 NNGP weights come from the pattern cache (`spatial.KrigingFactor`) kept in
 `ChainState.factor`. It is built for the current rho at construction and
@@ -49,10 +49,18 @@ cov), and accept with log probability min(0, log pi(y) - log pi(x)
 The log targets are densities in the matrix entries of (A, b), and
 (d + 1) tr L is the exact log Hastings ratio of this proposal in those
 coordinates; no proposal density or reverse increment is evaluated. A
-proposal with no real logarithm (`rejected_nolog`) or whose log target
-raises OutOfLibraryBounds (`rejected_oob`) is rejected outright. Each step
-draws delta, then the accept uniform, whether it rejects or not, so it
-advances the chain's generator by the same draws either way.
+proposal with no real logarithm (`rejected_nolog`) or that moves a template
+site out of the neighbor library (`rejected_oob`) is rejected outright.
+Given the rest of the state, the subjects' T_i targets are independent, and
+so are their T_i^r targets, so one step moves every subject in a direction:
+subject by subject it draws delta, then the accept uniform, whether the
+proposal is rejected or not, and forms the proposal with the scalar
+`lie_exp`; then the log targets of all current transforms, and of all
+proposals with a real logarithm, are each computed once over (N, d + 1,
+d + 1) stacks, and an accept mask writes the moved subjects back. The
+generator, the proposals and the accept decisions are those of a loop of
+scalar steps over subjects, and the seeded outputs are bit-identical to it
+(`tests/test_sampler.py` keeps the loop as the oracle).
 """
 
 from __future__ import annotations
@@ -71,11 +79,12 @@ from .grids import ActivationMap, common_lattice
 from .interp import Warp
 from .model import build_geometry, penalty_terms, pointwise_log_lik, waic
 from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
-                      kriging_factor, library_weights, lookup_entries, neighbor_distances,
+                      kriging_factor, library_weights, locate_entries, neighbor_distances,
                       nngp_log_density_from_weights, predecessor_weights)
 from .store import SampleStore
-from .transforms import (AffineTransform, affine_apply, affine_compose,
-                         affine_inverse, karcher_mean, lie_exp, lie_log, standardize)
+from .transforms import (AffineTransform, affine_apply, affine_compose, affine_inverse,
+                         apply_stack, karcher_mean, lie_exp, lie_log, matrix_stack,
+                         standardize)
 
 ADAPT_TARGET_RATE = 0.234
 RHO_STEP = 0.1        # standard deviation of the random-walk rho proposal
@@ -196,29 +205,46 @@ class ChainState:
         return CovarianceParams(self.alpha, self.rho)
 
 
-def subject_geometry(t, geom, factor, alpha):
-    """The library entries of T(S), their neighbor sets and distances, and (B, F).
+CACHES = ("dist", "entry", "nbr", "B", "F")   # a subject's NNGP caches in ChainState
 
-    Returns (dist, entry, nbr, B, F). Raises OutOfLibraryBounds when T moves
-    a template site past the margin.
+
+def subject_geometry(h, geom, factor, alpha):
+    """The library entries of each T(S), their neighbor sets and distances, and (B, F).
+
+    h is an (n, d + 1, d + 1) stack of homogeneous matrices. Returns
+    (inside, caches): inside (n,) marks the T that keep every template site
+    within the library's margin, and caches = (dist, entry, nbr, B, F), the
+    `CACHES` of those T only, stacked, (n_inside, V, ...) each. One lookup,
+    one distance call and one weights call cover all n V sites.
     """
-    locs = affine_apply(t, geom.locations)
-    entry = lookup_entries(locs, geom.library)
-    dist = neighbor_distances(locs, entry, geom.library, geom.locations)
-    b, f = library_weights(dist, entry, geom.library, factor, alpha)
-    return dist, entry, geom.library.neighbor_indices[entry], b, f
+    locs = apply_stack(h, geom.locations)
+    entry, inside = locate_entries(locs, geom.library)
+    inside = inside.all(axis=1)
+    if not inside.all():
+        locs, entry = locs[inside], entry[inside]
+    n, v, d = locs.shape
+    dist = neighbor_distances(locs.reshape(-1, d), entry.ravel(), geom.library, geom.locations)
+    b, f = library_weights(dist, entry.ravel(), geom.library, factor, alpha)
+    k = dist.shape[1]
+    return inside, (dist.reshape(n, v, k), entry, geom.library.neighbor_indices[entry],
+                    b.reshape(n, v, k), f.reshape(n, v))
 
 
 def refresh_caches(state, geom):
     """Factor the neighbor patterns at state.rho; set the template's (B, F),
     every subject's NNGP caches for its current T_i, and one `Warp` of each
-    subject map at the template sites, for the reverse step."""
+    subject map at the template sites, for the reverse step. Raises
+    OutOfLibraryBounds when a T_i leaves the library."""
     state.warps = [Warp(amap, geom.locations) for amap in state.maps]
     state.factor = kriging_factor(geom.library, geom.predecessor_patterns, state.rho)
     state.tB, state.tF = predecessor_weights(geom.predecessor_patterns, state.factor,
                                              state.alpha)
-    caches = [subject_geometry(t, geom, state.factor, state.alpha) for t in state.T]
-    state.dist, state.entry, state.nbr, state.B, state.F = map(np.stack, zip(*caches))
+    inside, caches = subject_geometry(matrix_stack(state.T), geom, state.factor, state.alpha)
+    if not inside.all():
+        raise OutOfLibraryBounds(f"transforms {np.flatnonzero(~inside).tolist()} move a "
+                                 "template site outside the neighbor library")
+    for name, value in zip(CACHES, caches):
+        setattr(state, name, value)
     state.band = TemplateBand(geom, len(state.T))
 
 
@@ -472,7 +498,8 @@ def update_rho(state, geom, hp, rng):
 # ---------------------------------------------------------------------------
 
 def lie_mh_log_acceptance(log_old, log_new, delta):
-    """log acceptance of y = exp(delta) x, delta from a symmetric density.
+    """log acceptance of y = exp(delta) x, delta from a symmetric density;
+    per row, for (n,) log targets and (n, d (d + 1)) deltas.
 
     The log targets are densities in the matrix entries of (A, b), where the
     proposal density is q(y | x) = N(delta) / |det d vec(y) / d delta|. That
@@ -481,91 +508,137 @@ def lie_mh_log_acceptance(log_old, log_new, delta):
     ad_delta, dexp_delta has eigenvalues (e^lam - 1) / lam, so
     det(dexp_delta) / det(dexp_-delta) = e^{tr ad_delta} = e^{tr L}, L the
     linear block of delta; and |det A_y / det A_x|^d = e^{d tr L}. Hence
-    log q(x | y) - log q(y | x) = (d + 1) tr L.
+    log q(x | y) - log q(y | x) = (d + 1) tr L. A NaN log target gives NaN,
+    which no accept draw is below.
     """
-    if delta.size == 2:
-        return min(0.0, log_new - log_old + 2.0 * float(delta[0]))
-    return min(0.0, log_new - log_old + 3.0 * float(delta[0] + delta[4]))
+    if delta.shape[-1] == 2:
+        return np.minimum(0.0, log_new - log_old + 2.0 * delta[..., 0])
+    return np.minimum(0.0, log_new - log_old + 3.0 * (delta[..., 0] + delta[..., 4]))
 
 
-def forward_log_target(t, t_r, x, xt, weights, geom, hp):
-    """T-dependent part of the joint: prior, NNGP terms of X(T), both penalties.
+def forward_log_target(h, h_r, x, xt, weights, geom, hp):
+    """T-dependent part of the joint, per subject: prior, NNGP terms of X(T), both penalties.
 
-    `weights` is the (nbr, B, F) of T(S): a subject's cached weights for its
-    current T, or `subject_geometry(t, ...)[2:]` for a proposal.
+    h and h_r are (n, d + 1, d + 1) stacks of the subjects' T and T^r, xt
+    their (n, V) X(T) values and `weights` the (nbr, B, F) of their T(S),
+    stacked: the state's caches, or `subject_geometry(h, ...)[1][2:]` for
+    proposals. Returns (n,).
     """
     nbr, b, f = weights
-    p1, p2 = penalty_terms(t, t_r)
-    return (geom.prior_T.log_density(t)
-            + nngp_log_density_from_weights(x, xt, nbr, b, f)
+    p1, p2 = penalty_terms(h, h_r)
+    return (geom.prior_T.log_density(h)
+            + nngp_log_density_from_weights(x, xt, nbr, b, f, axis=-1)
             - hp.lambda_r * (p1 + p2))
 
 
-def reverse_log_target(t_r, t, x, y_bw, beta, sigma2, geom, hp):
-    """T^r-dependent part: prior, SSD of y_bw = Y(T^r(S)) (1/2 weighted), both penalties."""
-    ssd = float(np.sum((y_bw - beta * x) ** 2))
-    p1, p2 = penalty_terms(t, t_r)
-    return (geom.prior_Tr.log_density(t_r)
+def reverse_log_target(h_r, h, x, y_bw, beta, sigma2, geom, hp):
+    """T^r-dependent part, per subject: prior, SSD of y_bw = Y(T^r(S))
+    (1/2 weighted), both penalties; stacked as in `forward_log_target`, with
+    the subjects' (n, V) y_bw and (n,) beta and sigma2. Returns (n,)."""
+    ssd = np.sum((y_bw - beta[:, None] * x) ** 2, axis=1)
+    p1, p2 = penalty_terms(h, h_r)
+    return (geom.prior_Tr.log_density(h_r)
             - 0.5 * ssd / sigma2 - hp.lambda_r * (p1 + p2))
 
 
-def lie_mh_step(t, log_old, log_target, adapt, rng):
-    """One random-walk Metropolis step t -> exp(delta) t on the affine group.
-
-    `log_old` is the log target at t; `log_target(t_new)` returns the log
-    target at the proposal and a payload the caller keeps on accept. Returns
-    (t_new, payload) on accept and None otherwise.
-    """
-    delta = adapt.proposal_factor() @ rng.standard_normal(adapt.dim)
-    accept_draw = np.log(rng.uniform())
-    t_new = affine_compose(lie_exp(delta), t)
+def _has_real_log(t):
     try:
-        lie_log(t_new)  # proposals without a real logarithm are rejected
+        lie_log(t)
     except NoRealLogarithm:
-        adapt.rejected_nolog += 1
-        adapt.record(False, delta)
-        return None
-    try:
-        log_new, payload = log_target(t_new)
-    except OutOfLibraryBounds:
-        adapt.rejected_oob += 1
-        adapt.record(False, delta)
-        return None
-    accepted = accept_draw < lie_mh_log_acceptance(log_old, log_new, delta)
-    adapt.record(accepted, delta)
-    return (t_new, payload) if accepted else None
-
-
-def update_forward_transform(i, state, geom, hp, adapt, rng):
-    """One Lie-MH step of T_i; on accept, T_i and row i of its NNGP caches change."""
-    def target(t):
-        caches = subject_geometry(t, geom, state.factor, state.alpha)
-        return forward_log_target(t, state.T_r[i], state.X, state.XT[i], caches[2:],
-                                  geom, hp), caches
-
-    log_old = forward_log_target(state.T[i], state.T_r[i], state.X, state.XT[i],
-                                 (state.nbr[i], state.B[i], state.F[i]), geom, hp)
-    step = lie_mh_step(state.T[i], log_old, target, adapt, rng)
-    if step is None:
         return False
-    state.T[i], (state.dist[i], state.entry[i], state.nbr[i], state.B[i], state.F[i]) = step
     return True
 
 
-def update_reverse_transform(i, state, geom, hp, adapt, rng):
-    """One Lie-MH step of T_i^r; on accept, T_i^r and row i of Y_bw change."""
-    def target(t_r):
-        y_bw = state.warps[i](t_r)
-        return reverse_log_target(t_r, state.T[i], state.X, y_bw, state.beta[i],
-                                  state.sigma2[i], geom, hp), y_bw
+def lie_mh_step(ts, log_old, log_target, adapts, rng):
+    """One random-walk Metropolis step t_i -> exp(delta_i) t_i of each of n
+    independent rows on the affine group.
 
-    log_old = reverse_log_target(state.T_r[i], state.T[i], state.X, state.Y_bw[i],
-                                 state.beta[i], state.sigma2[i], geom, hp)
-    step = lie_mh_step(state.T_r[i], log_old, target, adapt, rng)
-    if step is None:
-        return False
-    state.T_r[i], state.Y_bw[i] = step
-    return True
+    `ts` holds the rows' transforms, `log_old` (n,) their log targets and
+    `adapts` their `AdaptiveProposal`s. Row by row, in order, the step draws
+    delta_i, then the accept uniform, and forms the proposal, so it takes
+    the generator's numbers as n scalar steps would. A proposal with no real
+    logarithm is rejected (`rejected_nolog`) unevaluated. `log_target(rows,
+    proposals)` gets the other rows' indices, ascending, and their proposals;
+    it returns (inside, log_new, payload): inside marks the proposals that
+    stay in the neighbor library (the others count in `rejected_oob`), and
+    log_new and payload, a tuple of arrays, are stacked over those only.
+    Returns (accepted, t_new, payload): the (n,) accept mask, and the new
+    transforms and the payload's arrays of the accepted rows, in row order.
+    """
+    n, dim = len(ts), adapts[0].dim
+    deltas, draws, proposals = np.empty((n, dim)), np.empty(n), []
+    for i, (t, adapt) in enumerate(zip(ts, adapts)):
+        deltas[i] = adapt.proposal_factor() @ rng.standard_normal(dim)
+        draws[i] = np.log(rng.uniform())
+        proposals.append(affine_compose(lie_exp(deltas[i]), t))
+    real = np.array([_has_real_log(t) for t in proposals])
+    inside = np.zeros(n, dtype=bool)
+    accepted = np.zeros(n, dtype=bool)
+    rows = np.flatnonzero(real)
+    payload = ()
+    if rows.size:
+        in_library, log_new, payload = log_target(rows, [proposals[i] for i in rows])
+        rows = rows[in_library]
+        inside[rows] = True
+        keep = draws[rows] < lie_mh_log_acceptance(log_old[rows], log_new, deltas[rows])
+        accepted[rows] = keep
+        payload = tuple(p[keep] for p in payload)
+    for i, adapt in enumerate(adapts):
+        if not real[i]:
+            adapt.rejected_nolog += 1
+        elif not inside[i]:
+            adapt.rejected_oob += 1
+        adapt.record(accepted[i], deltas[i])
+    return accepted, [proposals[i] for i in np.flatnonzero(accepted)], payload
+
+
+def update_forward_transform(state, geom, hp, adapts, rng):
+    """One Lie-MH step of every T_i, one `lie_mh_step` for all subjects.
+
+    On accept, T_i and row i of its NNGP caches change. Returns the (N,)
+    accept mask.
+    """
+    h, h_r = matrix_stack(state.T), matrix_stack(state.T_r)
+
+    def target(rows, proposals):
+        h_new = matrix_stack(proposals)
+        inside, caches = subject_geometry(h_new, geom, state.factor, state.alpha)
+        kept = rows[inside]
+        return inside, forward_log_target(h_new[inside], h_r[kept], state.X, state.XT[kept],
+                                          caches[2:], geom, hp), caches
+
+    log_old = forward_log_target(h, h_r, state.X, state.XT, (state.nbr, state.B, state.F),
+                                 geom, hp)
+    accepted, t_new, caches = lie_mh_step(state.T, log_old, target, adapts, rng)
+    for i, t in zip(np.flatnonzero(accepted), t_new):
+        state.T[i] = t
+    for name, value in zip(CACHES, caches):
+        getattr(state, name)[accepted] = value
+    return accepted
+
+
+def update_reverse_transform(state, geom, hp, adapts, rng):
+    """One Lie-MH step of every T_i^r, one `lie_mh_step` for all subjects.
+
+    Each live proposal samples its subject's map through `state.warps[i]`.
+    On accept, T_i^r and row i of Y_bw change. Returns the (N,) accept mask.
+    """
+    h, h_r = matrix_stack(state.T), matrix_stack(state.T_r)
+
+    def target(rows, proposals):
+        y_bw = np.stack([state.warps[i](t) for i, t in zip(rows, proposals)])
+        log_new = reverse_log_target(matrix_stack(proposals), h[rows], state.X, y_bw,
+                                     state.beta[rows], state.sigma2[rows], geom, hp)
+        return np.ones(rows.size, dtype=bool), log_new, (y_bw,)
+
+    log_old = reverse_log_target(h_r, h, state.X, state.Y_bw, state.beta, state.sigma2,
+                                 geom, hp)
+    accepted, t_new, y_bw = lie_mh_step(state.T_r, log_old, target, adapts, rng)
+    for i, t in zip(np.flatnonzero(accepted), t_new):
+        state.T_r[i] = t
+    if t_new:
+        state.Y_bw[accepted] = y_bw[0]
+    return accepted
 
 
 def standardize_forward_transforms(ts, ts_r):
@@ -810,10 +883,8 @@ class Chain:
         state, geom, hp, rng = self.state, self.geom, self.config, self.rng
         update_transformed_template(state, rng)
         update_template(state, geom, rng)
-        for i, adapt in enumerate(self.proposals["forward"]):
-            update_forward_transform(i, state, geom, hp, adapt, rng)
-        for i, adapt in enumerate(self.proposals["reverse"]):
-            update_reverse_transform(i, state, geom, hp, adapt, rng)
+        update_forward_transform(state, geom, hp, self.proposals["forward"], rng)
+        update_reverse_transform(state, geom, hp, self.proposals["reverse"], rng)
         update_beta_sigma(state, hp, rng)
         update_alpha(state, geom, hp, rng)
         update_rho(state, geom, hp, rng)
@@ -833,7 +904,7 @@ class Chain:
         betas, x, alpha = standardize_scales(st.X, st.beta, st.alpha)
         fields = (x, np.stack([t.matrix for t in ts]), np.stack([t.matrix for t in ts_r]),
                   betas, st.sigma2.copy(), alpha, st.rho)  # sweeps write sigma2 in place
-        ic_error = np.mean([penalty_terms(t, t_r)[0] for t, t_r in zip(st.T, st.T_r)])
+        ic_error = np.mean(penalty_terms(matrix_stack(st.T), matrix_stack(st.T_r))[0])
         return fields, (pointwise_log_lik(st), ic_error)
 
     def snapshot(self):

@@ -60,7 +60,8 @@ VAR_FLOOR = 1e-12
 # 256 kB blocks and 76-109/s with 4 MB ones (fresh processes, one core of a
 # 2-core x86-64 machine), where a sweep that allocated several MB of
 # temporaries ran a third slower with small blocks, glibc having sized its
-# mmap threshold from the largest block freed.
+# mmap threshold from the largest block freed. `library_weights` gathers its
+# per-row inverses in chunks of the same size.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -238,6 +239,26 @@ def build_neighbor_library(lattice, margin, m):
                            pattern_ids=dist_ids[shape_ids], pattern_dist=shape_dist[first])
 
 
+def locate_entries(points, library):
+    """Library entry (flat enlarged-lattice index) of each continuous point,
+    and whether the point lies in the library at all.
+
+    points: (..., d). Returns (entries, inside), (...) each; an entry outside
+    the library reads 0. A point is inside when it rounds (half-up per axis)
+    into the enlarged lattice.
+    """
+    # A huge point overflows to an infinite index coordinate, quietly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rounded = np.floor(library.enlarged.to_index_coords(points) + 0.5)
+    shape = library.enlarged.shape
+    # Checked on the floats: a NaN fails both comparisons, and neither a
+    # non-finite nor a huge coordinate reaches the integer cast.
+    inside = np.all((rounded >= 0) & (rounded < shape), axis=-1)
+    idx = np.where(inside[..., None], rounded, 0.0).astype(int)
+    flat = np.ravel_multi_index(tuple(idx[..., a] for a in range(len(shape))), shape)
+    return flat, inside
+
+
 def lookup_entries(points, library):
     """Library entry (flat enlarged-lattice index) of each continuous point.
 
@@ -246,16 +267,10 @@ def lookup_entries(points, library):
     lattice — the caller should treat the move that produced it as rejected.
     """
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    rounded = np.floor(library.enlarged.to_index_coords(pts) + 0.5)  # half-up per axis
-    shape = library.enlarged.shape
-    # Checked on the floats: a NaN fails both comparisons, and neither a
-    # non-finite nor a huge coordinate reaches the integer cast.
-    if not np.all((rounded >= 0) & (rounded < shape)):
+    flat, inside = locate_entries(np.atleast_2d(pts), library)
+    if not np.all(inside):
         raise OutOfLibraryBounds("point outside the neighbor library")
-    idx = rounded.astype(int)
-    flat = np.ravel_multi_index(tuple(idx[:, a] for a in range(len(shape))), shape)
-    return flat[0] if single else flat
+    return flat[0] if pts.ndim == 1 else flat
 
 
 def lookup_neighbors(points, library):
@@ -364,10 +379,19 @@ def library_weights(dist, entries, library, factor, alpha):
     With dist = neighbor_distances(targets, entries, library, source_locations),
     equals batched_nngp_weights(targets, library.neighbor_indices[entries],
     source_locations, CovarianceParams(alpha, factor.rho)) up to rounding.
+    Each row's k x k inverse is gathered and contracted in chunks of about
+    _BLOCK_BYTES, so a call over many rows holds one chunk of them, not one
+    per row; each row's B is the same whatever the chunk.
     """
     r_t = np.exp(-factor.rho * dist)
-    inv = np.take(factor.library_inv, np.take(library.pattern_ids, entries), axis=0)
-    b = np.einsum("qkj,qj->qk", inv, r_t)
+    ids = np.take(library.pattern_ids, entries)
+    q, k = r_t.shape
+    rows = max(1, _BLOCK_BYTES // (8 * k * k))
+    b = np.empty((q, k))
+    for start in range(0, q, rows):
+        part = slice(start, start + rows)
+        inv = np.take(factor.library_inv, ids[part], axis=0)
+        np.einsum("qkj,qj->qk", inv, r_t[part], out=b[part])
     f = alpha * (1.0 - np.einsum("qk,qk->q", b, r_t))
     return b, np.maximum(f, VAR_FLOOR * alpha)
 
@@ -379,18 +403,21 @@ def predecessor_weights(predecessors, factor, alpha):
 
 def conditional_means(values, neighbor_idx, weights):
     """B_l . x(N_l) for each row, honoring -1 padding; rows may be stacked, (..., k)."""
-    if neighbor_idx.size and np.any(neighbor_idx[..., -1] < 0):
+    # Padding sits at the ends of rows; a min is cheaper than any(< 0).
+    if neighbor_idx.size and neighbor_idx[..., -1].min() < 0:
         mask = neighbor_idx >= 0
         safe_idx = np.where(mask, neighbor_idx, 0)
         return np.einsum("...k,...k->...", weights, values[safe_idx] * mask)
     return np.einsum("...k,...k->...", weights, values[neighbor_idx])
 
 
-def nngp_log_density_from_weights(values, target_values, neighbor_idx, weights, f):
-    """Sum of per-site normal log densities N(x_l | B_l x(N_l), F_l)."""
+def nngp_log_density_from_weights(values, target_values, neighbor_idx, weights, f, axis=None):
+    """Sum of per-site normal log densities N(x_l | B_l x(N_l), F_l): a float,
+    or, with `axis`, the sums along that axis of stacked rows."""
     means = conditional_means(values, neighbor_idx, weights)
     resid = target_values - means
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi * f) + resid * resid / f))
+    total = -0.5 * np.sum(np.log(2.0 * np.pi * f) + resid * resid / f, axis=axis)
+    return float(total) if axis is None else total
 
 
 def nngp_log_density(values, neighbor_idx, locations, params):

@@ -94,18 +94,29 @@ class AffineTransform:
         return cls.from_parts(np.array([[c, -s], [s, c]]), np.zeros(2))
 
 
-def affine_apply(transform, points):
-    """Apply T(s) = A s + b to one point (d,) or a stack (n, d).
+def matrix_stack(transforms):
+    """The (n, d + 1, d + 1) stack of n transforms' homogeneous matrices."""
+    return np.array([t.matrix for t in transforms])
+
+
+def apply_stack(h, points):
+    """T_i(s) = A_i s + b_i of every point s of a (q, d) stack, for each
+    homogeneous matrix H_i of an (n, d + 1, d + 1) stack: (n, q, d).
 
     An image that overflows comes back non-finite, without a warning.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return points @ h[:, :-1, :-1].transpose(0, 2, 1) + h[:, None, :-1, -1]
+
+
+def affine_apply(transform, points):
+    """Apply T(s) = A s + b to one point (d,) or a stack (n, d), as `apply_stack`."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != transform.dim:
         raise ValueError(f"points have dim {pts.shape[1]}, transform has dim {transform.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = pts @ transform.A.T + transform.b
+    out = apply_stack(transform.matrix[None], pts)[0]
     return out[0] if single else out
 
 
@@ -279,10 +290,12 @@ def lie_exp(delta):
     return AffineTransform(np.array(h))
 
 
-def composition_identity_gap(t1, t2):
-    """Frobenius norm of (H_{t1} H_{t2} - I): zero iff t2 = t1^{-1}."""
-    h = t1.matrix @ t2.matrix
-    return float(np.linalg.norm(h - np.eye(h.shape[0])))
+def composition_identity_gap(h1, h2):
+    """Frobenius norm of H1 H2 - I for each pair of two (n, d + 1, d + 1)
+    stacks of homogeneous matrices: (n,), zero where H2 = H1^-1."""
+    g = (h1 @ h2 - np.eye(h1.shape[-1])).reshape(len(h1), 1, h1.shape[-1] ** 2)
+    # One (1, m) @ (m, 1) product per pair sums as np.linalg.norm does.
+    return np.sqrt(g @ g.transpose(0, 2, 1))[:, 0, 0]
 
 
 def karcher_mean(transforms):

@@ -32,9 +32,9 @@ def test_detailed_balance_audit_fails_with_the_trace_only_hastings_factor(monkey
 
 def test_target_audit_fails_on_a_noise_log_target(monkeypatch):
     rng = np.random.default_rng(0)
-    for name in ("forward_log_target", "reverse_log_target", "conventional_log_target",
-                 "rho_log_target"):
-        monkeypatch.setattr(audit, name, lambda *args: rng.normal(scale=50.0))
+    for name in ("forward_log_target", "reverse_log_target", "conventional_log_target"):
+        monkeypatch.setattr(audit, name, lambda *args: rng.normal(scale=50.0, size=1))
+    monkeypatch.setattr(audit, "rho_log_target", lambda *args: rng.normal(scale=50.0))
     assert not any(r["passed"] for r in target_audit())
 
 

@@ -6,7 +6,7 @@ import pytest
 from groupreg import baseline, sampler
 from groupreg.cli import main
 from groupreg.config import RunConfig
-from groupreg.errors import DegenerateInput, NonPositiveScale, OutOfLibraryBounds
+from groupreg.errors import DegenerateInput, NonPositiveScale
 from groupreg.grids import ActivationMap, Lattice
 from groupreg.sampler import ChainAborted
 from groupreg.synth import ScenarioSpec, gen_indicator_curves
@@ -16,11 +16,11 @@ from groupreg.transforms import AffineTransform
 def test_conventional_chain_reports_rejection_counts(monkeypatch):
     """diagnostics.json of a baseline fit counts rejections per subject, as the
     symmetric fit's does."""
-    def out_of_library(t):
-        raise OutOfLibraryBounds("test: proposal left the library")
+    def out_of_library(rows, proposals):
+        return np.zeros(rows.size, dtype=bool), np.empty(0), ()
 
-    def step_out_of_library(t, log_old, log_target, adapt, rng):
-        return sampler.lie_mh_step(t, log_old, out_of_library, adapt, rng)
+    def step_out_of_library(ts, log_old, log_target, adapts, rng):
+        return sampler.lie_mh_step(ts, log_old, out_of_library, adapts, rng)
 
     monkeypatch.setattr(baseline, "lie_mh_step", step_out_of_library)
     maps, _ = gen_indicator_curves(ScenarioSpec("indicator", n_subjects=3, seed=3))
@@ -33,12 +33,13 @@ def test_conventional_chain_reports_rejection_counts(monkeypatch):
 
 
 def _fail_in_sweep(monkeypatch, sweep):
-    """Make the baseline's T step raise NonPositiveScale from sweep `sweep` on (3 subjects)."""
+    """Make the baseline's T step, one call per sweep, raise NonPositiveScale
+    from sweep `sweep` on."""
     steps = []
 
     def failing_step(*args):
         steps.append(args)
-        if len(steps) > 3 * sweep:
+        if len(steps) > sweep:
             raise NonPositiveScale("test: forced failure in a baseline sweep")
         return sampler.lie_mh_step(*args)
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import gamma as gamma_dist
 
 from groupreg.errors import DegenerateVariance
-from groupreg.grids import make_lattice_1d
+from groupreg.grids import Lattice, make_lattice_1d
 from groupreg.model import Hyperparams, TransformPrior, penalty_terms, sigma_s_matrix, waic
-from groupreg.transforms import AffineTransform, affine_inverse
+from groupreg.transforms import AffineTransform, affine_inverse, lie_exp
 
 LAT = make_lattice_1d(-2.0, 2.0, 0.5)
 
@@ -36,14 +38,63 @@ class TestSymmetricLoss:
     def test_pure_translation_penalty(self):
         # T = translation(t), T_r = Id: both gaps are ||t||
         t = AffineTransform.translation([0.7])
-        got = sum(penalty_terms(t, AffineTransform.identity(1)))
+        got = np.sum(penalty_terms(t.matrix[None], np.eye(2)[None]))
         assert got == pytest.approx(2.0 * 0.7, rel=1e-12)
 
     def test_penalty_vanishes_iff_exact_inverse(self):
         t = AffineTransform.from_parts([[1.1]], [0.4])
-        assert sum(penalty_terms(t, affine_inverse(t))) == pytest.approx(0.0, abs=1e-10)
+        h = t.matrix[None]
+        assert np.sum(penalty_terms(h, affine_inverse(t).matrix[None])) == pytest.approx(
+            0.0, abs=1e-10)
         off = AffineTransform.from_parts([[1.0 / 1.1]], [0.0])
-        assert sum(penalty_terms(t, off)) > 1e-3
+        assert np.sum(penalty_terms(h, off.matrix[None])) > 1e-3
+
+
+# Off-centre lattices: a centred one has a diagonal Sigma_s, whose quad form
+# has fewer terms to sum in different orders.
+LATTICES = {1: Lattice((21,), np.array([0.37]), np.array([-1.0])),
+            2: Lattice((5, 4), np.array([0.5, 0.75]), np.array([-1.0, 0.5]))}
+# Lie coordinates of up to 5 transforms and of their reverses, per entry in [-1, 1].
+LIE_STACKS = st.lists(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+                      min_size=1, max_size=5)
+
+
+class TestStackedForms:
+    """The prior and the penalties over (n, d + 1, d + 1) stacks: each row is
+    the n = 1 result bit for bit, whatever the other rows, and the formulas
+    match their definitions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), raw=LIE_STACKS)
+    def test_rows_equal_the_n1_results(self, dim, raw):
+        p = dim * (dim + 1)
+        h = np.stack([lie_exp(np.array(r[:p])).matrix for r in raw])
+        h_r = np.stack([lie_exp(np.array(r[6:6 + p])).matrix for r in raw])
+        sigma_s = sigma_s_matrix(LATTICES[dim].locations())
+        prior = TransformPrior(0.7, 1.3, sigma_s)
+        log_density, (gap, gap_r) = prior.log_density(h), penalty_terms(h, h_r)
+        assert log_density.shape == gap.shape == gap_r.shape == (len(raw),)
+        for i in range(len(raw)):
+            one, = prior.log_density(h[i:i + 1])
+            assert log_density[i] == one == prior.log_density(AffineTransform(h[i]))
+            assert (gap[i], gap_r[i]) == tuple(g[0] for g in penalty_terms(h[i:i + 1],
+                                                                         h_r[i:i + 1]))
+            dev = h[i, :-1] - np.eye(dim, dim + 1)
+            quad = 0.7 / 1.3 * np.einsum("ki,ij,kj->", dev, sigma_s, dev)
+            nu = 1.4
+            assert one == pytest.approx(prior.log_norm - 0.5 * (nu + p) * np.log1p(quad / nu),
+                                        rel=1e-12, abs=1e-12)
+            eye = np.eye(dim + 1)
+            assert gap[i] == pytest.approx(np.linalg.norm(h[i] @ h_r[i] - eye), rel=1e-12,
+                                           abs=1e-15)
+            assert gap_r[i] == pytest.approx(np.linalg.norm(h_r[i] @ h[i] - eye), rel=1e-12,
+                                             abs=1e-15)
+
+    def test_empty_stacks(self):
+        prior = TransformPrior(0.7, 1.3, sigma_s_matrix(LAT.locations()))
+        empty = np.empty((0, 2, 2))
+        assert prior.log_density(empty).shape == (0,)
+        assert all(g.shape == (0,) for g in penalty_terms(empty, empty))
 
 
 class TestTransformLogPrior:

@@ -5,17 +5,18 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from groupreg import baseline, sampler
+from groupreg import baseline, sampler, spatial
 from groupreg.audit import _toy_state, band_to_dense, weights_gap
 from groupreg.config import RunConfig
 from groupreg.errors import (DegenerateInput, IllConditioned, NonPositiveScale,
-                             OutOfLibraryBounds, SingularTransform)
+                             NoRealLogarithm, OutOfLibraryBounds, SingularTransform)
 from groupreg.grids import ActivationMap, Lattice
 from groupreg.interp import interpolate
-from groupreg.sampler import (AdaptiveProposal, Chain, ChainAborted, beta_sigma_conditional,
-                              fit_affine, initialize, lie_mh_step, rho_weights,
-                              template_conditional, transformed_template_conditional,
-                              update_beta_sigma, update_forward_transform, update_template,
+from groupreg.sampler import (CACHES, AdaptiveProposal, Chain, ChainAborted,
+                              beta_sigma_conditional, fit_affine, initialize, lie_mh_step,
+                              rho_weights, template_conditional,
+                              transformed_template_conditional, update_beta_sigma,
+                              update_forward_transform, update_template,
                               update_transformed_template)
 from groupreg.spatial import (batched_nngp_weights, kriging_factor, library_weights,
                               neighbor_distances, predecessor_weights)
@@ -23,7 +24,7 @@ from groupreg.store import save_store
 from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, generate,
                             rotate_glyph, rotation_about_center)
 from groupreg.transforms import (AffineTransform, affine_apply, affine_compose, karcher_mean,
-                                 lie_exp, lie_log)
+                                 lie_exp, lie_log, matrix_stack)
 
 
 def small_glyph():
@@ -306,10 +307,7 @@ def test_records_are_standardized_and_the_chain_is_not(monkeypatch):
     before = [t.matrix.copy() for t in state.T]
     assert np.linalg.norm(lie_log(karcher_mean(state.T))) > 0.01
 
-    def out_of_library(*args):
-        raise OutOfLibraryBounds("test: proposal left the library")
-
-    monkeypatch.setattr(sampler, "subject_geometry", out_of_library)
+    monkeypatch.setattr(sampler, "locate_entries", nothing_inside)
     store, diagnostics = chain.run()
     assert diagnostics["rejected_out_of_library"] == [1, 1, 1]
     for t, matrix in zip(chain.state.T, before, strict=True):
@@ -440,12 +438,20 @@ def test_initialize_is_unchanged_by_the_prebuilt_warps(monkeypatch, case):
         assert np.array_equal(getattr(fast, name), getattr(slow, name))
 
 
-def assert_step_draws_used(rng, seed, dim):
-    """The step took delta and the accept uniform from its generator, and nothing else."""
+def assert_step_draws_used(rng, seed, dim, rows=1):
+    """The step took delta and the accept uniform of each row from its
+    generator, in row order, and nothing else."""
     ref = np.random.default_rng(seed)
-    ref.standard_normal(dim)
-    ref.uniform()
+    for _ in range(rows):
+        ref.standard_normal(dim)
+        ref.uniform()
     assert rng.uniform() == ref.uniform()
+
+
+def nothing_inside(points, library):
+    """`locate_entries` with every point outside the library."""
+    entries, inside = spatial.locate_entries(points, library)
+    return entries, np.zeros_like(inside)
 
 
 def test_frozen_proposal_factor_is_cached_and_exact():
@@ -470,126 +476,293 @@ def test_frozen_proposal_factor_is_cached_and_exact():
 
 
 def test_lie_mh_step_rejects_out_of_library_proposals():
-    def out_of_library(t):
-        raise OutOfLibraryBounds("test: proposal left the library")
+    def out_of_library(rows, proposals):
+        assert rows.tolist() == [0, 1] and len(proposals) == 2
+        return np.zeros(rows.size, dtype=bool), np.empty(0), (np.empty((0, 4)),)
 
-    t = AffineTransform.rotation(0.3)
-    before = t.matrix.copy()
-    adapt = AdaptiveProposal(6)
+    ts = [AffineTransform.rotation(0.3), AffineTransform.rotation(-0.2)]
+    before = [t.matrix.copy() for t in ts]
+    adapts = [AdaptiveProposal(6) for _ in ts]
     rng = np.random.default_rng(0)
-    assert lie_mh_step(t, 0.0, out_of_library, adapt, rng) is None
-    assert (adapt.rejected_oob, adapt.rejected_nolog) == (1, 0)
-    assert (adapt.proposals, adapt.accepts) == (1, 0)
-    assert np.array_equal(t.matrix, before)
-    assert_step_draws_used(rng, 0, 6)
+    accepted, t_new, payload = lie_mh_step(ts, np.zeros(2), out_of_library, adapts, rng)
+    assert accepted.tolist() == [False, False] and t_new == [] and payload[0].shape == (0, 4)
+    for adapt in adapts:
+        assert (adapt.rejected_oob, adapt.rejected_nolog) == (1, 0)
+        assert (adapt.proposals, adapt.accepts) == (1, 0)
+    assert all(np.array_equal(t.matrix, m) for t, m in zip(ts, before))
+    assert_step_draws_used(rng, 0, 6, rows=2)
 
 
 def test_lie_mh_step_rejects_proposals_without_a_real_logarithm():
     """With lambda = 1 (1e4 times the initial scale), seed 3 proposes a
     transform with no real logarithm; the target is never evaluated."""
-    def never(t):
+    def never(rows, proposals):
         raise AssertionError("log target evaluated for a rejected proposal")
 
     t = AffineTransform.rotation(2.5)
     before = t.matrix.copy()
     adapt = AdaptiveProposal(6, log_lambda=0.0)
     rng = np.random.default_rng(3)
-    assert lie_mh_step(t, 0.0, never, adapt, rng) is None
+    accepted, t_new, payload = lie_mh_step([t], np.zeros(1), never, [adapt], rng)
+    assert accepted.tolist() == [False] and t_new == [] and payload == ()
     assert (adapt.rejected_nolog, adapt.rejected_oob) == (1, 0)
     assert (adapt.proposals, adapt.accepts) == (1, 0)
     assert np.array_equal(t.matrix, before)
     assert_step_draws_used(rng, 3, 6)
 
 
-# 1D stationarity toy: pi(a, b) = N(a; 1, 0.3^2) on (0.3, 3) times N(b; 0.5, 1),
+# 1D stationarity toy: pi(a, b) = N(a; 1, 0.3^2) on (0.3, 3) times N(b; b_mean, 1),
 # a density in the entries (a, b) of T(s) = a s + b, as the model's targets are.
-A_MEAN, A_SD, A_LO, A_HI, B_MEAN, B_SD = 1.0, 0.3, 0.3, 3.0, 0.5, 1.0
+# Row r of a run has b_mean = B_MEANS[r], so rows given each other's accept
+# decisions or targets would sample the wrong b.
+A_MEAN, A_SD, A_LO, A_HI, B_SD = 1.0, 0.3, 0.3, 3.0, 1.0
+B_MEANS = (0.5, -1.5)
 # Allowed |mean - truth| in batch-means Monte-Carlo standard errors.
 STATIONARITY_Z = 5.0
 
 
-def toy_log_target(t):
-    (a, b), = t.matrix[:1].tolist()
-    if not A_LO < a < A_HI:
-        return -np.inf, None
-    return -0.5 * ((a - A_MEAN) / A_SD) ** 2 - 0.5 * ((b - B_MEAN) / B_SD) ** 2, None
+def toy_log_target(h, b_mean):
+    """The toy log density of each (a, b) of a (n, 2, 2) stack, (n,); b_mean (n,)."""
+    a, b = h[:, 0, 0], h[:, 0, 1]
+    inside = (A_LO < a) & (a < A_HI)
+    value = -0.5 * ((a - A_MEAN) / A_SD) ** 2 - 0.5 * ((b - b_mean) / B_SD) ** 2
+    return np.where(inside, value, -np.inf)
 
 
-def stationarity_z_scores(n_steps=20000, n_batches=50, seed=0):
-    """(mean - truth) / batch-means MCSE of E[a], Var[a], E[b], Var[b] over a
-    lie_mh_step chain with the fixed proposal covariance 0.15 I."""
-    adapt = AdaptiveProposal(2, log_lambda=np.log(0.15), frozen=True)
+def stationarity_z_scores(n_steps=20000, n_batches=50, seed=0, n_rows=1):
+    """(mean - truth) / batch-means MCSE of E[a], Var[a], E[b], Var[b] of each
+    row, over a lie_mh_step chain of n_rows independent rows with the fixed
+    proposal covariance 0.15 I. Returns one dict per row."""
+    b_means = np.array(B_MEANS[:n_rows])
+    adapts = [AdaptiveProposal(2, log_lambda=np.log(0.15), frozen=True) for _ in b_means]
     rng = np.random.default_rng(seed)
-    t = AffineTransform.from_parts([[A_MEAN]], [B_MEAN])
-    log_old = toy_log_target(t)[0]
-    draws = np.empty((n_steps, 2))
+    ts = [AffineTransform.from_parts([[A_MEAN]], [b]) for b in b_means]
+
+    def target(rows, proposals):
+        return (np.ones(rows.size, dtype=bool),
+                toy_log_target(matrix_stack(proposals), b_means[rows]), ())
+
+    draws = np.empty((n_steps, n_rows, 2))
+    log_old = toy_log_target(matrix_stack(ts), b_means)
     for k in range(n_steps):
-        step = lie_mh_step(t, log_old, toy_log_target, adapt, rng)
-        if step is not None:
-            t = step[0]
-            log_old = toy_log_target(t)[0]
-        draws[k] = t.matrix[0]
+        accepted, t_new, _ = lie_mh_step(ts, log_old, target, adapts, rng)
+        for i, t in zip(np.flatnonzero(accepted), t_new):
+            ts[i] = t
+        h = matrix_stack(ts)
+        log_old = toy_log_target(h, b_means)
+        draws[k] = h[:, 0]
 
     density = lambda a: norm.pdf(a, A_MEAN, A_SD)
     mass = quad(density, A_LO, A_HI)[0]
     mean_a = quad(lambda a: a * density(a), A_LO, A_HI)[0] / mass
     var_a = quad(lambda a: (a - mean_a) ** 2 * density(a), A_LO, A_HI)[0] / mass
-    a, b = draws.T
-    stats = {"E[a]": (a, mean_a), "Var[a]": ((a - mean_a) ** 2, var_a),
-             "E[b]": (b, B_MEAN), "Var[b]": ((b - B_MEAN) ** 2, B_SD ** 2)}
-    z = {}
-    for name, (values, truth) in stats.items():
-        batch_means = values.reshape(n_batches, -1).mean(axis=1)
-        mcse = batch_means.std(ddof=1) / np.sqrt(n_batches)
-        z[name] = (values.mean() - truth) / mcse
-    return z
+    scores = []
+    for (a, b), b_mean in zip(draws.transpose(1, 2, 0), b_means):
+        stats = {"E[a]": (a, mean_a), "Var[a]": ((a - mean_a) ** 2, var_a),
+                 "E[b]": (b, b_mean), "Var[b]": ((b - b_mean) ** 2, B_SD ** 2)}
+        z = {}
+        for name, (values, truth) in stats.items():
+            batch_means = values.reshape(n_batches, -1).mean(axis=1)
+            mcse = batch_means.std(ddof=1) / np.sqrt(n_batches)
+            z[name] = (values.mean() - truth) / mcse
+        scores.append(z)
+    return scores
 
 
 def test_lie_mh_step_samples_its_target():
     """Mean and variance of a and b match quadrature within STATIONARITY_Z MCSEs."""
-    z = stationarity_z_scores()
+    z, = stationarity_z_scores()
     assert all(abs(v) < STATIONARITY_Z for v in z.values()), z
+
+
+def test_lie_mh_step_samples_independent_rows_each_from_its_own_target():
+    """Two rows with different targets in one step: each row's marginal is
+    its own target's, so the accept mask couples no rows."""
+    scores = stationarity_z_scores(n_rows=2, seed=1)
+    assert all(abs(v) < STATIONARITY_Z for z in scores for v in z.values()), scores
 
 
 def test_stationarity_test_sees_the_tr_l_hastings_factor(monkeypatch):
     """With the factor on tr L set to 1 instead of d + 1 = 2, the chain samples
     pi(a, b) / a, whose E[a] is ~0.095 below the target's, and the test fails."""
     monkeypatch.setattr(sampler, "lie_mh_log_acceptance",
-                        lambda log_old, log_new, delta: min(0.0, log_new - log_old + delta[0]))
-    z = stationarity_z_scores()
+                        lambda log_old, log_new, delta:
+                        np.minimum(0.0, log_new - log_old + delta[:, 0]))
+    z, = stationarity_z_scores()
     assert z["E[a]"] < -STATIONARITY_Z, z
-
-
-CACHES = ("dist", "entry", "nbr", "B", "F")
 
 
 def test_rejected_forward_update_leaves_the_subject_unchanged(monkeypatch):
     state, geom, hp = _toy_state()
-    t = state.T[0]
+    ts = list(state.T)
     kept = [getattr(state, name).copy() for name in CACHES]
-
-    def out_of_library(*args):
-        raise OutOfLibraryBounds("test: proposal left the library")
-
-    monkeypatch.setattr(sampler, "subject_geometry", out_of_library)
-    adapt = AdaptiveProposal(2)
-    assert not update_forward_transform(0, state, geom, hp, adapt, np.random.default_rng(0))
-    assert (adapt.rejected_oob, adapt.proposals) == (1, 1)
-    assert state.T[0] is t
+    monkeypatch.setattr(sampler, "locate_entries", nothing_inside)
+    adapts = [AdaptiveProposal(2) for _ in ts]
+    accepted = update_forward_transform(state, geom, hp, adapts, np.random.default_rng(0))
+    assert accepted.tolist() == [False, False]
+    assert all((adapt.rejected_oob, adapt.proposals) == (1, 1) for adapt in adapts)
+    assert all(t is t_old for t, t_old in zip(state.T, ts, strict=True))
     assert all(np.array_equal(getattr(state, name), a) for name, a in zip(CACHES, kept))
 
 
 def test_forward_proposal_whose_image_overflows_is_rejected_out_of_library(monkeypatch):
-    """T(S) with infinite and huge coordinates: the library lookup raises
-    OutOfLibraryBounds, not a cast warning (an error under the suite's
+    """T(S) with infinite and huge coordinates: the library lookup marks it
+    outside, without a cast warning (an error under the suite's
     filterwarnings), so the step counts the proposal in rejected_oob."""
     state, geom, hp = _toy_state()
-    t = state.T[0]
+    ts = list(state.T)
     kept = [getattr(state, name).copy() for name in CACHES]
     monkeypatch.setattr(sampler, "lie_exp",
                         lambda delta: AffineTransform.from_parts([[1e308]], [0.0]))
-    adapt = AdaptiveProposal(2)
-    assert not update_forward_transform(0, state, geom, hp, adapt, np.random.default_rng(0))
-    assert (adapt.rejected_oob, adapt.rejected_nolog, adapt.proposals) == (1, 0, 1)
-    assert state.T[0] is t
+    adapts = [AdaptiveProposal(2) for _ in ts]
+    accepted = update_forward_transform(state, geom, hp, adapts, np.random.default_rng(0))
+    assert accepted.tolist() == [False, False]
+    for adapt in adapts:
+        assert (adapt.rejected_oob, adapt.rejected_nolog, adapt.proposals) == (1, 0, 1)
+    assert all(t is t_old for t, t_old in zip(state.T, ts, strict=True))
     assert all(np.array_equal(getattr(state, name), a) for name, a in zip(CACHES, kept))
+
+
+# The per-subject loop that one batched step per direction replaced: the
+# oracle the batched steps must match bit for bit. Each subject's target is
+# the stacked one on a stack of one.
+
+def loop_lie_mh_step(t, log_old, log_target, adapt, rng):
+    """One scalar Lie-MH step; (t_new, payload) on accept, None otherwise."""
+    delta = adapt.proposal_factor() @ rng.standard_normal(adapt.dim)
+    accept_draw = np.log(rng.uniform())
+    t_new = affine_compose(sampler.lie_exp(delta), t)
+    try:
+        lie_log(t_new)
+    except NoRealLogarithm:
+        adapt.rejected_nolog += 1
+        adapt.record(False, delta)
+        return None
+    try:
+        log_new, payload = log_target(t_new)
+    except OutOfLibraryBounds:
+        adapt.rejected_oob += 1
+        adapt.record(False, delta)
+        return None
+    if delta.size == 2:
+        log_accept = min(0.0, log_new - log_old + 2.0 * float(delta[0]))
+    else:
+        log_accept = min(0.0, log_new - log_old + 3.0 * float(delta[0] + delta[4]))
+    accepted = accept_draw < log_accept
+    adapt.record(accepted, delta)
+    return (t_new, payload) if accepted else None
+
+
+def loop_forward_transform(i, state, geom, hp, adapt, rng):
+    h_r, xt = state.T_r[i].matrix[None], state.XT[i:i + 1]
+
+    def target(t):
+        h = t.matrix[None]
+        inside, caches = sampler.subject_geometry(h, geom, state.factor, state.alpha)
+        if not inside[0]:
+            raise OutOfLibraryBounds("test: proposal left the library")
+        return sampler.forward_log_target(h, h_r, state.X, xt, caches[2:], geom, hp)[0], caches
+
+    log_old = sampler.forward_log_target(state.T[i].matrix[None], h_r, state.X, xt,
+                                         (state.nbr[i:i + 1], state.B[i:i + 1],
+                                          state.F[i:i + 1]), geom, hp)[0]
+    step = loop_lie_mh_step(state.T[i], log_old, target, adapt, rng)
+    if step is not None:
+        state.T[i], caches = step
+        for name, value in zip(CACHES, caches):
+            getattr(state, name)[i] = value[0]
+
+
+def loop_reverse_transform(i, state, geom, hp, adapt, rng):
+    h, beta, sigma2 = state.T[i].matrix[None], state.beta[i:i + 1], state.sigma2[i:i + 1]
+
+    def target(t_r):
+        y_bw = state.warps[i](t_r)[None]
+        return sampler.reverse_log_target(t_r.matrix[None], h, state.X, y_bw, beta, sigma2,
+                                          geom, hp)[0], y_bw[0]
+
+    log_old = sampler.reverse_log_target(state.T_r[i].matrix[None], h, state.X,
+                                         state.Y_bw[i:i + 1], beta, sigma2, geom, hp)[0]
+    step = loop_lie_mh_step(state.T_r[i], log_old, target, adapt, rng)
+    if step is not None:
+        state.T_r[i], state.Y_bw[i] = step
+
+
+def loop_updates(chain):
+    """`Chain.updates` with the transform steps looped over subjects."""
+    state, geom, hp, rng = chain.state, chain.geom, chain.config, chain.rng
+    update_transformed_template(state, rng)
+    update_template(state, geom, rng)
+    for i, adapt in enumerate(chain.proposals["forward"]):
+        loop_forward_transform(i, state, geom, hp, adapt, rng)
+    for i, adapt in enumerate(chain.proposals["reverse"]):
+        loop_reverse_transform(i, state, geom, hp, adapt, rng)
+    update_beta_sigma(state, hp, rng)
+    sampler.update_alpha(state, geom, hp, rng)
+    sampler.update_rho(state, geom, hp, rng)
+
+
+STATE_FIELDS = ("X", "XT", "Y_bw", "beta", "sigma2", "alpha", "rho", "tB", "tF", *CACHES)
+PROPOSAL_FIELDS = ("log_lambda", "frozen", "_mean", "_m2", "proposals", "accepts",
+                   "post_proposals", "post_accepts", "rejected_oob", "rejected_nolog")
+
+
+def assert_same_chains(a, b):
+    for name in STATE_FIELDS:
+        assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
+    for ta, tb in zip(a.state.T + a.state.T_r, b.state.T + b.state.T_r, strict=True):
+        assert np.array_equal(ta.matrix, tb.matrix)
+    for direction, recs in a.proposals.items():
+        for ra, rb in zip(recs, b.proposals[direction], strict=True):
+            for name in PROPOSAL_FIELDS:
+                assert np.array_equal(getattr(ra, name), getattr(rb, name)), (direction, name)
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batched_transform_steps_match_the_loop_over_subjects(case):
+    """Through burn-in and after it, sweeps with one batched step per direction
+    leave the state, the proposals and the generator as the loop does, bit
+    for bit, with both outcomes of both steps seen."""
+    batched, looped = short_chain(case, sweeps=16), short_chain(case, sweeps=16)
+    looped.updates = lambda: loop_updates(looped)
+    for _ in range(batched.config.total):
+        batched.sweep()
+        looped.sweep()
+        assert_same_chains(batched, looped)
+    for recs in batched.proposals.values():
+        assert 0 < sum(r.accepts for r in recs) < sum(r.proposals for r in recs)
+
+
+def test_a_subject_moves_while_the_others_are_rejected(monkeypatch):
+    """In one forward step subject 0 proposes a transform with no real
+    logarithm and subject 1 one that leaves the library; subject 2 still
+    moves, and the step leaves what the loop leaves."""
+    def first_two_fail():
+        calls = iter(range(3))
+
+        def patched(delta):
+            k = next(calls)
+            if k == 0:
+                return AffineTransform.from_parts([[-1.0]], [0.0])
+            if k == 1:
+                return AffineTransform.from_parts([[1e308]], [0.0])
+            return lie_exp(delta)
+
+        monkeypatch.setattr(sampler, "lie_exp", patched)
+
+    batched, looped = short_chain("indicator"), short_chain("indicator")
+    for chain in (batched, looped):
+        for adapt in chain.proposals["forward"]:
+            adapt.log_lambda = np.log(1e-12)   # a step so small that it is accepted
+    first_two_fail()
+    accepted = update_forward_transform(batched.state, batched.geom, batched.config,
+                                        batched.proposals["forward"], batched.rng)
+    first_two_fail()
+    for i, adapt in enumerate(looped.proposals["forward"]):
+        loop_forward_transform(i, looped.state, looped.geom, looped.config, adapt, looped.rng)
+    assert accepted.tolist() == [False, False, True]
+    recs = batched.proposals["forward"]
+    assert [(r.rejected_nolog, r.rejected_oob, r.accepts) for r in recs] == [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert_same_chains(batched, looped)

@@ -5,11 +5,13 @@ import pytest
 
 from groupreg.errors import OutOfLibraryBounds
 from groupreg.grids import Lattice, make_lattice_1d
-from groupreg.spatial import (JITTER, VAR_FLOOR, CovarianceParams, _offset_distances,
-                              _site_coords, batched_nngp_weights, build_neighbor_library,
-                              build_ordered_neighbor_sets, conditional_means,
-                              cov_matrix, dense_gp_log_density, dense_kriging,
-                              lookup_entries, lookup_neighbors, nngp_log_density)
+from groupreg.spatial import (_BLOCK_BYTES, JITTER, VAR_FLOOR, CovarianceParams,
+                              _offset_distances, _site_coords, batched_nngp_weights,
+                              build_neighbor_library, build_ordered_neighbor_sets,
+                              build_predecessor_patterns, conditional_means, cov_matrix,
+                              dense_gp_log_density, dense_kriging, kriging_factor,
+                              library_weights, locate_entries, lookup_entries,
+                              lookup_neighbors, neighbor_distances, nngp_log_density)
 from groupreg.synth import ScenarioSpec, gen_indicator_curves
 from groupreg.transforms import AffineTransform, affine_apply
 
@@ -241,6 +243,21 @@ class TestLookup:
         with pytest.raises(OutOfLibraryBounds):
             lookup_entries(np.array([[2.0, 2.0], [bad, 1.0]]), self.lib)
 
+    def test_located_rows_mark_the_points_outside(self):
+        """A stack of point rows: each point inside gets `lookup_entries`' entry,
+        and each point outside, however far, is marked, with no warning."""
+        pts = self.lat.locations()[:4] + 0.3
+        rows = np.stack([pts, pts, pts])
+        rows[1, 2] = [9.0, 2.0]
+        rows[2, 0] = [np.nan, 1.0]
+        rows[2, 3] = [1e308, 1e308]
+        entries, inside = locate_entries(rows, self.lib)
+        assert entries.shape == inside.shape == (3, 4)
+        assert inside.tolist() == [[True] * 4, [True, True, False, True],
+                                   [False, True, True, False]]
+        want = lookup_entries(pts, self.lib)
+        assert np.array_equal(entries[inside], np.broadcast_to(want, (3, 4))[inside])
+
     def test_rounding_error_bound(self):
         # max distance of the returned set exceeds the true m-nearest
         # distance by at most the lattice diagonal (the sqrt(d)/2 rounding
@@ -254,6 +271,47 @@ class TestLookup:
             got_max = np.max(np.linalg.norm(locs[got] - p, axis=1))
             true_max = np.sort(np.linalg.norm(locs - p, axis=1))[len(got) - 1]
             assert got_max <= true_max + bound + 1e-12
+
+
+class TestLibraryWeights:
+    """`library_weights` gathers the rows' inverses in chunks of about _BLOCK_BYTES."""
+
+    def setup_method(self):
+        self.lat = Lattice((28, 28), np.array([1.0, 1.0]), np.zeros(2))
+        self.lib = build_neighbor_library(self.lat, 9, 10)
+        locs = self.lat.locations()
+        patterns = build_predecessor_patterns(self.lat, build_ordered_neighbor_sets(locs, 10))
+        self.factor = kriging_factor(self.lib, patterns, 0.7)
+        # Four rotated and shifted copies of the sites: 3136 rows, ten chunks.
+        rng = np.random.default_rng(5)
+        targets = np.concatenate([
+            affine_apply(AffineTransform.from_parts(
+                [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]], rng.uniform(-2, 2, 2)), locs)
+            for a in rng.uniform(-0.3, 0.3, 4)])
+        self.entries = lookup_entries(targets, self.lib)
+        self.dist = neighbor_distances(targets, self.entries, self.lib, locs)
+
+    def test_chunks_give_the_one_shot_gather_bit_for_bit(self):
+        r_t = np.exp(-self.factor.rho * self.dist)
+        inv = self.factor.library_inv[self.lib.pattern_ids[self.entries]]
+        b = np.einsum("qkj,qj->qk", inv, r_t)
+        f = np.maximum(1.3 * (1.0 - np.einsum("qk,qk->q", b, r_t)), VAR_FLOOR * 1.3)
+        got_b, got_f = library_weights(self.dist, self.entries, self.lib, self.factor, 1.3)
+        assert len(self.entries) > 8 * _BLOCK_BYTES // inv[0].nbytes
+        assert np.array_equal(got_b, b) and np.array_equal(got_f, f)
+
+    def test_peak_memory_is_one_chunk_not_one_inverse_per_row(self):
+        q, k = self.dist.shape
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            library_weights(self.dist, self.entries, self.lib, self.factor, 1.3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # r_t, B and a few (q,) arrays, plus one chunk: 1.3 MB. The one-shot
+        # gather alone took q k^2 8 B = 2.5 MB here, and the call 3.1 MB.
+        assert peak <= 3 * q * k * 8 + 2 * _BLOCK_BYTES, peak
 
 
 class TestNngpWeights:

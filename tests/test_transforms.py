@@ -103,7 +103,7 @@ class TestInverse:
         for _ in range(100):
             t = AffineTransform.from_parts(np.eye(2) + 0.4 * rng.standard_normal((2, 2)),
                                            rng.standard_normal(2))
-            gap = composition_identity_gap(t, affine_inverse(t))
+            gap, = composition_identity_gap(t.matrix[None], affine_inverse(t).matrix[None])
             assert gap < 1e-10
 
     def test_singular_rejected(self):
@@ -138,7 +138,7 @@ class TestLieLogExp:
 
     def test_exp_group_inverse(self):
         delta = np.array([0.1, -0.2, 0.4, 0.3, -0.1, 0.25])
-        gap = composition_identity_gap(lie_exp(delta), lie_exp(-delta))
+        gap, = composition_identity_gap(lie_exp(delta).matrix[None], lie_exp(-delta).matrix[None])
         assert gap < 1e-12
 
     def test_negative_linear_part_has_no_real_log(self):
