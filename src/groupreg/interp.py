@@ -17,17 +17,23 @@ stencil of every clipped point, which therefore reads zeros as it would
 unclipped; the clip also keeps the integer cast defined for any finite
 query. Stencil values come from one `take` at the flat offsets, weights are
 [1, t, t^2, t^3] @ `_M_CR`, and the 2D contraction runs one axis at a time.
-A query point that is not finite gives NaN, and so does one whose image or
-index coordinates overflow, without a warning.
+On request the kernel also returns the derivative along each index axis,
+from the same stencil values with the weights [0, 1, 2t, 3t^2] @ `_M_CR`;
+the Catmull-Rom interpolant is C^1, so this is its exact gradient. A query
+point that is not finite gives NaN, and so does one whose image or index
+coordinates overflow, without a warning.
 
 Two entry points call that kernel:
 - `interpolate(amap, points)` samples a map once at (q, d) points;
 - `Warp(amap, sites)` samples one map at T(S) for many affine T and fixed
   sites S. It also keeps S as a (d, q) array, and `warp(t)` computes the
   index coordinates (A S + b - origin) / spacing in that layout, which gives
-  the same bits as `interpolate(amap, affine_apply(t, sites))`. The
-  set-up's transform fits and the reverse-transform step evaluate one map
-  at thousands of T, so the per-map work is paid once, not per T.
+  the same bits as `interpolate(amap, affine_apply(t, sites))`.
+  `warp.value_and_jacobian(top)` gives those values for the top d rows of a
+  homogeneous matrix H, with their Jacobian in H's entries, from one kernel
+  pass. The reverse-transform step evaluates one map at thousands of T, and
+  each set-up transform fit at its coarse grid and its Levenberg-Marquardt
+  points, so the per-map work is paid once, not per T.
 """
 
 from __future__ import annotations
@@ -73,8 +79,14 @@ class _Stencil:
             offsets = (offsets[:, None] * self._strides[0] + offsets).ravel()
         self._offsets = offsets[:, None]
 
-    def sample(self, u):
-        """Values at index coordinates u, (d, q) and C-contiguous; returns (q,)."""
+    def sample(self, u, deriv=False):
+        """Values at index coordinates u, (d, q) and C-contiguous; returns (q,).
+
+        With `deriv`, also the derivative along each index axis, (d, q), from
+        the same stencil values with the weights [0, 1, 2t, 3t^2] @ `_M_CR`;
+        the values keep their bits. Where the stencil reads only padding the
+        derivative is 0, and where a query is not finite it is NaN.
+        """
         q = u.shape[1]
         finite = np.isfinite(u)
         all_finite = finite.all()
@@ -97,11 +109,29 @@ class _Stencil:
         if self.dim == 1:
             out = np.einsum("kq,kq->q", w, vals)
         else:
-            inner = np.einsum("jkq,kq->jq", vals.reshape(4, 4, q), w[:, q:])
+            vals = vals.reshape(4, 4, q)
+            inner = np.einsum("jkq,kq->jq", vals, w[:, q:])
             out = np.einsum("jq,jq->q", w[:, :q], inner)
         if not all_finite:
             out[~finite] = np.nan
-        return out
+        if not deriv:
+            return out
+
+        powers[0] = 0.0
+        powers[1] = 1.0
+        np.multiply(t, 2.0, out=powers[2])
+        np.multiply(3.0 * t, t, out=powers[3])
+        dw = _M_CR.T @ powers                               # (4, d q)
+        if self.dim == 1:
+            grad = np.einsum("kq,kq->q", dw, vals)[None]
+        else:
+            grad = np.empty((2, q))
+            np.einsum("jq,jq->q", dw[:, :q], inner, out=grad[0])
+            np.einsum("jq,jq->q", w[:, :q], np.einsum("jkq,kq->jq", vals, dw[:, q:]),
+                      out=grad[1])
+        if not all_finite:
+            grad[:, ~finite] = np.nan
+        return out, grad
 
 
 def interpolate(amap, points):
@@ -136,12 +166,32 @@ class Warp(_Stencil):
         sites = np.asarray(sites, dtype=float)
         if sites.ndim != 2 or sites.shape[1] != self.dim:
             raise ValueError(f"sites must be (q, {self.dim}), got shape {sites.shape}")
-        self._sites = np.ascontiguousarray(sites.T)
+        # The homogeneous sites (s, 1) as rows, (d + 1, q); S is the top d rows.
+        self._sites_h = np.ones((self.dim + 1, sites.shape[0]))
+        self._sites_h[:-1] = sites.T
+        self._sites = self._sites_h[:-1]
         self._origin = amap.lattice.origin[:, None]
         self._spacing = amap.lattice.spacing[:, None]
 
-    def __call__(self, t):
+    def _coords(self, a, b):
         # A T(S) that overflows gives NaN rows, as a non-finite query does.
         with np.errstate(over="ignore", invalid="ignore"):
-            u = (t.A @ self._sites + t.b[:, None] - self._origin) / self._spacing
-        return self.sample(u)
+            return (a @ self._sites + b[:, None] - self._origin) / self._spacing
+
+    def __call__(self, t):
+        return self.sample(self._coords(t.A, t.b))
+
+    def value_and_jacobian(self, top):
+        """Values at H(S) and their Jacobian in the entries of H's top d rows.
+
+        top: H[:d], (d, d + 1), which need not be invertible. Returns the
+        values (q,), the bits of `self(t)` for the transform with these rows,
+        and the (q, d (d + 1)) Jacobian, columns in the row-major order of
+        `top`: dx/dH_jk = g_j(s) s~_k / spacing_j, with g the kernel's
+        derivative along index axis j at H(s) and s~ = (s, 1). One kernel
+        pass gives both.
+        """
+        vals, grad = self.sample(self._coords(top[:, :-1], top[:, -1]), deriv=True)
+        grad /= self._spacing
+        jac = grad[:, None, :] * self._sites_h                # (d, d + 1, q)
+        return vals, jac.reshape(-1, vals.size).T

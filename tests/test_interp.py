@@ -257,3 +257,101 @@ class TestWarp:
             lat = Lattice(shape, np.ones(len(shape)), np.zeros(len(shape)))
             with pytest.raises(ValueError, match="needs >= 4 sites per axis"):
                 Warp(ActivationMap(lat, np.zeros(lat.n_sites)), lat.locations())
+
+
+def _sites_in_at_the_edge_and_out(amap, rng):
+    """Random points around the lattice, its border sites and points past the padding."""
+    lat = amap.lattice
+    lower, upper = lat.bounds()
+    extent = upper - lower
+    border = lat.locations()[np.any(lat.to_index_coords(lat.locations()) == 0.0, axis=1)]
+    return np.concatenate([
+        lower + extent * rng.uniform(-0.3, 1.3, size=(200, lat.dim)),
+        border,
+        lower + extent * rng.choice([-3.0, -1.0, 2.0, 4.0], size=(20, lat.dim)),
+    ])
+
+
+def _top(t):
+    return np.array(t.matrix[:-1])
+
+
+class TestValueAndJacobian:
+    """`Warp.value_and_jacobian` gives `Warp.__call__`'s values and their
+    derivative in the top d rows of H, from one kernel pass."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_values_are_the_bits_of_the_value_path(self, dim):
+        amap = _off_lattice(dim)
+        rng = np.random.default_rng(20 + dim)
+        sites = _sites_in_at_the_edge_and_out(amap, rng)
+        warp = Warp(amap, sites)
+        for scale in (0.0, 1e-3, 0.1, 0.5):
+            for _ in range(20):
+                t = lie_exp(scale * rng.standard_normal(dim * (dim + 1)))
+                vals, jac = warp.value_and_jacobian(_top(t))
+                assert np.array_equal(vals, warp(t))
+                assert np.array_equal(vals, interpolate(amap, affine_apply(t, sites)))
+                assert jac.shape == (sites.shape[0], dim * (dim + 1))
+        u = np.ascontiguousarray(amap.lattice.to_index_coords(sites).T)
+        assert np.array_equal(warp.sample(u, deriv=True)[0], warp.sample(u))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_jacobian_matches_central_differences(self, dim):
+        """Catmull-Rom is C^1 but not C^2, so a central difference with step
+        h in H is off by O(h) where it straddles a knot, and by rounding of
+        O(eps / h) elsewhere. At h = 1e-7 both stay near 1e-9 of the largest
+        derivative; the bound is 1e-7 of it."""
+        amap = _off_lattice(dim)
+        rng = np.random.default_rng(30 + dim)
+        sites = _sites_in_at_the_edge_and_out(amap, rng)
+        warp = Warp(amap, sites)
+        h = 1e-7
+        for _ in range(10):
+            top = _top(lie_exp(0.2 * rng.standard_normal(dim * (dim + 1))))
+            _, jac = warp.value_and_jacobian(top)
+            fd = np.empty_like(jac)
+            for col in range(top.size):
+                step = np.zeros(top.size)
+                step[col] = h
+                plus, minus = (AffineTransform(np.vstack([top + s.reshape(top.shape),
+                                                          np.eye(dim + 1)[-1]]))
+                               for s in (step, -step))
+                fd[:, col] = (warp(plus) - warp(minus)) / (2.0 * h)
+            assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_jacobian_is_zero_where_the_stencil_reads_only_padding(self, dim):
+        """Past index -2 or n + 1 on any axis the stencil holds no lattice site."""
+        amap = _off_lattice(dim)
+        rng = np.random.default_rng(40 + dim)
+        sites = _sites_in_at_the_edge_and_out(amap, rng)
+        t = lie_exp(0.05 * rng.standard_normal(dim * (dim + 1)))
+        vals, jac = Warp(amap, sites).value_and_jacobian(_top(t))
+        u = amap.lattice.to_index_coords(affine_apply(t, sites))
+        padding = np.any((u < -2.0) | (u >= np.asarray(amap.lattice.shape) + 1.0), axis=1)
+        assert padding.sum() >= 10 and (~padding).sum() >= 100
+        assert not vals[padding].any() and not jac[padding].any()
+        assert np.abs(jac[~padding]).sum(axis=1).all()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_an_image_that_overflows_gives_nan_rows(self, dim):
+        amap = _off_lattice(dim)
+        a = np.eye(dim)
+        a[0, 0] = 1e308
+        t = AffineTransform.from_parts(a, np.zeros(dim))
+        warp = Warp(amap, amap.lattice.locations())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, jac = warp.value_and_jacobian(_top(t))
+        assert np.array_equal(vals, warp(t), equal_nan=True)
+        assert np.array_equal(np.isnan(jac).any(axis=1), np.isnan(vals))
+        assert np.isnan(vals).any() and np.isfinite(jac).any()
+
+    def test_singular_rows_are_sampled(self):
+        """LM may step through a singular H; the rows need not be invertible."""
+        amap = _off_lattice(2)
+        top = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 5.0]])
+        vals, jac = Warp(amap, amap.lattice.locations()).value_and_jacobian(top)
+        assert np.all(vals == interpolate(amap, np.array([[1.0, 5.0]]))[0])
+        assert np.isfinite(jac).all()

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import OptimizeResult, least_squares
 from scipy.stats import norm
 
 from groupreg import baseline, sampler, spatial
@@ -10,8 +11,8 @@ from groupreg.audit import _toy_state, band_to_dense, weights_gap
 from groupreg.config import RunConfig
 from groupreg.errors import (DegenerateInput, IllConditioned, NonPositiveScale,
                              NoRealLogarithm, OutOfLibraryBounds, SingularTransform)
-from groupreg.grids import ActivationMap, Lattice
-from groupreg.interp import interpolate
+from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
+from groupreg.interp import Warp, interpolate
 from groupreg.sampler import (CACHES, AdaptiveProposal, Chain, ChainAborted,
                               beta_sigma_conditional, fit_affine, initialize, lie_mh_step,
                               rho_weights, template_conditional,
@@ -22,9 +23,9 @@ from groupreg.spatial import (batched_nngp_weights, kriging_factor, library_weig
                               neighbor_distances, predecessor_weights)
 from groupreg.store import save_store
 from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, generate,
-                            rotate_glyph, rotation_about_center)
-from groupreg.transforms import (AffineTransform, affine_apply, affine_compose, karcher_mean,
-                                 lie_exp, lie_log, matrix_stack)
+                            indicator_template, rotate_glyph, rotation_about_center)
+from groupreg.transforms import (AffineTransform, affine_apply, affine_compose, apply_stack,
+                                 karcher_mean, lie_exp, lie_log, matrix_stack)
 
 
 def small_glyph():
@@ -380,25 +381,60 @@ def test_fit_affine_recovers_a_known_warp():
     assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
 
 
-def test_fit_affine_scores_singular_vertices_as_infinite(monkeypatch):
-    """A Nelder-Mead vertex with no invertible transform is a worse vertex, not a failure."""
+def test_fit_affine_recovers_a_known_warp_1d():
+    """Noise-free Y = X(T) with T a scale and shift of an indicator curve."""
+    lattice = make_lattice_1d(-5.0, 5.0, 0.05)
+    curve = ActivationMap(lattice, indicator_template(lattice.locations()[:, 0]))
+    truth = AffineTransform.from_parts([[1.1]], [0.3])
+    y = curve.with_values(interpolate(curve, affine_apply(truth, lattice.locations())))
+    got = fit_affine(y, curve, 1.0, AffineTransform.identity(1), coarse=True)
+    assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
+
+
+@pytest.mark.parametrize("x, fun", [
+    (np.zeros(6), 0.0),                                    # A = 0: singular
+    (np.full(6, np.nan), 0.0),                             # not finite
+    (np.array([1.0, 0.0, 0.5, 0.0, 1.0, 0.0]), np.nan),    # valid, objective NaN
+], ids=["singular", "non-finite", "nan-objective"])
+def test_fit_affine_falls_back_to_the_best_candidate(monkeypatch, x, fun):
+    """An LM result that is no valid transform, or whose objective does not
+    beat the best candidate's, gives that candidate, without raising."""
     glyph = base_glyph()
+    start = rotation_about_center(glyph.lattice, np.deg2rad(5.0))
+
+    def stub(residuals, x0, **kwargs):
+        residuals(x0)
+        return OptimizeResult(x=x, fun=np.full(glyph.lattice.n_sites, fun))
+
+    monkeypatch.setattr(sampler, "least_squares", stub)
+    assert fit_affine(glyph, glyph, 1.0, start) is start
+
+
+def test_fit_affine_serves_the_jacobian_at_the_point_asked(monkeypatch):
+    """Each Jacobian LM gets is beta times the warp's at that point, whether
+    it was computed with the latest residuals, kept from the last accepted
+    point, or sampled afresh at a point with no residuals yet."""
+    glyph = base_glyph()
+    beta = 1.5
     truth = rotation_about_center(glyph.lattice, np.deg2rad(5.0))
-    y = glyph.with_values(interpolate(glyph, affine_apply(truth, glyph.lattice.locations())))
+    y = glyph.with_values(beta * interpolate(glyph, affine_apply(truth, glyph.lattice.locations())))
+    warp = Warp(glyph, glyph.lattice.locations())
+    asked = []
 
-    raised = []
+    def checked_least_squares(residuals, x0, jac, **kwargs):
+        def checked_jac(p):
+            asked.append(p.copy())
+            got = jac(p)
+            assert np.array_equal(got, beta * warp.value_and_jacobian(p.reshape(2, 3))[1])
+            return got
 
-    def lie_exp_singular_above(dv):
-        if dv[0] > 0.002:
-            raised.append(dv)
-            raise SingularTransform("test: singular region of the Lie coordinates")
-        return lie_exp(dv)
+        checked_jac(x0 + 0.01)
+        return least_squares(residuals, x0, jac=checked_jac, **kwargs)
 
-    monkeypatch.setattr(sampler, "lie_exp", lie_exp_singular_above)
-    got = fit_affine(y, glyph, 1.0, AffineTransform.identity(2))
-    assert raised
-    assert lie_log(got)[0] <= 0.002
-    assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-2
+    monkeypatch.setattr(sampler, "least_squares", checked_least_squares)
+    got = fit_affine(y, glyph, beta, AffineTransform.identity(2))
+    assert len(asked) > 2
+    assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
 
 
 def test_initialize_is_deterministic():
@@ -421,6 +457,13 @@ class _TwoCallWarp:
 
     def __call__(self, t):
         return interpolate(self.amap, affine_apply(t, self.sites))
+
+    def value_and_jacobian(self, top):
+        """The two-call path's values, with the Jacobian of a real `Warp`."""
+        h = np.eye(top.shape[0] + 1)
+        h[:-1] = top
+        _, jac = Warp(self.amap, self.sites).value_and_jacobian(top)
+        return interpolate(self.amap, apply_stack(h[None], self.sites)[0]), jac
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
