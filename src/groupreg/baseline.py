@@ -29,7 +29,7 @@ from .errors import IllConditioned
 from .grids import ActivationMap, common_lattice
 from .interp import Warp
 from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
-from .sampler import AdaptiveProposal, Chain, fit_affine, lie_mh_step
+from .sampler import AdaptiveProposal, Chain, coarse_grid, fit_affine, lie_mh_step
 from .transforms import (AffineTransform, affine_apply, affine_inverse, apply_stack,
                          matrix_stack)
 
@@ -145,7 +145,8 @@ class ConventionalChain(Chain):
 
         # Initialization: coarse-fit transforms against the mean map, ridge w.
         mean_map = ActivationMap(lattice, np.mean(self.ys, axis=0))
-        self.ts = [fit_affine(m, mean_map, 1.0, AffineTransform.identity(d), coarse=True)
+        grid = coarse_grid(lattice)
+        self.ts = [fit_affine(m, mean_map, 1.0, AffineTransform.identity(d), grid)
                    for m in maps]
         self.phis = self.designs(matrix_stack(self.ts))
         _, _, self.w = conventional_w_conditional(self.phis, self.ys, [1.0] * n, self.k_inv)

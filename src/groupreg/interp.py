@@ -32,8 +32,9 @@ Two entry points call that kernel:
   `warp.value_and_jacobian(top)` gives those values for the top d rows of a
   homogeneous matrix H, with their Jacobian in H's entries, from one kernel
   pass. The reverse-transform step evaluates one map at thousands of T, and
-  each set-up transform fit at its coarse grid and its Levenberg-Marquardt
-  points, so the per-map work is paid once, not per T.
+  each set-up transform fit (`sampler.fit_affine`) at its coarse grid and
+  its Levenberg-Marquardt points, each point one `value_and_jacobian` call,
+  so the per-map work is paid once, not per T.
 """
 
 from __future__ import annotations

@@ -19,10 +19,10 @@ or (N,) array each, and the maps and transforms as length-N lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegenerateVariance, ValidationError
 from .grids import Lattice
@@ -103,7 +103,7 @@ class TransformPrior:
             raise ValidationError("sigma_s must be positive definite")
         logdet_scale = p * np.log(self.b / self.a) - d * logdet_s
         object.__setattr__(self, "log_norm", float(
-            gammaln((nu + p) / 2.0) - gammaln(nu / 2.0)
+            math.lgamma((nu + p) / 2.0) - math.lgamma(nu / 2.0)
             - 0.5 * p * np.log(nu * np.pi) - 0.5 * logdet_scale))
 
     def log_density(self, h):
@@ -167,11 +167,12 @@ def normal_logpdf(x, mean, var):
 
 
 def invgamma_logpdf(x, shape, rate):
-    """Sum of the IG(x; shape, rate) log densities over x; -inf unless every x > 0."""
+    """Sum of the IG(x; shape, rate) log densities over x, for a scalar shape;
+    -inf unless every x > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         return -np.inf
-    return float(np.sum(shape * np.log(rate) - gammaln(shape)
+    return float(np.sum(shape * np.log(rate) - math.lgamma(shape)
                         - (shape + 1.0) * np.log(x) - rate / x))
 
 

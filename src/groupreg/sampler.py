@@ -70,7 +70,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
-from scipy.optimize import least_squares
 
 from .errors import (DegenerateInput, GroupregError, IllConditioned, InsufficientSamples,
                      NonPositiveScale, NoRealLogarithm, OutOfLibraryBounds,
@@ -89,10 +88,11 @@ from .transforms import (AffineTransform, affine_apply, affine_compose, affine_i
 ADAPT_TARGET_RATE = 0.234
 RHO_STEP = 0.1        # standard deviation of the random-walk rho proposal
 LIBRARY_SLACK = 5     # library grid steps beyond the initial transforms' reach
-# Levenberg-Marquardt stopping tolerance of `fit_affine`, as MINPACK's ftol,
-# xtol and gtol. At 1e-10 the initial template of the 1D and glyph scenarios
-# differs from the one at 1e-14 by at most 2e-5 of its largest value, against
-# 4e-4 at scipy's default 1e-8, for ~30% more LM evaluations.
+# The one stopping tolerance of `levenberg_marquardt`, used as MINPACK's lmder
+# uses ftol, xtol and gtol: on the relative reduction of ||r||^2, the relative
+# scaled step and the scaled gradient. At 1e-10 the initial template of the
+# 1D and glyph scenarios differs from the one at 1e-14 by at most 3e-5 of its
+# largest value, against 4e-4 at 1e-8, for ~25% more LM points.
 FIT_TOL = 1e-10
 
 
@@ -103,7 +103,9 @@ class AdaptiveProposal:
     log lambda moves by k^{-0.6} * (accept - 0.234) per proposal during
     burn-in; the proposal covariance is lambda * (cov of accepted deltas
     + 1e-8 I). Both freeze at the end of burn-in so the post-burn-in chain
-    is Markov, and the frozen covariance is factored once.
+    is Markov. The bracket moves only when a delta is accepted while
+    adapting, so its Cholesky factor is computed once per such delta and
+    scaled by sqrt(lambda) for each proposal.
     """
 
     dim: int
@@ -117,7 +119,7 @@ class AdaptiveProposal:
     post_accepts: int = 0
     rejected_oob: int = 0
     rejected_nolog: int = 0
-    _factor: np.ndarray = field(default=None, init=False, repr=False)   # cached while frozen
+    _base_factor: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self._mean is None:
@@ -135,21 +137,22 @@ class AdaptiveProposal:
         """Accepted deltas in the empirical covariance: those accepted while adapting."""
         return self.accepts - self.post_accepts
 
-    def proposal_cov(self):
+    def _base_cov(self):
         if self.n_accepted_cov >= 5:
             base = self._m2 / (self.n_accepted_cov - 1)
         else:
             base = np.eye(self.dim)
-        return np.exp(self.log_lambda) * (base + 1e-8 * np.eye(self.dim))
+        return base + 1e-8 * np.eye(self.dim)
+
+    def proposal_cov(self):
+        return np.exp(self.log_lambda) * self._base_cov()
 
     def proposal_factor(self):
-        """Lower Cholesky factor of `proposal_cov()`, computed once while frozen."""
-        if self.frozen and self._factor is not None:
-            return self._factor
-        factor = np.linalg.cholesky(self.proposal_cov())
-        if self.frozen:
-            self._factor = factor
-        return factor
+        """Lower Cholesky factor of `proposal_cov()`: sqrt(lambda) times the
+        factor of the bracket, which is computed once per accepted delta."""
+        if self._base_factor is None:
+            self._base_factor = np.linalg.cholesky(self._base_cov())
+        return np.exp(0.5 * self.log_lambda) * self._base_factor
 
     def record(self, accepted, delta):
         self.proposals += 1
@@ -158,10 +161,10 @@ class AdaptiveProposal:
             self.post_proposals += 1
             self.post_accepts += int(accepted)
             return
-        self._factor = None
         gamma = self.k ** -0.6
         self.log_lambda += gamma * ((1.0 if accepted else 0.0) - ADAPT_TARGET_RATE)
         if accepted:
+            self._base_factor = None
             d = np.asarray(delta, dtype=float) - self._mean
             self._mean += d / self.n_accepted_cov
             self._m2 += np.outer(d, np.asarray(delta, dtype=float) - self._mean)
@@ -682,8 +685,9 @@ def fit_scale(y_values, xt_values):
     return float(np.dot(xt_values, y_values)) / den
 
 
-def _coarse_grid(lattice):
-    """Deterministic coarse search grid over the affine group."""
+def coarse_grid(lattice):
+    """Deterministic coarse search grid over the affine group, the set-up's
+    first candidates for each subject's transform (`fit_affine`)."""
     lower, upper = lattice.bounds()
     extent = upper - lower
     center = 0.5 * (lower + upper)
@@ -712,20 +716,71 @@ def _coarse_grid(lattice):
     return out
 
 
-def fit_affine(y_map, x_map, beta, start, coarse=False):
-    """Affine transform minimizing ||Y - beta X(T)||^2: the best of `start` and
-    the coarse grid, refined by Levenberg-Marquardt.
+def levenberg_marquardt(point, p):
+    """Minimize ||r(p)||^2 from p by Levenberg-Marquardt; returns (p, ||r(p)||^2).
 
-    The refinement is MINPACK's `lmder` (Moré 1978) over the top d rows of
-    the homogeneous matrix, with the exact Jacobian of the residuals:
-    Catmull-Rom interpolation is C^1, so the objective is a smooth sum of
-    squares. Every residual evaluation samples the map once, through one
-    `Warp` built per call, for the values and the Jacobian together. LM asks
-    for a Jacobian at the point whose residuals it computed last, or, once
-    it stops, at the last point it accepted; both are kept, so no point is
-    sampled twice. The refined transform is returned only if it is a valid
-    `AffineTransform` whose objective is no worse than the best candidate's;
-    otherwise the best candidate is.
+    `point(p)` returns the residuals r (m,) and their Jacobian J (m, n) at p,
+    both from one call. Each step h solves (J^T J + mu D) h = -J^T r, D the
+    largest diagonal of J^T J met so far (Marquardt's scaling, kept as
+    MINPACK's lmder keeps it), and mu follows Nielsen's update (Madsen,
+    Nielsen & Tingleff 2004, Alg. 3.16): with gain ratio rho > 0 the step is
+    taken and mu shrinks by max(1/3, 1 - (2 rho - 1)^3), otherwise mu grows
+    by nu and nu doubles. A point whose residuals are not finite is never
+    taken. With FIT_TOL for each tolerance it stops as lmder does: when the
+    actual and the predicted relative reductions of ||r||^2 are both below
+    it (ftol), when the step is below it relative to p, both scaled by
+    D^1/2 (xtol), or when the cosine between r and each column of J is
+    (gtol); and after 100 (n + 1) points, lmder's default cap.
+    """
+    n = p.size
+    r, jac = point(p)
+    f = float(r @ r)
+    scale = None
+    mu, nu = 3.0, 2.0      # of mu0 in 1e-9 .. 10, 3 took the fewest points over the set-ups
+    taken = True
+    for _ in range(100 * (n + 1) - 1):
+        if taken:
+            a, g = jac.T @ jac, jac.T @ r
+            diag = np.diag(a)
+            # gtol, which a zero residual meets; and a start that is not finite
+            if not np.isfinite(f) or np.all(np.abs(g) <= FIT_TOL * np.sqrt(f * diag)):
+                break
+            scale = np.where(diag > 0, diag, 1.0) if scale is None else np.maximum(scale, diag)
+        h = np.linalg.solve(a + mu * np.diag(scale), -g)
+        if np.sqrt(scale @ (h * h)) <= FIT_TOL * np.sqrt(scale @ (p * p)):
+            break
+        pred = float(h @ (mu * scale * h - g))
+        if not pred > 0.0:
+            break
+        p_new = p + h
+        r_new, jac_new = point(p_new)
+        f_new = float(r_new @ r_new)
+        rho = (f - f_new) / pred
+        done = abs(f - f_new) <= FIT_TOL * f and pred <= FIT_TOL * f and rho <= 2.0
+        taken = rho > 0.0
+        if taken:
+            p, r, jac, f = p_new, r_new, jac_new, f_new
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        if done:
+            break
+    return p, f
+
+
+def fit_affine(y_map, x_map, beta, start, grid=()):
+    """Affine transform minimizing ||Y - beta X(T)||^2: the best of `start` and
+    the candidates of `grid` (`coarse_grid`), refined by Levenberg-Marquardt.
+
+    The refinement (`levenberg_marquardt`) runs over the top d rows of the
+    homogeneous matrix, with the exact Jacobian of the residuals: Catmull-Rom
+    interpolation is C^1, so the objective is a smooth sum of squares. One
+    `Warp` is built per call, and each LM point samples the map once, for
+    its residuals and its Jacobian together. The refined transform is
+    returned only if it is a valid `AffineTransform` whose objective is no
+    worse than the best candidate's; otherwise the best candidate is.
     """
     warp = Warp(x_map, y_map.lattice.locations())
     y = y_map.values
@@ -735,36 +790,20 @@ def fit_affine(y_map, x_map, beta, start, coarse=False):
         r = y - beta * xt
         return float(r @ r)
 
-    candidates = [start] + (_coarse_grid(y_map.lattice) if coarse else [])
+    candidates = [start, *grid]
     objs = [objective(t) for t in candidates]
     best = candidates[int(np.argmin(objs))]
-
     d = best.dim
-    # (parameters, Jacobian) of the latest residuals, and of the latest Jacobian handed out.
-    at_fun = at_jac = None
 
-    def residuals(p):
-        nonlocal at_fun
+    def point(p):
         xt, jac = warp.value_and_jacobian(p.reshape(d, d + 1))
-        at_fun = (p.copy(), beta * jac)
-        return beta * xt - y
+        return beta * xt - y, beta * jac
 
-    def jacobian(p):
-        nonlocal at_jac
-        for memo in (at_fun, at_jac):
-            if memo is not None and np.array_equal(memo[0], p):
-                at_jac = memo
-                return memo[1]
-        residuals(p)
-        at_jac = at_fun
-        return at_jac[1]
-
-    res = least_squares(residuals, best.matrix[:d].ravel(), jac=jacobian, method="lm",
-                        ftol=FIT_TOL, xtol=FIT_TOL, gtol=FIT_TOL)
-    if not float(res.fun @ res.fun) <= min(objs):
+    p, f = levenberg_marquardt(point, best.matrix[:d].ravel())
+    if not f <= min(objs):
         return best
     h = np.eye(d + 1)
-    h[:d] = res.x.reshape(d, d + 1)
+    h[:d] = p.reshape(d, d + 1)
     try:
         return AffineTransform(h)
     except SingularTransform:
@@ -799,9 +838,10 @@ def initialize(maps, config):
     ts = [AffineTransform.identity(lattice.dim) for _ in range(n)]
     betas = np.ones(n)
 
+    grid = coarse_grid(lattice)
     for it in range(config.init_iters):
         x_map = ActivationMap(lattice, x)
-        ts = [fit_affine(maps[i], x_map, betas[i], ts[i], coarse=(it == 0))
+        ts = [fit_affine(maps[i], x_map, betas[i], ts[i], grid if it == 0 else ())
               for i in range(n)]
         warp = Warp(x_map, pts)
         for i in range(n):

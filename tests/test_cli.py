@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groupreg
 from groupreg import cli, sampler
 from groupreg.cli import main
 from groupreg.errors import NonPositiveScale
@@ -356,3 +361,16 @@ def test_malformed_lambda_r_grid_flag_exits_2(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "lambda_r_grid needs comma-separated numbers" in capsys.readouterr().err
     _no_outputs_left(tmp_path, out)
+
+
+def test_cli_import_loads_no_optimize_or_special():
+    """A fresh `import groupreg.cli` loads scipy's banded LAPACK only: neither
+    `scipy.optimize` nor `scipy.special`, whose import most of a short fit's
+    start-up time would be."""
+    src = str(Path(groupreg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, groupreg.cli; "
+            "print(' '.join(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == []

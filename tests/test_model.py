@@ -5,10 +5,12 @@ from scipy.special import gammaln
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import gamma as gamma_dist
+from scipy.stats import invgamma as invgamma_dist
 
 from groupreg.errors import DegenerateVariance
 from groupreg.grids import Lattice, make_lattice_1d
-from groupreg.model import Hyperparams, TransformPrior, penalty_terms, sigma_s_matrix, waic
+from groupreg.model import (Hyperparams, TransformPrior, invgamma_logpdf, penalty_terms,
+                            sigma_s_matrix, waic)
 from groupreg.transforms import AffineTransform, affine_inverse, lie_exp
 
 LAT = make_lattice_1d(-2.0, 2.0, 0.5)
@@ -174,6 +176,30 @@ class TestTransformLogPrior:
         m0 = transform_coord_vector(AffineTransform.identity(2))
         want = mvt_logpdf(x, m0, scale, 2.0 * a)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestLogGammaTerms:
+    """The scalar `math.lgamma` terms match their `scipy.special.gammaln` forms."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (0.75, 3.0), (40.5, 0.2)])
+    def test_transform_prior_log_norm(self, d, a, b):
+        sigma_s = sigma_s_matrix(LATTICES[d].locations())
+        nu, p = 2.0 * a, d * (d + 1)
+        logdet_scale = p * np.log(b / a) - d * np.linalg.slogdet(sigma_s)[1]
+        want = (gammaln((nu + p) / 2.0) - gammaln(nu / 2.0)
+                - 0.5 * p * np.log(nu * np.pi) - 0.5 * logdet_scale)
+        assert TransformPrior(a, b, sigma_s).log_norm == pytest.approx(want, rel=1e-14, abs=1e-13)
+
+    @pytest.mark.parametrize("shape, rate", [(2.0, 1.0), (0.3, 0.01), (203.0, 57.5)])
+    def test_invgamma_logpdf(self, shape, rate):
+        x = np.array([0.05, 0.7, 3.0, 41.0])
+        want = float(np.sum(shape * np.log(rate) - gammaln(shape)
+                            - (shape + 1.0) * np.log(x) - rate / x))
+        assert invgamma_logpdf(x, shape, rate) == pytest.approx(want, rel=1e-14)
+        assert invgamma_logpdf(x, shape, rate) == pytest.approx(
+            float(np.sum(invgamma_dist.logpdf(x, shape, scale=rate))), rel=1e-12)
+        assert invgamma_logpdf(np.array([1.0, 0.0]), shape, rate) == -np.inf
 
 
 class TestWaic:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import OptimizeResult, least_squares
+from scipy.optimize import least_squares
 from scipy.stats import norm
 
 from groupreg import baseline, sampler, spatial
@@ -13,9 +13,9 @@ from groupreg.errors import (DegenerateInput, IllConditioned, NonPositiveScale,
                              NoRealLogarithm, OutOfLibraryBounds, SingularTransform)
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.interp import Warp, interpolate
-from groupreg.sampler import (CACHES, AdaptiveProposal, Chain, ChainAborted,
-                              beta_sigma_conditional, fit_affine, initialize, lie_mh_step,
-                              rho_weights, template_conditional,
+from groupreg.sampler import (CACHES, FIT_TOL, AdaptiveProposal, Chain, ChainAborted,
+                              beta_sigma_conditional, coarse_grid, fit_affine, initialize,
+                              levenberg_marquardt, lie_mh_step, rho_weights, template_conditional,
                               transformed_template_conditional, update_beta_sigma,
                               update_forward_transform, update_template,
                               update_transformed_template)
@@ -377,7 +377,7 @@ def test_fit_affine_recovers_a_known_warp():
     truth = affine_compose(AffineTransform.translation([1.0, -0.5]),
                            rotation_about_center(glyph.lattice, np.deg2rad(10.0)))
     y = glyph.with_values(interpolate(glyph, affine_apply(truth, glyph.lattice.locations())))
-    got = fit_affine(y, glyph, 1.0, AffineTransform.identity(2), coarse=True)
+    got = fit_affine(y, glyph, 1.0, AffineTransform.identity(2), coarse_grid(glyph.lattice))
     assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
 
 
@@ -387,7 +387,7 @@ def test_fit_affine_recovers_a_known_warp_1d():
     curve = ActivationMap(lattice, indicator_template(lattice.locations()[:, 0]))
     truth = AffineTransform.from_parts([[1.1]], [0.3])
     y = curve.with_values(interpolate(curve, affine_apply(truth, lattice.locations())))
-    got = fit_affine(y, curve, 1.0, AffineTransform.identity(1), coarse=True)
+    got = fit_affine(y, curve, 1.0, AffineTransform.identity(1), coarse_grid(lattice))
     assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
 
 
@@ -402,39 +402,170 @@ def test_fit_affine_falls_back_to_the_best_candidate(monkeypatch, x, fun):
     glyph = base_glyph()
     start = rotation_about_center(glyph.lattice, np.deg2rad(5.0))
 
-    def stub(residuals, x0, **kwargs):
-        residuals(x0)
-        return OptimizeResult(x=x, fun=np.full(glyph.lattice.n_sites, fun))
+    def stub(point, p):
+        point(p)
+        return x, fun
 
-    monkeypatch.setattr(sampler, "least_squares", stub)
+    monkeypatch.setattr(sampler, "levenberg_marquardt", stub)
     assert fit_affine(glyph, glyph, 1.0, start) is start
 
 
-def test_fit_affine_serves_the_jacobian_at_the_point_asked(monkeypatch):
-    """Each Jacobian LM gets is beta times the warp's at that point, whether
-    it was computed with the latest residuals, kept from the last accepted
-    point, or sampled afresh at a point with no residuals yet."""
+def test_fit_affine_samples_once_per_lm_point(monkeypatch):
+    """Each candidate costs one kernel pass for its value, and each LM point
+    one pass for its residuals and Jacobian together: beta times the warp's
+    at that point, less Y."""
     glyph = base_glyph()
     beta = 1.5
     truth = rotation_about_center(glyph.lattice, np.deg2rad(5.0))
     y = glyph.with_values(beta * interpolate(glyph, affine_apply(truth, glyph.lattice.locations())))
     warp = Warp(glyph, glyph.lattice.locations())
-    asked = []
+    grid = coarse_grid(glyph.lattice)[:7]
+    passes, points = [], []
+    sample = Warp.sample
 
-    def checked_least_squares(residuals, x0, jac, **kwargs):
-        def checked_jac(p):
-            asked.append(p.copy())
-            got = jac(p)
-            assert np.array_equal(got, beta * warp.value_and_jacobian(p.reshape(2, 3))[1])
-            return got
+    def counted_sample(self, u, deriv=False):
+        if self is not warp:
+            passes.append(deriv)
+        return sample(self, u, deriv)
 
-        checked_jac(x0 + 0.01)
-        return least_squares(residuals, x0, jac=checked_jac, **kwargs)
+    def checked_lm(point, p):
+        def checked_point(q):
+            points.append(q.copy())
+            r, jac = point(q)
+            vals, want = warp.value_and_jacobian(q.reshape(2, 3))
+            assert np.array_equal(r, beta * vals - y.values)
+            assert np.array_equal(jac, beta * want)
+            return r, jac
 
-    monkeypatch.setattr(sampler, "least_squares", checked_least_squares)
-    got = fit_affine(y, glyph, beta, AffineTransform.identity(2))
-    assert len(asked) > 2
+        return levenberg_marquardt(checked_point, p)
+
+    monkeypatch.setattr(Warp, "sample", counted_sample)
+    monkeypatch.setattr(sampler, "levenberg_marquardt", checked_lm)
+    got = fit_affine(y, glyph, beta, AffineTransform.identity(2), grid)
+    assert len(points) > 2
+    assert passes.count(False) == 1 + len(grid)
+    assert passes.count(True) == len(points)
     assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
+
+
+def noisy_fit_problem(dim):
+    """(Y, X, beta) of a warp fit with noise, so the optimum's residual is not 0."""
+    rng = np.random.default_rng(11)
+    if dim == 2:
+        x = base_glyph()
+        truth = affine_compose(AffineTransform.translation([0.8, -0.4]),
+                               rotation_about_center(x.lattice, np.deg2rad(8.0)))
+    else:
+        lattice = make_lattice_1d(-5.0, 5.0, 0.05)
+        x = ActivationMap(lattice, indicator_template(lattice.locations()[:, 0]))
+        truth = AffineTransform.from_parts([[1.08]], [-0.25])
+    clean = interpolate(x, affine_apply(truth, x.lattice.locations()))
+    y = x.with_values(1.3 * clean + 0.05 * rng.standard_normal(clean.size))
+    return y, x, 1.3
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("start", ["identity", "best-of-grid"])
+def test_levenberg_marquardt_matches_minpack(dim, start):
+    """On a noisy warp fit, the LM stops within 1e-8 relative of the objective
+    MINPACK's lmder (`least_squares(method="lm")`) reaches from the same start
+    with FIT_TOL as ftol, xtol and gtol; and, as it stops by the same tests,
+    it takes at most 5 points more than lmder evaluates."""
+    y, x, beta = noisy_fit_problem(dim)
+    warp = Warp(x, y.lattice.locations())
+    t0 = AffineTransform.identity(dim)
+    if start == "best-of-grid":
+        grid = coarse_grid(y.lattice)
+        t0 = grid[int(np.argmin([np.sum((y.values - beta * warp(t)) ** 2) for t in grid]))]
+
+    def point(p):
+        vals, jac = warp.value_and_jacobian(p.reshape(dim, dim + 1))
+        return beta * vals - y.values, beta * jac
+
+    points = []
+    p, f = levenberg_marquardt(lambda q: points.append(q) or point(q), t0.matrix[:dim].ravel())
+    ref = least_squares(lambda q: point(q)[0], t0.matrix[:dim].ravel(),
+                        jac=lambda q: point(q)[1], method="lm",
+                        ftol=FIT_TOL, xtol=FIT_TOL, gtol=FIT_TOL)
+    want = float(ref.fun @ ref.fun)
+    assert f == float(point(p)[0] @ point(p)[0])
+    assert abs(f - want) <= 1e-8 * want
+    assert np.max(np.abs(p - ref.x)) < 1e-4
+    assert len(points) <= ref.nfev + 5
+
+
+def test_levenberg_marquardt_stops_at_a_non_finite_start():
+    """A start whose residuals are not finite is returned as it is, after one point."""
+    calls = []
+
+    def point(p):
+        calls.append(p)
+        return np.full(3, np.nan), np.full((3, 2), np.nan)
+
+    p0 = np.array([1.0, 2.0])
+    p, f = levenberg_marquardt(point, p0)
+    assert len(calls) == 1 and p is p0 and np.isnan(f)
+
+
+def test_levenberg_marquardt_never_takes_a_non_finite_point():
+    """A point whose residuals are NaN is rejected: the step shrinks, and the
+    minimum inside the finite region is found."""
+    visited = []
+
+    def point(p):
+        # r = atan(p - 3): the first Gauss-Newton step from -2 overshoots past 3.5, where r is NaN
+        visited.append(p[0])
+        if p[0] > 3.5:
+            return np.full(1, np.nan), np.full((1, 1), np.nan)
+        e = p[0] - 3.0
+        return np.array([np.arctan(e)]), np.array([[1.0 / (1.0 + e * e)]])
+
+    p, f = levenberg_marquardt(point, np.array([-2.0]))
+    assert any(v > 3.5 for v in visited)
+    assert abs(p[0] - 3.0) < 1e-9 and f < 1e-18
+
+
+def test_levenberg_marquardt_stops_at_the_evaluation_cap():
+    """lmder's default cap, 100 (n + 1) points, ends a run no tolerance stops:
+    r = |p|^1/2 has its Gauss-Newton step overshoot to -p, and each damped step
+    that is taken cuts |p| by a fixed fraction, so no stop test is ever met."""
+    calls = []
+
+    def point(p):
+        calls.append(p)
+        return np.sqrt(np.abs(p)), np.diag(0.5 * np.sign(p) / np.sqrt(np.abs(p)))
+
+    p, f = levenberg_marquardt(point, np.array([1.0]))
+    assert len(calls) == 200
+    assert 0.0 < f < 1e-30
+
+
+def test_set_up_builds_the_coarse_grid_once(monkeypatch):
+    """`initialize` and the baseline's set-up build one coarse grid each and
+    hand every subject's first fit that same list."""
+    built, handed = [], []
+    grid, fit = sampler.coarse_grid, sampler.fit_affine
+
+    def counted_grid(lattice):
+        built.append(grid(lattice))
+        return built[-1]
+
+    def recorded_fit(y_map, x_map, beta, start, grid=()):
+        handed.append(grid)
+        return fit(y_map, x_map, beta, start, grid)
+
+    monkeypatch.setattr(sampler, "coarse_grid", counted_grid)
+    monkeypatch.setattr(sampler, "fit_affine", recorded_fit)
+    monkeypatch.setattr(baseline, "coarse_grid", counted_grid)
+    monkeypatch.setattr(baseline, "fit_affine", recorded_fit)
+    maps = indicator()
+    initialize(maps, RunConfig(init_iters=2))
+    assert len(built) == 1
+    assert [g is built[0] for g in handed] == [True] * 3 + [False] * 3
+    assert all(len(g) == 0 for g in handed[3:])
+    handed.clear()
+    baseline.ConventionalChain(maps, RunConfig(model="conventional", total=3, burn_in=1, thin=1))
+    assert len(built) == 2 and all(g is built[1] for g in handed) and len(handed) == 3
 
 
 def test_initialize_is_deterministic():
@@ -497,25 +628,53 @@ def nothing_inside(points, library):
     return entries, np.zeros_like(inside)
 
 
+def assert_is_factor_of(factor, cov):
+    """`factor` is cov's lower Cholesky factor to rounding."""
+    want = np.linalg.cholesky(cov)
+    assert np.max(np.abs(factor - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_frozen_proposal_factor_is_cached_and_exact():
-    """While adapting, each factor is the current covariance's; once frozen,
-    one factor equal to a fresh Cholesky is reused."""
+    """Each factor is the current covariance's, to rounding, while adapting
+    and once frozen; a frozen proposal's factor does not move."""
     adapt = AdaptiveProposal(2)
     rng = np.random.default_rng(0)
-    for _ in range(8):
+    for accepted in [True] * 8 + [False, True, False]:
         factor = adapt.proposal_factor()
-        assert np.array_equal(factor, np.linalg.cholesky(adapt.proposal_cov()))
-        adapt.record(True, 0.01 * rng.standard_normal(2))
+        assert_is_factor_of(factor, adapt.proposal_cov())
+        adapt.record(accepted, 0.01 * rng.standard_normal(2))
         assert not np.array_equal(adapt.proposal_factor(), factor)
     adapt.frozen = True
     factor = adapt.proposal_factor()
-    assert adapt.proposal_factor() is factor
-    assert np.array_equal(factor, np.linalg.cholesky(adapt.proposal_cov()))
-    adapt.frozen = False
     adapt.record(True, 0.01 * rng.standard_normal(2))
+    assert np.array_equal(adapt.proposal_factor(), factor)
+    assert_is_factor_of(factor, adapt.proposal_cov())
+
+
+def test_proposal_factor_runs_one_cholesky_per_accepted_delta(monkeypatch):
+    """The covariance is factored once at the start and once after each delta
+    accepted while adapting, however many proposals are made, and never once frozen."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    adapt = AdaptiveProposal(3)
+    rng = np.random.default_rng(1)
+    for k in range(30):
+        adapt.proposal_factor()
+        adapt.proposal_factor()
+        adapt.record(k % 3 == 0, 0.01 * rng.standard_normal(3))
+    adapt.proposal_factor()
+    assert len(calls) == 1 + 10
     adapt.frozen = True
-    assert np.array_equal(adapt.proposal_factor(), np.linalg.cholesky(adapt.proposal_cov()))
-    assert not np.array_equal(adapt.proposal_factor(), factor)
+    for _ in range(5):
+        adapt.proposal_factor()
+        adapt.record(True, 0.01 * rng.standard_normal(3))
+    assert len(calls) == 1 + 10
 
 
 def test_lie_mh_step_rejects_out_of_library_proposals():
