@@ -49,17 +49,16 @@ def _toy_state(seed=0, n_subjects=2):
     params = [(1.05, 0.3), (0.95, -0.2)][:n_subjects]
     ts, ts_r, maps, betas, sigma2s, xts = [], [], [], [], [], []
     for scale, shift in params:
-        t = AffineTransform.from_parts(np.array([[scale]]), np.array([shift]))
-        ts.append(t)
-        ts_r.append(affine_compose(affine_inverse(t),
-                                   AffineTransform.from_parts(np.array([[1.0]]),
-                                                              np.array([rng.normal() * 0.05]))))
+        h = np.array([[scale, shift], [0.0, 1.0]])
+        ts.append(h)
+        ts_r.append(affine_inverse(h) @ np.array([[1.0, rng.normal() * 0.05], [0.0, 1.0]]))
         maps.append(ActivationMap(lattice, rng.normal(size=4) + 1.0))
         betas.append(rng.uniform(0.8, 1.2))
         sigma2s.append(rng.uniform(0.4, 0.9))
         xts.append(rng.normal(size=4))
     y_bw = [Warp(amap, geom.locations)(t_r) for amap, t_r in zip(maps, ts_r)]
-    state = ChainState(X=x, maps=maps, T=ts, T_r=ts_r, Y=np.stack([m.values for m in maps]),
+    state = ChainState(X=x, maps=maps, T=np.array(ts), T_r=np.array(ts_r),
+                       Y=np.stack([m.values for m in maps]),
                        XT=np.stack(xts), Y_bw=np.stack(y_bw), beta=np.array(betas),
                        sigma2=np.array(sigma2s), alpha=cov.alpha, rho=cov.rho)
     refresh_caches(state, geom)
@@ -212,15 +211,15 @@ def target_audit(seed=0, tol=1e-8):
 
     locs = geom.locations
     landmarks, _, w, log_joint = _toy_conventional(state, geom, hp, rng)
-    ts, sigma2s = list(state.T), list(state.sigma2)
+    ts, sigma2s = state.T.copy(), list(state.sigma2)
     conv_base = log_joint(ts, w, sigma2s)
 
     # Moves of subject 0's transforms, each target evaluated on a stack of one.
     xt, beta, s2 = state.XT[:1], state.beta[:1], state.sigma2[:1]
     for _ in range(5):
-        t_old, t_r_old = state.T[0], state.T_r[0]
-        t_new = affine_compose(lie_exp(0.05 * rng.standard_normal(2)), t_old)
-        h_old, h_r_old, h_new = t_old.matrix[None], t_r_old.matrix[None], t_new.matrix[None]
+        t_old, t_r_old = state.T[0].copy(), state.T_r[0].copy()
+        t_new = lie_exp(0.05 * rng.standard_normal(2)) @ t_old
+        h_old, h_r_old, h_new = t_old[None], t_r_old[None], t_new[None]
         closed = (forward_log_target(h_new, h_r_old, state.X, xt,
                                      _geometry(h_new, state, geom)[2:], geom, hp)[0]
                   - forward_log_target(h_old, h_r_old, state.X, xt,
@@ -230,9 +229,9 @@ def target_audit(seed=0, tol=1e-8):
         state.T[0] = t_old
         worst["target.forward"] = max(worst["target.forward"], abs(closed - joint))
 
-        t_r_new = affine_compose(lie_exp(0.05 * rng.standard_normal(2)), t_r_old)
+        t_r_new = lie_exp(0.05 * rng.standard_normal(2)) @ t_r_old
         y_bw_new = state.warps[0](t_r_new)[None]
-        h_r_new = t_r_new.matrix[None]
+        h_r_new = t_r_new[None]
         closed = (reverse_log_target(h_r_new, h_old, state.X, y_bw_new, beta, s2, geom, hp)[0]
                   - reverse_log_target(h_r_old, h_old, state.X, state.Y_bw[:1], beta, s2,
                                        geom, hp)[0])
@@ -246,7 +245,7 @@ def target_audit(seed=0, tol=1e-8):
                             for t in (t_new, t_old))
         closed = (conventional_log_target(h_new, phi_new, y, w, s2, geom.prior_T)[0]
                   - conventional_log_target(h_old, phi_old, y, w, s2, geom.prior_T)[0])
-        joint = log_joint([t_new] + ts[1:], w, sigma2s) - conv_base
+        joint = log_joint(np.concatenate([h_new, ts[1:]]), w, sigma2s) - conv_base
         worst["target.conventional"] = max(worst["target.conventional"], abs(closed - joint))
 
     rho_old = state.rho
@@ -273,8 +272,8 @@ def _proposal_log_density(t, delta, cov, h=1e-5):
     for j in range(n):
         e = np.zeros(n)
         e[j] = h
-        up = affine_compose(lie_exp(delta + e), t).matrix[:-1].ravel()
-        dn = affine_compose(lie_exp(delta - e), t).matrix[:-1].ravel()
+        up = (lie_exp(delta + e) @ t)[:-1].ravel()
+        dn = (lie_exp(delta - e) @ t)[:-1].ravel()
         jac[:, j] = (up - dn) / (2.0 * h)
     _, logdet_cov = np.linalg.slogdet(2.0 * np.pi * cov)
     return (-0.5 * (logdet_cov + delta @ np.linalg.solve(cov, delta))
@@ -294,12 +293,12 @@ def _balance_gap(log_target, draw_start, n_pairs, rng, prop_cov):
     while done < n_pairs:
         t_x = draw_start(rng)
         delta = chol @ rng.standard_normal(prop_cov.shape[0])
-        t_y = affine_compose(lie_exp(delta), t_x)
+        t_y = lie_exp(delta) @ t_x
         try:
             lt_x, lt_y = log_target(t_x), log_target(t_y)
         except OutOfLibraryBounds:
             continue
-        d_rev = lie_log(affine_compose(t_x, affine_inverse(t_y)))
+        d_rev = lie_log(t_x @ affine_inverse(t_y))
         lhs = (lie_mh_log_acceptance(lt_x, lt_y, delta) + lt_x
                + _proposal_log_density(t_x, delta, prop_cov))
         rhs = (lie_mh_log_acceptance(lt_y, lt_x, d_rev) + lt_y
@@ -322,13 +321,12 @@ def detailed_balance_audit(n_pairs=100, seed=0, tol=1e-6):
     rng = np.random.default_rng(seed + 1)
 
     def forward(t):
-        h = t.matrix[None]
-        return forward_log_target(h, state.T_r[0].matrix[None], state.X, state.XT[:1],
+        h = t[None]
+        return forward_log_target(h, state.T_r[:1], state.X, state.XT[:1],
                                   _geometry(h, state, geom)[2:], geom, hp)[0]
 
     def start_1d(rng):
-        return AffineTransform.from_parts(np.array([[rng.uniform(0.85, 1.15)]]),
-                                          np.array([rng.uniform(-0.5, 0.5)]))
+        return np.array([[rng.uniform(0.85, 1.15), rng.uniform(-0.5, 0.5)], [0.0, 1.0]])
 
     lattice = Lattice(shape=(5, 5), spacing=np.array([1.0, 1.0]), origin=np.array([-2.0, -2.0]))
     prior_2d = TransformPrior(0.5, 0.5, sigma_s_matrix(lattice.locations()))
@@ -339,8 +337,8 @@ def detailed_balance_audit(n_pairs=100, seed=0, tol=1e-6):
     gaps = {
         "detailed_balance.max_gap_1d": _balance_gap(forward, start_1d, n_pairs, rng,
                                                     0.02 * np.eye(2)),
-        "detailed_balance.max_gap_2d": _balance_gap(prior_2d.log_density, start_2d, n_pairs,
-                                                    rng, 0.02 * np.eye(6)),
+        "detailed_balance.max_gap_2d": _balance_gap(lambda t: prior_2d.log_density(t[None])[0],
+                                                    start_2d, n_pairs, rng, 0.02 * np.eye(6)),
     }
     return [_check(name, gap, tol) for name, gap in gaps.items()]
 
@@ -462,9 +460,9 @@ def geometry_audit(seed=0):
 
     # Karcher fixed points.
     t = affine_compose(AffineTransform.rotation(0.2), AffineTransform.translation([0.5, -0.3]))
-    gap_single = float(np.linalg.norm(karcher_mean([t]).matrix - t.matrix))
+    gap_single = float(np.linalg.norm(karcher_mean([t]) - t))
     pair = [AffineTransform.translation([1.0, 0.0]), AffineTransform.translation([-1.0, 0.0])]
-    gap_pair = float(np.linalg.norm(karcher_mean(pair).matrix - np.eye(3)))
+    gap_pair = float(np.linalg.norm(karcher_mean(pair) - np.eye(3)))
     results.append(_check("geometry.karcher_fixed_points", max(gap_single, gap_pair), 1e-10))
 
     # The records of a short real chain, started off forward Karcher mean
@@ -475,16 +473,16 @@ def geometry_audit(seed=0):
     cfg = RunConfig(total=6, burn_in=5, thin=1, seed=5,
                     a0_alpha=0.2, b0_alpha=0.1, init_iters=3)
     state = initialize(maps, cfg)
-    state.T = [affine_compose(t, AffineTransform.translation([0.3])) for t in state.T]
+    state.T = affine_compose(state.T, AffineTransform.translation([0.3]))
     chain = Chain(maps, cfg, initial_state=state)
     worst = 0.0
     for _ in range(cfg.total):
         chain.sweep()
         (x, h_fwd, h_rev, betas, *_), _ = chain.record()
-        mean = karcher_mean([AffineTransform(h) for h in h_fwd])
+        mean = karcher_mean(h_fwd)
         st = chain.state
         worst = max(worst, float(np.linalg.norm(lie_log(mean))), abs(np.mean(betas) - 1.0),
-                    *(max(np.max(np.abs(f @ r - t.matrix @ t_r.matrix)),
+                    *(max(np.max(np.abs(f @ r - t @ t_r)),
                           np.max(np.abs(beta * x - raw_beta * st.X)))
                       for f, r, beta, t, t_r, raw_beta
                       in zip(h_fwd, h_rev, betas, st.T, st.T_r, st.beta)))

@@ -12,13 +12,14 @@ contribution. No reverse transforms, no intensity scale beta, no
 inverse-consistency penalty.
 
 Sampling: `ConventionalChain`, run by the symmetric model's loop
-(`sampler.Chain.run`). Each sweep is conjugate Gibbs for w and sigma_i^2,
-and moves every T_i by the symmetric model's Lie-group Metropolis step
-(`sampler.lie_mh_step`, with its closed-form Hastings term and
-Robbins-Monro adaptation), one call for all subjects: given w and the
-sigma_i^2 the T_i are independent, so their kernel designs at the proposed
-sites and their log targets are computed stacked. K^-1 and the kernel
-design at the lattice sites are computed once per chain.
+(`sampler.Chain.run`). It holds the T_i as an (N, d + 1, d + 1) stack of
+homogeneous matrices, as the symmetric chain does. Each sweep is conjugate
+Gibbs for w and sigma_i^2, and moves every T_i by the symmetric model's
+Lie-group Metropolis step (`sampler.lie_mh_step`, with its closed-form
+Hastings term and Robbins-Monro adaptation), one call for all subjects:
+given w and the sigma_i^2 the T_i are independent, so their kernel designs
+at the proposed sites and their log targets are computed stacked. K^-1 and
+the kernel design at the lattice sites are computed once per chain.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .grids import ActivationMap, common_lattice
 from .interp import Warp
 from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
 from .sampler import AdaptiveProposal, Chain, coarse_grid, fit_affine, lie_mh_step
-from .transforms import (AffineTransform, affine_apply, affine_inverse, apply_stack,
-                         matrix_stack)
+from .transforms import affine_apply, affine_inverse, apply_stack
 
 KERNEL_JITTER = 1e-8
 KERNEL_WIDTH = 1.5      # tau
@@ -103,14 +103,15 @@ def conventional_log_joint(maps, ts, w, sigma2s, landmarks, gram_chol, hp, prior
 
     w ~ N(0, K_gram) with `gram_chol` its Cholesky factor; per subject, T_i
     from `prior`, sigma_i^2 ~ InvGamma(a0_sigma, a1_sigma) and
-    Y_i ~ N(Phi(T_i) w, sigma_i^2 I). The audit checks the T_i target's
-    differences against this one's.
+    Y_i ~ N(Phi(T_i) w, sigma_i^2 I), with ts the T_i's homogeneous
+    matrices. The audit checks the T_i target's differences against this
+    one's.
     """
     half = np.linalg.solve(gram_chol, w)
     total = -0.5 * float(half @ half) - float(np.sum(np.log(np.diag(gram_chol))))
     for amap, t, s2 in zip(maps, ts, sigma2s):
         r = amap.values - gauss_kernel(affine_apply(t, amap.lattice.locations()), landmarks) @ w
-        total += (prior.log_density(t) - 0.5 * float(r @ r) / s2
+        total += (prior.log_density(t[None])[0] - 0.5 * float(r @ r) / s2
                   - 0.5 * r.size * np.log(2.0 * np.pi * s2)
                   + invgamma_logpdf(s2, hp.a0_sigma, hp.a1_sigma))
     return float(total)
@@ -146,9 +147,8 @@ class ConventionalChain(Chain):
         # Initialization: coarse-fit transforms against the mean map, ridge w.
         mean_map = ActivationMap(lattice, np.mean(self.ys, axis=0))
         grid = coarse_grid(lattice)
-        self.ts = [fit_affine(m, mean_map, 1.0, AffineTransform.identity(d), grid)
-                   for m in maps]
-        self.phis = self.designs(matrix_stack(self.ts))
+        self.ts = np.array([fit_affine(m, mean_map, 1.0, np.eye(d + 1), grid) for m in maps])
+        self.phis = self.designs(self.ts)
         _, _, self.w = conventional_w_conditional(self.phis, self.ys, [1.0] * n, self.k_inv)
         self.sigma2s = [max(float(np.mean((y - phi @ self.w) ** 2)), 1e-12)
                         for y, phi in zip(self.ys, self.phis)]
@@ -166,19 +166,17 @@ class ConventionalChain(Chain):
         sigma2s = np.array(self.sigma2s)
 
         def target(rows, proposals):
-            h = matrix_stack(proposals)
-            phi = self.designs(h)
+            phi = self.designs(proposals)
             return (np.ones(rows.size, dtype=bool),
-                    conventional_log_target(h, phi, self.ys[rows], w, sigma2s[rows], self.prior),
+                    conventional_log_target(proposals, phi, self.ys[rows], w, sigma2s[rows],
+                                            self.prior),
                     (phi,))
 
-        log_old = conventional_log_target(matrix_stack(self.ts), self.phis, self.ys, w, sigma2s,
-                                          self.prior)
-        accepted, t_new, phi = lie_mh_step(self.ts, log_old, target,
+        log_old = conventional_log_target(self.ts, self.phis, self.ys, w, sigma2s, self.prior)
+        accepted, h_new, phi = lie_mh_step(self.ts, log_old, target,
                                            self.proposals["forward"], self.rng)
-        for i, t in zip(np.flatnonzero(accepted), t_new):
-            self.ts[i] = t
-        if t_new:
+        self.ts[accepted] = h_new
+        if phi:
             self.phis[accepted] = phi[0]
 
     def designs(self, h):
@@ -189,13 +187,13 @@ class ConventionalChain(Chain):
 
     def record(self):
         n, d = len(self.maps), self.lattice.dim
-        return (self.design @ self.w, np.stack([t.matrix for t in self.ts]),
+        return (self.design @ self.w, self.ts.copy(),
                 np.broadcast_to(np.eye(d + 1), (n, d + 1, d + 1)), np.ones(n),
                 list(self.sigma2s), np.nan, np.nan), None
 
     def snapshot(self):
         return {"iteration": self.iteration, "sigma2": list(self.sigma2s),
-                "transforms": [t.matrix.tolist() for t in self.ts]}
+                "transforms": self.ts.tolist()}
 
     def model_diagnostics(self, extras):
         return {"sigma2_last": list(self.sigma2s), "n_landmarks": int(self.landmarks.shape[0])}

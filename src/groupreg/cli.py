@@ -255,16 +255,23 @@ def _cmd_waic_scan(args):
     cfg = _load_run_config(args)
     if cfg.model != "symmetric":
         raise ValidationError("waic-scan applies to the symmetric model")
+    # The whole grid is checked before the first chain runs: each value, and
+    # that each has an output directory of its own.
+    grid = list(cfg.lambda_r_grid)
+    if min(grid) < 0:
+        raise ValidationError(f"lambda_r_grid values must be >= 0, got {grid}")
+    tags = [f"lambda_{lam:g}" for lam in grid]
+    if len(set(tags)) < len(tags):
+        raise ValidationError(f"lambda_r_grid values {grid} share output directories: {tags}")
     maps, _ = _load_maps(cfg)
     # Initialization does not read lambda_r, so it runs once; each chain gets
     # its own copy because a chain mutates its state.
     initial = initialize(maps, cfg)
     with _Staging(args.out, "waic-scan", cfg) as staging:
         rows = []
-        for lam in cfg.lambda_r_grid:
+        for lam, tag in zip(grid, tags):
             sub_cfg = dataclasses.replace(cfg, lambda_r=lam)
             store, diag = Chain(maps, sub_cfg, initial_state=copy.deepcopy(initial)).run()
-            tag = f"lambda_{lam:g}"
             save_store(store, staging.path(os.path.join(tag, "samples.bin")))
             _json_dump(diag, staging.path(os.path.join(tag, "diagnostics.json")))
             rows.append((lam, diag["waic"], diag["mean_ic_error"]))

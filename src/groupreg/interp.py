@@ -26,9 +26,9 @@ coordinates overflow, without a warning.
 Two entry points call that kernel:
 - `interpolate(amap, points)` samples a map once at (q, d) points;
 - `Warp(amap, sites)` samples one map at T(S) for many affine T and fixed
-  sites S. It also keeps S as a (d, q) array, and `warp(t)` computes the
-  index coordinates (A S + b - origin) / spacing in that layout, which gives
-  the same bits as `interpolate(amap, affine_apply(t, sites))`.
+  sites S. It also keeps S as a (d, q) array, and `warp(h)`, h the matrix
+  of T, computes the index coordinates (A S + b - origin) / spacing in that
+  layout, which gives the bits of `interpolate(amap, affine_apply(h, sites))`.
   `warp.value_and_jacobian(top)` gives those values for the top d rows of a
   homogeneous matrix H, with their Jacobian in H's entries, from one kernel
   pass. The reverse-transform step evaluates one map at thousands of T, and
@@ -156,10 +156,11 @@ def interpolate(amap, points):
 class Warp(_Stencil):
     """One map sampled at T(S) for many affine transforms T and fixed sites S.
 
-    `Warp(amap, sites)(t)` equals `interpolate(amap, affine_apply(t, sites))`
-    bit for bit: sites is (q, d), the result (q,). The padded grid, the
-    stencil offsets and the clip bounds are built here, once, with the sites
-    as a (d, q) array and the lattice's origin and spacing as columns.
+    `Warp(amap, sites)(h)`, h a homogeneous matrix, equals `interpolate(amap,
+    affine_apply(h, sites))` bit for bit: sites is (q, d), the result (q,).
+    The padded grid, the stencil offsets and the clip bounds are built here,
+    once, with the sites as a (d, q) array and the lattice's origin and
+    spacing as columns.
     """
 
     def __init__(self, amap, sites):
@@ -179,14 +180,14 @@ class Warp(_Stencil):
         with np.errstate(over="ignore", invalid="ignore"):
             return (a @ self._sites + b[:, None] - self._origin) / self._spacing
 
-    def __call__(self, t):
-        return self.sample(self._coords(t.A, t.b))
+    def __call__(self, h):
+        return self.sample(self._coords(h[:-1, :-1], h[:-1, -1]))
 
     def value_and_jacobian(self, top):
         """Values at H(S) and their Jacobian in the entries of H's top d rows.
 
         top: H[:d], (d, d + 1), which need not be invertible. Returns the
-        values (q,), the bits of `self(t)` for the transform with these rows,
+        values (q,), the bits of `self(h)` for the matrix with these rows,
         and the (q, d (d + 1)) Jacobian, columns in the row-major order of
         `top`: dx/dH_jk = g_j(s) s~_k / spacing_j, with g the kernel's
         derivative along index axis j at H(s) and s~ = (s, 1). One kernel

@@ -14,7 +14,8 @@ beta update), so beta | sigma^2 ~ N(mu0, sigma^2 / lambda0).
 
 The joint log density and the pointwise log-likelihood read a chain state
 (`sampler.ChainState`): per-subject fields stacked over subjects, one (N, V)
-or (N,) array each, and the maps and transforms as length-N lists.
+or (N,) array each, the transforms as (N, d + 1, d + 1) stacks of
+homogeneous matrices, and the maps as a length-N list.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .spatial import (NeighborLibrary, PredecessorPatterns, batched_nngp_weights
                       build_neighbor_library, build_ordered_neighbor_sets,
                       build_predecessor_patterns, lookup_neighbors,
                       nngp_log_density_from_weights)
-from .transforms import AffineTransform, apply_stack, composition_identity_gap, matrix_stack
+from .transforms import apply_stack, composition_identity_gap
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,7 @@ class TransformPrior:
 
     def log_density(self, h):
         """Log density of each matrix of an (n, d + 1, d + 1) stack of
-        homogeneous matrices, (n,); of one `AffineTransform`, a float."""
-        if isinstance(h, AffineTransform):
-            return float(self.log_density(h.matrix[None])[0])
+        homogeneous matrices, (n,)."""
         n, d = len(h), h.shape[-1] - 1
         nu = 2.0 * self.a
         p = d * (d + 1)
@@ -200,7 +199,7 @@ def gibbs_log_posterior(state, hp, geom):
                                   geom.locations, cov)
     total += nngp_log_density_from_weights(x, x, geom.neighbor_sets, tb, tf)
 
-    h, h_r = matrix_stack(state.T), matrix_stack(state.T_r)
+    h, h_r = state.T, state.T_r
     locs = apply_stack(h, geom.locations).reshape(-1, geom.lattice.dim)
     nbr = lookup_neighbors(locs, geom.library)
     b, f = batched_nngp_weights(locs, nbr, geom.locations, cov)

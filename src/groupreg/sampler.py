@@ -13,10 +13,11 @@ that draw alone (`standardize_forward_transforms`, `standardize_scales`),
 so the records are an exact push-forward of the sampled posterior and the
 chain state is never changed by them.
 
-`ChainState` stacks the subjects, one array per field, and each phase is
-one call for all of them; only the sigma_i^2, beta_i draws loop over
-subjects. Each chain owns one generator, `np.random.default_rng(config.seed)`,
-and every update draws from it in sweep order: the (N, V) draw of the X(T_i)
+`ChainState` stacks the subjects, one array per field, the transforms as
+(N, d + 1, d + 1) stacks of homogeneous matrices, and each phase is one
+call for all of them; only the sigma_i^2, beta_i draws loop over subjects.
+Each chain owns one generator, `np.random.default_rng(config.seed)`, and
+every update draws from it in sweep order: the (N, V) draw of the X(T_i)
 takes subject 0's normals first, as a loop over subjects would, and so do
 the transform steps (below).
 
@@ -56,11 +57,11 @@ so are their T_i^r targets, so one step moves every subject in a direction:
 subject by subject it draws delta, then the accept uniform, whether the
 proposal is rejected or not, and forms the proposal with the scalar
 `lie_exp`; then the log targets of all current transforms, and of all
-proposals with a real logarithm, are each computed once over (N, d + 1,
-d + 1) stacks, and an accept mask writes the moved subjects back. The
-generator, the proposals and the accept decisions are those of a loop of
-scalar steps over subjects, and the seeded outputs are bit-identical to it
-(`tests/test_sampler.py` keeps the loop as the oracle).
+proposals with a real logarithm (`has_real_log`), are each computed once
+over the stacks, and one masked assignment writes the moved subjects back.
+The generator, the proposals and the accept decisions are those of a loop
+of scalar steps over subjects, and the seeded outputs are bit-identical to
+it (`tests/test_sampler.py` keeps the loop as the oracle).
 """
 
 from __future__ import annotations
@@ -72,8 +73,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import (DegenerateInput, GroupregError, IllConditioned, InsufficientSamples,
-                     NonPositiveScale, NoRealLogarithm, OutOfLibraryBounds,
-                     SingularTransform)
+                     NonPositiveScale, OutOfLibraryBounds, SingularTransform)
 from .grids import ActivationMap, common_lattice
 from .interp import Warp
 from .model import build_geometry, penalty_terms, pointwise_log_lik, waic
@@ -81,9 +81,8 @@ from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
                       kriging_factor, library_weights, locate_entries, neighbor_distances,
                       nngp_log_density_from_weights, predecessor_weights)
 from .store import SampleStore
-from .transforms import (AffineTransform, affine_apply, affine_compose, affine_inverse,
-                         apply_stack, karcher_mean, lie_exp, lie_log, matrix_stack,
-                         standardize)
+from .transforms import (AffineTransform, affine_inverse, apply_stack, has_real_log,
+                         karcher_mean, lie_exp, standardize)
 
 ADAPT_TARGET_RATE = 0.234
 RHO_STEP = 0.1        # standard deviation of the random-walk rho proposal
@@ -177,17 +176,18 @@ class AdaptiveProposal:
 
 @dataclass
 class ChainState:
-    """The chain's latent state. Subject i has maps[i], T[i], T_r[i], beta[i],
-    sigma2[i] and row i of the (N, V) arrays Y (the map's values), XT (X at
-    T_i(S)), Y_bw (Y_i at T_i^r(S)) and F, and of the NNGP caches of T_i(S):
-    library entries (N, V), neighbor sets nbr, their distances dist from
-    T_i(S) and weights B (N, V, k). `warps[i]` samples maps[i] at T(S) for
-    the reverse step, and `band` assembles the X step's precision."""
+    """The chain's latent state. Subject i has maps[i], beta[i], sigma2[i] and
+    row i of the (N, d + 1, d + 1) stacks T and T_r of homogeneous matrices,
+    of the (N, V) arrays Y (the map's values), XT (X at T_i(S)), Y_bw (Y_i
+    at T_i^r(S)) and F, and of the NNGP caches of T_i(S): library entries
+    (N, V), neighbor sets nbr, their distances dist from T_i(S) and weights
+    B (N, V, k). `warps[i]` samples maps[i] at T(S) for the reverse step,
+    and `band` assembles the X step's precision."""
 
     X: np.ndarray
     maps: list
-    T: list
-    T_r: list
+    T: np.ndarray
+    T_r: np.ndarray
     Y: np.ndarray = field(repr=False)
     XT: np.ndarray = field(repr=False)
     Y_bw: np.ndarray = field(repr=False)
@@ -247,7 +247,7 @@ def refresh_caches(state, geom):
     state.factor = kriging_factor(geom.library, geom.predecessor_patterns, state.rho)
     state.tB, state.tF = predecessor_weights(geom.predecessor_patterns, state.factor,
                                              state.alpha)
-    inside, caches = subject_geometry(matrix_stack(state.T), geom, state.factor, state.alpha)
+    inside, caches = subject_geometry(state.T, geom, state.factor, state.alpha)
     if not inside.all():
         raise OutOfLibraryBounds(f"transforms {np.flatnonzero(~inside).tolist()} move a "
                                  "template site outside the neighbor library")
@@ -549,43 +549,37 @@ def reverse_log_target(h_r, h, x, y_bw, beta, sigma2, geom, hp):
             - 0.5 * ssd / sigma2 - hp.lambda_r * (p1 + p2))
 
 
-def _has_real_log(t):
-    try:
-        lie_log(t)
-    except NoRealLogarithm:
-        return False
-    return True
-
-
-def lie_mh_step(ts, log_old, log_target, adapts, rng):
-    """One random-walk Metropolis step t_i -> exp(delta_i) t_i of each of n
+def lie_mh_step(h, log_old, log_target, adapts, rng):
+    """One random-walk Metropolis step H_i -> exp(delta_i) H_i of each of n
     independent rows on the affine group.
 
-    `ts` holds the rows' transforms, `log_old` (n,) their log targets and
-    `adapts` their `AdaptiveProposal`s. Row by row, in order, the step draws
-    delta_i, then the accept uniform, and forms the proposal, so it takes
-    the generator's numbers as n scalar steps would. A proposal with no real
-    logarithm is rejected (`rejected_nolog`) unevaluated. `log_target(rows,
-    proposals)` gets the other rows' indices, ascending, and their proposals;
-    it returns (inside, log_new, payload): inside marks the proposals that
-    stay in the neighbor library (the others count in `rejected_oob`), and
+    `h` holds the rows' homogeneous matrices, (n, d + 1, d + 1), `log_old`
+    (n,) their log targets and `adapts` their `AdaptiveProposal`s. Row by
+    row, in order, the step draws delta_i, then the accept uniform, and
+    forms the proposal, so it takes the generator's numbers as n scalar
+    steps would. A proposal with no real logarithm (`has_real_log`) is
+    rejected (`rejected_nolog`) unevaluated. `log_target(rows, proposals)`
+    gets the other rows' indices, ascending, and their proposals' stack; it
+    returns (inside, log_new, payload): inside marks the proposals that stay
+    in the neighbor library (the others count in `rejected_oob`), and
     log_new and payload, a tuple of arrays, are stacked over those only.
-    Returns (accepted, t_new, payload): the (n,) accept mask, and the new
-    transforms and the payload's arrays of the accepted rows, in row order.
+    Returns (accepted, h_new, payload): the (n,) accept mask, and the new
+    matrices and the payload's arrays of the accepted rows, in row order,
+    for the caller's `h[accepted] = h_new`.
     """
-    n, dim = len(ts), adapts[0].dim
-    deltas, draws, proposals = np.empty((n, dim)), np.empty(n), []
-    for i, (t, adapt) in enumerate(zip(ts, adapts)):
+    n, dim = len(h), adapts[0].dim
+    deltas, draws, proposals = np.empty((n, dim)), np.empty(n), np.empty(h.shape)
+    for i, adapt in enumerate(adapts):
         deltas[i] = adapt.proposal_factor() @ rng.standard_normal(dim)
         draws[i] = np.log(rng.uniform())
-        proposals.append(affine_compose(lie_exp(deltas[i]), t))
-    real = np.array([_has_real_log(t) for t in proposals])
+        proposals[i] = lie_exp(deltas[i]) @ h[i]
+    real = np.array([has_real_log(p) for p in proposals])
     inside = np.zeros(n, dtype=bool)
     accepted = np.zeros(n, dtype=bool)
     rows = np.flatnonzero(real)
     payload = ()
     if rows.size:
-        in_library, log_new, payload = log_target(rows, [proposals[i] for i in rows])
+        in_library, log_new, payload = log_target(rows, proposals[rows])
         rows = rows[in_library]
         inside[rows] = True
         keep = draws[rows] < lie_mh_log_acceptance(log_old[rows], log_new, deltas[rows])
@@ -597,7 +591,7 @@ def lie_mh_step(ts, log_old, log_target, adapts, rng):
         elif not inside[i]:
             adapt.rejected_oob += 1
         adapt.record(accepted[i], deltas[i])
-    return accepted, [proposals[i] for i in np.flatnonzero(accepted)], payload
+    return accepted, proposals[accepted], payload
 
 
 def update_forward_transform(state, geom, hp, adapts, rng):
@@ -606,20 +600,16 @@ def update_forward_transform(state, geom, hp, adapts, rng):
     On accept, T_i and row i of its NNGP caches change. Returns the (N,)
     accept mask.
     """
-    h, h_r = matrix_stack(state.T), matrix_stack(state.T_r)
-
     def target(rows, proposals):
-        h_new = matrix_stack(proposals)
-        inside, caches = subject_geometry(h_new, geom, state.factor, state.alpha)
+        inside, caches = subject_geometry(proposals, geom, state.factor, state.alpha)
         kept = rows[inside]
-        return inside, forward_log_target(h_new[inside], h_r[kept], state.X, state.XT[kept],
-                                          caches[2:], geom, hp), caches
+        return inside, forward_log_target(proposals[inside], state.T_r[kept], state.X,
+                                          state.XT[kept], caches[2:], geom, hp), caches
 
-    log_old = forward_log_target(h, h_r, state.X, state.XT, (state.nbr, state.B, state.F),
-                                 geom, hp)
-    accepted, t_new, caches = lie_mh_step(state.T, log_old, target, adapts, rng)
-    for i, t in zip(np.flatnonzero(accepted), t_new):
-        state.T[i] = t
+    log_old = forward_log_target(state.T, state.T_r, state.X, state.XT,
+                                 (state.nbr, state.B, state.F), geom, hp)
+    accepted, h_new, caches = lie_mh_step(state.T, log_old, target, adapts, rng)
+    state.T[accepted] = h_new
     for name, value in zip(CACHES, caches):
         getattr(state, name)[accepted] = value
     return accepted
@@ -631,34 +621,30 @@ def update_reverse_transform(state, geom, hp, adapts, rng):
     Each live proposal samples its subject's map through `state.warps[i]`.
     On accept, T_i^r and row i of Y_bw change. Returns the (N,) accept mask.
     """
-    h, h_r = matrix_stack(state.T), matrix_stack(state.T_r)
-
     def target(rows, proposals):
-        y_bw = np.stack([state.warps[i](t) for i, t in zip(rows, proposals)])
-        log_new = reverse_log_target(matrix_stack(proposals), h[rows], state.X, y_bw,
+        y_bw = np.stack([state.warps[i](h_r) for i, h_r in zip(rows, proposals)])
+        log_new = reverse_log_target(proposals, state.T[rows], state.X, y_bw,
                                      state.beta[rows], state.sigma2[rows], geom, hp)
         return np.ones(rows.size, dtype=bool), log_new, (y_bw,)
 
-    log_old = reverse_log_target(h_r, h, state.X, state.Y_bw, state.beta, state.sigma2,
-                                 geom, hp)
-    accepted, t_new, y_bw = lie_mh_step(state.T_r, log_old, target, adapts, rng)
-    for i, t in zip(np.flatnonzero(accepted), t_new):
-        state.T_r[i] = t
-    if t_new:
+    log_old = reverse_log_target(state.T_r, state.T, state.X, state.Y_bw, state.beta,
+                                 state.sigma2, geom, hp)
+    accepted, h_new, y_bw = lie_mh_step(state.T_r, log_old, target, adapts, rng)
+    state.T_r[accepted] = h_new
+    if y_bw:
         state.Y_bw[accepted] = y_bw[0]
     return accepted
 
 
-def standardize_forward_transforms(ts, ts_r):
-    """T_i M^-1 and M T_i^r, M the Karcher mean of the T_i.
+def standardize_forward_transforms(h, h_r):
+    """T_i M^-1 and M T_i^r, M the Karcher mean of the T_i, for the stacks
+    h and h_r of the T_i and the T_i^r (`standardize`).
 
     The forward transforms get Karcher mean identity, and each pair keeps
     its H_T H_Tr, so the inverse-consistency error of a draw is unchanged.
     """
-    mean = karcher_mean(ts)
-    mean_inv = affine_inverse(mean)
-    return ([affine_compose(t, mean_inv) for t in ts],
-            [affine_compose(mean, t_r) for t_r in ts_r])
+    h_std, mean = standardize(h)
+    return h_std, mean @ h_r
 
 
 def standardize_scales(x, betas, alpha):
@@ -687,7 +673,8 @@ def fit_scale(y_values, xt_values):
 
 def coarse_grid(lattice):
     """Deterministic coarse search grid over the affine group, the set-up's
-    first candidates for each subject's transform (`fit_affine`)."""
+    first candidates for each subject's transform (`fit_affine`): a stack of
+    homogeneous matrices."""
     lower, upper = lattice.bounds()
     extent = upper - lower
     center = 0.5 * (lower + upper)
@@ -713,7 +700,7 @@ def coarse_grid(lattice):
                     for u1 in shifts1:
                         b = np.array([u0, u1]) + center - a @ center
                         out.append(AffineTransform.from_parts(a, b))
-    return out
+    return np.array(out)
 
 
 def levenberg_marquardt(point, p):
@@ -771,41 +758,42 @@ def levenberg_marquardt(point, p):
 
 
 def fit_affine(y_map, x_map, beta, start, grid=()):
-    """Affine transform minimizing ||Y - beta X(T)||^2: the best of `start` and
-    the candidates of `grid` (`coarse_grid`), refined by Levenberg-Marquardt.
+    """Homogeneous matrix of the affine transform minimizing ||Y - beta X(T)||^2:
+    the best of `start` and the candidates of `grid` (`coarse_grid`), refined
+    by Levenberg-Marquardt.
 
     The refinement (`levenberg_marquardt`) runs over the top d rows of the
     homogeneous matrix, with the exact Jacobian of the residuals: Catmull-Rom
     interpolation is C^1, so the objective is a smooth sum of squares. One
     `Warp` is built per call, and each LM point samples the map once, for
-    its residuals and its Jacobian together. The refined transform is
-    returned only if it is a valid `AffineTransform` whose objective is no
-    worse than the best candidate's; otherwise the best candidate is.
+    its residuals and its Jacobian together. The refined matrix is returned
+    only if it makes a valid `AffineTransform` and its objective is no worse
+    than the best candidate's; otherwise the best candidate is.
     """
     warp = Warp(x_map, y_map.lattice.locations())
     y = y_map.values
 
-    def objective(t):
-        xt = warp(t)
+    def objective(h):
+        xt = warp(h)
         r = y - beta * xt
         return float(r @ r)
 
     candidates = [start, *grid]
-    objs = [objective(t) for t in candidates]
+    objs = [objective(h) for h in candidates]
     best = candidates[int(np.argmin(objs))]
-    d = best.dim
+    d = len(best) - 1
 
     def point(p):
         xt, jac = warp.value_and_jacobian(p.reshape(d, d + 1))
         return beta * xt - y, beta * jac
 
-    p, f = levenberg_marquardt(point, best.matrix[:d].ravel())
+    p, f = levenberg_marquardt(point, best[:d].ravel())
     if not f <= min(objs):
         return best
     h = np.eye(d + 1)
     h[:d] = p.reshape(d, d + 1)
     try:
-        return AffineTransform(h)
+        return AffineTransform(h).matrix
     except SingularTransform:
         return best
 
@@ -835,18 +823,18 @@ def initialize(maps, config):
     back = [Warp(amap, pts) for amap in maps]
     x = np.mean([amap.values for amap in maps], axis=0)
     n = len(maps)
-    ts = [AffineTransform.identity(lattice.dim) for _ in range(n)]
+    ts = np.array([np.eye(lattice.dim + 1)] * n)
     betas = np.ones(n)
 
     grid = coarse_grid(lattice)
     for it in range(config.init_iters):
         x_map = ActivationMap(lattice, x)
-        ts = [fit_affine(maps[i], x_map, betas[i], ts[i], grid if it == 0 else ())
-              for i in range(n)]
+        ts = np.array([fit_affine(maps[i], x_map, betas[i], ts[i], grid if it == 0 else ())
+                       for i in range(n)])
         warp = Warp(x_map, pts)
         for i in range(n):
             betas[i] = fit_scale(maps[i].values, warp(ts[i]))
-        ts = standardize(ts)
+        ts, _ = standardize(ts)
         betas = betas / np.mean(betas)
         x_new = np.mean([back[i](affine_inverse(ts[i])) / betas[i] for i in range(n)],
                         axis=0)
@@ -856,7 +844,7 @@ def initialize(maps, config):
             break
 
     x_map = ActivationMap(lattice, x)
-    ts_r = [affine_inverse(t) for t in ts]
+    ts_r = np.array([affine_inverse(t) for t in ts])
     y = np.stack([amap.values for amap in maps])
     warp = Warp(x_map, pts)
     xt = np.stack([warp(t) for t in ts])
@@ -880,15 +868,16 @@ class ChainAborted(GroupregError):
         self.snapshot = snapshot
 
 
-def library_margin(lattice, ts):
-    """Library margin in grid steps that holds every T_i(S), plus LIBRARY_SLACK.
+def library_margin(lattice, h):
+    """Library margin in grid steps that holds every T_i(S), plus LIBRARY_SLACK,
+    for the stack h of the T_i.
 
     The overshoot is how far any transformed site lies outside the lattice's
     bounding box, in grid steps of any axis; the margin is its ceiling plus
     the slack, which leaves room for the chain's first moves.
     """
     locs, last = lattice.locations(), np.asarray(lattice.shape) - 1
-    u = lattice.to_index_coords(np.concatenate([affine_apply(t, locs) for t in ts]))
+    u = lattice.to_index_coords(apply_stack(h, locs).reshape(-1, lattice.dim))
     over = max(0.0, float(np.max(-u)), float(np.max(u - last)))
     return int(np.ceil(over)) + LIBRARY_SLACK
 
@@ -971,11 +960,10 @@ class Chain:
         same for the raw and the standardized draw.
         """
         st = self.state
-        ts, ts_r = standardize_forward_transforms(st.T, st.T_r)
+        h, h_r = standardize_forward_transforms(st.T, st.T_r)
         betas, x, alpha = standardize_scales(st.X, st.beta, st.alpha)
-        fields = (x, np.stack([t.matrix for t in ts]), np.stack([t.matrix for t in ts_r]),
-                  betas, st.sigma2.copy(), alpha, st.rho)  # sweeps write sigma2 in place
-        ic_error = np.mean(penalty_terms(matrix_stack(st.T), matrix_stack(st.T_r))[0])
+        fields = (x, h, h_r, betas, st.sigma2.copy(), alpha, st.rho)  # sigma2 changes in place
+        ic_error = np.mean(penalty_terms(st.T, st.T_r)[0])
         return fields, (pointwise_log_lik(st), ic_error)
 
     def snapshot(self):
@@ -986,8 +974,8 @@ class Chain:
             "rho": state.rho,
             "beta": state.beta.tolist(),
             "sigma2": state.sigma2.tolist(),
-            "transforms": [t.matrix.tolist() for t in state.T],
-            "reverse_transforms": [t.matrix.tolist() for t in state.T_r],
+            "transforms": state.T.tolist(),
+            "reverse_transforms": state.T_r.tolist(),
         }
 
     def run(self):
@@ -1084,12 +1072,10 @@ def summarize(store, level=0.95):
     tail = 0.5 * (1.0 - level)
     lower = np.quantile(x, tail, axis=0)
     upper = np.quantile(x, 1.0 - tail, axis=0)
-    mean_fwd, mean_rev = [], []
-    for i in range(store.n_subjects):
-        mean_fwd.append(karcher_mean(
-            [AffineTransform(h) for h in store.H_fwd[:, i]]))
-        mean_rev.append(karcher_mean(
-            [AffineTransform(h) for h in store.H_rev[:, i]]))
+    mean_fwd = [AffineTransform(karcher_mean(store.H_fwd[:, i]))
+                for i in range(store.n_subjects)]
+    mean_rev = [AffineTransform(karcher_mean(store.H_rev[:, i]))
+                for i in range(store.n_subjects)]
     return PosteriorSummary(mean=mean, sd=sd, ratio=ratio, lower=lower,
                             upper=upper, level=level,
                             mean_forward=mean_fwd, mean_reverse=mean_rev)

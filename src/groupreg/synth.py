@@ -80,7 +80,7 @@ def draw_true_transforms_1d(lattice, n, rng):
         scale = rng.uniform(0.9, 1.1)
         # Y(s) = X(scale * s - shift): support moves by +shift/scale.
         ts.append(AffineTransform.from_parts(np.array([[scale]]), np.array([-shift])))
-    return standardize(ts) if n > 1 else ts
+    return [AffineTransform(h) for h in standardize(ts)[0]] if n > 1 else ts
 
 
 def _curves(template_fn, lattice, spec):
@@ -143,7 +143,7 @@ def rotation_about_center(lattice, angle_rad):
 def rotate_glyph(amap, angle_deg):
     """Rotate an image counterclockwise (in index coordinates) about its center."""
     t = rotation_about_center(amap.lattice, -np.deg2rad(angle_deg))
-    return amap.with_values(Warp(amap, amap.lattice.locations())(t))
+    return amap.with_values(Warp(amap, amap.lattice.locations())(t.matrix))
 
 
 def gen_rotated_glyphs(spec):

@@ -1,12 +1,15 @@
 """Affine transform algebra on homogeneous matrices.
 
-A d-dimensional affine map s -> A s + b is stored canonically as its
-(d+1)x(d+1) homogeneous matrix [[A, b], [0, 1]]; (A, b) is a derived view.
-Lie-algebra coordinates are the top d rows of the matrix logarithm of the
+A d-dimensional affine map s -> A s + b is held as its (d+1)x(d+1)
+homogeneous matrix [[A, b], [0, 1]], and n maps as an (n, d+1, d+1) stack,
+plain float arrays that the functions here take and return.
+`AffineTransform` is the validated value type at the boundary; it is
+array-like as its matrix, so the functions take it too. Lie-algebra
+coordinates are the top d rows of the matrix logarithm of the
 homogeneous matrix, flattened row-major: length d(d+1), i.e. 6 entries in 2D
 and 2 in 1D.
 
-All operations are pure functions on value types and thread-safe.
+All operations are pure functions and thread-safe.
 """
 
 from __future__ import annotations
@@ -27,6 +30,20 @@ KARCHER_TOL = 1e-10
 KARCHER_MAX_ITER = 100
 
 
+def _check_invertible(h):
+    """SingularTransform unless the homogeneous matrix h is finite and |det A| > DET_EPS.
+
+    The checks run on Python floats: numpy's small-array calls cost more
+    than the arithmetic, and `lie_exp` runs them on every proposal.
+    """
+    entries = h.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
+        raise SingularTransform("homogeneous matrix has a non-finite entry")
+    det = entries[0] if len(h) == 2 else entries[0] * entries[4] - entries[1] * entries[3]
+    if abs(det) <= DET_EPS:
+        raise SingularTransform(f"|det A| = {abs(det):.3e} <= {DET_EPS}")
+
+
 @dataclass(frozen=True, eq=False)
 class AffineTransform:
     """Invertible affine map; `matrix` is the homogeneous-matrix view."""
@@ -37,36 +54,19 @@ class AffineTransform:
         h = np.array(self.matrix, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] not in (2, 3):
             raise ValueError(f"homogeneous matrix must be 2x2 or 3x3, got {h.shape}")
-        # The checks run on Python floats: numpy's small-array calls cost more
-        # than the arithmetic, and transforms are built per objective call.
-        entries = h.ravel().tolist()
-        if not all(map(math.isfinite, entries)):
-            raise SingularTransform("homogeneous matrix has a non-finite entry")
-        d = h.shape[0] - 1
-        *zeros, one = entries[-(d + 1):]
+        _check_invertible(h)
+        *zeros, one = h[-1].tolist()
         # np.allclose(last row, (0,...,0,1), atol=_ROW_ATOL) with its default rtol
         if (any(abs(z) > _ROW_ATOL for z in zeros)
                 or abs(one - 1.0) > _ROW_ATOL + _ROW_RTOL):
             raise ValueError("last row of a homogeneous affine matrix must be (0,...,0,1)")
-        det = entries[0] if d == 1 else entries[0] * entries[4] - entries[1] * entries[3]
-        if abs(det) <= DET_EPS:
-            raise SingularTransform(f"|det A| = {abs(det):.3e} <= {DET_EPS}")
         h[-1] = 0.0
         h[-1, -1] = 1.0
         h.setflags(write=False)
         object.__setattr__(self, "matrix", h)
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0] - 1
-
-    @property
-    def A(self):
-        return self.matrix[:-1, :-1]
-
-    @property
-    def b(self):
-        return self.matrix[:-1, -1]
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     @classmethod
     def from_parts(cls, A, b):
@@ -94,11 +94,6 @@ class AffineTransform:
         return cls.from_parts(np.array([[c, -s], [s, c]]), np.zeros(2))
 
 
-def matrix_stack(transforms):
-    """The (n, d + 1, d + 1) stack of n transforms' homogeneous matrices."""
-    return np.array([t.matrix for t in transforms])
-
-
 def apply_stack(h, points):
     """T_i(s) = A_i s + b_i of every point s of a (q, d) stack, for each
     homogeneous matrix H_i of an (n, d + 1, d + 1) stack: (n, q, d).
@@ -109,43 +104,40 @@ def apply_stack(h, points):
         return points @ h[:, :-1, :-1].transpose(0, 2, 1) + h[:, None, :-1, -1]
 
 
-def affine_apply(transform, points):
-    """Apply T(s) = A s + b to one point (d,) or a stack (n, d), as `apply_stack`."""
+def affine_apply(h, points):
+    """Apply T(s) = A s + b, H its homogeneous matrix, to one point (d,) or a
+    stack (n, d), as `apply_stack`."""
+    h = np.asarray(h, dtype=float)
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    if pts.shape[1] != transform.dim:
-        raise ValueError(f"points have dim {pts.shape[1]}, transform has dim {transform.dim}")
-    out = apply_stack(transform.matrix[None], pts)[0]
+    if pts.shape[1] != len(h) - 1:
+        raise ValueError(f"points have dim {pts.shape[1]}, transform has dim {len(h) - 1}")
+    out = apply_stack(h[None], pts)[0]
     return out[0] if single else out
 
 
-def affine_compose(t1, t2):
-    """Composition s -> t1(t2(s)); homogeneous matrices multiply."""
-    if t1.dim != t2.dim:
+def affine_compose(h1, h2):
+    """Composition s -> T1(T2(s)); homogeneous matrices, or stacks of them, multiply."""
+    h1, h2 = np.asarray(h1, dtype=float), np.asarray(h2, dtype=float)
+    if h1.shape[-1] != h2.shape[-1]:
         raise ValueError("cannot compose transforms of different dimension")
-    return AffineTransform(t1.matrix @ t2.matrix)
+    return h1 @ h2
 
 
-def affine_inverse(transform):
-    if transform.dim == 1:
-        a, b = transform.matrix[0].tolist()
+def affine_inverse(h):
+    """The inverse of a homogeneous matrix, in closed form."""
+    h = np.asarray(h, dtype=float)
+    if len(h) == 2:
+        a, b = h[0].tolist()
         a_inv = 1.0 / a
-        return AffineTransform(np.array([[a_inv, -(a_inv * b)], [0.0, 1.0]]))
-    a00, a01, b0, a10, a11, b1 = transform.matrix[:2].ravel().tolist()
+        return np.array([[a_inv, -(a_inv * b)], [0.0, 1.0]])
+    a00, a01, b0, a10, a11, b1 = h[:2].ravel().tolist()
     det = a00 * a11 - a01 * a10
     i00, i01, i10, i11 = a11 / det, -a01 / det, -a10 / det, a00 / det
-    return AffineTransform(np.array([[i00, i01, -(i00 * b0 + i01 * b1)],
-                                     [i10, i11, -(i10 * b0 + i11 * b1)],
-                                     [0.0, 0.0, 1.0]]))
-
-
-def _lie_entries(delta):
-    """Lie coordinates as (dim, list of floats); ValueError on a bad length."""
-    delta = np.asarray(delta, dtype=float).ravel()
-    if delta.size not in (2, 6):
-        raise ValueError(f"lie vector must have length 2 or 6, got {delta.size}")
-    return (1 if delta.size == 2 else 2), delta.tolist()
+    return np.array([[i00, i01, -(i00 * b0 + i01 * b1)],
+                     [i10, i11, -(i10 * b0 + i11 * b1)],
+                     [0.0, 0.0, 1.0]])
 
 
 # Closed-form 2x2 spectral calculus. For a real 2x2 matrix with eigenvalues
@@ -169,7 +161,7 @@ def _matmul2(p, q):
 
 
 def _logm2(a, b, c, d):
-    """Principal log of a real 2x2 matrix; NoRealLogarithm off the domain."""
+    """Principal log of a real 2x2 matrix inside `has_real_log`'s domain."""
     tr = a + d
     det = a * d - b * c
     disc = tr * tr - 4.0 * det
@@ -184,8 +176,6 @@ def _logm2(a, b, c, d):
     root = math.sqrt(disc)
     lam2 = 0.5 * (tr - root)
     lam1 = 0.5 * (tr + root)
-    if lam2 <= 0.0:
-        raise NoRealLogarithm("eigenvalue on the closed negative real axis")
     gap = lam1 - lam2
     # f[lam1, lam2] = log(lam1/lam2)/(lam1-lam2), stable as gap -> 0
     slope = 1.0 / lam2 if gap == 0.0 else math.log1p(gap / lam2) / gap
@@ -244,21 +234,35 @@ def _phi1_2(a, b, c, d):
     return acc
 
 
-def lie_log(transform):
-    """Principal matrix logarithm of the homogeneous matrix, flattened.
+def has_real_log(h):
+    """Whether the homogeneous matrix h has a real principal logarithm, the
+    domain of `lie_log`: in 1D a > 0; in 2D the eigenvalues of A are a
+    complex pair or the smaller one is > 0. NaN entries count as inside."""
+    top = np.asarray(h, dtype=float)[:-1, :-1].tolist()
+    if len(top) == 1:
+        return not top[0][0] <= 0.0
+    (a, b), (c, d) = top
+    tr = a + d
+    disc = tr * tr - 4.0 * (a * d - b * c)
+    return not (disc >= 0.0 and 0.5 * (tr - math.sqrt(disc)) <= 0.0)
 
-    Requires that no eigenvalue lies on the closed negative real axis;
-    otherwise no real principal logarithm exists and NoRealLogarithm is
-    raised (such proposals are rejected by the sampler).
+
+def lie_log(h):
+    """Principal matrix logarithm of the homogeneous matrix h, flattened.
+
+    NoRealLogarithm outside `has_real_log`: no real principal logarithm
+    exists there (the sampler rejects such proposals).
     """
-    if transform.dim == 1:
-        a, b = transform.matrix[0].tolist()
-        if a <= 0:
-            raise NoRealLogarithm(f"1D linear part {a} <= 0 has no real logarithm")
+    h = np.asarray(h, dtype=float)
+    if not has_real_log(h):
+        raise NoRealLogarithm("an eigenvalue of the linear part is on the closed "
+                              "negative real axis")
+    if len(h) == 2:
+        a, b = h[0].tolist()
         ell = math.log(a)
         # b = u * (e^l - 1)/l  =>  u = b / exprel(l)
         return np.array([ell, b / _exprel(ell)])
-    a00, a01, b0, a10, a11, b1 = transform.matrix[:2].ravel().tolist()
+    a00, a01, b0, a10, a11, b1 = h[:2].ravel().tolist()
     ell = _logm2(a00, a01, a10, a11)
     # u solves phi1(ell) u = b
     p00, p01, p10, p11 = _phi1_2(*ell)
@@ -269,13 +273,16 @@ def lie_log(transform):
 
 
 def lie_exp(delta):
-    """Matrix exponential of the reshaped generator.
+    """Matrix exponential of the reshaped generator: a homogeneous matrix.
 
-    SingularTransform when the exponential overflows or is not finite.
+    SingularTransform when the exponential overflows, is not finite or has
+    |det A| <= DET_EPS, as `AffineTransform` would raise.
     """
-    d, entries = _lie_entries(delta)
+    entries = np.asarray(delta, dtype=float).ravel().tolist()
+    if len(entries) not in (2, 6):
+        raise ValueError(f"lie vector must have length 2 or 6, got {len(entries)}")
     try:
-        if d == 1:
+        if len(entries) == 2:
             ell, u = entries
             h = [[math.exp(ell), u * _exprel(ell)], [0.0, 1.0]]
         else:
@@ -287,7 +294,9 @@ def lie_exp(delta):
                  [0.0, 0.0, 1.0]]
     except (OverflowError, ValueError) as exc:
         raise SingularTransform(f"lie_exp of {entries} is not finite: {exc}") from None
-    return AffineTransform(np.array(h))
+    h = np.array(h)
+    _check_invertible(h)
+    return h
 
 
 def composition_identity_gap(h1, h2):
@@ -298,32 +307,31 @@ def composition_identity_gap(h1, h2):
     return np.sqrt(g @ g.transpose(0, 2, 1))[:, 0, 0]
 
 
-def karcher_mean(transforms):
-    """Intrinsic (Karcher/Frechet) mean via the iterative log-domain update.
+def karcher_mean(h):
+    """Intrinsic (Karcher/Frechet) mean of a stack of homogeneous matrices,
+    via the iterative log-domain update.
 
-    Repeats T_bar <- T_bar * exp(mean_i log(T_bar^{-1} T_i)) until the mean
-    log-step norm drops below KARCHER_TOL. NoRealLogarithm from any
-    T_bar^{-1} T_i propagates.
+    Repeats M <- M exp(mean_i log(M^{-1} H_i)) until the mean log-step norm
+    drops below KARCHER_TOL. NoRealLogarithm from any M^{-1} H_i propagates.
     """
-    transforms = list(transforms)
-    if not transforms:
+    h = np.asarray(h, dtype=float)
+    if not len(h):
         raise ValueError("karcher_mean needs at least one transform")
-    mean = AffineTransform.identity(transforms[0].dim)
+    mean = np.eye(h.shape[-1])
     for _ in range(KARCHER_MAX_ITER):
-        mean_inv = affine_inverse(mean)
-        logs = np.stack([lie_log(affine_compose(mean_inv, t)) for t in transforms])
+        logs = np.stack([lie_log(g) for g in affine_inverse(mean) @ h])
         step = logs.mean(axis=0)
         if np.linalg.norm(step) < KARCHER_TOL:
             return mean
-        mean = affine_compose(mean, lie_exp(step))
+        mean = mean @ lie_exp(step)
     raise NoConvergence(f"karcher_mean did not converge in {KARCHER_MAX_ITER} iterations")
 
 
-def standardize(transforms):
-    """Right-translate all transforms by the inverse Karcher mean.
+def standardize(h):
+    """(H_i M^-1 for each H_i of the stack h, M), M the Karcher mean of h.
 
     The result has Karcher mean identity, and relative geometry is preserved
     exactly: Ti' (Tj')^{-1} = Ti Tj^{-1}.
     """
-    mean_inv = affine_inverse(karcher_mean(transforms))
-    return [affine_compose(t, mean_inv) for t in transforms]
+    mean = karcher_mean(h)
+    return np.asarray(h, dtype=float) @ affine_inverse(mean), mean

@@ -363,6 +363,27 @@ def test_malformed_lambda_r_grid_flag_exits_2(tmp_path, capsys):
     _no_outputs_left(tmp_path, out)
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("grid, message", [
+    ("1,-1", "lambda_r_grid values must be >= 0, got [1.0, -1.0]"),
+    ("2,2.0000001", "share output directories: ['lambda_2', 'lambda_2']"),
+    ("0.5,0.5", "share output directories: ['lambda_0.5', 'lambda_0.5']")],
+    ids=["negative", "same-directory", "repeated"])
+def test_lambda_r_grid_is_checked_before_any_chain_runs(tmp_path, capsys, where, grid, message):
+    """A negative value, or two values that would write one lambda_* directory,
+    exit 2 before the first chain: no progress line, nothing written."""
+    cfg = tmp_path / "run.cfg"
+    flag = ["--lambda-r-grid", grid] if where == "flag" else []
+    text = CONFIG if flag else CONFIG.replace("lambda_r_grid=0.5,2", f"lambda_r_grid={grid}")
+    cfg.write_text(text)
+    out = tmp_path / "scan"
+    assert main(["waic-scan", "--config", str(cfg), *flag, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "lambda_r=" not in captured.out
+    assert message in captured.err
+    _no_outputs_left(tmp_path, out)
+
+
 def test_cli_import_loads_no_optimize_or_special():
     """A fresh `import groupreg.cli` loads scipy's banded LAPACK only: neither
     `scipy.optimize` nor `scipy.special`, whose import most of a short fit's

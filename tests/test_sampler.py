@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,7 @@ from groupreg.store import save_store
 from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, generate,
                             indicator_template, rotate_glyph, rotation_about_center)
 from groupreg.transforms import (AffineTransform, affine_apply, affine_compose, apply_stack,
-                                 karcher_mean, lie_exp, lie_log, matrix_stack)
+                                 karcher_mean, lie_exp, lie_log)
 
 
 def small_glyph():
@@ -303,19 +305,18 @@ def test_records_are_standardized_and_the_chain_is_not(monkeypatch):
                     init_iters=3)
     state = initialize(maps, cfg)
     shift = AffineTransform.from_parts([[1.05]], [0.3])
-    state.T = [affine_compose(t, shift) for t in state.T]
+    state.T = affine_compose(state.T, shift)
     chain = Chain(maps, cfg, initial_state=state)
-    before = [t.matrix.copy() for t in state.T]
+    before = state.T.copy()
     assert np.linalg.norm(lie_log(karcher_mean(state.T))) > 0.01
 
     monkeypatch.setattr(sampler, "locate_entries", nothing_inside)
     store, diagnostics = chain.run()
     assert diagnostics["rejected_out_of_library"] == [1, 1, 1]
-    for t, matrix in zip(chain.state.T, before, strict=True):
-        assert np.array_equal(t.matrix, matrix)
+    assert np.array_equal(chain.state.T, before)
     assert store.n_samples == 1
     for h_fwd, betas in zip(store.H_fwd, store.beta, strict=True):
-        mean = karcher_mean([AffineTransform(h) for h in h_fwd])
+        mean = karcher_mean(h_fwd)
         assert np.linalg.norm(lie_log(mean)) <= 1e-8
         assert abs(np.mean(betas) - 1.0) <= 1e-12
 
@@ -377,7 +378,7 @@ def test_fit_affine_recovers_a_known_warp():
     truth = affine_compose(AffineTransform.translation([1.0, -0.5]),
                            rotation_about_center(glyph.lattice, np.deg2rad(10.0)))
     y = glyph.with_values(interpolate(glyph, affine_apply(truth, glyph.lattice.locations())))
-    got = fit_affine(y, glyph, 1.0, AffineTransform.identity(2), coarse_grid(glyph.lattice))
+    got = fit_affine(y, glyph, 1.0, np.eye(3), coarse_grid(glyph.lattice))
     assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
 
 
@@ -387,7 +388,7 @@ def test_fit_affine_recovers_a_known_warp_1d():
     curve = ActivationMap(lattice, indicator_template(lattice.locations()[:, 0]))
     truth = AffineTransform.from_parts([[1.1]], [0.3])
     y = curve.with_values(interpolate(curve, affine_apply(truth, lattice.locations())))
-    got = fit_affine(y, curve, 1.0, AffineTransform.identity(1), coarse_grid(lattice))
+    got = fit_affine(y, curve, 1.0, np.eye(2), coarse_grid(lattice))
     assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
 
 
@@ -400,7 +401,7 @@ def test_fit_affine_falls_back_to_the_best_candidate(monkeypatch, x, fun):
     """An LM result that is no valid transform, or whose objective does not
     beat the best candidate's, gives that candidate, without raising."""
     glyph = base_glyph()
-    start = rotation_about_center(glyph.lattice, np.deg2rad(5.0))
+    start = rotation_about_center(glyph.lattice, np.deg2rad(5.0)).matrix
 
     def stub(point, p):
         point(p)
@@ -441,7 +442,7 @@ def test_fit_affine_samples_once_per_lm_point(monkeypatch):
 
     monkeypatch.setattr(Warp, "sample", counted_sample)
     monkeypatch.setattr(sampler, "levenberg_marquardt", checked_lm)
-    got = fit_affine(y, glyph, beta, AffineTransform.identity(2), grid)
+    got = fit_affine(y, glyph, beta, np.eye(3), grid)
     assert len(points) > 2
     assert passes.count(False) == 1 + len(grid)
     assert passes.count(True) == len(points)
@@ -473,7 +474,7 @@ def test_levenberg_marquardt_matches_minpack(dim, start):
     it takes at most 5 points more than lmder evaluates."""
     y, x, beta = noisy_fit_problem(dim)
     warp = Warp(x, y.lattice.locations())
-    t0 = AffineTransform.identity(dim)
+    t0 = np.eye(dim + 1)
     if start == "best-of-grid":
         grid = coarse_grid(y.lattice)
         t0 = grid[int(np.argmin([np.sum((y.values - beta * warp(t)) ** 2) for t in grid]))]
@@ -483,8 +484,8 @@ def test_levenberg_marquardt_matches_minpack(dim, start):
         return beta * vals - y.values, beta * jac
 
     points = []
-    p, f = levenberg_marquardt(lambda q: points.append(q) or point(q), t0.matrix[:dim].ravel())
-    ref = least_squares(lambda q: point(q)[0], t0.matrix[:dim].ravel(),
+    p, f = levenberg_marquardt(lambda q: points.append(q) or point(q), t0[:dim].ravel())
+    ref = least_squares(lambda q: point(q)[0], t0[:dim].ravel(),
                         jac=lambda q: point(q)[1], method="lm",
                         ftol=FIT_TOL, xtol=FIT_TOL, gtol=FIT_TOL)
     want = float(ref.fun @ ref.fun)
@@ -574,8 +575,7 @@ def test_initialize_is_deterministic():
     first, second = (initialize(maps, cfg) for _ in range(2))
     assert np.array_equal(first.X, second.X)
     assert (first.alpha, first.rho) == (second.alpha, second.rho)
-    for a, b in zip(first.T + first.T_r, second.T + second.T_r, strict=True):
-        assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(first.T, second.T) and np.array_equal(first.T_r, second.T_r)
     for name in ("Y", "XT", "Y_bw", "beta", "sigma2"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
 
@@ -606,8 +606,7 @@ def test_initialize_is_unchanged_by_the_prebuilt_warps(monkeypatch, case):
     fast = initialize(maps, cfg)
     monkeypatch.setattr(sampler, "Warp", _TwoCallWarp)
     slow = initialize(maps, cfg)
-    for a, b in zip(fast.T + fast.T_r, slow.T + slow.T_r, strict=True):
-        assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(fast.T, slow.T) and np.array_equal(fast.T_r, slow.T_r)
     for name in ("X", "beta", "sigma2", "XT", "Y_bw"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name))
 
@@ -682,16 +681,17 @@ def test_lie_mh_step_rejects_out_of_library_proposals():
         assert rows.tolist() == [0, 1] and len(proposals) == 2
         return np.zeros(rows.size, dtype=bool), np.empty(0), (np.empty((0, 4)),)
 
-    ts = [AffineTransform.rotation(0.3), AffineTransform.rotation(-0.2)]
-    before = [t.matrix.copy() for t in ts]
-    adapts = [AdaptiveProposal(6) for _ in ts]
+    h = np.array([AffineTransform.rotation(0.3), AffineTransform.rotation(-0.2)])
+    before = h.copy()
+    adapts = [AdaptiveProposal(6) for _ in h]
     rng = np.random.default_rng(0)
-    accepted, t_new, payload = lie_mh_step(ts, np.zeros(2), out_of_library, adapts, rng)
-    assert accepted.tolist() == [False, False] and t_new == [] and payload[0].shape == (0, 4)
+    accepted, h_new, payload = lie_mh_step(h, np.zeros(2), out_of_library, adapts, rng)
+    assert accepted.tolist() == [False, False]
+    assert h_new.shape == (0, 3, 3) and payload[0].shape == (0, 4)
     for adapt in adapts:
         assert (adapt.rejected_oob, adapt.rejected_nolog) == (1, 0)
         assert (adapt.proposals, adapt.accepts) == (1, 0)
-    assert all(np.array_equal(t.matrix, m) for t, m in zip(ts, before))
+    assert np.array_equal(h, before)
     assert_step_draws_used(rng, 0, 6, rows=2)
 
 
@@ -701,15 +701,15 @@ def test_lie_mh_step_rejects_proposals_without_a_real_logarithm():
     def never(rows, proposals):
         raise AssertionError("log target evaluated for a rejected proposal")
 
-    t = AffineTransform.rotation(2.5)
-    before = t.matrix.copy()
+    h = AffineTransform.rotation(2.5).matrix[None].copy()
+    before = h.copy()
     adapt = AdaptiveProposal(6, log_lambda=0.0)
     rng = np.random.default_rng(3)
-    accepted, t_new, payload = lie_mh_step([t], np.zeros(1), never, [adapt], rng)
-    assert accepted.tolist() == [False] and t_new == [] and payload == ()
+    accepted, h_new, payload = lie_mh_step(h, np.zeros(1), never, [adapt], rng)
+    assert accepted.tolist() == [False] and h_new.shape == (0, 3, 3) and payload == ()
     assert (adapt.rejected_nolog, adapt.rejected_oob) == (1, 0)
     assert (adapt.proposals, adapt.accepts) == (1, 0)
-    assert np.array_equal(t.matrix, before)
+    assert np.array_equal(h, before)
     assert_step_draws_used(rng, 3, 6)
 
 
@@ -738,19 +738,16 @@ def stationarity_z_scores(n_steps=20000, n_batches=50, seed=0, n_rows=1):
     b_means = np.array(B_MEANS[:n_rows])
     adapts = [AdaptiveProposal(2, log_lambda=np.log(0.15), frozen=True) for _ in b_means]
     rng = np.random.default_rng(seed)
-    ts = [AffineTransform.from_parts([[A_MEAN]], [b]) for b in b_means]
+    h = np.array([[[A_MEAN, b], [0.0, 1.0]] for b in b_means])
 
     def target(rows, proposals):
-        return (np.ones(rows.size, dtype=bool),
-                toy_log_target(matrix_stack(proposals), b_means[rows]), ())
+        return np.ones(rows.size, dtype=bool), toy_log_target(proposals, b_means[rows]), ()
 
     draws = np.empty((n_steps, n_rows, 2))
-    log_old = toy_log_target(matrix_stack(ts), b_means)
+    log_old = toy_log_target(h, b_means)
     for k in range(n_steps):
-        accepted, t_new, _ = lie_mh_step(ts, log_old, target, adapts, rng)
-        for i, t in zip(np.flatnonzero(accepted), t_new):
-            ts[i] = t
-        h = matrix_stack(ts)
+        accepted, h_new, _ = lie_mh_step(h, log_old, target, adapts, rng)
+        h[accepted] = h_new
         log_old = toy_log_target(h, b_means)
         draws[k] = h[:, 0]
 
@@ -796,14 +793,14 @@ def test_stationarity_test_sees_the_tr_l_hastings_factor(monkeypatch):
 
 def test_rejected_forward_update_leaves_the_subject_unchanged(monkeypatch):
     state, geom, hp = _toy_state()
-    ts = list(state.T)
+    h = state.T.copy()
     kept = [getattr(state, name).copy() for name in CACHES]
     monkeypatch.setattr(sampler, "locate_entries", nothing_inside)
-    adapts = [AdaptiveProposal(2) for _ in ts]
+    adapts = [AdaptiveProposal(2) for _ in h]
     accepted = update_forward_transform(state, geom, hp, adapts, np.random.default_rng(0))
     assert accepted.tolist() == [False, False]
     assert all((adapt.rejected_oob, adapt.proposals) == (1, 1) for adapt in adapts)
-    assert all(t is t_old for t, t_old in zip(state.T, ts, strict=True))
+    assert np.array_equal(state.T, h)
     assert all(np.array_equal(getattr(state, name), a) for name, a in zip(CACHES, kept))
 
 
@@ -812,16 +809,15 @@ def test_forward_proposal_whose_image_overflows_is_rejected_out_of_library(monke
     outside, without a cast warning (an error under the suite's
     filterwarnings), so the step counts the proposal in rejected_oob."""
     state, geom, hp = _toy_state()
-    ts = list(state.T)
+    h = state.T.copy()
     kept = [getattr(state, name).copy() for name in CACHES]
-    monkeypatch.setattr(sampler, "lie_exp",
-                        lambda delta: AffineTransform.from_parts([[1e308]], [0.0]))
-    adapts = [AdaptiveProposal(2) for _ in ts]
+    monkeypatch.setattr(sampler, "lie_exp", lambda delta: np.array([[1e308, 0.0], [0.0, 1.0]]))
+    adapts = [AdaptiveProposal(2) for _ in h]
     accepted = update_forward_transform(state, geom, hp, adapts, np.random.default_rng(0))
     assert accepted.tolist() == [False, False]
     for adapt in adapts:
         assert (adapt.rejected_oob, adapt.rejected_nolog, adapt.proposals) == (1, 0, 1)
-    assert all(t is t_old for t, t_old in zip(state.T, ts, strict=True))
+    assert np.array_equal(state.T, h)
     assert all(np.array_equal(getattr(state, name), a) for name, a in zip(CACHES, kept))
 
 
@@ -829,19 +825,20 @@ def test_forward_proposal_whose_image_overflows_is_rejected_out_of_library(monke
 # oracle the batched steps must match bit for bit. Each subject's target is
 # the stacked one on a stack of one.
 
-def loop_lie_mh_step(t, log_old, log_target, adapt, rng):
-    """One scalar Lie-MH step; (t_new, payload) on accept, None otherwise."""
+def loop_lie_mh_step(h, log_old, log_target, adapt, rng):
+    """One scalar Lie-MH step of the homogeneous matrix h; (h_new, payload) on
+    accept, None otherwise."""
     delta = adapt.proposal_factor() @ rng.standard_normal(adapt.dim)
     accept_draw = np.log(rng.uniform())
-    t_new = affine_compose(sampler.lie_exp(delta), t)
+    h_new = sampler.lie_exp(delta) @ h
     try:
-        lie_log(t_new)
+        lie_log(h_new)
     except NoRealLogarithm:
         adapt.rejected_nolog += 1
         adapt.record(False, delta)
         return None
     try:
-        log_new, payload = log_target(t_new)
+        log_new, payload = log_target(h_new)
     except OutOfLibraryBounds:
         adapt.rejected_oob += 1
         adapt.record(False, delta)
@@ -852,20 +849,20 @@ def loop_lie_mh_step(t, log_old, log_target, adapt, rng):
         log_accept = min(0.0, log_new - log_old + 3.0 * float(delta[0] + delta[4]))
     accepted = accept_draw < log_accept
     adapt.record(accepted, delta)
-    return (t_new, payload) if accepted else None
+    return (h_new, payload) if accepted else None
 
 
 def loop_forward_transform(i, state, geom, hp, adapt, rng):
-    h_r, xt = state.T_r[i].matrix[None], state.XT[i:i + 1]
+    h_r, xt = state.T_r[i:i + 1], state.XT[i:i + 1]
 
     def target(t):
-        h = t.matrix[None]
+        h = t[None]
         inside, caches = sampler.subject_geometry(h, geom, state.factor, state.alpha)
         if not inside[0]:
             raise OutOfLibraryBounds("test: proposal left the library")
         return sampler.forward_log_target(h, h_r, state.X, xt, caches[2:], geom, hp)[0], caches
 
-    log_old = sampler.forward_log_target(state.T[i].matrix[None], h_r, state.X, xt,
+    log_old = sampler.forward_log_target(state.T[i:i + 1], h_r, state.X, xt,
                                          (state.nbr[i:i + 1], state.B[i:i + 1],
                                           state.F[i:i + 1]), geom, hp)[0]
     step = loop_lie_mh_step(state.T[i], log_old, target, adapt, rng)
@@ -876,14 +873,14 @@ def loop_forward_transform(i, state, geom, hp, adapt, rng):
 
 
 def loop_reverse_transform(i, state, geom, hp, adapt, rng):
-    h, beta, sigma2 = state.T[i].matrix[None], state.beta[i:i + 1], state.sigma2[i:i + 1]
+    h, beta, sigma2 = state.T[i:i + 1], state.beta[i:i + 1], state.sigma2[i:i + 1]
 
     def target(t_r):
         y_bw = state.warps[i](t_r)[None]
-        return sampler.reverse_log_target(t_r.matrix[None], h, state.X, y_bw, beta, sigma2,
+        return sampler.reverse_log_target(t_r[None], h, state.X, y_bw, beta, sigma2,
                                           geom, hp)[0], y_bw[0]
 
-    log_old = sampler.reverse_log_target(state.T_r[i].matrix[None], h, state.X,
+    log_old = sampler.reverse_log_target(state.T_r[i:i + 1], h, state.X,
                                          state.Y_bw[i:i + 1], beta, sigma2, geom, hp)[0]
     step = loop_lie_mh_step(state.T_r[i], log_old, target, adapt, rng)
     if step is not None:
@@ -904,7 +901,8 @@ def loop_updates(chain):
     sampler.update_rho(state, geom, hp, rng)
 
 
-STATE_FIELDS = ("X", "XT", "Y_bw", "beta", "sigma2", "alpha", "rho", "tB", "tF", *CACHES)
+STATE_FIELDS = ("T", "T_r", "X", "XT", "Y_bw", "beta", "sigma2", "alpha", "rho", "tB", "tF",
+                *CACHES)
 PROPOSAL_FIELDS = ("log_lambda", "frozen", "_mean", "_m2", "proposals", "accepts",
                    "post_proposals", "post_accepts", "rejected_oob", "rejected_nolog")
 
@@ -912,8 +910,6 @@ PROPOSAL_FIELDS = ("log_lambda", "frozen", "_mean", "_m2", "proposals", "accepts
 def assert_same_chains(a, b):
     for name in STATE_FIELDS:
         assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
-    for ta, tb in zip(a.state.T + a.state.T_r, b.state.T + b.state.T_r, strict=True):
-        assert np.array_equal(ta.matrix, tb.matrix)
     for direction, recs in a.proposals.items():
         for ra, rb in zip(recs, b.proposals[direction], strict=True):
             for name in PROPOSAL_FIELDS:
@@ -936,6 +932,43 @@ def test_batched_transform_steps_match_the_loop_over_subjects(case):
         assert 0 < sum(r.accepts for r in recs) < sum(r.proposals for r in recs)
 
 
+def assert_transform_stacks(n, d, *stacks):
+    for h in stacks:
+        assert type(h) is np.ndarray and h.dtype == np.float64 and h.shape == (n, d + 1, d + 1)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_both_models_hold_their_transforms_as_matrix_stacks(case):
+    """After set-up, after sweeps, and in a chain started from a copy of one
+    set-up as waic-scan starts each of its chains, the transforms are
+    (N, d + 1, d + 1) float arrays; the chain leaves the set-up it was
+    copied from as it was."""
+    make_maps, settings, _ = CASES[case]
+    maps = make_maps()
+    cfg = RunConfig(total=4, burn_in=2, thin=1, init_iters=2, **settings)
+    n, d = len(maps), maps[0].lattice.dim
+    initial = initialize(maps, cfg)
+    assert_transform_stacks(n, d, initial.T, initial.T_r)
+    kept = initial.T.copy(), initial.T_r.copy()
+    chains = [Chain(maps, dataclasses.replace(cfg, lambda_r=lam),
+                    initial_state=copy.deepcopy(initial)) for lam in (0.5, 2.0)]
+    for chain in chains:
+        assert_transform_stacks(n, d, chain.state.T, chain.state.T_r)
+        chain.run()
+        assert_transform_stacks(n, d, chain.state.T, chain.state.T_r)
+    assert np.array_equal(initial.T, kept[0]) and np.array_equal(initial.T_r, kept[1])
+    moved = chains[0].state
+    assert not (np.array_equal(moved.T, kept[0]) and np.array_equal(moved.T_r, kept[1]))
+
+    conventional = baseline.ConventionalChain(maps, RunConfig(model="conventional", total=4,
+                                                              burn_in=2, thin=1, seed=1))
+    assert_transform_stacks(n, d, conventional.ts)
+    store, _ = conventional.run()
+    assert_transform_stacks(n, d, conventional.ts)
+    # Each record holds its own copy of the transforms, not the chain's stack.
+    assert not np.array_equal(store.H_fwd[0], store.H_fwd[-1])
+
+
 def test_a_subject_moves_while_the_others_are_rejected(monkeypatch):
     """In one forward step subject 0 proposes a transform with no real
     logarithm and subject 1 one that leaves the library; subject 2 still
@@ -946,9 +979,9 @@ def test_a_subject_moves_while_the_others_are_rejected(monkeypatch):
         def patched(delta):
             k = next(calls)
             if k == 0:
-                return AffineTransform.from_parts([[-1.0]], [0.0])
+                return np.array([[-1.0, 0.0], [0.0, 1.0]])
             if k == 1:
-                return AffineTransform.from_parts([[1e308]], [0.0])
+                return np.array([[1e308, 0.0], [0.0, 1.0]])
             return lie_exp(delta)
 
         monkeypatch.setattr(sampler, "lie_exp", patched)

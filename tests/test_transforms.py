@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupreg.errors import NoRealLogarithm, NumericalError, SingularTransform
-from groupreg.transforms import (DET_EPS, AffineTransform, affine_apply,
-                                 affine_compose, affine_inverse,
-                                 composition_identity_gap, karcher_mean, lie_exp,
-                                 lie_log, standardize)
+from groupreg.transforms import (DET_EPS, KARCHER_MAX_ITER, KARCHER_TOL, AffineTransform,
+                                 affine_apply, affine_compose, affine_inverse,
+                                 composition_identity_gap, has_real_log, karcher_mean,
+                                 lie_exp, lie_log, standardize)
 
 
 def generator_from_vector(delta):
@@ -60,13 +60,13 @@ class TestApply:
 class TestCompose:
     def test_inverse_pair_gives_identity(self):
         t = AffineTransform.from_parts([[1.2, 0.3], [-0.1, 0.9]], [0.5, -2.0])
-        assert np.allclose(affine_compose(t, affine_inverse(t)).matrix, np.eye(3),
+        assert np.allclose(affine_compose(t, affine_inverse(t)), np.eye(3),
                            atol=1e-12)
 
     def test_translations_abelian(self):
         got = affine_compose(translation(1.0, 2.0), translation(-3.0, 0.5))
-        assert np.allclose(got.b, [-2.0, 2.5])
-        assert np.allclose(got.A, np.eye(2))
+        assert np.allclose(got[:2, 2], [-2.0, 2.5])
+        assert np.allclose(got[:2, :2], np.eye(2))
 
     def test_noncommutative_vs_raw_matrix_product(self):
         # oracle: plain 3x3 products, computed independently
@@ -74,8 +74,8 @@ class TestCompose:
         r = AffineTransform.rotation(np.pi / 2)
         ab = s.matrix @ r.matrix
         ba = r.matrix @ s.matrix
-        assert np.allclose(affine_compose(s, r).matrix, ab)
-        assert np.allclose(affine_compose(r, s).matrix, ba)
+        assert np.allclose(affine_compose(s, r), ab)
+        assert np.allclose(affine_compose(r, s), ba)
         assert not np.allclose(ab, ba)
 
     def test_associativity(self):
@@ -85,25 +85,25 @@ class TestCompose:
                                              rng.standard_normal(2)) for _ in range(3)]
             left = affine_compose(affine_compose(ts[0], ts[1]), ts[2])
             right = affine_compose(ts[0], affine_compose(ts[1], ts[2]))
-            assert np.max(np.abs(left.matrix - right.matrix)) < 1e-12
+            assert np.max(np.abs(left - right)) < 1e-12
 
 
 class TestInverse:
     def test_identity(self):
-        assert np.allclose(affine_inverse(AffineTransform.identity(2)).matrix, np.eye(3))
+        assert np.allclose(affine_inverse(AffineTransform.identity(2)), np.eye(3))
 
     def test_closed_form(self):
         t = AffineTransform.from_parts(2.0 * np.eye(2), [1.0, 1.0])
         inv = affine_inverse(t)
-        assert np.allclose(inv.A, 0.5 * np.eye(2))
-        assert np.allclose(inv.b, [-0.5, -0.5])
+        assert np.allclose(inv[:2, :2], 0.5 * np.eye(2))
+        assert np.allclose(inv[:2, 2], [-0.5, -0.5])
 
     def test_random_roundtrip(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             t = AffineTransform.from_parts(np.eye(2) + 0.4 * rng.standard_normal((2, 2)),
                                            rng.standard_normal(2))
-            gap, = composition_identity_gap(t.matrix[None], affine_inverse(t).matrix[None])
+            gap, = composition_identity_gap(t.matrix[None], affine_inverse(t)[None])
             assert gap < 1e-10
 
     def test_singular_rejected(self):
@@ -129,16 +129,16 @@ class TestLieLogExp:
         assert np.allclose(gen[:2, 2], 0.0, atol=1e-14)
 
     def test_exp_zero_is_identity(self):
-        assert np.allclose(lie_exp(np.zeros(6)).matrix, np.eye(3))
+        assert np.allclose(lie_exp(np.zeros(6)), np.eye(3))
 
     def test_exp_log_roundtrip_rotation_translation(self):
         t = affine_compose(AffineTransform.rotation(0.3), translation(1.0, 2.0))
         back = lie_exp(lie_log(t))
-        assert np.max(np.abs(back.matrix - t.matrix)) < 1e-10
+        assert np.max(np.abs(back - t)) < 1e-10
 
     def test_exp_group_inverse(self):
         delta = np.array([0.1, -0.2, 0.4, 0.3, -0.1, 0.25])
-        gap, = composition_identity_gap(lie_exp(delta).matrix[None], lie_exp(-delta).matrix[None])
+        gap, = composition_identity_gap(lie_exp(delta)[None], lie_exp(-delta)[None])
         assert gap < 1e-12
 
     def test_negative_linear_part_has_no_real_log(self):
@@ -204,41 +204,42 @@ class TestHastingsTerm:
 class TestKarcherMean:
     def test_single_element(self):
         t = affine_compose(AffineTransform.rotation(0.4), translation(1.0, -0.5))
-        assert np.max(np.abs(karcher_mean([t]).matrix - t.matrix)) < 1e-10
+        assert np.max(np.abs(karcher_mean([t]) - t)) < 1e-10
 
     def test_symmetric_translation_pair(self):
         t = translation(1.0, 0.0)
         mean = karcher_mean([t, affine_inverse(t)])
-        assert np.max(np.abs(mean.matrix - np.eye(3))) < 1e-10
+        assert np.max(np.abs(mean - np.eye(3))) < 1e-10
 
     def test_translations_flat_subgroup(self):
         mean = karcher_mean([translation(1.0, 0.0), translation(3.0, 0.0)])
-        assert np.allclose(mean.b, [2.0, 0.0], atol=1e-10)
-        assert np.allclose(mean.A, np.eye(2), atol=1e-10)
+        assert np.allclose(mean[:2, 2], [2.0, 0.0], atol=1e-10)
+        assert np.allclose(mean[:2, :2], np.eye(2), atol=1e-10)
 
 
 class TestStandardize:
     def test_identity_fixed_point(self):
         ts = [AffineTransform.identity(2)] * 3
-        for t in standardize(ts):
-            assert np.allclose(t.matrix, np.eye(3), atol=1e-12)
+        for h in standardize(ts)[0]:
+            assert np.allclose(h, np.eye(3), atol=1e-12)
 
     def test_mean_already_identity_unchanged(self):
         ts = [translation(1.0, 0.0), translation(-1.0, 0.0)]
-        out = standardize(ts)
+        out, _ = standardize(ts)
         for got, want in zip(out, ts):
-            assert np.max(np.abs(got.matrix - want.matrix)) < 1e-10
+            assert np.max(np.abs(got - want.matrix)) < 1e-10
 
     def test_flat_mean_subtracted(self):
-        out = standardize([translation(2.0, 0.0), translation(4.0, 0.0)])
-        assert np.allclose(out[0].b, [-1.0, 0.0], atol=1e-10)
-        assert np.allclose(out[1].b, [1.0, 0.0], atol=1e-10)
+        out, mean = standardize([translation(2.0, 0.0), translation(4.0, 0.0)])
+        assert np.allclose(out[0, :2, 2], [-1.0, 0.0], atol=1e-10)
+        assert np.allclose(out[1, :2, 2], [1.0, 0.0], atol=1e-10)
+        assert np.allclose(mean, translation(3.0, 0.0).matrix, atol=1e-10)
 
     def test_post_standardize_mean_is_identity(self):
         rng = np.random.default_rng(5)
         ts = [AffineTransform.from_parts(np.eye(2) + 0.1 * rng.standard_normal((2, 2)),
                                          0.5 * rng.standard_normal(2)) for _ in range(5)]
-        out = standardize(ts)
+        out, _ = standardize(ts)
         mean = karcher_mean(out)
         assert np.linalg.norm(lie_log(mean)) < 1e-9
 
@@ -246,21 +247,125 @@ class TestStandardize:
         rng = np.random.default_rng(6)
         ts = [AffineTransform.from_parts(np.eye(2) + 0.1 * rng.standard_normal((2, 2)),
                                          0.5 * rng.standard_normal(2)) for _ in range(4)]
-        out = standardize(ts)
+        out, _ = standardize(ts)
         for i in range(4):
             for j in range(4):
-                before = affine_compose(ts[i], affine_inverse(ts[j])).matrix
-                after = affine_compose(out[i], affine_inverse(out[j])).matrix
+                before = affine_compose(ts[i], affine_inverse(ts[j]))
+                after = affine_compose(out[i], affine_inverse(out[j]))
                 assert np.max(np.abs(before - after)) < 1e-10
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         ts = [AffineTransform.from_parts(np.eye(2) + 0.1 * rng.standard_normal((2, 2)),
                                          rng.standard_normal(2)) for _ in range(4)]
-        once = standardize(ts)
-        twice = standardize(once)
-        for a, b in zip(once, twice):
-            assert np.max(np.abs(a.matrix - b.matrix)) < 1e-8
+        once, _ = standardize(ts)
+        twice, _ = standardize(once)
+        assert np.max(np.abs(once - twice)) < 1e-8
+
+
+def lie_log_raises(h):
+    try:
+        lie_log(h)
+    except NoRealLogarithm:
+        return True
+    return False
+
+
+def homogeneous(a, b):
+    """The homogeneous matrix of (A, b), unvalidated: A may be singular."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    h = np.eye(len(a) + 1)
+    h[:-1, :-1], h[:-1, -1] = a, b
+    return h
+
+
+# Edge cases of the real-log domain: the smaller real eigenvalue of A at,
+# below and above 0, repeated eigenvalues (disc = 0), and complex pairs.
+DOMAIN_EDGES = {
+    "repeated_positive": ([[2.0, 0.0], [0.0, 2.0]], True),
+    "repeated_jordan": ([[1.0, 1.0], [0.0, 1.0]], True),
+    "repeated_negative": ([[-1.0, 0.0], [0.0, -1.0]], False),
+    "repeated_negative_jordan": ([[-1.0, 1.0], [0.0, -1.0]], False),
+    "smaller_zero": ([[0.0, 0.0], [0.0, 1.5]], False),
+    "smaller_zero_sheared": ([[1.0, 2.0], [0.5, 1.0]], False),
+    "smaller_negative": ([[-0.5, 0.0], [0.0, 2.0]], False),
+    "smaller_positive": ([[1e-3, 0.0], [0.0, 2.0]], True),
+    "complex_negative_real_part": ([[np.cos(2.5), -np.sin(2.5)], [np.sin(2.5), np.cos(2.5)]],
+                                   True),
+    "complex_positive_real_part": ([[0.9, -0.4], [0.3, 1.1]], True),
+    "1d_zero": ([[0.0]], False),
+    "1d_negative": ([[-0.2]], False),
+    "1d_positive": ([[1e-300]], True),
+}
+
+
+class TestRealLogDomain:
+    """`has_real_log`, the sampler's proposal filter, decides what `lie_log`
+    raising NoRealLogarithm decides, without a numpy warning."""
+
+    @pytest.mark.parametrize("name", sorted(DOMAIN_EDGES))
+    def test_edge_cases(self, name):
+        a, inside = DOMAIN_EDGES[name]
+        h = homogeneous(a, 0.3 * np.ones(len(a)))
+        with np.errstate(all="raise"):
+            assert has_real_log(h) is inside
+            assert lie_log_raises(h) is not inside
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_random_matrices(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        decisions = []
+        with np.errstate(all="raise"):
+            for _ in range(2000):
+                h = homogeneous(rng.normal(size=(dim, dim)), rng.normal(size=dim))
+                decisions.append(has_real_log(h))
+                assert decisions[-1] is not lie_log_raises(h)
+        assert 0.2 < np.mean(decisions) < 0.9    # both outcomes, many times
+
+    def test_takes_an_affine_transform(self):
+        assert has_real_log(AffineTransform.rotation(2.5))
+        assert not has_real_log(AffineTransform.from_parts(np.diag([-2.0, 3.0]), [0.0, 0.0]))
+
+
+def list_karcher_mean(transforms):
+    """`karcher_mean` as it was over a list of `AffineTransform`s, one
+    product, one object and one log per transform (oracle)."""
+    mean = AffineTransform(np.eye(len(transforms[0].matrix)))
+    for _ in range(KARCHER_MAX_ITER):
+        mean_inv = AffineTransform(affine_inverse(mean))
+        logs = np.stack([lie_log(AffineTransform(mean_inv.matrix @ t.matrix))
+                         for t in transforms])
+        step = logs.mean(axis=0)
+        if np.linalg.norm(step) < KARCHER_TOL:
+            return mean
+        mean = AffineTransform(mean.matrix @ lie_exp(step))
+    raise AssertionError("the oracle did not converge")
+
+
+def list_standardize(transforms):
+    """`standardize` as it was over a list of `AffineTransform`s (oracle)."""
+    mean_inv = AffineTransform(affine_inverse(list_karcher_mean(transforms)))
+    return [AffineTransform(t.matrix @ mean_inv.matrix) for t in transforms]
+
+
+class TestStackedKarcher:
+    """`karcher_mean` and `standardize` over a stack give the bits of the list
+    forms they replaced, for contiguous stacks and for strided views such as
+    a store's `H_fwd[:, i]`."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 48])
+    def test_stack_equals_the_list_form(self, dim, n):
+        rng = np.random.default_rng(10 * n + dim)
+        draws = np.stack([[lie_exp(0.3 * rng.standard_normal(dim * (dim + 1)))
+                           for _ in range(2)] for _ in range(n)])
+        for h in (draws[:, 0].copy(), draws[:, 1]):
+            ts = [AffineTransform(m) for m in h]
+            mean = karcher_mean(h)
+            assert np.array_equal(mean, list_karcher_mean(ts).matrix)
+            h_std, mean_std = standardize(h)
+            assert np.array_equal(mean_std, mean)
+            assert np.array_equal(h_std, np.array([t.matrix for t in list_standardize(ts)]))
 
 
 class TestConstructionChecks:
@@ -351,7 +456,7 @@ class TestFloatKernelsMatchScipy:
     def test_lie_exp_matches_expm(self, name):
         delta = _delta(KERNEL_CASES[name])
         want = scipy.linalg.expm(generator_from_vector(delta))
-        got = lie_exp(delta).matrix
+        got = lie_exp(delta)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
@@ -368,7 +473,7 @@ class TestFloatKernelsMatchScipy:
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
     def test_affine_inverse_matches_inv(self, name):
         h = scipy.linalg.expm(generator_from_vector(_delta(KERNEL_CASES[name])))
-        got = affine_inverse(AffineTransform(h)).matrix
+        got = affine_inverse(AffineTransform(h))
         want = np.linalg.inv(h)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
@@ -376,7 +481,7 @@ class TestFloatKernelsMatchScipy:
     def test_1d(self, ell, u):
         delta = np.array([ell, u])
         h = scipy.linalg.expm(generator_from_vector(delta))
-        assert np.max(np.abs(lie_exp(delta).matrix - h)) <= 1e-13 * np.max(np.abs(h))
+        assert np.max(np.abs(lie_exp(delta) - h)) <= 1e-13 * np.max(np.abs(h))
         assert np.max(np.abs(lie_log(AffineTransform(h)) - delta)) <= 1e-13 * max(1.0, abs(u))
-        assert np.max(np.abs(affine_inverse(AffineTransform(h)).matrix
+        assert np.max(np.abs(affine_inverse(AffineTransform(h))
                              - np.linalg.inv(h))) <= 1e-13 * np.max(np.abs(h)) / h[0, 0]
