@@ -43,6 +43,18 @@ On one core of a 2-core x86-64 machine the step takes ~3 ms per sweep on
 replaced (~18 us per site, O(V)); on synthetic lattices the two cross near
 56x56, beyond which the block step is the slower one.
 
+The three banded routines, `dpbtrf`, `dpbtrs` and `dtbtrs`, come from
+scipy's LAPACK extension module `scipy.linalg._flapack`, which
+`load_flapack` finds in scipy's `linalg` directory and runs on its own.
+Importing them from `scipy.linalg.lapack` would run the `scipy.linalg`
+package `__init__`, which loads scipy's array-API layer and through it
+numpy's lazy submodules (`numpy.f2py`, `numpy.testing`, ...): ~300 modules
+and 0.25-0.35 s on a 2-core x86-64 machine, over half of `import
+groupreg.cli`, paid by every `groupreg` command. The module is registered
+under its own name, so a later `import scipy.linalg` reuses it, and in
+either import order the routines are the very objects `scipy.linalg.lapack`
+exports.
+
 T_i, T_i^r and the baseline's T_i all move by one Metropolis step on the
 affine group, `lie_mh_step`: propose exp(delta) t, delta ~ N(0, adaptive
 cov), and accept with log probability min(0, log pi(y) - log pi(x)
@@ -66,11 +78,15 @@ it (`tests/test_sampler.py` keeps the loop as the oracle).
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
+import scipy
 
 from .errors import (DegenerateInput, GroupregError, IllConditioned, InsufficientSamples,
                      NonPositiveScale, OutOfLibraryBounds, SingularTransform)
@@ -83,6 +99,38 @@ from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
 from .store import SampleStore
 from .transforms import (AffineTransform, affine_inverse, apply_stack, has_real_log,
                          karcher_mean, lie_exp, standardize)
+
+FLAPACK = "scipy.linalg._flapack"
+
+
+def load_flapack(directory):
+    """scipy's LAPACK extension module, found in `directory`, without running
+    the `scipy.linalg` package `__init__`.
+
+    The module is registered in `sys.modules` under its own name, so a later
+    `import scipy.linalg` reuses this instance, and an instance already there
+    is returned as it is: either way `scipy.linalg.lapack` exports the very
+    routines returned here. Raises ImportError naming `directory` if the
+    extension is not in it.
+    """
+    spec = PathFinder.find_spec(FLAPACK, [os.fspath(directory)])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension {FLAPACK} was not found in {directory}",
+                          name=FLAPACK)
+    module = sys.modules.get(FLAPACK)
+    if module is None:
+        module = module_from_spec(spec)
+        sys.modules[FLAPACK] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[FLAPACK]
+            raise
+    return module
+
+
+_flapack = load_flapack(os.path.join(scipy.__path__[0], "linalg"))
+dpbtrf, dpbtrs, dtbtrs = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dtbtrs
 
 ADAPT_TARGET_RATE = 0.234
 RHO_STEP = 0.1        # standard deviation of the random-walk rho proposal

@@ -384,14 +384,19 @@ def test_lambda_r_grid_is_checked_before_any_chain_runs(tmp_path, capsys, where,
     _no_outputs_left(tmp_path, out)
 
 
-def test_cli_import_loads_no_optimize_or_special():
-    """A fresh `import groupreg.cli` loads scipy's banded LAPACK only: neither
-    `scipy.optimize` nor `scipy.special`, whose import most of a short fit's
-    start-up time would be."""
+def test_cli_import_loads_scipys_lapack_extension_and_no_package_around_it():
+    """A fresh `import groupreg.cli` loads scipy's LAPACK extension only: not the
+    `scipy.linalg` package, whose `__init__` loads scipy's array-API layer and
+    with it numpy's lazy submodules, nor `scipy.optimize`, `scipy.special` or
+    `scipy.stats`. Importing these would be most of a short fit's start-up
+    time."""
     src = str(Path(groupreg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    unwanted = ("scipy.linalg", "scipy.optimize", "scipy.special", "scipy.stats",
+                "numpy.f2py", "numpy.testing")
     code = ("import sys, groupreg.cli; "
-            "print(' '.join(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))")
+            f"print(' '.join(m for m in {unwanted!r} if m in sys.modules)); "
+            "print('scipy.linalg._flapack' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == []
+    assert out.stdout.splitlines() == ["", "True"]

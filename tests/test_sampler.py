@@ -1,6 +1,11 @@
 import copy
 import dataclasses
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +274,26 @@ def test_template_conditional_allocates_little_beyond_its_band():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * ab.nbytes, (peak, ab.nbytes)
+
+
+def test_sampler_and_scipy_share_one_lapack_extension_in_either_import_order():
+    """`groupreg.sampler` loads scipy's LAPACK extension itself and registers it
+    under its own name, so whichever of it and `scipy.linalg.lapack` is
+    imported first, both hold the same routines (perfbench imports groupreg
+    first and `scipy.stats`, which imports `scipy.linalg`, later)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sampler.__file__).resolve().parents[1])}
+    check = ("import sys, groupreg.sampler as s, scipy.linalg.lapack as l; "
+             "print(all(getattr(s, f) is getattr(l, f) for f in ('dpbtrf', 'dpbtrs', 'dtbtrs')), "
+             "s._flapack is sys.modules['scipy.linalg._flapack'])")
+    for first in ("groupreg.sampler", "scipy.linalg.lapack"):
+        out = subprocess.run([sys.executable, "-W", "error", "-c", f"import {first}; {check}"],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["True", "True"], first
+
+
+def test_a_missing_lapack_extension_raises_naming_the_directory(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        sampler.load_flapack(tmp_path)
 
 
 def test_non_positive_definite_precision_raises():
