@@ -359,7 +359,7 @@ def nngp_oracle_audit(seed=0):
         locs = lattice.locations()
         v = locs.shape[0]
         params = CovarianceParams(alpha=1.7, rho=0.6)
-        nsets = build_ordered_neighbor_sets(locs, v - 1)
+        nsets = build_ordered_neighbor_sets(lattice, v - 1)
         x = rng.normal(size=v)
         dense = dense_gp_log_density(x, locs, params)
         nngp = nngp_log_density(x, nsets, locs, params)
@@ -425,7 +425,7 @@ def pattern_weights_gap():
     worst = 0.0
     for lattice, margin, t in cases:
         locs = lattice.locations()
-        nsets = build_ordered_neighbor_sets(locs, 10)
+        nsets = build_ordered_neighbor_sets(lattice, 10)
         patterns = build_predecessor_patterns(lattice, nsets)
         lib = build_neighbor_library(lattice, margin, 10)
         targets = np.concatenate([affine_apply(t, locs), lib.enlarged.locations()])

@@ -140,7 +140,7 @@ class ModelGeometry:
 
 def build_geometry(lattice, hp, margin):
     locs = lattice.locations()
-    neighbor_sets = build_ordered_neighbor_sets(locs, hp.m)
+    neighbor_sets = build_ordered_neighbor_sets(lattice, hp.m)
     sigma_s = sigma_s_matrix(locs)
     return ModelGeometry(
         lattice=lattice,

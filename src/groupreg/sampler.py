@@ -722,33 +722,30 @@ def fit_scale(y_values, xt_values):
 def coarse_grid(lattice):
     """Deterministic coarse search grid over the affine group, the set-up's
     first candidates for each subject's transform (`fit_affine`): a stack of
-    homogeneous matrices."""
+    homogeneous matrices, scale-major, then rotation, then shift."""
     lower, upper = lattice.bounds()
     extent = upper - lower
     center = 0.5 * (lower + upper)
-    out = []
-    if lattice.dim == 1:
-        shifts = np.linspace(-0.25 * extent[0], 0.25 * extent[0], 21)
-        scales = np.linspace(0.8, 1.25, 10)
-        for c in scales:
-            for u in shifts:
-                a = np.array([[c]])
-                b = np.array([u]) + center - a @ center
-                out.append(AffineTransform.from_parts(a, b))
+    d = lattice.dim
+    if d == 1:
+        a = np.linspace(0.8, 1.25, 10)[:, None, None]
+        shifts = np.linspace(-0.25 * extent[0], 0.25 * extent[0], 21)[:, None]
     else:
-        shifts0 = np.linspace(-0.25 * extent[0], 0.25 * extent[0], 5)
-        shifts1 = np.linspace(-0.25 * extent[1], 0.25 * extent[1], 5)
         angles = np.linspace(-np.pi / 6.0, np.pi / 6.0, 7)
-        scales = (0.9, 1.0, 1.1)
-        for c in scales:
-            for th in angles:
-                rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-                a = c * rot
-                for u0 in shifts0:
-                    for u1 in shifts1:
-                        b = np.array([u0, u1]) + center - a @ center
-                        out.append(AffineTransform.from_parts(a, b))
-    return np.array(out)
+        # One scalar cos and sin per angle: numpy's vector loops may round
+        # them differently in the last bit.
+        rot = np.array([[[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
+                        for th in angles])
+        a = (np.array([0.9, 1.0, 1.1])[:, None, None, None] * rot).reshape(-1, 2, 2)
+        shifts = np.stack(np.meshgrid(np.linspace(-0.25 * extent[0], 0.25 * extent[0], 5),
+                                      np.linspace(-0.25 * extent[1], 0.25 * extent[1], 5),
+                                      indexing="ij"), axis=-1).reshape(-1, 2)
+    # b = shift + center - a center: each candidate moves the lattice's center by its shift.
+    h = np.zeros((len(a), len(shifts), d + 1, d + 1))
+    h[..., :d, :d] = a[:, None]
+    h[..., :d, d] = (shifts + center)[None] - (a @ center)[:, None]
+    h[..., d, d] = 1.0
+    return h.reshape(-1, d + 1, d + 1)
 
 
 def levenberg_marquardt(point, p):

@@ -31,14 +31,21 @@ mat-vec instead of a k x k solve. The tables take P k^2 doubles per family
 `batched_nngp_weights` re-solves every row and stays the brute-force oracle
 the cache is checked against.
 
-Library build. Entries are ranked by squared distances formed from integer
-lattice offsets, not from differenced coordinates, so an entry's neighbor
-set depends only on its offsets from the template sites, never on the
-margin or the origin. With equal spacing on every axis those distances are
-integers in units of the spacing, so equal distances compare equal and ties
-break toward the smaller index. Entries are ranked in row blocks sized so
-that one (rows, V) array takes `_BLOCK_BYTES`: the build needs O(V) memory
-per block row instead of an (n_lib, V, d) tensor, and O(n_lib V log V) time.
+Neighbor ranking. Library entries and template predecessor sets are ranked
+by squared distances formed from integer lattice offsets, each axis weighted
+by (spacing / finest spacing)^2, not from differenced coordinates. So a set
+depends only on its offsets from the template sites, never on the margin or
+the origin. With equal spacing on every axis those distances are integers
+in units of the spacing, so equal distances compare equal and ties break
+toward the smaller index: a spacing of 0.1 gives the sets of a spacing of 1.
+With unequal spacings the weighted keys are the same floats wherever the
+lattice sits, and ties among them break the same way. Both tables are built
+by selection (`_nearest`), not by sorting every row: a partition finds each
+row's k-th smallest distance, and only the distances at or below it are
+sorted. Rows are ranked in blocks sized so that one (rows, V) array takes
+`_BLOCK_BYTES`, so the builds need O(V) memory per block row instead of an
+(n_lib, V, d) tensor or a V x V matrix, and O(V) time per row plus the sort
+of its candidates (k, and any ties at the k-th distance), not O(V log V).
 """
 
 from __future__ import annotations
@@ -52,9 +59,10 @@ from .grids import Lattice
 
 JITTER = 1e-10
 VAR_FLOOR = 1e-12
-# One (rows, V) array of a library build block. The build holds a few such
-# arrays at once, and smaller blocks build faster too: on a 28x28 lattice
-# with margin 9, 76 ms at 256 kB against 120 ms at 4 MB. Since the template
+# One (rows, V) array of a neighbor-table build block. The builds hold a few
+# such arrays at once, and smaller blocks build faster too: on a 28x28
+# lattice with margin 9 the library took 16-22 ms at 256 kB against 28-38 ms
+# at 4 MB, and the predecessor sets 5-7 ms against 10-13 ms. Since the template
 # step keeps its pair buffers (`sampler.TemplateBand`), sweep speed does not
 # depend on the block: glyph28 sweeps ran at 76-102/s after a build with
 # 256 kB blocks and 76-109/s with 4 MB ones (fresh processes, one core of a
@@ -120,33 +128,77 @@ def dense_gp_log_density(values, locations, params):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def build_ordered_neighbor_sets(locations, m):
-    """m-nearest predecessors of each site in row-major order.
-
-    Returns an (V, m) int array padded with -1: row l holds the indices of
-    the min(m, l) nearest sites among {0, ..., l-1}, ties broken by smaller
-    index (stable sort).
-    """
-    locs = np.atleast_2d(np.asarray(locations, dtype=float))
-    v = locs.shape[0]
-    out = np.full((v, m), -1, dtype=int)
-    for l in range(1, v):
-        k = min(m, l)
-        d = np.linalg.norm(locs[:l] - locs[l], axis=1)
-        order = np.argsort(d, kind="stable")[:k]
-        out[l, :k] = order
-    return out
-
-
 def _site_coords(shape, low=0):
     """(n, d) integer index coordinates of every site of a grid, row-major, from `low`."""
     return np.stack(np.unravel_index(np.arange(int(np.prod(shape))), shape), axis=-1) + low
 
 
+def _offset_d2(points, lattice):
+    """(len(points), V) squared distances from integer index coordinates to
+    every site of the lattice, in row-major site order, formed from the index
+    offsets in units of the finest spacing: integers when the spacing is
+    equal on every axis, so equal distances compare equal.
+
+    One (len(points), n) table per axis, broadcast over the grid and summed.
+    """
+    shape = lattice.shape
+    weight = (lattice.spacing / lattice.spacing.min()) ** 2
+    return sum(
+        (w * (points[:, axis, None] - np.arange(n)) ** 2).reshape(
+            (len(points),) + tuple(n if a == axis else 1 for a in range(len(shape))))
+        for axis, (n, w) in enumerate(zip(shape, weight))).reshape(len(points), -1)
+
+
+def _nearest(d2, k):
+    """The first k columns of np.argsort(d2, axis=1, kind="stable"), 1 <= k <= d2.shape[1].
+
+    Selection, not a full sort: np.partition finds each row's k-th smallest
+    value, and only the entries at or below it, ties included, are sorted,
+    by row and then value, stably from ascending column order. So ties go to
+    the smaller column as in the full sort, for any float keys.
+    """
+    n = d2.shape[1]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    flat = np.flatnonzero(d2 <= kth)
+    row = flat // n
+    flat = flat[np.lexsort((d2.reshape(-1)[flat], row))]
+    counts = np.bincount(row, minlength=len(d2))
+    return flat[(np.cumsum(counts) - counts)[:, None] + np.arange(k)] % n
+
+
+def build_ordered_neighbor_sets(lattice, m):
+    """m-nearest predecessors of each lattice site in row-major order.
+
+    Returns a (V, m) int array padded with -1: row l holds the min(m, l)
+    sites among {0, ..., l-1} nearest to site l, ranked by the distances the
+    library ranks (`_offset_d2`), ties toward the smaller index.
+    """
+    sites = _site_coords(lattice.shape)
+    v = len(sites)
+    out = np.full((v, m), -1, dtype=int)
+    # The first rows have fewer than m predecessors, and keep all of them.
+    head = min(m, v)
+    for l in range(1, head):
+        out[l, :l] = np.argsort(_offset_d2(sites[l:l + 1], lattice)[0, :l], kind="stable")
+    rows = max(1, _BLOCK_BYTES // (8 * v))
+    for start in range(head, v, rows):
+        stop = min(start + rows, v)
+        d2 = _offset_d2(sites[start:stop], lattice)
+        d2[np.arange(start, stop)[:, None] <= np.arange(v)] = np.inf   # not predecessors
+        out[start:stop] = _nearest(d2, m)
+    return out
+
+
 def _pattern_table(keys):
-    """Pattern id of every row of an integer key table, and each pattern's first row."""
-    _, first, ids = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return ids.reshape(-1), first
+    """Pattern id of every row of a 2-D key table, and each pattern's first row.
+
+    Rows are grouped by their bytes, by one 1-D np.unique over a void view, so
+    float keys group by their bits; ids follow the byte order of the rows.
+    """
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).reshape(-1)
+    _, first, ids = np.unique(rows, return_index=True, return_inverse=True)
+    return ids, first
 
 
 def _offset_distances(offsets, spacing):
@@ -217,23 +269,18 @@ def build_neighbor_library(lattice, margin, m):
     )
     template = _site_coords(lattice.shape)
     entries = _site_coords(enlarged.shape, -margin)
-    # Squared distance in units of the finest spacing: integers when the
-    # spacing is equal on every axis, so equal distances compare equal.
-    axis_weight = (lattice.spacing / lattice.spacing.min()) ** 2
     k = min(m, lattice.n_sites)
     rows = max(1, _BLOCK_BYTES // (8 * lattice.n_sites))
     neighbor_indices = np.empty((len(entries), k), dtype=int)
     for start in range(0, len(entries), rows):
-        block = entries[start:start + rows]
-        dist2 = sum(w * (block[:, None, a] - template[None, :, a]) ** 2
-                    for a, w in enumerate(axis_weight))
-        neighbor_indices[start:start + rows] = np.argsort(dist2, axis=1, kind="stable")[:, :k]
+        neighbor_indices[start:start + rows] = _nearest(
+            _offset_d2(entries[start:start + rows], lattice), k)
     # Group by offset shape, then merge the shapes whose distance matrices
     # are equal bit for bit (mirror images are), keyed on the matrices' bits.
     offsets = template[neighbor_indices] - template[neighbor_indices[:, :1]]
     shape_ids, first = _pattern_table(offsets.reshape(len(offsets), -1))
     shape_dist = _offset_distances(offsets[first], lattice.spacing)
-    dist_ids, first = _pattern_table(shape_dist.reshape(len(shape_dist), -1).view(np.int64))
+    dist_ids, first = _pattern_table(shape_dist.reshape(len(shape_dist), -1))
     return NeighborLibrary(template=lattice, enlarged=enlarged, margin=margin,
                            m=m, neighbor_indices=neighbor_indices,
                            pattern_ids=dist_ids[shape_ids], pattern_dist=shape_dist[first])

@@ -566,6 +566,42 @@ def test_levenberg_marquardt_stops_at_the_evaluation_cap():
     assert 0.0 < f < 1e-30
 
 
+def coarse_grid_loop(lattice):
+    """`coarse_grid` as a loop of validated `AffineTransform`s, one per candidate."""
+    lower, upper = lattice.bounds()
+    extent = upper - lower
+    center = 0.5 * (lower + upper)
+    out = []
+    if lattice.dim == 1:
+        for c in np.linspace(0.8, 1.25, 10):
+            for u in np.linspace(-0.25 * extent[0], 0.25 * extent[0], 21):
+                a = np.array([[c]])
+                out.append(AffineTransform.from_parts(a, np.array([u]) + center - a @ center))
+    else:
+        for c in (0.9, 1.0, 1.1):
+            for th in np.linspace(-np.pi / 6.0, np.pi / 6.0, 7):
+                a = c * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+                for u0 in np.linspace(-0.25 * extent[0], 0.25 * extent[0], 5):
+                    for u1 in np.linspace(-0.25 * extent[1], 0.25 * extent[1], 5):
+                        b = np.array([u0, u1]) + center - a @ center
+                        out.append(AffineTransform.from_parts(a, b))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("lattice", [
+    base_glyph().lattice,
+    make_lattice_1d(-4.0, 4.0, 0.1),
+    make_lattice_1d(-5.0, 5.0, 0.05),
+    make_lattice_1d(-3.3, 7.1, 0.07),
+    Lattice((9, 13), np.array([0.7, 1.3]), np.array([-2.0, 0.5])),
+    Lattice((5, 6), np.array([0.3, 0.1]), np.array([5.0, -2.2])),
+], ids=["glyph", "cosine", "indicator", "1d_offset", "anisotropic", "2d_offset"])
+def test_coarse_grid_is_the_loop_of_transforms_bit_for_bit(lattice):
+    grid = coarse_grid(lattice)
+    assert grid.shape == (210 if lattice.dim == 1 else 525,) + (lattice.dim + 1,) * 2
+    assert np.array_equal(grid, coarse_grid_loop(lattice))
+
+
 def test_set_up_builds_the_coarse_grid_once(monkeypatch):
     """`initialize` and the baseline's set-up build one coarse grid each and
     hand every subject's first fit that same list."""

@@ -6,7 +6,8 @@ import pytest
 from groupreg.errors import OutOfLibraryBounds
 from groupreg.grids import Lattice, make_lattice_1d
 from groupreg.spatial import (_BLOCK_BYTES, JITTER, VAR_FLOOR, CovarianceParams,
-                              _offset_distances, _site_coords, batched_nngp_weights,
+                              _offset_distances, _pattern_table, _site_coords,
+                              batched_nngp_weights,
                               build_neighbor_library, build_ordered_neighbor_sets,
                               build_predecessor_patterns, conditional_means, cov_matrix,
                               dense_gp_log_density, dense_kriging, kriging_factor,
@@ -36,6 +37,52 @@ def nngp_weights(target, neighbors, params):
     b = np.linalg.solve(c_n, c_t)
     f = params.alpha - float(b @ c_t)
     return b, max(f, VAR_FLOOR * params.alpha)
+
+
+def argsort_predecessors(lattice, m):
+    """Brute-force oracle of `build_ordered_neighbor_sets`: one full stable
+    argsort per site of its weighted squared offsets to all its predecessors."""
+    sites = _site_coords(lattice.shape)
+    weight = (lattice.spacing / lattice.spacing.min()) ** 2
+    out = np.full((len(sites), m), -1)
+    for l in range(1, len(sites)):
+        d2 = ((sites[:l] - sites[l]) ** 2 * weight).sum(axis=1)
+        out[l, :min(m, l)] = np.argsort(d2, kind="stable")[:m]
+    return out
+
+
+def float_norm_predecessors(locations, m):
+    """Predecessor sets ranked by the norms of differenced float coordinates,
+    which depend on the origin and break ties by rounding noise; the sets
+    ranked integer offsets exactly only at spacing 1 with an integer origin,
+    and in 1D."""
+    out = np.full((len(locations), m), -1)
+    for l in range(1, len(locations)):
+        d = np.linalg.norm(locations[:l] - locations[l], axis=1)
+        out[l, :min(m, l)] = np.argsort(d, kind="stable")[:m]
+    return out
+
+
+def unique_rows_table(keys):
+    """Pattern id of every row and each pattern's first row, by np.unique(axis=0)."""
+    _, first, ids = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return ids.reshape(-1), first
+
+
+def argsort_library(lattice, margin, m):
+    """Brute-force oracle of `build_neighbor_library`: (neighbor_indices,
+    pattern_ids, pattern_dist) from a full stable argsort of every entry's
+    weighted squared offsets to all template sites, grouped by np.unique(axis=0)."""
+    template = _site_coords(lattice.shape)
+    entries = _site_coords(tuple(n + 2 * margin for n in lattice.shape), -margin)
+    weight = (lattice.spacing / lattice.spacing.min()) ** 2
+    d2 = sum(w * (entries[:, None, a] - template[None, :, a]) ** 2 for a, w in enumerate(weight))
+    nbr = np.argsort(d2, axis=1, kind="stable")[:, :min(m, lattice.n_sites)]
+    offsets = template[nbr] - template[nbr[:, :1]]
+    shape_ids, first = unique_rows_table(offsets.reshape(len(offsets), -1))
+    shape_dist = _offset_distances(offsets[first], lattice.spacing)
+    dist_ids, first = unique_rows_table(shape_dist.reshape(len(shape_dist), -1))
+    return nbr, dist_ids[shape_ids], shape_dist[first]
 
 
 class TestExpCov:
@@ -96,16 +143,16 @@ class TestDenseKriging:
 
 class TestOrderedNeighborSets:
     def test_first_site_empty(self):
-        sets = build_ordered_neighbor_sets(grid2d(3).locations(), 4)
+        sets = build_ordered_neighbor_sets(grid2d(3), 4)
         assert np.all(sets[0] == -1)
 
     def test_fewer_predecessors_than_m(self):
-        sets = build_ordered_neighbor_sets(make_lattice_1d(0, 9, 1.0).locations(), 10)
+        sets = build_ordered_neighbor_sets(make_lattice_1d(0, 9, 1.0), 10)
         assert sorted(sets[2][sets[2] >= 0].tolist()) == [0, 1]
 
     def test_brute_force_oracle_5x5(self):
         locs = grid2d(5).locations()
-        sets = build_ordered_neighbor_sets(locs, 3)
+        sets = build_ordered_neighbor_sets(grid2d(5), 3)
         l = 12  # site (2, 2)
         d = np.linalg.norm(locs[:l] - locs[l], axis=1)
         expect = np.argsort(d, kind="stable")[:3]
@@ -113,12 +160,100 @@ class TestOrderedNeighborSets:
 
     def test_all_rows_against_brute_force(self):
         locs = grid2d(4).locations()
-        sets = build_ordered_neighbor_sets(locs, 5)
+        sets = build_ordered_neighbor_sets(grid2d(4), 5)
         for l in range(1, 16):
             d = np.linalg.norm(locs[:l] - locs[l], axis=1)
             expect = np.argsort(d, kind="stable")[:min(5, l)]
             got = sets[l][sets[l] >= 0]
             assert got.tolist() == expect.tolist()
+
+    def test_build_memory_is_bounded(self):
+        # A V x V float array alone would take 2304^2 x 8 B = 42 MB, a V x V bool one 5.3 MB.
+        tracemalloc.start()
+        try:
+            build_ordered_neighbor_sets(grid2d(48), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_sets_do_not_depend_on_spacing_or_origin(self):
+        """At spacing 0.1 the sets are those of spacing 1, wherever the lattice sits."""
+        unit = build_ordered_neighbor_sets(grid2d(28), 10)
+        for origin in ((0.0, 0.0), (5.0, -2.2)):
+            lat = Lattice((28, 28), np.array([0.1, 0.1]), np.array(origin))
+            sets = build_ordered_neighbor_sets(lat, 10)
+            assert np.array_equal(sets, unit)
+            assert len(build_predecessor_patterns(lat, sets).mask) == 26
+
+
+class TestSelectionAgainstArgsort:
+    """The selection builders give the brute-force argsort builders' tables."""
+
+    LATTICES = {
+        # The benchmark lattices at their library margins.
+        "glyph": (grid2d(28), 9),
+        "cosine": (make_lattice_1d(-4.0, 4.0, 0.1), 13),
+        "indicator": (make_lattice_1d(-5.0, 5.0, 0.05), 6),
+        "anisotropic": (Lattice((9, 13), np.array([0.7, 1.3]), np.array([-2.0, 0.5])), 3),
+        "spacing_0.1": (Lattice((20, 20), np.array([0.1, 0.1]), np.array([5.0, -2.2])), 3),
+        "small": (Lattice((5, 6), np.array([1.0, 1.0]), np.zeros(2)), 3),
+        "small_anisotropic": (Lattice((4, 5), np.array([0.7, 1.3]), np.array([0.7, 1.3])), 2),
+    }
+    CASES = [(name, m) for name in sorted(LATTICES) for m in ("1", "3", "10", "V-1", "V", "V+3")]
+    # A library of m >= V - 1 holds up to n_lib patterns of V x V distances,
+    # so only the small lattices build one.
+    LIBRARY_CASES = [(name, m) for name, m in CASES
+                     if m[0] != "V" or name in ("cosine", "small", "small_anisotropic")]
+
+    @staticmethod
+    def resolve(m, v):
+        return {"V-1": v - 1, "V": v, "V+3": v + 3}.get(m) or int(m)
+
+    @pytest.mark.parametrize("name,m", CASES)
+    def test_predecessor_sets(self, name, m):
+        lat, _ = self.LATTICES[name]
+        m = self.resolve(m, lat.n_sites)
+        sets = build_ordered_neighbor_sets(lat, m)
+        assert np.array_equal(sets, argsort_predecessors(lat, m))
+        if lat.dim == 1 or np.all(lat.spacing == 1.0):
+            # In 1D every predecessor lies on one side, and at spacing 1 with
+            # origin 0 the norms are square roots of the integer offsets, so
+            # ranking float norms gave these sets too.
+            assert np.array_equal(sets, float_norm_predecessors(lat.locations(), m))
+        if m <= 10:
+            patterns = build_predecessor_patterns(lat, sets)
+            coords = _site_coords(lat.shape)
+            mask = sets >= 0
+            offsets = np.where(mask[:, :, None], coords[np.where(mask, sets, 0)]
+                               - coords[:, None, :], 0)
+            _, first = unique_rows_table(
+                np.concatenate([offsets.reshape(len(offsets), -1), mask], axis=1))
+            assert len(patterns.mask) == len(first)
+            assert np.array_equal(patterns.mask[patterns.ids], mask)
+            assert np.array_equal(patterns.nbr_dist[patterns.ids],
+                                  _offset_distances(offsets, lat.spacing))
+
+    @pytest.mark.parametrize("name,m", LIBRARY_CASES)
+    def test_library(self, name, m):
+        lat, margin = self.LATTICES[name]
+        m = self.resolve(m, lat.n_sites)
+        lib = build_neighbor_library(lat, margin, m)
+        nbr, ids, dist = argsort_library(lat, margin, m)
+        assert np.array_equal(lib.neighbor_indices, nbr)
+        assert np.array_equal(lib.pattern_dist[lib.pattern_ids], dist[ids])
+        assert len(lib.pattern_dist) == len(dist)
+
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_pattern_table_groups_rows_as_unique_rows(self, dtype):
+        rng = np.random.default_rng(11)
+        keys = rng.integers(-2, 3, size=(500, 4)).astype(dtype)
+        ids, first = _pattern_table(keys)
+        oracle_ids, oracle_first = unique_rows_table(keys)
+        assert sorted(first.tolist()) == sorted(oracle_first.tolist())
+        # The same partition of the rows, numbered differently.
+        assert np.array_equal(oracle_ids[first[ids]], oracle_ids)
+        assert np.array_equal(keys[first[ids]], keys)
 
 
 class TestNeighborLibrary:
@@ -280,7 +415,7 @@ class TestLibraryWeights:
         self.lat = Lattice((28, 28), np.array([1.0, 1.0]), np.zeros(2))
         self.lib = build_neighbor_library(self.lat, 9, 10)
         locs = self.lat.locations()
-        patterns = build_predecessor_patterns(self.lat, build_ordered_neighbor_sets(locs, 10))
+        patterns = build_predecessor_patterns(self.lat, build_ordered_neighbor_sets(self.lat, 10))
         self.factor = kriging_factor(self.lib, patterns, 0.7)
         # Four rotated and shifted copies of the sites: 3136 rows, ten chunks.
         rng = np.random.default_rng(5)
@@ -377,7 +512,7 @@ class TestNngpDensity:
             locs = lat.locations()
             v = locs.shape[0]
             p = CovarianceParams(1.7, 0.6)
-            sets = build_ordered_neighbor_sets(locs, v - 1)
+            sets = build_ordered_neighbor_sets(lat, v - 1)
             x = rng.normal(size=v)
             assert abs(nngp_log_density(x, sets, locs, p)
                        - dense_gp_log_density(x, locs, p)) < 1e-8
@@ -386,7 +521,7 @@ class TestNngpDensity:
         rng = np.random.default_rng(7)
         lat = grid2d(5)
         locs = lat.locations()
-        sets = build_ordered_neighbor_sets(locs, locs.shape[0] - 1)
+        sets = build_ordered_neighbor_sets(lat, locs.shape[0] - 1)
         x = rng.normal(size=locs.shape[0])
         for alpha in (0.5, 1.0, 2.0):
             p = CovarianceParams(alpha, 0.9)
@@ -407,7 +542,7 @@ class TestNngpDensity:
         dense_ll = dense_gp_log_density(samples, locs, p)
         gaps = []
         for m in (2, 5, 10, 20):
-            sets = build_ordered_neighbor_sets(locs, m)
+            sets = build_ordered_neighbor_sets(lat, m)
             b, f = batched_nngp_weights(locs, sets, locs, p)
             mask = sets >= 0
             safe = np.where(mask, sets, 0)
