@@ -13,10 +13,11 @@ inverse-consistency penalty.
 
 Sampling: `ConventionalChain`, run by the symmetric model's loop
 (`sampler.Chain.run`). It holds the T_i as an (N, d + 1, d + 1) stack of
-homogeneous matrices, as the symmetric chain does. Each sweep is conjugate
-Gibbs for w and sigma_i^2, and moves every T_i by the symmetric model's
-Lie-group Metropolis step (`sampler.lie_mh_step`, with its closed-form
-Hastings term and Robbins-Monro adaptation), one call for all subjects:
+homogeneous matrices and the sigma_i^2 as an (N,) array, as the symmetric
+chain does. Each sweep is conjugate Gibbs for w and for all sigma_i^2 (one
+gamma draw), and moves every T_i by the symmetric model's Lie-group
+Metropolis step (`sampler.lie_mh_step`, with its closed-form Hastings term
+and one `AdaptiveProposal` over the subjects), one call for all subjects:
 given w and the sigma_i^2 the T_i are independent, so their kernel designs
 at the proposed sites and their log targets are computed stacked. K^-1 and
 the kernel design at the lattice sites are computed once per chain.
@@ -80,9 +81,11 @@ def conventional_w_conditional(phis, ys, sigma2s, k_inv):
 
 
 def conventional_sigma2_conditional(y, phi, w, hp):
-    """Shape and rate of sigma^2 | rest ~ IG(a0 + V/2, a1 + |Y - Phi w|^2 / 2)."""
+    """Shape and rate of sigma^2 | rest ~ IG(a0 + V/2, a1 + |Y - Phi w|^2 / 2), for
+    one subject's map y (V,) and kernel design phi (V, L), or for stacks of them."""
     r = y - phi @ w
-    return hp.a0_sigma + y.size / 2.0, hp.a1_sigma + 0.5 * float(r @ r)
+    return (hp.a0_sigma + y.shape[-1] / 2.0,
+            hp.a1_sigma + 0.5 * (r[..., None, :] @ r[..., :, None])[..., 0, 0])
 
 
 def conventional_log_target(h, phi, y, w, sigma2, prior):
@@ -142,37 +145,34 @@ class ConventionalChain(Chain):
         self.design = gauss_kernel(self.locs, self.landmarks)
         self.prior = TransformPrior(config.a_T, config.b_T, sigma_s_matrix(self.locs))
         self.ys = np.stack([m.values for m in maps])
-        self.proposals = {"forward": [AdaptiveProposal(d * (d + 1)) for _ in range(n)]}
+        self.proposals = {"forward": AdaptiveProposal(n, d * (d + 1))}
 
         # Initialization: coarse-fit transforms against the mean map, ridge w.
         mean_map = ActivationMap(lattice, np.mean(self.ys, axis=0))
         grid = coarse_grid(lattice)
         self.ts = np.array([fit_affine(m, mean_map, 1.0, np.eye(d + 1), grid) for m in maps])
         self.phis = self.designs(self.ts)
-        _, _, self.w = conventional_w_conditional(self.phis, self.ys, [1.0] * n, self.k_inv)
-        self.sigma2s = [max(float(np.mean((y - phi @ self.w) ** 2)), 1e-12)
-                        for y, phi in zip(self.ys, self.phis)]
+        _, _, self.w = conventional_w_conditional(self.phis, self.ys, np.ones(n), self.k_inv)
+        self.sigma2 = np.maximum(np.mean((self.ys - self.phis @ self.w) ** 2, axis=1), 1e-12)
 
     def updates(self):
         # w | rest: conjugate multivariate normal.
-        _, chol, mean = conventional_w_conditional(self.phis, self.ys, self.sigma2s, self.k_inv)
+        _, chol, mean = conventional_w_conditional(self.phis, self.ys, self.sigma2, self.k_inv)
         z = self.rng.standard_normal(mean.size)
         self.w = w = mean + np.linalg.solve(chol.T, z)
-        # sigma_i^2 | rest.
-        for i, (y, phi) in enumerate(zip(self.ys, self.phis)):
-            shape, rate = conventional_sigma2_conditional(y, phi, w, self.config)
-            self.sigma2s[i] = 1.0 / self.rng.gamma(shape=shape, scale=1.0 / rate)
-        # T_i | rest: Lie-MH against the kernel-template likelihood, all subjects at once.
-        sigma2s = np.array(self.sigma2s)
+        # sigma_i^2 | rest, every subject in one draw, subject 0 first.
+        shape, rate = conventional_sigma2_conditional(self.ys, self.phis, w, self.config)
+        self.sigma2 = sigma2 = 1.0 / self.rng.gamma(shape=shape, scale=1.0 / rate)
 
+        # T_i | rest: Lie-MH against the kernel-template likelihood, all subjects at once.
         def target(rows, proposals):
             phi = self.designs(proposals)
             return (np.ones(rows.size, dtype=bool),
-                    conventional_log_target(proposals, phi, self.ys[rows], w, sigma2s[rows],
+                    conventional_log_target(proposals, phi, self.ys[rows], w, sigma2[rows],
                                             self.prior),
                     (phi,))
 
-        log_old = conventional_log_target(self.ts, self.phis, self.ys, w, sigma2s, self.prior)
+        log_old = conventional_log_target(self.ts, self.phis, self.ys, w, sigma2, self.prior)
         accepted, h_new, phi = lie_mh_step(self.ts, log_old, target,
                                            self.proposals["forward"], self.rng)
         self.ts[accepted] = h_new
@@ -189,14 +189,14 @@ class ConventionalChain(Chain):
         n, d = len(self.maps), self.lattice.dim
         return (self.design @ self.w, self.ts.copy(),
                 np.broadcast_to(np.eye(d + 1), (n, d + 1, d + 1)), np.ones(n),
-                list(self.sigma2s), np.nan, np.nan), None
+                self.sigma2, np.nan, np.nan), None
 
     def snapshot(self):
-        return {"iteration": self.iteration, "sigma2": list(self.sigma2s),
+        return {"iteration": self.iteration, "sigma2": self.sigma2.tolist(),
                 "transforms": self.ts.tolist()}
 
     def model_diagnostics(self, extras):
-        return {"sigma2_last": list(self.sigma2s), "n_landmarks": int(self.landmarks.shape[0])}
+        return {"sigma2_last": self.sigma2.tolist(), "n_landmarks": int(self.landmarks.shape[0])}
 
 
 def inverse_warp(maps, transforms):

@@ -6,11 +6,11 @@ Omitted keys take the field defaults. `RunConfig` extends
 there once, and the chains use the config itself as their hyperparameters.
 A config is validated whenever it is built: by `RunConfig(...)`,
 `dataclasses.replace` or `parse_config`. Every float setting must be
-finite, the seed must be >= 0 (a negative sim_seed means "use seed"), and
-lambda_r keeps its default under model=conventional, whose outputs it does
-not reach. Not keys: the neighbor-library margin (derived by
-`sampler.Chain`), `sampler.RHO_STEP`, and the baseline's `KERNEL_WIDTH` and
-`LANDMARK_STRIDE`.
+finite, the seed must be >= 0 (a negative sim_seed means "use seed"),
+rho_lower must be >= 0, m must lie in 1..`model.M_MAX`, and lambda_r keeps
+its default under model=conventional, whose outputs it does not reach. Not
+keys: the neighbor-library margin (derived by `sampler.Chain`),
+`sampler.RHO_STEP`, and the baseline's `KERNEL_WIDTH` and `LANDMARK_STRIDE`.
 """
 
 from __future__ import annotations

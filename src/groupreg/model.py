@@ -35,9 +35,22 @@ from .spatial import (NeighborLibrary, PredecessorPatterns, batched_nngp_weights
 from .transforms import apply_stack, composition_identity_gap
 
 
+# The largest NNGP neighbor count m. The neighbor library and the template's
+# predecessor patterns hold a k x k distance matrix per distinct pattern, so
+# their build memory grows as (patterns) m^2: on the 28x28 glyph lattice at
+# library margin 9, `build_geometry` peaks at 82 MB under tracemalloc at
+# m = 50 (1.9 MB at the default m = 10, 124 MB at m = 60).
+M_MAX = 50
+
+
 @dataclass(frozen=True)
 class Hyperparams:
-    """Prior hyperparameters and the inverse-consistency penalty weight."""
+    """Prior hyperparameters and the inverse-consistency penalty weight.
+
+    rho, the NNGP decay, has the uniform prior (rho_lower, rho_upper) with
+    0 <= rho_lower, so every rho the chain can reach is positive and
+    exp(-rho d) a correlation; m, the neighbor count, lies in 1..M_MAX.
+    """
 
     lambda_r: float = 1.0
     a_T: float = 0.1
@@ -63,12 +76,14 @@ class Hyperparams:
                      "lambda0", "a0_sigma", "a1_sigma"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"hyperparameter {name} must be > 0")
+        if self.rho_lower < 0:
+            raise ValidationError("rho_lower must be >= 0")
         if not self.rho_lower < self.rho_upper:
             raise ValidationError("rho_lower < rho_upper is required")
         if self.lambda_r < 0:
             raise ValidationError("lambda_r must be >= 0")
-        if self.m < 1:
-            raise ValidationError("m must be >= 1")
+        if not 1 <= self.m <= M_MAX:
+            raise ValidationError(f"m must lie in 1..{M_MAX}, got {self.m}")
 
 
 def sigma_s_matrix(locations):

@@ -71,9 +71,13 @@ proposal is rejected or not, and forms the proposal with the scalar
 `lie_exp`; then the log targets of all current transforms, and of all
 proposals with a real logarithm (`has_real_log`), are each computed once
 over the stacks, and one masked assignment writes the moved subjects back.
+Each direction's adaptive proposal state is one `AdaptiveProposal` over
+its subjects, arrays with one row per subject: a step reads every row's
+Cholesky factor from it once and records all outcomes in one call.
 The generator, the proposals and the accept decisions are those of a loop
-of scalar steps over subjects, and the seeded outputs are bit-identical to
-it (`tests/test_sampler.py` keeps the loop as the oracle).
+of scalar steps over subjects, each with a one-row record, and the seeded
+outputs are bit-identical to it (`tests/test_sampler.py` keeps the loop as
+the oracle).
 """
 
 from __future__ import annotations
@@ -143,83 +147,76 @@ LIBRARY_SLACK = 5     # library grid steps beyond the initial transforms' reach
 FIT_TOL = 1e-10
 
 
-@dataclass
 class AdaptiveProposal:
-    """Robbins-Monro step-size and empirical covariance for one Lie-MH chain.
+    """Robbins-Monro step size and empirical covariance of the n rows of one
+    Lie-MH block, each row a chain of its own, held as arrays over the rows.
 
-    log lambda moves by k^{-0.6} * (accept - 0.234) per proposal during
-    burn-in; the proposal covariance is lambda * (cov of accepted deltas
-    + 1e-8 I). Both freeze at the end of burn-in so the post-burn-in chain
-    is Markov. The bracket moves only when a delta is accepted while
-    adapting, so its Cholesky factor is computed once per such delta and
-    scaled by sqrt(lambda) for each proposal.
+    Row i's log lambda moves by k^{-0.6} * (accept_i - 0.234) per proposal
+    during burn-in, k the block's proposals so far (every row proposes once
+    per step); its proposal covariance is lambda_i * (cov of its accepted
+    deltas + 1e-8 I). Both freeze, for the whole block, at the end of
+    burn-in so the post-burn-in chain is Markov. A row's bracket moves only
+    when one of its deltas is accepted while adapting, so its Cholesky
+    factor is computed once per such delta (the `stale` rows) and scaled by
+    sqrt(lambda_i) for each proposal. Row i's fields are those of a one-row
+    record that saw only row i's outcomes, bit for bit.
     """
 
-    dim: int
-    log_lambda: float = np.log(1e-4)
-    frozen: bool = False
-    _mean: np.ndarray = None
-    _m2: np.ndarray = None
-    proposals: int = 0
-    accepts: int = 0
-    post_proposals: int = 0
-    post_accepts: int = 0
-    rejected_oob: int = 0
-    rejected_nolog: int = 0
-    _base_factor: np.ndarray = field(default=None, init=False, repr=False)
+    def __init__(self, n, dim):
+        self.dim = dim
+        self.log_lambda = np.full(n, np.log(1e-4))
+        self.frozen = False
+        self.proposals = self.post_proposals = 0
+        self.accepts, self.post_accepts = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        self.rejected_oob, self.rejected_nolog = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        self._mean, self._m2 = np.zeros((n, dim)), np.zeros((n, dim, dim))
+        self._base_factor = np.zeros((n, dim, dim))
+        self.stale = np.ones(n, dtype=bool)
 
-    def __post_init__(self):
-        if self._mean is None:
-            self._mean = np.zeros(self.dim)
-        if self._m2 is None:
-            self._m2 = np.zeros((self.dim, self.dim))
-
-    @property
-    def k(self):
-        """Proposals made while adapting."""
-        return self.proposals - self.post_proposals
-
-    @property
-    def n_accepted_cov(self):
-        """Accepted deltas in the empirical covariance: those accepted while adapting."""
-        return self.accepts - self.post_accepts
-
-    def _base_cov(self):
-        if self.n_accepted_cov >= 5:
-            base = self._m2 / (self.n_accepted_cov - 1)
-        else:
-            base = np.eye(self.dim)
-        return base + 1e-8 * np.eye(self.dim)
+    def _base_cov(self, rows):
+        """The bracket of `rows`, (len(rows), dim, dim)."""
+        n_cov = (self.accepts - self.post_accepts)[rows, None, None]  # accepted while adapting
+        eye = np.eye(self.dim)
+        base = np.where(n_cov >= 5, self._m2[rows] / np.maximum(n_cov - 1, 1), eye)
+        return base + 1e-8 * eye
 
     def proposal_cov(self):
-        return np.exp(self.log_lambda) * self._base_cov()
+        return np.exp(self.log_lambda)[:, None, None] * self._base_cov(slice(None))
 
     def proposal_factor(self):
-        """Lower Cholesky factor of `proposal_cov()`: sqrt(lambda) times the
-        factor of the bracket, which is computed once per accepted delta."""
-        if self._base_factor is None:
-            self._base_factor = np.linalg.cholesky(self._base_cov())
-        return np.exp(0.5 * self.log_lambda) * self._base_factor
+        """Lower Cholesky factors of `proposal_cov()`, (n, dim, dim): sqrt(lambda)
+        times the factor of the bracket, refactored for the stale rows only."""
+        rows = np.flatnonzero(self.stale)
+        if rows.size:
+            self._base_factor[rows] = np.linalg.cholesky(self._base_cov(rows))
+            self.stale[rows] = False
+        return np.exp(0.5 * self.log_lambda)[:, None, None] * self._base_factor
 
-    def record(self, accepted, delta):
+    def record(self, accepted, deltas, real, inside):
+        """Count one step of every row: the (n,) masks of accepted proposals,
+        of those with a real logarithm and of those inside the library, and
+        the (n, dim) deltas; adapt unless frozen."""
+        self.rejected_nolog += ~real
+        self.rejected_oob += real & ~inside
         self.proposals += 1
-        self.accepts += int(accepted)
+        self.accepts += accepted
         if self.frozen:
             self.post_proposals += 1
-            self.post_accepts += int(accepted)
+            self.post_accepts += accepted
             return
-        gamma = self.k ** -0.6
-        self.log_lambda += gamma * ((1.0 if accepted else 0.0) - ADAPT_TARGET_RATE)
-        if accepted:
-            self._base_factor = None
-            d = np.asarray(delta, dtype=float) - self._mean
-            self._mean += d / self.n_accepted_cov
-            self._m2 += np.outer(d, np.asarray(delta, dtype=float) - self._mean)
+        gamma = (self.proposals - self.post_proposals) ** -0.6
+        self.log_lambda += gamma * (accepted - ADAPT_TARGET_RATE)
+        rows = np.flatnonzero(accepted)
+        self.stale[rows] = True
+        d = deltas[rows] - self._mean[rows]
+        self._mean[rows] += d / (self.accepts - self.post_accepts)[rows, None]
+        self._m2[rows] += d[:, :, None] * (deltas[rows] - self._mean[rows])[:, None, :]
 
     def acceptance_rate(self, post_only=False):
+        """Each row's accepted fraction of its proposals, (n,); NaN before the first."""
         num, den = ((self.post_accepts, self.post_proposals) if post_only
                     else (self.accepts, self.proposals))
-        return num / den if den else float("nan")
+        return num / den if den else np.full(num.shape, np.nan)
 
 
 @dataclass
@@ -597,13 +594,13 @@ def reverse_log_target(h_r, h, x, y_bw, beta, sigma2, geom, hp):
             - 0.5 * ssd / sigma2 - hp.lambda_r * (p1 + p2))
 
 
-def lie_mh_step(h, log_old, log_target, adapts, rng):
+def lie_mh_step(h, log_old, log_target, adapt, rng):
     """One random-walk Metropolis step H_i -> exp(delta_i) H_i of each of n
     independent rows on the affine group.
 
     `h` holds the rows' homogeneous matrices, (n, d + 1, d + 1), `log_old`
-    (n,) their log targets and `adapts` their `AdaptiveProposal`s. Row by
-    row, in order, the step draws delta_i, then the accept uniform, and
+    (n,) their log targets and `adapt` their n-row `AdaptiveProposal`. Row
+    by row, in order, the step draws delta_i, then the accept uniform, and
     forms the proposal, so it takes the generator's numbers as n scalar
     steps would. A proposal with no real logarithm (`has_real_log`) is
     rejected (`rejected_nolog`) unevaluated. `log_target(rows, proposals)`
@@ -615,10 +612,11 @@ def lie_mh_step(h, log_old, log_target, adapts, rng):
     matrices and the payload's arrays of the accepted rows, in row order,
     for the caller's `h[accepted] = h_new`.
     """
-    n, dim = len(h), adapts[0].dim
+    n, dim = len(h), adapt.dim
+    factors = adapt.proposal_factor()
     deltas, draws, proposals = np.empty((n, dim)), np.empty(n), np.empty(h.shape)
-    for i, adapt in enumerate(adapts):
-        deltas[i] = adapt.proposal_factor() @ rng.standard_normal(dim)
+    for i in range(n):
+        deltas[i] = factors[i] @ rng.standard_normal(dim)
         draws[i] = np.log(rng.uniform())
         proposals[i] = lie_exp(deltas[i]) @ h[i]
     real = np.array([has_real_log(p) for p in proposals])
@@ -633,16 +631,11 @@ def lie_mh_step(h, log_old, log_target, adapts, rng):
         keep = draws[rows] < lie_mh_log_acceptance(log_old[rows], log_new, deltas[rows])
         accepted[rows] = keep
         payload = tuple(p[keep] for p in payload)
-    for i, adapt in enumerate(adapts):
-        if not real[i]:
-            adapt.rejected_nolog += 1
-        elif not inside[i]:
-            adapt.rejected_oob += 1
-        adapt.record(accepted[i], deltas[i])
+    adapt.record(accepted, deltas, real, inside)
     return accepted, proposals[accepted], payload
 
 
-def update_forward_transform(state, geom, hp, adapts, rng):
+def update_forward_transform(state, geom, hp, adapt, rng):
     """One Lie-MH step of every T_i, one `lie_mh_step` for all subjects.
 
     On accept, T_i and row i of its NNGP caches change. Returns the (N,)
@@ -656,14 +649,14 @@ def update_forward_transform(state, geom, hp, adapts, rng):
 
     log_old = forward_log_target(state.T, state.T_r, state.X, state.XT,
                                  (state.nbr, state.B, state.F), geom, hp)
-    accepted, h_new, caches = lie_mh_step(state.T, log_old, target, adapts, rng)
+    accepted, h_new, caches = lie_mh_step(state.T, log_old, target, adapt, rng)
     state.T[accepted] = h_new
     for name, value in zip(CACHES, caches):
         getattr(state, name)[accepted] = value
     return accepted
 
 
-def update_reverse_transform(state, geom, hp, adapts, rng):
+def update_reverse_transform(state, geom, hp, adapt, rng):
     """One Lie-MH step of every T_i^r, one `lie_mh_step` for all subjects.
 
     Each live proposal samples its subject's map through `state.warps[i]`.
@@ -677,7 +670,7 @@ def update_reverse_transform(state, geom, hp, adapts, rng):
 
     log_old = reverse_log_target(state.T_r, state.T, state.X, state.Y_bw, state.beta,
                                  state.sigma2, geom, hp)
-    accepted, h_new, y_bw = lie_mh_step(state.T_r, log_old, target, adapts, rng)
+    accepted, h_new, y_bw = lie_mh_step(state.T_r, log_old, target, adapt, rng)
     state.T_r[accepted] = h_new
     if y_bw:
         state.Y_bw[accepted] = y_bw[0]
@@ -954,7 +947,7 @@ class Chain:
         self.state = initial_state
         n = len(self.state.T)
         dim_lie = lattice.dim * (lattice.dim + 1)
-        self.proposals = {direction: [AdaptiveProposal(dim_lie) for _ in range(n)]
+        self.proposals = {direction: AdaptiveProposal(n, dim_lie)
                           for direction in ("forward", "reverse")}
         refresh_caches(self.state, self.geom)
 
@@ -977,9 +970,8 @@ class Chain:
         """`updates`, with the proposals frozen when burn-in ends; ChainAborted on failure."""
         it = self.iteration
         if it == self.config.burn_in:
-            for recs in self.proposals.values():
-                for rec in recs:
-                    rec.frozen = True
+            for rec in self.proposals.values():
+                rec.frozen = True
         self.guarded("sweep", it, self.updates)
         self.iteration += 1
 
@@ -1052,14 +1044,14 @@ class Chain:
             "runtime_seconds": runtime,
             "iterations": self.iteration,
             "n_samples": len(kept),
-            "rejected_out_of_library": [r.rejected_oob for r in self.proposals["forward"]],
-            "rejected_no_real_log": [sum(r.rejected_nolog for r in recs)
-                                     for recs in zip(*self.proposals.values())],
+            "rejected_out_of_library": self.proposals["forward"].rejected_oob.tolist(),
+            "rejected_no_real_log": sum(r.rejected_nolog
+                                        for r in self.proposals.values()).tolist(),
         }
-        for direction, recs in self.proposals.items():
-            diagnostics[f"{direction}_acceptance"] = [r.acceptance_rate() for r in recs]
-            diagnostics[f"{direction}_acceptance_post_burnin"] = [
-                r.acceptance_rate(post_only=True) for r in recs]
+        for direction, rec in self.proposals.items():
+            diagnostics[f"{direction}_acceptance"] = rec.acceptance_rate().tolist()
+            diagnostics[f"{direction}_acceptance_post_burnin"] = (
+                rec.acceptance_rate(post_only=True).tolist())
         diagnostics.update(self.model_diagnostics(extras))
         return store, diagnostics
 

@@ -12,6 +12,7 @@ from groupreg import cli, sampler
 from groupreg.cli import main
 from groupreg.errors import NonPositiveScale
 from groupreg.grids import ActivationMap, Lattice, write_map_csv
+from groupreg.model import M_MAX
 from groupreg.store import SampleStore, save_store
 
 CONFIG = """scenario=indicator
@@ -70,7 +71,9 @@ def test_fit_failing_at_setup_exits_3_and_writes_nothing(tmp_path, capsys):
                                   "scenario=cosine\nno_such_key=1\n",
                                   "scenario=cosine\ntotal=4\nburn_in=9\n",
                                   "scenario=cosine\na_T=nan\n",
-                                  "scenario=cosine\nseed=-1\n"])
+                                  "scenario=cosine\nseed=-1\n",
+                                  "scenario=cosine\nrho_lower=-0.5\n",
+                                  f"scenario=cosine\nm={M_MAX + 1}\n"])
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

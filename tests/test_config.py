@@ -5,7 +5,7 @@ import pytest
 
 from groupreg.config import RunConfig, parse_config
 from groupreg.errors import ValidationError
-from groupreg.model import Hyperparams
+from groupreg.model import M_MAX, Hyperparams
 
 
 def test_run_config_declares_no_hyperparameter_again():
@@ -19,6 +19,9 @@ def test_run_config_declares_no_hyperparameter_again():
     ("a_T", -1.0, "a_T must be > 0"),            # a prior hyperparameter
     ("scenario", "spiral", "scenario must be one of"),
     ("seed", -1, "seed must be >= 0"),
+    # exp(-rho d) with rho < 0 grows with distance and is no covariance
+    ("rho_lower", -1e-9, "rho_lower must be >= 0"),
+    ("m", M_MAX + 1, f"m must lie in 1..{M_MAX}"),
 ])
 def test_an_invalid_config_raises_however_it_is_built(key, value, message):
     with pytest.raises(ValidationError, match=message):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,8 +11,8 @@ from scipy.stats import invgamma as invgamma_dist
 
 from groupreg.errors import DegenerateVariance
 from groupreg.grids import Lattice, make_lattice_1d
-from groupreg.model import (Hyperparams, TransformPrior, invgamma_logpdf, penalty_terms,
-                            sigma_s_matrix, waic)
+from groupreg.model import (M_MAX, Hyperparams, TransformPrior, build_geometry,
+                            invgamma_logpdf, penalty_terms, sigma_s_matrix, waic)
 from groupreg.transforms import AffineTransform, affine_inverse, lie_exp
 
 LAT = make_lattice_1d(-2.0, 2.0, 0.5)
@@ -239,3 +241,17 @@ class TestHyperparams:
         with pytest.raises(Exception):
             Hyperparams(lambda_r=-0.1)
         Hyperparams()  # defaults are valid
+        Hyperparams(rho_lower=0.0, m=M_MAX)  # and so are the bounds
+
+    def test_geometry_build_at_m_max_stays_within_its_stated_memory(self):
+        """`M_MAX`'s comment: the glyph lattice's build at margin 9 and m = M_MAX
+        peaks at 82 MB under tracemalloc; 100 MB leaves room for allocator
+        differences."""
+        lattice = Lattice((28, 28), np.ones(2), np.zeros(2))
+        tracemalloc.start()
+        try:
+            build_geometry(lattice, Hyperparams(m=M_MAX), 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6

@@ -694,47 +694,102 @@ def assert_is_factor_of(factor, cov):
     assert np.max(np.abs(factor - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def record_step(adapt, accepted, deltas):
+    """`adapt.record` of a step whose proposals all had a real logarithm and
+    stayed in the library."""
+    every = np.ones(len(accepted), dtype=bool)
+    adapt.record(np.asarray(accepted), deltas, every, every)
+
+
 def test_frozen_proposal_factor_is_cached_and_exact():
-    """Each factor is the current covariance's, to rounding, while adapting
-    and once frozen; a frozen proposal's factor does not move."""
-    adapt = AdaptiveProposal(2)
+    """Each row's factor is its current covariance's, to rounding, while
+    adapting and once frozen; a frozen proposal's factors do not move."""
+    adapt = AdaptiveProposal(2, 2)
     rng = np.random.default_rng(0)
     for accepted in [True] * 8 + [False, True, False]:
         factor = adapt.proposal_factor()
-        assert_is_factor_of(factor, adapt.proposal_cov())
-        adapt.record(accepted, 0.01 * rng.standard_normal(2))
-        assert not np.array_equal(adapt.proposal_factor(), factor)
+        for f, cov in zip(factor, adapt.proposal_cov(), strict=True):
+            assert_is_factor_of(f, cov)
+        record_step(adapt, [accepted, not accepted], 0.01 * rng.standard_normal((2, 2)))
+        moved = adapt.proposal_factor()
+        assert not any(np.array_equal(a, b) for a, b in zip(moved, factor))
     adapt.frozen = True
     factor = adapt.proposal_factor()
-    adapt.record(True, 0.01 * rng.standard_normal(2))
+    record_step(adapt, [True, True], 0.01 * rng.standard_normal((2, 2)))
     assert np.array_equal(adapt.proposal_factor(), factor)
-    assert_is_factor_of(factor, adapt.proposal_cov())
+    for f, cov in zip(factor, adapt.proposal_cov(), strict=True):
+        assert_is_factor_of(f, cov)
 
 
 def test_proposal_factor_runs_one_cholesky_per_accepted_delta(monkeypatch):
-    """The covariance is factored once at the start and once after each delta
-    accepted while adapting, however many proposals are made, and never once frozen."""
-    calls = []
+    """Each row's covariance is factored once at the start and once after
+    each of its deltas accepted while adapting, however many proposals are
+    made, and never once frozen: the rows factored are counted, not the calls."""
+    rows_factored = []
     cholesky = np.linalg.cholesky
 
     def counted(a):
-        calls.append(a)
+        rows_factored.append(len(a))
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    adapt = AdaptiveProposal(3)
+    adapt = AdaptiveProposal(3, 3)
     rng = np.random.default_rng(1)
     for k in range(30):
         adapt.proposal_factor()
         adapt.proposal_factor()
-        adapt.record(k % 3 == 0, 0.01 * rng.standard_normal(3))
+        record_step(adapt, [k % 3 == 0, k % 5 == 0, False], 0.01 * rng.standard_normal((3, 3)))
     adapt.proposal_factor()
-    assert len(calls) == 1 + 10
+    assert sum(rows_factored) == 3 + 10 + 6
     adapt.frozen = True
     for _ in range(5):
         adapt.proposal_factor()
-        adapt.record(True, 0.01 * rng.standard_normal(3))
-    assert len(calls) == 1 + 10
+        record_step(adapt, [True, True, True], 0.01 * rng.standard_normal((3, 3)))
+    assert sum(rows_factored) == 3 + 10 + 6
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_stacked_record_is_n_one_row_records(dim):
+    """An n-row record and n one-row records, given the same random outcome
+    masks and deltas, through adaptation and after the freeze: every field
+    and every `proposal_factor()` row agree bit for bit, and each row's
+    log lambda, mean and M2 are those of the scalar Robbins-Monro and
+    Welford updates, written out here."""
+    n = 5
+    rng = np.random.default_rng(dim)
+    block = AdaptiveProposal(n, dim)
+    rows = [AdaptiveProposal(1, dim) for _ in range(n)]
+    # per row: log lambda, mean, M2, deltas accepted while adapting
+    scalar = [[np.log(1e-4), np.zeros(dim), np.zeros((dim, dim)), 0] for _ in range(n)]
+    for step in range(80):
+        if step == 50:
+            for rec in (block, *rows):
+                rec.frozen = True
+        real = rng.uniform(size=n) < 0.9
+        inside = real & (rng.uniform(size=n) < 0.9)
+        accepted = inside & (rng.uniform(size=n) < 0.5)
+        deltas = 0.01 * rng.standard_normal((n, dim))
+        factors = block.proposal_factor()
+        for i, row in enumerate(rows):
+            assert np.array_equal(row.proposal_factor()[0], factors[i]), (step, i)
+        block.record(accepted, deltas, real, inside)
+        for i, row in enumerate(rows):
+            row.record(accepted[i:i + 1], deltas[i:i + 1], real[i:i + 1], inside[i:i + 1])
+        assert_same_records(block, rows)
+        for i, ref in enumerate(scalar):
+            if step < 50:
+                ref[0] += (step + 1) ** -0.6 * ((1.0 if accepted[i] else 0.0) - 0.234)
+                if accepted[i]:
+                    ref[3] += 1
+                    d = deltas[i] - ref[1]
+                    ref[1] += d / ref[3]
+                    ref[2] += np.outer(d, deltas[i] - ref[1])
+            assert block.log_lambda[i] == ref[0], (step, i)
+            assert np.array_equal(block._mean[i], ref[1]) and np.array_equal(block._m2[i], ref[2])
+    # Every row left the identity bracket while adapting, and every outcome was seen.
+    assert np.all(block.accepts - block.post_accepts >= 5)
+    assert np.all(block.post_accepts > 0) and block.post_proposals == 30
+    assert block.rejected_nolog.min() > 0 and block.rejected_oob.min() > 0
 
 
 def test_lie_mh_step_rejects_out_of_library_proposals():
@@ -744,14 +799,13 @@ def test_lie_mh_step_rejects_out_of_library_proposals():
 
     h = np.array([AffineTransform.rotation(0.3), AffineTransform.rotation(-0.2)])
     before = h.copy()
-    adapts = [AdaptiveProposal(6) for _ in h]
+    adapt = AdaptiveProposal(len(h), 6)
     rng = np.random.default_rng(0)
-    accepted, h_new, payload = lie_mh_step(h, np.zeros(2), out_of_library, adapts, rng)
+    accepted, h_new, payload = lie_mh_step(h, np.zeros(2), out_of_library, adapt, rng)
     assert accepted.tolist() == [False, False]
     assert h_new.shape == (0, 3, 3) and payload[0].shape == (0, 4)
-    for adapt in adapts:
-        assert (adapt.rejected_oob, adapt.rejected_nolog) == (1, 0)
-        assert (adapt.proposals, adapt.accepts) == (1, 0)
+    assert (adapt.rejected_oob.tolist(), adapt.rejected_nolog.tolist()) == ([1, 1], [0, 0])
+    assert (adapt.proposals, adapt.accepts.tolist()) == (1, [0, 0])
     assert np.array_equal(h, before)
     assert_step_draws_used(rng, 0, 6, rows=2)
 
@@ -764,12 +818,13 @@ def test_lie_mh_step_rejects_proposals_without_a_real_logarithm():
 
     h = AffineTransform.rotation(2.5).matrix[None].copy()
     before = h.copy()
-    adapt = AdaptiveProposal(6, log_lambda=0.0)
+    adapt = AdaptiveProposal(1, 6)
+    adapt.log_lambda[:] = 0.0
     rng = np.random.default_rng(3)
-    accepted, h_new, payload = lie_mh_step(h, np.zeros(1), never, [adapt], rng)
+    accepted, h_new, payload = lie_mh_step(h, np.zeros(1), never, adapt, rng)
     assert accepted.tolist() == [False] and h_new.shape == (0, 3, 3) and payload == ()
-    assert (adapt.rejected_nolog, adapt.rejected_oob) == (1, 0)
-    assert (adapt.proposals, adapt.accepts) == (1, 0)
+    assert (adapt.rejected_nolog.tolist(), adapt.rejected_oob.tolist()) == ([1], [0])
+    assert (adapt.proposals, adapt.accepts.tolist()) == (1, [0])
     assert np.array_equal(h, before)
     assert_step_draws_used(rng, 3, 6)
 
@@ -797,7 +852,9 @@ def stationarity_z_scores(n_steps=20000, n_batches=50, seed=0, n_rows=1):
     row, over a lie_mh_step chain of n_rows independent rows with the fixed
     proposal covariance 0.15 I. Returns one dict per row."""
     b_means = np.array(B_MEANS[:n_rows])
-    adapts = [AdaptiveProposal(2, log_lambda=np.log(0.15), frozen=True) for _ in b_means]
+    adapt = AdaptiveProposal(n_rows, 2)
+    adapt.log_lambda[:] = np.log(0.15)
+    adapt.frozen = True
     rng = np.random.default_rng(seed)
     h = np.array([[[A_MEAN, b], [0.0, 1.0]] for b in b_means])
 
@@ -807,7 +864,7 @@ def stationarity_z_scores(n_steps=20000, n_batches=50, seed=0, n_rows=1):
     draws = np.empty((n_steps, n_rows, 2))
     log_old = toy_log_target(h, b_means)
     for k in range(n_steps):
-        accepted, h_new, _ = lie_mh_step(h, log_old, target, adapts, rng)
+        accepted, h_new, _ = lie_mh_step(h, log_old, target, adapt, rng)
         h[accepted] = h_new
         log_old = toy_log_target(h, b_means)
         draws[k] = h[:, 0]
@@ -857,10 +914,10 @@ def test_rejected_forward_update_leaves_the_subject_unchanged(monkeypatch):
     h = state.T.copy()
     kept = [getattr(state, name).copy() for name in CACHES]
     monkeypatch.setattr(sampler, "locate_entries", nothing_inside)
-    adapts = [AdaptiveProposal(2) for _ in h]
-    accepted = update_forward_transform(state, geom, hp, adapts, np.random.default_rng(0))
+    adapt = AdaptiveProposal(len(h), 2)
+    accepted = update_forward_transform(state, geom, hp, adapt, np.random.default_rng(0))
     assert accepted.tolist() == [False, False]
-    assert all((adapt.rejected_oob, adapt.proposals) == (1, 1) for adapt in adapts)
+    assert (adapt.rejected_oob.tolist(), adapt.proposals) == ([1, 1], 1)
     assert np.array_equal(state.T, h)
     assert all(np.array_equal(getattr(state, name), a) for name, a in zip(CACHES, kept))
 
@@ -873,43 +930,46 @@ def test_forward_proposal_whose_image_overflows_is_rejected_out_of_library(monke
     h = state.T.copy()
     kept = [getattr(state, name).copy() for name in CACHES]
     monkeypatch.setattr(sampler, "lie_exp", lambda delta: np.array([[1e308, 0.0], [0.0, 1.0]]))
-    adapts = [AdaptiveProposal(2) for _ in h]
-    accepted = update_forward_transform(state, geom, hp, adapts, np.random.default_rng(0))
+    adapt = AdaptiveProposal(len(h), 2)
+    accepted = update_forward_transform(state, geom, hp, adapt, np.random.default_rng(0))
     assert accepted.tolist() == [False, False]
-    for adapt in adapts:
-        assert (adapt.rejected_oob, adapt.rejected_nolog, adapt.proposals) == (1, 0, 1)
+    assert (adapt.rejected_oob.tolist(), adapt.rejected_nolog.tolist(),
+            adapt.proposals) == ([1, 1], [0, 0], 1)
     assert np.array_equal(state.T, h)
     assert all(np.array_equal(getattr(state, name), a) for name, a in zip(CACHES, kept))
 
 
 # The per-subject loop that one batched step per direction replaced: the
 # oracle the batched steps must match bit for bit. Each subject's target is
-# the stacked one on a stack of one.
+# the stacked one on a stack of one, and each subject has its own one-row
+# `AdaptiveProposal`, the scalar reference of its row of the block.
 
 def loop_lie_mh_step(h, log_old, log_target, adapt, rng):
-    """One scalar Lie-MH step of the homogeneous matrix h; (h_new, payload) on
-    accept, None otherwise."""
-    delta = adapt.proposal_factor() @ rng.standard_normal(adapt.dim)
+    """One scalar Lie-MH step of the homogeneous matrix h, counted in the
+    one-row proposal `adapt`; (h_new, payload) on accept, None otherwise."""
+    delta = adapt.proposal_factor()[0] @ rng.standard_normal(adapt.dim)
     accept_draw = np.log(rng.uniform())
     h_new = sampler.lie_exp(delta) @ h
+
+    def count(accepted, real=True, inside=True):
+        adapt.record(np.array([accepted]), delta[None], np.array([real]), np.array([inside]))
+
     try:
         lie_log(h_new)
     except NoRealLogarithm:
-        adapt.rejected_nolog += 1
-        adapt.record(False, delta)
+        count(False, real=False, inside=False)
         return None
     try:
         log_new, payload = log_target(h_new)
     except OutOfLibraryBounds:
-        adapt.rejected_oob += 1
-        adapt.record(False, delta)
+        count(False, inside=False)
         return None
     if delta.size == 2:
         log_accept = min(0.0, log_new - log_old + 2.0 * float(delta[0]))
     else:
         log_accept = min(0.0, log_new - log_old + 3.0 * float(delta[0] + delta[4]))
     accepted = accept_draw < log_accept
-    adapt.record(accepted, delta)
+    count(accepted)
     return (h_new, payload) if accepted else None
 
 
@@ -949,33 +1009,57 @@ def loop_reverse_transform(i, state, geom, hp, adapt, rng):
 
 
 def loop_updates(chain):
-    """`Chain.updates` with the transform steps looped over subjects."""
+    """`Chain.updates` with the transform steps looped over subjects, each
+    counted in its own one-row record of `chain.rows`, frozen with its block."""
     state, geom, hp, rng = chain.state, chain.geom, chain.config, chain.rng
+    for direction, recs in chain.rows.items():
+        for rec in recs:
+            rec.frozen = chain.proposals[direction].frozen
     update_transformed_template(state, rng)
     update_template(state, geom, rng)
-    for i, adapt in enumerate(chain.proposals["forward"]):
+    for i, adapt in enumerate(chain.rows["forward"]):
         loop_forward_transform(i, state, geom, hp, adapt, rng)
-    for i, adapt in enumerate(chain.proposals["reverse"]):
+    for i, adapt in enumerate(chain.rows["reverse"]):
         loop_reverse_transform(i, state, geom, hp, adapt, rng)
     update_beta_sigma(state, hp, rng)
     sampler.update_alpha(state, geom, hp, rng)
     sampler.update_rho(state, geom, hp, rng)
 
 
+def looped_chain(case, sweeps=12):
+    """`short_chain` whose sweeps run `loop_updates`, with `chain.rows`:
+    one `AdaptiveProposal(1, dim)` per subject and direction."""
+    chain = short_chain(case, sweeps)
+    chain.rows = {direction: [AdaptiveProposal(1, rec.dim) for _ in rec.accepts]
+                  for direction, rec in chain.proposals.items()}
+    chain.updates = lambda: loop_updates(chain)
+    return chain
+
+
 STATE_FIELDS = ("T", "T_r", "X", "XT", "Y_bw", "beta", "sigma2", "alpha", "rho", "tB", "tF",
                 *CACHES)
-PROPOSAL_FIELDS = ("log_lambda", "frozen", "_mean", "_m2", "proposals", "accepts",
-                   "post_proposals", "post_accepts", "rejected_oob", "rejected_nolog")
+BLOCK_FIELDS = ("dim", "frozen", "proposals", "post_proposals")
+ROW_FIELDS = ("log_lambda", "_mean", "_m2", "_base_factor", "stale", "accepts", "post_accepts",
+              "rejected_oob", "rejected_nolog")
 
 
-def assert_same_chains(a, b):
+def assert_same_records(block, rows):
+    """Row i of the n-row record `block` is the one-row record rows[i], bit for bit."""
+    assert len(rows) == len(block.accepts)
+    for i, row in enumerate(rows):
+        for name in BLOCK_FIELDS:
+            assert getattr(block, name) == getattr(row, name), (i, name)
+        for name in ROW_FIELDS:
+            assert np.array_equal(getattr(block, name)[i], getattr(row, name)[0]), (i, name)
+
+
+def assert_same_chains(batched, looped):
     for name in STATE_FIELDS:
-        assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
-    for direction, recs in a.proposals.items():
-        for ra, rb in zip(recs, b.proposals[direction], strict=True):
-            for name in PROPOSAL_FIELDS:
-                assert np.array_equal(getattr(ra, name), getattr(rb, name)), (direction, name)
-    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert np.array_equal(getattr(batched.state, name), getattr(looped.state, name)), name
+    assert batched.proposals.keys() == looped.rows.keys()
+    for direction, block in batched.proposals.items():
+        assert_same_records(block, looped.rows[direction])
+    assert batched.rng.bit_generator.state == looped.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -983,14 +1067,13 @@ def test_batched_transform_steps_match_the_loop_over_subjects(case):
     """Through burn-in and after it, sweeps with one batched step per direction
     leave the state, the proposals and the generator as the loop does, bit
     for bit, with both outcomes of both steps seen."""
-    batched, looped = short_chain(case, sweeps=16), short_chain(case, sweeps=16)
-    looped.updates = lambda: loop_updates(looped)
+    batched, looped = short_chain(case, sweeps=16), looped_chain(case, sweeps=16)
     for _ in range(batched.config.total):
         batched.sweep()
         looped.sweep()
         assert_same_chains(batched, looped)
-    for recs in batched.proposals.values():
-        assert 0 < sum(r.accepts for r in recs) < sum(r.proposals for r in recs)
+    for rec in batched.proposals.values():
+        assert 0 < rec.accepts.sum() < rec.proposals * rec.accepts.size
 
 
 def assert_transform_stacks(n, d, *stacks):
@@ -1047,18 +1130,19 @@ def test_a_subject_moves_while_the_others_are_rejected(monkeypatch):
 
         monkeypatch.setattr(sampler, "lie_exp", patched)
 
-    batched, looped = short_chain("indicator"), short_chain("indicator")
-    for chain in (batched, looped):
-        for adapt in chain.proposals["forward"]:
-            adapt.log_lambda = np.log(1e-12)   # a step so small that it is accepted
+    batched, looped = short_chain("indicator"), looped_chain("indicator")
+    # a step so small that it is accepted
+    batched.proposals["forward"].log_lambda[:] = np.log(1e-12)
+    for adapt in looped.rows["forward"]:
+        adapt.log_lambda[:] = np.log(1e-12)
     first_two_fail()
     accepted = update_forward_transform(batched.state, batched.geom, batched.config,
                                         batched.proposals["forward"], batched.rng)
     first_two_fail()
-    for i, adapt in enumerate(looped.proposals["forward"]):
+    for i, adapt in enumerate(looped.rows["forward"]):
         loop_forward_transform(i, looped.state, looped.geom, looped.config, adapt, looped.rng)
     assert accepted.tolist() == [False, False, True]
-    recs = batched.proposals["forward"]
-    assert [(r.rejected_nolog, r.rejected_oob, r.accepts) for r in recs] == [
-        (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rec = batched.proposals["forward"]
+    assert list(zip(rec.rejected_nolog.tolist(), rec.rejected_oob.tolist(),
+                    rec.accepts.tolist())) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert_same_chains(batched, looped)
