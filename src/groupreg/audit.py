@@ -478,7 +478,7 @@ def geometry_audit(seed=0):
     worst = 0.0
     for _ in range(cfg.total):
         chain.sweep()
-        (x, h_fwd, h_rev, betas, *_), _ = chain.record()
+        (x, h_fwd, h_rev, betas, *_), *_ = chain.record()
         mean = karcher_mean(h_fwd)
         st = chain.state
         worst = max(worst, float(np.linalg.norm(lie_log(mean))), abs(np.mean(betas) - 1.0),

@@ -51,9 +51,7 @@ def gauss_kernel(a, b):
 def landmark_lattice(lattice, stride):
     """Landmarks on every `stride`-th lattice site per axis."""
     locs = lattice.locations().reshape(lattice.shape + (lattice.dim,))
-    if lattice.dim == 1:
-        return locs[::stride].reshape(-1, 1)
-    return locs[::stride, ::stride].reshape(-1, 2)
+    return locs[(slice(None, None, stride),) * lattice.dim].reshape(-1, lattice.dim)
 
 
 def kernel_gram(landmarks):
@@ -189,7 +187,7 @@ class ConventionalChain(Chain):
         n, d = len(self.maps), self.lattice.dim
         return (self.design @ self.w, self.ts.copy(),
                 np.broadcast_to(np.eye(d + 1), (n, d + 1, d + 1)), np.ones(n),
-                self.sigma2, np.nan, np.nan), None
+                self.sigma2, np.nan, np.nan), None, None
 
     def snapshot(self):
         return {"iteration": self.iteration, "sigma2": self.sigma2.tolist(),

@@ -11,6 +11,7 @@ written with shortest-roundtrip repr, so read(write(m)) is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,10 +65,7 @@ class Lattice:
         """All site locations, row-major, as an (n_sites, dim) array."""
         axes = [self.origin[a] + self.spacing[a] * np.arange(n)
                 for a, n in enumerate(self.shape)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([g0.ravel(), g1.ravel()])
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
 
     def bounds(self):
         """(lower, upper) corners of the bounding box."""
@@ -134,11 +132,8 @@ def write_map_csv(amap, path):
         "spacing," + ",".join(repr(float(s)) for s in lat.spacing),
         "origin," + ",".join(repr(float(o)) for o in lat.origin),
     ]
-    grid = amap.grid
-    if lat.dim == 1:
-        lines.extend(repr(float(v)) for v in grid)
-    else:
-        lines.extend(",".join(repr(float(v)) for v in row) for row in grid)
+    lines.extend(",".join(repr(float(v)) for v in row)
+                 for row in amap.grid.reshape(lat.shape[0], -1))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -161,7 +156,7 @@ def read_map_csv(path):
         rows = [[float(x) for x in ln.split(",")] for ln in lines]
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    width = lattice.shape[1] if lattice.dim == 2 else 1
+    width = math.prod(lattice.shape[1:])
     if len(rows) != lattice.shape[0] or any(len(row) != width for row in rows):
         raise ValidationError(
             f"{path}: expected {lattice.shape[0]} value rows of {width} for dims "

@@ -2,7 +2,7 @@
 
 Symmetric bi-directional loss, transform priors (multivariate t from the
 gamma-marginalized normal), the joint Gibbs-posterior log density over all
-latent quantities, and WAIC.
+latent quantities, and WAIC, accumulated one posterior sample at a time.
 
 Weighting convention: the exponentiated loss carries a factor 1/2 on each
 sum-of-squares term, exp(-||.||^2 / (2 sigma^2)), so the closed-form Gibbs
@@ -249,13 +249,49 @@ def pointwise_log_lik(state):
     return np.stack([fwd, bwd], axis=1).ravel()
 
 
+class WaicAccumulator:
+    """WAIC = -2 (lppd - p_waic) of log-likelihood rows fed one sample at a time.
+
+    Per observation it keeps a running max with the sum of exp(ll - max),
+    rescaled whenever the max rises, for lppd = sum log mean exp(ll), and
+    Welford's running mean and sum of squared deviations for p_waic = the
+    sum of the ddof-1 variances. So its memory is a few rows, whatever the
+    number of samples, and it agrees with the two-pass formulas to rounding.
+    """
+
+    def __init__(self):
+        self.n = 0
+
+    def add(self, row):
+        """Feed one sample's (n_obs,) pointwise log-likelihoods."""
+        row = np.asarray(row, dtype=float)
+        self.n += 1
+        if self.n == 1:
+            self.max, self.sum_exp = row.copy(), np.ones_like(row)
+            self.mean, self.m2 = row.copy(), np.zeros_like(row)
+            return
+        top = np.maximum(self.max, row)
+        self.sum_exp = self.sum_exp * np.exp(self.max - top) + np.exp(row - top)
+        self.max = top
+        dev = row - self.mean
+        self.mean += dev / self.n
+        self.m2 += dev * (row - self.mean)
+
+    def waic(self):
+        if self.n < 2:
+            raise DegenerateVariance("WAIC needs >= 2 samples per observation")
+        lppd = float(np.sum(self.max + np.log(self.sum_exp / self.n)))
+        p_waic = float(np.sum(self.m2 / (self.n - 1)))
+        return -2.0 * (lppd - p_waic)
+
+
 def waic(pointwise):
-    """WAIC = -2 (lppd - p_waic) from an (n_samples, n_obs) log-lik matrix."""
+    """WAIC = -2 (lppd - p_waic) from an (n_samples, n_obs) log-lik matrix,
+    fed row by row to a `WaicAccumulator`."""
     ll = np.asarray(pointwise, dtype=float)
     if ll.ndim != 2 or ll.shape[0] < 2:
         raise DegenerateVariance("WAIC needs >= 2 samples per observation")
-    s = ll.shape[0]
-    col_max = ll.max(axis=0)
-    lppd = float(np.sum(col_max + np.log(np.mean(np.exp(ll - col_max), axis=0))))
-    p_waic = float(np.sum(ll.var(axis=0, ddof=1)))
-    return -2.0 * (lppd - p_waic)
+    acc = WaicAccumulator()
+    for row in ll:
+        acc.add(row)
+    return acc.waic()

@@ -15,11 +15,11 @@ chain state is never changed by them.
 
 `ChainState` stacks the subjects, one array per field, the transforms as
 (N, d + 1, d + 1) stacks of homogeneous matrices, and each phase is one
-call for all of them; only the sigma_i^2, beta_i draws loop over subjects.
-Each chain owns one generator, `np.random.default_rng(config.seed)`, and
-every update draws from it in sweep order: the (N, V) draw of the X(T_i)
-takes subject 0's normals first, as a loop over subjects would, and so do
-the transform steps (below).
+call for all of them. The chain's one generator, seeded by config.seed,
+serves every update in sweep order, one call per quantity for all subjects:
+the X(T_i), X, each transform step's deltas and then its accept uniforms
+(below), every sigma_i^2, every beta_i, alpha, and rho's step and accept
+uniform.
 
 NNGP weights come from the pattern cache (`spatial.KrigingFactor`) kept in
 `ChainState.factor`. It is built for the current rho at construction and
@@ -66,18 +66,18 @@ proposal with no real logarithm (`rejected_nolog`) or that moves a template
 site out of the neighbor library (`rejected_oob`) is rejected outright.
 Given the rest of the state, the subjects' T_i targets are independent, and
 so are their T_i^r targets, so one step moves every subject in a direction:
-subject by subject it draws delta, then the accept uniform, whether the
-proposal is rejected or not, and forms the proposal with the scalar
-`lie_exp`; then the log targets of all current transforms, and of all
-proposals with a real logarithm (`has_real_log`), are each computed once
-over the stacks, and one masked assignment writes the moved subjects back.
-Each direction's adaptive proposal state is one `AdaptiveProposal` over
-its subjects, arrays with one row per subject: a step reads every row's
-Cholesky factor from it once and records all outcomes in one call.
-The generator, the proposals and the accept decisions are those of a loop
-of scalar steps over subjects, each with a one-row record, and the seeded
-outputs are bit-identical to it (`tests/test_sampler.py` keeps the loop as
-the oracle).
+it draws every subject's delta from one (n, dim) block of normals, then
+every accept uniform from one (n,) block, whether a proposal is rejected or
+not, and forms the proposals with the scalar `lie_exp`; then the log
+targets of all current transforms, and of all proposals with a real
+logarithm (`has_real_log`), are each computed once over the stacks, and one
+masked assignment writes the moved subjects back. Each direction's adaptive
+proposal state is one `AdaptiveProposal` over its subjects, arrays with one
+row per subject: a step reads every row's Cholesky factor from it once and
+records all outcomes in one call. Fed the block's draws, a loop of scalar
+steps over subjects, each with a one-row record, makes the same proposals
+and accept decisions bit for bit (`tests/test_sampler.py` keeps that loop
+as the oracle).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ from .errors import (DegenerateInput, GroupregError, IllConditioned, Insufficien
                      NonPositiveScale, OutOfLibraryBounds, SingularTransform)
 from .grids import ActivationMap, common_lattice
 from .interp import Warp
-from .model import build_geometry, penalty_terms, pointwise_log_lik, waic
+from .model import WaicAccumulator, build_geometry, penalty_terms, pointwise_log_lik
 from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
                       kriging_factor, library_weights, locate_entries, neighbor_distances,
                       nngp_log_density_from_weights, predecessor_weights)
@@ -476,11 +476,10 @@ def beta_sigma_conditional(state, hp):
 
 
 def update_beta_sigma(state, hp, rng):
-    """Draw each sigma_i^2 from its beta-marginalized conditional, then beta_i | sigma_i^2."""
+    """Draw all sigma_i^2, beta marginalized, in one call; then all beta_i | sigma_i^2."""
     shape, rate, mu, lam = beta_sigma_conditional(state, hp)
-    for i in range(rate.size):
-        state.sigma2[i] = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate[i])
-        state.beta[i] = rng.normal(mu[i], np.sqrt(lam[i] * state.sigma2[i]))
+    state.sigma2 = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
+    state.beta = rng.normal(mu, np.sqrt(lam * state.sigma2))
 
 
 def alpha_conditional(state, geom, hp):
@@ -599,26 +598,23 @@ def lie_mh_step(h, log_old, log_target, adapt, rng):
     independent rows on the affine group.
 
     `h` holds the rows' homogeneous matrices, (n, d + 1, d + 1), `log_old`
-    (n,) their log targets and `adapt` their n-row `AdaptiveProposal`. Row
-    by row, in order, the step draws delta_i, then the accept uniform, and
-    forms the proposal, so it takes the generator's numbers as n scalar
-    steps would. A proposal with no real logarithm (`has_real_log`) is
-    rejected (`rejected_nolog`) unevaluated. `log_target(rows, proposals)`
-    gets the other rows' indices, ascending, and their proposals' stack; it
-    returns (inside, log_new, payload): inside marks the proposals that stay
-    in the neighbor library (the others count in `rejected_oob`), and
-    log_new and payload, a tuple of arrays, are stacked over those only.
-    Returns (accepted, h_new, payload): the (n,) accept mask, and the new
-    matrices and the payload's arrays of the accepted rows, in row order,
-    for the caller's `h[accepted] = h_new`.
+    (n,) their log targets and `adapt` their n-row `AdaptiveProposal`. The
+    step draws all n deltas from one (n, dim) block of normals, through
+    `adapt.proposal_factor()`, then all n accept uniforms in one call, and
+    forms each proposal with `lie_exp`. A proposal with no real logarithm
+    (`has_real_log`) is rejected (`rejected_nolog`) unevaluated.
+    `log_target(rows, proposals)` gets the other rows' indices, ascending,
+    and their proposals' stack; it returns (inside, log_new, payload): inside
+    marks the proposals that stay in the neighbor library (the others count
+    in `rejected_oob`), and log_new and payload, a tuple of arrays, are
+    stacked over those only. Returns (accepted, h_new, payload): the (n,)
+    accept mask, and the new matrices and the payload's arrays of the
+    accepted rows, in row order, for the caller's `h[accepted] = h_new`.
     """
-    n, dim = len(h), adapt.dim
-    factors = adapt.proposal_factor()
-    deltas, draws, proposals = np.empty((n, dim)), np.empty(n), np.empty(h.shape)
-    for i in range(n):
-        deltas[i] = factors[i] @ rng.standard_normal(dim)
-        draws[i] = np.log(rng.uniform())
-        proposals[i] = lie_exp(deltas[i]) @ h[i]
+    n = len(h)
+    deltas = (adapt.proposal_factor() @ rng.standard_normal((n, adapt.dim, 1)))[..., 0]
+    draws = np.log(rng.uniform(size=n))
+    proposals = np.array([lie_exp(delta) for delta in deltas]) @ h
     real = np.array([has_real_log(p) for p in proposals])
     inside = np.zeros(n, dtype=bool)
     accepted = np.zeros(n, dtype=bool)
@@ -987,8 +983,8 @@ class Chain:
         update_rho(state, geom, hp, rng)
 
     def record(self):
-        """The current draw's `SampleStore` fields, standardized, and what
-        `model_diagnostics` reads.
+        """The current draw's `SampleStore` fields, standardized, its pointwise
+        log-likelihood row for WAIC, and what `model_diagnostics` reads.
 
         The fields are the draw with its forward transforms at Karcher mean
         identity and its betas at mean 1 (`standardize_forward_transforms`,
@@ -999,9 +995,9 @@ class Chain:
         st = self.state
         h, h_r = standardize_forward_transforms(st.T, st.T_r)
         betas, x, alpha = standardize_scales(st.X, st.beta, st.alpha)
-        fields = (x, h, h_r, betas, st.sigma2.copy(), alpha, st.rho)  # sigma2 changes in place
+        fields = (x, h, h_r, betas, st.sigma2, alpha, st.rho)  # a sweep draws a new sigma2
         ic_error = np.mean(penalty_terms(st.T, st.T_r)[0])
-        return fields, (pointwise_log_lik(st), ic_error)
+        return fields, pointwise_log_lik(st), ic_error
 
     def snapshot(self):
         state = self.state
@@ -1016,17 +1012,20 @@ class Chain:
         }
 
     def run(self):
-        """Run the configured chain; returns (SampleStore, diagnostics dict)."""
+        """Run the configured chain, accumulating WAIC row by row; returns (store, diagnostics)."""
         cfg = self.config
         t_start = time.perf_counter()
-        kept = []
+        kept, extras, log_lik = [], [], WaicAccumulator()
         for it in range(cfg.total):
             self.sweep()
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-                kept.append(self.guarded("record", it, self.record))
+                fields, row, extra = self.guarded("record", it, self.record)
+                kept.append(fields)
+                extras.append(extra)
+                if row is not None:
+                    log_lik.add(row)
         runtime = time.perf_counter() - t_start
 
-        fields, extras = zip(*kept)
         lattice = self.lattice
         meta = {
             "model": cfg.model,
@@ -1039,7 +1038,7 @@ class Chain:
             "origin": [float(o) for o in lattice.origin],
             "n_subjects": len(self.maps),
         }
-        store = SampleStore(meta, *(np.asarray(col, dtype=float) for col in zip(*fields)))
+        store = SampleStore(meta, *(np.asarray(col, dtype=float) for col in zip(*kept)))
         diagnostics = {
             "runtime_seconds": runtime,
             "iterations": self.iteration,
@@ -1053,16 +1052,17 @@ class Chain:
             diagnostics[f"{direction}_acceptance_post_burnin"] = (
                 rec.acceptance_rate(post_only=True).tolist())
         diagnostics.update(self.model_diagnostics(extras))
+        if log_lik.n:
+            diagnostics["waic"] = log_lik.waic() if log_lik.n >= 2 else float("nan")
         return store, diagnostics
 
-    def model_diagnostics(self, extras):
-        """rho acceptance, last scalar values, mean IC error and WAIC of the kept records.
+    def model_diagnostics(self, kept_ic):
+        """rho acceptance, last scalar values and mean IC error of the kept records.
 
         The `*_last` values are the raw chain state after the last sweep, not
         standardized as the records are.
         """
         st = self.state
-        kept_ll, kept_ic = zip(*extras)
         return {
             "rho_acceptance": (st.rho_accepts / st.rho_proposals
                                if st.rho_proposals else float("nan")),
@@ -1072,7 +1072,6 @@ class Chain:
             "library_margin": self.geom.library.margin,
             "beta_last": st.beta.tolist(),
             "sigma2_last": st.sigma2.tolist(),
-            "waic": waic(np.asarray(kept_ll)) if len(kept_ll) >= 2 else float("nan"),
         }
 
 

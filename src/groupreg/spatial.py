@@ -175,17 +175,17 @@ def build_ordered_neighbor_sets(lattice, m):
     """
     sites = _site_coords(lattice.shape)
     v = len(sites)
+    k = min(m, v)
     out = np.full((v, m), -1, dtype=int)
-    # The first rows have fewer than m predecessors, and keep all of them.
-    head = min(m, v)
-    for l in range(1, head):
-        out[l, :l] = np.argsort(_offset_d2(sites[l:l + 1], lattice)[0, :l], kind="stable")
     rows = max(1, _BLOCK_BYTES // (8 * v))
-    for start in range(head, v, rows):
+    for start in range(0, v, rows):
         stop = min(start + rows, v)
         d2 = _offset_d2(sites[start:stop], lattice)
         d2[np.arange(start, stop)[:, None] <= np.arange(v)] = np.inf   # not predecessors
-        out[start:stop] = _nearest(d2, m)
+        nearest = _nearest(d2, k)
+        # Row l < k selects its l predecessors, then k - l non-predecessors at inf.
+        out[start:stop, :k] = np.where(np.take_along_axis(d2, nearest, axis=1) < np.inf,
+                                       nearest, -1)
     return out
 
 

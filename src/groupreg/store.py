@@ -22,6 +22,7 @@ so rewriting the same samples yields bit-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -80,10 +81,11 @@ def load_store(path):
     """Read a store written by `save_store`.
 
     Raises ValidationError on a bad magic, a truncated header or header
-    length, a header that is not valid JSON, lacks a field or has a shape
-    with other than `dim` axes, a record length prefix that does not match
-    the header, or a body that is shorter or longer than the header's
-    n_records records.
+    length, a header that is not valid JSON, lacks a field, has a shape
+    with other than `dim` axes, or a spacing or an origin that is not a list
+    of `dim` finite numbers, a record length prefix that does not match the
+    header, or a body that is shorter or longer than the header's n_records
+    records.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -103,11 +105,17 @@ def load_store(path):
         dim = int(meta["dim"])
         shape = [int(k) for k in meta["shape"]]
         v = int(np.prod(shape))
+        vectors = {key: meta[key] for key in ("spacing", "origin")}
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: bad header: {exc}") from exc
     if min(n_rec, n, v) < 0 or dim not in (1, 2) or len(shape) != dim:
         raise ValidationError(f"{path}: bad header: n_records={n_rec}, n_subjects={n}, "
                               f"dim={dim}, shape={shape}")
+    for key, vec in vectors.items():
+        if not (isinstance(vec, list) and len(vec) == dim
+                and all(type(x) in (int, float) and math.isfinite(x) for x in vec)):
+            raise ValidationError(f"{path}: bad header: {key} must be {dim} finite numbers, "
+                                  f"got {vec!r}")
     off += hlen
     hsz = (dim + 1) ** 2
     per_subject = 2 * hsz + 2

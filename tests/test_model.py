@@ -11,8 +11,9 @@ from scipy.stats import invgamma as invgamma_dist
 
 from groupreg.errors import DegenerateVariance
 from groupreg.grids import Lattice, make_lattice_1d
-from groupreg.model import (M_MAX, Hyperparams, TransformPrior, build_geometry,
-                            invgamma_logpdf, penalty_terms, sigma_s_matrix, waic)
+from groupreg.model import (M_MAX, Hyperparams, TransformPrior, WaicAccumulator,
+                            build_geometry, invgamma_logpdf, penalty_terms, sigma_s_matrix,
+                            waic)
 from groupreg.transforms import AffineTransform, affine_inverse, lie_exp
 
 LAT = make_lattice_1d(-2.0, 2.0, 0.5)
@@ -230,6 +231,31 @@ class TestWaic:
     def test_needs_two_samples(self):
         with pytest.raises(DegenerateVariance):
             waic(np.zeros((1, 5)))
+        acc = WaicAccumulator()
+        acc.add(np.zeros(5))
+        with pytest.raises(DegenerateVariance):
+            acc.waic()
+
+    @pytest.mark.parametrize("offset, spread, trend", [
+        (0.0, 1.0, 0.0), (-1e4, 30.0, 0.0), (-1e6, 1.0, 0.0), (5e3, 200.0, 0.0),
+        (-300.0, 5.0, 400.0)])
+    def test_accumulator_matches_the_two_pass_formulas(self, offset, spread, trend):
+        """Fed one row at a time, the accumulator gives the two-pass WAIC (column
+        max and log-mean-exp for lppd, ddof-1 variances for p_waic) to rel
+        1e-12, at log-likelihoods of large magnitude and with a max that
+        rises through the rows, so the exp-sum is rescaled often."""
+        rng = np.random.default_rng(11)
+        ll = (offset + spread * rng.normal(size=(300, 40))
+              + np.linspace(-trend, trend, 300)[:, None] + rng.uniform(-50, 50, size=40))
+        col_max = ll.max(axis=0)
+        lppd = np.sum(col_max + np.log(np.mean(np.exp(ll - col_max), axis=0)))
+        p_waic = np.sum(ll.var(axis=0, ddof=1))
+        acc = WaicAccumulator()
+        for row in ll:
+            acc.add(row)
+        assert acc.n == 300
+        assert acc.waic() == pytest.approx(-2.0 * (lppd - p_waic), rel=1e-12, abs=0)
+        assert waic(ll) == acc.waic()
 
 
 class TestHyperparams:

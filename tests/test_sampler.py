@@ -89,6 +89,31 @@ def test_cached_weights_track_alpha_and_rho(case):
     assert 0 < state.rho_accepts < state.rho_proposals
 
 
+def run_peak_bytes(maps, kept):
+    """tracemalloc peak of `Chain.run` on the indicator case keeping `kept` records."""
+    settings = CASES["indicator"][1]
+    chain = Chain(maps, RunConfig(total=kept + 2, burn_in=2, thin=1, init_iters=3, **settings))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        chain.run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_grows_with_the_store_not_with_the_waic_rows():
+    """Per extra kept record, the run's peak grows by the record's store
+    fields, not by its 2NV pointwise log-likelihoods: WAIC is accumulated
+    row by row. On the indicator case (V = 201, N = 3) a record's store
+    payload is 1.9 KB and its log-likelihood row 9.6 KB; the growth measured
+    ~2.8 KB per record (~44 KB when every row was kept for a final WAIC)."""
+    maps = indicator()
+    growth = (run_peak_bytes(maps, 200) - run_peak_bytes(maps, 40)) / 160
+    row_bytes = 8 * 2 * maps[0].values.size * len(maps)
+    assert growth < row_bytes / 2, (growth, row_bytes)
+
+
 def glyph_after_two_sweeps():
     chain = short_chain("glyph")
     chain.sweep()
@@ -119,7 +144,7 @@ def test_stacked_phases_match_a_loop_over_subjects(make_state):
         assert np.array_equal(b[i], bi) and np.array_equal(f[i], fi)
 
     shape, rate, mu, lam = beta_sigma_conditional(state, hp)
-    ref = np.random.default_rng(5)
+    loop = []
     for i in range(len(state.T)):
         xt, y, ybw, x = state.XT[i], state.Y[i], state.Y_bw[i], state.X
         lam_i = 1.0 / (xt @ xt + x @ x + hp.lambda0)
@@ -127,11 +152,14 @@ def test_stacked_phases_match_a_loop_over_subjects(make_state):
         rate_i = hp.a1_sigma + 0.5 * (y @ y + ybw @ ybw + hp.mu0 ** 2 * hp.lambda0
                                       - mu_i * mu_i / lam_i)
         assert np.allclose([lam[i], mu[i], rate[i]], [lam_i, mu_i, rate_i], rtol=1e-12, atol=0)
-        sigma2_i = 1.0 / ref.gamma(shape=shape, scale=1.0 / rate_i)
-        beta_i = ref.normal(mu_i, np.sqrt(lam_i * sigma2_i))
-        loop[i] = sigma2_i, beta_i
+        loop.append((lam_i, mu_i, rate_i))
+    # Every subject's sigma^2 first, then every beta.
+    ref = np.random.default_rng(5)
+    sigma2 = [1.0 / ref.gamma(shape=shape, scale=1.0 / rate_i) for _, _, rate_i in loop]
+    beta = [ref.normal(mu_i, np.sqrt(lam_i * s2)) for (lam_i, mu_i, _), s2 in zip(loop, sigma2)]
     update_beta_sigma(state, hp, np.random.default_rng(5))
-    assert np.allclose(np.column_stack([state.sigma2, state.beta]), loop, rtol=1e-12, atol=0)
+    assert np.allclose(np.column_stack([state.sigma2, state.beta]),
+                       np.column_stack([sigma2, beta]), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -673,12 +701,11 @@ def test_initialize_is_unchanged_by_the_prebuilt_warps(monkeypatch, case):
 
 
 def assert_step_draws_used(rng, seed, dim, rows=1):
-    """The step took delta and the accept uniform of each row from its
-    generator, in row order, and nothing else."""
+    """The step took one block of every row's delta normals, then one block of
+    every row's accept uniform, from its generator, and nothing else."""
     ref = np.random.default_rng(seed)
-    for _ in range(rows):
-        ref.standard_normal(dim)
-        ref.uniform()
+    ref.standard_normal((rows, dim, 1))
+    ref.uniform(size=rows)
     assert rng.uniform() == ref.uniform()
 
 
@@ -790,6 +817,51 @@ def test_stacked_record_is_n_one_row_records(dim):
     assert np.all(block.accepts - block.post_accepts >= 5)
     assert np.all(block.post_accepts > 0) and block.post_proposals == 30
     assert block.rejected_nolog.min() > 0 and block.rejected_oob.min() > 0
+
+
+class CountingGenerator:
+    """A `np.random.Generator` that logs every call as (method, shape of its result)."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls.append((name, np.shape(out)))
+            return out
+        return counted
+
+
+def test_each_step_calls_the_generator_once_per_quantity():
+    """`lie_mh_step` makes two calls, the n x dim delta normals (shaped
+    (n, dim, 1) for the product with the factors) and then the n accept
+    uniforms, and `update_beta_sigma` two, every sigma^2 and then every
+    beta. A sweep of either model draws in the order its docstring states."""
+    chain = short_chain("indicator")
+    state, geom, hp = chain.state, chain.geom, chain.config
+    (n, v), dim = state.Y.shape, chain.proposals["forward"].dim
+    chain.rng = rng = CountingGenerator(0)
+    update_forward_transform(state, geom, hp, chain.proposals["forward"], rng)
+    assert rng.calls == [("standard_normal", (n, dim, 1)), ("uniform", (n,))]
+    rng.calls.clear()
+    update_beta_sigma(state, hp, rng)
+    assert rng.calls == [("gamma", (n,)), ("normal", (n,))]
+
+    transform_step = [("standard_normal", (n, dim, 1)), ("uniform", (n,))]
+    rng.calls.clear()
+    chain.sweep()
+    assert rng.calls == [("standard_normal", (n, v)), ("standard_normal", (v,)),
+                         *transform_step, *transform_step, ("gamma", (n,)), ("normal", (n,)),
+                         ("gamma", ()), ("standard_normal", ()), ("uniform", ())]
+    conventional = baseline.ConventionalChain(indicator(), RunConfig(model="conventional",
+                                                                     total=2, burn_in=1))
+    conventional.rng = rng = CountingGenerator(0)
+    conventional.sweep()
+    assert rng.calls == [("standard_normal", (len(conventional.landmarks),)),
+                         ("gamma", (n,)), *transform_step]
 
 
 def test_lie_mh_step_rejects_out_of_library_proposals():
@@ -942,13 +1014,22 @@ def test_forward_proposal_whose_image_overflows_is_rejected_out_of_library(monke
 # The per-subject loop that one batched step per direction replaced: the
 # oracle the batched steps must match bit for bit. Each subject's target is
 # the stacked one on a stack of one, and each subject has its own one-row
-# `AdaptiveProposal`, the scalar reference of its row of the block.
+# `AdaptiveProposal`, the scalar reference of its row of the block. The loop
+# is fed the block's draws (`block_draws`).
 
-def loop_lie_mh_step(h, log_old, log_target, adapt, rng):
-    """One scalar Lie-MH step of the homogeneous matrix h, counted in the
-    one-row proposal `adapt`; (h_new, payload) on accept, None otherwise."""
-    delta = adapt.proposal_factor()[0] @ rng.standard_normal(adapt.dim)
-    accept_draw = np.log(rng.uniform())
+def block_draws(recs, rng):
+    """One `lie_mh_step`'s draws for the one-row records `recs`: every delta
+    from one block of normals, by the step's own expression over the
+    records' stacked factors, then every log accept uniform from one block."""
+    factors = np.concatenate([adapt.proposal_factor() for adapt in recs])
+    deltas = (factors @ rng.standard_normal((len(recs), recs[0].dim, 1)))[..., 0]
+    return deltas, np.log(rng.uniform(size=len(recs)))
+
+
+def loop_lie_mh_step(h, log_old, log_target, adapt, delta, accept_draw):
+    """One scalar Lie-MH step of the homogeneous matrix h by the given delta
+    and log accept uniform, counted in the one-row proposal `adapt`;
+    (h_new, payload) on accept, None otherwise."""
     h_new = sampler.lie_exp(delta) @ h
 
     def count(accepted, real=True, inside=True):
@@ -973,7 +1054,7 @@ def loop_lie_mh_step(h, log_old, log_target, adapt, rng):
     return (h_new, payload) if accepted else None
 
 
-def loop_forward_transform(i, state, geom, hp, adapt, rng):
+def loop_forward_transform(i, state, geom, hp, adapt, delta, accept_draw):
     h_r, xt = state.T_r[i:i + 1], state.XT[i:i + 1]
 
     def target(t):
@@ -986,14 +1067,14 @@ def loop_forward_transform(i, state, geom, hp, adapt, rng):
     log_old = sampler.forward_log_target(state.T[i:i + 1], h_r, state.X, xt,
                                          (state.nbr[i:i + 1], state.B[i:i + 1],
                                           state.F[i:i + 1]), geom, hp)[0]
-    step = loop_lie_mh_step(state.T[i], log_old, target, adapt, rng)
+    step = loop_lie_mh_step(state.T[i], log_old, target, adapt, delta, accept_draw)
     if step is not None:
         state.T[i], caches = step
         for name, value in zip(CACHES, caches):
             getattr(state, name)[i] = value[0]
 
 
-def loop_reverse_transform(i, state, geom, hp, adapt, rng):
+def loop_reverse_transform(i, state, geom, hp, adapt, delta, accept_draw):
     h, beta, sigma2 = state.T[i:i + 1], state.beta[i:i + 1], state.sigma2[i:i + 1]
 
     def target(t_r):
@@ -1003,9 +1084,16 @@ def loop_reverse_transform(i, state, geom, hp, adapt, rng):
 
     log_old = sampler.reverse_log_target(state.T_r[i:i + 1], h, state.X,
                                          state.Y_bw[i:i + 1], beta, sigma2, geom, hp)[0]
-    step = loop_lie_mh_step(state.T_r[i], log_old, target, adapt, rng)
+    step = loop_lie_mh_step(state.T_r[i], log_old, target, adapt, delta, accept_draw)
     if step is not None:
         state.T_r[i], state.Y_bw[i] = step
+
+
+def loop_transform_step(loop_step, recs, state, geom, hp, rng):
+    """One direction's step as a loop over subjects, fed the block's draws."""
+    deltas, accept_draws = block_draws(recs, rng)
+    for i, adapt in enumerate(recs):
+        loop_step(i, state, geom, hp, adapt, deltas[i], accept_draws[i])
 
 
 def loop_updates(chain):
@@ -1017,10 +1105,8 @@ def loop_updates(chain):
             rec.frozen = chain.proposals[direction].frozen
     update_transformed_template(state, rng)
     update_template(state, geom, rng)
-    for i, adapt in enumerate(chain.rows["forward"]):
-        loop_forward_transform(i, state, geom, hp, adapt, rng)
-    for i, adapt in enumerate(chain.rows["reverse"]):
-        loop_reverse_transform(i, state, geom, hp, adapt, rng)
+    loop_transform_step(loop_forward_transform, chain.rows["forward"], state, geom, hp, rng)
+    loop_transform_step(loop_reverse_transform, chain.rows["reverse"], state, geom, hp, rng)
     update_beta_sigma(state, hp, rng)
     sampler.update_alpha(state, geom, hp, rng)
     sampler.update_rho(state, geom, hp, rng)
@@ -1067,7 +1153,8 @@ def test_batched_transform_steps_match_the_loop_over_subjects(case):
     """Through burn-in and after it, sweeps with one batched step per direction
     leave the state, the proposals and the generator as the loop does, bit
     for bit, with both outcomes of both steps seen."""
-    batched, looped = short_chain(case, sweeps=16), looped_chain(case, sweeps=16)
+    # 24 sweeps: on the indicator case no forward move is accepted in the first 16.
+    batched, looped = short_chain(case, sweeps=24), looped_chain(case, sweeps=24)
     for _ in range(batched.config.total):
         batched.sweep()
         looped.sweep()
@@ -1107,10 +1194,18 @@ def test_both_models_hold_their_transforms_as_matrix_stacks(case):
     conventional = baseline.ConventionalChain(maps, RunConfig(model="conventional", total=4,
                                                               burn_in=2, thin=1, seed=1))
     assert_transform_stacks(n, d, conventional.ts)
-    store, _ = conventional.run()
+    conventional.run()
     assert_transform_stacks(n, d, conventional.ts)
-    # Each record holds its own copy of the transforms, not the chain's stack.
-    assert not np.array_equal(store.H_fwd[0], store.H_fwd[-1])
+    # Each record holds its own copy of the transforms, not the chain's stack:
+    # a record taken before the stack changes in place is left as it was.
+    for chain, stacks in ((chains[0], (moved.T, moved.T_r)), (conventional, (conventional.ts,))):
+        first = chain.record()[0]
+        kept = copy.deepcopy(first)
+        for h in stacks:
+            h[0, :d, d] += 0.01
+        second = chain.record()[0]
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(first, kept, strict=True))
+        assert not np.array_equal(second[1], first[1])
 
 
 def test_a_subject_moves_while_the_others_are_rejected(monkeypatch):
@@ -1139,8 +1234,8 @@ def test_a_subject_moves_while_the_others_are_rejected(monkeypatch):
     accepted = update_forward_transform(batched.state, batched.geom, batched.config,
                                         batched.proposals["forward"], batched.rng)
     first_two_fail()
-    for i, adapt in enumerate(looped.rows["forward"]):
-        loop_forward_transform(i, looped.state, looped.geom, looped.config, adapt, looped.rng)
+    loop_transform_step(loop_forward_transform, looped.rows["forward"], looped.state,
+                        looped.geom, looped.config, looped.rng)
     assert accepted.tolist() == [False, False, True]
     rec = batched.proposals["forward"]
     assert list(zip(rec.rejected_nolog.tolist(), rec.rejected_oob.tolist(),

@@ -210,7 +210,8 @@ class TestSelectionAgainstArgsort:
     def resolve(m, v):
         return {"V-1": v - 1, "V": v, "V+3": v + 3}.get(m) or int(m)
 
-    @pytest.mark.parametrize("name,m", CASES)
+    @pytest.mark.parametrize("name,m", CASES + [(name, m) for name in sorted(LATTICES)
+                                                for m in ("2", "25")])
     def test_predecessor_sets(self, name, m):
         lat, _ = self.LATTICES[name]
         m = self.resolve(m, lat.n_sites)

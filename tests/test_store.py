@@ -111,3 +111,33 @@ def test_summarize_on_truncated_store_exits_2(tmp_path, capsys):
     assert main(["summarize", str(path), "--out", str(out)]) == 2
     assert "error: config" in capsys.readouterr().err
     assert not out.exists() and not list(tmp_path.glob(".groupreg-staging-*"))
+
+
+BAD_LATTICE = {
+    "no spacing": {"spacing": None},
+    "no origin": {"origin": None},
+    "spacing not numbers": {"spacing": "abc"},
+    "spacing of another length": {"spacing": [1.0]},
+    "origin not finite": {"origin": [0.0, float("nan")]},
+    "origin of booleans": {"origin": [True, False]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LATTICE))
+def test_summarize_on_a_store_without_a_valid_lattice_exits_2(tmp_path, capsys, case):
+    """A header whose spacing or origin is missing or not `dim` finite numbers
+    is a damaged store: exit 2, not a traceback, and nothing written. The
+    transforms are identities, so the store is otherwise one `summarize` reads."""
+    store = small_store()
+    store.H_fwd = store.H_rev = np.broadcast_to(np.eye(3), store.H_fwd.shape)
+    for key, value in BAD_LATTICE[case].items():
+        if value is None:
+            del store.meta[key]
+        else:
+            store.meta[key] = value
+    path = tmp_path / "samples.bin"
+    save_store(store, path)
+    out = tmp_path / "summary"
+    assert main(["summarize", str(path), "--out", str(out)]) == 2
+    assert "bad header" in capsys.readouterr().err
+    assert not out.exists() and not list(tmp_path.glob(".groupreg-staging-*"))
