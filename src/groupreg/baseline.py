@@ -31,7 +31,8 @@ from .errors import IllConditioned
 from .grids import ActivationMap, common_lattice
 from .interp import Warp
 from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
-from .sampler import AdaptiveProposal, Chain, coarse_grid, fit_affine, lie_mh_step
+from .sampler import (AdaptiveProposal, Chain, best_candidates, coarse_grid, fit_affine,
+                      lie_mh_step)
 from .transforms import affine_apply, affine_inverse, apply_stack
 
 KERNEL_JITTER = 1e-8
@@ -127,6 +128,12 @@ class ConventionalChain(Chain):
     reverse transforms are identity, beta is 1, alpha and rho are NaN, and
     the header's lambda_r is 0, as the model has no inverse-consistency
     penalty.
+
+    Set-up fits each T_i to the mean map in one pass: the best of the
+    identity and the coarse grid (`sampler.best_candidates`), refined by
+    `sampler.fit_affine`. One `Warp` of the mean map serves every subject,
+    so each grid candidate is sampled once for all of them. Then w starts
+    at its conditional mean with every sigma_i^2 at 1.
     """
 
     def __init__(self, maps, config):
@@ -146,9 +153,11 @@ class ConventionalChain(Chain):
         self.proposals = {"forward": AdaptiveProposal(n, d * (d + 1))}
 
         # Initialization: coarse-fit transforms against the mean map, ridge w.
-        mean_map = ActivationMap(lattice, np.mean(self.ys, axis=0))
-        grid = coarse_grid(lattice)
-        self.ts = np.array([fit_affine(m, mean_map, 1.0, np.eye(d + 1), grid) for m in maps])
+        warp = Warp(ActivationMap(lattice, np.mean(self.ys, axis=0)), self.locs)
+        best, objs = best_candidates(warp, self.ys, np.ones(n), np.array([np.eye(d + 1)] * n),
+                                     coarse_grid(lattice))
+        self.ts = np.array([fit_affine(warp, y, 1.0, h, f)
+                            for y, h, f in zip(self.ys, best, objs)])
         self.phis = self.designs(self.ts)
         _, _, self.w = conventional_w_conditional(self.phis, self.ys, np.ones(n), self.k_inv)
         self.sigma2 = np.maximum(np.mean((self.ys - self.phis @ self.w) ** 2, axis=1), 1e-12)

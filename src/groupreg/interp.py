@@ -29,12 +29,19 @@ Two entry points call that kernel:
   sites S. It also keeps S as a (d, q) array, and `warp(h)`, h the matrix
   of T, computes the index coordinates (A S + b - origin) / spacing in that
   layout, which gives the bits of `interpolate(amap, affine_apply(h, sites))`.
+  `warp(h)` also takes an (n, d + 1, d + 1) stack of matrices, and a single
+  matrix is its n = 1 case. The stack is sampled `warp.chunk` matrices per
+  kernel pass, as many as keep a pass's (4^d, points) stencil values within
+  `spatial._BLOCK_BYTES`: 2 on a 28x28 lattice, 40 on a 201-site curve.
+  Each point's arithmetic does not depend on the others in its pass, so a
+  stacked call gives the bits of one call per matrix.
   `warp.value_and_jacobian(top)` gives those values for the top d rows of a
   homogeneous matrix H, with their Jacobian in H's entries, from one kernel
   pass. The reverse-transform step evaluates one map at thousands of T, and
-  each set-up transform fit (`sampler.fit_affine`) at its coarse grid and
-  its Levenberg-Marquardt points, each point one `value_and_jacobian` call,
-  so the per-map work is paid once, not per T.
+  the set-up evaluates one template at the coarse grid of candidate
+  transforms for every subject at once (`sampler.best_candidates`) and at
+  each subject's Levenberg-Marquardt points (`sampler.fit_affine`), so the
+  per-map work is paid once, not per T.
 """
 
 from __future__ import annotations
@@ -158,12 +165,17 @@ class Warp(_Stencil):
 
     `Warp(amap, sites)(h)`, h a homogeneous matrix, equals `interpolate(amap,
     affine_apply(h, sites))` bit for bit: sites is (q, d), the result (q,).
-    The padded grid, the stencil offsets and the clip bounds are built here,
+    For an (n, d + 1, d + 1) stack h the result is (n, q), row k the bits of
+    `self(h[k])`, computed in kernel passes over `chunk` matrices each. The
+    padded grid, the stencil offsets and the clip bounds are built here,
     once, with the sites as a (d, q) array and the lattice's origin and
     spacing as columns.
     """
 
     def __init__(self, amap, sites):
+        # Imported here: spatial imports grids, which imports this module.
+        from .spatial import _BLOCK_BYTES
+
         super().__init__(amap)
         sites = np.asarray(sites, dtype=float)
         if sites.ndim != 2 or sites.shape[1] != self.dim:
@@ -174,14 +186,25 @@ class Warp(_Stencil):
         self._sites = self._sites_h[:-1]
         self._origin = amap.lattice.origin[:, None]
         self._spacing = amap.lattice.spacing[:, None]
+        # Matrices per kernel pass: a pass holds (4^d, chunk q) stencil values.
+        self.chunk = max(1, _BLOCK_BYTES // (8 * 4 ** self.dim * sites.shape[0]))
 
     def _coords(self, a, b):
+        # Index coordinates of A S + b, (d, q), or (n, d, q) for stacks of A and b.
         # A T(S) that overflows gives NaN rows, as a non-finite query does.
         with np.errstate(over="ignore", invalid="ignore"):
-            return (a @ self._sites + b[:, None] - self._origin) / self._spacing
+            return (a @ self._sites + b[..., None] - self._origin) / self._spacing
 
     def __call__(self, h):
-        return self.sample(self._coords(h[:-1, :-1], h[:-1, -1]))
+        single = h.ndim == 2
+        stack = h[None] if single else h
+        out = np.empty((len(stack), self._sites.shape[1]))
+        for lo in range(0, len(stack), self.chunk):
+            part = stack[lo:lo + self.chunk]
+            u = self._coords(part[:, :-1, :-1], part[:, :-1, -1])       # (n, d, q)
+            u = np.ascontiguousarray(u.swapaxes(0, 1)).reshape(self.dim, -1)
+            out[lo:lo + len(part)] = self.sample(u).reshape(len(part), -1)
+        return out[0] if single else out
 
     def value_and_jacobian(self, top):
         """Values at H(S) and their Jacobian in the entries of H's top d rows.

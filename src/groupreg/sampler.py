@@ -252,6 +252,8 @@ class ChainState:
     band: TemplateBand = field(default=None, repr=False)   # Q's slot tables and buffers
     rho_proposals: int = 0
     rho_accepts: int = 0
+    init_passes: int = 0                     # set-up passes run (`initialize`)
+    init_rel_change: float = float("nan")    # the last set-up pass's relative template change
 
     @property
     def cov(self):
@@ -791,30 +793,44 @@ def levenberg_marquardt(point, p):
     return p, f
 
 
-def fit_affine(y_map, x_map, beta, start, grid=()):
-    """Homogeneous matrix of the affine transform minimizing ||Y - beta X(T)||^2:
-    the best of `start` and the candidates of `grid` (`coarse_grid`), refined
-    by Levenberg-Marquardt.
+def best_candidates(warp, y, beta, starts, grid=()):
+    """Each subject's best candidate transform for ||Y_i - beta_i X(T)||^2.
 
-    The refinement (`levenberg_marquardt`) runs over the top d rows of the
-    homogeneous matrix, with the exact Jacobian of the residuals: Catmull-Rom
-    interpolation is C^1, so the objective is a smooth sum of squares. One
-    `Warp` is built per call, and each LM point samples the map once, for
-    its residuals and its Jacobian together. The refined matrix is returned
-    only if it makes a valid `AffineTransform` and its objective is no worse
-    than the best candidate's; otherwise the best candidate is.
+    `warp` samples X at T(S); y is (N, V), beta (N,) and starts (N, d + 1,
+    d + 1). Subject i's candidates are starts[i], then the coarse grid's
+    (`coarse_grid`), in that order, and the first smallest objective wins.
+    The starts are sampled in one stacked call. The grid is the same for
+    every subject, so it is sampled once for all of them, one `warp.chunk`
+    of candidates per kernel pass, and each subject's objectives are taken
+    from that chunk's values before the next is sampled: no (n_grid, V)
+    array is held. Each objective is float(r @ r), r = y_i - beta_i X(T).
+    Returns (best, objective): per subject, the winning matrix (starts[i]
+    itself or a row of the grid) and the smallest objective, as lists.
     """
-    warp = Warp(x_map, y_map.lattice.locations())
-    y = y_map.values
+    objs = [[float(r @ r)] for r in y - beta[:, None] * warp(starts)]
+    for lo in range(0, len(grid), warp.chunk):
+        xt = warp(grid[lo:lo + warp.chunk])
+        for i, row in enumerate(objs):
+            row.extend(float(r @ r) for r in y[i] - beta[i] * xt)
+    best = [starts[i] if k == 0 else grid[k - 1]
+            for i, k in enumerate(int(np.argmin(row)) for row in objs)]
+    return best, [min(row) for row in objs]
 
-    def objective(h):
-        xt = warp(h)
-        r = y - beta * xt
-        return float(r @ r)
 
-    candidates = [start, *grid]
-    objs = [objective(h) for h in candidates]
-    best = candidates[int(np.argmin(objs))]
+def fit_affine(warp, y, beta, best, best_obj):
+    """Homogeneous matrix of the affine transform minimizing ||Y - beta X(T)||^2,
+    refined by Levenberg-Marquardt from the candidate `best`, whose objective
+    is `best_obj` (`best_candidates`).
+
+    `warp` samples X at T(S), and y is Y's values (V,). The refinement
+    (`levenberg_marquardt`) runs over the top d rows of the homogeneous
+    matrix, with the exact Jacobian of the residuals: Catmull-Rom
+    interpolation is C^1, so the objective is a smooth sum of squares. Each
+    LM point samples the map once, for its residuals and its Jacobian
+    together. The refined matrix is returned only if it makes a valid
+    `AffineTransform` and its objective is no worse than `best_obj`;
+    otherwise `best` is.
+    """
     d = len(best) - 1
 
     def point(p):
@@ -822,7 +838,7 @@ def fit_affine(y_map, x_map, beta, start, grid=()):
         return beta * xt - y, beta * jac
 
     p, f = levenberg_marquardt(point, best[:d].ravel())
-    if not f <= min(objs):
+    if not f <= best_obj:
         return best
     h = np.eye(d + 1)
     h[:d] = p.reshape(d, d + 1)
@@ -835,18 +851,21 @@ def fit_affine(y_map, x_map, beta, start, grid=()):
 def initialize(maps, config):
     """Alternating template/transform initialization (deterministic).
 
-    Repeats: fit each T_i by warping beta_i X to Y_i (`fit_affine`: the best
-    of the previous T_i and, on the first pass only, the coarse grid, refined
-    by Levenberg-Marquardt on every pass), re-fit beta_i by no-intercept
-    regression, standardize T at identity and beta at 1, then re-estimate X
-    as the mean of back-warped maps Y_i(T_i^{-1})/beta_i. Stops after
-    config.init_iters passes or when the template change drops below 1e-4
-    relative. Needs only the maps' lattice: the neighbor library is sized
-    afterwards from the transforms found here (`library_margin`).
+    Repeats: fit each T_i by warping beta_i X to Y_i (`best_candidates`: the
+    best of the previous T_i and, on the first pass only, the coarse grid;
+    then `fit_affine`: refined by Levenberg-Marquardt on every pass), re-fit
+    beta_i by no-intercept regression (`fit_scale`), standardize T at
+    identity and beta at 1, then re-estimate X as the mean of back-warped
+    maps Y_i(T_i^{-1})/beta_i. Stops after config.init_iters passes or when
+    the template change drops below 1e-4 relative; the state records the
+    passes run (`init_passes`) and the last pass's change (`init_rel_change`).
+    Needs only the maps' lattice: the neighbor library is sized afterwards
+    from the transforms found here (`library_margin`).
 
     Every warp goes through a prebuilt `Warp`: one per subject map for the
-    back-warps, built once, and one per pass for X(T_i) (besides the one
-    each `fit_affine` call builds for its objective and its Jacobian).
+    back-warps, built once, and one of each pass's template, which every
+    subject's candidates, LM points and scale regression share. So the
+    first pass samples each coarse-grid candidate once, not once per subject.
     """
     lattice = common_lattice(maps)
     for amap in maps:
@@ -855,19 +874,18 @@ def initialize(maps, config):
 
     pts = lattice.locations()
     back = [Warp(amap, pts) for amap in maps]
-    x = np.mean([amap.values for amap in maps], axis=0)
+    y = np.stack([amap.values for amap in maps])
+    x = np.mean(y, axis=0)
     n = len(maps)
     ts = np.array([np.eye(lattice.dim + 1)] * n)
     betas = np.ones(n)
 
     grid = coarse_grid(lattice)
-    for it in range(config.init_iters):
-        x_map = ActivationMap(lattice, x)
-        ts = np.array([fit_affine(maps[i], x_map, betas[i], ts[i], grid if it == 0 else ())
-                       for i in range(n)])
-        warp = Warp(x_map, pts)
-        for i in range(n):
-            betas[i] = fit_scale(maps[i].values, warp(ts[i]))
+    for passes in range(1, config.init_iters + 1):
+        warp = Warp(ActivationMap(lattice, x), pts)
+        best, objs = best_candidates(warp, y, betas, ts, grid if passes == 1 else ())
+        ts = np.array([fit_affine(warp, y[i], betas[i], best[i], objs[i]) for i in range(n)])
+        betas = np.array([fit_scale(yi, xt) for yi, xt in zip(y, warp(ts))])
         ts, _ = standardize(ts)
         betas = betas / np.mean(betas)
         x_new = np.mean([back[i](affine_inverse(ts[i])) / betas[i] for i in range(n)],
@@ -877,17 +895,15 @@ def initialize(maps, config):
         if rel < 1e-4:
             break
 
-    x_map = ActivationMap(lattice, x)
     ts_r = np.array([affine_inverse(t) for t in ts])
-    y = np.stack([amap.values for amap in maps])
-    warp = Warp(x_map, pts)
-    xt = np.stack([warp(t) for t in ts])
+    xt = Warp(ActivationMap(lattice, x), pts)(ts)
     y_bw = np.stack([w(t_r) for w, t_r in zip(back, ts_r)])
     sigma2 = np.maximum(np.mean((y - betas[:, None] * xt) ** 2, axis=1), 1e-12)
     alpha = max(float(np.var(x)), 1e-12)
     rho = 0.5 * (config.rho_lower + config.rho_upper)
     return ChainState(X=x.copy(), maps=list(maps), T=ts, T_r=ts_r, Y=y, XT=xt, Y_bw=y_bw,
-                      beta=betas, sigma2=sigma2, alpha=alpha, rho=rho)
+                      beta=betas, sigma2=sigma2, alpha=alpha, rho=rho,
+                      init_passes=passes, init_rel_change=float(rel))
 
 
 # ---------------------------------------------------------------------------
@@ -1072,6 +1088,8 @@ class Chain:
             "library_margin": self.geom.library.margin,
             "beta_last": st.beta.tolist(),
             "sigma2_last": st.sigma2.tolist(),
+            "init_passes": st.init_passes,
+            "init_rel_change": st.init_rel_change,
         }
 
 

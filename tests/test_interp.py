@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupreg import spatial
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.interp import Warp, interpolate
+from groupreg.sampler import coarse_grid
 from groupreg.transforms import AffineTransform, affine_apply, lie_exp
 
 
@@ -257,6 +259,81 @@ class TestWarp:
             lat = Lattice(shape, np.ones(len(shape)), np.zeros(len(shape)))
             with pytest.raises(ValueError, match="needs >= 4 sites per axis"):
                 Warp(ActivationMap(lat, np.zeros(lat.n_sites)), lat.locations())
+
+
+STACK_LATTICES = {
+    "curve": make_lattice_1d(-5.0, 5.0, 0.05),
+    "glyph": Lattice((28, 28), np.array([1.0, 1.0]), np.zeros(2)),
+    "anisotropic": Lattice((9, 13), np.array([0.7, 1.3]), np.array([-2.0, 0.5])),
+    "2d_offset": Lattice((5, 6), np.array([0.3, 0.1]), np.array([5.0, -2.2])),
+}
+
+
+def _stack_of_525(lattice, rng):
+    """The coarse grid, then random transforms, to 525 matrices; with
+    matrices whose images are not finite, overflow, or lie far outside the
+    lattice at rows 0, 1, 2, 3 and spread over the rest."""
+    d = lattice.dim
+    grid = coarse_grid(lattice)
+    extra = [lie_exp(0.2 * rng.standard_normal(d * (d + 1))) for _ in range(525 - len(grid))]
+    stack = np.concatenate([grid, np.array(extra).reshape(-1, d + 1, d + 1)])
+    lower, upper = lattice.bounds()
+    nan, inf, overflow, far = (np.eye(d + 1) for _ in range(4))
+    nan[0, 0] = np.nan
+    inf[0, d] = np.inf
+    overflow[0, 0] = 1e308
+    far[:d, d] = 1e6 * (upper - lower)
+    for k, h in enumerate((nan, overflow, far, inf) * 5):
+        stack[(k * 131) % 525] = h
+    return stack
+
+
+class TestStackedWarp:
+    """`Warp(amap, sites)(stack)` is the per-matrix calls, row by row, bit for bit."""
+
+    @pytest.mark.parametrize("block_bytes", [None, 1, 1 << 22], ids=["cap", "one", "large"])
+    @pytest.mark.parametrize("name", sorted(STACK_LATTICES))
+    def test_stack_is_the_per_matrix_calls(self, monkeypatch, name, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(spatial, "_BLOCK_BYTES", block_bytes)
+        lattice = STACK_LATTICES[name]
+        rng = np.random.default_rng(len(name))
+        amap = ActivationMap(lattice, rng.normal(size=lattice.n_sites))
+        sites = lattice.locations()
+        warp = Warp(amap, sites)
+        stack = _stack_of_525(lattice, rng)
+        want = np.array([interpolate(amap, affine_apply(h, sites)) for h in stack])
+        assert np.isnan(want).any() and np.isfinite(want).any() and (want == 0.0).all(1).any()
+        sizes = {1, warp.chunk - 1, warp.chunk, warp.chunk + 1, 525} & set(range(1, 526))
+        for n in sorted(sizes):
+            for rows in (slice(None, n), slice(-n, None)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = warp(stack[rows])
+                assert got.shape == (n, lattice.n_sites)
+                singles = np.array([warp(h) for h in stack[rows]])
+                assert np.array_equal(got, singles, equal_nan=True)
+                assert np.array_equal(got, want[rows], equal_nan=True)
+
+    @pytest.mark.parametrize("name", sorted(STACK_LATTICES))
+    def test_passes_hold_at_most_the_byte_cap(self, monkeypatch, name):
+        """Each kernel pass samples `chunk` matrices' sites, the most whose
+        (4^d, points) stencil values fit `spatial._BLOCK_BYTES`, and the last
+        pass the rest."""
+        lattice = STACK_LATTICES[name]
+        d, q = lattice.dim, lattice.n_sites
+        warp = Warp(ActivationMap(lattice, np.ones(q)), lattice.locations())
+        per_matrix = 8 * 4 ** d * q
+        assert warp.chunk * per_matrix <= spatial._BLOCK_BYTES < (warp.chunk + 1) * per_matrix
+        points = []
+        sample = Warp.sample
+        monkeypatch.setattr(Warp, "sample",
+                            lambda self, u, deriv=False: points.append(u.shape[1])
+                            or sample(self, u, deriv))
+        stack = coarse_grid(lattice)
+        warp(stack)
+        full, rest = divmod(len(stack), warp.chunk)
+        assert points == [warp.chunk * q] * full + ([rest * q] if rest else [])
 
 
 def _sites_in_at_the_edge_and_out(amap, rng):

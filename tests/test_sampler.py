@@ -21,8 +21,9 @@ from groupreg.errors import (DegenerateInput, IllConditioned, NonPositiveScale,
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.interp import Warp, interpolate
 from groupreg.sampler import (CACHES, FIT_TOL, AdaptiveProposal, Chain, ChainAborted,
-                              beta_sigma_conditional, coarse_grid, fit_affine, initialize,
-                              levenberg_marquardt, lie_mh_step, rho_weights, template_conditional,
+                              best_candidates, beta_sigma_conditional, coarse_grid, fit_affine,
+                              fit_scale, initialize, levenberg_marquardt, lie_mh_step,
+                              rho_weights, template_conditional,
                               transformed_template_conditional, update_beta_sigma,
                               update_forward_transform, update_template,
                               update_transformed_template)
@@ -31,8 +32,8 @@ from groupreg.spatial import (batched_nngp_weights, kriging_factor, library_weig
 from groupreg.store import save_store
 from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, generate,
                             indicator_template, rotate_glyph, rotation_about_center)
-from groupreg.transforms import (AffineTransform, affine_apply, affine_compose, apply_stack,
-                                 karcher_mean, lie_exp, lie_log)
+from groupreg.transforms import (AffineTransform, affine_apply, affine_compose, affine_inverse,
+                                 apply_stack, karcher_mean, lie_exp, lie_log, standardize)
 
 
 def small_glyph():
@@ -425,13 +426,20 @@ def test_a_sweep_builds_no_random_generator(monkeypatch):
         assert chain.iteration == 2
 
 
+def fit_from_grid(y_map, x_map, beta, start, grid=()):
+    """One subject's set-up fit: the best of `start` and `grid`, refined."""
+    warp = Warp(x_map, y_map.lattice.locations())
+    best, objs = best_candidates(warp, y_map.values[None], np.array([beta]), start[None], grid)
+    return fit_affine(warp, y_map.values, beta, best[0], objs[0])
+
+
 def test_fit_affine_recovers_a_known_warp():
-    """Noise-free Y = X(T) with T a rotation and shift: fit_affine finds T."""
+    """Noise-free Y = X(T) with T a rotation and shift: the set-up fit finds T."""
     glyph = base_glyph()
     truth = affine_compose(AffineTransform.translation([1.0, -0.5]),
                            rotation_about_center(glyph.lattice, np.deg2rad(10.0)))
     y = glyph.with_values(interpolate(glyph, affine_apply(truth, glyph.lattice.locations())))
-    got = fit_affine(y, glyph, 1.0, np.eye(3), coarse_grid(glyph.lattice))
+    got = fit_from_grid(y, glyph, 1.0, np.eye(3), coarse_grid(glyph.lattice))
     assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
 
 
@@ -441,7 +449,7 @@ def test_fit_affine_recovers_a_known_warp_1d():
     curve = ActivationMap(lattice, indicator_template(lattice.locations()[:, 0]))
     truth = AffineTransform.from_parts([[1.1]], [0.3])
     y = curve.with_values(interpolate(curve, affine_apply(truth, lattice.locations())))
-    got = fit_affine(y, curve, 1.0, np.eye(2), coarse_grid(lattice))
+    got = fit_from_grid(y, curve, 1.0, np.eye(2), coarse_grid(lattice))
     assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
 
 
@@ -455,31 +463,36 @@ def test_fit_affine_falls_back_to_the_best_candidate(monkeypatch, x, fun):
     beat the best candidate's, gives that candidate, without raising."""
     glyph = base_glyph()
     start = rotation_about_center(glyph.lattice, np.deg2rad(5.0)).matrix
+    warp = Warp(glyph, glyph.lattice.locations())
+    r = glyph.values - warp(start)
 
     def stub(point, p):
         point(p)
         return x, fun
 
     monkeypatch.setattr(sampler, "levenberg_marquardt", stub)
-    assert fit_affine(glyph, glyph, 1.0, start) is start
+    assert fit_affine(warp, glyph.values, 1.0, start, float(r @ r)) is start
 
 
 def test_fit_affine_samples_once_per_lm_point(monkeypatch):
-    """Each candidate costs one kernel pass for its value, and each LM point
-    one pass for its residuals and Jacobian together: beta times the warp's
-    at that point, less Y."""
+    """Each candidate's V sites are sampled once for its value, and each LM
+    point's once for its residuals and Jacobian together: beta times the
+    warp's at that point, less Y."""
     glyph = base_glyph()
     beta = 1.5
     truth = rotation_about_center(glyph.lattice, np.deg2rad(5.0))
     y = glyph.with_values(beta * interpolate(glyph, affine_apply(truth, glyph.lattice.locations())))
     warp = Warp(glyph, glyph.lattice.locations())
     grid = coarse_grid(glyph.lattice)[:7]
-    passes, points = [], []
+    sampled, points = {False: 0, True: []}, []
     sample = Warp.sample
 
     def counted_sample(self, u, deriv=False):
         if self is not warp:
-            passes.append(deriv)
+            if deriv:
+                sampled[True].append(u.shape[1])
+            else:
+                sampled[False] += u.shape[1]
         return sample(self, u, deriv)
 
     def checked_lm(point, p):
@@ -495,11 +508,35 @@ def test_fit_affine_samples_once_per_lm_point(monkeypatch):
 
     monkeypatch.setattr(Warp, "sample", counted_sample)
     monkeypatch.setattr(sampler, "levenberg_marquardt", checked_lm)
-    got = fit_affine(y, glyph, beta, np.eye(3), grid)
+    got = fit_from_grid(y, glyph, beta, np.eye(3), grid)
     assert len(points) > 2
-    assert passes.count(False) == 1 + len(grid)
-    assert passes.count(True) == len(points)
+    assert sampled[False] == (1 + len(grid)) * glyph.lattice.n_sites
+    assert sampled[True] == [glyph.lattice.n_sites] * len(points)
     assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
+
+
+def test_best_candidates_is_the_first_smallest_objective():
+    """Subject by subject, the candidates' objectives are today's per-candidate
+    sums, in the order [start, *grid], and ties go to the earlier candidate."""
+    maps = small_glyph()
+    lattice = maps[0].lattice
+    warp = Warp(maps[1], lattice.locations())
+    y = np.stack([m.values for m in maps])
+    beta = np.array([0.8, 1.0, 1.3])
+    grid = coarse_grid(lattice)
+    # Subject 1's map is the template and its start the identity, which the
+    # grid holds too: the tie goes to the start.
+    starts = np.array([grid[17], np.eye(3), grid[400]])
+    best, objs = best_candidates(warp, y, beta, starts, grid)
+    for i in range(3):
+        want = []
+        for h in [starts[i], *grid]:
+            r = y[i] - beta[i] * warp(h)
+            want.append(float(r @ r))
+        k = int(np.argmin(want))
+        assert objs[i] == min(want)
+        assert np.array_equal(best[i], ([starts[i], *grid])[k])
+    assert objs[1] == 0.0 and np.shares_memory(best[1], starts)
 
 
 def noisy_fit_problem(dim):
@@ -632,30 +669,196 @@ def test_coarse_grid_is_the_loop_of_transforms_bit_for_bit(lattice):
 
 def test_set_up_builds_the_coarse_grid_once(monkeypatch):
     """`initialize` and the baseline's set-up build one coarse grid each and
-    hand every subject's first fit that same list."""
+    hand it, once for all subjects, to the first pass's candidate search."""
     built, handed = [], []
-    grid, fit = sampler.coarse_grid, sampler.fit_affine
+    grid, search = sampler.coarse_grid, sampler.best_candidates
 
     def counted_grid(lattice):
         built.append(grid(lattice))
         return built[-1]
 
-    def recorded_fit(y_map, x_map, beta, start, grid=()):
-        handed.append(grid)
-        return fit(y_map, x_map, beta, start, grid)
+    def recorded_search(warp, y, beta, starts, grid=()):
+        handed.append((grid, len(y)))
+        return search(warp, y, beta, starts, grid)
 
     monkeypatch.setattr(sampler, "coarse_grid", counted_grid)
-    monkeypatch.setattr(sampler, "fit_affine", recorded_fit)
+    monkeypatch.setattr(sampler, "best_candidates", recorded_search)
     monkeypatch.setattr(baseline, "coarse_grid", counted_grid)
-    monkeypatch.setattr(baseline, "fit_affine", recorded_fit)
+    monkeypatch.setattr(baseline, "best_candidates", recorded_search)
     maps = indicator()
     initialize(maps, RunConfig(init_iters=2))
-    assert len(built) == 1
-    assert [g is built[0] for g in handed] == [True] * 3 + [False] * 3
-    assert all(len(g) == 0 for g in handed[3:])
+    assert len(built) == 1 and len(handed) == 2
+    assert handed[0][0] is built[0] and len(handed[1][0]) == 0
+    assert [n for _, n in handed] == [3, 3]
     handed.clear()
     baseline.ConventionalChain(maps, RunConfig(model="conventional", total=3, burn_in=1, thin=1))
-    assert len(built) == 2 and all(g is built[1] for g in handed) and len(handed) == 3
+    assert len(built) == 2 and len(handed) == 1 and handed[0] == (built[1], 3)
+
+
+def per_subject_fit_affine(y_map, x_map, beta, start, grid=()):
+    """The set-up's transform fit with a `Warp` and a grid search per subject:
+    the oracle of `best_candidates` followed by `fit_affine`."""
+    warp = Warp(x_map, y_map.lattice.locations())
+    y = y_map.values
+
+    def objective(h):
+        xt = warp(h)
+        r = y - beta * xt
+        return float(r @ r)
+
+    candidates = [start, *grid]
+    objs = [objective(h) for h in candidates]
+    best = candidates[int(np.argmin(objs))]
+    d = len(best) - 1
+
+    def point(p):
+        xt, jac = warp.value_and_jacobian(p.reshape(d, d + 1))
+        return beta * xt - y, beta * jac
+
+    p, f = levenberg_marquardt(point, best[:d].ravel())
+    if not f <= min(objs):
+        return best
+    h = np.eye(d + 1)
+    h[:d] = p.reshape(d, d + 1)
+    try:
+        return AffineTransform(h).matrix
+    except SingularTransform:
+        return best
+
+
+def per_subject_initialize(maps, config):
+    """`initialize` with every subject's transform fit on its own
+    (`per_subject_fit_affine`), and one `Warp` per call: its oracle."""
+    lattice = maps[0].lattice
+    pts = lattice.locations()
+    back = [Warp(amap, pts) for amap in maps]
+    x = np.mean([amap.values for amap in maps], axis=0)
+    n = len(maps)
+    ts = np.array([np.eye(lattice.dim + 1)] * n)
+    betas = np.ones(n)
+    grid = coarse_grid(lattice)
+    for it in range(config.init_iters):
+        x_map = ActivationMap(lattice, x)
+        ts = np.array([per_subject_fit_affine(maps[i], x_map, betas[i], ts[i],
+                                              grid if it == 0 else ()) for i in range(n)])
+        warp = Warp(x_map, pts)
+        for i in range(n):
+            betas[i] = fit_scale(maps[i].values, warp(ts[i]))
+        ts, _ = standardize(ts)
+        betas = betas / np.mean(betas)
+        x_new = np.mean([back[i](affine_inverse(ts[i])) / betas[i] for i in range(n)],
+                        axis=0)
+        rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12)
+        x = x_new
+        if rel < 1e-4:
+            break
+    x_map = ActivationMap(lattice, x)
+    ts_r = np.array([affine_inverse(t) for t in ts])
+    y = np.stack([amap.values for amap in maps])
+    warp = Warp(x_map, pts)
+    xt = np.stack([warp(t) for t in ts])
+    y_bw = np.stack([w(t_r) for w, t_r in zip(back, ts_r)])
+    sigma2 = np.maximum(np.mean((y - betas[:, None] * xt) ** 2, axis=1), 1e-12)
+    return dict(X=x, T=ts, T_r=ts_r, Y=y, XT=xt, Y_bw=y_bw, beta=betas, sigma2=sigma2,
+                alpha=max(float(np.var(x)), 1e-12), init_passes=it + 1,
+                init_rel_change=float(rel))
+
+
+SIMS = [("cosine", 0), ("cosine", 1), ("indicator", 1), ("indicator", 2), ("glyph", 7)]
+
+
+@pytest.mark.parametrize("scenario, seed", SIMS)
+def test_set_up_is_the_per_subject_fit_bit_for_bit(scenario, seed):
+    """Sharing each pass's template `Warp` and its grid values across the
+    subjects changes no bit of the set-up state, at the default config."""
+    maps, _ = generate(ScenarioSpec(scenario, n_subjects=3, seed=seed))
+    got = initialize(maps, RunConfig())
+    for name, want in per_subject_initialize(maps, RunConfig()).items():
+        assert np.array_equal(getattr(got, name), want), name
+
+
+@pytest.mark.parametrize("scenario, seed", [("cosine", 1), ("glyph", 7)])
+def test_baseline_set_up_is_the_per_subject_fit_bit_for_bit(scenario, seed):
+    maps, _ = generate(ScenarioSpec(scenario, n_subjects=3, seed=seed))
+    chain = baseline.ConventionalChain(
+        maps, RunConfig(model="conventional", total=3, burn_in=1, thin=1))
+    d = maps[0].lattice.dim
+    mean_map = ActivationMap(maps[0].lattice, np.mean([m.values for m in maps], axis=0))
+    grid = coarse_grid(maps[0].lattice)
+    want = np.array([per_subject_fit_affine(m, mean_map, 1.0, np.eye(d + 1), grid)
+                     for m in maps])
+    assert np.array_equal(chain.ts, want)
+
+
+def sampled_points(monkeypatch):
+    """Record every `Warp.sample` call as (warp, deriv, query points)."""
+    calls = []
+    sample = Warp.sample
+
+    def recorded(self, u, deriv=False):
+        calls.append((self, deriv, u.shape[1]))
+        return sample(self, u, deriv)
+
+    monkeypatch.setattr(Warp, "sample", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["symmetric", "conventional"])
+@pytest.mark.parametrize("scenario", ["indicator", "glyph"])
+def test_set_up_samples_each_grid_candidate_once(monkeypatch, model, scenario):
+    """In the first pass the template's `Warp` samples, without derivative,
+    each subject's start and the grid's candidates, V sites each, and (in
+    the symmetric model) each subject's fitted T for its scale: the grid's
+    sites once per set-up, not once per subject. At 525 candidates and N = 3
+    that is 531 V points, where a search per subject samples 3 x 526 V for
+    its candidates alone."""
+    maps, _ = generate(ScenarioSpec(scenario, n_subjects=3, seed=1))
+    lattice = maps[0].lattice
+    n_grid, v, n = len(coarse_grid(lattice)), lattice.n_sites, len(maps)
+    calls = sampled_points(monkeypatch)
+    if model == "symmetric":
+        initialize(maps, RunConfig(init_iters=1))
+    else:
+        baseline.ConventionalChain(maps, RunConfig(model=model, total=3, burn_in=1, thin=1))
+    template = calls[0][0]          # the first pass's template: the first warp sampled
+    values = sum(q for w, deriv, q in calls if w is template and not deriv)
+    assert values == (n_grid + (2 if model == "symmetric" else 1) * n) * v
+    assert all(q <= template.chunk * v for w, _, q in calls if w is template)
+
+
+def test_glyph_grid_search_holds_no_stack_of_warped_templates():
+    """The first pass's candidate search on the 28x28 glyph (N = 3, 525
+    candidates) peaked at 0.66 MB under tracemalloc (numpy 2.4): the
+    temporaries of one kernel pass over 2 candidates, its stencil values and
+    their flat indices 0.2 MB each. One (526, 784) stack of warped values
+    alone is 3.3 MB. The bound is 1 MB."""
+    maps, _ = generate(ScenarioSpec("glyph", n_subjects=3, seed=7))
+    lattice = maps[0].lattice
+    y = np.stack([m.values for m in maps])
+    warp = Warp(ActivationMap(lattice, np.mean(y, axis=0)), lattice.locations())
+    grid = coarse_grid(lattice)
+    starts = np.array([np.eye(3)] * 3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        best_candidates(warp, y, np.ones(3), starts, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6 < 526 * lattice.n_sites * 8
+
+
+def test_set_up_reports_its_passes_and_last_change():
+    """The 1D set-up runs every pass without meeting the 1e-4 stop rule; the
+    glyph's meets it early. Both are recorded, and a chain reports them."""
+    curves, _ = generate(ScenarioSpec("indicator", n_subjects=3, seed=1))
+    state = initialize(curves, RunConfig())
+    assert state.init_passes == 10 and state.init_rel_change > 1e-4
+    glyphs, _ = generate(ScenarioSpec("glyph", n_subjects=3, seed=7))
+    state = initialize(glyphs, RunConfig())
+    assert state.init_passes < 10 and state.init_rel_change < 1e-4
+    _, diag = Chain(curves, RunConfig(total=4, burn_in=2, thin=1, init_iters=2)).run()
+    assert diag["init_passes"] == 2 and diag["init_rel_change"] > 1e-4
 
 
 def test_initialize_is_deterministic():
@@ -672,10 +875,14 @@ def test_initialize_is_deterministic():
 class _TwoCallWarp:
     """The path `Warp` replaced: a fresh `interpolate` call per transform."""
 
+    chunk = 5       # matrices per call of the candidate search; any size gives the same bits
+
     def __init__(self, amap, sites):
         self.amap, self.sites = amap, sites
 
     def __call__(self, t):
+        if t.ndim == 3:
+            return np.array([self(h) for h in t])
         return interpolate(self.amap, affine_apply(t, self.sites))
 
     def value_and_jacobian(self, top):
