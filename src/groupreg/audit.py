@@ -19,9 +19,9 @@ from .interp import Warp
 from .model import (Hyperparams, TransformPrior, build_geometry, gibbs_log_posterior,
                     invgamma_logpdf, normal_logpdf, sigma_s_matrix)
 from .sampler import (Chain, ChainState, alpha_conditional, beta_sigma_conditional,
-                      forward_log_target, initialize, lie_mh_log_acceptance,
+                      forward_log_target, initialize, lie_mh_log_acceptance, nngp_means,
                       refresh_caches, reverse_log_target, rho_log_target, rho_weights,
-                      subject_geometry, template_conditional,
+                      subject_geometry, template_conditional, transform_terms,
                       transformed_template_conditional)
 from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
@@ -56,10 +56,11 @@ def _toy_state(seed=0, n_subjects=2):
         betas.append(rng.uniform(0.8, 1.2))
         sigma2s.append(rng.uniform(0.4, 0.9))
         xts.append(rng.normal(size=4))
-    y_bw = [Warp(amap, geom.locations)(t_r) for amap, t_r in zip(maps, ts_r)]
-    state = ChainState(X=x, maps=maps, T=np.array(ts), T_r=np.array(ts_r),
+    ts_r = np.array(ts_r)
+    y_bw = Warp(maps, geom.locations)(ts_r)
+    state = ChainState(X=x, maps=maps, T=np.array(ts), T_r=ts_r,
                        Y=np.stack([m.values for m in maps]),
-                       XT=np.stack(xts), Y_bw=np.stack(y_bw), beta=np.array(betas),
+                       XT=np.stack(xts), Y_bw=y_bw, beta=np.array(betas),
                        sigma2=np.array(sigma2s), alpha=cov.alpha, rho=cov.rho)
     refresh_caches(state, geom)
     return state, geom, hp
@@ -156,7 +157,7 @@ def conjugacy_audit(seed=0, tol=1e-8):
     results.append(_check("conjugacy.sigma2_marginal", abs(closed - joint), tol))
 
     # alpha.
-    shape, rate = alpha_conditional(state, geom, hp)
+    shape, rate = alpha_conditional(state, hp, nngp_means(state, geom, state.tB, state.B))
     new_alpha = state.alpha * 1.4
     closed = (invgamma_logpdf(new_alpha, shape, rate)
               - invgamma_logpdf(state.alpha, shape, rate))
@@ -220,21 +221,22 @@ def target_audit(seed=0, tol=1e-8):
         t_old, t_r_old = state.T[0].copy(), state.T_r[0].copy()
         t_new = lie_exp(0.05 * rng.standard_normal(2)) @ t_old
         h_old, h_r_old, h_new = t_old[None], t_r_old[None], t_new[None]
-        closed = (forward_log_target(h_new, h_r_old, state.X, xt,
-                                     _geometry(h_new, state, geom)[2:], geom, hp)[0]
-                  - forward_log_target(h_old, h_r_old, state.X, xt,
-                                       (state.nbr[:1], state.B[:1], state.F[:1]), geom, hp)[0])
+        closed = (forward_log_target(transform_terms(geom.prior_T, h_new, h_r_old), state.X,
+                                     xt, _geometry(h_new, state, geom)[2:], hp)[0]
+                  - forward_log_target(transform_terms(geom.prior_T, h_old, h_r_old), state.X,
+                                       xt, (state.nbr[:1], state.B[:1], state.F[:1]), hp)[0])
         state.T[0] = t_new
         joint = _joint(state, geom, hp) - base
         state.T[0] = t_old
         worst["target.forward"] = max(worst["target.forward"], abs(closed - joint))
 
         t_r_new = lie_exp(0.05 * rng.standard_normal(2)) @ t_r_old
-        y_bw_new = state.warps[0](t_r_new)[None]
         h_r_new = t_r_new[None]
-        closed = (reverse_log_target(h_r_new, h_old, state.X, y_bw_new, beta, s2, geom, hp)[0]
-                  - reverse_log_target(h_r_old, h_old, state.X, state.Y_bw[:1], beta, s2,
-                                       geom, hp)[0])
+        y_bw_new = state.warps(h_r_new, np.array([0]))
+        closed = (reverse_log_target(transform_terms(geom.prior_Tr, h_r_new, h_old), state.X,
+                                     y_bw_new, beta, s2, hp)[0]
+                  - reverse_log_target(transform_terms(geom.prior_Tr, h_r_old, h_old), state.X,
+                                       state.Y_bw[:1], beta, s2, hp)[0])
         state.T_r[0] = t_r_new
         joint = _joint(state, geom, hp) - base
         state.T_r[0] = t_r_old
@@ -249,10 +251,13 @@ def target_audit(seed=0, tol=1e-8):
         worst["target.conventional"] = max(worst["target.conventional"], abs(closed - joint))
 
     rho_old = state.rho
-    log_old = rho_log_target(state, ((state.tB, state.tF), (state.B, state.F)), geom)
+    log_old = rho_log_target(state, ((state.tB, state.tF), (state.B, state.F)),
+                             nngp_means(state, geom, state.tB, state.B))
     for rho in (0.3, 1.1, 2.6):
         factor = kriging_factor(geom.library, geom.predecessor_patterns, rho)
-        closed = rho_log_target(state, rho_weights(state, geom, factor), geom) - log_old
+        new = rho_weights(state, geom, factor)
+        (tb, _), (b, _) = new
+        closed = rho_log_target(state, new, nngp_means(state, geom, tb, b)) - log_old
         state.rho = rho
         joint = _joint(state, geom, hp) - base
         state.rho = rho_old
@@ -322,8 +327,8 @@ def detailed_balance_audit(n_pairs=100, seed=0, tol=1e-6):
 
     def forward(t):
         h = t[None]
-        return forward_log_target(h, state.T_r[:1], state.X, state.XT[:1],
-                                  _geometry(h, state, geom)[2:], geom, hp)[0]
+        return forward_log_target(transform_terms(geom.prior_T, h, state.T_r[:1]), state.X,
+                                  state.XT[:1], _geometry(h, state, geom)[2:], hp)[0]
 
     def start_1d(rng):
         return np.array([[rng.uniform(0.85, 1.15), rng.uniform(-0.5, 0.5)], [0.0, 1.0]])
@@ -430,7 +435,7 @@ def pattern_weights_gap():
         lib = build_neighbor_library(lattice, margin, 10)
         targets = np.concatenate([affine_apply(t, locs), lib.enlarged.locations()])
         entries = lookup_entries(targets, lib)
-        dist = neighbor_distances(targets, entries, lib, locs)
+        dist = neighbor_distances(targets, lib.neighbor_indices[entries], locs)
         for alpha, rho in ((1.7, 0.05), (0.4, 1.5), (2.5, 3.0)):
             params = CovarianceParams(alpha, rho)
             factor = kriging_factor(lib, patterns, rho)

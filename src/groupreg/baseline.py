@@ -211,12 +211,11 @@ def inverse_warp(maps, transforms):
 
     Given the model convention Y_i ~ X(T_i(.)), the template-space version of
     Y_i is Y_i(T_i^{-1}(.)); each output map is Y_i resampled at the
-    inverse-transformed sites. Returns (warped maps, across-subject mean map).
+    inverse-transformed sites, every map by one call of one `Warp` of them
+    all. Returns (warped maps, across-subject mean map).
     """
-    common_lattice(maps)
-    warped = []
-    for amap, t in zip(maps, transforms):
-        warp = Warp(amap, amap.lattice.locations())
-        warped.append(amap.with_values(warp(affine_inverse(t))))
+    lattice = common_lattice(maps)
+    values = Warp(maps, lattice.locations())(np.array([affine_inverse(t) for t in transforms]))
+    warped = [amap.with_values(v) for amap, v in zip(maps, values)]
     mean = warped[0].with_values(np.mean([m.values for m in warped], axis=0))
     return warped, mean

@@ -7,8 +7,8 @@ outside the region of interest.
 
 One kernel, `_Stencil.sample`, serves 1D and 2D alike and takes index
 coordinates axis-major, (d, q), so every step runs over the query points in
-long contiguous rows. What depends only on the map is built once per
-`_Stencil`: the grid padded by `_PAD` zero sites per side, so every stencil
+long contiguous rows. What depends only on the maps is built once per
+`_Stencil`: each grid padded by `_PAD` zero sites per side, so every stencil
 that touches the lattice lies inside the padded grid and needs no mask; the
 padded grid's strides; the flat offsets of the 4^d stencil sites; and the
 clip bounds. Index coordinates are clipped to [-3, n + 1] per axis before
@@ -25,7 +25,7 @@ coordinates overflow, without a warning.
 
 Two entry points call that kernel:
 - `interpolate(amap, points)` samples a map once at (q, d) points;
-- `Warp(amap, sites)` samples one map at T(S) for many affine T and fixed
+- `Warp(maps, sites)` samples maps at T(S) for many affine T and fixed
   sites S. It also keeps S as a (d, q) array, and `warp(h)`, h the matrix
   of T, computes the index coordinates (A S + b - origin) / spacing in that
   layout, which gives the bits of `interpolate(amap, affine_apply(h, sites))`.
@@ -35,13 +35,22 @@ Two entry points call that kernel:
   `spatial._BLOCK_BYTES`: 2 on a 28x28 lattice, 40 on a 201-site curve.
   Each point's arithmetic does not depend on the others in its pass, so a
   stacked call gives the bits of one call per matrix.
-  `warp.value_and_jacobian(top)` gives those values for the top d rows of a
-  homogeneous matrix H, with their Jacobian in H's entries, from one kernel
-  pass. The reverse-transform step evaluates one map at thousands of T, and
-  the set-up evaluates one template at the coarse grid of candidate
-  transforms for every subject at once (`sampler.best_candidates`) and at
-  each subject's Levenberg-Marquardt points (`sampler.fit_affine`), so the
-  per-map work is paid once, not per T.
+  A `Warp` holds one map or several on one lattice: the padded grids are
+  stacked, (maps, padded shape), and a point's flat stencil index is offset
+  by its map's place in the stack, so the kernel and its arithmetic are
+  those of one map. Row k of a stack is sampled on map `which[k]`, or on
+  map k when no `which` is given, and has the bits of a one-map `Warp` of
+  that map. The chain keeps one `Warp` of all subject maps
+  (`sampler.ChainState.warps`), so the reverse-transform step samples every
+  live proposal in one call; the set-up's back-warps,
+  `baseline.inverse_warp` and `model.gibbs_log_posterior` call it the same
+  way, one matrix per map.
+  `warp.value_and_jacobian(top)` gives the values of a one-map `Warp` for
+  the top d rows of a homogeneous matrix H, with their Jacobian in H's
+  entries, from one kernel pass. The set-up evaluates one template at the
+  coarse grid of candidate transforms for every subject at once
+  (`sampler.best_candidates`) and at each subject's Levenberg-Marquardt
+  points (`sampler.fit_affine`), so the per-map work is paid once, not per T.
 """
 
 from __future__ import annotations
@@ -61,39 +70,48 @@ _PAD = 4
 MIN_AXIS_SITES = 4      # the stencil's width: fewer sites on an axis cannot be interpolated
 
 
-def _padded(grid):
+def _padded(grids):
+    """The (n, ...) stack of grids, each padded by _PAD zero sites per side."""
     # Slice assignment into zeros: np.pad costs about ten times as much per call.
-    out = np.zeros(tuple(n + 2 * _PAD for n in grid.shape))
-    out[(slice(_PAD, -_PAD),) * grid.ndim] = grid
+    out = np.zeros((len(grids),) + tuple(n + 2 * _PAD for n in grids.shape[1:]))
+    out[(slice(None),) + (slice(_PAD, -_PAD),) * (grids.ndim - 1)] = grids
     return out
 
 
 class _Stencil:
-    """The cubic kernel over one map, with everything that depends only on the map built."""
+    """The cubic kernel over one or more maps on one lattice, with everything
+    that depends only on the maps built."""
 
-    def __init__(self, amap):
-        lat = amap.lattice
+    def __init__(self, maps):
+        lat = maps[0].lattice
         if any(n < MIN_AXIS_SITES for n in lat.shape):
             raise ValueError(f"cubic interpolation needs >= {MIN_AXIS_SITES} sites per axis")
+        if not all(amap.lattice.matches(lat) for amap in maps[1:]):
+            raise ValueError("the maps of one stencil must share one lattice")
         self.dim = lat.dim
+        self.n_maps = len(maps)
         self._upper = np.asarray(lat.shape, dtype=float)[:, None] + 1.0
-        self._padded = _padded(amap.grid)
-        # Flat index of a stencil's first site (base - 1 per axis) is
-        # strides @ base + _first, and the 4^d stencil sites lie at `_offsets` from it.
-        self._strides = np.asarray(self._padded.strides) // self._padded.itemsize
+        self._padded = _padded(np.stack([amap.grid for amap in maps]))
+        # Flat index of a stencil's first site (base - 1 per axis) in map 0 is
+        # strides @ base + _first, in map j that plus j * _map_size, and the
+        # 4^d stencil sites lie at `_offsets` from it.
+        self._strides = np.asarray(self._padded.strides[1:]) // self._padded.itemsize
+        self._map_size = self._padded[0].size
         self._first = (_PAD - 1) * self._strides.sum()
         offsets = np.arange(4)
         if lat.dim == 2:
             offsets = (offsets[:, None] * self._strides[0] + offsets).ravel()
         self._offsets = offsets[:, None]
 
-    def sample(self, u, deriv=False):
+    def sample(self, u, deriv=False, offset=None):
         """Values at index coordinates u, (d, q) and C-contiguous; returns (q,).
 
-        With `deriv`, also the derivative along each index axis, (d, q), from
-        the same stencil values with the weights [0, 1, 2t, 3t^2] @ `_M_CR`;
-        the values keep their bits. Where the stencil reads only padding the
-        derivative is 0, and where a query is not finite it is NaN.
+        Point j is read from map 0, or with `offset`, a (q,) int array, from
+        the map whose flat grid starts at offset[j]. With `deriv`, also the
+        derivative along each index axis, (d, q), from the same stencil
+        values with the weights [0, 1, 2t, 3t^2] @ `_M_CR`; the values keep
+        their bits. Where the stencil reads only padding the derivative is 0,
+        and where a query is not finite it is NaN.
         """
         q = u.shape[1]
         finite = np.isfinite(u)
@@ -105,6 +123,8 @@ class _Stencil:
         u = np.clip(u, -3.0, self._upper)
         base = np.floor(u)
         first = (self._strides @ base + self._first).astype(np.intp)
+        if offset is not None:
+            first += offset
         vals = self._padded.take(self._offsets + first)        # (4^d, q)
 
         t = (u - base).ravel()
@@ -150,7 +170,7 @@ def interpolate(amap, points):
     be anywhere, with stencil values outside the lattice read as 0. Points
     with a NaN or infinite coordinate give NaN.
     """
-    stencil = _Stencil(amap)
+    stencil = _Stencil([amap])
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     # An index coordinate that overflows gives NaN, as in `Warp.__call__`.
@@ -161,22 +181,26 @@ def interpolate(amap, points):
 
 
 class Warp(_Stencil):
-    """One map sampled at T(S) for many affine transforms T and fixed sites S.
+    """Maps on one lattice sampled at T(S) for many affine transforms T and fixed sites S.
 
     `Warp(amap, sites)(h)`, h a homogeneous matrix, equals `interpolate(amap,
     affine_apply(h, sites))` bit for bit: sites is (q, d), the result (q,).
     For an (n, d + 1, d + 1) stack h the result is (n, q), row k the bits of
-    `self(h[k])`, computed in kernel passes over `chunk` matrices each. The
-    padded grid, the stencil offsets and the clip bounds are built here,
-    once, with the sites as a (d, q) array and the lattice's origin and
-    spacing as columns.
+    `self(h[k])`, computed in kernel passes over `chunk` matrices each.
+    `Warp(maps, sites)`, maps a list on one lattice, samples row k of a stack
+    on maps[which[k]], or on maps[k] when `which` is not given, with the bits
+    of `Warp(maps[which[k]], sites)(h[k])`. The padded grids, the stencil
+    offsets and the clip bounds are built here, once, with the sites as a
+    (d, q) array and the lattice's origin and spacing as columns.
     """
 
-    def __init__(self, amap, sites):
+    def __init__(self, maps, sites):
         # Imported here: spatial imports grids, which imports this module.
         from .spatial import _BLOCK_BYTES
 
-        super().__init__(amap)
+        maps = list(maps) if isinstance(maps, (list, tuple)) else [maps]
+        super().__init__(maps)
+        lattice = maps[0].lattice
         sites = np.asarray(sites, dtype=float)
         if sites.ndim != 2 or sites.shape[1] != self.dim:
             raise ValueError(f"sites must be (q, {self.dim}), got shape {sites.shape}")
@@ -184,8 +208,8 @@ class Warp(_Stencil):
         self._sites_h = np.ones((self.dim + 1, sites.shape[0]))
         self._sites_h[:-1] = sites.T
         self._sites = self._sites_h[:-1]
-        self._origin = amap.lattice.origin[:, None]
-        self._spacing = amap.lattice.spacing[:, None]
+        self._origin = lattice.origin[:, None]
+        self._spacing = lattice.spacing[:, None]
         # Matrices per kernel pass: a pass holds (4^d, chunk q) stencil values.
         self.chunk = max(1, _BLOCK_BYTES // (8 * 4 ** self.dim * sites.shape[0]))
 
@@ -195,19 +219,27 @@ class Warp(_Stencil):
         with np.errstate(over="ignore", invalid="ignore"):
             return (a @ self._sites + b[..., None] - self._origin) / self._spacing
 
-    def __call__(self, h):
+    def __call__(self, h, which=None):
         single = h.ndim == 2
         stack = h[None] if single else h
-        out = np.empty((len(stack), self._sites.shape[1]))
+        q = self._sites.shape[1]
+        if which is None and self.n_maps > 1:
+            if len(stack) != self.n_maps:
+                raise ValueError(f"{len(stack)} matrices for {self.n_maps} maps need `which`")
+            which = np.arange(self.n_maps)
+        out = np.empty((len(stack), q))
         for lo in range(0, len(stack), self.chunk):
             part = stack[lo:lo + self.chunk]
             u = self._coords(part[:, :-1, :-1], part[:, :-1, -1])       # (n, d, q)
             u = np.ascontiguousarray(u.swapaxes(0, 1)).reshape(self.dim, -1)
-            out[lo:lo + len(part)] = self.sample(u).reshape(len(part), -1)
+            offset = (None if which is None
+                      else np.repeat(which[lo:lo + self.chunk] * self._map_size, q))
+            out[lo:lo + len(part)] = self.sample(u, offset=offset).reshape(len(part), -1)
         return out[0] if single else out
 
     def value_and_jacobian(self, top):
-        """Values at H(S) and their Jacobian in the entries of H's top d rows.
+        """Values at H(S) and their Jacobian in the entries of H's top d rows,
+        on the first map.
 
         top: H[:d], (d, d + 1), which need not be invertible. Returns the
         values (q,), the bits of `self(h)` for the matrix with these rows,

@@ -30,7 +30,7 @@ from .grids import Lattice
 from .interp import Warp
 from .spatial import (NeighborLibrary, PredecessorPatterns, batched_nngp_weights,
                       build_neighbor_library, build_ordered_neighbor_sets,
-                      build_predecessor_patterns, lookup_neighbors,
+                      build_predecessor_patterns, conditional_means, lookup_neighbors,
                       nngp_log_density_from_weights)
 from .transforms import apply_stack, composition_identity_gap
 
@@ -212,16 +212,15 @@ def gibbs_log_posterior(state, hp, geom):
 
     tb, tf = batched_nngp_weights(geom.locations, geom.neighbor_sets,
                                   geom.locations, cov)
-    total += nngp_log_density_from_weights(x, x, geom.neighbor_sets, tb, tf)
+    total += nngp_log_density_from_weights(x, conditional_means(x, geom.neighbor_sets, tb), tf)
 
     h, h_r = state.T, state.T_r
     locs = apply_stack(h, geom.locations).reshape(-1, geom.lattice.dim)
     nbr = lookup_neighbors(locs, geom.library)
     b, f = batched_nngp_weights(locs, nbr, geom.locations, cov)
-    total += nngp_log_density_from_weights(x, state.XT.ravel(), nbr, b, f)
+    total += nngp_log_density_from_weights(state.XT.ravel(), conditional_means(x, nbr, b), f)
 
-    y_bw = np.stack([Warp(amap, geom.locations)(t_r)
-                     for amap, t_r in zip(state.maps, state.T_r)])
+    y_bw = Warp(state.maps, geom.locations)(h_r)
     beta, sigma2 = state.beta, state.sigma2
     ssd = (np.sum((state.Y - beta[:, None] * state.XT) ** 2, axis=1)
            + np.sum((y_bw - beta[:, None] * x) ** 2, axis=1))

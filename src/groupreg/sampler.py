@@ -27,8 +27,11 @@ for each rho proposal, kept on accept and dropped on reject; alpha only
 rescales F. The distances from each T_i(S) to its neighbor sets do not
 depend on rho, so the state keeps them, `ChainState.dist` (N, V, k), in
 place of the transformed sites: `subject_geometry` computes them, a forward
-accept stores them, and a rho proposal only inverts one matrix per distinct
-library pattern and exponentiates the cached distances (`rho_weights`).
+accept stores them, and a rho proposal only inverts the library patterns
+that the state's entries use, one matrix each, and exponentiates the cached
+distances (`rho_weights`). Its current-state target reuses the conditional
+means B x(N) that the alpha step computed in the same sweep (`nngp_means`),
+from the same X, X(T_i), neighbor sets and weights: alpha only rescales F.
 
 X | rest is Gaussian with a sparse banded precision Q (`template_conditional`)
 and is drawn exactly in one block step (Rue 2001): a LAPACK banded Cholesky
@@ -62,6 +65,12 @@ cov), and accept with log probability min(0, log pi(y) - log pi(x)
 The log targets are densities in the matrix entries of (A, b), and
 (d + 1) tr L is the exact log Hastings ratio of this proposal in those
 coordinates; no proposal density or reverse increment is evaluated. A
+target is the sum of terms of the transforms alone, the transform's log
+prior and the pair's penalty (`transform_terms`), and of a term that reads
+X: the NNGP density of X(T_i) forward, the SSD of Y(T_i^r(S)) in reverse.
+The state keeps the first kind (`ChainState`'s `TERMS`), so a current
+transform's target computes only the second; a proposal's target computes
+both, and an accepted proposal's terms are written to the state with it. A
 proposal with no real logarithm (`rejected_nolog`) or that moves a template
 site out of the neighbor library (`rejected_oob`) is rejected outright.
 Given the rest of the state, the subjects' T_i targets are independent, and
@@ -71,10 +80,12 @@ every accept uniform from one (n,) block, whether a proposal is rejected or
 not, and forms the proposals with the scalar `lie_exp`; then the log
 targets of all current transforms, and of all proposals with a real
 logarithm (`has_real_log`), are each computed once over the stacks, and one
-masked assignment writes the moved subjects back. Each direction's adaptive
-proposal state is one `AdaptiveProposal` over its subjects, arrays with one
-row per subject: a step reads every row's Cholesky factor from it once and
-records all outcomes in one call. Fed the block's draws, a loop of scalar
+masked assignment writes the moved subjects back. The reverse step samples
+every live proposal's map in one call of one `Warp` of all subject maps
+(`ChainState.warps`). Each direction's adaptive proposal state is one
+`AdaptiveProposal` over its subjects, arrays with one row per subject: a
+step reads every row's Cholesky factor from it once and records all
+outcomes in one call. Fed the block's draws, a loop of scalar
 steps over subjects, each with a one-row record, makes the same proposals
 and accept decisions bit for bit (`tests/test_sampler.py` keeps that loop
 as the oracle).
@@ -226,8 +237,11 @@ class ChainState:
     of the (N, V) arrays Y (the map's values), XT (X at T_i(S)), Y_bw (Y_i
     at T_i^r(S)) and F, and of the NNGP caches of T_i(S): library entries
     (N, V), neighbor sets nbr, their distances dist from T_i(S) and weights
-    B (N, V, k). `warps[i]` samples maps[i] at T(S) for the reverse step,
-    and `band` assembles the X step's precision."""
+    B (N, V, k). The transform steps' terms that depend on the transforms
+    alone are kept too, (N,) each: the log priors log_prior_T of T_i and
+    log_prior_Tr of T_i^r, and the penalty sum of each pair (`TERMS`).
+    `warps` samples every maps[i] at T(S), one `Warp` of all of them, for the
+    reverse step, and `band` assembles the X step's precision."""
 
     X: np.ndarray
     maps: list
@@ -248,7 +262,10 @@ class ChainState:
     tB: np.ndarray = field(default=None, repr=False)     # template NNGP weights
     tF: np.ndarray = field(default=None, repr=False)
     factor: KrigingFactor = field(default=None, repr=False)  # pattern cache at rho
-    warps: list = field(default=None, repr=False)
+    log_prior_T: np.ndarray = field(default=None, repr=False)
+    log_prior_Tr: np.ndarray = field(default=None, repr=False)
+    penalty: np.ndarray = field(default=None, repr=False)
+    warps: Warp = field(default=None, repr=False)
     band: TemplateBand = field(default=None, repr=False)   # Q's slot tables and buffers
     rho_proposals: int = 0
     rho_accepts: int = 0
@@ -261,6 +278,7 @@ class ChainState:
 
 
 CACHES = ("dist", "entry", "nbr", "B", "F")   # a subject's NNGP caches in ChainState
+TERMS = ("log_prior_T", "log_prior_Tr", "penalty")   # its transform-only log-target terms
 
 
 def subject_geometry(h, geom, factor, alpha):
@@ -270,27 +288,49 @@ def subject_geometry(h, geom, factor, alpha):
     (inside, caches): inside (n,) marks the T that keep every template site
     within the library's margin, and caches = (dist, entry, nbr, B, F), the
     `CACHES` of those T only, stacked, (n_inside, V, ...) each. One lookup,
-    one distance call and one weights call cover all n V sites.
+    one gather of the neighbor sets, one distance call and one weights call
+    cover all n V sites. T(S) is formed axis-major, (n, d, V), as `Warp`
+    forms it, with the bits of `apply_stack`, and handed on as an (n, V, d)
+    view, so the lookup and the distances read each axis in contiguous rows.
     """
-    locs = apply_stack(h, geom.locations)
+    with np.errstate(over="ignore", invalid="ignore"):   # as in `apply_stack`
+        locs = (h[:, :-1, :-1] @ geom.locations.T + h[:, :-1, -1:]).transpose(0, 2, 1)
     entry, inside = locate_entries(locs, geom.library)
     inside = inside.all(axis=1)
     if not inside.all():
         locs, entry = locs[inside], entry[inside]
-    n, v, d = locs.shape
-    dist = neighbor_distances(locs.reshape(-1, d), entry.ravel(), geom.library, geom.locations)
-    b, f = library_weights(dist, entry.ravel(), geom.library, factor, alpha)
-    k = dist.shape[1]
-    return inside, (dist.reshape(n, v, k), entry, geom.library.neighbor_indices[entry],
-                    b.reshape(n, v, k), f.reshape(n, v))
+    n, v = entry.shape
+    nbr = np.take(geom.library.neighbor_indices, entry, axis=0)
+    dist = neighbor_distances(locs, nbr, geom.locations)
+    k = dist.shape[-1]
+    b, f = library_weights(dist.reshape(-1, k), entry.ravel(), geom.library, factor, alpha)
+    return inside, (dist, entry, nbr, b.reshape(n, v, k), f.reshape(n, v))
+
+
+def transform_terms(prior, h, other):
+    """The terms of a transform step's log target that depend on the
+    transforms alone, per subject: the log density under `prior` of each
+    matrix of the stack h, and the penalty sum ||H H_o - I||_F
+    + ||H_o H - I||_F of each pair with the stack `other` of the other
+    direction's transforms; (n,) each. The sum is the same float in either
+    order of the pair, so both steps share one cached penalty per subject.
+    """
+    p1, p2 = penalty_terms(h, other)
+    return prior.log_density(h), p1 + p2
+
+
+def refresh_terms(state, geom):
+    """Set the state's `TERMS` from its T and T_r."""
+    state.log_prior_T, state.penalty = transform_terms(geom.prior_T, state.T, state.T_r)
+    state.log_prior_Tr = geom.prior_Tr.log_density(state.T_r)
 
 
 def refresh_caches(state, geom):
     """Factor the neighbor patterns at state.rho; set the template's (B, F),
-    every subject's NNGP caches for its current T_i, and one `Warp` of each
-    subject map at the template sites, for the reverse step. Raises
-    OutOfLibraryBounds when a T_i leaves the library."""
-    state.warps = [Warp(amap, geom.locations) for amap in state.maps]
+    every subject's NNGP caches and `TERMS` for its current transforms, and
+    one `Warp` of all subject maps at the template sites, for the reverse
+    step. Raises OutOfLibraryBounds when a T_i leaves the library."""
+    state.warps = Warp(state.maps, geom.locations)
     state.factor = kriging_factor(geom.library, geom.predecessor_patterns, state.rho)
     state.tB, state.tF = predecessor_weights(geom.predecessor_patterns, state.factor,
                                              state.alpha)
@@ -300,6 +340,7 @@ def refresh_caches(state, geom):
                                  "template site outside the neighbor library")
     for name, value in zip(CACHES, caches):
         setattr(state, name, value)
+    refresh_terms(state, geom)
     state.band = TemplateBand(geom, len(state.T))
 
 
@@ -484,11 +525,19 @@ def update_beta_sigma(state, hp, rng):
     state.beta = rng.normal(mu, np.sqrt(lam * state.sigma2))
 
 
-def alpha_conditional(state, geom, hp):
-    """Shape and rate of the conjugate inverse-gamma conditional for alpha."""
+def nngp_means(state, geom, tb, b):
+    """The conditional means B x(N) of every template site under the template
+    weights tb, (V,), and of every X(T_i) under the subjects' weights b, (N, V)."""
+    return (conditional_means(state.X, geom.neighbor_sets, tb),
+            conditional_means(state.X, state.nbr, b))
+
+
+def alpha_conditional(state, hp, means):
+    """Shape and rate of the conjugate inverse-gamma conditional for alpha,
+    given `nngp_means` at the state's weights."""
     x = state.X
-    resid_t = x - conditional_means(x, geom.neighbor_sets, state.tB)
-    resid = state.XT - conditional_means(x, state.nbr, state.B)
+    resid_t = x - means[0]
+    resid = state.XT - means[1]
     quad = (float(np.sum(resid_t ** 2 * state.alpha / state.tF))
             + float(np.sum(resid ** 2 * state.alpha / state.F)))
     shape = hp.a0_alpha + x.size * (len(state.T) + 1) / 2.0
@@ -497,13 +546,16 @@ def alpha_conditional(state, geom, hp):
 
 
 def update_alpha(state, geom, hp, rng):
-    shape, rate = alpha_conditional(state, geom, hp)
+    """Draw alpha; returns the `nngp_means` it used, which rho's step reuses:
+    a new alpha rescales F, never B."""
+    means = nngp_means(state, geom, state.tB, state.B)
+    shape, rate = alpha_conditional(state, hp, means)
     new_alpha = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
     ratio = new_alpha / state.alpha
     state.tF = state.tF * ratio
     state.F = state.F * ratio
     state.alpha = new_alpha
-    return new_alpha
+    return means
 
 
 def rho_weights(state, geom, factor):
@@ -516,20 +568,24 @@ def rho_weights(state, geom, factor):
             (b.reshape(n, v, k), f.reshape(n, v)))
 
 
-def rho_log_target(state, weights, geom):
+def rho_log_target(state, weights, means):
     """rho-dependent part of the joint: the NNGP log densities of X and of every X(T_i).
 
     `weights` is (template (B, F), subjects' (B, F)): the state's cached
-    weights, or `rho_weights(...)` for a proposal.
+    weights, or `rho_weights(...)` for a proposal; `means` their
+    `nngp_means`.
     """
-    x = state.X
-    (tb, tf), (b, f) = weights
-    return (nngp_log_density_from_weights(x, x, geom.neighbor_sets, tb, tf)
-            + nngp_log_density_from_weights(x, state.XT, state.nbr, b, f))
+    (_, tf), (_, f) = weights
+    return (nngp_log_density_from_weights(state.X, means[0], tf)
+            + nngp_log_density_from_weights(state.XT, means[1], f))
 
 
-def update_rho(state, geom, hp, rng):
-    """Random-walk Metropolis on rho; proposals outside (L, U) are rejected."""
+def update_rho(state, geom, hp, rng, means):
+    """Random-walk Metropolis on rho; proposals outside (L, U) are rejected.
+
+    `means` are the `nngp_means` at the state's weights (`update_alpha`
+    returns them), so only the proposal's means are computed here.
+    """
     state.rho_proposals += 1
     prop = state.rho + RHO_STEP * rng.standard_normal()
     accept_draw = np.log(rng.uniform())
@@ -537,8 +593,10 @@ def update_rho(state, geom, hp, rng):
         return False
     factor_new = kriging_factor(geom.library, geom.predecessor_patterns, prop)
     new = rho_weights(state, geom, factor_new)
+    (tb, _), (b, _) = new
+    log_new = rho_log_target(state, new, nngp_means(state, geom, tb, b))
     old = ((state.tB, state.tF), (state.B, state.F))
-    if accept_draw < rho_log_target(state, new, geom) - rho_log_target(state, old, geom):
+    if accept_draw < log_new - rho_log_target(state, old, means):
         state.rho = prop
         state.factor = factor_new
         (state.tB, state.tF), (state.B, state.F) = new
@@ -570,29 +628,29 @@ def lie_mh_log_acceptance(log_old, log_new, delta):
     return np.minimum(0.0, log_new - log_old + 3.0 * (delta[..., 0] + delta[..., 4]))
 
 
-def forward_log_target(h, h_r, x, xt, weights, geom, hp):
+def forward_log_target(terms, x, xt, weights, hp):
     """T-dependent part of the joint, per subject: prior, NNGP terms of X(T), both penalties.
 
-    h and h_r are (n, d + 1, d + 1) stacks of the subjects' T and T^r, xt
-    their (n, V) X(T) values and `weights` the (nbr, B, F) of their T(S),
-    stacked: the state's caches, or `subject_geometry(h, ...)[1][2:]` for
-    proposals. Returns (n,).
+    `terms` is the subjects' (log prior of T, penalty sum) of
+    `transform_terms`, xt their (n, V) X(T) values and `weights` the
+    (nbr, B, F) of their T(S), stacked: the state's `TERMS` and caches, or
+    those of proposals (`subject_geometry(h, ...)[1][2:]`). Returns (n,).
     """
+    log_prior, penalty = terms
     nbr, b, f = weights
-    p1, p2 = penalty_terms(h, h_r)
-    return (geom.prior_T.log_density(h)
-            + nngp_log_density_from_weights(x, xt, nbr, b, f, axis=-1)
-            - hp.lambda_r * (p1 + p2))
+    return (log_prior
+            + nngp_log_density_from_weights(xt, conditional_means(x, nbr, b), f, axis=-1)
+            - hp.lambda_r * penalty)
 
 
-def reverse_log_target(h_r, h, x, y_bw, beta, sigma2, geom, hp):
+def reverse_log_target(terms, x, y_bw, beta, sigma2, hp):
     """T^r-dependent part, per subject: prior, SSD of y_bw = Y(T^r(S))
-    (1/2 weighted), both penalties; stacked as in `forward_log_target`, with
-    the subjects' (n, V) y_bw and (n,) beta and sigma2. Returns (n,)."""
+    (1/2 weighted), both penalties; `terms` the (log prior of T^r, penalty
+    sum) of `transform_terms`, stacked as in `forward_log_target`, with the
+    subjects' (n, V) y_bw and (n,) beta and sigma2. Returns (n,)."""
+    log_prior, penalty = terms
     ssd = np.sum((y_bw - beta[:, None] * x) ** 2, axis=1)
-    p1, p2 = penalty_terms(h, h_r)
-    return (geom.prior_Tr.log_density(h_r)
-            - 0.5 * ssd / sigma2 - hp.lambda_r * (p1 + p2))
+    return log_prior - 0.5 * ssd / sigma2 - hp.lambda_r * penalty
 
 
 def lie_mh_step(h, log_old, log_target, adapt, rng):
@@ -636,20 +694,23 @@ def lie_mh_step(h, log_old, log_target, adapt, rng):
 def update_forward_transform(state, geom, hp, adapt, rng):
     """One Lie-MH step of every T_i, one `lie_mh_step` for all subjects.
 
-    On accept, T_i and row i of its NNGP caches change. Returns the (N,)
-    accept mask.
+    The current transforms' target reads the state's `TERMS`; only its NNGP
+    term, which depends on X, is computed. On accept, T_i, row i of its
+    NNGP caches and its log prior and penalty change, to the values the
+    proposal's target computed. Returns the (N,) accept mask.
     """
     def target(rows, proposals):
         inside, caches = subject_geometry(proposals, geom, state.factor, state.alpha)
         kept = rows[inside]
-        return inside, forward_log_target(proposals[inside], state.T_r[kept], state.X,
-                                          state.XT[kept], caches[2:], geom, hp), caches
+        terms = transform_terms(geom.prior_T, proposals[inside], state.T_r[kept])
+        return (inside, forward_log_target(terms, state.X, state.XT[kept], caches[2:], hp),
+                caches + terms)
 
-    log_old = forward_log_target(state.T, state.T_r, state.X, state.XT,
-                                 (state.nbr, state.B, state.F), geom, hp)
-    accepted, h_new, caches = lie_mh_step(state.T, log_old, target, adapt, rng)
+    log_old = forward_log_target((state.log_prior_T, state.penalty), state.X, state.XT,
+                                 (state.nbr, state.B, state.F), hp)
+    accepted, h_new, payload = lie_mh_step(state.T, log_old, target, adapt, rng)
     state.T[accepted] = h_new
-    for name, value in zip(CACHES, caches):
+    for name, value in zip(CACHES + ("log_prior_T", "penalty"), payload):
         getattr(state, name)[accepted] = value
     return accepted
 
@@ -657,21 +718,25 @@ def update_forward_transform(state, geom, hp, adapt, rng):
 def update_reverse_transform(state, geom, hp, adapt, rng):
     """One Lie-MH step of every T_i^r, one `lie_mh_step` for all subjects.
 
-    Each live proposal samples its subject's map through `state.warps[i]`.
-    On accept, T_i^r and row i of Y_bw change. Returns the (N,) accept mask.
+    The live proposals sample their subjects' maps in one call of
+    `state.warps`. The current transforms' target reads the state's
+    `TERMS`. On accept, T_i^r, row i of Y_bw and its log prior and penalty
+    change, to the values the proposal's target computed. Returns the (N,)
+    accept mask.
     """
     def target(rows, proposals):
-        y_bw = np.stack([state.warps[i](h_r) for i, h_r in zip(rows, proposals)])
-        log_new = reverse_log_target(proposals, state.T[rows], state.X, y_bw,
-                                     state.beta[rows], state.sigma2[rows], geom, hp)
-        return np.ones(rows.size, dtype=bool), log_new, (y_bw,)
+        y_bw = state.warps(proposals, rows)
+        terms = transform_terms(geom.prior_Tr, proposals, state.T[rows])
+        log_new = reverse_log_target(terms, state.X, y_bw, state.beta[rows],
+                                     state.sigma2[rows], hp)
+        return np.ones(rows.size, dtype=bool), log_new, (y_bw, *terms)
 
-    log_old = reverse_log_target(state.T_r, state.T, state.X, state.Y_bw, state.beta,
-                                 state.sigma2, geom, hp)
-    accepted, h_new, y_bw = lie_mh_step(state.T_r, log_old, target, adapt, rng)
+    log_old = reverse_log_target((state.log_prior_Tr, state.penalty), state.X, state.Y_bw,
+                                 state.beta, state.sigma2, hp)
+    accepted, h_new, payload = lie_mh_step(state.T_r, log_old, target, adapt, rng)
     state.T_r[accepted] = h_new
-    if y_bw:
-        state.Y_bw[accepted] = y_bw[0]
+    for name, value in zip(("Y_bw", "log_prior_Tr", "penalty"), payload):
+        getattr(state, name)[accepted] = value
     return accepted
 
 
@@ -862,8 +927,9 @@ def initialize(maps, config):
     Needs only the maps' lattice: the neighbor library is sized afterwards
     from the transforms found here (`library_margin`).
 
-    Every warp goes through a prebuilt `Warp`: one per subject map for the
-    back-warps, built once, and one of each pass's template, which every
+    Every warp goes through a prebuilt `Warp`: one of all subject maps for
+    the back-warps, built once, which samples every subject's map at its
+    transform in one call, and one of each pass's template, which every
     subject's candidates, LM points and scale regression share. So the
     first pass samples each coarse-grid candidate once, not once per subject.
     """
@@ -873,7 +939,7 @@ def initialize(maps, config):
             raise DegenerateInput("constant map: scale regression undefined")
 
     pts = lattice.locations()
-    back = [Warp(amap, pts) for amap in maps]
+    back = Warp(maps, pts)
     y = np.stack([amap.values for amap in maps])
     x = np.mean(y, axis=0)
     n = len(maps)
@@ -888,7 +954,7 @@ def initialize(maps, config):
         betas = np.array([fit_scale(yi, xt) for yi, xt in zip(y, warp(ts))])
         ts, _ = standardize(ts)
         betas = betas / np.mean(betas)
-        x_new = np.mean([back[i](affine_inverse(ts[i])) / betas[i] for i in range(n)],
+        x_new = np.mean(back(np.array([affine_inverse(t) for t in ts])) / betas[:, None],
                         axis=0)
         rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12)
         x = x_new
@@ -897,7 +963,7 @@ def initialize(maps, config):
 
     ts_r = np.array([affine_inverse(t) for t in ts])
     xt = Warp(ActivationMap(lattice, x), pts)(ts)
-    y_bw = np.stack([w(t_r) for w, t_r in zip(back, ts_r)])
+    y_bw = back(ts_r)
     sigma2 = np.maximum(np.mean((y - betas[:, None] * xt) ** 2, axis=1), 1e-12)
     alpha = max(float(np.var(x)), 1e-12)
     rho = 0.5 * (config.rho_lower + config.rho_upper)
@@ -995,8 +1061,8 @@ class Chain:
         update_forward_transform(state, geom, hp, self.proposals["forward"], rng)
         update_reverse_transform(state, geom, hp, self.proposals["reverse"], rng)
         update_beta_sigma(state, hp, rng)
-        update_alpha(state, geom, hp, rng)
-        update_rho(state, geom, hp, rng)
+        means = update_alpha(state, geom, hp, rng)
+        update_rho(state, geom, hp, rng, means)
 
     def record(self):
         """The current draw's `SampleStore` fields, standardized, its pointwise

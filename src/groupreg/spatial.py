@@ -26,7 +26,13 @@ and the unit-alpha weights of every predecessor pattern; weights for any
 alpha follow as B = (R + JITTER I)^-1 r_t and F = alpha (1 - B . r_t), with
 r_t = exp(-rho d_t) from the target-to-neighbor distances d_t of
 `neighbor_distances`, so a weights call costs k exps per row and one small
-mat-vec instead of a k x k solve. The tables take P k^2 doubles per family
+mat-vec instead of a k x k solve. The predecessor weights are solved when
+the factor is built, since every template site needs them. A library
+pattern is inverted only when `library_weights` first meets it at that rho
+(`KrigingFactor.invert`), one `np.linalg.inv` over the patterns missing,
+with the bits of inverting all of them at once: a chain's transformed sites
+use few of the library's patterns (19 of the glyph's 88), and a rho
+proposal builds a new factor. The tables take P k^2 doubles per family
 (about 70 kB for the 28x28 library) plus one int per entry or site.
 `batched_nngp_weights` re-solves every row and stays the brute-force oracle
 the cache is checked against.
@@ -69,7 +75,8 @@ VAR_FLOOR = 1e-12
 # 2-core x86-64 machine), where a sweep that allocated several MB of
 # temporaries ran a third slower with small blocks, glibc having sized its
 # mmap threshold from the largest block freed. `library_weights` gathers its
-# per-row inverses in chunks of the same size.
+# per-row inverses in chunks of the same size, into one buffer that the
+# library holds (`NeighborLibrary.gather`).
 _BLOCK_BYTES = 1 << 18
 
 
@@ -244,7 +251,15 @@ class NeighborLibrary:
     The enlarged lattice extends the template lattice by `margin` grid steps
     on every side. Lookup maps a continuous point to its nearest enlarged
     lattice site (half-up rounding per axis) and returns that site's
-    precomputed neighbor set. Immutable after construction.
+    precomputed neighbor set. Immutable after construction, but for the
+    contents of `gather`, the buffer into which `library_weights` gathers
+    each chunk of its rows' inverses, one chunk of about _BLOCK_BYTES. A
+    fresh array per chunk lies above glibc's default 128 kB mmap threshold,
+    and a new process could map it, and fault its pages in, anew on every
+    call: a 1000-sweep `groupreg fit` of the indicator curves (sim 0, N = 3)
+    took 185 000 minor faults and 0.25-0.32 s of system time that way, and
+    8 500 faults and 0.03 s with a buffer kept across calls (x86-64 Linux,
+    glibc's malloc defaults), writing the same samples.
     """
 
     template: Lattice
@@ -255,6 +270,7 @@ class NeighborLibrary:
     # Entries grouped by the distance matrix of their neighbor sets.
     pattern_ids: np.ndarray = field(repr=False)       # (n_lib,) int
     pattern_dist: np.ndarray = field(repr=False)      # (P, k, k) neighbor distances
+    gather: np.ndarray = field(repr=False)            # (rows, k, k) scratch
 
 
 def build_neighbor_library(lattice, margin, m):
@@ -283,7 +299,8 @@ def build_neighbor_library(lattice, margin, m):
     dist_ids, first = _pattern_table(shape_dist.reshape(len(shape_dist), -1))
     return NeighborLibrary(template=lattice, enlarged=enlarged, margin=margin,
                            m=m, neighbor_indices=neighbor_indices,
-                           pattern_ids=dist_ids[shape_ids], pattern_dist=shape_dist[first])
+                           pattern_ids=dist_ids[shape_ids], pattern_dist=shape_dist[first],
+                           gather=np.empty((max(1, _BLOCK_BYTES // (8 * k * k)), k, k)))
 
 
 def locate_entries(points, library):
@@ -375,24 +392,39 @@ def batched_nngp_weights(targets, neighbor_idx, source_locations, params):
 
 @dataclass(frozen=True, eq=False)
 class KrigingFactor:
-    """Unit-alpha kriging factors of every neighbor pattern at one rho."""
+    """Unit-alpha kriging factors of every neighbor pattern at one rho.
+
+    The library patterns' inverses are filled in on first use (`invert`):
+    `library_inv[p]` holds pattern p's only where `inverted[p]`.
+    """
 
     rho: float
+    library_dist: np.ndarray = field(repr=False)  # (P_lib, k, k): the library's pattern_dist
     library_inv: np.ndarray = field(repr=False)   # (P_lib, k, k): (R + JITTER I)^-1
+    inverted: np.ndarray = field(repr=False)      # (P_lib,) bool
     template_b: np.ndarray = field(repr=False)    # (P_t, m) predecessor weights B
     template_f: np.ndarray = field(repr=False)    # (P_t,) F / alpha, floored
 
+    def invert(self, ids):
+        """Invert every library pattern among `ids` not inverted yet, in one call."""
+        need = np.zeros(self.inverted.size, dtype=bool)
+        need[ids] = True
+        missing = np.flatnonzero(need & ~self.inverted)
+        if not missing.size:
+            return
+        r = np.exp(-self.rho * self.library_dist[missing])
+        diag = np.arange(r.shape[1])
+        r[:, diag, diag] += JITTER
+        try:
+            self.library_inv[missing] = np.linalg.inv(r)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditioned("neighbor covariance not invertible after jitter") from exc
+        self.inverted[missing] = True
+
 
 def kriging_factor(library, predecessors, rho):
-    """Factor the library and predecessor patterns at decay `rho`."""
-    r = np.exp(-rho * library.pattern_dist)
-    diag = np.arange(r.shape[1])
-    r[:, diag, diag] += JITTER
-    try:
-        library_inv = np.linalg.inv(r)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned("neighbor covariance not invertible after jitter") from exc
-
+    """Factor the predecessor patterns at decay `rho`; the library patterns
+    are inverted as `library_weights` meets them."""
     # Padded slots get an identity row/column and r_t = 0, hence B = 0, as in
     # batched_nngp_weights; a site without predecessors gets F = alpha.
     mask = predecessors.mask
@@ -405,39 +437,56 @@ def kriging_factor(library, predecessors, rho):
     except np.linalg.LinAlgError as exc:
         raise IllConditioned("neighbor covariance not invertible after jitter") from exc
     f = np.maximum(1.0 - np.einsum("pk,pk->p", b, r_t), VAR_FLOOR)
-    return KrigingFactor(rho=float(rho), library_inv=library_inv, template_b=b, template_f=f)
+    dist = library.pattern_dist
+    return KrigingFactor(rho=float(rho), library_dist=dist, library_inv=np.empty(dist.shape),
+                         inverted=np.zeros(len(dist), dtype=bool), template_b=b, template_f=f)
 
 
-def neighbor_distances(targets, entries, library, source_locations):
-    """(q, k) distances from each target to its library entry's neighbor sites.
+def neighbor_distances(targets, nbr, source_locations):
+    """Distances from each target to its neighbor sites, (..., k).
 
-    They depend on the targets only, not on rho or alpha, so a chain keeps
-    them in its state and `library_weights` weights them at each rho.
+    targets (..., d) are the points, nbr (..., k) the indices of their
+    neighbor sets in source_locations (V, d), as the library's
+    `neighbor_indices` of their entries. The squared distances are summed
+    axis by axis, so targets that are a view of axis-major points, (..., d)
+    over (d, ...) memory, are read a contiguous row per axis. The distances
+    depend on the targets only, not on rho or alpha, so a chain keeps them
+    in its state and `library_weights` weights them at each rho.
     """
-    # np.take gathers these small tables about twice as fast as fancy indexing.
-    nbr = np.take(library.neighbor_indices, entries, axis=0)
-    dt = np.take(source_locations, nbr, axis=0) - targets[:, None, :]
-    return np.sqrt(np.einsum("qkd,qkd->qk", dt, dt))
+    d2 = None
+    for axis in range(targets.shape[-1]):
+        # np.take gathers these small tables about twice as fast as fancy indexing.
+        dt = np.take(source_locations[:, axis], nbr)
+        dt -= targets[..., axis, None]
+        dt *= dt
+        d2 = dt if d2 is None else np.add(d2, dt, out=d2)
+    return np.sqrt(d2, out=d2)
 
 
 def library_weights(dist, entries, library, factor, alpha):
     """(B, F) of targets conditioned on their library entries' neighbor sets.
 
-    With dist = neighbor_distances(targets, entries, library, source_locations),
-    equals batched_nngp_weights(targets, library.neighbor_indices[entries],
-    source_locations, CovarianceParams(alpha, factor.rho)) up to rounding.
-    Each row's k x k inverse is gathered and contracted in chunks of about
-    _BLOCK_BYTES, so a call over many rows holds one chunk of them, not one
-    per row; each row's B is the same whatever the chunk.
+    With dist = neighbor_distances(targets, library.neighbor_indices[entries],
+    source_locations), equals batched_nngp_weights(targets,
+    library.neighbor_indices[entries], source_locations,
+    CovarianceParams(alpha, factor.rho)) up to rounding. The patterns the
+    entries use are inverted first if the factor has not yet
+    (`KrigingFactor.invert`). Each row's k x k inverse is gathered and
+    contracted in chunks of about _BLOCK_BYTES, into the library's `gather`
+    buffer, so a call holds one chunk of them, not one per row, and
+    allocates none; each row's B is the same whatever the chunk.
     """
     r_t = np.exp(-factor.rho * dist)
     ids = np.take(library.pattern_ids, entries)
+    factor.invert(ids)
     q, k = r_t.shape
-    rows = max(1, _BLOCK_BYTES // (8 * k * k))
+    rows = len(library.gather)
     b = np.empty((q, k))
     for start in range(0, q, rows):
         part = slice(start, start + rows)
-        inv = np.take(factor.library_inv, ids[part], axis=0)
+        inv = library.gather[:len(ids[part])]
+        # mode="clip" writes straight into `out`; the default "raise" buffers it.
+        np.take(factor.library_inv, ids[part], axis=0, out=inv, mode="clip")
         np.einsum("qkj,qj->qk", inv, r_t[part], out=b[part])
     f = alpha * (1.0 - np.einsum("qk,qk->q", b, r_t))
     return b, np.maximum(f, VAR_FLOOR * alpha)
@@ -458,10 +507,10 @@ def conditional_means(values, neighbor_idx, weights):
     return np.einsum("...k,...k->...", weights, values[neighbor_idx])
 
 
-def nngp_log_density_from_weights(values, target_values, neighbor_idx, weights, f, axis=None):
-    """Sum of per-site normal log densities N(x_l | B_l x(N_l), F_l): a float,
-    or, with `axis`, the sums along that axis of stacked rows."""
-    means = conditional_means(values, neighbor_idx, weights)
+def nngp_log_density_from_weights(target_values, means, f, axis=None):
+    """Sum of per-site normal log densities N(x_l | mu_l, F_l), mu_l = B_l x(N_l)
+    the conditional means of `conditional_means`: a float, or, with `axis`,
+    the sums along that axis of stacked rows."""
     resid = target_values - means
     total = -0.5 * np.sum(np.log(2.0 * np.pi * f) + resid * resid / f, axis=axis)
     return float(total) if axis is None else total
@@ -472,4 +521,4 @@ def nngp_log_density(values, neighbor_idx, locations, params):
     values = np.asarray(values, dtype=float)
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     b, f = batched_nngp_weights(locations, neighbor_idx, locations, params)
-    return nngp_log_density_from_weights(values, values, neighbor_idx, b, f)
+    return nngp_log_density_from_weights(values, conditional_means(values, neighbor_idx, b), f)

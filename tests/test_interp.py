@@ -289,7 +289,9 @@ def _stack_of_525(lattice, rng):
 
 
 class TestStackedWarp:
-    """`Warp(amap, sites)(stack)` is the per-matrix calls, row by row, bit for bit."""
+    """`Warp(amap, sites)(stack)` is the per-matrix calls, row by row, bit for
+    bit, and a `Warp` of several maps is, row by row, the one-map `Warp` of
+    each row's map."""
 
     @pytest.mark.parametrize("block_bytes", [None, 1, 1 << 22], ids=["cap", "one", "large"])
     @pytest.mark.parametrize("name", sorted(STACK_LATTICES))
@@ -298,9 +300,13 @@ class TestStackedWarp:
             monkeypatch.setattr(spatial, "_BLOCK_BYTES", block_bytes)
         lattice = STACK_LATTICES[name]
         rng = np.random.default_rng(len(name))
-        amap = ActivationMap(lattice, rng.normal(size=lattice.n_sites))
+        maps = [ActivationMap(lattice, rng.normal(size=lattice.n_sites)) for _ in range(3)]
+        amap = maps[0]
         sites = lattice.locations()
         warp = Warp(amap, sites)
+        several = Warp(maps, sites)
+        assert several.chunk == warp.chunk
+        ones = [warp, *(Warp(m, sites) for m in maps[1:])]
         stack = _stack_of_525(lattice, rng)
         want = np.array([interpolate(amap, affine_apply(h, sites)) for h in stack])
         assert np.isnan(want).any() and np.isfinite(want).any() and (want == 0.0).all(1).any()
@@ -310,10 +316,30 @@ class TestStackedWarp:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = warp(stack[rows])
-                assert got.shape == (n, lattice.n_sites)
+                    which = rng.integers(0, len(maps), size=n)
+                    got_several = several(stack[rows], which)
+                assert got.shape == got_several.shape == (n, lattice.n_sites)
                 singles = np.array([warp(h) for h in stack[rows]])
                 assert np.array_equal(got, singles, equal_nan=True)
                 assert np.array_equal(got, want[rows], equal_nan=True)
+                own = np.array([ones[j](h) for j, h in zip(which, stack[rows])])
+                assert np.array_equal(got_several, own, equal_nan=True)
+        # Without `which`, row k of a stack of one matrix per map is on map k;
+        # these parts hold a NaN, an overflowing, a far and an infinite matrix.
+        for lo in (0, 130, 261, 392):
+            part = stack[lo:lo + len(maps)]
+            want = np.array([one(h) for one, h in zip(ones, part)])
+            assert np.array_equal(several(part), want, equal_nan=True)
+
+    def test_several_maps_need_one_lattice_and_a_map_per_row(self):
+        lattice = STACK_LATTICES["glyph"]
+        other = Lattice((28, 28), np.array([1.0, 1.0]), np.ones(2))
+        maps = [ActivationMap(lat, np.zeros(lat.n_sites)) for lat in (lattice, lattice, other)]
+        with pytest.raises(ValueError, match="share one lattice"):
+            Warp(maps, lattice.locations())
+        several = Warp(maps[:2], lattice.locations())
+        with pytest.raises(ValueError, match="3 matrices for 2 maps"):
+            several(np.array([np.eye(3)] * 3))
 
     @pytest.mark.parametrize("name", sorted(STACK_LATTICES))
     def test_passes_hold_at_most_the_byte_cap(self, monkeypatch, name):
@@ -328,8 +354,8 @@ class TestStackedWarp:
         points = []
         sample = Warp.sample
         monkeypatch.setattr(Warp, "sample",
-                            lambda self, u, deriv=False: points.append(u.shape[1])
-                            or sample(self, u, deriv))
+                            lambda self, u, deriv=False, offset=None: points.append(u.shape[1])
+                            or sample(self, u, deriv, offset))
         stack = coarse_grid(lattice)
         warp(stack)
         full, rest = divmod(len(stack), warp.chunk)

@@ -20,7 +20,7 @@ from groupreg.errors import (DegenerateInput, IllConditioned, NonPositiveScale,
                              NoRealLogarithm, OutOfLibraryBounds, SingularTransform)
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.interp import Warp, interpolate
-from groupreg.sampler import (CACHES, FIT_TOL, AdaptiveProposal, Chain, ChainAborted,
+from groupreg.sampler import (CACHES, FIT_TOL, TERMS, AdaptiveProposal, Chain, ChainAborted,
                               best_candidates, beta_sigma_conditional, coarse_grid, fit_affine,
                               fit_scale, initialize, levenberg_marquardt, lie_mh_step,
                               rho_weights, template_conditional,
@@ -81,7 +81,7 @@ def test_cached_weights_track_alpha_and_rho(case):
         for i, t in enumerate(state.T):
             locs = affine_apply(t, geom.locations)
             assert np.array_equal(state.dist[i], neighbor_distances(
-                locs, state.entry[i], geom.library, geom.locations))
+                locs, geom.library.neighbor_indices[state.entry[i]], geom.locations))
             assert np.array_equal(state.nbr[i], geom.library.neighbor_indices[state.entry[i]])
             oracle = batched_nngp_weights(locs, state.nbr[i], geom.locations, state.cov)
             assert weights_gap((state.B[i], state.F[i]), oracle, state.alpha) < tol
@@ -139,8 +139,8 @@ def test_stacked_phases_match_a_loop_over_subjects(make_state):
     factor = kriging_factor(geom.library, geom.predecessor_patterns, 0.7)
     _, (b, f) = rho_weights(state, geom, factor)
     for i, t in enumerate(state.T):
-        dist = neighbor_distances(affine_apply(t, geom.locations), state.entry[i],
-                                  geom.library, geom.locations)
+        dist = neighbor_distances(affine_apply(t, geom.locations),
+                                  geom.library.neighbor_indices[state.entry[i]], geom.locations)
         bi, fi = library_weights(dist, state.entry[i], geom.library, factor, state.alpha)
         assert np.array_equal(b[i], bi) and np.array_equal(f[i], fi)
 
@@ -182,7 +182,8 @@ def test_rho_weights_from_cached_distances_give_the_chain_of_recomputed_ones(
         n, v, k = state.dist.shape
         locs = np.concatenate([affine_apply(t, geom.locations) for t in state.T])
         entries = state.entry.ravel()
-        b, f = library_weights(neighbor_distances(locs, entries, geom.library, geom.locations),
+        b, f = library_weights(neighbor_distances(locs, geom.library.neighbor_indices[entries],
+                                                  geom.locations),
                                entries, geom.library, factor, state.alpha)
         return (predecessor_weights(geom.predecessor_patterns, factor, state.alpha),
                 (b.reshape(n, v, k), f.reshape(n, v)))
@@ -194,6 +195,30 @@ def test_rho_weights_from_cached_distances_give_the_chain_of_recomputed_ones(
         store, _ = short_chain(case).run()
         paths.append(tmp_path / f"run{run}.bin")
         save_store(store, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cached_terms_give_the_chain_of_terms_recomputed_every_sweep(case, tmp_path):
+    """A chain whose `TERMS` are recomputed from its transforms after every
+    sweep writes the same store, byte for byte, as one that keeps the terms
+    its accepted proposals computed, through burn-in and after the freeze,
+    with moves of both directions accepted in both."""
+    plain, refreshed = short_chain(case, sweeps=60), short_chain(case, sweeps=60)
+    updates = refreshed.updates
+
+    def updates_then_refresh():
+        updates()
+        sampler.refresh_terms(refreshed.state, refreshed.geom)
+
+    refreshed.updates = updates_then_refresh
+    paths = []
+    for run, chain in enumerate((plain, refreshed)):
+        store, _ = chain.run()
+        paths.append(tmp_path / f"run{run}.bin")
+        save_store(store, paths[-1])
+        for rec in chain.proposals.values():
+            assert (rec.accepts - rec.post_accepts).sum() > 0 and rec.post_accepts.sum() > 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -487,13 +512,13 @@ def test_fit_affine_samples_once_per_lm_point(monkeypatch):
     sampled, points = {False: 0, True: []}, []
     sample = Warp.sample
 
-    def counted_sample(self, u, deriv=False):
+    def counted_sample(self, u, deriv=False, offset=None):
         if self is not warp:
             if deriv:
                 sampled[True].append(u.shape[1])
             else:
                 sampled[False] += u.shape[1]
-        return sample(self, u, deriv)
+        return sample(self, u, deriv, offset)
 
     def checked_lm(point, p):
         def checked_point(q):
@@ -795,9 +820,9 @@ def sampled_points(monkeypatch):
     calls = []
     sample = Warp.sample
 
-    def recorded(self, u, deriv=False):
+    def recorded(self, u, deriv=False, offset=None):
         calls.append((self, deriv, u.shape[1]))
-        return sample(self, u, deriv)
+        return sample(self, u, deriv, offset)
 
     monkeypatch.setattr(Warp, "sample", recorded)
     return calls
@@ -873,14 +898,19 @@ def test_initialize_is_deterministic():
 
 
 class _TwoCallWarp:
-    """The path `Warp` replaced: a fresh `interpolate` call per transform."""
+    """The path `Warp` replaced: a fresh `interpolate` call per transform,
+    on the one map, or, for a list of maps, row k of a stack on map k."""
 
     chunk = 5       # matrices per call of the candidate search; any size gives the same bits
 
-    def __init__(self, amap, sites):
-        self.amap, self.sites = amap, sites
+    def __init__(self, maps, sites):
+        self.amap = maps if isinstance(maps, ActivationMap) else None
+        self.maps, self.sites = maps, sites
 
     def __call__(self, t):
+        if self.amap is None:
+            return np.array([interpolate(amap, affine_apply(h, self.sites))
+                             for amap, h in zip(self.maps, t, strict=True)])
         if t.ndim == 3:
             return np.array([self(h) for h in t])
         return interpolate(self.amap, affine_apply(t, self.sites))
@@ -1220,9 +1250,12 @@ def test_forward_proposal_whose_image_overflows_is_rejected_out_of_library(monke
 
 # The per-subject loop that one batched step per direction replaced: the
 # oracle the batched steps must match bit for bit. Each subject's target is
-# the stacked one on a stack of one, and each subject has its own one-row
-# `AdaptiveProposal`, the scalar reference of its row of the block. The loop
-# is fed the block's draws (`block_draws`).
+# the stacked one on a stack of one, its current transforms' terms computed
+# from them (`transform_terms`), not read from the state's `TERMS`, and its
+# reverse proposals sampled by a one-map `Warp` of its own map; it writes
+# the terms of an accepted proposal to the state, to be compared. Each
+# subject has its own one-row `AdaptiveProposal`, the scalar reference of
+# its row of the block. The loop is fed the block's draws (`block_draws`).
 
 def block_draws(recs, rng):
     """One `lie_mh_step`'s draws for the one-row records `recs`: every delta
@@ -1269,31 +1302,38 @@ def loop_forward_transform(i, state, geom, hp, adapt, delta, accept_draw):
         inside, caches = sampler.subject_geometry(h, geom, state.factor, state.alpha)
         if not inside[0]:
             raise OutOfLibraryBounds("test: proposal left the library")
-        return sampler.forward_log_target(h, h_r, state.X, xt, caches[2:], geom, hp)[0], caches
+        terms = sampler.transform_terms(geom.prior_T, h, h_r)
+        return (sampler.forward_log_target(terms, state.X, xt, caches[2:], hp)[0],
+                caches + terms)
 
-    log_old = sampler.forward_log_target(state.T[i:i + 1], h_r, state.X, xt,
-                                         (state.nbr[i:i + 1], state.B[i:i + 1],
-                                          state.F[i:i + 1]), geom, hp)[0]
+    log_old = sampler.forward_log_target(
+        sampler.transform_terms(geom.prior_T, state.T[i:i + 1], h_r), state.X, xt,
+        (state.nbr[i:i + 1], state.B[i:i + 1], state.F[i:i + 1]), hp)[0]
     step = loop_lie_mh_step(state.T[i], log_old, target, adapt, delta, accept_draw)
     if step is not None:
-        state.T[i], caches = step
-        for name, value in zip(CACHES, caches):
+        state.T[i], payload = step
+        for name, value in zip(CACHES + ("log_prior_T", "penalty"), payload):
             getattr(state, name)[i] = value[0]
 
 
 def loop_reverse_transform(i, state, geom, hp, adapt, delta, accept_draw):
     h, beta, sigma2 = state.T[i:i + 1], state.beta[i:i + 1], state.sigma2[i:i + 1]
+    warp = Warp(state.maps[i], geom.locations)
 
     def target(t_r):
-        y_bw = state.warps[i](t_r)[None]
-        return sampler.reverse_log_target(t_r[None], h, state.X, y_bw, beta, sigma2,
-                                          geom, hp)[0], y_bw[0]
+        y_bw = warp(t_r)[None]
+        terms = sampler.transform_terms(geom.prior_Tr, t_r[None], h)
+        return (sampler.reverse_log_target(terms, state.X, y_bw, beta, sigma2, hp)[0],
+                (y_bw, *terms))
 
-    log_old = sampler.reverse_log_target(state.T_r[i:i + 1], h, state.X,
-                                         state.Y_bw[i:i + 1], beta, sigma2, geom, hp)[0]
+    log_old = sampler.reverse_log_target(
+        sampler.transform_terms(geom.prior_Tr, state.T_r[i:i + 1], h), state.X,
+        state.Y_bw[i:i + 1], beta, sigma2, hp)[0]
     step = loop_lie_mh_step(state.T_r[i], log_old, target, adapt, delta, accept_draw)
     if step is not None:
-        state.T_r[i], state.Y_bw[i] = step
+        state.T_r[i], payload = step
+        for name, value in zip(("Y_bw", "log_prior_Tr", "penalty"), payload):
+            getattr(state, name)[i] = value[0]
 
 
 def loop_transform_step(loop_step, recs, state, geom, hp, rng):
@@ -1315,8 +1355,8 @@ def loop_updates(chain):
     loop_transform_step(loop_forward_transform, chain.rows["forward"], state, geom, hp, rng)
     loop_transform_step(loop_reverse_transform, chain.rows["reverse"], state, geom, hp, rng)
     update_beta_sigma(state, hp, rng)
-    sampler.update_alpha(state, geom, hp, rng)
-    sampler.update_rho(state, geom, hp, rng)
+    means = sampler.update_alpha(state, geom, hp, rng)
+    sampler.update_rho(state, geom, hp, rng, means)
 
 
 def looped_chain(case, sweeps=12):
@@ -1330,7 +1370,7 @@ def looped_chain(case, sweeps=12):
 
 
 STATE_FIELDS = ("T", "T_r", "X", "XT", "Y_bw", "beta", "sigma2", "alpha", "rho", "tB", "tF",
-                *CACHES)
+                *CACHES, *TERMS)
 BLOCK_FIELDS = ("dim", "frozen", "proposals", "post_proposals")
 ROW_FIELDS = ("log_lambda", "_mean", "_m2", "_base_factor", "stale", "accepts", "post_accepts",
               "rejected_oob", "rejected_nolog")

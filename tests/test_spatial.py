@@ -425,11 +425,19 @@ class TestLibraryWeights:
                 [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]], rng.uniform(-2, 2, 2)), locs)
             for a in rng.uniform(-0.3, 0.3, 4)])
         self.entries = lookup_entries(targets, self.lib)
-        self.dist = neighbor_distances(targets, self.entries, self.lib, locs)
+        self.dist = neighbor_distances(targets, self.lib.neighbor_indices[self.entries], locs)
+
+    def eager_inverses(self):
+        """Every library pattern's (R + JITTER I)^-1 at the factor's rho, by one
+        np.linalg.inv over all of them."""
+        r = np.exp(-self.factor.rho * self.lib.pattern_dist)
+        diag = np.arange(r.shape[1])
+        r[:, diag, diag] += JITTER
+        return np.linalg.inv(r)
 
     def test_chunks_give_the_one_shot_gather_bit_for_bit(self):
         r_t = np.exp(-self.factor.rho * self.dist)
-        inv = self.factor.library_inv[self.lib.pattern_ids[self.entries]]
+        inv = self.eager_inverses()[self.lib.pattern_ids[self.entries]]
         b = np.einsum("qkj,qj->qk", inv, r_t)
         f = np.maximum(1.3 * (1.0 - np.einsum("qk,qk->q", b, r_t)), VAR_FLOOR * 1.3)
         got_b, got_f = library_weights(self.dist, self.entries, self.lib, self.factor, 1.3)
@@ -448,6 +456,41 @@ class TestLibraryWeights:
         # r_t, B and a few (q,) arrays, plus one chunk: 1.3 MB. The one-shot
         # gather alone took q k^2 8 B = 2.5 MB here, and the call 3.1 MB.
         assert peak <= 3 * q * k * 8 + 2 * _BLOCK_BYTES, peak
+
+    def test_calls_allocate_no_chunk(self):
+        """The inverses are gathered into the library's buffer: a call's peak
+        is its (q, k) arrays, r_t and B, and a few (q,) ones (0.58 MB here),
+        and no chunk of inverses (0.26 MB) on top."""
+        q, k = self.dist.shape
+        library_weights(self.dist, self.entries, self.lib, self.factor, 1.3)   # inverts
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            library_weights(self.dist, self.entries, self.lib, self.factor, 1.3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * q * k * 8 + _BLOCK_BYTES // 2, peak
+
+    def test_lazily_filled_inverses_are_the_eager_ones(self):
+        """A factor inverts a pattern when a weights call first meets it. After
+        three calls over overlapping thirds of the rows, the patterns met, and
+        only those, are inverted, each with the bits of the eager inverse of
+        all patterns at once, and the calls' (B, F) are those of the eager
+        inverses."""
+        eager = self.eager_inverses()
+        ids = self.lib.pattern_ids[self.entries]
+        assert not self.factor.inverted.any()
+        for rows in (slice(0, 1200), slice(1000, 2200), slice(2000, None)):
+            got_b, _ = library_weights(self.dist[rows], self.entries[rows], self.lib,
+                                       self.factor, 1.3)
+            want_b = np.einsum("qkj,qj->qk", eager[ids[rows]],
+                               np.exp(-self.factor.rho * self.dist[rows]))
+            assert np.array_equal(got_b, want_b)
+        met = np.unique(ids)
+        assert np.array_equal(np.flatnonzero(self.factor.inverted), met)
+        assert 0 < met.size < len(eager)
+        assert np.array_equal(self.factor.library_inv[met], eager[met])
 
 
 class TestNngpWeights:
