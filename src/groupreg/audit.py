@@ -3,25 +3,33 @@
 Each audit returns a list of {name, value, tol, passed} dicts; the CLI's
 `audit` subcommand prints one line per check and exits 4 on any failure.
 The same functions back the acceptance test suite.
+
+The target checks (`target_audit`, `detailed_balance_audit`) and the
+conventional model's conjugacy checks call the sweep's own functions: each
+Metropolis target's current-state and proposal functions in `sampler` and
+`baseline`, and the kernel designs and K^-1 of a `baseline.ConventionalChain`
+built on the toy maps. No target is assembled here, so a change to a
+target's code is a change to what these checks see.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .baseline import (conventional_log_joint, conventional_log_target,
-                       conventional_sigma2_conditional, conventional_w_conditional,
-                       gauss_kernel, kernel_gram, landmark_lattice)
+from .baseline import (ConventionalChain, conventional_current, conventional_log_joint,
+                       conventional_proposals, conventional_sigma2_conditional,
+                       conventional_w_conditional, kernel_designs, kernel_gram)
 from .config import RunConfig
-from .errors import OutOfLibraryBounds
 from .grids import ActivationMap, Lattice, make_lattice_1d
 from .interp import Warp
 from .model import (Hyperparams, TransformPrior, build_geometry, gibbs_log_posterior,
                     invgamma_logpdf, normal_logpdf, sigma_s_matrix)
 from .sampler import (Chain, ChainState, alpha_conditional, beta_sigma_conditional,
-                      forward_log_target, initialize, lie_mh_log_acceptance, nngp_means,
-                      refresh_caches, reverse_log_target, rho_log_target, rho_weights,
-                      subject_geometry, template_conditional, transform_terms,
+                      forward_current, forward_proposals, initialize, lie_mh_log_acceptance,
+                      nngp_means, refresh_caches, reverse_current, reverse_proposals,
+                      rho_current, rho_proposal, template_conditional,
                       transformed_template_conditional)
 from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
@@ -38,10 +46,12 @@ _check = lambda name, value, tol: {"name": name, "value": float(value),
 
 
 def _toy_state(seed=0, n_subjects=2):
-    """V=4, N=2 1D instance with everything in general position."""
+    """V=4, N=2 1D instance with everything in general position, the forward
+    and reverse transform priors too: a target that reads the other
+    direction's prior differs from its own."""
     rng = np.random.default_rng(seed)
     lattice = Lattice(shape=(4,), spacing=np.array([1.0]), origin=np.array([0.0]))
-    hp = Hyperparams(lambda_r=1.2, m=2)
+    hp = Hyperparams(lambda_r=1.2, m=2, a_T=1.5, b_T=0.6, a_Tr=0.4, b_Tr=1.8)
     geom = build_geometry(lattice, hp, margin=4)
     cov = CovarianceParams(alpha=1.3, rho=0.8)
 
@@ -76,32 +86,29 @@ def band_to_dense(ab):
     return q
 
 
-def _joint(state, geom, hp):
-    return gibbs_log_posterior(state, hp, geom)
-
-
 def _toy_conventional(state, geom, hp, rng):
-    """The toy state's maps under the conventional model, with a landmark on every site.
-
-    Returns the landmarks, K^-1, a random w and log_joint(ts, w, sigma2s),
-    the model's `conventional_log_joint` on the toy maps.
-    """
-    maps = state.maps
-    landmarks = landmark_lattice(geom.lattice, 1)
-    gram_chol, k_inv = kernel_gram(landmarks)
+    """A `ConventionalChain` on the toy state's maps, moved to the toy's T_i
+    and sigma_i^2 and a random w, and log_joint(ts, w, sigma2s), the model's
+    `conventional_log_joint` on those maps under the prior geom.prior_T."""
+    chain = ConventionalChain(state.maps, RunConfig(model="conventional", a_T=hp.a_T,
+                                                    b_T=hp.b_T))
+    chain.ts, chain.sigma2 = state.T.copy(), state.sigma2.copy()
+    chain.phis = kernel_designs(chain.ts, chain.locs, chain.landmarks)
+    chain.w = rng.normal(size=len(chain.landmarks))
+    gram_chol, _ = kernel_gram(chain.landmarks)
 
     def log_joint(ts, w, sigma2s):
-        return conventional_log_joint(maps, ts, w, sigma2s, landmarks, gram_chol, hp,
-                                      geom.prior_T)
+        return conventional_log_joint(chain.maps, ts, w, sigma2s, chain.landmarks, gram_chol,
+                                      hp, geom.prior_T)
 
-    return landmarks, k_inv, rng.normal(size=landmarks.shape[0]), log_joint
+    return chain, log_joint
 
 
 def conjugacy_audit(seed=0, tol=1e-8):
     """Closed-form conditional log-ratios vs joint log-ratios, every conjugate update."""
     results = []
     state, geom, hp = _toy_state(seed)
-    base = _joint(state, geom, hp)
+    base = gibbs_log_posterior(state, hp, geom)
 
     # X(T_i) element.
     mean, var = transformed_template_conditional(state)
@@ -111,7 +118,7 @@ def conjugacy_audit(seed=0, tol=1e-8):
               - normal_logpdf(state.XT[l], mean[l], var[l]))
     old = state.XT[l]
     state.XT[l] = new_val
-    joint = _joint(state, geom, hp) - base
+    joint = gibbs_log_posterior(state, hp, geom) - base
     state.XT[l] = old
     results.append(_check("conjugacy.XT_element", abs(closed - joint), tol))
 
@@ -123,7 +130,7 @@ def conjugacy_audit(seed=0, tol=1e-8):
     x_new = x + np.random.default_rng(seed + 2).normal(scale=0.5, size=x.size)
     closed = -0.5 * (x_new @ q @ x_new - x @ q @ x) + b @ (x_new - x)
     state.X = x_new
-    joint = _joint(state, geom, hp) - base
+    joint = gibbs_log_posterior(state, hp, geom) - base
     state.X = x
     results.append(_check("conjugacy.X_block", abs(closed - joint), tol))
 
@@ -135,7 +142,7 @@ def conjugacy_audit(seed=0, tol=1e-8):
     closed = (normal_logpdf(new_beta, mu_n, lam_n * s2)
               - normal_logpdf(beta, mu_n, lam_n * s2))
     state.beta[1] = new_beta
-    joint = _joint(state, geom, hp) - base
+    joint = gibbs_log_posterior(state, hp, geom) - base
     state.beta[1] = beta
     results.append(_check("conjugacy.beta", abs(closed - joint), tol))
 
@@ -145,7 +152,7 @@ def conjugacy_audit(seed=0, tol=1e-8):
     closed = (invgamma_logpdf(new_s2, shape_b, rate_b)
               - invgamma_logpdf(s2, shape_b, rate_b))
     state.sigma2[1] = new_s2
-    joint = _joint(state, geom, hp) - base
+    joint = gibbs_log_posterior(state, hp, geom) - base
     results.append(_check("conjugacy.sigma2", abs(closed - joint), tol))
 
     # sigma^2 as the sampler draws it, beta marginalized: the joint's change
@@ -163,17 +170,16 @@ def conjugacy_audit(seed=0, tol=1e-8):
               - invgamma_logpdf(state.alpha, shape, rate))
     old_alpha = state.alpha
     state.alpha = new_alpha
-    joint = _joint(state, geom, hp) - base
+    joint = gibbs_log_posterior(state, hp, geom) - base
     state.alpha = old_alpha
     results.append(_check("conjugacy.alpha", abs(closed - joint), tol))
 
     # The baseline's w and sigma^2 against the conventional model's joint.
     rng = np.random.default_rng(seed + 4)
-    landmarks, k_inv, w, log_joint = _toy_conventional(state, geom, hp, rng)
-    ts, ys, sigma2s = state.T, state.Y, list(state.sigma2)
-    phis = [gauss_kernel(affine_apply(t, geom.locations), landmarks) for t in ts]
+    chain, log_joint = _toy_conventional(state, geom, hp, rng)
+    ts, ys, phis, w, sigma2s = chain.ts, chain.ys, chain.phis, chain.w, chain.sigma2
     conv_base = log_joint(ts, w, sigma2s)
-    prec, _, mean = conventional_w_conditional(phis, ys, sigma2s, k_inv)
+    prec, _, mean = conventional_w_conditional(phis, ys, sigma2s, chain.k_inv)
     w_new = w + rng.normal(scale=0.5, size=w.size)
     closed = -0.5 * ((w_new - mean) @ prec @ (w_new - mean) - (w - mean) @ prec @ (w - mean))
     joint = log_joint(ts, w_new, sigma2s) - conv_base
@@ -187,79 +193,58 @@ def conjugacy_audit(seed=0, tol=1e-8):
     return results
 
 
-def _geometry(h, state, geom):
-    """`subject_geometry`'s caches of a stack of one T; OutOfLibraryBounds
-    where that T leaves the library."""
-    inside, caches = subject_geometry(h, geom, state.factor, state.alpha)
-    if not inside[0]:
-        raise OutOfLibraryBounds("transform outside the neighbor library")
-    return caches
-
-
 def target_audit(seed=0, tol=1e-8):
     """Each Metropolis log target's change vs the joint log density's change.
 
     A transform move changes the forward, reverse or conventional log target
     by what it changes the model's joint log density: `gibbs_log_posterior`
     for the symmetric model, `conventional_log_joint` for the baseline. So
-    does a move of rho change rho's log target.
+    does a move of rho change rho's log target. Each target is the step's
+    own: the current state's from `forward_current`, `reverse_current`,
+    `conventional_current` and `rho_current`, a move's from
+    `forward_proposals`, `reverse_proposals`, `conventional_proposals` and
+    `rho_proposal`.
     """
     state, geom, hp = _toy_state(seed)
     rng = np.random.default_rng(seed + 3)
-    base = _joint(state, geom, hp)
+    base = gibbs_log_posterior(state, hp, geom)
     worst = dict.fromkeys(("target.forward", "target.reverse", "target.conventional",
                            "target.rho"), 0.0)
+    chain, log_joint = _toy_conventional(state, geom, hp, rng)
+    conv_base = log_joint(chain.ts, chain.w, chain.sigma2)
 
-    locs = geom.locations
-    landmarks, _, w, log_joint = _toy_conventional(state, geom, hp, rng)
-    ts, sigma2s = state.T.copy(), list(state.sigma2)
-    conv_base = log_joint(ts, w, sigma2s)
-
-    # Moves of subject 0's transforms, each target evaluated on a stack of one.
-    xt, beta, s2 = state.XT[:1], state.beta[:1], state.sigma2[:1]
+    # Moves of subject 0's transforms, each proposal's target on a stack of one.
+    row = np.array([0])
     for _ in range(5):
         t_old, t_r_old = state.T[0].copy(), state.T_r[0].copy()
         t_new = lie_exp(0.05 * rng.standard_normal(2)) @ t_old
-        h_old, h_r_old, h_new = t_old[None], t_r_old[None], t_new[None]
-        closed = (forward_log_target(transform_terms(geom.prior_T, h_new, h_r_old), state.X,
-                                     xt, _geometry(h_new, state, geom)[2:], hp)[0]
-                  - forward_log_target(transform_terms(geom.prior_T, h_old, h_r_old), state.X,
-                                       xt, (state.nbr[:1], state.B[:1], state.F[:1]), hp)[0])
+        closed = (forward_proposals(state, geom, hp, row, t_new[None])[1][0]
+                  - forward_current(state, hp)[0])
         state.T[0] = t_new
-        joint = _joint(state, geom, hp) - base
+        joint = gibbs_log_posterior(state, hp, geom) - base
         state.T[0] = t_old
         worst["target.forward"] = max(worst["target.forward"], abs(closed - joint))
 
         t_r_new = lie_exp(0.05 * rng.standard_normal(2)) @ t_r_old
-        h_r_new = t_r_new[None]
-        y_bw_new = state.warps(h_r_new, np.array([0]))
-        closed = (reverse_log_target(transform_terms(geom.prior_Tr, h_r_new, h_old), state.X,
-                                     y_bw_new, beta, s2, hp)[0]
-                  - reverse_log_target(transform_terms(geom.prior_Tr, h_r_old, h_old), state.X,
-                                       state.Y_bw[:1], beta, s2, hp)[0])
+        closed = (reverse_proposals(state, geom, hp, row, t_r_new[None])[1][0]
+                  - reverse_current(state, hp)[0])
         state.T_r[0] = t_r_new
-        joint = _joint(state, geom, hp) - base
+        joint = gibbs_log_posterior(state, hp, geom) - base
         state.T_r[0] = t_r_old
         worst["target.reverse"] = max(worst["target.reverse"], abs(closed - joint))
 
-        y = state.Y[:1]
-        phi_new, phi_old = (gauss_kernel(affine_apply(t, locs), landmarks)[None]
-                            for t in (t_new, t_old))
-        closed = (conventional_log_target(h_new, phi_new, y, w, s2, geom.prior_T)[0]
-                  - conventional_log_target(h_old, phi_old, y, w, s2, geom.prior_T)[0])
-        joint = log_joint(np.concatenate([h_new, ts[1:]]), w, sigma2s) - conv_base
+        closed = (conventional_proposals(chain, row, t_new[None])[1][0]
+                  - conventional_current(chain)[0])
+        joint = log_joint(np.concatenate([t_new[None], chain.ts[1:]]), chain.w,
+                          chain.sigma2) - conv_base
         worst["target.conventional"] = max(worst["target.conventional"], abs(closed - joint))
 
     rho_old = state.rho
-    log_old = rho_log_target(state, ((state.tB, state.tF), (state.B, state.F)),
-                             nngp_means(state, geom, state.tB, state.B))
+    log_old = rho_current(state, nngp_means(state, geom, state.tB, state.B))
     for rho in (0.3, 1.1, 2.6):
-        factor = kriging_factor(geom.library, geom.predecessor_patterns, rho)
-        new = rho_weights(state, geom, factor)
-        (tb, _), (b, _) = new
-        closed = rho_log_target(state, new, nngp_means(state, geom, tb, b)) - log_old
+        closed = rho_proposal(state, geom, rho)[2] - log_old
         state.rho = rho
-        joint = _joint(state, geom, hp) - base
+        joint = gibbs_log_posterior(state, hp, geom) - base
         state.rho = rho_old
         worst["target.rho"] = max(worst["target.rho"], abs(closed - joint))
     return [_check(name, gap, tol) for name, gap in worst.items()]
@@ -285,24 +270,26 @@ def _proposal_log_density(t, delta, cov, h=1e-5):
             - np.log(abs(np.linalg.det(jac))))
 
 
-def _balance_gap(log_target, draw_start, n_pairs, rng, prop_cov):
+def _balance_gap(target, draw_start, n_pairs, rng, prop_cov):
     """Worst gap between the two sides of detailed balance over random pairs.
 
     y = exp(delta) x, and the reverse increment is the logarithm of x y^-1.
-    A pair whose log target raises OutOfLibraryBounds is not a valid pair
-    and is replaced by another; any other error propagates.
+    `target(rows, h)` is a target as `lie_mh_step` takes it, called on a
+    stack of one. A pair with a point outside the neighbor library is not a
+    valid pair and is replaced by another.
     """
     chol = np.linalg.cholesky(prop_cov)
+    row = np.array([0])
     worst = 0.0
     done = 0
     while done < n_pairs:
         t_x = draw_start(rng)
         delta = chol @ rng.standard_normal(prop_cov.shape[0])
         t_y = lie_exp(delta) @ t_x
-        try:
-            lt_x, lt_y = log_target(t_x), log_target(t_y)
-        except OutOfLibraryBounds:
+        (in_x, lt_x, _), (in_y, lt_y, _) = target(row, t_x[None]), target(row, t_y[None])
+        if not (in_x[0] and in_y[0]):
             continue
+        lt_x, lt_y = lt_x[0], lt_y[0]
         d_rev = lie_log(t_x @ affine_inverse(t_y))
         lhs = (lie_mh_log_acceptance(lt_x, lt_y, delta) + lt_x
                + _proposal_log_density(t_x, delta, prop_cov))
@@ -319,16 +306,12 @@ def detailed_balance_audit(n_pairs=100, seed=0, tol=1e-6):
     q is the finite-difference proposal density of `_proposal_log_density`,
     so a wrong Hastings term in `lie_mh_log_acceptance` shows as a gap of
     the size of that error. In 1D pi is the sampler's forward target on the
-    toy state; in 2D it is a transform prior on a 5x5 lattice. Detailed
-    balance holds for any pi, so `target_audit` checks the targets.
+    toy state (`forward_proposals`); in 2D it is a transform prior on a 5x5
+    lattice. Detailed balance holds for any pi, so `target_audit` checks
+    the targets.
     """
     state, geom, hp = _toy_state(seed, n_subjects=1)
     rng = np.random.default_rng(seed + 1)
-
-    def forward(t):
-        h = t[None]
-        return forward_log_target(transform_terms(geom.prior_T, h, state.T_r[:1]), state.X,
-                                  state.XT[:1], _geometry(h, state, geom)[2:], hp)[0]
 
     def start_1d(rng):
         return np.array([[rng.uniform(0.85, 1.15), rng.uniform(-0.5, 0.5)], [0.0, 1.0]])
@@ -340,10 +323,11 @@ def detailed_balance_audit(n_pairs=100, seed=0, tol=1e-6):
         return lie_exp(0.2 * rng.standard_normal(6))
 
     gaps = {
-        "detailed_balance.max_gap_1d": _balance_gap(forward, start_1d, n_pairs, rng,
-                                                    0.02 * np.eye(2)),
-        "detailed_balance.max_gap_2d": _balance_gap(lambda t: prior_2d.log_density(t[None])[0],
-                                                    start_2d, n_pairs, rng, 0.02 * np.eye(6)),
+        "detailed_balance.max_gap_1d": _balance_gap(partial(forward_proposals, state, geom, hp),
+                                                    start_1d, n_pairs, rng, 0.02 * np.eye(2)),
+        "detailed_balance.max_gap_2d": _balance_gap(
+            lambda rows, h: (np.ones(1, dtype=bool), prior_2d.log_density(h), ()),
+            start_2d, n_pairs, rng, 0.02 * np.eye(6)),
     }
     return [_check(name, gap, tol) for name, gap in gaps.items()]
 

@@ -19,11 +19,16 @@ gamma draw), and moves every T_i by the symmetric model's Lie-group
 Metropolis step (`sampler.lie_mh_step`, with its closed-form Hastings term
 and one `AdaptiveProposal` over the subjects), one call for all subjects:
 given w and the sigma_i^2 the T_i are independent, so their kernel designs
-at the proposed sites and their log targets are computed stacked. K^-1 and
-the kernel design at the lattice sites are computed once per chain.
+(`kernel_designs`) at the proposed sites and their log targets are computed
+stacked, by `conventional_proposals`; the current T_i's target is
+`conventional_current`, at the designs the chain keeps. The audit calls
+the same two functions. K^-1 and the kernel design at the lattice sites are
+computed once per chain.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -87,6 +92,14 @@ def conventional_sigma2_conditional(y, phi, w, hp):
             hp.a1_sigma + 0.5 * (r[..., None, :] @ r[..., :, None])[..., 0, 0])
 
 
+def kernel_designs(h, locs, landmarks):
+    """The (n, V, L) kernel designs at T(S) of an (n, d + 1, d + 1) stack of T,
+    S the sites `locs` (V, d)."""
+    pts = apply_stack(h, locs)
+    n, v, d = pts.shape
+    return gauss_kernel(pts.reshape(-1, d), landmarks).reshape(n, v, -1)
+
+
 def conventional_log_target(h, phi, y, w, sigma2, prior):
     """T-dependent part of the conventional joint, per subject: prior and
     Gaussian log-likelihood.
@@ -94,10 +107,30 @@ def conventional_log_target(h, phi, y, w, sigma2, prior):
     h is an (n, d + 1, d + 1) stack of the subjects' T, `phi` (n, V, L) the
     kernel designs at their transformed sites T(S), y (n, V) their maps and
     sigma2 (n,) their noise variances; `prior` is the `TransformPrior` of T.
-    Returns (n,).
+    Returns (n,). The chain's step calls it through `conventional_current`
+    and `conventional_proposals`.
     """
     r = y - phi @ w
     return prior.log_density(h) - 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / sigma2
+
+
+def conventional_current(chain):
+    """The T_i target of every current T_i of a `ConventionalChain`, (N,), at its
+    cached kernel designs."""
+    return conventional_log_target(chain.ts, chain.phis, chain.ys, chain.w, chain.sigma2,
+                                   chain.prior)
+
+
+def conventional_proposals(chain, rows, h):
+    """The T_i target of the proposals h for the subjects `rows` of a
+    `ConventionalChain`, in the (inside, log_new, payload) form that
+    `sampler.lie_mh_step` takes: every proposal is inside, and the payload
+    is the proposals' kernel designs."""
+    phi = kernel_designs(h, chain.locs, chain.landmarks)
+    return (np.ones(rows.size, dtype=bool),
+            conventional_log_target(h, phi, chain.ys[rows], chain.w, chain.sigma2[rows],
+                                    chain.prior),
+            (phi,))
 
 
 def conventional_log_joint(maps, ts, w, sigma2s, landmarks, gram_chol, hp, prior):
@@ -123,7 +156,10 @@ class ConventionalChain(Chain):
     """MCMC for the conventional model; `Chain.run` and `Chain.sweep` drive it.
 
     A sweep draws w | rest, then each sigma_i^2 | rest, then each T_i, all
-    from the chain's one generator. The records share the symmetric model's
+    from the chain's one generator, the T_i by `sampler.lie_mh_step` of the
+    target of `conventional_current` and `conventional_proposals`, which read
+    the chain's ts, phis, ys, w, sigma2, prior, locs and landmarks. The
+    records share the symmetric model's
     layout: the template is evaluated on the map lattice and stored as X,
     reverse transforms are identity, beta is 1, alpha and rho are NaN, and
     the header's lambda_r is 0, as the model has no inverse-consistency
@@ -158,7 +194,7 @@ class ConventionalChain(Chain):
                                      coarse_grid(lattice))
         self.ts = np.array([fit_affine(warp, y, 1.0, h, f)
                             for y, h, f in zip(self.ys, best, objs)])
-        self.phis = self.designs(self.ts)
+        self.phis = kernel_designs(self.ts, self.locs, self.landmarks)
         _, _, self.w = conventional_w_conditional(self.phis, self.ys, np.ones(n), self.k_inv)
         self.sigma2 = np.maximum(np.mean((self.ys - self.phis @ self.w) ** 2, axis=1), 1e-12)
 
@@ -166,31 +202,18 @@ class ConventionalChain(Chain):
         # w | rest: conjugate multivariate normal.
         _, chol, mean = conventional_w_conditional(self.phis, self.ys, self.sigma2, self.k_inv)
         z = self.rng.standard_normal(mean.size)
-        self.w = w = mean + np.linalg.solve(chol.T, z)
+        self.w = mean + np.linalg.solve(chol.T, z)
         # sigma_i^2 | rest, every subject in one draw, subject 0 first.
-        shape, rate = conventional_sigma2_conditional(self.ys, self.phis, w, self.config)
-        self.sigma2 = sigma2 = 1.0 / self.rng.gamma(shape=shape, scale=1.0 / rate)
+        shape, rate = conventional_sigma2_conditional(self.ys, self.phis, self.w, self.config)
+        self.sigma2 = 1.0 / self.rng.gamma(shape=shape, scale=1.0 / rate)
 
         # T_i | rest: Lie-MH against the kernel-template likelihood, all subjects at once.
-        def target(rows, proposals):
-            phi = self.designs(proposals)
-            return (np.ones(rows.size, dtype=bool),
-                    conventional_log_target(proposals, phi, self.ys[rows], w, sigma2[rows],
-                                            self.prior),
-                    (phi,))
-
-        log_old = conventional_log_target(self.ts, self.phis, self.ys, w, sigma2, self.prior)
-        accepted, h_new, phi = lie_mh_step(self.ts, log_old, target,
+        accepted, h_new, phi = lie_mh_step(self.ts, conventional_current(self),
+                                           partial(conventional_proposals, self),
                                            self.proposals["forward"], self.rng)
         self.ts[accepted] = h_new
         if phi:
             self.phis[accepted] = phi[0]
-
-    def designs(self, h):
-        """The (n, V, L) kernel designs at T(S) of an (n, d + 1, d + 1) stack of T."""
-        locs = apply_stack(h, self.locs)
-        n, v, d = locs.shape
-        return gauss_kernel(locs.reshape(-1, d), self.landmarks).reshape(n, v, -1)
 
     def record(self):
         n, d = len(self.maps), self.lattice.dim

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DegenerateInput, ValidationError
 from .interp import MIN_AXIS_SITES
 
+MATCH_RTOL = 1e-5   # `Lattice.matches`: equal spacings and origins, relative to the spacing
+
 
 def _as_vector(x, dim):
     v = np.atleast_1d(np.asarray(x, dtype=float))
@@ -73,9 +75,13 @@ class Lattice:
         return self.origin.copy(), upper
 
     def matches(self, other):
-        """Same shape, and spacing and origin equal up to rounding."""
-        return (self.shape == other.shape and np.allclose(self.spacing, other.spacing)
-                and np.allclose(self.origin, other.origin))
+        """Same shape, and spacing and origin equal up to rounding, at any scale:
+        each axis's spacings to a relative MATCH_RTOL, and its origins to within
+        MATCH_RTOL of this lattice's spacing, with no absolute term."""
+        tol = MATCH_RTOL * self.spacing
+        return (self.shape == other.shape
+                and bool(np.all(np.abs(self.spacing - other.spacing) <= tol))
+                and bool(np.all(np.abs(self.origin - other.origin) <= tol)))
 
     def to_index_coords(self, points):
         """Map physical points to fractional index coordinates."""

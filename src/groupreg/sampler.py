@@ -70,9 +70,17 @@ prior and the pair's penalty (`transform_terms`), and of a term that reads
 X: the NNGP density of X(T_i) forward, the SSD of Y(T_i^r(S)) in reverse.
 The state keeps the first kind (`ChainState`'s `TERMS`), so a current
 transform's target computes only the second; a proposal's target computes
-both, and an accepted proposal's terms are written to the state with it. A
-proposal with no real logarithm (`rejected_nolog`) or that moves a template
-site out of the neighbor library (`rejected_oob`) is rejected outright.
+both, and an accepted proposal's terms are written to the state with it.
+Each target is one pair of module-level functions, one for the current
+transforms and one for proposals: `forward_current` and `forward_proposals`,
+`reverse_current` and `reverse_proposals`, and the baseline's
+`conventional_current` and `conventional_proposals`; rho's are
+`rho_current` and `rho_proposal`. A step hands the proposal function to
+`lie_mh_step` with `functools.partial`, and `audit.target_audit` and
+`audit.detailed_balance_audit` call the same functions, so the audit checks
+the code the sweep runs. A proposal with no real logarithm
+(`rejected_nolog`) or that moves a template site out of the neighbor
+library (`rejected_oob`) is rejected outright.
 Given the rest of the state, the subjects' T_i targets are independent, and
 so are their T_i^r targets, so one step moves every subject in a direction:
 it draws every subject's delta from one (n, dim) block of normals, then
@@ -97,6 +105,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 
@@ -571,35 +580,46 @@ def rho_weights(state, geom, factor):
 def rho_log_target(state, weights, means):
     """rho-dependent part of the joint: the NNGP log densities of X and of every X(T_i).
 
-    `weights` is (template (B, F), subjects' (B, F)): the state's cached
-    weights, or `rho_weights(...)` for a proposal; `means` their
-    `nngp_means`.
+    `weights` is (template (B, F), subjects' (B, F)) and `means` their
+    `nngp_means`; `rho_current` and `rho_proposal` call it.
     """
     (_, tf), (_, f) = weights
     return (nngp_log_density_from_weights(state.X, means[0], tf)
             + nngp_log_density_from_weights(state.XT, means[1], f))
 
 
+def rho_current(state, means):
+    """rho's target at the state's cached weights, given their `nngp_means`."""
+    return rho_log_target(state, ((state.tB, state.tF), (state.B, state.F)), means)
+
+
+def rho_proposal(state, geom, rho):
+    """The proposal `rho`'s `KrigingFactor`, its weights (`rho_weights`) and
+    its log target, as (factor, weights, log target)."""
+    factor = kriging_factor(geom.library, geom.predecessor_patterns, rho)
+    weights = rho_weights(state, geom, factor)
+    (tb, _), (b, _) = weights
+    return factor, weights, rho_log_target(state, weights, nngp_means(state, geom, tb, b))
+
+
 def update_rho(state, geom, hp, rng, means):
     """Random-walk Metropolis on rho; proposals outside (L, U) are rejected.
 
-    `means` are the `nngp_means` at the state's weights (`update_alpha`
-    returns them), so only the proposal's means are computed here.
+    The target is `rho_current` against `rho_proposal`. `means` are the
+    `nngp_means` at the state's weights (`update_alpha` returns them), so
+    only the proposal's means are computed here. On accept the proposal's
+    factor and weights become the state's.
     """
     state.rho_proposals += 1
     prop = state.rho + RHO_STEP * rng.standard_normal()
     accept_draw = np.log(rng.uniform())
     if not (hp.rho_lower < prop < hp.rho_upper):
         return False
-    factor_new = kriging_factor(geom.library, geom.predecessor_patterns, prop)
-    new = rho_weights(state, geom, factor_new)
-    (tb, _), (b, _) = new
-    log_new = rho_log_target(state, new, nngp_means(state, geom, tb, b))
-    old = ((state.tB, state.tF), (state.B, state.F))
-    if accept_draw < log_new - rho_log_target(state, old, means):
+    factor, weights, log_new = rho_proposal(state, geom, prop)
+    if accept_draw < log_new - rho_current(state, means):
         state.rho = prop
-        state.factor = factor_new
-        (state.tB, state.tF), (state.B, state.F) = new
+        state.factor = factor
+        (state.tB, state.tF), (state.B, state.F) = weights
         state.rho_accepts += 1
         return True
     return False
@@ -633,14 +653,34 @@ def forward_log_target(terms, x, xt, weights, hp):
 
     `terms` is the subjects' (log prior of T, penalty sum) of
     `transform_terms`, xt their (n, V) X(T) values and `weights` the
-    (nbr, B, F) of their T(S), stacked: the state's `TERMS` and caches, or
-    those of proposals (`subject_geometry(h, ...)[1][2:]`). Returns (n,).
+    (nbr, B, F) of their T(S), stacked. Returns (n,). The step's targets
+    call it through `forward_current` and `forward_proposals`.
     """
     log_prior, penalty = terms
     nbr, b, f = weights
     return (log_prior
             + nngp_log_density_from_weights(xt, conditional_means(x, nbr, b), f, axis=-1)
             - hp.lambda_r * penalty)
+
+
+def forward_current(state, hp):
+    """The forward target of every current T_i, (N,), from the state's `TERMS`
+    and NNGP caches: only the NNGP term, which reads X, is computed."""
+    return forward_log_target((state.log_prior_T, state.penalty), state.X, state.XT,
+                              (state.nbr, state.B, state.F), hp)
+
+
+def forward_proposals(state, geom, hp, rows, h):
+    """The forward target of the proposals h for the subjects `rows`, in the
+    (inside, log_new, payload) form that `lie_mh_step` takes: inside marks the
+    proposals that keep every template site in the neighbor library, and
+    log_new and payload, the proposals' `CACHES` and `transform_terms`, are
+    stacked over those only."""
+    inside, caches = subject_geometry(h, geom, state.factor, state.alpha)
+    kept = rows[inside]
+    terms = transform_terms(geom.prior_T, h[inside], state.T_r[kept])
+    return (inside, forward_log_target(terms, state.X, state.XT[kept], caches[2:], hp),
+            caches + terms)
 
 
 def reverse_log_target(terms, x, y_bw, beta, sigma2, hp):
@@ -651,6 +691,23 @@ def reverse_log_target(terms, x, y_bw, beta, sigma2, hp):
     log_prior, penalty = terms
     ssd = np.sum((y_bw - beta[:, None] * x) ** 2, axis=1)
     return log_prior - 0.5 * ssd / sigma2 - hp.lambda_r * penalty
+
+
+def reverse_current(state, hp):
+    """The reverse target of every current T_i^r, (N,), from the state's `TERMS` and Y_bw."""
+    return reverse_log_target((state.log_prior_Tr, state.penalty), state.X, state.Y_bw,
+                              state.beta, state.sigma2, hp)
+
+
+def reverse_proposals(state, geom, hp, rows, h):
+    """The reverse target of the proposals h for the subjects `rows`, as
+    `forward_proposals` returns it: every proposal is inside, and the
+    payload is (Y_bw, log prior, penalty). The live proposals sample their
+    subjects' maps in one call of `state.warps`."""
+    y_bw = state.warps(h, rows)
+    terms = transform_terms(geom.prior_Tr, h, state.T[rows])
+    log_new = reverse_log_target(terms, state.X, y_bw, state.beta[rows], state.sigma2[rows], hp)
+    return np.ones(rows.size, dtype=bool), log_new, (y_bw, *terms)
 
 
 def lie_mh_step(h, log_old, log_target, adapt, rng):
@@ -692,23 +749,15 @@ def lie_mh_step(h, log_old, log_target, adapt, rng):
 
 
 def update_forward_transform(state, geom, hp, adapt, rng):
-    """One Lie-MH step of every T_i, one `lie_mh_step` for all subjects.
+    """One Lie-MH step of every T_i, one `lie_mh_step` for all subjects, of
+    the target `forward_current` and `forward_proposals` compute.
 
-    The current transforms' target reads the state's `TERMS`; only its NNGP
-    term, which depends on X, is computed. On accept, T_i, row i of its
-    NNGP caches and its log prior and penalty change, to the values the
-    proposal's target computed. Returns the (N,) accept mask.
+    On accept, T_i, row i of its NNGP caches and its log prior and penalty
+    change, to the values the proposal's target computed. Returns the (N,)
+    accept mask.
     """
-    def target(rows, proposals):
-        inside, caches = subject_geometry(proposals, geom, state.factor, state.alpha)
-        kept = rows[inside]
-        terms = transform_terms(geom.prior_T, proposals[inside], state.T_r[kept])
-        return (inside, forward_log_target(terms, state.X, state.XT[kept], caches[2:], hp),
-                caches + terms)
-
-    log_old = forward_log_target((state.log_prior_T, state.penalty), state.X, state.XT,
-                                 (state.nbr, state.B, state.F), hp)
-    accepted, h_new, payload = lie_mh_step(state.T, log_old, target, adapt, rng)
+    accepted, h_new, payload = lie_mh_step(state.T, forward_current(state, hp),
+                                           partial(forward_proposals, state, geom, hp), adapt, rng)
     state.T[accepted] = h_new
     for name, value in zip(CACHES + ("log_prior_T", "penalty"), payload):
         getattr(state, name)[accepted] = value
@@ -716,24 +765,14 @@ def update_forward_transform(state, geom, hp, adapt, rng):
 
 
 def update_reverse_transform(state, geom, hp, adapt, rng):
-    """One Lie-MH step of every T_i^r, one `lie_mh_step` for all subjects.
+    """One Lie-MH step of every T_i^r, one `lie_mh_step` for all subjects, of
+    the target `reverse_current` and `reverse_proposals` compute.
 
-    The live proposals sample their subjects' maps in one call of
-    `state.warps`. The current transforms' target reads the state's
-    `TERMS`. On accept, T_i^r, row i of Y_bw and its log prior and penalty
-    change, to the values the proposal's target computed. Returns the (N,)
-    accept mask.
+    On accept, T_i^r, row i of Y_bw and its log prior and penalty change, to
+    the values the proposal's target computed. Returns the (N,) accept mask.
     """
-    def target(rows, proposals):
-        y_bw = state.warps(proposals, rows)
-        terms = transform_terms(geom.prior_Tr, proposals, state.T[rows])
-        log_new = reverse_log_target(terms, state.X, y_bw, state.beta[rows],
-                                     state.sigma2[rows], hp)
-        return np.ones(rows.size, dtype=bool), log_new, (y_bw, *terms)
-
-    log_old = reverse_log_target((state.log_prior_Tr, state.penalty), state.X, state.Y_bw,
-                                 state.beta, state.sigma2, hp)
-    accepted, h_new, payload = lie_mh_step(state.T_r, log_old, target, adapt, rng)
+    accepted, h_new, payload = lie_mh_step(state.T_r, reverse_current(state, hp),
+                                           partial(reverse_proposals, state, geom, hp), adapt, rng)
     state.T_r[accepted] = h_new
     for name, value in zip(("Y_bw", "log_prior_Tr", "penalty"), payload):
         getattr(state, name)[accepted] = value

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,10 +33,12 @@ def test_detailed_balance_audit_fails_with_the_trace_only_hastings_factor(monkey
 
 
 def test_target_audit_fails_on_a_noise_log_target(monkeypatch):
+    """The steps' log targets replaced where the steps call them: every target check fails."""
     rng = np.random.default_rng(0)
-    for name in ("forward_log_target", "reverse_log_target", "conventional_log_target"):
-        monkeypatch.setattr(audit, name, lambda *args: rng.normal(scale=50.0, size=1))
-    monkeypatch.setattr(audit, "rho_log_target", lambda *args: rng.normal(scale=50.0))
+    for module, name in ((sampler, "forward_log_target"), (sampler, "reverse_log_target"),
+                         (baseline, "conventional_log_target")):
+        monkeypatch.setattr(module, name, lambda *args: rng.normal(scale=50.0, size=1))
+    monkeypatch.setattr(sampler, "rho_log_target", lambda *args: rng.normal(scale=50.0))
     assert not any(r["passed"] for r in target_audit())
 
 
@@ -43,8 +47,20 @@ def test_target_audit_fails_on_a_rho_target_without_its_template_term(monkeypatc
     def subjects_only(state, weights, means):
         return nngp_log_density_from_weights(state.XT, means[1], weights[1][1])
 
-    monkeypatch.setattr(audit, "rho_log_target", subjects_only)
+    monkeypatch.setattr(sampler, "rho_log_target", subjects_only)
     assert {r["name"] for r in target_audit() if not r["passed"]} == {"target.rho"}
+
+
+def test_target_audit_fails_on_a_forward_target_with_the_reverse_prior(monkeypatch):
+    """Proposals of T_i weighed by the prior of T_i^r: the check on the forward
+    target, and no other, fails. The toy state's two priors differ, so it can."""
+    proposals = sampler.forward_proposals
+
+    def reverse_prior(state, geom, hp, rows, h):
+        return proposals(state, dataclasses.replace(geom, prior_T=geom.prior_Tr), hp, rows, h)
+
+    monkeypatch.setattr(audit, "forward_proposals", reverse_prior)
+    assert {r["name"] for r in target_audit() if not r["passed"]} == {"target.forward"}
 
 
 def w_without_prior(phis, ys, sigma2s, k_inv):
@@ -68,7 +84,7 @@ def test_conjugacy_audit_fails_on_a_wrong_baseline_conditional(monkeypatch, name
 
 def test_detailed_balance_audit_raises_errors_other_than_out_of_library(monkeypatch):
     """Only an out-of-library pair is skipped; a one-off ValueError is not hidden."""
-    target = audit.forward_log_target
+    target = sampler.forward_log_target
     calls = []
 
     def fails_once(*args):
@@ -77,7 +93,7 @@ def test_detailed_balance_audit_raises_errors_other_than_out_of_library(monkeypa
             raise ValueError("test: broken log target")
         return target(*args)
 
-    monkeypatch.setattr(audit, "forward_log_target", fails_once)
+    monkeypatch.setattr(sampler, "forward_log_target", fails_once)
     with pytest.raises(ValueError, match="broken log target"):
         detailed_balance_audit()
 

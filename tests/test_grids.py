@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from groupreg.baseline import landmark_lattice
-from groupreg.errors import ValidationError
-from groupreg.grids import ActivationMap, Lattice, make_lattice_1d, read_map_csv, write_map_csv
+from groupreg.errors import DegenerateInput, ValidationError
+from groupreg.grids import (ActivationMap, Lattice, common_lattice, make_lattice_1d, read_map_csv,
+                            write_map_csv)
+from groupreg.interp import Warp
 
 LATTICES = {
     "cosine": make_lattice_1d(-4.0, 4.0, 0.1),
@@ -77,3 +79,24 @@ def test_a_map_file_row_of_the_wrong_width_is_rejected(tmp_path, case):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="value rows of"):
         read_map_csv(path)
+
+
+def test_lattices_of_tiny_spacing_match_only_their_own_copies():
+    """Spacings 1e-9 and 3e-9 differ by less than an absolute 1e-8, but are
+    different lattices: `common_lattice` and `Warp` refuse the pair. Every
+    lattice, scaled by 1e-9, still matches a copy of itself."""
+    values = np.arange(6.0)
+    pair = [ActivationMap(Lattice((6,), np.array([s]), np.zeros(1)), values)
+            for s in (1e-9, 3e-9)]
+    assert not pair[0].lattice.matches(pair[1].lattice)
+    with pytest.raises(DegenerateInput, match="share one lattice"):
+        common_lattice(pair)
+    with pytest.raises(ValueError, match="share one lattice"):
+        Warp(pair, pair[0].lattice.locations())
+    for lattice in LATTICES.values():
+        for scale in (1.0, 1e-9):
+            a = Lattice(lattice.shape, scale * lattice.spacing, scale * lattice.origin)
+            b = Lattice(a.shape, a.spacing.copy(), a.origin.copy())
+            assert a.matches(b) and b.matches(a)
+            shifted = Lattice(a.shape, a.spacing, a.origin + 0.5 * a.spacing)
+            assert not a.matches(shifted)

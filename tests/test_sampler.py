@@ -57,10 +57,17 @@ CASES = {
     "glyph": (small_glyph, dict(seed=4), 1e-12),
     "indicator": (indicator, dict(seed=5, a0_alpha=0.2, b0_alpha=0.1), 1e-12),
 }
+# Every case above has the default priors, a_T = a_Tr and b_T = b_Tr, under
+# which a step that weighs its proposals by the other direction's prior
+# makes the same chain; these cases' priors differ.
+PRIOR_CASES = {
+    "indicator-distinct-priors": (indicator, dict(CASES["indicator"][1], a_T=1.5, b_T=0.6,
+                                                  a_Tr=0.4, b_Tr=1.8), 1e-12),
+}
 
 
 def short_chain(case, sweeps=12):
-    make_maps, settings, _ = CASES[case]
+    make_maps, settings, _ = {**CASES, **PRIOR_CASES}[case]
     cfg = RunConfig(total=sweeps, burn_in=sweeps // 2, thin=1, init_iters=3, **settings)
     return Chain(make_maps(), cfg)
 
@@ -1395,7 +1402,7 @@ def assert_same_chains(batched, looped):
     assert batched.rng.bit_generator.state == looped.rng.bit_generator.state
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(PRIOR_CASES))
 def test_batched_transform_steps_match_the_loop_over_subjects(case):
     """Through burn-in and after it, sweeps with one batched step per direction
     leave the state, the proposals and the generator as the loop does, bit
