@@ -28,15 +28,15 @@ from .model import (Hyperparams, TransformPrior, build_geometry, gibbs_log_poste
                     invgamma_logpdf, normal_logpdf, sigma_s_matrix)
 from .sampler import (Chain, ChainState, alpha_conditional, beta_sigma_conditional,
                       forward_current, forward_proposals, initialize, lie_mh_log_acceptance,
-                      nngp_means, refresh_caches, reverse_current, reverse_proposals,
+                      refresh_caches, reverse_current, reverse_proposals,
                       rho_current, rho_proposal, template_conditional,
                       transformed_template_conditional)
 from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
                       nngp_log_density, conditional_means,
                       build_neighbor_library, build_ordered_neighbor_sets,
-                      build_predecessor_patterns, kriging_factor, library_weights,
-                      lookup_entries, neighbor_distances, predecessor_weights)
+                      join_predecessor_patterns, kriging_factor, library_weights,
+                      lookup_entries, neighbor_distances)
 from .synth import ScenarioSpec, gen_indicator_curves
 from .transforms import (AffineTransform, affine_apply, affine_compose,
                          affine_inverse, karcher_mean, lie_exp, lie_log)
@@ -164,7 +164,7 @@ def conjugacy_audit(seed=0, tol=1e-8):
     results.append(_check("conjugacy.sigma2_marginal", abs(closed - joint), tol))
 
     # alpha.
-    shape, rate = alpha_conditional(state, hp, nngp_means(state, geom, state.tB, state.B))
+    shape, rate = alpha_conditional(state, hp, conditional_means(state.X, state.nbr, state.B))
     new_alpha = state.alpha * 1.4
     closed = (invgamma_logpdf(new_alpha, shape, rate)
               - invgamma_logpdf(state.alpha, shape, rate))
@@ -240,7 +240,7 @@ def target_audit(seed=0, tol=1e-8):
         worst["target.conventional"] = max(worst["target.conventional"], abs(closed - joint))
 
     rho_old = state.rho
-    log_old = rho_current(state, nngp_means(state, geom, state.tB, state.B))
+    log_old = rho_current(state, conditional_means(state.X, state.nbr, state.B))
     for rho in (0.3, 1.1, 2.6):
         closed = rho_proposal(state, geom, rho)[2] - log_old
         state.rho = rho
@@ -394,40 +394,47 @@ def weights_gap(weights, oracle, alpha):
 def pattern_weights_gap():
     """Pattern-cache (B, F) vs batched_nngp_weights, worst over all cases.
 
-    Covers template predecessor weights (the first m rows are padded) and
-    library weights for transformed sites, some in the margin, and for every
-    enlarged-lattice site, which puts targets exactly on the template's
-    border sites and in the margin; on the cosine and indicator 1D lattices
-    (the indicator's fine spacing over [-5, 5] is where squared distances
-    formed as |s|^2 + |t|^2 - 2 s.t lose digits) and on a 2D lattice with
-    anisotropic spacing and an offset origin; at several (alpha, rho).
+    Covers template sites given their predecessors, weighed once per
+    predecessor pattern and gathered by site (the first m rows are padded),
+    and transformed sites, some in the margin, and every enlarged-lattice
+    site, which puts targets exactly on the template's border sites and in
+    the margin; on the cosine and indicator 1D lattices (the indicator's fine
+    spacing over [-5, 5] is where squared distances formed as
+    |s|^2 + |t|^2 - 2 s.t lose digits), on a 2D lattice with anisotropic
+    spacing and an offset origin, and on a 6-site 1D lattice at m = 10 > V,
+    whose rows are V wide and whose every template row is padded; at several
+    (alpha, rho).
     """
     cases = [
-        (make_lattice_1d(-4.0, 4.0, 0.1), 5,
+        (make_lattice_1d(-4.0, 4.0, 0.1), 5, 10,
          AffineTransform.from_parts(np.array([[1.05]]), np.array([0.3]))),
-        (make_lattice_1d(-5.0, 5.0, 0.05), 40,
+        (make_lattice_1d(-5.0, 5.0, 0.05), 40, 10,
          AffineTransform.from_parts(np.array([[0.97]]), np.array([-0.4]))),
         (Lattice(shape=(9, 13), spacing=np.array([0.7, 1.3]), origin=np.array([-2.0, 0.5])), 3,
-         affine_compose(AffineTransform.translation([0.9, -1.1]),
-                        AffineTransform.rotation(0.2))),
+         10, affine_compose(AffineTransform.translation([0.9, -1.1]),
+                            AffineTransform.rotation(0.2))),
+        (make_lattice_1d(0.0, 5.0, 1.0), 3, 10,
+         AffineTransform.from_parts(np.array([[1.1]]), np.array([-0.35]))),
     ]
     worst = 0.0
-    for lattice, margin, t in cases:
+    for lattice, margin, m, t in cases:
         locs = lattice.locations()
-        nsets = build_ordered_neighbor_sets(lattice, 10)
-        patterns = build_predecessor_patterns(lattice, nsets)
-        lib = build_neighbor_library(lattice, margin, 10)
+        nsets = build_ordered_neighbor_sets(lattice, m)
+        lib, pre = join_predecessor_patterns(build_neighbor_library(lattice, margin, m), nsets)
+        # Columns past min(m, V) are padding in every row.
+        nsets = nsets[:, :pre.nbr.shape[1]]
         targets = np.concatenate([affine_apply(t, locs), lib.enlarged.locations()])
         entries = lookup_entries(targets, lib)
         dist = neighbor_distances(targets, lib.neighbor_indices[entries], locs)
         for alpha, rho in ((1.7, 0.05), (0.4, 1.5), (2.5, 3.0)):
             params = CovarianceParams(alpha, rho)
-            factor = kriging_factor(lib, patterns, rho)
+            factor = kriging_factor(lib, rho)
+            b, f = library_weights(pre.target_dist, pre.rows, lib, factor, alpha)
             worst = max(
                 worst,
-                weights_gap(predecessor_weights(patterns, factor, alpha),
+                weights_gap((b[pre.ids], f[pre.ids]),
                             batched_nngp_weights(locs, nsets, locs, params), alpha),
-                weights_gap(library_weights(dist, entries, lib, factor, alpha),
+                weights_gap(library_weights(dist, lib.pattern_ids[entries], lib, factor, alpha),
                             batched_nngp_weights(targets, lib.neighbor_indices[entries],
                                                  locs, params), alpha))
     return worst

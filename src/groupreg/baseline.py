@@ -36,8 +36,7 @@ from .errors import IllConditioned
 from .grids import ActivationMap, common_lattice
 from .interp import Warp
 from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
-from .sampler import (AdaptiveProposal, Chain, best_candidates, coarse_grid, fit_affine,
-                      lie_mh_step)
+from .sampler import AdaptiveProposal, Chain, coarse_grid, fit_transforms, lie_mh_step
 from .transforms import affine_apply, affine_inverse, apply_stack
 
 KERNEL_JITTER = 1e-8
@@ -165,20 +164,16 @@ class ConventionalChain(Chain):
     the header's lambda_r is 0, as the model has no inverse-consistency
     penalty.
 
-    Set-up fits each T_i to the mean map in one pass: the best of the
-    identity and the coarse grid (`sampler.best_candidates`), refined by
-    `sampler.fit_affine`. One `Warp` of the mean map serves every subject,
-    so each grid candidate is sampled once for all of them. Then w starts
-    at its conditional mean with every sigma_i^2 at 1.
+    Set-up fits each T_i to the mean map in one pass of the symmetric
+    set-up's fit, `sampler.fit_transforms`: the best of the identity and the
+    coarse grid, refined by Levenberg-Marquardt. One `Warp` of the mean map
+    serves every subject, so each grid candidate is sampled once for all of
+    them. Then w starts at its conditional mean with every sigma_i^2 at 1.
     """
 
     def __init__(self, maps, config):
-        self.config = config
-        self.lattice = lattice = common_lattice(maps)
-        self.maps = list(maps)
-        self.lambda_r = 0.0
-        self.iteration = 0
-        self.rng = np.random.default_rng(config.seed)
+        self.start(maps, config, 0.0)
+        lattice = self.lattice
         n, d = len(maps), lattice.dim
         self.locs = lattice.locations()
         self.landmarks = landmark_lattice(lattice, LANDMARK_STRIDE)
@@ -190,10 +185,8 @@ class ConventionalChain(Chain):
 
         # Initialization: coarse-fit transforms against the mean map, ridge w.
         warp = Warp(ActivationMap(lattice, np.mean(self.ys, axis=0)), self.locs)
-        best, objs = best_candidates(warp, self.ys, np.ones(n), np.array([np.eye(d + 1)] * n),
-                                     coarse_grid(lattice))
-        self.ts = np.array([fit_affine(warp, y, 1.0, h, f)
-                            for y, h, f in zip(self.ys, best, objs)])
+        self.ts = fit_transforms(warp, self.ys, np.ones(n), np.array([np.eye(d + 1)] * n),
+                                 coarse_grid(lattice))
         self.phis = kernel_designs(self.ts, self.locs, self.landmarks)
         _, _, self.w = conventional_w_conditional(self.phis, self.ys, np.ones(n), self.k_inv)
         self.sigma2 = np.maximum(np.mean((self.ys - self.phis @ self.w) ** 2, axis=1), 1e-12)

@@ -29,17 +29,18 @@ from .errors import DegenerateVariance, ValidationError
 from .grids import Lattice
 from .interp import Warp
 from .spatial import (NeighborLibrary, PredecessorPatterns, batched_nngp_weights,
-                      build_neighbor_library, build_ordered_neighbor_sets,
-                      build_predecessor_patterns, conditional_means, lookup_neighbors,
+                      build_neighbor_library, build_ordered_neighbor_sets, conditional_means,
+                      join_predecessor_patterns, lookup_neighbors,
                       nngp_log_density_from_weights)
 from .transforms import apply_stack, composition_identity_gap
 
 
-# The largest NNGP neighbor count m. The neighbor library and the template's
-# predecessor patterns hold a k x k distance matrix per distinct pattern, so
-# their build memory grows as (patterns) m^2: on the 28x28 glyph lattice at
-# library margin 9, `build_geometry` peaks at 82 MB under tracemalloc at
-# m = 50 (1.9 MB at the default m = 10, 124 MB at m = 60).
+# The largest NNGP neighbor count m. The pattern table of the neighbor library,
+# the template's predecessor patterns joined to it, holds a k x k distance
+# matrix per distinct pattern, so the build memory grows as (patterns) m^2:
+# on the 28x28 glyph lattice at library margin 9, `build_geometry` peaks at
+# 79 MB under tracemalloc at m = 50 (1.9 MB at the default m = 10, 120 MB at
+# m = 60; 603, 114 and 667 patterns).
 M_MAX = 50
 
 
@@ -142,12 +143,15 @@ class ModelGeometry:
 
     The lattice and its NNGP neighbor structures, and the forward and reverse
     transform priors, whose scale is the lattice's coordinate Gram matrix.
+    The library's pattern table holds the template's predecessor patterns
+    too (`spatial.join_predecessor_patterns`); `neighbor_sets` are the
+    template's rows as the oracle (`gibbs_log_posterior`) reads them.
     """
 
     lattice: Lattice
     locations: np.ndarray = field(repr=False)
     neighbor_sets: np.ndarray = field(repr=False)   # (V, m) -1-padded, row-major order
-    predecessor_patterns: PredecessorPatterns = field(repr=False)
+    predecessors: PredecessorPatterns = field(repr=False)
     library: NeighborLibrary = field(repr=False)
     prior_T: TransformPrior = field(repr=False)
     prior_Tr: TransformPrior = field(repr=False)
@@ -156,13 +160,15 @@ class ModelGeometry:
 def build_geometry(lattice, hp, margin):
     locs = lattice.locations()
     neighbor_sets = build_ordered_neighbor_sets(lattice, hp.m)
+    library, predecessors = join_predecessor_patterns(
+        build_neighbor_library(lattice, margin, hp.m), neighbor_sets)
     sigma_s = sigma_s_matrix(locs)
     return ModelGeometry(
         lattice=lattice,
         locations=locs,
         neighbor_sets=neighbor_sets,
-        predecessor_patterns=build_predecessor_patterns(lattice, neighbor_sets),
-        library=build_neighbor_library(lattice, margin, hp.m),
+        predecessors=predecessors,
+        library=library,
         prior_T=TransformPrior(hp.a_T, hp.b_T, sigma_s),
         prior_Tr=TransformPrior(hp.a_Tr, hp.b_Tr, sigma_s),
     )

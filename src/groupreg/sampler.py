@@ -21,17 +21,25 @@ the X(T_i), X, each transform step's deltas and then its accept uniforms
 (below), every sigma_i^2, every beta_i, alpha, and rho's step and accept
 uniform.
 
-NNGP weights come from the pattern cache (`spatial.KrigingFactor`) kept in
-`ChainState.factor`. It is built for the current rho at construction and
-for each rho proposal, kept on accept and dropped on reject; alpha only
-rescales F. The distances from each T_i(S) to its neighbor sets do not
-depend on rho, so the state keeps them, `ChainState.dist` (N, V, k), in
-place of the transformed sites: `subject_geometry` computes them, a forward
-accept stores them, and a rho proposal only inverts the library patterns
-that the state's entries use, one matrix each, and exponentiates the cached
-distances (`rho_weights`). Its current-state target reuses the conditional
-means B x(N) that the alpha step computed in the same sweep (`nngp_means`),
-from the same X, X(T_i), neighbor sets and weights: alpha only rescales F.
+The model's NNGP rows form one table in the state, `nbr`, `B` and `F`,
+(N + 1, V, k) with k = min(m, V): family 0 holds the template's rows, site
+l given its ordered predecessors, and family i the rows of X(T_i(s_l))
+given its library entry's neighbor set. The transform steps, the X(T_i)
+draw and the X step's precision read families 1..N, the view `B[1:]`. The
+weights come from the pattern cache (`spatial.KrigingFactor`) kept in
+`ChainState.factor`, one `spatial.library_weights` path for both kinds of
+row. The factor is built for the current rho at construction and for each
+rho proposal, kept on accept and dropped on reject; alpha only rescales F.
+The distances from each T_i(S) to its neighbor sets do not depend on rho,
+so the state keeps them, `ChainState.dist` (N, V, k), in place of the
+transformed sites: `subject_geometry` computes them, a forward accept
+stores them, and a rho proposal only inverts the patterns the table uses,
+one matrix each, and exponentiates the cached distances (`rho_weights`).
+The alpha step and each rho proposal take the conditional means B x(N) of
+the whole table in one `conditional_means` call, and sum over it once; rho's
+current-state target reuses the means that the alpha step computed in the
+same sweep, from the same X, X(T_i), neighbor sets and weights: alpha only
+rescales F.
 
 X | rest is Gaussian with a sparse banded precision Q (`template_conditional`)
 and is drawn exactly in one block step (Rue 2001): a LAPACK banded Cholesky
@@ -119,7 +127,7 @@ from .interp import Warp
 from .model import WaicAccumulator, build_geometry, penalty_terms, pointwise_log_lik
 from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
                       kriging_factor, library_weights, locate_entries, neighbor_distances,
-                      nngp_log_density_from_weights, predecessor_weights)
+                      nngp_log_density_from_weights)
 from .store import SampleStore
 from .transforms import (AffineTransform, affine_inverse, apply_stack, has_real_log,
                          karcher_mean, lie_exp, standardize)
@@ -243,14 +251,18 @@ class AdaptiveProposal:
 class ChainState:
     """The chain's latent state. Subject i has maps[i], beta[i], sigma2[i] and
     row i of the (N, d + 1, d + 1) stacks T and T_r of homogeneous matrices,
-    of the (N, V) arrays Y (the map's values), XT (X at T_i(S)), Y_bw (Y_i
-    at T_i^r(S)) and F, and of the NNGP caches of T_i(S): library entries
-    (N, V), neighbor sets nbr, their distances dist from T_i(S) and weights
-    B (N, V, k). The transform steps' terms that depend on the transforms
-    alone are kept too, (N,) each: the log priors log_prior_T of T_i and
-    log_prior_Tr of T_i^r, and the penalty sum of each pair (`TERMS`).
-    `warps` samples every maps[i] at T(S), one `Warp` of all of them, for the
-    reverse step, and `band` assembles the X step's precision."""
+    of the (N, V) arrays Y (the map's values), XT (X at T_i(S)) and Y_bw (Y_i
+    at T_i^r(S)), and of the caches of T_i(S): library entries (N, V) and
+    the distances dist (N, V, k) from T_i(S) to their neighbor sets. The
+    NNGP table holds every row of the model's NNGP terms, neighbor sets nbr
+    and weights B (N + 1, V, k), variances F (N + 1, V): family 0 is the
+    template's rows (the padded predecessor slots at the site itself, with
+    B = 0), family i + 1 subject i's. The transform steps' terms that depend
+    on the transforms alone are kept too, (N,) each: the log priors
+    log_prior_T of T_i and log_prior_Tr of T_i^r, and the penalty sum of
+    each pair (`TERMS`). `warps` samples every maps[i] at T(S), one `Warp` of
+    all of them, for the reverse step, and `band` assembles the X step's
+    precision."""
 
     X: np.ndarray
     maps: list
@@ -268,8 +280,6 @@ class ChainState:
     nbr: np.ndarray = field(default=None, repr=False)
     B: np.ndarray = field(default=None, repr=False)
     F: np.ndarray = field(default=None, repr=False)
-    tB: np.ndarray = field(default=None, repr=False)     # template NNGP weights
-    tF: np.ndarray = field(default=None, repr=False)
     factor: KrigingFactor = field(default=None, repr=False)  # pattern cache at rho
     log_prior_T: np.ndarray = field(default=None, repr=False)
     log_prior_Tr: np.ndarray = field(default=None, repr=False)
@@ -286,8 +296,19 @@ class ChainState:
         return CovarianceParams(self.alpha, self.rho)
 
 
-CACHES = ("dist", "entry", "nbr", "B", "F")   # a subject's NNGP caches in ChainState
-TERMS = ("log_prior_T", "log_prior_Tr", "penalty")   # its transform-only log-target terms
+CACHES = ("dist", "entry", "nbr", "B", "F")   # the state's NNGP caches
+TERMS = ("log_prior_T", "log_prior_Tr", "penalty")   # a subject's transform-only log-target terms
+
+
+def subject_caches(state):
+    """The subjects' rows of the `CACHES`, (N, ...) each: dist, entry, and
+    families 1..N of the NNGP table, as views."""
+    return state.dist, state.entry, state.nbr[1:], state.B[1:], state.F[1:]
+
+
+def table_values(state):
+    """The values the NNGP table's rows model, (N + 1, V): X, then every X(T_i)."""
+    return np.concatenate([state.X[None], state.XT])
 
 
 def subject_geometry(h, geom, factor, alpha):
@@ -296,7 +317,7 @@ def subject_geometry(h, geom, factor, alpha):
     h is an (n, d + 1, d + 1) stack of homogeneous matrices. Returns
     (inside, caches): inside (n,) marks the T that keep every template site
     within the library's margin, and caches = (dist, entry, nbr, B, F), the
-    `CACHES` of those T only, stacked, (n_inside, V, ...) each. One lookup,
+    `subject_caches` of those T only, stacked, (n_inside, V, ...) each. One lookup,
     one gather of the neighbor sets, one distance call and one weights call
     cover all n V sites. T(S) is formed axis-major, (n, d, V), as `Warp`
     forms it, with the bits of `apply_stack`, and handed on as an (n, V, d)
@@ -312,7 +333,8 @@ def subject_geometry(h, geom, factor, alpha):
     nbr = np.take(geom.library.neighbor_indices, entry, axis=0)
     dist = neighbor_distances(locs, nbr, geom.locations)
     k = dist.shape[-1]
-    b, f = library_weights(dist.reshape(-1, k), entry.ravel(), geom.library, factor, alpha)
+    b, f = library_weights(dist.reshape(-1, k), np.take(geom.library.pattern_ids, entry.ravel()),
+                           geom.library, factor, alpha)
     return inside, (dist, entry, nbr, b.reshape(n, v, k), f.reshape(n, v))
 
 
@@ -335,20 +357,20 @@ def refresh_terms(state, geom):
 
 
 def refresh_caches(state, geom):
-    """Factor the neighbor patterns at state.rho; set the template's (B, F),
-    every subject's NNGP caches and `TERMS` for its current transforms, and
+    """Factor the pattern table at state.rho; set the `CACHES`, the NNGP table
+    for the template and every subject's current transform, the `TERMS`, and
     one `Warp` of all subject maps at the template sites, for the reverse
     step. Raises OutOfLibraryBounds when a T_i leaves the library."""
     state.warps = Warp(state.maps, geom.locations)
-    state.factor = kriging_factor(geom.library, geom.predecessor_patterns, state.rho)
-    state.tB, state.tF = predecessor_weights(geom.predecessor_patterns, state.factor,
-                                             state.alpha)
-    inside, caches = subject_geometry(state.T, geom, state.factor, state.alpha)
+    state.factor = kriging_factor(geom.library, state.rho)
+    inside, (state.dist, state.entry, nbr, b, f) = subject_geometry(state.T, geom, state.factor,
+                                                                    state.alpha)
     if not inside.all():
         raise OutOfLibraryBounds(f"transforms {np.flatnonzero(~inside).tolist()} move a "
                                  "template site outside the neighbor library")
-    for name, value in zip(CACHES, caches):
-        setattr(state, name, value)
+    tb, tf = template_weights(geom, state.factor, state.alpha)
+    state.nbr = np.concatenate([geom.predecessors.nbr[None], nbr])
+    state.B, state.F = np.concatenate([tb[None], b]), np.concatenate([tf[None], f])
     refresh_terms(state, geom)
     state.band = TemplateBand(geom, len(state.T))
 
@@ -364,8 +386,9 @@ def transformed_template_conditional(state):
     the beta-consistent form, reducing to the flat-scale formula at beta=1.
     """
     beta, sigma2 = state.beta[:, None], state.sigma2[:, None]
-    prec = beta ** 2 / sigma2 + 1.0 / state.F
-    lin = beta * state.Y / sigma2 + conditional_means(state.X, state.nbr, state.B) / state.F
+    _, _, nbr, b, f = subject_caches(state)
+    prec = beta ** 2 / sigma2 + 1.0 / f
+    lin = beta * state.Y / sigma2 + conditional_means(state.X, nbr, b) / f
     var = 1.0 / prec
     return lin * var, var
 
@@ -375,14 +398,6 @@ def update_transformed_template(state, rng):
     mean, var = transformed_template_conditional(state)
     state.XT = mean + np.sqrt(var) * rng.standard_normal(mean.shape)
     return state.XT
-
-
-def _template_cols(geom):
-    """(m + 1, V) column-first: template row l has columns [l, predecessors],
-    the padded predecessor slots pointed at l itself."""
-    nsets = geom.neighbor_sets
-    own = np.arange(len(nsets))[:, None]
-    return np.hstack([own, np.where(nsets >= 0, nsets, own)]).T
 
 
 def _pair_slots(cols, n_band):
@@ -423,43 +438,44 @@ class _PairFamily:
 class TemplateBand:
     """A chain's workspace for the band of Q in `template_conditional`.
 
-    Q sums w w^T / F over two families of NNGP rows: the template's
-    (`_template_cols`) and the subjects', each the neighbor set of its
-    library entry. Neither family's columns ever change, so the band slots
+    Q sums w w^T / F over the rows of the state's NNGP table: the template's,
+    family 0, with columns [l, predecessors] and weights [1, -B], and the
+    subjects', each with the columns of its library entry's neighbor set and
+    weights B. Neither kind of row's columns ever change, so the band slots
     of their pairs (`_pair_slots`) are built once, per template row and per
     library entry, and built again only when the band height that a state
     needs changes. A call gathers the subjects' slots by entry, writes every
-    pair's value into buffers held here, and sums all pairs, template family
+    pair's value into buffers held here, and sums all pairs, template rows
     first, with one bincount. Of size O(V w) it allocates only the band.
     """
 
     def __init__(self, geom, n_subjects):
-        v = geom.locations.shape[0]
-        k_t, k = geom.neighbor_sets.shape[1] + 1, geom.library.neighbor_indices.shape[1]
-        split = k_t * (k_t + 1) // 2 * v
+        v, k = geom.predecessors.nbr.shape
+        split = (k + 1) * (k + 2) // 2 * v
         self.slots = np.empty(split + k * (k + 1) // 2 * n_subjects * v, dtype=np.intp)
         self.values = np.empty(self.slots.size)
-        self.template = _PairFamily(k_t, v, self.slots[:split], self.values[:split])
+        self.template = _PairFamily(k + 1, v, self.slots[:split], self.values[:split])
         self.template.w[0] = 1.0
         self.subjects = _PairFamily(k, n_subjects * v, self.slots[split:], self.values[split:])
-        self.template_span = int(np.max(np.ptp(_template_cols(geom), axis=0)))
+        self.template_cols = np.vstack([np.arange(v), geom.predecessors.nbr.T])
+        self.template_span = int(np.max(np.ptp(self.template_cols, axis=0)))
         self.entry_span = np.ptp(geom.library.neighbor_indices, axis=1)
         self.n_band = 0               # the band height the slot tables are built for
         self.entry_slots = None       # (k (k + 1) / 2, n_lib)
 
     def precision(self, state, geom):
-        """Sum of w w^T / F over both families: the (n_band, V) band, Fortran-ordered."""
+        """Sum of w w^T / F over the NNGP table: the (n_band, V) band, Fortran-ordered."""
         n_band = 1 + max(self.template_span, int(np.max(self.entry_span[state.entry])))
         if n_band != self.n_band:
-            self.template.slots[...] = _pair_slots(_template_cols(geom), n_band)
+            self.template.slots[...] = _pair_slots(self.template_cols, n_band)
             self.entry_slots = _pair_slots(geom.library.neighbor_indices.T, n_band)
             self.n_band = n_band
         np.take(self.entry_slots, state.entry.ravel(), axis=1, out=self.subjects.slots,
                 mode="clip")
-        np.negative(state.tB.T, out=self.template.w[1:])
-        np.divide(1.0, state.tF, out=self.template.finv)
-        np.copyto(self.subjects.w, state.B.reshape(-1, state.B.shape[-1]).T)
-        np.divide(1.0, state.F.ravel(), out=self.subjects.finv)
+        np.negative(state.B[0].T, out=self.template.w[1:])
+        np.divide(1.0, state.F[0], out=self.template.finv)
+        np.copyto(self.subjects.w, state.B[1:].reshape(-1, state.B.shape[-1]).T)
+        np.divide(1.0, state.F[1:].ravel(), out=self.subjects.finv)
         self.template.fill_values()
         self.subjects.fill_values()
         v = state.X.size
@@ -469,13 +485,13 @@ class TemplateBand:
 def template_conditional(state, geom):
     """Precision Q and linear term b of X | rest ~ N(Q^-1 b, Q^-1).
 
-    Q = (I - B_t)^T F_t^-1 (I - B_t) + sum_i B_i^T F_i^-1 B_i
+    Q = (I - B_0)^T F_0^-1 (I - B_0) + sum_i B_i^T F_i^-1 B_i
         + (sum_i beta_i^2 / sigma_i^2) I,
-    b = sum_i B_i^T (XT_i / F_i) + sum_i beta_i Y_bw,i / sigma_i^2.
-    Template row l has columns [l, predecessors] and weights [1, -B_t]; the
-    padded predecessor slots carry B = 0 and are pointed at l itself. Subject
-    rows are the library sets state.nbr with weights state.B, all subjects'
-    rows one family. Q is returned in LAPACK lower-band storage,
+    b = sum_i B_i^T (XT_i / F_i) + sum_i beta_i Y_bw,i / sigma_i^2,
+    over the families of the state's NNGP table. Template row l has columns
+    [l, predecessors] and weights [1, -B_0]; the padded predecessor slots
+    carry B = 0 and are pointed at l itself. Subject rows are the library
+    sets nbr[1:] with weights B[1:]. Q is returned in LAPACK lower-band storage,
     Fortran-ordered, Q[j + d, j] at [d, j], assembled by `state.band`.
 
     Its bandwidth is the widest column span of this state's rows, not of
@@ -487,9 +503,10 @@ def template_conditional(state, geom):
     ~0.1-0.4 ms on the 1D curves; besides the band it allocates only O(N V k).
     """
     v = state.X.size
-    k = state.nbr.shape[-1]
-    xt_f = (state.XT / state.F).ravel()
-    b = np.bincount(state.nbr.ravel(), (state.B.reshape(-1, k) * xt_f[:, None]).ravel(), v)
+    _, _, nbr, weights, f = subject_caches(state)
+    k = nbr.shape[-1]
+    xt_f = (state.XT / f).ravel()
+    b = np.bincount(nbr.ravel(), (weights.reshape(-1, k) * xt_f[:, None]).ravel(), v)
     b += (state.beta / state.sigma2) @ state.Y_bw
     ab = state.band.precision(state, geom)
     ab[0] += np.sum(state.beta ** 2 / state.sigma2)
@@ -534,81 +551,76 @@ def update_beta_sigma(state, hp, rng):
     state.beta = rng.normal(mu, np.sqrt(lam * state.sigma2))
 
 
-def nngp_means(state, geom, tb, b):
-    """The conditional means B x(N) of every template site under the template
-    weights tb, (V,), and of every X(T_i) under the subjects' weights b, (N, V)."""
-    return (conditional_means(state.X, geom.neighbor_sets, tb),
-            conditional_means(state.X, state.nbr, b))
-
-
 def alpha_conditional(state, hp, means):
     """Shape and rate of the conjugate inverse-gamma conditional for alpha,
-    given `nngp_means` at the state's weights."""
-    x = state.X
-    resid_t = x - means[0]
-    resid = state.XT - means[1]
-    quad = (float(np.sum(resid_t ** 2 * state.alpha / state.tF))
-            + float(np.sum(resid ** 2 * state.alpha / state.F)))
-    shape = hp.a0_alpha + x.size * (len(state.T) + 1) / 2.0
-    rate = hp.b0_alpha + 0.5 * quad
-    return shape, rate
+    given the conditional means of the NNGP table at the state's weights,
+    conditional_means(state.X, state.nbr, state.B)."""
+    resid = table_values(state) - means
+    quad = float(np.sum(resid ** 2 * state.alpha / state.F))
+    return hp.a0_alpha + resid.size / 2.0, hp.b0_alpha + 0.5 * quad
 
 
 def update_alpha(state, geom, hp, rng):
-    """Draw alpha; returns the `nngp_means` it used, which rho's step reuses:
-    a new alpha rescales F, never B."""
-    means = nngp_means(state, geom, state.tB, state.B)
+    """Draw alpha; returns the NNGP table's conditional means it used, which
+    rho's step reuses: a new alpha rescales F, never B. The table is the
+    state's, so `geom` is not read."""
+    means = conditional_means(state.X, state.nbr, state.B)
     shape, rate = alpha_conditional(state, hp, means)
     new_alpha = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
-    ratio = new_alpha / state.alpha
-    state.tF = state.tF * ratio
-    state.F = state.F * ratio
+    state.F = state.F * (new_alpha / state.alpha)
     state.alpha = new_alpha
     return means
 
 
+def template_weights(geom, factor, alpha):
+    """(B, F) of the NNGP table's family 0, the template's rows, (V, k) and
+    (V,): weighed once per predecessor pattern and gathered by site."""
+    pre = geom.predecessors
+    b, f = library_weights(pre.target_dist, pre.rows, geom.library, factor, alpha)
+    return np.take(b, pre.ids, axis=0), np.take(f, pre.ids)
+
+
 def rho_weights(state, geom, factor):
-    """The template's (B, F) and the subjects' stacked (B, F), at the rho of `factor`
-    and the state's alpha, from the cached neighbor distances."""
+    """(B, F) of the NNGP table at the rho of `factor` and the state's alpha,
+    (N + 1, V, k) and (N + 1, V): the template's rows (`template_weights`)
+    and the subjects' from the cached neighbor distances, one
+    `library_weights` path for both."""
+    library = geom.library
     n, v, k = state.dist.shape
-    b, f = library_weights(state.dist.reshape(-1, k), state.entry.ravel(), geom.library,
-                           factor, state.alpha)
-    return (predecessor_weights(geom.predecessor_patterns, factor, state.alpha),
-            (b.reshape(n, v, k), f.reshape(n, v)))
+    b, f = np.empty((n + 1, v, k)), np.empty((n + 1, v))
+    b[0], f[0] = template_weights(geom, factor, state.alpha)
+    library_weights(state.dist.reshape(-1, k), np.take(library.pattern_ids, state.entry.ravel()),
+                    library, factor, state.alpha, out=(b[1:].reshape(-1, k), f[1:].reshape(-1)))
+    return b, f
 
 
-def rho_log_target(state, weights, means):
-    """rho-dependent part of the joint: the NNGP log densities of X and of every X(T_i).
-
-    `weights` is (template (B, F), subjects' (B, F)) and `means` their
-    `nngp_means`; `rho_current` and `rho_proposal` call it.
-    """
-    (_, tf), (_, f) = weights
-    return (nngp_log_density_from_weights(state.X, means[0], tf)
-            + nngp_log_density_from_weights(state.XT, means[1], f))
+def rho_log_target(state, f, means):
+    """rho-dependent part of the joint: the NNGP log density of every row of the
+    table, X's and every X(T_i)'s, given the table's variances f and
+    conditional means; `rho_current` and `rho_proposal` call it."""
+    return nngp_log_density_from_weights(table_values(state), means, f)
 
 
 def rho_current(state, means):
-    """rho's target at the state's cached weights, given their `nngp_means`."""
-    return rho_log_target(state, ((state.tB, state.tF), (state.B, state.F)), means)
+    """rho's target at the state's NNGP table, given its conditional means."""
+    return rho_log_target(state, state.F, means)
 
 
 def rho_proposal(state, geom, rho):
-    """The proposal `rho`'s `KrigingFactor`, its weights (`rho_weights`) and
-    its log target, as (factor, weights, log target)."""
-    factor = kriging_factor(geom.library, geom.predecessor_patterns, rho)
-    weights = rho_weights(state, geom, factor)
-    (tb, _), (b, _) = weights
-    return factor, weights, rho_log_target(state, weights, nngp_means(state, geom, tb, b))
+    """The proposal `rho`'s `KrigingFactor`, its table's (B, F) (`rho_weights`)
+    and its log target, as (factor, (B, F), log target)."""
+    factor = kriging_factor(geom.library, rho)
+    b, f = rho_weights(state, geom, factor)
+    return factor, (b, f), rho_log_target(state, f, conditional_means(state.X, state.nbr, b))
 
 
 def update_rho(state, geom, hp, rng, means):
     """Random-walk Metropolis on rho; proposals outside (L, U) are rejected.
 
-    The target is `rho_current` against `rho_proposal`. `means` are the
-    `nngp_means` at the state's weights (`update_alpha` returns them), so
-    only the proposal's means are computed here. On accept the proposal's
-    factor and weights become the state's.
+    The target is `rho_current` against `rho_proposal`. `means` are the NNGP
+    table's conditional means at the state's weights (`update_alpha` returns
+    them), so only the proposal's means are computed here. On accept the
+    proposal's factor and table become the state's.
     """
     state.rho_proposals += 1
     prop = state.rho + RHO_STEP * rng.standard_normal()
@@ -619,7 +631,7 @@ def update_rho(state, geom, hp, rng, means):
     if accept_draw < log_new - rho_current(state, means):
         state.rho = prop
         state.factor = factor
-        (state.tB, state.tF), (state.B, state.F) = weights
+        state.B, state.F = weights
         state.rho_accepts += 1
         return True
     return False
@@ -667,15 +679,15 @@ def forward_current(state, hp):
     """The forward target of every current T_i, (N,), from the state's `TERMS`
     and NNGP caches: only the NNGP term, which reads X, is computed."""
     return forward_log_target((state.log_prior_T, state.penalty), state.X, state.XT,
-                              (state.nbr, state.B, state.F), hp)
+                              subject_caches(state)[2:], hp)
 
 
 def forward_proposals(state, geom, hp, rows, h):
     """The forward target of the proposals h for the subjects `rows`, in the
     (inside, log_new, payload) form that `lie_mh_step` takes: inside marks the
     proposals that keep every template site in the neighbor library, and
-    log_new and payload, the proposals' `CACHES` and `transform_terms`, are
-    stacked over those only."""
+    log_new and payload, the proposals' `subject_caches` and
+    `transform_terms`, are stacked over those only."""
     inside, caches = subject_geometry(h, geom, state.factor, state.alpha)
     kept = rows[inside]
     terms = transform_terms(geom.prior_T, h[inside], state.T_r[kept])
@@ -759,8 +771,8 @@ def update_forward_transform(state, geom, hp, adapt, rng):
     accepted, h_new, payload = lie_mh_step(state.T, forward_current(state, hp),
                                            partial(forward_proposals, state, geom, hp), adapt, rng)
     state.T[accepted] = h_new
-    for name, value in zip(CACHES + ("log_prior_T", "penalty"), payload):
-        getattr(state, name)[accepted] = value
+    for array, value in zip(subject_caches(state) + (state.log_prior_T, state.penalty), payload):
+        array[accepted] = value
     return accepted
 
 
@@ -952,12 +964,20 @@ def fit_affine(warp, y, beta, best, best_obj):
         return best
 
 
+def fit_transforms(warp, y, beta, starts, grid):
+    """Each subject's transform for ||Y_i - beta_i X(T)||^2, as an (N, d + 1,
+    d + 1) stack: its best candidate (`best_candidates`, of starts[i] and
+    `grid`), refined by `fit_affine`. Both models' set-ups fit through here."""
+    best, objs = best_candidates(warp, y, beta, starts, grid)
+    return np.array([fit_affine(warp, y[i], beta[i], best[i], objs[i]) for i in range(len(y))])
+
+
 def initialize(maps, config):
     """Alternating template/transform initialization (deterministic).
 
-    Repeats: fit each T_i by warping beta_i X to Y_i (`best_candidates`: the
-    best of the previous T_i and, on the first pass only, the coarse grid;
-    then `fit_affine`: refined by Levenberg-Marquardt on every pass), re-fit
+    Repeats: fit each T_i by warping beta_i X to Y_i (`fit_transforms`: the
+    best of the previous T_i and, on the first pass only, the coarse grid,
+    refined by Levenberg-Marquardt on every pass), re-fit
     beta_i by no-intercept regression (`fit_scale`), standardize T at
     identity and beta at 1, then re-estimate X as the mean of back-warped
     maps Y_i(T_i^{-1})/beta_i. Stops after config.init_iters passes or when
@@ -988,8 +1008,7 @@ def initialize(maps, config):
     grid = coarse_grid(lattice)
     for passes in range(1, config.init_iters + 1):
         warp = Warp(ActivationMap(lattice, x), pts)
-        best, objs = best_candidates(warp, y, betas, ts, grid if passes == 1 else ())
-        ts = np.array([fit_affine(warp, y[i], betas[i], best[i], objs[i]) for i in range(n)])
+        ts = fit_transforms(warp, y, betas, ts, grid if passes == 1 else ())
         betas = np.array([fit_scale(yi, xt) for yi, xt in zip(y, warp(ts))])
         ts, _ = standardize(ts)
         betas = betas / np.mean(betas)
@@ -1040,11 +1059,11 @@ def library_margin(lattice, h):
 class Chain:
     """The symmetric model's chain, and the run loop and sweep of every model.
 
-    A model's `__init__` sets the `config`, `maps`, `lattice`, `lambda_r`,
-    `proposals` (by direction), `iteration` and `rng` (the chain's one
-    generator, seeded by `config.seed`) that these read; it supplies
-    `updates`, `record`, `snapshot` and `model_diagnostics`
-    (`baseline.ConventionalChain` is the other model).
+    A model's `__init__` calls `start`, which sets the `config`, `maps`,
+    `lattice`, `lambda_r`, `iteration` and `rng` (the chain's one generator,
+    seeded by `config.seed`) that these read, and sets the `proposals` (by
+    direction); it supplies `updates`, `record`, `snapshot` and
+    `model_diagnostics` (`baseline.ConventionalChain` is the other model).
 
     The neighbor library is sized from the initial state, by
     `library_margin`, so no set-up fails for want of margin. A chain that
@@ -1052,12 +1071,8 @@ class Chain:
     """
 
     def __init__(self, maps, config, initial_state=None):
-        self.config = config
-        self.lattice = lattice = common_lattice(maps)
-        self.maps = list(maps)
-        self.lambda_r = config.lambda_r
-        self.iteration = 0
-        self.rng = np.random.default_rng(config.seed)
+        self.start(maps, config, config.lambda_r)
+        lattice = self.lattice
         if initial_state is None:
             initial_state = initialize(self.maps, config)
         self.geom = build_geometry(lattice, config, library_margin(lattice, initial_state.T))
@@ -1067,6 +1082,16 @@ class Chain:
         self.proposals = {direction: AdaptiveProposal(n, dim_lie)
                           for direction in ("forward", "reverse")}
         refresh_caches(self.state, self.geom)
+
+    def start(self, maps, config, lambda_r):
+        """Set what the run loop and the sweep read of every model: config,
+        maps, their common lattice, lambda_r, the sweep count and the generator."""
+        self.config = config
+        self.lattice = common_lattice(maps)
+        self.maps = list(maps)
+        self.lambda_r = lambda_r
+        self.iteration = 0
+        self.rng = np.random.default_rng(config.seed)
 
     def guarded(self, stage, sweep, step):
         """step(), with a GroupregError re-raised as ChainAborted and a snapshot.

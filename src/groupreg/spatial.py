@@ -12,30 +12,34 @@ template sites only.
 
 Pattern cache. On a regular lattice the k x k covariance of a neighbor set
 depends only on its distance matrix and on rho, because
-C = alpha (R(rho) + JITTER I). Library entries and template predecessor sets
-are therefore grouped into patterns when they are built, each stored as its
-k x k distance matrix. A library pattern is a distinct distance matrix:
-entries are grouped by offset shape (their neighbors' offsets in lattice
-steps), and shapes whose matrices are equal bit for bit, such as mirror
-images, are merged, so equal matrices get one inverse and bit-identical
-weights (88 matrices from 330 offset shapes for the 2116 entries of a 28x28
-lattice with margin 9 and m = 10). A predecessor pattern is an offset shape
-with its padding marked (26 on that lattice, all with distinct matrices).
-A `KrigingFactor` holds, for one rho, (R + JITTER I)^-1 per library pattern
-and the unit-alpha weights of every predecessor pattern; weights for any
-alpha follow as B = (R + JITTER I)^-1 r_t and F = alpha (1 - B . r_t), with
-r_t = exp(-rho d_t) from the target-to-neighbor distances d_t of
-`neighbor_distances`, so a weights call costs k exps per row and one small
-mat-vec instead of a k x k solve. The predecessor weights are solved when
-the factor is built, since every template site needs them. A library
-pattern is inverted only when `library_weights` first meets it at that rho
-(`KrigingFactor.invert`), one `np.linalg.inv` over the patterns missing,
-with the bits of inverting all of them at once: a chain's transformed sites
-use few of the library's patterns (19 of the glyph's 88), and a rho
-proposal builds a new factor. The tables take P k^2 doubles per family
-(about 70 kB for the 28x28 library) plus one int per entry or site.
-`batched_nngp_weights` re-solves every row and stays the brute-force oracle
-the cache is checked against.
+C = alpha (R(rho) + JITTER I). Every NNGP row, a transformed site given its
+library entry's neighbor set or a template site given its ordered
+predecessors, is therefore a row of one table of patterns, each stored as its
+k x k distance matrix (`NeighborLibrary.pattern_dist`). A library pattern is
+a distinct distance matrix: entries are grouped by offset shape (their
+neighbors' offsets in lattice steps), and shapes whose matrices are equal bit
+for bit, such as mirror images, are merged, so equal matrices get one
+inverse and bit-identical weights (88 matrices from 330 offset shapes for the
+2116 entries of a 28x28 lattice with margin 9 and m = 10). A predecessor
+pattern is an offset shape with its padding marked (26 on that lattice), and
+`join_predecessor_patterns` appends these to the library's table. A padded
+slot is at distance 0 from itself and inf from every other slot and from the
+target, so at any rho > 0 its R row and column are those of the identity
+and its r_t is 0: it gets B = 0 exactly and leaves F as the row without it
+has it, as in `batched_nngp_weights`. A `KrigingFactor` holds, for one rho,
+(R + JITTER I)^-1 of the patterns met so far; weights for any alpha follow
+as B = (R + JITTER I)^-1 r_t and F = alpha (1 - B . r_t), with
+r_t = exp(-rho d_t) from the target-to-neighbor distances d_t, so a weights
+call (`library_weights`) costs k exps per row and one small mat-vec instead
+of a k x k solve. The template's rows are weighed once per predecessor
+pattern and gathered by site. A pattern is inverted only when
+`library_weights` first meets it at that rho (`KrigingFactor.invert`), one
+`np.linalg.inv` over the patterns missing, with the bits of inverting all
+of them at once: a chain's transformed sites use few of the library's
+patterns (19 of the glyph's 88), and a rho proposal builds a new factor.
+The table takes P k^2 doubles (about 90 kB for the 28x28 library) plus one
+int per entry or site. `batched_nngp_weights` re-solves every row and stays
+the brute-force oracle the cache is checked against.
 
 Neighbor ranking. Library entries and template predecessor sets are ranked
 by squared distances formed from integer lattice offsets, each axis weighted
@@ -56,7 +60,7 @@ of its candidates (k, and any ties at the k-th distance), not O(V log V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -215,36 +219,6 @@ def _offset_distances(offsets, spacing):
 
 
 @dataclass(frozen=True, eq=False)
-class PredecessorPatterns:
-    """Distinct relative shapes of the template's ordered predecessor sets.
-
-    A pattern is the offsets, in lattice steps, of a set's neighbors from
-    its target site, with the -1 padding marked; distances are stored
-    instead of offsets so the kriging factor needs no lattice.
-    """
-
-    ids: np.ndarray = field(repr=False)          # (V,) pattern of each site
-    nbr_dist: np.ndarray = field(repr=False)     # (P, m, m); padded slots unused
-    target_dist: np.ndarray = field(repr=False)  # (P, m); padded slots unused
-    mask: np.ndarray = field(repr=False)         # (P, m) bool, False where padded
-
-
-def build_predecessor_patterns(lattice, neighbor_sets):
-    """Group `build_ordered_neighbor_sets` rows of a lattice by relative shape."""
-    coords = _site_coords(lattice.shape)
-    mask = neighbor_sets >= 0
-    offsets = np.where(mask[:, :, None], coords[np.where(mask, neighbor_sets, 0)]
-                       - coords[:, None, :], 0)
-    ids, first = _pattern_table(
-        np.concatenate([offsets.reshape(len(offsets), -1), mask], axis=1))
-    off, mask = offsets[first], mask[first]
-    scaled = off * lattice.spacing
-    return PredecessorPatterns(ids=ids, nbr_dist=_offset_distances(off, lattice.spacing),
-                               target_dist=np.sqrt(np.einsum("pkd,pkd->pk", scaled, scaled)),
-                               mask=mask)
-
-
-@dataclass(frozen=True, eq=False)
 class NeighborLibrary:
     """Precomputed m-nearest-in-template sets over an enlarged lattice.
 
@@ -267,7 +241,8 @@ class NeighborLibrary:
     margin: int
     m: int
     neighbor_indices: np.ndarray = field(repr=False)  # (n_lib, min(m, V)) int
-    # Entries grouped by the distance matrix of their neighbor sets.
+    # Entries grouped by the distance matrix of their neighbor sets; the
+    # table holds their patterns, then any `join_predecessor_patterns` adds.
     pattern_ids: np.ndarray = field(repr=False)       # (n_lib,) int
     pattern_dist: np.ndarray = field(repr=False)      # (P, k, k) neighbor distances
     gather: np.ndarray = field(repr=False)            # (rows, k, k) scratch
@@ -301,6 +276,44 @@ def build_neighbor_library(lattice, margin, m):
                            m=m, neighbor_indices=neighbor_indices,
                            pattern_ids=dist_ids[shape_ids], pattern_dist=shape_dist[first],
                            gather=np.empty((max(1, _BLOCK_BYTES // (8 * k * k)), k, k)))
+
+
+@dataclass(frozen=True, eq=False)
+class PredecessorPatterns:
+    """The template's NNGP rows, site l given its ordered predecessors, as
+    rows of a library's pattern table (`join_predecessor_patterns`)."""
+
+    nbr: np.ndarray = field(repr=False)          # (V, k) predecessors, padded slots at the site
+    ids: np.ndarray = field(repr=False)          # (V,) each site's pattern, a row of the next two
+    rows: np.ndarray = field(repr=False)         # (P,) each pattern's row of the library's table
+    target_dist: np.ndarray = field(repr=False)  # (P, k) site to neighbors, inf where padded
+
+
+def join_predecessor_patterns(library, neighbor_sets):
+    """Group the `build_ordered_neighbor_sets` rows of the library's template by
+    relative shape (offsets in lattice steps, padding marked), and append the
+    shapes' distance matrices to the library's pattern table.
+
+    Only the first k = min(m, V) columns of the sets are read; a site has at
+    most V - 1 predecessors. Returns (library, patterns): a library like the
+    given one but for its longer `pattern_dist`, and the `PredecessorPatterns`.
+    """
+    k = library.neighbor_indices.shape[1]
+    sets = neighbor_sets[:, :k]
+    mask = sets >= 0
+    nbr = np.where(mask, sets, np.arange(len(sets))[:, None])
+    coords = _site_coords(library.template.shape)
+    offsets = coords[nbr] - coords[:, None, :]          # 0 at the padded slots
+    ids, first = _pattern_table(np.concatenate([offsets.reshape(len(offsets), -1), mask], axis=1))
+    off, mask = offsets[first] * library.template.spacing, mask[first]
+    pair = mask[:, :, None] & mask[:, None, :]
+    nbr_dist = np.where(pair | np.eye(k, dtype=bool),
+                        _offset_distances(offsets[first], library.template.spacing), np.inf)
+    target_dist = np.where(mask, np.sqrt(np.einsum("pkd,pkd->pk", off, off)), np.inf)
+    n_lib = len(library.pattern_dist)
+    return (replace(library, pattern_dist=np.concatenate([library.pattern_dist, nbr_dist])),
+            PredecessorPatterns(nbr=nbr, ids=ids, rows=n_lib + np.arange(len(first)),
+                                target_dist=target_dist))
 
 
 def locate_entries(points, library):
@@ -392,54 +405,41 @@ def batched_nngp_weights(targets, neighbor_idx, source_locations, params):
 
 @dataclass(frozen=True, eq=False)
 class KrigingFactor:
-    """Unit-alpha kriging factors of every neighbor pattern at one rho.
+    """Unit-alpha kriging factors of a pattern table at one rho, the library's
+    `pattern_dist`: every NNGP row's, the template's and the subjects'.
 
-    The library patterns' inverses are filled in on first use (`invert`):
-    `library_inv[p]` holds pattern p's only where `inverted[p]`.
+    The inverses are filled in on first use (`invert`): `inv[p]` holds
+    pattern p's (R + JITTER I)^-1 only where `inverted[p]`.
     """
 
     rho: float
-    library_dist: np.ndarray = field(repr=False)  # (P_lib, k, k): the library's pattern_dist
-    library_inv: np.ndarray = field(repr=False)   # (P_lib, k, k): (R + JITTER I)^-1
-    inverted: np.ndarray = field(repr=False)      # (P_lib,) bool
-    template_b: np.ndarray = field(repr=False)    # (P_t, m) predecessor weights B
-    template_f: np.ndarray = field(repr=False)    # (P_t,) F / alpha, floored
+    dist: np.ndarray = field(repr=False)      # (P, k, k) the library's pattern_dist
+    inv: np.ndarray = field(repr=False)       # (P, k, k)
+    inverted: np.ndarray = field(repr=False)  # (P,) bool
 
     def invert(self, ids):
-        """Invert every library pattern among `ids` not inverted yet, in one call."""
+        """Invert every pattern among `ids` not inverted yet, in one call."""
         need = np.zeros(self.inverted.size, dtype=bool)
         need[ids] = True
         missing = np.flatnonzero(need & ~self.inverted)
         if not missing.size:
             return
-        r = np.exp(-self.rho * self.library_dist[missing])
+        r = np.exp(-self.rho * self.dist[missing])
         diag = np.arange(r.shape[1])
         r[:, diag, diag] += JITTER
         try:
-            self.library_inv[missing] = np.linalg.inv(r)
+            self.inv[missing] = np.linalg.inv(r)
         except np.linalg.LinAlgError as exc:
             raise IllConditioned("neighbor covariance not invertible after jitter") from exc
         self.inverted[missing] = True
 
 
-def kriging_factor(library, predecessors, rho):
-    """Factor the predecessor patterns at decay `rho`; the library patterns
-    are inverted as `library_weights` meets them."""
-    # Padded slots get an identity row/column and r_t = 0, hence B = 0, as in
-    # batched_nngp_weights; a site without predecessors gets F = alpha.
-    mask = predecessors.mask
-    pair = mask[:, :, None] & mask[:, None, :]
-    m = mask.shape[1]
-    r = np.where(pair, np.exp(-rho * predecessors.nbr_dist) + JITTER * np.eye(m), np.eye(m))
-    r_t = np.where(mask, np.exp(-rho * predecessors.target_dist), 0.0)
-    try:
-        b = np.linalg.solve(r, r_t[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned("neighbor covariance not invertible after jitter") from exc
-    f = np.maximum(1.0 - np.einsum("pk,pk->p", b, r_t), VAR_FLOOR)
+def kriging_factor(library, rho):
+    """The library's pattern table at decay `rho`, each pattern inverted as
+    `library_weights` meets it."""
     dist = library.pattern_dist
-    return KrigingFactor(rho=float(rho), library_dist=dist, library_inv=np.empty(dist.shape),
-                         inverted=np.zeros(len(dist), dtype=bool), template_b=b, template_f=f)
+    return KrigingFactor(rho=float(rho), dist=dist, inv=np.empty(dist.shape),
+                         inverted=np.zeros(len(dist), dtype=bool))
 
 
 def neighbor_distances(targets, nbr, source_locations):
@@ -463,14 +463,19 @@ def neighbor_distances(targets, nbr, source_locations):
     return np.sqrt(d2, out=d2)
 
 
-def library_weights(dist, entries, library, factor, alpha):
-    """(B, F) of targets conditioned on their library entries' neighbor sets.
+def library_weights(dist, ids, library, factor, alpha, out=None):
+    """(B, F) of NNGP rows, each given the distances `dist` (q, k) from its
+    target to its neighbors and `ids` (q,), its pattern's row of the library's
+    table; into `out`, a (B, F) pair of (q, k) and (q,) arrays, if given.
 
-    With dist = neighbor_distances(targets, library.neighbor_indices[entries],
-    source_locations), equals batched_nngp_weights(targets,
-    library.neighbor_indices[entries], source_locations,
-    CovarianceParams(alpha, factor.rho)) up to rounding. The patterns the
-    entries use are inverted first if the factor has not yet
+    A transformed site's pattern is its library entry's,
+    library.pattern_ids[entry], and with dist = neighbor_distances(targets,
+    library.neighbor_indices[entries], source_locations) the result equals
+    batched_nngp_weights(targets, library.neighbor_indices[entries],
+    source_locations, CovarianceParams(alpha, factor.rho)) up to rounding. A
+    template site's is its predecessor pattern's, whose row this weighs
+    once for every site of the pattern (`PredecessorPatterns`). The patterns
+    the rows use are inverted first if the factor has not yet
     (`KrigingFactor.invert`). Each row's k x k inverse is gathered and
     contracted in chunks of about _BLOCK_BYTES, into the library's `gather`
     buffer, so a call holds one chunk of them, not one per row, and
@@ -481,24 +486,20 @@ def library_weights(dist, entries, library, factor, alpha):
     matmul changes the bits.
     """
     r_t = np.exp(-factor.rho * dist)
-    ids = np.take(library.pattern_ids, entries)
     factor.invert(ids)
     q, k = r_t.shape
+    b, f = (np.empty((q, k)), np.empty(q)) if out is None else out
     rows = len(library.gather)
-    b = np.empty((q, k))
     for start in range(0, q, rows):
         part = slice(start, start + rows)
         inv = library.gather[:len(ids[part])]
         # mode="clip" writes straight into `out`; the default "raise" buffers it.
-        np.take(factor.library_inv, ids[part], axis=0, out=inv, mode="clip")
+        np.take(factor.inv, ids[part], axis=0, out=inv, mode="clip")
         np.einsum("qkj,qj->qk", inv, r_t[part], out=b[part])
-    f = alpha * (1.0 - np.einsum("qk,qk->q", b, r_t))
-    return b, np.maximum(f, VAR_FLOOR * alpha)
-
-
-def predecessor_weights(predecessors, factor, alpha):
-    """(B, F) of every template site given its ordered predecessor set."""
-    return factor.template_b[predecessors.ids], alpha * factor.template_f[predecessors.ids]
+    np.einsum("qk,qk->q", b, r_t, out=f)
+    np.subtract(1.0, f, out=f)
+    f *= alpha
+    return b, np.maximum(f, VAR_FLOOR * alpha, out=f)
 
 
 def conditional_means(values, neighbor_idx, weights):

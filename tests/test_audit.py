@@ -43,9 +43,10 @@ def test_target_audit_fails_on_a_noise_log_target(monkeypatch):
 
 
 def test_target_audit_fails_on_a_rho_target_without_its_template_term(monkeypatch):
-    """Only the subjects' NNGP terms: the check on rho's target, and no other, fails."""
-    def subjects_only(state, weights, means):
-        return nngp_log_density_from_weights(state.XT, means[1], weights[1][1])
+    """Only the NNGP table's families 1..N, the subjects' terms: the check on
+    rho's target, and no other, fails."""
+    def subjects_only(state, f, means):
+        return nngp_log_density_from_weights(state.XT, means[1:], f[1:])
 
     monkeypatch.setattr(sampler, "rho_log_target", subjects_only)
     assert {r["name"] for r in target_audit() if not r["passed"]} == {"target.rho"}

@@ -28,7 +28,7 @@ from groupreg.sampler import (CACHES, FIT_TOL, TERMS, AdaptiveProposal, Chain, C
                               update_forward_transform, update_template,
                               update_transformed_template)
 from groupreg.spatial import (batched_nngp_weights, kriging_factor, library_weights,
-                              neighbor_distances, predecessor_weights)
+                              neighbor_distances)
 from groupreg.store import save_store
 from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, generate,
                             indicator_template, rotate_glyph, rotation_about_center)
@@ -75,26 +75,56 @@ def short_chain(case, sweeps=12):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cached_weights_track_alpha_and_rho(case):
     """After every sweep the cached distances equal ones recomputed from T_i,
-    and the cached (B, F) equal a fresh brute-force solve."""
+    and every family of the NNGP table, the template's and each subject's,
+    has the neighbor sets and (B, F) of a fresh brute-force solve."""
     chain = short_chain(case)
     tol = CASES[case][2]
     state, geom = chain.state, chain.geom
     for _ in range(chain.config.total):
         chain.sweep()
         assert state.factor.rho == state.rho
-        oracle = batched_nngp_weights(geom.locations, geom.neighbor_sets, geom.locations,
-                                      state.cov)
-        assert weights_gap((state.tB, state.tF), oracle, state.alpha) < tol
+        assert_template_rows(state, geom, tol)
         for i, t in enumerate(state.T):
             locs = affine_apply(t, geom.locations)
             assert np.array_equal(state.dist[i], neighbor_distances(
                 locs, geom.library.neighbor_indices[state.entry[i]], geom.locations))
-            assert np.array_equal(state.nbr[i], geom.library.neighbor_indices[state.entry[i]])
-            oracle = batched_nngp_weights(locs, state.nbr[i], geom.locations, state.cov)
-            assert weights_gap((state.B[i], state.F[i]), oracle, state.alpha) < tol
+            nbr = geom.library.neighbor_indices[state.entry[i]]
+            assert np.array_equal(state.nbr[i + 1], nbr)
+            oracle = batched_nngp_weights(locs, nbr, geom.locations, state.cov)
+            assert weights_gap((state.B[i + 1], state.F[i + 1]), oracle, state.alpha) < tol
     # Both rho outcomes were exercised, so a factor kept after a reject or
     # dropped after an accept would have shown.
     assert 0 < state.rho_accepts < state.rho_proposals
+
+
+def assert_template_rows(state, geom, tol):
+    """Family 0 of the NNGP table is each site given its ordered predecessors,
+    the padded slots at the site itself, with a brute-force solve's (B, F)."""
+    sets = geom.neighbor_sets
+    v, k = state.nbr.shape[1:]
+    own = np.arange(v)[:, None]
+    assert np.array_equal(state.nbr[0], np.where(sets >= 0, sets, own)[:, :k])
+    assert np.all(sets[:, k:] < 0)   # a site has at most V - 1 predecessors
+    oracle = batched_nngp_weights(geom.locations, sets[:, :k], geom.locations, state.cov)
+    assert weights_gap((state.B[0], state.F[0]), oracle, state.alpha) < tol
+    assert np.all(state.B[0][sets[:, :k] < 0] == 0.0)
+
+
+def test_a_chain_with_more_neighbors_than_sites_runs():
+    """m = 10 on a 6-site lattice: every row of the NNGP table is V = 6 wide,
+    and the template's rows, all of them padded, are the brute-force
+    solve's within the audit's 1e-12 after every sweep."""
+    lattice = make_lattice_1d(0.0, 5.0, 1.0)
+    rng = np.random.default_rng(8)
+    maps = [ActivationMap(lattice, np.sin(lattice.locations()[:, 0] + shift)
+                          + 0.05 * rng.standard_normal(6)) for shift in (0.0, 0.2, -0.2)]
+    chain = Chain(maps, RunConfig(m=10, total=10, burn_in=5, thin=1, init_iters=3, seed=2))
+    state = chain.state
+    assert state.nbr.shape == state.B.shape == (4, 6, 6) and state.F.shape == (4, 6)
+    for _ in range(chain.config.total):
+        chain.sweep()
+        assert_template_rows(state, chain.geom, 1e-12)
+    assert state.rho_accepts > 0
 
 
 def run_peak_bytes(maps, kept):
@@ -143,13 +173,14 @@ def test_stacked_phases_match_a_loop_over_subjects(make_state):
             for i in range(len(state.T))]
     assert np.array_equal(update_transformed_template(state, np.random.default_rng(3)), loop)
 
-    factor = kriging_factor(geom.library, geom.predecessor_patterns, 0.7)
-    _, (b, f) = rho_weights(state, geom, factor)
+    factor = kriging_factor(geom.library, 0.7)
+    b, f = rho_weights(state, geom, factor)
     for i, t in enumerate(state.T):
         dist = neighbor_distances(affine_apply(t, geom.locations),
                                   geom.library.neighbor_indices[state.entry[i]], geom.locations)
-        bi, fi = library_weights(dist, state.entry[i], geom.library, factor, state.alpha)
-        assert np.array_equal(b[i], bi) and np.array_equal(f[i], fi)
+        bi, fi = library_weights(dist, geom.library.pattern_ids[state.entry[i]], geom.library,
+                                 factor, state.alpha)
+        assert np.array_equal(b[i + 1], bi) and np.array_equal(f[i + 1], fi)
 
     shape, rate, mu, lam = beta_sigma_conditional(state, hp)
     loop = []
@@ -187,13 +218,15 @@ def test_rho_weights_from_cached_distances_give_the_chain_of_recomputed_ones(
     same store, byte for byte, as one that reads them from the state."""
     def from_transforms(state, geom, factor):
         n, v, k = state.dist.shape
+        lib, pre = geom.library, geom.predecessors
         locs = np.concatenate([affine_apply(t, geom.locations) for t in state.T])
         entries = state.entry.ravel()
-        b, f = library_weights(neighbor_distances(locs, geom.library.neighbor_indices[entries],
+        b, f = library_weights(neighbor_distances(locs, lib.neighbor_indices[entries],
                                                   geom.locations),
-                               entries, geom.library, factor, state.alpha)
-        return (predecessor_weights(geom.predecessor_patterns, factor, state.alpha),
-                (b.reshape(n, v, k), f.reshape(n, v)))
+                               lib.pattern_ids[entries], lib, factor, state.alpha)
+        tb, tf = library_weights(pre.target_dist, pre.rows, lib, factor, state.alpha)
+        return (np.concatenate([tb[pre.ids][None], b.reshape(n, v, k)]),
+                np.concatenate([tf[pre.ids][None], f.reshape(n, v)]))
 
     paths = []
     for run in range(2):
@@ -236,7 +269,7 @@ def test_template_draws_match_block_conditional():
     # between the sites and, the 1D exponential kernel being Markov, leave X
     # nearly independent across sites, where L^-T z and L^-1 z look alike.
     state.sigma2 *= 100.0
-    state.F = state.F * 100.0
+    state.F[1:] *= 100.0
     ab, b = template_conditional(state, geom)
     cov = np.linalg.inv(band_to_dense(ab))
     mean = cov @ b
@@ -268,15 +301,15 @@ def chunked_template_conditional(state, geom):
     slots and values recomputed, chunk by chunk, then summed by one bincount."""
     v = state.X.size
     own = np.arange(v)[:, None]
-    nsets = geom.neighbor_sets
     k = state.nbr.shape[-1]
-    nbr, weights = state.nbr.reshape(-1, k), state.B.reshape(-1, k)
-    xt_f = (state.XT / state.F).ravel()
+    nsets = geom.neighbor_sets[:, :k]
+    nbr, weights = state.nbr[1:].reshape(-1, k), state.B[1:].reshape(-1, k)
+    xt_f = (state.XT / state.F[1:]).ravel()
     b = np.bincount(nbr.ravel(), (weights * xt_f[:, None]).ravel(), v)
     b += (state.beta / state.sigma2) @ state.Y_bw
     rows = [(np.hstack([own, np.where(nsets >= 0, nsets, own)]),
-             np.hstack([np.ones((v, 1)), -state.tB]), 1.0 / state.tF),
-            (nbr, weights, 1.0 / state.F.ravel())]
+             np.hstack([np.ones((v, 1)), -state.B[0]]), 1.0 / state.F[0]),
+            (nbr, weights, 1.0 / state.F[1:].ravel())]
     families = [(np.ascontiguousarray(c.T), np.ascontiguousarray(w.T), finv)
                 for c, w, finv in rows]
     n_band = 1 + max(int(np.max(c.max(axis=0) - c.min(axis=0))) for c, _, _ in families)
@@ -316,7 +349,7 @@ def test_template_conditional_rebuilds_its_slots_when_the_band_height_changes():
     entry = state.entry[0, 5]
     for moved in (widest, entry):
         state.entry[0, 5] = moved
-        state.nbr[0, 5] = lib.neighbor_indices[moved]
+        state.nbr[1, 5] = lib.neighbor_indices[moved]
         height = assert_template_conditional_is_the_chunked_one(state, geom)
         assert (height > before) == (moved == widest)
     assert height == before
@@ -359,13 +392,12 @@ def test_a_missing_lapack_extension_raises_naming_the_directory(tmp_path):
 
 def test_non_positive_definite_precision_raises():
     state, geom, _ = _toy_state()
-    state.tF = -state.tF
     state.F = -state.F
     with pytest.raises(IllConditioned):
         update_template(state, geom, np.random.default_rng(0))
 
     chain = short_chain("indicator")
-    chain.state.tF = -chain.state.tF
+    chain.state.F[0] = -chain.state.F[0]
     with pytest.raises(ChainAborted) as err:
         chain.sweep()
     assert isinstance(err.value.__cause__, IllConditioned)
@@ -701,7 +733,8 @@ def test_coarse_grid_is_the_loop_of_transforms_bit_for_bit(lattice):
 
 def test_set_up_builds_the_coarse_grid_once(monkeypatch):
     """`initialize` and the baseline's set-up build one coarse grid each and
-    hand it, once for all subjects, to the first pass's candidate search."""
+    hand it, once for all subjects, to the first pass's candidate search,
+    which both run through `sampler.fit_transforms`."""
     built, handed = [], []
     grid, search = sampler.coarse_grid, sampler.best_candidates
 
@@ -716,7 +749,6 @@ def test_set_up_builds_the_coarse_grid_once(monkeypatch):
     monkeypatch.setattr(sampler, "coarse_grid", counted_grid)
     monkeypatch.setattr(sampler, "best_candidates", recorded_search)
     monkeypatch.setattr(baseline, "coarse_grid", counted_grid)
-    monkeypatch.setattr(baseline, "best_candidates", recorded_search)
     maps = indicator()
     initialize(maps, RunConfig(init_iters=2))
     assert len(built) == 1 and len(handed) == 2
@@ -1313,14 +1345,15 @@ def loop_forward_transform(i, state, geom, hp, adapt, delta, accept_draw):
         return (sampler.forward_log_target(terms, state.X, xt, caches[2:], hp)[0],
                 caches + terms)
 
+    row = slice(i + 1, i + 2)   # subject i's family of the NNGP table
     log_old = sampler.forward_log_target(
         sampler.transform_terms(geom.prior_T, state.T[i:i + 1], h_r), state.X, xt,
-        (state.nbr[i:i + 1], state.B[i:i + 1], state.F[i:i + 1]), hp)[0]
+        (state.nbr[row], state.B[row], state.F[row]), hp)[0]
     step = loop_lie_mh_step(state.T[i], log_old, target, adapt, delta, accept_draw)
     if step is not None:
         state.T[i], payload = step
-        for name, value in zip(CACHES + ("log_prior_T", "penalty"), payload):
-            getattr(state, name)[i] = value[0]
+        (state.dist[i], state.entry[i], state.nbr[i + 1], state.B[i + 1], state.F[i + 1],
+         state.log_prior_T[i], state.penalty[i]) = (value[0] for value in payload)
 
 
 def loop_reverse_transform(i, state, geom, hp, adapt, delta, accept_draw):
@@ -1376,8 +1409,8 @@ def looped_chain(case, sweeps=12):
     return chain
 
 
-STATE_FIELDS = ("T", "T_r", "X", "XT", "Y_bw", "beta", "sigma2", "alpha", "rho", "tB", "tF",
-                *CACHES, *TERMS)
+STATE_FIELDS = ("T", "T_r", "X", "XT", "Y_bw", "beta", "sigma2", "alpha", "rho", *CACHES,
+                *TERMS)
 BLOCK_FIELDS = ("dim", "frozen", "proposals", "post_proposals")
 ROW_FIELDS = ("log_lambda", "_mean", "_m2", "_base_factor", "stale", "accepts", "post_accepts",
               "rejected_oob", "rejected_nolog")

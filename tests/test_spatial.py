@@ -9,8 +9,8 @@ from groupreg.spatial import (_BLOCK_BYTES, JITTER, VAR_FLOOR, CovarianceParams,
                               _offset_distances, _pattern_table, _site_coords,
                               batched_nngp_weights,
                               build_neighbor_library, build_ordered_neighbor_sets,
-                              build_predecessor_patterns, conditional_means, cov_matrix,
-                              dense_gp_log_density, dense_kriging, kriging_factor,
+                              conditional_means, cov_matrix, dense_gp_log_density,
+                              dense_kriging, join_predecessor_patterns, kriging_factor,
                               library_weights, locate_entries, lookup_entries,
                               lookup_neighbors, neighbor_distances, nngp_log_density)
 from groupreg.synth import ScenarioSpec, gen_indicator_curves
@@ -184,7 +184,8 @@ class TestOrderedNeighborSets:
             lat = Lattice((28, 28), np.array([0.1, 0.1]), np.array(origin))
             sets = build_ordered_neighbor_sets(lat, 10)
             assert np.array_equal(sets, unit)
-            assert len(build_predecessor_patterns(lat, sets).mask) == 26
+            _, patterns = join_predecessor_patterns(build_neighbor_library(lat, 0, 10), sets)
+            assert len(patterns.rows) == 26
 
 
 class TestSelectionAgainstArgsort:
@@ -223,17 +224,29 @@ class TestSelectionAgainstArgsort:
             # ranking float norms gave these sets too.
             assert np.array_equal(sets, float_norm_predecessors(lat.locations(), m))
         if m <= 10:
-            patterns = build_predecessor_patterns(lat, sets)
+            library = build_neighbor_library(lat, 0, m)
+            joined, patterns = join_predecessor_patterns(library, sets)
+            k = min(m, lat.n_sites)
             coords = _site_coords(lat.shape)
-            mask = sets >= 0
-            offsets = np.where(mask[:, :, None], coords[np.where(mask, sets, 0)]
+            mask = sets[:, :k] >= 0
+            offsets = np.where(mask[:, :, None], coords[np.where(mask, sets[:, :k], 0)]
                                - coords[:, None, :], 0)
             _, first = unique_rows_table(
                 np.concatenate([offsets.reshape(len(offsets), -1), mask], axis=1))
-            assert len(patterns.mask) == len(first)
-            assert np.array_equal(patterns.mask[patterns.ids], mask)
-            assert np.array_equal(patterns.nbr_dist[patterns.ids],
-                                  _offset_distances(offsets, lat.spacing))
+            n_lib = len(library.pattern_dist)
+            assert np.array_equal(patterns.rows, n_lib + np.arange(len(first)))
+            assert np.array_equal(joined.pattern_dist[:n_lib], library.pattern_dist)
+            assert len(joined.pattern_dist) == n_lib + len(first)
+            own = np.arange(lat.n_sites)[:, None]
+            assert np.array_equal(patterns.nbr, np.where(mask, sets[:, :k], own))
+            # Padded slots: 0 from themselves, inf from every other slot and the site.
+            pair = mask[:, :, None] & mask[:, None, :]
+            want = np.where(pair | np.eye(k, dtype=bool), _offset_distances(offsets, lat.spacing),
+                            np.inf)
+            assert np.array_equal(joined.pattern_dist[patterns.rows[patterns.ids]], want)
+            target = np.sqrt(np.sum((offsets * lat.spacing) ** 2, axis=-1))
+            assert np.array_equal(patterns.target_dist[patterns.ids],
+                                  np.where(mask, target, np.inf))
 
     @pytest.mark.parametrize("name,m", LIBRARY_CASES)
     def test_library(self, name, m):
@@ -416,8 +429,7 @@ class TestLibraryWeights:
         self.lat = Lattice((28, 28), np.array([1.0, 1.0]), np.zeros(2))
         self.lib = build_neighbor_library(self.lat, 9, 10)
         locs = self.lat.locations()
-        patterns = build_predecessor_patterns(self.lat, build_ordered_neighbor_sets(self.lat, 10))
-        self.factor = kriging_factor(self.lib, patterns, 0.7)
+        self.factor = kriging_factor(self.lib, 0.7)
         # Four rotated and shifted copies of the sites: 3136 rows, ten chunks.
         rng = np.random.default_rng(5)
         targets = np.concatenate([
@@ -425,6 +437,7 @@ class TestLibraryWeights:
                 [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]], rng.uniform(-2, 2, 2)), locs)
             for a in rng.uniform(-0.3, 0.3, 4)])
         self.entries = lookup_entries(targets, self.lib)
+        self.ids = self.lib.pattern_ids[self.entries]
         self.dist = neighbor_distances(targets, self.lib.neighbor_indices[self.entries], locs)
 
     def eager_inverses(self):
@@ -440,7 +453,7 @@ class TestLibraryWeights:
         inv = self.eager_inverses()[self.lib.pattern_ids[self.entries]]
         b = np.einsum("qkj,qj->qk", inv, r_t)
         f = np.maximum(1.3 * (1.0 - np.einsum("qk,qk->q", b, r_t)), VAR_FLOOR * 1.3)
-        got_b, got_f = library_weights(self.dist, self.entries, self.lib, self.factor, 1.3)
+        got_b, got_f = library_weights(self.dist, self.ids, self.lib, self.factor, 1.3)
         assert len(self.entries) > 8 * _BLOCK_BYTES // inv[0].nbytes
         assert np.array_equal(got_b, b) and np.array_equal(got_f, f)
 
@@ -449,7 +462,7 @@ class TestLibraryWeights:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            library_weights(self.dist, self.entries, self.lib, self.factor, 1.3)
+            library_weights(self.dist, self.ids, self.lib, self.factor, 1.3)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -462,11 +475,11 @@ class TestLibraryWeights:
         is its (q, k) arrays, r_t and B, and a few (q,) ones (0.58 MB here),
         and no chunk of inverses (0.26 MB) on top."""
         q, k = self.dist.shape
-        library_weights(self.dist, self.entries, self.lib, self.factor, 1.3)   # inverts
+        library_weights(self.dist, self.ids, self.lib, self.factor, 1.3)   # inverts
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            library_weights(self.dist, self.entries, self.lib, self.factor, 1.3)
+            library_weights(self.dist, self.ids, self.lib, self.factor, 1.3)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -482,7 +495,7 @@ class TestLibraryWeights:
         ids = self.lib.pattern_ids[self.entries]
         assert not self.factor.inverted.any()
         for rows in (slice(0, 1200), slice(1000, 2200), slice(2000, None)):
-            got_b, _ = library_weights(self.dist[rows], self.entries[rows], self.lib,
+            got_b, _ = library_weights(self.dist[rows], self.ids[rows], self.lib,
                                        self.factor, 1.3)
             want_b = np.einsum("qkj,qj->qk", eager[ids[rows]],
                                np.exp(-self.factor.rho * self.dist[rows]))
@@ -490,7 +503,35 @@ class TestLibraryWeights:
         met = np.unique(ids)
         assert np.array_equal(np.flatnonzero(self.factor.inverted), met)
         assert 0 < met.size < len(eager)
-        assert np.array_equal(self.factor.library_inv[met], eager[met])
+        assert np.array_equal(self.factor.inv[met], eager[met])
+
+
+class TestPredecessorPadding:
+    """The template's first m sites have fewer than m predecessors, and their
+    rows' padded slots lie at distance inf from every other slot and from
+    the site: at any rho > 0 they get B = 0 exactly, and the row's F is the
+    F of the same row without the padding."""
+
+    @pytest.mark.parametrize("lattice", [make_lattice_1d(0.0, 29.0, 1.0), grid2d(7)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("rho", [0.05, 0.7, 3.0])
+    def test_padded_slots_get_no_weight_and_leave_f_unchanged(self, lattice, rho):
+        m, alpha = 10, 1.3
+        sets = build_ordered_neighbor_sets(lattice, m)
+        library, patterns = join_predecessor_patterns(build_neighbor_library(lattice, 2, m), sets)
+        factor = kriging_factor(library, rho)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            b, f = library_weights(patterns.target_dist, patterns.rows, library, factor, alpha)
+        b, f = b[patterns.ids], f[patterns.ids]
+        locs = lattice.locations()
+        params = CovarianceParams(alpha, rho)
+        for site in range(m):   # site l has l predecessors
+            assert np.all(sets[site, site:] < 0)
+            assert np.all(b[site, site:] == 0.0)
+            want_b, want_f = batched_nngp_weights(locs[site], sets[site:site + 1, :site], locs,
+                                                  params)
+            assert abs(f[site] - want_f[0]) <= 1e-12 * alpha, site
+            assert np.all(np.abs(b[site, :site] - want_b[0]) <= 1e-12), site
 
 
 class TestNngpWeights:
