@@ -168,7 +168,8 @@ class ConventionalChain(Chain):
     set-up's fit, `sampler.fit_transforms`: the best of the identity and the
     coarse grid, refined by Levenberg-Marquardt. One `Warp` of the mean map
     serves every subject, so each grid candidate is sampled once for all of
-    them. Then w starts at its conditional mean with every sigma_i^2 at 1.
+    them, and so is each round of their lock-step LM fits. Then w starts at
+    its conditional mean with every sigma_i^2 at 1.
     """
 
     def __init__(self, maps, config):

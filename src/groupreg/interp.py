@@ -47,10 +47,15 @@ Two entry points call that kernel:
   way, one matrix per map.
   `warp.value_and_jacobian(top)` gives the values of a one-map `Warp` for
   the top d rows of a homogeneous matrix H, with their Jacobian in H's
-  entries, from one kernel pass. The set-up evaluates one template at the
-  coarse grid of candidate transforms for every subject at once
-  (`sampler.best_candidates`) and at each subject's Levenberg-Marquardt
-  points (`sampler.fit_affine`), so the per-map work is paid once, not per T.
+  entries, from the same kernel pass. It takes an (m, d, d + 1) stack of
+  top rows as `warp(h)` takes a stack of matrices, `warp.chunk` per pass,
+  and a single top is its m = 1 case: row k has the bits, and the memory
+  layout, of the call on top[k] alone. The set-up evaluates one template at
+  the coarse grid of candidate transforms for every subject at once
+  (`sampler.best_candidates`), and, in each round of the subjects'
+  lock-step Levenberg-Marquardt fits, at every live subject's point in one
+  call (`sampler.fit_affine`), so the per-map and per-call work is paid
+  once, not per T.
 """
 
 from __future__ import annotations
@@ -213,11 +218,13 @@ class Warp(_Stencil):
         # Matrices per kernel pass: a pass holds (4^d, chunk q) stencil values.
         self.chunk = max(1, _BLOCK_BYTES // (8 * 4 ** self.dim * sites.shape[0]))
 
-    def _coords(self, a, b):
-        # Index coordinates of A S + b, (d, q), or (n, d, q) for stacks of A and b.
-        # A T(S) that overflows gives NaN rows, as a non-finite query does.
+    def _pass_coords(self, tops):
+        """Index coordinates of one kernel pass, (d, n q), for an (n, d, d + 1)
+        stack of top rows [A | b]: matrix k's points are columns k q .. k q + q - 1.
+        A T(S) that overflows gives NaN columns, as a non-finite query does."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return (a @ self._sites + b[..., None] - self._origin) / self._spacing
+            u = (tops[:, :, :-1] @ self._sites + tops[:, :, -1:] - self._origin) / self._spacing
+        return np.ascontiguousarray(u.swapaxes(0, 1)).reshape(self.dim, -1)
 
     def __call__(self, h, which=None):
         single = h.ndim == 2
@@ -229,26 +236,40 @@ class Warp(_Stencil):
             which = np.arange(self.n_maps)
         out = np.empty((len(stack), q))
         for lo in range(0, len(stack), self.chunk):
-            part = stack[lo:lo + self.chunk]
-            u = self._coords(part[:, :-1, :-1], part[:, :-1, -1])       # (n, d, q)
-            u = np.ascontiguousarray(u.swapaxes(0, 1)).reshape(self.dim, -1)
+            part = stack[lo:lo + self.chunk, :-1]
             offset = (None if which is None
                       else np.repeat(which[lo:lo + self.chunk] * self._map_size, q))
-            out[lo:lo + len(part)] = self.sample(u, offset=offset).reshape(len(part), -1)
+            out[lo:lo + len(part)] = self.sample(self._pass_coords(part),
+                                                 offset=offset).reshape(len(part), -1)
         return out[0] if single else out
 
     def value_and_jacobian(self, top):
         """Values at H(S) and their Jacobian in the entries of H's top d rows,
         on the first map.
 
-        top: H[:d], (d, d + 1), which need not be invertible. Returns the
-        values (q,), the bits of `self(h)` for the matrix with these rows,
-        and the (q, d (d + 1)) Jacobian, columns in the row-major order of
-        `top`: dx/dH_jk = g_j(s) s~_k / spacing_j, with g the kernel's
-        derivative along index axis j at H(s) and s~ = (s, 1). One kernel
-        pass gives both.
+        top: H[:d], (d, d + 1), which need not be invertible, or an (m, d,
+        d + 1) stack of them, sampled `chunk` matrices per kernel pass; a
+        single top is the m = 1 case. Returns the values (q,), the bits of
+        `self(h)` for the matrix with these rows, and the (q, d (d + 1))
+        Jacobian, columns in the row-major order of `top`: dx/dH_jk = g_j(s)
+        s~_k / spacing_j, with g the kernel's derivative along index axis j
+        at H(s) and s~ = (s, 1). For a stack they are (m, q) and (m, q,
+        d (d + 1)), row k the bits and the memory layout of the call on
+        top[k] alone. One kernel pass gives both.
         """
-        vals, grad = self.sample(self._coords(top[:, :-1], top[:, -1]), deriv=True)
-        grad /= self._spacing
-        jac = grad[:, None, :] * self._sites_h                # (d, d + 1, q)
-        return vals, jac.reshape(-1, vals.size).T
+        single = top.ndim == 2
+        stack = top[None] if single else top
+        d, q = self.dim, self._sites.shape[1]
+        vals = np.empty((len(stack), q))
+        jac = np.empty((len(stack), d, d + 1, q))
+        for lo in range(0, len(stack), self.chunk):
+            part = stack[lo:lo + self.chunk]
+            n = len(part)
+            v, grad = self.sample(self._pass_coords(part), deriv=True)
+            vals[lo:lo + n] = v.reshape(n, q)
+            grad /= self._spacing
+            np.multiply(grad.reshape(d, n, 1, q).swapaxes(0, 1), self._sites_h,
+                        out=jac[lo:lo + n])
+        # Row k is (d (d + 1), q) C-ordered, so its transpose is that of a single call.
+        jac = jac.reshape(len(stack), -1, q).swapaxes(1, 2)
+        return (vals[0], jac[0]) if single else (vals, jac)

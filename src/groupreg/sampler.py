@@ -109,6 +109,7 @@ as the oracle).
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
@@ -167,7 +168,7 @@ dpbtrf, dpbtrs, dtbtrs = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dtbtrs
 ADAPT_TARGET_RATE = 0.234
 RHO_STEP = 0.1        # standard deviation of the random-walk rho proposal
 LIBRARY_SLACK = 5     # library grid steps beyond the initial transforms' reach
-# The one stopping tolerance of `levenberg_marquardt`, used as MINPACK's lmder
+# The one stopping tolerance of `lm_points`, used as MINPACK's lmder
 # uses ftol, xtol and gtol: on the relative reduction of ||r||^2, the relative
 # scaled step and the scaled gradient. At 1e-10 the initial template of the
 # 1D and glyph scenarios differs from the one at 1e-14 by at most 3e-5 of its
@@ -560,10 +561,9 @@ def alpha_conditional(state, hp, means):
     return hp.a0_alpha + resid.size / 2.0, hp.b0_alpha + 0.5 * quad
 
 
-def update_alpha(state, geom, hp, rng):
+def update_alpha(state, hp, rng):
     """Draw alpha; returns the NNGP table's conditional means it used, which
-    rho's step reuses: a new alpha rescales F, never B. The table is the
-    state's, so `geom` is not read."""
+    rho's step reuses: a new alpha rescales F, never B."""
     means = conditional_means(state.X, state.nbr, state.B)
     shape, rate = alpha_conditional(state, hp, means)
     new_alpha = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
@@ -855,24 +855,25 @@ def coarse_grid(lattice):
     return h.reshape(-1, d + 1, d + 1)
 
 
-def levenberg_marquardt(point, p):
-    """Minimize ||r(p)||^2 from p by Levenberg-Marquardt; returns (p, ||r(p)||^2).
+def lm_points(p):
+    """Minimize ||r(p)||^2 from p by Levenberg-Marquardt, as a coroutine: it
+    yields each point it needs, is sent that point's residuals r (m,) and
+    their Jacobian J (m, n), and returns (p, ||r(p)||^2).
 
-    `point(p)` returns the residuals r (m,) and their Jacobian J (m, n) at p,
-    both from one call. Each step h solves (J^T J + mu D) h = -J^T r, D the
-    largest diagonal of J^T J met so far (Marquardt's scaling, kept as
-    MINPACK's lmder keeps it), and mu follows Nielsen's update (Madsen,
-    Nielsen & Tingleff 2004, Alg. 3.16): with gain ratio rho > 0 the step is
-    taken and mu shrinks by max(1/3, 1 - (2 rho - 1)^3), otherwise mu grows
-    by nu and nu doubles. A point whose residuals are not finite is never
-    taken. With FIT_TOL for each tolerance it stops as lmder does: when the
-    actual and the predicted relative reductions of ||r||^2 are both below
-    it (ftol), when the step is below it relative to p, both scaled by
-    D^1/2 (xtol), or when the cosine between r and each column of J is
-    (gtol); and after 100 (n + 1) points, lmder's default cap.
+    Each step h solves (J^T J + mu D) h = -J^T r, D the largest diagonal of
+    J^T J met so far (Marquardt's scaling, kept as MINPACK's lmder keeps it),
+    and mu follows Nielsen's update (Madsen, Nielsen & Tingleff 2004, Alg.
+    3.16): with gain ratio rho > 0 the step is taken and mu shrinks by
+    max(1/3, 1 - (2 rho - 1)^3), otherwise mu grows by nu and nu doubles. A
+    point whose residuals are not finite is never taken. With FIT_TOL for
+    each tolerance it stops as lmder does: when the actual and the predicted
+    relative reductions of ||r||^2 are both below it (ftol), when the step is
+    below it relative to p, both scaled by D^1/2 (xtol), or when the cosine
+    between r and each column of J is (gtol); and after 100 (n + 1) points,
+    lmder's default cap. `fit_affine` drives one per subject in lock step.
     """
     n = p.size
-    r, jac = point(p)
+    r, jac = yield p
     f = float(r @ r)
     scale = None
     mu, nu = 3.0, 2.0      # of mu0 in 1e-9 .. 10, 3 took the fewest points over the set-ups
@@ -880,19 +881,21 @@ def levenberg_marquardt(point, p):
     for _ in range(100 * (n + 1) - 1):
         if taken:
             a, g = jac.T @ jac, jac.T @ r
-            diag = np.diag(a)
+            diag = a.diagonal()
             # gtol, which a zero residual meets; and a start that is not finite
-            if not np.isfinite(f) or np.all(np.abs(g) <= FIT_TOL * np.sqrt(f * diag)):
+            if not math.isfinite(f) or np.all(np.abs(g) <= FIT_TOL * np.sqrt(f * diag)):
                 break
             scale = np.where(diag > 0, diag, 1.0) if scale is None else np.maximum(scale, diag)
-        h = np.linalg.solve(a + mu * np.diag(scale), -g)
+        damped = a.copy()
+        damped.flat[::n + 1] += mu * scale
+        h = np.linalg.solve(damped, -g)
         if np.sqrt(scale @ (h * h)) <= FIT_TOL * np.sqrt(scale @ (p * p)):
             break
         pred = float(h @ (mu * scale * h - g))
         if not pred > 0.0:
             break
         p_new = p + h
-        r_new, jac_new = point(p_new)
+        r_new, jac_new = yield p_new
         f_new = float(r_new @ r_new)
         rho = (f - f_new) / pred
         done = abs(f - f_new) <= FIT_TOL * f and pred <= FIT_TOL * f and rho <= 2.0
@@ -907,6 +910,21 @@ def levenberg_marquardt(point, p):
         if done:
             break
     return p, f
+
+
+def levenberg_marquardt(point, p):
+    """`lm_points` from p for one problem; returns (p, ||r(p)||^2).
+
+    `point(p)` returns the residuals r (m,) and their Jacobian J (m, n) at p,
+    both from one call.
+    """
+    steps = lm_points(p)
+    q = next(steps)
+    while True:
+        try:
+            q = steps.send(point(q))
+        except StopIteration as stop:
+            return stop.value
 
 
 def best_candidates(warp, y, beta, starts, grid=()):
@@ -934,42 +952,57 @@ def best_candidates(warp, y, beta, starts, grid=()):
 
 
 def fit_affine(warp, y, beta, best, best_obj):
-    """Homogeneous matrix of the affine transform minimizing ||Y - beta X(T)||^2,
-    refined by Levenberg-Marquardt from the candidate `best`, whose objective
-    is `best_obj` (`best_candidates`).
+    """Each subject's homogeneous matrix of the affine transform minimizing
+    ||Y_i - beta_i X(T)||^2, refined by Levenberg-Marquardt from its candidate
+    best[i], whose objective is best_obj[i] (`best_candidates`), as an (N,
+    d + 1, d + 1) stack.
 
-    `warp` samples X at T(S), and y is Y's values (V,). The refinement
-    (`levenberg_marquardt`) runs over the top d rows of the homogeneous
-    matrix, with the exact Jacobian of the residuals: Catmull-Rom
-    interpolation is C^1, so the objective is a smooth sum of squares. Each
-    LM point samples the map once, for its residuals and its Jacobian
-    together. The refined matrix is returned only if it makes a valid
-    `AffineTransform` and its objective is no worse than `best_obj`;
-    otherwise `best` is.
+    `warp` samples X at T(S), y is (N, V) and beta (N,). The refinement
+    (`lm_points`, one per subject) runs over the top d rows of the
+    homogeneous matrix, with the exact Jacobian of the residuals:
+    Catmull-Rom interpolation is C^1, so the objective is a smooth sum of
+    squares. The subjects' fits run in lock step: each round samples the
+    map once for every live subject's point, for the residuals and the
+    Jacobians together (`Warp.value_and_jacobian` of the stack), so a set-up
+    pass pays as many rounds as its longest fit has points. Each fit's
+    arithmetic is that of `levenberg_marquardt` on its subject alone. A
+    refined matrix is kept only if it makes a valid `AffineTransform` and
+    its objective is no worse than best_obj[i]; otherwise best[i] is.
     """
-    d = len(best) - 1
-
-    def point(p):
-        xt, jac = warp.value_and_jacobian(p.reshape(d, d + 1))
-        return beta * xt - y, beta * jac
-
-    p, f = levenberg_marquardt(point, best[:d].ravel())
-    if not f <= best_obj:
-        return best
-    h = np.eye(d + 1)
-    h[:d] = p.reshape(d, d + 1)
-    try:
-        return AffineTransform(h).matrix
-    except SingularTransform:
-        return best
+    d = warp.dim
+    fits = [lm_points(h[:d].ravel()) for h in best]
+    points = [next(fit) for fit in fits]
+    found = [None] * len(fits)
+    live = list(range(len(fits)))
+    while live:
+        vals, jac = warp.value_and_jacobian(np.array([points[i] for i in live])
+                                            .reshape(-1, d, d + 1))
+        r = beta[live, None] * vals - y[live]
+        jac = beta[live, None, None] * jac
+        for k, i in enumerate(live):
+            try:
+                points[i] = fits[i].send((r[k], jac[k]))
+            except StopIteration as stop:
+                found[i] = stop.value
+        live = [i for i in live if found[i] is None]
+    out = np.array(best)
+    for i, (p, f) in enumerate(found):
+        if f <= best_obj[i]:
+            h = np.eye(d + 1)
+            h[:d] = p.reshape(d, d + 1)
+            try:
+                out[i] = AffineTransform(h).matrix
+            except SingularTransform:
+                pass
+    return out
 
 
 def fit_transforms(warp, y, beta, starts, grid):
     """Each subject's transform for ||Y_i - beta_i X(T)||^2, as an (N, d + 1,
     d + 1) stack: its best candidate (`best_candidates`, of starts[i] and
-    `grid`), refined by `fit_affine`. Both models' set-ups fit through here."""
-    best, objs = best_candidates(warp, y, beta, starts, grid)
-    return np.array([fit_affine(warp, y[i], beta[i], best[i], objs[i]) for i in range(len(y))])
+    `grid`), refined by `fit_affine` for all subjects at once. Both models'
+    set-ups fit through here."""
+    return fit_affine(warp, y, beta, *best_candidates(warp, y, beta, starts, grid))
 
 
 def initialize(maps, config):
@@ -990,7 +1023,9 @@ def initialize(maps, config):
     the back-warps, built once, which samples every subject's map at its
     transform in one call, and one of each pass's template, which every
     subject's candidates, LM points and scale regression share. So the
-    first pass samples each coarse-grid candidate once, not once per subject.
+    first pass samples each coarse-grid candidate once, not once per
+    subject, and each round of the subjects' lock-step LM fits samples all
+    their points in one call (`fit_affine`).
     """
     lattice = common_lattice(maps)
     for amap in maps:
@@ -1125,7 +1160,7 @@ class Chain:
         update_forward_transform(state, geom, hp, self.proposals["forward"], rng)
         update_reverse_transform(state, geom, hp, self.proposals["reverse"], rng)
         update_beta_sigma(state, hp, rng)
-        means = update_alpha(state, geom, hp, rng)
+        means = update_alpha(state, hp, rng)
         update_rho(state, geom, hp, rng, means)
 
     def record(self):

@@ -345,7 +345,7 @@ class TestStackedWarp:
     def test_passes_hold_at_most_the_byte_cap(self, monkeypatch, name):
         """Each kernel pass samples `chunk` matrices' sites, the most whose
         (4^d, points) stencil values fit `spatial._BLOCK_BYTES`, and the last
-        pass the rest."""
+        pass the rest, for the values and for the values with their Jacobian."""
         lattice = STACK_LATTICES[name]
         d, q = lattice.dim, lattice.n_sites
         warp = Warp(ActivationMap(lattice, np.ones(q)), lattice.locations())
@@ -357,9 +357,11 @@ class TestStackedWarp:
                             lambda self, u, deriv=False, offset=None: points.append(u.shape[1])
                             or sample(self, u, deriv, offset))
         stack = coarse_grid(lattice)
-        warp(stack)
         full, rest = divmod(len(stack), warp.chunk)
-        assert points == [warp.chunk * q] * full + ([rest * q] if rest else [])
+        for sample_stack in (warp, lambda h: warp.value_and_jacobian(h[:, :-1])):
+            points.clear()
+            sample_stack(stack)
+            assert points == [warp.chunk * q] * full + ([rest * q] if rest else [])
 
 
 def _sites_in_at_the_edge_and_out(amap, rng):
@@ -384,18 +386,36 @@ class TestValueAndJacobian:
     derivative in the top d rows of H, from one kernel pass."""
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_values_are_the_bits_of_the_value_path(self, dim):
+    def test_values_are_the_bits_of_the_value_path(self, monkeypatch, dim):
+        """A single top gives `Warp.__call__`'s bits; each row of a stack of
+        tops, in passes of `chunk` matrices (all in one pass, and one matrix
+        per pass), gives the single call's values and Jacobian, bit for bit
+        and in the same memory layout."""
         amap = _off_lattice(dim)
         rng = np.random.default_rng(20 + dim)
         sites = _sites_in_at_the_edge_and_out(amap, rng)
         warp = Warp(amap, sites)
+        monkeypatch.setattr(spatial, "_BLOCK_BYTES", 1)
+        one_per_pass = Warp(amap, sites)
+        monkeypatch.undo()
         for scale in (0.0, 1e-3, 0.1, 0.5):
+            tops, singles = [], []
             for _ in range(20):
                 t = lie_exp(scale * rng.standard_normal(dim * (dim + 1)))
                 vals, jac = warp.value_and_jacobian(_top(t))
                 assert np.array_equal(vals, warp(t))
                 assert np.array_equal(vals, interpolate(amap, affine_apply(t, sites)))
                 assert jac.shape == (sites.shape[0], dim * (dim + 1))
+                tops.append(_top(t))
+                singles.append((vals, jac))
+            assert one_per_pass.chunk == 1 < len(tops)
+            for stacked in (warp, one_per_pass):
+                vals, jac = stacked.value_and_jacobian(np.array(tops))
+                assert vals.shape == (len(tops), sites.shape[0]) and jac.shape[:2] == vals.shape
+                for row_vals, row_jac, (want_vals, want_jac) in zip(vals, jac, singles):
+                    assert np.array_equal(row_vals, want_vals)
+                    assert np.array_equal(row_jac, want_jac)
+                    assert row_jac.strides == want_jac.strides
         u = np.ascontiguousarray(amap.lattice.to_index_coords(sites).T)
         assert np.array_equal(warp.sample(u, deriv=True)[0], warp.sample(u))
 
@@ -443,12 +463,22 @@ class TestValueAndJacobian:
         a[0, 0] = 1e308
         t = AffineTransform.from_parts(a, np.zeros(dim)).matrix
         warp = Warp(amap, amap.lattice.locations())
+        finite = [_top(lie_exp(0.1 * np.arange(1.0, dim * (dim + 1) + 1.0) / dim ** 2)),
+                  np.eye(dim + 1)[:-1]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, jac = warp.value_and_jacobian(_top(t))
+            stacked = warp.value_and_jacobian(np.array([finite[0], _top(t), finite[1]]))
         assert np.array_equal(vals, warp(t), equal_nan=True)
         assert np.array_equal(np.isnan(jac).any(axis=1), np.isnan(vals))
         assert np.isnan(vals).any() and np.isfinite(jac).any()
+        # In a stack, the overflowing row is that row alone, and the finite
+        # rows around it keep their bits.
+        want = [warp.value_and_jacobian(finite[0]), (vals, jac), warp.value_and_jacobian(finite[1])]
+        for k, (want_vals, want_jac) in enumerate(want):
+            assert np.array_equal(stacked[0][k], want_vals, equal_nan=True)
+            assert np.array_equal(stacked[1][k], want_jac, equal_nan=True)
+        assert np.isfinite(stacked[0][[0, 2]]).all() and np.isfinite(stacked[1][[0, 2]]).all()
 
     def test_singular_rows_are_sampled(self):
         """LM may step through a singular H; the rows need not be invertible."""

@@ -493,8 +493,8 @@ def test_a_sweep_builds_no_random_generator(monkeypatch):
 def fit_from_grid(y_map, x_map, beta, start, grid=()):
     """One subject's set-up fit: the best of `start` and `grid`, refined."""
     warp = Warp(x_map, y_map.lattice.locations())
-    best, objs = best_candidates(warp, y_map.values[None], np.array([beta]), start[None], grid)
-    return fit_affine(warp, y_map.values, beta, best[0], objs[0])
+    y, betas = y_map.values[None], np.array([beta])
+    return fit_affine(warp, y, betas, *best_candidates(warp, y, betas, start[None], grid))[0]
 
 
 def test_fit_affine_recovers_a_known_warp():
@@ -524,59 +524,88 @@ def test_fit_affine_recovers_a_known_warp_1d():
 ], ids=["singular", "non-finite", "nan-objective"])
 def test_fit_affine_falls_back_to_the_best_candidate(monkeypatch, x, fun):
     """An LM result that is no valid transform, or whose objective does not
-    beat the best candidate's, gives that candidate, without raising."""
+    beat the best candidate's, gives that candidate, without raising; the
+    fallback is per subject, so the other subject's fit is its own."""
     glyph = base_glyph()
     start = rotation_about_center(glyph.lattice, np.deg2rad(5.0)).matrix
     warp = Warp(glyph, glyph.lattice.locations())
-    r = glyph.values - warp(start)
+    y = np.stack([glyph.values, 1.2 * glyph.values])
+    beta = np.array([1.0, 1.0])
+    starts = np.array([start, start])
+    objs = [float(r @ r) for r in y - warp(starts)]
+    steps, made = sampler.lm_points, []
 
-    def stub(point, p):
-        point(p)
-        return x, fun
+    def stub(p):
+        made.append(p)
+        if len(made) == 1:
+            yield p
+            return x, fun
+        return (yield from steps(p))
 
-    monkeypatch.setattr(sampler, "levenberg_marquardt", stub)
-    assert fit_affine(warp, glyph.values, 1.0, start, float(r @ r)) is start
+    monkeypatch.setattr(sampler, "lm_points", stub)
+    got = fit_affine(warp, y, beta, list(starts), objs)
+    monkeypatch.undo()
+    assert np.array_equal(got[0], start)
+    want = fit_affine(warp, y[1:], beta[1:], [start], objs[1:])[0]
+    assert np.array_equal(got[1], want) and not np.array_equal(want, start)
 
 
-def test_fit_affine_samples_once_per_lm_point(monkeypatch):
-    """Each candidate's V sites are sampled once for its value, and each LM
-    point's once for its residuals and Jacobian together: beta times the
-    warp's at that point, less Y."""
-    glyph = base_glyph()
-    beta = 1.5
-    truth = rotation_about_center(glyph.lattice, np.deg2rad(5.0))
-    y = glyph.with_values(beta * interpolate(glyph, affine_apply(truth, glyph.lattice.locations())))
-    warp = Warp(glyph, glyph.lattice.locations())
-    grid = coarse_grid(glyph.lattice)[:7]
-    sampled, points = {False: 0, True: []}, []
-    sample = Warp.sample
+@pytest.mark.parametrize("scenario", ["cosine", "glyph"])
+def test_set_up_samples_once_per_lm_round(monkeypatch, scenario):
+    """The set-up's LM fits run in lock step: a set-up pass samples the
+    template's derivative once per round, in passes of at most `chunk` live
+    subjects' points, so its derivative passes are the sum over rounds of the
+    live subjects split by `chunk`; with `chunk` >= N, the largest point
+    count any subject needs. Each subject's fit is sent beta_i times the
+    values at its own point less Y_i, and beta_i times their Jacobian."""
+    maps, _ = generate(ScenarioSpec(scenario, n_subjects=3, seed=1))
+    d = maps[0].lattice.dim
+    calls = sampled_points(monkeypatch)
+    fits, sent = [], []         # per fit_affine call: (warp, y, beta, points per subject)
+    fit, steps = sampler.fit_affine, sampler.lm_points
 
-    def counted_sample(self, u, deriv=False, offset=None):
-        if self is not warp:
-            if deriv:
-                sampled[True].append(u.shape[1])
-            else:
-                sampled[False] += u.shape[1]
-        return sample(self, u, deriv, offset)
+    def recorded_fit(warp, y, beta, best, best_obj):
+        fits.append((warp, y, beta, []))
+        return fit(warp, y, beta, best, best_obj)
 
-    def checked_lm(point, p):
-        def checked_point(q):
-            points.append(q.copy())
-            r, jac = point(q)
-            vals, want = warp.value_and_jacobian(q.reshape(2, 3))
-            assert np.array_equal(r, beta * vals - y.values)
-            assert np.array_equal(jac, beta * want)
-            return r, jac
+    def counted_steps(p):
+        counts = fits[-1][3]
+        i = len(counts)
+        counts.append(0)
+        inner = steps(p)
+        q = next(inner)
+        while True:
+            counts[i] += 1
+            reply = yield q
+            sent.append((len(fits) - 1, i, q.copy(), reply))
+            try:
+                q = inner.send(reply)
+            except StopIteration as stop:
+                return stop.value
 
-        return levenberg_marquardt(checked_point, p)
-
-    monkeypatch.setattr(Warp, "sample", counted_sample)
-    monkeypatch.setattr(sampler, "levenberg_marquardt", checked_lm)
-    got = fit_from_grid(y, glyph, beta, np.eye(3), grid)
-    assert len(points) > 2
-    assert sampled[False] == (1 + len(grid)) * glyph.lattice.n_sites
-    assert sampled[True] == [glyph.lattice.n_sites] * len(points)
-    assert np.linalg.norm(lie_log(got) - lie_log(truth)) < 1e-5
+    monkeypatch.setattr(sampler, "fit_affine", recorded_fit)
+    monkeypatch.setattr(sampler, "lm_points", counted_steps)
+    initialize(maps, RunConfig())
+    passes = [(w, q) for w, deriv, q in calls if deriv]
+    monkeypatch.undo()
+    want = 0
+    for warp, y, _, counts in fits:
+        assert len(counts) == len(maps)
+        rounds = [sum(c > k for c in counts) for k in range(max(counts))]
+        want += sum(-(-live // warp.chunk) for live in rounds)
+        if warp.chunk >= len(maps):
+            assert sum(-(-live // warp.chunk) for live in rounds) == max(counts)
+    assert len(passes) == want < sum(sum(counts) for *_, counts in fits)
+    templates = [warp for warp, *_ in fits]
+    v = maps[0].lattice.n_sites
+    assert all(any(w is t for t in templates) and q <= w.chunk * v for w, q in passes)
+    assert len(sent) == sum(sum(counts) for *_, counts in fits)
+    for call, i, q, (r, jac) in sent:
+        warp, y, beta, _ = fits[call]
+        vals, want_jac = warp.value_and_jacobian(q.reshape(d, d + 1))
+        assert np.array_equal(r, beta[i] * vals - y[i])
+        assert np.array_equal(jac, beta[i] * want_jac)
+        assert jac.strides == want_jac.strides
 
 
 def test_best_candidates_is_the_first_smallest_objective():
@@ -625,7 +654,8 @@ def test_levenberg_marquardt_matches_minpack(dim, start):
     """On a noisy warp fit, the LM stops within 1e-8 relative of the objective
     MINPACK's lmder (`least_squares(method="lm")`) reaches from the same start
     with FIT_TOL as ftol, xtol and gtol; and, as it stops by the same tests,
-    it takes at most 5 points more than lmder evaluates."""
+    it takes at most 5 points more than lmder evaluates. Its points are the
+    scalar loop's, bit for bit."""
     y, x, beta = noisy_fit_problem(dim)
     warp = Warp(x, y.lattice.locations())
     t0 = np.eye(dim + 1)
@@ -637,8 +667,13 @@ def test_levenberg_marquardt_matches_minpack(dim, start):
         vals, jac = warp.value_and_jacobian(p.reshape(dim, dim + 1))
         return beta * vals - y.values, beta * jac
 
-    points = []
+    points, scalar_points = [], []
     p, f = levenberg_marquardt(lambda q: points.append(q) or point(q), t0[:dim].ravel())
+    p_scalar, f_scalar = scalar_levenberg_marquardt(
+        lambda q: scalar_points.append(q) or point(q), t0[:dim].ravel())
+    assert np.array_equal(p, p_scalar) and f == f_scalar
+    assert len(points) == len(scalar_points)
+    assert all(np.array_equal(a, b) for a, b in zip(points, scalar_points))
     ref = least_squares(lambda q: point(q)[0], t0[:dim].ravel(),
                         jac=lambda q: point(q)[1], method="lm",
                         ftol=FIT_TOL, xtol=FIT_TOL, gtol=FIT_TOL)
@@ -759,9 +794,49 @@ def test_set_up_builds_the_coarse_grid_once(monkeypatch):
     assert len(built) == 2 and len(handed) == 1 and handed[0] == (built[1], 3)
 
 
+def scalar_levenberg_marquardt(point, p):
+    """The set-up's Levenberg-Marquardt as a loop over one problem, the form
+    `sampler.lm_points` replaced: the oracle of its arithmetic, point for point."""
+    n = p.size
+    r, jac = point(p)
+    f = float(r @ r)
+    scale = None
+    mu, nu = 3.0, 2.0
+    taken = True
+    for _ in range(100 * (n + 1) - 1):
+        if taken:
+            a, g = jac.T @ jac, jac.T @ r
+            diag = np.diag(a)
+            if not np.isfinite(f) or np.all(np.abs(g) <= FIT_TOL * np.sqrt(f * diag)):
+                break
+            scale = np.where(diag > 0, diag, 1.0) if scale is None else np.maximum(scale, diag)
+        h = np.linalg.solve(a + mu * np.diag(scale), -g)
+        if np.sqrt(scale @ (h * h)) <= FIT_TOL * np.sqrt(scale @ (p * p)):
+            break
+        pred = float(h @ (mu * scale * h - g))
+        if not pred > 0.0:
+            break
+        p_new = p + h
+        r_new, jac_new = point(p_new)
+        f_new = float(r_new @ r_new)
+        rho = (f - f_new) / pred
+        done = abs(f - f_new) <= FIT_TOL * f and pred <= FIT_TOL * f and rho <= 2.0
+        taken = rho > 0.0
+        if taken:
+            p, r, jac, f = p_new, r_new, jac_new, f_new
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        if done:
+            break
+    return p, f
+
+
 def per_subject_fit_affine(y_map, x_map, beta, start, grid=()):
     """The set-up's transform fit with a `Warp` and a grid search per subject:
-    the oracle of `best_candidates` followed by `fit_affine`."""
+    the oracle of `best_candidates` followed by `fit_affine`, with the scalar LM."""
     warp = Warp(x_map, y_map.lattice.locations())
     y = y_map.values
 
@@ -779,7 +854,7 @@ def per_subject_fit_affine(y_map, x_map, beta, start, grid=()):
         xt, jac = warp.value_and_jacobian(p.reshape(d, d + 1))
         return beta * xt - y, beta * jac
 
-    p, f = levenberg_marquardt(point, best[:d].ravel())
+    p, f = scalar_levenberg_marquardt(point, best[:d].ravel())
     if not f <= min(objs):
         return best
     h = np.eye(d + 1)
@@ -945,6 +1020,7 @@ class _TwoCallWarp:
     def __init__(self, maps, sites):
         self.amap = maps if isinstance(maps, ActivationMap) else None
         self.maps, self.sites = maps, sites
+        self.dim = sites.shape[1]
 
     def __call__(self, t):
         if self.amap is None:
@@ -954,12 +1030,17 @@ class _TwoCallWarp:
             return np.array([self(h) for h in t])
         return interpolate(self.amap, affine_apply(t, self.sites))
 
-    def value_and_jacobian(self, top):
-        """The two-call path's values, with the Jacobian of a real `Warp`."""
-        h = np.eye(top.shape[0] + 1)
-        h[:-1] = top
-        _, jac = Warp(self.amap, self.sites).value_and_jacobian(top)
-        return interpolate(self.amap, apply_stack(h[None], self.sites)[0]), jac
+    def value_and_jacobian(self, tops):
+        """The two-call path's values, with the Jacobian of a real one-off
+        `Warp`, for an (m, d, d + 1) stack of top rows, one top at a time."""
+        vals, jacs = [], []
+        for top in tops:
+            h = np.eye(top.shape[0] + 1)
+            h[:-1] = top
+            _, jac = Warp(self.amap, self.sites).value_and_jacobian(top)
+            vals.append(interpolate(self.amap, apply_stack(h[None], self.sites)[0]))
+            jacs.append(jac.T)
+        return np.array(vals), np.array(jacs).swapaxes(1, 2)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -1395,7 +1476,7 @@ def loop_updates(chain):
     loop_transform_step(loop_forward_transform, chain.rows["forward"], state, geom, hp, rng)
     loop_transform_step(loop_reverse_transform, chain.rows["reverse"], state, geom, hp, rng)
     update_beta_sigma(state, hp, rng)
-    means = sampler.update_alpha(state, geom, hp, rng)
+    means = sampler.update_alpha(state, hp, rng)
     sampler.update_rho(state, geom, hp, rng, means)
 
 
