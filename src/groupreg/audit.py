@@ -6,10 +6,11 @@ The same functions back the acceptance test suite.
 
 The target checks (`target_audit`, `detailed_balance_audit`) and the
 conventional model's conjugacy checks call the sweep's own functions: each
-Metropolis target's current-state and proposal functions in `sampler` and
-`baseline`, and the kernel designs and K^-1 of a `baseline.ConventionalChain`
-built on the toy maps. No target is assembled here, so a change to a
-target's code is a change to what these checks see.
+Metropolis target's one function in `sampler` and `baseline`, which gives
+the current state's log target and the proposals' together, and the kernel
+designs and K^-1 of a `baseline.ConventionalChain` built on the toy maps.
+No target is assembled here, so a change to a target's code is a change to
+what these checks see.
 """
 
 from __future__ import annotations
@@ -18,18 +19,17 @@ from functools import partial
 
 import numpy as np
 
-from .baseline import (ConventionalChain, conventional_current, conventional_log_joint,
-                       conventional_proposals, conventional_sigma2_conditional,
-                       conventional_w_conditional, kernel_designs, kernel_gram)
+from .baseline import (ConventionalChain, conventional_log_joint, conventional_sigma2_conditional,
+                       conventional_target, conventional_w_conditional, kernel_designs,
+                       kernel_gram)
 from .config import RunConfig
 from .grids import ActivationMap, Lattice, make_lattice_1d
 from .interp import Warp
 from .model import (Hyperparams, TransformPrior, build_geometry, gibbs_log_posterior,
                     invgamma_logpdf, normal_logpdf, sigma_s_matrix)
 from .sampler import (Chain, ChainState, alpha_conditional, beta_sigma_conditional,
-                      forward_current, forward_proposals, initialize, lie_mh_log_acceptance,
-                      refresh_caches, reverse_current, reverse_proposals,
-                      rho_current, rho_proposal, template_conditional,
+                      forward_target, initialize, lie_mh_log_acceptance, refresh_caches,
+                      reverse_target, rho_target, template_conditional,
                       transformed_template_conditional)
 from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
@@ -200,10 +200,9 @@ def target_audit(seed=0, tol=1e-8):
     by what it changes the model's joint log density: `gibbs_log_posterior`
     for the symmetric model, `conventional_log_joint` for the baseline. So
     does a move of rho change rho's log target. Each target is the step's
-    own: the current state's from `forward_current`, `reverse_current`,
-    `conventional_current` and `rho_current`, a move's from
-    `forward_proposals`, `reverse_proposals`, `conventional_proposals` and
-    `rho_proposal`.
+    own, `forward_target`, `reverse_target`, `conventional_target` and
+    `rho_target`, and one call gives the change: the move's log target less
+    the current state's.
     """
     state, geom, hp = _toy_state(seed)
     rng = np.random.default_rng(seed + 3)
@@ -215,34 +214,33 @@ def target_audit(seed=0, tol=1e-8):
 
     # Moves of subject 0's transforms, each proposal's target on a stack of one.
     row = np.array([0])
+    change = lambda target: target[2][0] - target[1][0]
     for _ in range(5):
         t_old, t_r_old = state.T[0].copy(), state.T_r[0].copy()
         t_new = lie_exp(0.05 * rng.standard_normal(2)) @ t_old
-        closed = (forward_proposals(state, geom, hp, row, t_new[None])[1][0]
-                  - forward_current(state, hp)[0])
+        closed = change(forward_target(state, geom, hp, row, t_new[None]))
         state.T[0] = t_new
         joint = gibbs_log_posterior(state, hp, geom) - base
         state.T[0] = t_old
         worst["target.forward"] = max(worst["target.forward"], abs(closed - joint))
 
         t_r_new = lie_exp(0.05 * rng.standard_normal(2)) @ t_r_old
-        closed = (reverse_proposals(state, geom, hp, row, t_r_new[None])[1][0]
-                  - reverse_current(state, hp)[0])
+        closed = change(reverse_target(state, geom, hp, row, t_r_new[None]))
         state.T_r[0] = t_r_new
         joint = gibbs_log_posterior(state, hp, geom) - base
         state.T_r[0] = t_r_old
         worst["target.reverse"] = max(worst["target.reverse"], abs(closed - joint))
 
-        closed = (conventional_proposals(chain, row, t_new[None])[1][0]
-                  - conventional_current(chain)[0])
+        closed = change(conventional_target(chain, row, t_new[None]))
         joint = log_joint(np.concatenate([t_new[None], chain.ts[1:]]), chain.w,
                           chain.sigma2) - conv_base
         worst["target.conventional"] = max(worst["target.conventional"], abs(closed - joint))
 
     rho_old = state.rho
-    log_old = rho_current(state, conditional_means(state.X, state.nbr, state.B))
+    means = conditional_means(state.X, state.nbr, state.B)
     for rho in (0.3, 1.1, 2.6):
-        closed = rho_proposal(state, geom, rho)[2] - log_old
+        log_old, log_new, *_ = rho_target(state, geom, rho, means)
+        closed = log_new - log_old
         state.rho = rho
         joint = gibbs_log_posterior(state, hp, geom) - base
         state.rho = rho_old
@@ -275,8 +273,8 @@ def _balance_gap(target, draw_start, n_pairs, rng, prop_cov):
 
     y = exp(delta) x, and the reverse increment is the logarithm of x y^-1.
     `target(rows, h)` is a target as `lie_mh_step` takes it, called on a
-    stack of one. A pair with a point outside the neighbor library is not a
-    valid pair and is replaced by another.
+    stack of one; only its log_new is read. A pair with a point outside the
+    neighbor library is not a valid pair and is replaced by another.
     """
     chol = np.linalg.cholesky(prop_cov)
     row = np.array([0])
@@ -286,7 +284,7 @@ def _balance_gap(target, draw_start, n_pairs, rng, prop_cov):
         t_x = draw_start(rng)
         delta = chol @ rng.standard_normal(prop_cov.shape[0])
         t_y = lie_exp(delta) @ t_x
-        (in_x, lt_x, _), (in_y, lt_y, _) = target(row, t_x[None]), target(row, t_y[None])
+        (in_x, _, lt_x, _), (in_y, _, lt_y, _) = target(row, t_x[None]), target(row, t_y[None])
         if not (in_x[0] and in_y[0]):
             continue
         lt_x, lt_y = lt_x[0], lt_y[0]
@@ -306,7 +304,7 @@ def detailed_balance_audit(n_pairs=100, seed=0, tol=1e-6):
     q is the finite-difference proposal density of `_proposal_log_density`,
     so a wrong Hastings term in `lie_mh_log_acceptance` shows as a gap of
     the size of that error. In 1D pi is the sampler's forward target on the
-    toy state (`forward_proposals`); in 2D it is a transform prior on a 5x5
+    toy state (`forward_target`); in 2D it is a transform prior on a 5x5
     lattice. Detailed balance holds for any pi, so `target_audit` checks
     the targets.
     """
@@ -323,10 +321,10 @@ def detailed_balance_audit(n_pairs=100, seed=0, tol=1e-6):
         return lie_exp(0.2 * rng.standard_normal(6))
 
     gaps = {
-        "detailed_balance.max_gap_1d": _balance_gap(partial(forward_proposals, state, geom, hp),
+        "detailed_balance.max_gap_1d": _balance_gap(partial(forward_target, state, geom, hp),
                                                     start_1d, n_pairs, rng, 0.02 * np.eye(2)),
         "detailed_balance.max_gap_2d": _balance_gap(
-            lambda rows, h: (np.ones(1, dtype=bool), prior_2d.log_density(h), ()),
+            lambda rows, h: (np.ones(1, dtype=bool), None, prior_2d.log_density(h), ()),
             start_2d, n_pairs, rng, 0.02 * np.eye(6)),
     }
     return [_check(name, gap, tol) for name, gap in gaps.items()]

@@ -20,10 +20,11 @@ Metropolis step (`sampler.lie_mh_step`, with its closed-form Hastings term
 and one `AdaptiveProposal` over the subjects), one call for all subjects:
 given w and the sigma_i^2 the T_i are independent, so their kernel designs
 (`kernel_designs`) at the proposed sites and their log targets are computed
-stacked, by `conventional_proposals`; the current T_i's target is
-`conventional_current`, at the designs the chain keeps. The audit calls
-the same two functions. K^-1 and the kernel design at the lattice sites are
-computed once per chain.
+stacked, by `conventional_target`. It evaluates the prior of the current
+T_i and of the proposals in one stacked call, and reads the current T_i's
+designs from those the chain keeps; an accept writes the proposal's design
+there. The audit calls the same function. K^-1 and the kernel design at
+the lattice sites are computed once per chain.
 """
 
 from __future__ import annotations
@@ -99,36 +100,33 @@ def kernel_designs(h, locs, landmarks):
     return gauss_kernel(pts.reshape(-1, d), landmarks).reshape(n, v, -1)
 
 
-def conventional_log_target(h, phi, y, w, sigma2, prior):
+def conventional_log_target(log_prior, phi, y, w, sigma2):
     """T-dependent part of the conventional joint, per subject: prior and
     Gaussian log-likelihood.
 
-    h is an (n, d + 1, d + 1) stack of the subjects' T, `phi` (n, V, L) the
-    kernel designs at their transformed sites T(S), y (n, V) their maps and
-    sigma2 (n,) their noise variances; `prior` is the `TransformPrior` of T.
-    Returns (n,). The chain's step calls it through `conventional_current`
-    and `conventional_proposals`.
+    log_prior (n,) is the `TransformPrior` log density of the subjects' T,
+    `phi` (n, V, L) the kernel designs at their transformed sites T(S), y
+    (n, V) their maps and sigma2 (n,) their noise variances. Returns (n,).
+    `conventional_target` calls it.
     """
     r = y - phi @ w
-    return prior.log_density(h) - 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / sigma2
+    return log_prior - 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / sigma2
 
 
-def conventional_current(chain):
-    """The T_i target of every current T_i of a `ConventionalChain`, (N,), at its
-    cached kernel designs."""
-    return conventional_log_target(chain.ts, chain.phis, chain.ys, chain.w, chain.sigma2,
-                                   chain.prior)
-
-
-def conventional_proposals(chain, rows, h):
-    """The T_i target of the proposals h for the subjects `rows` of a
-    `ConventionalChain`, in the (inside, log_new, payload) form that
-    `sampler.lie_mh_step` takes: every proposal is inside, and the payload
-    is the proposals' kernel designs."""
+def conventional_target(chain, rows, h):
+    """The T_i target of every current T_i of a `ConventionalChain` and of the
+    proposals h for the subjects `rows`, in the (inside, log_old, log_new,
+    payload) form that `sampler.lie_mh_step` takes: every proposal is
+    inside, and the payload is the proposals' kernel designs. One prior call
+    covers the current T_i and the proposals; the current likelihood reads
+    the chain's designs."""
+    n = len(chain.ts)
     phi = kernel_designs(h, chain.locs, chain.landmarks)
+    log_prior = chain.prior.log_density(np.concatenate([chain.ts, h]))
     return (np.ones(rows.size, dtype=bool),
-            conventional_log_target(h, phi, chain.ys[rows], chain.w, chain.sigma2[rows],
-                                    chain.prior),
+            conventional_log_target(log_prior[:n], chain.phis, chain.ys, chain.w, chain.sigma2),
+            conventional_log_target(log_prior[n:], phi, chain.ys[rows], chain.w,
+                                    chain.sigma2[rows]),
             (phi,))
 
 
@@ -155,10 +153,9 @@ class ConventionalChain(Chain):
     """MCMC for the conventional model; `Chain.run` and `Chain.sweep` drive it.
 
     A sweep draws w | rest, then each sigma_i^2 | rest, then each T_i, all
-    from the chain's one generator, the T_i by `sampler.lie_mh_step` of the
-    target of `conventional_current` and `conventional_proposals`, which read
-    the chain's ts, phis, ys, w, sigma2, prior, locs and landmarks. The
-    records share the symmetric model's
+    from the chain's one generator, the T_i by `sampler.lie_mh_step` of
+    `conventional_target`, which reads the chain's ts, phis, ys, w, sigma2,
+    prior, locs and landmarks. The records share the symmetric model's
     layout: the template is evaluated on the map lattice and stored as X,
     reverse transforms are identity, beta is 1, alpha and rho are NaN, and
     the header's lambda_r is 0, as the model has no inverse-consistency
@@ -202,12 +199,8 @@ class ConventionalChain(Chain):
         self.sigma2 = 1.0 / self.rng.gamma(shape=shape, scale=1.0 / rate)
 
         # T_i | rest: Lie-MH against the kernel-template likelihood, all subjects at once.
-        accepted, h_new, phi = lie_mh_step(self.ts, conventional_current(self),
-                                           partial(conventional_proposals, self),
-                                           self.proposals["forward"], self.rng)
-        self.ts[accepted] = h_new
-        if phi:
-            self.phis[accepted] = phi[0]
+        lie_mh_step((self.ts, self.phis), partial(conventional_target, self),
+                    self.proposals["forward"], self.rng)
 
     def record(self):
         n, d = len(self.maps), self.lattice.dim

@@ -76,35 +76,35 @@ coordinates; no proposal density or reverse increment is evaluated. A
 target is the sum of terms of the transforms alone, the transform's log
 prior and the pair's penalty (`transform_terms`), and of a term that reads
 X: the NNGP density of X(T_i) forward, the SSD of Y(T_i^r(S)) in reverse.
-The state keeps the first kind (`ChainState`'s `TERMS`), so a current
-transform's target computes only the second; a proposal's target computes
-both, and an accepted proposal's terms are written to the state with it.
-Each target is one pair of module-level functions, one for the current
-transforms and one for proposals: `forward_current` and `forward_proposals`,
-`reverse_current` and `reverse_proposals`, and the baseline's
-`conventional_current` and `conventional_proposals`; rho's are
-`rho_current` and `rho_proposal`. A step hands the proposal function to
-`lie_mh_step` with `functools.partial`, and `audit.target_audit` and
-`audit.detailed_balance_audit` call the same functions, so the audit checks
-the code the sweep runs. A proposal with no real logarithm
-(`rejected_nolog`) or that moves a template site out of the neighbor
-library (`rejected_oob`) is rejected outright.
+Each target is one module-level function of the state and the proposals,
+which returns the log targets of the current transforms and of the
+proposals together: `forward_target`, `reverse_target` and the baseline's
+`conventional_target`; rho's is `rho_target`. It evaluates the terms of
+the transforms alone in one stacked call, current transforms first, then
+proposals; the current transforms' data terms read the caches the state
+keeps (its NNGP rows, Y_bw), and the proposals' are computed and returned
+as the payload an accept writes into those caches. A step hands its target
+to `lie_mh_step` with `functools.partial`, together with the arrays an
+accept writes, and `audit.target_audit` and `audit.detailed_balance_audit`
+call the same functions, so the audit checks the code the sweep runs. A
+proposal with no real logarithm (`rejected_nolog`) or that moves a template
+site out of the neighbor library (`rejected_oob`) is rejected outright.
 Given the rest of the state, the subjects' T_i targets are independent, and
 so are their T_i^r targets, so one step moves every subject in a direction:
 it draws every subject's delta from one (n, dim) block of normals, then
 every accept uniform from one (n,) block, whether a proposal is rejected or
 not, and forms the proposals with the scalar `lie_exp`; then the log
 targets of all current transforms, and of all proposals with a real
-logarithm (`has_real_log`), are each computed once over the stacks, and one
-masked assignment writes the moved subjects back. The reverse step samples
-every live proposal's map in one call of one `Warp` of all subject maps
-(`ChainState.warps`). Each direction's adaptive proposal state is one
-`AdaptiveProposal` over its subjects, arrays with one row per subject: a
-step reads every row's Cholesky factor from it once and records all
-outcomes in one call. Fed the block's draws, a loop of scalar
-steps over subjects, each with a one-row record, makes the same proposals
-and accept decisions bit for bit (`tests/test_sampler.py` keeps that loop
-as the oracle).
+logarithm (`has_real_log`), are computed by one target call, and one
+masked assignment per array writes the moved subjects back. The reverse
+step samples every live proposal's map in one call of one `Warp` of all
+subject maps (`ChainState.warps`). Each direction's adaptive proposal state
+is one `AdaptiveProposal` over its subjects, arrays with one row per
+subject: a step reads every row's Cholesky factor from it once and records
+all outcomes in one call. Fed the block's draws, a loop of scalar steps
+over subjects, each with a one-row record, makes the same proposals and
+accept decisions bit for bit (`tests/test_sampler.py` keeps that loop as
+the oracle).
 """
 
 from __future__ import annotations
@@ -258,12 +258,9 @@ class ChainState:
     NNGP table holds every row of the model's NNGP terms, neighbor sets nbr
     and weights B (N + 1, V, k), variances F (N + 1, V): family 0 is the
     template's rows (the padded predecessor slots at the site itself, with
-    B = 0), family i + 1 subject i's. The transform steps' terms that depend
-    on the transforms alone are kept too, (N,) each: the log priors
-    log_prior_T of T_i and log_prior_Tr of T_i^r, and the penalty sum of
-    each pair (`TERMS`). `warps` samples every maps[i] at T(S), one `Warp` of
-    all of them, for the reverse step, and `band` assembles the X step's
-    precision."""
+    B = 0), family i + 1 subject i's. `warps` samples every maps[i] at
+    T(S), one `Warp` of all of them, for the reverse step, and `band`
+    assembles the X step's precision."""
 
     X: np.ndarray
     maps: list
@@ -282,9 +279,6 @@ class ChainState:
     B: np.ndarray = field(default=None, repr=False)
     F: np.ndarray = field(default=None, repr=False)
     factor: KrigingFactor = field(default=None, repr=False)  # pattern cache at rho
-    log_prior_T: np.ndarray = field(default=None, repr=False)
-    log_prior_Tr: np.ndarray = field(default=None, repr=False)
-    penalty: np.ndarray = field(default=None, repr=False)
     warps: Warp = field(default=None, repr=False)
     band: TemplateBand = field(default=None, repr=False)   # Q's slot tables and buffers
     rho_proposals: int = 0
@@ -297,13 +291,9 @@ class ChainState:
         return CovarianceParams(self.alpha, self.rho)
 
 
-CACHES = ("dist", "entry", "nbr", "B", "F")   # the state's NNGP caches
-TERMS = ("log_prior_T", "log_prior_Tr", "penalty")   # a subject's transform-only log-target terms
-
-
 def subject_caches(state):
-    """The subjects' rows of the `CACHES`, (N, ...) each: dist, entry, and
-    families 1..N of the NNGP table, as views."""
+    """The subjects' rows of the state's NNGP caches, (N, ...) each: dist,
+    entry, and families 1..N of the NNGP table, as views."""
     return state.dist, state.entry, state.nbr[1:], state.B[1:], state.F[1:]
 
 
@@ -341,25 +331,20 @@ def subject_geometry(h, geom, factor, alpha):
 
 def transform_terms(prior, h, other):
     """The terms of a transform step's log target that depend on the
-    transforms alone, per subject: the log density under `prior` of each
-    matrix of the stack h, and the penalty sum ||H H_o - I||_F
-    + ||H_o H - I||_F of each pair with the stack `other` of the other
-    direction's transforms; (n,) each. The sum is the same float in either
-    order of the pair, so both steps share one cached penalty per subject.
+    transforms alone, per row: the log density under `prior` of each matrix
+    of the stack h, and the penalty sum ||H H_o - I||_F + ||H_o H - I||_F
+    of each pair with the stack `other` of the other direction's transforms;
+    (n,) each. A row's terms do not depend on the other rows, so a target
+    takes its current transforms' and its proposals' from one call on both
+    stacked; the penalty sum is the same float in either order of the pair.
     """
     p1, p2 = penalty_terms(h, other)
     return prior.log_density(h), p1 + p2
 
 
-def refresh_terms(state, geom):
-    """Set the state's `TERMS` from its T and T_r."""
-    state.log_prior_T, state.penalty = transform_terms(geom.prior_T, state.T, state.T_r)
-    state.log_prior_Tr = geom.prior_Tr.log_density(state.T_r)
-
-
 def refresh_caches(state, geom):
-    """Factor the pattern table at state.rho; set the `CACHES`, the NNGP table
-    for the template and every subject's current transform, the `TERMS`, and
+    """Factor the pattern table at state.rho; set the state's NNGP caches,
+    the table for the template and every subject's current transform, and
     one `Warp` of all subject maps at the template sites, for the reverse
     step. Raises OutOfLibraryBounds when a T_i leaves the library."""
     state.warps = Warp(state.maps, geom.locations)
@@ -372,7 +357,6 @@ def refresh_caches(state, geom):
     tb, tf = template_weights(geom, state.factor, state.alpha)
     state.nbr = np.concatenate([geom.predecessors.nbr[None], nbr])
     state.B, state.F = np.concatenate([tb[None], b]), np.concatenate([tf[None], f])
-    refresh_terms(state, geom)
     state.band = TemplateBand(geom, len(state.T))
 
 
@@ -597,38 +581,35 @@ def rho_weights(state, geom, factor):
 def rho_log_target(state, f, means):
     """rho-dependent part of the joint: the NNGP log density of every row of the
     table, X's and every X(T_i)'s, given the table's variances f and
-    conditional means; `rho_current` and `rho_proposal` call it."""
+    conditional means; `rho_target` calls it."""
     return nngp_log_density_from_weights(table_values(state), means, f)
 
 
-def rho_current(state, means):
-    """rho's target at the state's NNGP table, given its conditional means."""
-    return rho_log_target(state, state.F, means)
-
-
-def rho_proposal(state, geom, rho):
-    """The proposal `rho`'s `KrigingFactor`, its table's (B, F) (`rho_weights`)
-    and its log target, as (factor, (B, F), log target)."""
+def rho_target(state, geom, rho, means):
+    """rho's target at the state's NNGP table, whose conditional means are
+    `means`, and at the proposal `rho`: (log_old, log_new, factor, (B, F)),
+    the last two the proposal's `KrigingFactor` and table (`rho_weights`)."""
     factor = kriging_factor(geom.library, rho)
     b, f = rho_weights(state, geom, factor)
-    return factor, (b, f), rho_log_target(state, f, conditional_means(state.X, state.nbr, b))
+    return (rho_log_target(state, state.F, means),
+            rho_log_target(state, f, conditional_means(state.X, state.nbr, b)), factor, (b, f))
 
 
 def update_rho(state, geom, hp, rng, means):
     """Random-walk Metropolis on rho; proposals outside (L, U) are rejected.
 
-    The target is `rho_current` against `rho_proposal`. `means` are the NNGP
-    table's conditional means at the state's weights (`update_alpha` returns
-    them), so only the proposal's means are computed here. On accept the
-    proposal's factor and table become the state's.
+    The target is `rho_target`. `means` are the NNGP table's conditional
+    means at the state's weights (`update_alpha` returns them), so only the
+    proposal's means are computed here. On accept the proposal's factor and
+    table become the state's.
     """
     state.rho_proposals += 1
     prop = state.rho + RHO_STEP * rng.standard_normal()
     accept_draw = np.log(rng.uniform())
     if not (hp.rho_lower < prop < hp.rho_upper):
         return False
-    factor, weights, log_new = rho_proposal(state, geom, prop)
-    if accept_draw < log_new - rho_current(state, means):
+    log_old, log_new, factor, weights = rho_target(state, geom, prop, means)
+    if accept_draw < log_new - log_old:
         state.rho = prop
         state.factor = factor
         state.B, state.F = weights
@@ -665,8 +646,7 @@ def forward_log_target(terms, x, xt, weights, hp):
 
     `terms` is the subjects' (log prior of T, penalty sum) of
     `transform_terms`, xt their (n, V) X(T) values and `weights` the
-    (nbr, B, F) of their T(S), stacked. Returns (n,). The step's targets
-    call it through `forward_current` and `forward_proposals`.
+    (nbr, B, F) of their T(S), stacked. Returns (n,). `forward_target` calls it.
     """
     log_prior, penalty = terms
     nbr, b, f = weights
@@ -675,24 +655,22 @@ def forward_log_target(terms, x, xt, weights, hp):
             - hp.lambda_r * penalty)
 
 
-def forward_current(state, hp):
-    """The forward target of every current T_i, (N,), from the state's `TERMS`
-    and NNGP caches: only the NNGP term, which reads X, is computed."""
-    return forward_log_target((state.log_prior_T, state.penalty), state.X, state.XT,
-                              subject_caches(state)[2:], hp)
-
-
-def forward_proposals(state, geom, hp, rows, h):
-    """The forward target of the proposals h for the subjects `rows`, in the
-    (inside, log_new, payload) form that `lie_mh_step` takes: inside marks the
-    proposals that keep every template site in the neighbor library, and
-    log_new and payload, the proposals' `subject_caches` and
-    `transform_terms`, are stacked over those only."""
+def forward_target(state, geom, hp, rows, h):
+    """The forward target of every current T_i and of the proposals h for the
+    subjects `rows`, in the (inside, log_old, log_new, payload) form that
+    `lie_mh_step` takes. inside marks the proposals that keep every template
+    site in the neighbor library; log_old is (N,); log_new and the payload,
+    the proposals' `subject_caches`, are stacked over the inside proposals
+    only. One `transform_terms` call covers the current T_i and those
+    proposals; the current NNGP terms read the state's caches."""
     inside, caches = subject_geometry(h, geom, state.factor, state.alpha)
-    kept = rows[inside]
-    terms = transform_terms(geom.prior_T, h[inside], state.T_r[kept])
-    return (inside, forward_log_target(terms, state.X, state.XT[kept], caches[2:], hp),
-            caches + terms)
+    kept, n = rows[inside], len(state.T)
+    terms = transform_terms(geom.prior_T, np.concatenate([state.T, h[inside]]),
+                            np.concatenate([state.T_r, state.T_r[kept]]))
+    log_old = forward_log_target([t[:n] for t in terms], state.X, state.XT,
+                                 subject_caches(state)[2:], hp)
+    log_new = forward_log_target([t[n:] for t in terms], state.X, state.XT[kept], caches[2:], hp)
+    return inside, log_old, log_new, caches
 
 
 def reverse_log_target(terms, x, y_bw, beta, sigma2, hp):
@@ -705,41 +683,42 @@ def reverse_log_target(terms, x, y_bw, beta, sigma2, hp):
     return log_prior - 0.5 * ssd / sigma2 - hp.lambda_r * penalty
 
 
-def reverse_current(state, hp):
-    """The reverse target of every current T_i^r, (N,), from the state's `TERMS` and Y_bw."""
-    return reverse_log_target((state.log_prior_Tr, state.penalty), state.X, state.Y_bw,
-                              state.beta, state.sigma2, hp)
-
-
-def reverse_proposals(state, geom, hp, rows, h):
-    """The reverse target of the proposals h for the subjects `rows`, as
-    `forward_proposals` returns it: every proposal is inside, and the
-    payload is (Y_bw, log prior, penalty). The live proposals sample their
-    subjects' maps in one call of `state.warps`."""
+def reverse_target(state, geom, hp, rows, h):
+    """The reverse target of every current T_i^r and of the proposals h for
+    the subjects `rows`, as `forward_target` returns it: every proposal is
+    inside, and the payload is the proposals' Y_bw, sampled from their
+    subjects' maps in one call of `state.warps`. One `transform_terms` call
+    covers the current T_i^r and the proposals; the current SSD reads Y_bw."""
+    n = len(state.T_r)
     y_bw = state.warps(h, rows)
-    terms = transform_terms(geom.prior_Tr, h, state.T[rows])
-    log_new = reverse_log_target(terms, state.X, y_bw, state.beta[rows], state.sigma2[rows], hp)
-    return np.ones(rows.size, dtype=bool), log_new, (y_bw, *terms)
+    terms = transform_terms(geom.prior_Tr, np.concatenate([state.T_r, h]),
+                            np.concatenate([state.T, state.T[rows]]))
+    log_old = reverse_log_target([t[:n] for t in terms], state.X, state.Y_bw, state.beta,
+                                 state.sigma2, hp)
+    log_new = reverse_log_target([t[n:] for t in terms], state.X, y_bw, state.beta[rows],
+                                 state.sigma2[rows], hp)
+    return np.ones(rows.size, dtype=bool), log_old, log_new, (y_bw,)
 
 
-def lie_mh_step(h, log_old, log_target, adapt, rng):
+def lie_mh_step(arrays, target, adapt, rng):
     """One random-walk Metropolis step H_i -> exp(delta_i) H_i of each of n
-    independent rows on the affine group.
+    independent rows on the affine group; returns the (n,) accept mask.
 
-    `h` holds the rows' homogeneous matrices, (n, d + 1, d + 1), `log_old`
-    (n,) their log targets and `adapt` their n-row `AdaptiveProposal`. The
-    step draws all n deltas from one (n, dim) block of normals, through
-    `adapt.proposal_factor()`, then all n accept uniforms in one call, and
-    forms each proposal with `lie_exp`. A proposal with no real logarithm
-    (`has_real_log`) is rejected (`rejected_nolog`) unevaluated.
-    `log_target(rows, proposals)` gets the other rows' indices, ascending,
-    and their proposals' stack; it returns (inside, log_new, payload): inside
-    marks the proposals that stay in the neighbor library (the others count
-    in `rejected_oob`), and log_new and payload, a tuple of arrays, are
-    stacked over those only. Returns (accepted, h_new, payload): the (n,)
-    accept mask, and the new matrices and the payload's arrays of the
-    accepted rows, in row order, for the caller's `h[accepted] = h_new`.
+    arrays[0] holds the rows' homogeneous matrices, (n, d + 1, d + 1), and
+    `adapt` is their n-row `AdaptiveProposal`. The step draws all n deltas
+    from one (n, dim) block of normals, through `adapt.proposal_factor()`,
+    then all n accept uniforms in one call, and forms each proposal with
+    `lie_exp`. A proposal with no real logarithm (`has_real_log`) is
+    rejected (`rejected_nolog`) unevaluated. `target(rows, proposals)` gets
+    the other rows' indices, ascending, and their proposals' stack; it
+    returns (inside, log_old, log_new, payload): inside marks the proposals
+    that stay in the neighbor library (the others count in `rejected_oob`),
+    log_old is the (n,) log targets of the current rows, and log_new and
+    payload, a tuple of arrays, are stacked over the inside proposals only.
+    An accepted row's proposal is written to arrays[0] and its payload rows
+    to arrays[1:], in order.
     """
+    h = arrays[0]
     n = len(h)
     deltas = (adapt.proposal_factor() @ rng.standard_normal((n, adapt.dim, 1)))[..., 0]
     draws = np.log(rng.uniform(size=n))
@@ -748,47 +727,32 @@ def lie_mh_step(h, log_old, log_target, adapt, rng):
     inside = np.zeros(n, dtype=bool)
     accepted = np.zeros(n, dtype=bool)
     rows = np.flatnonzero(real)
-    payload = ()
     if rows.size:
-        in_library, log_new, payload = log_target(rows, proposals[rows])
+        in_library, log_old, log_new, payload = target(rows, proposals[rows])
         rows = rows[in_library]
         inside[rows] = True
         keep = draws[rows] < lie_mh_log_acceptance(log_old[rows], log_new, deltas[rows])
         accepted[rows] = keep
-        payload = tuple(p[keep] for p in payload)
+        for array, value in zip(arrays, (proposals[rows], *payload)):
+            array[accepted] = value[keep]
     adapt.record(accepted, deltas, real, inside)
-    return accepted, proposals[accepted], payload
+    return accepted
 
 
 def update_forward_transform(state, geom, hp, adapt, rng):
-    """One Lie-MH step of every T_i, one `lie_mh_step` for all subjects, of
-    the target `forward_current` and `forward_proposals` compute.
-
-    On accept, T_i, row i of its NNGP caches and its log prior and penalty
-    change, to the values the proposal's target computed. Returns the (N,)
-    accept mask.
-    """
-    accepted, h_new, payload = lie_mh_step(state.T, forward_current(state, hp),
-                                           partial(forward_proposals, state, geom, hp), adapt, rng)
-    state.T[accepted] = h_new
-    for array, value in zip(subject_caches(state) + (state.log_prior_T, state.penalty), payload):
-        array[accepted] = value
-    return accepted
+    """One Lie-MH step of every T_i of `forward_target`, one `lie_mh_step` for
+    all subjects: on accept, T_i and row i of its NNGP caches change, to the
+    values the proposal's target computed. Returns the (N,) accept mask."""
+    return lie_mh_step((state.T, *subject_caches(state)), partial(forward_target, state, geom, hp),
+                       adapt, rng)
 
 
 def update_reverse_transform(state, geom, hp, adapt, rng):
-    """One Lie-MH step of every T_i^r, one `lie_mh_step` for all subjects, of
-    the target `reverse_current` and `reverse_proposals` compute.
-
-    On accept, T_i^r, row i of Y_bw and its log prior and penalty change, to
-    the values the proposal's target computed. Returns the (N,) accept mask.
-    """
-    accepted, h_new, payload = lie_mh_step(state.T_r, reverse_current(state, hp),
-                                           partial(reverse_proposals, state, geom, hp), adapt, rng)
-    state.T_r[accepted] = h_new
-    for name, value in zip(("Y_bw", "log_prior_Tr", "penalty"), payload):
-        getattr(state, name)[accepted] = value
-    return accepted
+    """One Lie-MH step of every T_i^r of `reverse_target`, one `lie_mh_step`
+    for all subjects: on accept, T_i^r and row i of Y_bw change, to the
+    values the proposal's target computed. Returns the (N,) accept mask."""
+    return lie_mh_step((state.T_r, state.Y_bw), partial(reverse_target, state, geom, hp),
+                       adapt, rng)
 
 
 def standardize_forward_transforms(h, h_r):

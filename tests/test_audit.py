@@ -52,16 +52,32 @@ def test_target_audit_fails_on_a_rho_target_without_its_template_term(monkeypatc
     assert {r["name"] for r in target_audit() if not r["passed"]} == {"target.rho"}
 
 
+def fails_only_with_the_other_directions_prior(monkeypatch, direction, own, other):
+    """Weigh the `direction` target by the other direction's prior and return
+    the names of the target checks that fail."""
+    target = getattr(sampler, f"{direction}_target")
+
+    def other_prior(state, geom, hp, rows, h):
+        return target(state, dataclasses.replace(geom, **{own: getattr(geom, other)}), hp, rows, h)
+
+    monkeypatch.setattr(audit, f"{direction}_target", other_prior)
+    return {r["name"] for r in target_audit() if not r["passed"]}
+
+
 def test_target_audit_fails_on_a_forward_target_with_the_reverse_prior(monkeypatch):
-    """Proposals of T_i weighed by the prior of T_i^r: the check on the forward
+    """The T_i target weighed by the prior of T_i^r: the check on the forward
     target, and no other, fails. The toy state's two priors differ, so it can."""
-    proposals = sampler.forward_proposals
+    failed = fails_only_with_the_other_directions_prior(monkeypatch, "forward",
+                                                        "prior_T", "prior_Tr")
+    assert failed == {"target.forward"}
 
-    def reverse_prior(state, geom, hp, rows, h):
-        return proposals(state, dataclasses.replace(geom, prior_T=geom.prior_Tr), hp, rows, h)
 
-    monkeypatch.setattr(audit, "forward_proposals", reverse_prior)
-    assert {r["name"] for r in target_audit() if not r["passed"]} == {"target.forward"}
+def test_target_audit_fails_on_a_reverse_target_with_the_forward_prior(monkeypatch):
+    """The T_i^r target weighed by the prior of T_i: the check on the reverse
+    target, and no other, fails."""
+    failed = fails_only_with_the_other_directions_prior(monkeypatch, "reverse",
+                                                        "prior_Tr", "prior_T")
+    assert failed == {"target.reverse"}
 
 
 def w_without_prior(phis, ys, sigma2s, k_inv):

@@ -17,10 +17,10 @@ def test_conventional_chain_reports_rejection_counts(monkeypatch):
     """diagnostics.json of a baseline fit counts rejections per subject, as the
     symmetric fit's does."""
     def out_of_library(rows, proposals):
-        return np.zeros(rows.size, dtype=bool), np.empty(0), ()
+        return np.zeros(rows.size, dtype=bool), np.zeros(3), np.empty(0), ()
 
-    def step_out_of_library(ts, log_old, log_target, adapts, rng):
-        return sampler.lie_mh_step(ts, log_old, out_of_library, adapts, rng)
+    def step_out_of_library(arrays, target, adapt, rng):
+        return sampler.lie_mh_step(arrays, out_of_library, adapt, rng)
 
     monkeypatch.setattr(baseline, "lie_mh_step", step_out_of_library)
     maps, _ = gen_indicator_curves(ScenarioSpec("indicator", n_subjects=3, seed=3))
