@@ -4,13 +4,17 @@ Each audit returns a list of {name, value, tol, passed} dicts; the CLI's
 `audit` subcommand prints one line per check and exits 4 on any failure.
 The same functions back the acceptance test suite.
 
-The target checks (`target_audit`, `detailed_balance_audit`) and the
-conventional model's conjugacy checks call the sweep's own functions: each
-Metropolis target's one function in `sampler` and `baseline`, which gives
-the current state's log target and the proposals' together, and the kernel
-designs and K^-1 of a `baseline.ConventionalChain` built on the toy maps.
-No target is assembled here, so a change to a target's code is a change to
-what these checks see.
+The conjugacy and target checks each move one field of a toy state, or of
+a `baseline.ConventionalChain` built on the toy maps, through one helper,
+`_joint_change`, against one oracle per model: `model.gibbs_log_posterior`
+for the symmetric model and `baseline.conventional_log_joint` for the
+baseline. Both read only the primary fields and no cache, so the helper
+moves one field alone. The closed forms the moves are checked against come
+from the sweep's own functions: the conditionals, each Metropolis target's
+one function in `sampler` and `baseline`, which gives the current state's
+log target and the proposals' together, and the kernel designs and K^-1 of
+the chain. No target is assembled here, so a change to a target's code is a
+change to what these checks see.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from functools import partial
 import numpy as np
 
 from .baseline import (ConventionalChain, conventional_log_joint, conventional_sigma2_conditional,
-                       conventional_target, conventional_w_conditional, kernel_designs,
-                       kernel_gram)
+                       conventional_target, conventional_w_conditional, kernel_designs)
 from .config import RunConfig
 from .grids import ActivationMap, Lattice, make_lattice_1d
 from .interp import Warp
@@ -34,9 +37,8 @@ from .sampler import (Chain, ChainState, alpha_conditional, beta_sigma_condition
 from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
                       nngp_log_density, conditional_means,
-                      build_neighbor_library, build_ordered_neighbor_sets,
-                      join_predecessor_patterns, kriging_factor, library_weights,
-                      lookup_entries, neighbor_distances)
+                      build_neighbor_library, build_ordered_neighbor_sets, kriging_factor,
+                      library_weights, lookup_entries, neighbor_distances)
 from .synth import ScenarioSpec, gen_indicator_curves
 from .transforms import (AffineTransform, affine_apply, affine_compose,
                          affine_inverse, karcher_mean, lie_exp, lie_log)
@@ -86,29 +88,38 @@ def band_to_dense(ab):
     return q
 
 
-def _toy_conventional(state, geom, hp, rng):
-    """A `ConventionalChain` on the toy state's maps, moved to the toy's T_i
-    and sigma_i^2 and a random w, and log_joint(ts, w, sigma2s), the model's
-    `conventional_log_joint` on those maps under the prior geom.prior_T."""
+def _toy_conventional(state, hp, rng):
+    """A `ConventionalChain` on the toy state's maps, under the toy's prior
+    of T, moved to the toy's T_i and sigma_i^2 and a random w."""
     chain = ConventionalChain(state.maps, RunConfig(model="conventional", a_T=hp.a_T,
                                                     b_T=hp.b_T))
     chain.ts, chain.sigma2 = state.T.copy(), state.sigma2.copy()
     chain.phis = kernel_designs(chain.ts, chain.locs, chain.landmarks)
     chain.w = rng.normal(size=len(chain.landmarks))
-    gram_chol, _ = kernel_gram(chain.landmarks)
+    return chain
 
-    def log_joint(ts, w, sigma2s):
-        return conventional_log_joint(chain.maps, ts, w, sigma2s, chain.landmarks, gram_chol,
-                                      hp, geom.prior_T)
 
-    return chain, log_joint
+def _joint_change(obj, log_joint, base, field, value, index=None):
+    """log_joint() - base with obj.<field> set to value, or, given an index,
+    to a copy of the field with only entry `index` set to value. The field's
+    own object is put back afterwards, also when log_joint raises."""
+    old = getattr(obj, field)
+    if index is not None:
+        value, entry = old.copy(), value
+        value[index] = entry
+    setattr(obj, field, value)
+    try:
+        return log_joint() - base
+    finally:
+        setattr(obj, field, old)
 
 
 def conjugacy_audit(seed=0, tol=1e-8):
     """Closed-form conditional log-ratios vs joint log-ratios, every conjugate update."""
     results = []
     state, geom, hp = _toy_state(seed)
-    base = gibbs_log_posterior(state, hp, geom)
+    joint = partial(gibbs_log_posterior, state, hp, geom)
+    move = partial(_joint_change, state, joint, joint())
 
     # X(T_i) element.
     mean, var = transformed_template_conditional(state)
@@ -116,11 +127,7 @@ def conjugacy_audit(seed=0, tol=1e-8):
     new_val = state.XT[l] + 0.7
     closed = (normal_logpdf(new_val, mean[l], var[l])
               - normal_logpdf(state.XT[l], mean[l], var[l]))
-    old = state.XT[l]
-    state.XT[l] = new_val
-    joint = gibbs_log_posterior(state, hp, geom) - base
-    state.XT[l] = old
-    results.append(_check("conjugacy.XT_element", abs(closed - joint), tol))
+    results.append(_check("conjugacy.XT_element", abs(closed - move("XT", new_val, l)), tol))
 
     # X as one block: the joint's change under a whole-vector move is the
     # change of -1/2 x'Qx + b'x.
@@ -129,10 +136,7 @@ def conjugacy_audit(seed=0, tol=1e-8):
     x = state.X
     x_new = x + np.random.default_rng(seed + 2).normal(scale=0.5, size=x.size)
     closed = -0.5 * (x_new @ q @ x_new - x @ q @ x) + b @ (x_new - x)
-    state.X = x_new
-    joint = gibbs_log_posterior(state, hp, geom) - base
-    state.X = x
-    results.append(_check("conjugacy.X_block", abs(closed - joint), tol))
+    results.append(_check("conjugacy.X_block", abs(closed - move("X", x_new)), tol))
 
     # beta (sigma^2 held fixed), of subject 1.
     shape, rate, mu_n, lam_n = beta_sigma_conditional(state, hp)
@@ -141,55 +145,46 @@ def conjugacy_audit(seed=0, tol=1e-8):
     new_beta = beta + 0.3
     closed = (normal_logpdf(new_beta, mu_n, lam_n * s2)
               - normal_logpdf(beta, mu_n, lam_n * s2))
-    state.beta[1] = new_beta
-    joint = gibbs_log_posterior(state, hp, geom) - base
-    state.beta[1] = beta
-    results.append(_check("conjugacy.beta", abs(closed - joint), tol))
+    results.append(_check("conjugacy.beta", abs(closed - move("beta", new_beta, 1)), tol))
 
     # sigma^2 given beta: IG(shape + 1/2, rate + (beta - mu_n)^2 / (2 lam_n)).
     new_s2 = s2 * 1.7
+    sigma2_change = move("sigma2", new_s2, 1)
     shape_b, rate_b = shape + 0.5, rate + 0.5 * (beta - mu_n) ** 2 / lam_n
     closed = (invgamma_logpdf(new_s2, shape_b, rate_b)
               - invgamma_logpdf(s2, shape_b, rate_b))
-    state.sigma2[1] = new_s2
-    joint = gibbs_log_posterior(state, hp, geom) - base
-    results.append(_check("conjugacy.sigma2", abs(closed - joint), tol))
+    results.append(_check("conjugacy.sigma2", abs(closed - sigma2_change), tol))
 
     # sigma^2 as the sampler draws it, beta marginalized: the joint's change
     # in sigma^2 at fixed beta is that of IG(sigma^2; shape, rate) times
     # N(beta; mu_n, lam_n sigma^2).
     closed = (invgamma_logpdf(new_s2, shape, rate) + normal_logpdf(beta, mu_n, lam_n * new_s2)
               - invgamma_logpdf(s2, shape, rate) - normal_logpdf(beta, mu_n, lam_n * s2))
-    state.sigma2[1] = s2
-    results.append(_check("conjugacy.sigma2_marginal", abs(closed - joint), tol))
+    results.append(_check("conjugacy.sigma2_marginal", abs(closed - sigma2_change), tol))
 
     # alpha.
     shape, rate = alpha_conditional(state, hp, conditional_means(state.X, state.nbr, state.B))
     new_alpha = state.alpha * 1.4
     closed = (invgamma_logpdf(new_alpha, shape, rate)
               - invgamma_logpdf(state.alpha, shape, rate))
-    old_alpha = state.alpha
-    state.alpha = new_alpha
-    joint = gibbs_log_posterior(state, hp, geom) - base
-    state.alpha = old_alpha
-    results.append(_check("conjugacy.alpha", abs(closed - joint), tol))
+    results.append(_check("conjugacy.alpha", abs(closed - move("alpha", new_alpha)), tol))
 
     # The baseline's w and sigma^2 against the conventional model's joint.
     rng = np.random.default_rng(seed + 4)
-    chain, log_joint = _toy_conventional(state, geom, hp, rng)
-    ts, ys, phis, w, sigma2s = chain.ts, chain.ys, chain.phis, chain.w, chain.sigma2
-    conv_base = log_joint(ts, w, sigma2s)
+    chain = _toy_conventional(state, hp, rng)
+    conv_move = partial(_joint_change, chain, partial(conventional_log_joint, chain),
+                        conventional_log_joint(chain))
+    ys, phis, w, sigma2s = chain.ys, chain.phis, chain.w, chain.sigma2
     prec, _, mean = conventional_w_conditional(phis, ys, sigma2s, chain.k_inv)
     w_new = w + rng.normal(scale=0.5, size=w.size)
     closed = -0.5 * ((w_new - mean) @ prec @ (w_new - mean) - (w - mean) @ prec @ (w - mean))
-    joint = log_joint(ts, w_new, sigma2s) - conv_base
-    results.append(_check("conjugacy.conventional_w", abs(closed - joint), tol))
+    results.append(_check("conjugacy.conventional_w", abs(closed - conv_move("w", w_new)), tol))
 
     shape, rate = conventional_sigma2_conditional(ys[1], phis[1], w, hp)
     new_s2 = sigma2s[1] * 1.7
     closed = invgamma_logpdf(new_s2, shape, rate) - invgamma_logpdf(sigma2s[1], shape, rate)
-    joint = log_joint(ts, w, [sigma2s[0], new_s2]) - conv_base
-    results.append(_check("conjugacy.conventional_sigma2", abs(closed - joint), tol))
+    results.append(_check("conjugacy.conventional_sigma2",
+                          abs(closed - conv_move("sigma2", new_s2, 1)), tol))
     return results
 
 
@@ -206,45 +201,34 @@ def target_audit(seed=0, tol=1e-8):
     """
     state, geom, hp = _toy_state(seed)
     rng = np.random.default_rng(seed + 3)
-    base = gibbs_log_posterior(state, hp, geom)
+    joint = partial(gibbs_log_posterior, state, hp, geom)
+    move = partial(_joint_change, state, joint, joint())
     worst = dict.fromkeys(("target.forward", "target.reverse", "target.conventional",
                            "target.rho"), 0.0)
-    chain, log_joint = _toy_conventional(state, geom, hp, rng)
-    conv_base = log_joint(chain.ts, chain.w, chain.sigma2)
+    chain = _toy_conventional(state, hp, rng)
+    conv_move = partial(_joint_change, chain, partial(conventional_log_joint, chain),
+                        conventional_log_joint(chain))
+
+    def note(name, closed, joint):
+        worst[name] = max(worst[name], abs(closed - joint))
 
     # Moves of subject 0's transforms, each proposal's target on a stack of one.
     row = np.array([0])
     change = lambda target: target[2][0] - target[1][0]
     for _ in range(5):
-        t_old, t_r_old = state.T[0].copy(), state.T_r[0].copy()
-        t_new = lie_exp(0.05 * rng.standard_normal(2)) @ t_old
-        closed = change(forward_target(state, geom, hp, row, t_new[None]))
-        state.T[0] = t_new
-        joint = gibbs_log_posterior(state, hp, geom) - base
-        state.T[0] = t_old
-        worst["target.forward"] = max(worst["target.forward"], abs(closed - joint))
+        t_new = lie_exp(0.05 * rng.standard_normal(2)) @ state.T[0]
+        note("target.forward", change(forward_target(state, geom, hp, row, t_new[None])),
+             move("T", t_new, 0))
+        t_r_new = lie_exp(0.05 * rng.standard_normal(2)) @ state.T_r[0]
+        note("target.reverse", change(reverse_target(state, geom, hp, row, t_r_new[None])),
+             move("T_r", t_r_new, 0))
+        note("target.conventional", change(conventional_target(chain, row, t_new[None])),
+             conv_move("ts", t_new, 0))
 
-        t_r_new = lie_exp(0.05 * rng.standard_normal(2)) @ t_r_old
-        closed = change(reverse_target(state, geom, hp, row, t_r_new[None]))
-        state.T_r[0] = t_r_new
-        joint = gibbs_log_posterior(state, hp, geom) - base
-        state.T_r[0] = t_r_old
-        worst["target.reverse"] = max(worst["target.reverse"], abs(closed - joint))
-
-        closed = change(conventional_target(chain, row, t_new[None]))
-        joint = log_joint(np.concatenate([t_new[None], chain.ts[1:]]), chain.w,
-                          chain.sigma2) - conv_base
-        worst["target.conventional"] = max(worst["target.conventional"], abs(closed - joint))
-
-    rho_old = state.rho
     means = conditional_means(state.X, state.nbr, state.B)
     for rho in (0.3, 1.1, 2.6):
         log_old, log_new, *_ = rho_target(state, geom, rho, means)
-        closed = log_new - log_old
-        state.rho = rho
-        joint = gibbs_log_posterior(state, hp, geom) - base
-        state.rho = rho_old
-        worst["target.rho"] = max(worst["target.rho"], abs(closed - joint))
+        note("target.rho", log_new - log_old, move("rho", rho))
     return [_check(name, gap, tol) for name, gap in worst.items()]
 
 
@@ -416,11 +400,10 @@ def pattern_weights_gap():
     ]
     worst = 0.0
     for lattice, margin, m, t in cases:
-        locs = lattice.locations()
-        nsets = build_ordered_neighbor_sets(lattice, m)
-        lib, pre = join_predecessor_patterns(build_neighbor_library(lattice, margin, m), nsets)
+        geom = build_geometry(lattice, Hyperparams(m=m), margin)
+        locs, lib, pre = geom.locations, geom.library, geom.predecessors
         # Columns past min(m, V) are padding in every row.
-        nsets = nsets[:, :pre.nbr.shape[1]]
+        nsets = geom.neighbor_sets[:, :pre.nbr.shape[1]]
         targets = np.concatenate([affine_apply(t, locs), lib.enlarged.locations()])
         entries = lookup_entries(targets, lib)
         dist = neighbor_distances(targets, lib.neighbor_indices[entries], locs)

@@ -23,8 +23,10 @@ given w and the sigma_i^2 the T_i are independent, so their kernel designs
 stacked, by `conventional_target`. It evaluates the prior of the current
 T_i and of the proposals in one stacked call, and reads the current T_i's
 designs from those the chain keeps; an accept writes the proposal's design
-there. The audit calls the same function. K^-1 and the kernel design at
-the lattice sites are computed once per chain.
+there. The audit calls the same function and the chain's own conjugate
+conditionals, and checks them against the model's joint log density,
+`conventional_log_joint(chain)`, which reads no cache of the chain. K^-1
+and the kernel design at the lattice sites are computed once per chain.
 """
 
 from __future__ import annotations
@@ -130,20 +132,25 @@ def conventional_target(chain, rows, h):
             (phi,))
 
 
-def conventional_log_joint(maps, ts, w, sigma2s, landmarks, gram_chol, hp, prior):
-    """Log joint density of the conventional model, up to a constant.
+def conventional_log_joint(chain):
+    """Log joint density of the conventional model at a `ConventionalChain`'s
+    state, up to a constant.
 
-    w ~ N(0, K_gram) with `gram_chol` its Cholesky factor; per subject, T_i
-    from `prior`, sigma_i^2 ~ InvGamma(a0_sigma, a1_sigma) and
-    Y_i ~ N(Phi(T_i) w, sigma_i^2 I), with ts the T_i's homogeneous
-    matrices. The audit checks the T_i target's differences against this
-    one's.
+    w ~ N(0, K_gram); per subject, T_i from the chain's prior,
+    sigma_i^2 ~ InvGamma(a0_sigma, a1_sigma) of its config and
+    Y_i ~ N(Phi(T_i) w, sigma_i^2 I). Reads the chain's ts, w, sigma2,
+    maps, landmarks, prior and config, and none of its caches: the Gram
+    factor and each Phi(T_i) are computed here. The audit checks the
+    conjugate steps and the T_i target against this one's differences.
     """
+    w, hp = chain.w, chain.config
+    gram_chol, _ = kernel_gram(chain.landmarks)
     half = np.linalg.solve(gram_chol, w)
     total = -0.5 * float(half @ half) - float(np.sum(np.log(np.diag(gram_chol))))
-    for amap, t, s2 in zip(maps, ts, sigma2s):
-        r = amap.values - gauss_kernel(affine_apply(t, amap.lattice.locations()), landmarks) @ w
-        total += (prior.log_density(t[None])[0] - 0.5 * float(r @ r) / s2
+    for amap, t, s2 in zip(chain.maps, chain.ts, chain.sigma2):
+        r = (amap.values
+             - gauss_kernel(affine_apply(t, amap.lattice.locations()), chain.landmarks) @ w)
+        total += (chain.prior.log_density(t[None])[0] - 0.5 * float(r @ r) / s2
                   - 0.5 * r.size * np.log(2.0 * np.pi * s2)
                   + invgamma_logpdf(s2, hp.a0_sigma, hp.a1_sigma))
     return float(total)
@@ -155,7 +162,9 @@ class ConventionalChain(Chain):
     A sweep draws w | rest, then each sigma_i^2 | rest, then each T_i, all
     from the chain's one generator, the T_i by `sampler.lie_mh_step` of
     `conventional_target`, which reads the chain's ts, phis, ys, w, sigma2,
-    prior, locs and landmarks. The records share the symmetric model's
+    prior, locs and landmarks. Of these, phis is a cache of the ts, and so
+    is k_inv of the landmarks; the model's joint, `conventional_log_joint`,
+    reads neither. The records share the symmetric model's
     layout: the template is evaluated on the map lattice and stored as X,
     reverse transforms are identity, beta is 1, alpha and rho are NaN, and
     the header's lambda_r is 0, as the model has no inverse-consistency

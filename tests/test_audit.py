@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from groupreg import audit, baseline, sampler
-from groupreg.audit import (conjugacy_audit, detailed_balance_audit, geometry_audit,
-                            run_all_audits, target_audit)
+from groupreg.audit import (_joint_change, _toy_conventional, _toy_state, conjugacy_audit,
+                            detailed_balance_audit, geometry_audit, run_all_audits, target_audit)
+from groupreg.baseline import conventional_log_joint
+from groupreg.model import gibbs_log_posterior
 from groupreg.spatial import nngp_log_density_from_weights
 
 
@@ -99,6 +101,29 @@ def test_conjugacy_audit_fails_on_a_wrong_baseline_conditional(monkeypatch, name
     assert {r["name"] for r in conjugacy_audit() if not r["passed"]} == {check}
 
 
+def edited(name, edit):
+    """`sampler.<name>` with `edit` applied to the tuple it returns."""
+    conditional = getattr(sampler, name)
+    return lambda *args: edit(*conditional(*args))
+
+
+@pytest.mark.parametrize("name, edit, checks", [
+    ("alpha_conditional", lambda shape, rate: (shape + 1.0, rate), {"conjugacy.alpha"}),
+    ("transformed_template_conditional", lambda mean, var: (mean, 2.0 * var),
+     {"conjugacy.XT_element"}),
+    ("template_conditional", lambda ab, b: (ab, 0.5 * b), {"conjugacy.X_block"}),
+    ("beta_sigma_conditional", lambda shape, rate, mu, lam: (shape, rate, mu + 0.1, lam),
+     {"conjugacy.beta", "conjugacy.sigma2", "conjugacy.sigma2_marginal"}),
+    ("beta_sigma_conditional", lambda shape, rate, mu, lam: (shape + 1.0, rate, mu, lam),
+     {"conjugacy.sigma2", "conjugacy.sigma2_marginal"})],
+    ids=["alpha_shape", "XT_variance", "X_linear_term", "beta_sigma_mean", "beta_sigma_shape"])
+def test_conjugacy_audit_fails_on_a_wrong_symmetric_conditional(monkeypatch, name, edit, checks):
+    """A conditional of the symmetric model off by one term: exactly the
+    checks that read that term fail."""
+    monkeypatch.setattr(audit, name, edited(name, edit))
+    assert {r["name"] for r in conjugacy_audit() if not r["passed"]} == checks
+
+
 def test_detailed_balance_audit_raises_errors_other_than_out_of_library(monkeypatch):
     """Only an out-of-library pair is skipped; a one-off ValueError is not hidden."""
     target = sampler.forward_log_target
@@ -123,3 +148,57 @@ def test_geometry_audit_fails_on_records_left_unstandardized(monkeypatch, name, 
     monkeypatch.setattr(sampler, name, unchanged)
     failed = {r["name"] for r in geometry_audit() if not r["passed"]}
     assert failed == {"geometry.recorded_draws_standardized"}
+
+
+def test_gibbs_log_posterior_reads_no_cache_of_the_state():
+    """`_joint_change` moves one primary field and leaves the caches stale,
+    so the symmetric oracle must not read them."""
+    state, geom, hp = _toy_state()
+    base = gibbs_log_posterior(state, hp, geom)
+    for name in ("dist", "B", "F", "Y_bw"):
+        setattr(state, name, np.full_like(getattr(state, name), np.nan))
+    state.entry, state.nbr = np.zeros_like(state.entry), np.zeros_like(state.nbr)
+    state.factor = state.warps = state.band = None
+    assert gibbs_log_posterior(state, hp, geom) == base
+
+
+def test_conventional_log_joint_reads_no_cache_of_the_chain():
+    """The baseline's oracle ignores the kernel designs and K^-1 the chain
+    keeps, and moves with the transforms they were computed from."""
+    state, _, hp = _toy_state()
+    chain = _toy_conventional(state, hp, np.random.default_rng(0))
+    base = conventional_log_joint(chain)
+    chain.phis, chain.k_inv = np.full_like(chain.phis, np.nan), np.full_like(chain.k_inv, np.nan)
+    assert conventional_log_joint(chain) == base
+    chain.ts = chain.ts.copy()
+    chain.ts[0, 0, -1] += 0.1
+    assert np.isfinite(conventional_log_joint(chain)) and conventional_log_joint(chain) != base
+
+
+@pytest.mark.parametrize("field, value, index", [
+    ("X", np.arange(4.0), None), ("XT", 5.0, (0, 2))], ids=["whole_field", "one_entry"])
+def test_joint_change_leaves_its_object_as_it_found_it(field, value, index):
+    """The moved field is what log_joint sees; afterwards, also when
+    log_joint raises, the field is its own object again, values unchanged."""
+    state, _, _ = _toy_state()
+    old = getattr(state, field)
+    saved = old.copy()
+    expected = saved.copy()
+    expected[index if index is not None else ...] = value
+    seen = []
+
+    def log_joint():
+        seen.append(getattr(state, field).copy())
+        return 3.0
+
+    def broken_log_joint():
+        raise ValueError("test: broken joint")
+
+    assert _joint_change(state, log_joint, 1.0, field, value, index) == 2.0
+    np.testing.assert_array_equal(seen[0], expected)
+    assert getattr(state, field) is old
+    np.testing.assert_array_equal(old, saved)
+    with pytest.raises(ValueError, match="broken joint"):
+        _joint_change(state, broken_log_joint, 1.0, field, value, index)
+    assert getattr(state, field) is old
+    np.testing.assert_array_equal(old, saved)
