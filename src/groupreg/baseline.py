@@ -164,11 +164,12 @@ class ConventionalChain(Chain):
     `conventional_target`, which reads the chain's ts, phis, ys, w, sigma2,
     prior, locs and landmarks. Of these, phis is a cache of the ts, and so
     is k_inv of the landmarks; the model's joint, `conventional_log_joint`,
-    reads neither. The records share the symmetric model's
-    layout: the template is evaluated on the map lattice and stored as X,
-    reverse transforms are identity, beta is 1, alpha and rho are NaN, and
-    the header's lambda_r is 0, as the model has no inverse-consistency
-    penalty.
+    reads neither. The records share the symmetric model's layout: the
+    template is evaluated on the map lattice and stored as X, the forward
+    transforms are the T_i as drawn (not standardized to Karcher mean
+    identity, as the symmetric records are), reverse transforms are
+    identity, beta is 1, alpha and rho are NaN, and the header's lambda_r is
+    0, as the model has no inverse-consistency penalty.
 
     Set-up fits each T_i to the mean map in one pass of the symmetric
     set-up's fit, `sampler.fit_transforms`: the best of the identity and the

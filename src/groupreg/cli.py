@@ -1,27 +1,32 @@
 """Command-line surface.
 
 Subcommands: simulate, fit, fit-baseline, waic-scan, summarize, inverse-warp,
-audit. `fit` runs the chain class that the config's model names
+audit. `_build_parser` declares each one once: its flags, and its handler
+(`set_defaults(handler=...)`), which `main` calls. A flag that overrides a
+config key has the key's name as its dest, and `_load_run_config` copies
+every key that a flag, or a command's default (fit-baseline's model), set
+onto the config, so a new override is one `add_argument`. Only the commands whose outputs a key reaches have its
+flag. `fit` runs the chain class that the config's model names
 (`sampler.Chain` or `baseline.ConventionalChain`); `fit-baseline` is `fit`
 with model=conventional, and `waic-scan` runs one symmetric `Chain` per
-lambda_r value from one initialization. A flag overrides its config key, and
-only the commands whose outputs the key reaches have it. Every
-artifact-producing run writes a manifest.json (resolved config, config hash,
-seed, package version); re-running with the manifest's config reproduces
-the outputs bit-exactly. Outputs are staged in a scratch directory and
-promoted only on success, so failed runs leave no partial artifacts; a chain
-that aborts (`ChainAborted`) writes its state at the failure to --out as
-snapshot.json, and nothing else. After `fit`, `fit-baseline` or `waic-scan`
-ends, by success or abort, --out holds that run's files only: what an
-earlier one of these runs left there (the files its manifest.json lists,
-the manifest, a snapshot.json) is deleted first (`_clear_previous_run`).
-`inverse-warp` refuses maps on another lattice than the store's. Exit
-codes: 0 ok, 2 config error, 3 numerical failure, 4 invariant-audit failure.
+lambda_r value from one initialization. Every artifact-producing run writes
+a manifest.json (resolved config, config hash, seed, package version);
+re-running with the manifest's config reproduces the outputs bit-exactly.
+Outputs are staged in a scratch directory (`_staging`) and promoted only on
+success, so failed runs leave no partial artifacts; a chain that aborts
+(`ChainAborted`) writes its state at the failure to --out as snapshot.json,
+and nothing else. After `fit`, `fit-baseline` or `waic-scan` ends, by
+success or abort, --out holds that run's files only: what an earlier one of
+these runs left there (the files its manifest.json lists, the manifest, a
+snapshot.json) is deleted first (`_clear_previous_run`). `inverse-warp`
+refuses maps on another lattice than the store's. Exit codes: 0 ok, 2
+config error, 3 numerical failure, 4 invariant-audit failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -49,55 +54,45 @@ def _build_parser():
         description="Probabilistic symmetric group-wise registration to a latent GP template")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def command(name, handler, help, store=False, seed=True, out=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if store:
+            p.add_argument("store", help="path to a samples.bin store")
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if needs_out:
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if out:
             p.add_argument("--out", required=True, help="output directory")
+        return p
 
-    p = sub.add_parser("simulate", help="generate a synthetic scenario")
-    common(p)
-
-    p = sub.add_parser("fit", help="fit the model the config names (default symmetric)")
-    common(p)
+    command("simulate", _cmd_simulate, "generate a synthetic scenario")
+    p = command("fit", _cmd_fit, "fit the model the config names (default symmetric)")
     p.add_argument("--lambda-r", type=float, default=None, dest="lambda_r")
-
-    p = sub.add_parser("fit-baseline", help="fit the conventional kernel-template model")
-    common(p)
+    p = command("fit-baseline", _cmd_fit, "fit the conventional kernel-template model")
     p.set_defaults(model="conventional")
-
-    p = sub.add_parser("waic-scan", help="fit per lambda_r grid value, emit a WAIC table")
-    common(p)
+    p = command("waic-scan", _cmd_waic_scan, "fit per lambda_r grid value, emit a WAIC table")
     p.add_argument("--lambda-r-grid", default=None, dest="lambda_r_grid",
                    help="comma-separated lambda_r values")
-
-    p = sub.add_parser("summarize", help="posterior summaries of a sample store")
-    p.add_argument("store", help="path to a samples.bin store")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--level", type=float, default=None, help="credible level")
-
-    p = sub.add_parser("inverse-warp", help="pull subject maps back to template space")
-    p.add_argument("store", help="path to a samples.bin store")
-    common(p)
-
-    p = sub.add_parser("audit", help="run the invariant audit suite")
-    common(p, needs_out=False)
+    p = command("summarize", _cmd_summarize, "posterior summaries of a sample store",
+                store=True, seed=False)
+    p.add_argument("--level", type=float, default=None, dest="credible_level", metavar="LEVEL",
+                   help="credible level")
+    command("inverse-warp", _cmd_inverse_warp, "pull subject maps back to template space",
+            store=True)
+    command("audit", _cmd_audit, "run the invariant audit suite", out=False)
     return parser
 
 
 def _load_run_config(args):
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig()
-    updates = {key: value for key in ("seed", "model", "lambda_r")
-               if (value := getattr(args, key, None)) is not None}
-    grid = getattr(args, "lambda_r_grid", None)
-    if grid:
-        updates["lambda_r_grid"] = parse_lambda_r_grid(grid)
-    if getattr(args, "level", None) is not None:
-        updates["credible_level"] = args.level
+    """The config file's RunConfig (defaults without one), with every key that
+    the command's flags or defaults set: their dests are the keys' names. An
+    empty --lambda-r-grid sets nothing."""
+    cfg = load_config(args.config) if args.config else RunConfig()
+    updates = {f.name: value for f in dataclasses.fields(RunConfig)
+               if (value := getattr(args, f.name, None)) not in (None, "")}
+    if "lambda_r_grid" in updates:
+        updates["lambda_r_grid"] = parse_lambda_r_grid(updates["lambda_r_grid"])
     return dataclasses.replace(cfg, **updates)
 
 
@@ -159,60 +154,46 @@ def _clear_previous_run(out_dir):
         os.remove(snapshot)
 
 
-class _Staging:
+@contextlib.contextmanager
+def _staging(out_dir, command, cfg):
     """Write artifacts to a scratch dir; promote on success, drop on failure.
 
-    `with _Staging(out, command, cfg) as staging:` writes manifest.json, which
-    lists every file staged, and moves the files to `out` when the block
-    exits normally; on any exception the scratch dir is deleted instead.
+    `with _staging(out, command, cfg) as path:` yields `path(name)`, the
+    scratch path of artifact `name`, its directories made. When the block
+    exits normally, manifest.json, which lists every file staged, is written
+    and the files move to `out`; on any exception the scratch dir is deleted
+    instead.
     """
+    parent = os.path.dirname(os.path.abspath(out_dir)) or "."
+    os.makedirs(parent, exist_ok=True)
+    scratch = tempfile.mkdtemp(prefix=".groupreg-staging-", dir=parent)
 
-    def __init__(self, out_dir, command, cfg):
-        self.out_dir = out_dir
-        self.command = command
-        self.cfg = cfg
-        parent = os.path.dirname(os.path.abspath(out_dir)) or "."
-        os.makedirs(parent, exist_ok=True)
-        self.dir = tempfile.mkdtemp(prefix=".groupreg-staging-", dir=parent)
-
-    def path(self, name):
-        full = os.path.join(self.dir, name)
+    def path(name):
+        full = os.path.join(scratch, name)
         os.makedirs(os.path.dirname(full), exist_ok=True)
         return full
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        try:
-            if exc_type is None:
-                self._write_manifest()
-                self._promote()
-        finally:
-            shutil.rmtree(self.dir, ignore_errors=True)
-        return False
-
-    def _write_manifest(self):
+    try:
+        yield path
         artifacts = sorted(
-            os.path.relpath(os.path.join(root, name), self.dir).replace(os.sep, "/")
-            for root, _, names in os.walk(self.dir) for name in names)
-        cfg = self.cfg
-        _json_dump({"command": self.command, "config": cfg.to_dict(),
+            os.path.relpath(os.path.join(root, name), scratch).replace(os.sep, "/")
+            for root, _, names in os.walk(scratch) for name in names)
+        _json_dump({"command": command, "config": cfg.to_dict(),
                     "config_hash": cfg.config_hash(), "seed": cfg.seed,
                     "version": __version__, "artifacts": artifacts},
-                   os.path.join(self.dir, "manifest.json"))
-
-    def _promote(self):
-        os.makedirs(self.out_dir, exist_ok=True)
-        if self.command in CHAIN_COMMANDS:
-            _clear_previous_run(self.out_dir)
-        for name in sorted(os.listdir(self.dir)):
-            dst = os.path.join(self.out_dir, name)
+                   os.path.join(scratch, "manifest.json"))
+        os.makedirs(out_dir, exist_ok=True)
+        if command in CHAIN_COMMANDS:
+            _clear_previous_run(out_dir)
+        for name in sorted(os.listdir(scratch)):
+            dst = os.path.join(out_dir, name)
             if os.path.isdir(dst):
                 shutil.rmtree(dst)
             elif os.path.exists(dst):
                 os.remove(dst)
-            shutil.move(os.path.join(self.dir, name), dst)
+            shutil.move(os.path.join(scratch, name), dst)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _cmd_simulate(args):
@@ -220,10 +201,10 @@ def _cmd_simulate(args):
     if not cfg.scenario:
         raise ValidationError("simulate needs scenario=... in the config")
     maps, truth = _load_maps(cfg)
-    with _Staging(args.out, "simulate", cfg) as staging:
+    with _staging(args.out, "simulate", cfg) as path:
         for i, amap in enumerate(maps):
-            write_map_csv(amap, staging.path(f"map{i:02d}.csv"))
-        write_map_csv(truth.template, staging.path("template.csv"))
+            write_map_csv(amap, path(f"map{i:02d}.csv"))
+        write_map_csv(truth.template, path("template.csv"))
         truth_doc = {
             "scenario": cfg.scenario,
             "noise_sd": truth.noise_sd,
@@ -231,7 +212,7 @@ def _cmd_simulate(args):
             "angles_deg": list(truth.angles_deg),
             "template": "template.csv",
         }
-        _json_dump(truth_doc, staging.path("truth.json"))
+        _json_dump(truth_doc, path("truth.json"))
     print(f"wrote {len(maps)} maps + truth to {args.out}")
     return 0
 
@@ -241,10 +222,10 @@ def _cmd_fit(args):
     maps, _ = _load_maps(cfg)
     chain_class = ConventionalChain if cfg.model == "conventional" else Chain
     store, diagnostics = chain_class(maps, cfg).run()
-    with _Staging(args.out, "fit", cfg) as staging:
-        save_store(store, staging.path("samples.bin"))
-        export_csv(store, staging.path("samples.csv"))
-        _json_dump(diagnostics, staging.path("diagnostics.json"))
+    with _staging(args.out, "fit", cfg) as path:
+        save_store(store, path("samples.bin"))
+        export_csv(store, path("samples.csv"))
+        _json_dump(diagnostics, path("diagnostics.json"))
     print(f"model={cfg.model} samples={store.n_samples} "
           f"waic={diagnostics.get('waic', float('nan')):.4f} "
           f"ic_error={diagnostics.get('mean_ic_error', float('nan')):.5f} -> {args.out}")
@@ -267,17 +248,17 @@ def _cmd_waic_scan(args):
     # Initialization does not read lambda_r, so it runs once; each chain gets
     # its own copy because a chain mutates its state.
     initial = initialize(maps, cfg)
-    with _Staging(args.out, "waic-scan", cfg) as staging:
+    with _staging(args.out, "waic-scan", cfg) as path:
         rows = []
         for lam, tag in zip(grid, tags):
             sub_cfg = dataclasses.replace(cfg, lambda_r=lam)
             store, diag = Chain(maps, sub_cfg, initial_state=copy.deepcopy(initial)).run()
-            save_store(store, staging.path(os.path.join(tag, "samples.bin")))
-            _json_dump(diag, staging.path(os.path.join(tag, "diagnostics.json")))
+            save_store(store, path(os.path.join(tag, "samples.bin")))
+            _json_dump(diag, path(os.path.join(tag, "diagnostics.json")))
             rows.append((lam, diag["waic"], diag["mean_ic_error"]))
             print(f"lambda_r={lam:g}: waic={diag['waic']:.4f} "
                   f"ic_error={diag['mean_ic_error']:.5f}")
-        with open(staging.path("waic_table.csv"), "w", encoding="utf-8") as fh:
+        with open(path("waic_table.csv"), "w", encoding="utf-8") as fh:
             fh.write("lambda_r,waic,mean_ic_error\n")
             for lam, w, ic in rows:
                 fh.write(f"{lam!r},{w!r},{ic!r}\n")
@@ -297,17 +278,11 @@ def _cmd_summarize(args):
     store = load_store(args.store)
     summary = summarize(store, level=cfg.credible_level)
     lattice = _store_lattice(store)
-    with _Staging(args.out, "summarize", cfg) as staging:
-        grids = {
-            "template_mean.csv": summary.mean,
-            "template_sd.csv": summary.sd,
-            "template_ratio.csv": summary.ratio,
-            "template_lower.csv": summary.lower,
-            "template_upper.csv": summary.upper,
-        }
-        for name, vals in grids.items():
-            write_map_csv(ActivationMap(lattice, vals), staging.path(name))
-        with open(staging.path("transforms_mean.csv"), "w", encoding="utf-8") as fh:
+    with _staging(args.out, "summarize", cfg) as path:
+        for name in ("mean", "sd", "ratio", "lower", "upper"):
+            write_map_csv(ActivationMap(lattice, getattr(summary, name)),
+                          path(f"template_{name}.csv"))
+        with open(path("transforms_mean.csv"), "w", encoding="utf-8") as fh:
             fh.write("subject,direction,entries\n")
             for direction, ts in (("forward", summary.mean_forward),
                                   ("reverse", summary.mean_reverse)):
@@ -329,10 +304,10 @@ def _cmd_inverse_warp(args):
         raise ValidationError(
             f"store has {len(summary.mean_forward)} subjects, config supplies {len(maps)} maps")
     warped, mean_map = inverse_warp(maps, summary.mean_forward)
-    with _Staging(args.out, "inverse-warp", cfg) as staging:
+    with _staging(args.out, "inverse-warp", cfg) as path:
         for i, amap in enumerate(warped):
-            write_map_csv(amap, staging.path(f"warped{i:02d}.csv"))
-        write_map_csv(mean_map, staging.path("warped_mean.csv"))
+            write_map_csv(amap, path(f"warped{i:02d}.csv"))
+        write_map_csv(mean_map, path("warped_mean.csv"))
     print(f"inverse-warped {len(warped)} maps -> {args.out}")
     return 0
 
@@ -353,17 +328,8 @@ def _cmd_audit(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "fit": _cmd_fit,
-        "fit-baseline": _cmd_fit,
-        "waic-scan": _cmd_waic_scan,
-        "summarize": _cmd_summarize,
-        "inverse-warp": _cmd_inverse_warp,
-        "audit": _cmd_audit,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ChainAborted as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         if getattr(args, "out", None):

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, ValidationError
-from .interp import MIN_AXIS_SITES
 
 MATCH_RTOL = 1e-5   # `Lattice.matches`: equal spacings and origins, relative to the spacing
+MIN_AXIS_SITES = 4  # interp's cubic stencil width: fewer sites on an axis cannot be interpolated
 
 
 def _as_vector(x, dim):

@@ -62,6 +62,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import spatial
+from .grids import MIN_AXIS_SITES
+
 # Catmull-Rom basis: the weights of p_{-1}, p_0, p_1, p_2 at fractional
 # offset t from p_0 are [1, t, t^2, t^3] @ _M_CR.
 _M_CR = 0.5 * np.array([[0.0, 2.0, 0.0, 0.0],
@@ -72,7 +75,6 @@ _M_CR = 0.5 * np.array([[0.0, 2.0, 0.0, 0.0],
 # A stencil based at n + 1 spans sites n .. n + 3, so 4 zero sites per side
 # hold every stencil the clip allows.
 _PAD = 4
-MIN_AXIS_SITES = 4      # the stencil's width: fewer sites on an axis cannot be interpolated
 
 
 def _padded(grids):
@@ -200,9 +202,6 @@ class Warp(_Stencil):
     """
 
     def __init__(self, maps, sites):
-        # Imported here: spatial imports grids, which imports this module.
-        from .spatial import _BLOCK_BYTES
-
         maps = list(maps) if isinstance(maps, (list, tuple)) else [maps]
         super().__init__(maps)
         lattice = maps[0].lattice
@@ -216,7 +215,7 @@ class Warp(_Stencil):
         self._origin = lattice.origin[:, None]
         self._spacing = lattice.spacing[:, None]
         # Matrices per kernel pass: a pass holds (4^d, chunk q) stencil values.
-        self.chunk = max(1, _BLOCK_BYTES // (8 * 4 ** self.dim * sites.shape[0]))
+        self.chunk = max(1, spatial._BLOCK_BYTES // (8 * 4 ** self.dim * sites.shape[0]))
 
     def _pass_coords(self, tops):
         """Index coordinates of one kernel pass, (d, n q), for an (n, d, d + 1)

@@ -344,19 +344,19 @@ def transform_terms(prior, h, other):
 
 def refresh_caches(state, geom):
     """Factor the pattern table at state.rho; set the state's NNGP caches,
-    the table for the template and every subject's current transform, and
-    one `Warp` of all subject maps at the template sites, for the reverse
-    step. Raises OutOfLibraryBounds when a T_i leaves the library."""
+    the table for the template and every subject's current transform (its
+    (B, F) from `rho_weights`, the one path that fills them), and one `Warp`
+    of all subject maps at the template sites, for the reverse step. Raises
+    OutOfLibraryBounds when a T_i leaves the library."""
     state.warps = Warp(state.maps, geom.locations)
     state.factor = kriging_factor(geom.library, state.rho)
-    inside, (state.dist, state.entry, nbr, b, f) = subject_geometry(state.T, geom, state.factor,
+    inside, (state.dist, state.entry, nbr, _, _) = subject_geometry(state.T, geom, state.factor,
                                                                     state.alpha)
     if not inside.all():
         raise OutOfLibraryBounds(f"transforms {np.flatnonzero(~inside).tolist()} move a "
                                  "template site outside the neighbor library")
-    tb, tf = template_weights(geom, state.factor, state.alpha)
     state.nbr = np.concatenate([geom.predecessors.nbr[None], nbr])
-    state.B, state.F = np.concatenate([tb[None], b]), np.concatenate([tf[None], f])
+    state.B, state.F = rho_weights(state, geom, state.factor)
     state.band = TemplateBand(geom, len(state.T))
 
 
@@ -556,23 +556,16 @@ def update_alpha(state, hp, rng):
     return means
 
 
-def template_weights(geom, factor, alpha):
-    """(B, F) of the NNGP table's family 0, the template's rows, (V, k) and
-    (V,): weighed once per predecessor pattern and gathered by site."""
-    pre = geom.predecessors
-    b, f = library_weights(pre.target_dist, pre.rows, geom.library, factor, alpha)
-    return np.take(b, pre.ids, axis=0), np.take(f, pre.ids)
-
-
 def rho_weights(state, geom, factor):
     """(B, F) of the NNGP table at the rho of `factor` and the state's alpha,
-    (N + 1, V, k) and (N + 1, V): the template's rows (`template_weights`)
-    and the subjects' from the cached neighbor distances, one
-    `library_weights` path for both."""
-    library = geom.library
+    (N + 1, V, k) and (N + 1, V): the template's rows, weighed once per
+    predecessor pattern and gathered by site, and the subjects' from the
+    cached neighbor distances, one `library_weights` path for both."""
+    library, pre = geom.library, geom.predecessors
     n, v, k = state.dist.shape
     b, f = np.empty((n + 1, v, k)), np.empty((n + 1, v))
-    b[0], f[0] = template_weights(geom, factor, state.alpha)
+    tb, tf = library_weights(pre.target_dist, pre.rows, library, factor, state.alpha)
+    b[0], f[0] = np.take(tb, pre.ids, axis=0), np.take(tf, pre.ids)
     library_weights(state.dist.reshape(-1, k), np.take(library.pattern_ids, state.entry.ravel()),
                     library, factor, state.alpha, out=(b[1:].reshape(-1, k), f[1:].reshape(-1)))
     return b, f
@@ -1241,8 +1234,11 @@ class PosteriorSummary:
 def summarize(store, level=0.95):
     """Location-wise mean/sd/ratio and equal-tailed credible intervals.
 
-    The store's draws are standardized as `Chain.record` writes them, so
-    these summarize the identified template and transforms. The ratio is
+    A symmetric store's draws are standardized as `Chain.record` writes
+    them (forward transforms at Karcher mean identity, betas at mean 1), so
+    these summarize the identified template and transforms. A conventional
+    store holds its T_i as drawn (`ConventionalChain.record`), and its mean
+    forward transforms are those of the raw draws. The ratio is
     reported as 0 where sd < 1e-12. Posterior-mean transforms are Karcher
     means of the sampled transforms, per subject and direction.
     """

@@ -10,6 +10,7 @@ import pytest
 import groupreg
 from groupreg import cli, sampler
 from groupreg.cli import main
+from groupreg.config import parse_config
 from groupreg.errors import NonPositiveScale
 from groupreg.grids import ActivationMap, Lattice, write_map_csv
 from groupreg.model import M_MAX
@@ -262,6 +263,32 @@ def test_simulate_fit_summarize_and_inverse_warp_write_their_manifests(tmp_path)
         assert manifest["command"] == argv[0]
         assert sorted(p.name for p in out.iterdir()) == sorted(
             manifest["artifacts"] + ["manifest.json"])
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["fit", "--lambda-r", "3"], "lambda_r", 3.0),
+    (["fit", "--seed", "9"], "seed", 9),
+    (["fit-baseline"], "model", "conventional"),
+    (["waic-scan", "--lambda-r-grid", "1,4"], "lambda_r_grid", [1.0, 4.0]),
+    (["summarize", "STORE", "--level", "0.8"], "credible_level", 0.8),
+    (["inverse-warp", "STORE", "--seed", "9"], "seed", 9),
+    (["simulate", "--seed", "9"], "seed", 9)],
+    ids=["fit-lambda-r", "fit-seed", "fit-baseline-model", "waic-scan-lambda-r-grid",
+         "summarize-level", "inverse-warp-seed", "simulate-seed"])
+def test_each_override_reaches_its_config_key_in_the_manifest(tmp_path, argv, key, value):
+    """The manifest's config holds the flag's value (fit-baseline's model is
+    its command's), not the config file's."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    assert parse_config(CONFIG).to_dict()[key] != value
+    store = tmp_path / "fit" / "samples.bin"
+    if "STORE" in argv:
+        assert main(["fit", "--config", str(cfg), "--out", str(store.parent)]) == 0
+    argv = [str(store) if arg == "STORE" else arg for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"][key] == value
 
 
 def test_inverse_warp_of_maps_on_another_lattice_exits_2(tmp_path, capsys):
