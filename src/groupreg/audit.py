@@ -69,7 +69,7 @@ def _toy_state(seed=0, n_subjects=2):
         sigma2s.append(rng.uniform(0.4, 0.9))
         xts.append(rng.normal(size=4))
     ts_r = np.array(ts_r)
-    y_bw = Warp(maps, geom.locations)(ts_r)
+    y_bw = Warp(maps)(ts_r)
     state = ChainState(X=x, maps=maps, T=np.array(ts), T_r=ts_r,
                        Y=np.stack([m.values for m in maps]),
                        XT=np.stack(xts), Y_bw=y_bw, beta=np.array(betas),

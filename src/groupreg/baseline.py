@@ -173,10 +173,11 @@ class ConventionalChain(Chain):
 
     Set-up fits each T_i to the mean map in one pass of the symmetric
     set-up's fit, `sampler.fit_transforms`: the best of the identity and the
-    coarse grid, refined by Levenberg-Marquardt. One `Warp` of the mean map
-    serves every subject, so each grid candidate is sampled once for all of
-    them, and so is each round of their lock-step LM fits. Then w starts at
-    its conditional mean with every sigma_i^2 at 1.
+    coarse grid, refined by Levenberg-Marquardt. One `Warp` of the mean map,
+    which samples it at T(S) for S the lattice sites, serves every subject,
+    so each grid candidate is sampled once for all of them, and so is each
+    round of their lock-step LM fits. Then w starts at its conditional mean
+    with every sigma_i^2 at 1.
     """
 
     def __init__(self, maps, config):
@@ -192,7 +193,7 @@ class ConventionalChain(Chain):
         self.proposals = {"forward": AdaptiveProposal(n, d * (d + 1))}
 
         # Initialization: coarse-fit transforms against the mean map, ridge w.
-        warp = Warp(ActivationMap(lattice, np.mean(self.ys, axis=0)), self.locs)
+        warp = Warp(ActivationMap(lattice, np.mean(self.ys, axis=0)))
         self.ts = fit_transforms(warp, self.ys, np.ones(n), np.array([np.eye(d + 1)] * n),
                                  coarse_grid(lattice))
         self.phis = kernel_designs(self.ts, self.locs, self.landmarks)
@@ -231,11 +232,11 @@ def inverse_warp(maps, transforms):
 
     Given the model convention Y_i ~ X(T_i(.)), the template-space version of
     Y_i is Y_i(T_i^{-1}(.)); each output map is Y_i resampled at the
-    inverse-transformed sites, every map by one call of one `Warp` of them
-    all. Returns (warped maps, across-subject mean map).
+    inverse-transformed sites T_i^{-1}(S), every map by one call of
+    `Warp(maps)`. Returns (warped maps, across-subject mean map).
     """
-    lattice = common_lattice(maps)
-    values = Warp(maps, lattice.locations())(np.array([affine_inverse(t) for t in transforms]))
+    common_lattice(maps)   # raises DegenerateInput for maps that cannot be warped together
+    values = Warp(maps)(np.array([affine_inverse(t) for t in transforms]))
     warped = [amap.with_values(v) for amap, v in zip(maps, values)]
     mean = warped[0].with_values(np.mean([m.values for m in warped], axis=0))
     return warped, mean

@@ -10,7 +10,7 @@ flag. `fit` runs the chain class that the config's model names
 (`sampler.Chain` or `baseline.ConventionalChain`); `fit-baseline` is `fit`
 with model=conventional, and `waic-scan` runs one symmetric `Chain` per
 lambda_r value from one initialization. Every artifact-producing run writes
-a manifest.json (resolved config, config hash, seed, package version);
+a manifest.json (the command, resolved config, config hash, seed, package version);
 re-running with the manifest's config reproduces the outputs bit-exactly.
 Outputs are staged in a scratch directory (`_staging`) and promoted only on
 success, so failed runs leave no partial artifacts; a chain that aborts
@@ -222,7 +222,7 @@ def _cmd_fit(args):
     maps, _ = _load_maps(cfg)
     chain_class = ConventionalChain if cfg.model == "conventional" else Chain
     store, diagnostics = chain_class(maps, cfg).run()
-    with _staging(args.out, "fit", cfg) as path:
+    with _staging(args.out, args.command, cfg) as path:
         save_store(store, path("samples.bin"))
         export_csv(store, path("samples.csv"))
         _json_dump(diagnostics, path("diagnostics.json"))

@@ -226,7 +226,7 @@ def gibbs_log_posterior(state, hp, geom):
     b, f = batched_nngp_weights(locs, nbr, geom.locations, cov)
     total += nngp_log_density_from_weights(state.XT.ravel(), conditional_means(x, nbr, b), f)
 
-    y_bw = Warp(state.maps, geom.locations)(h_r)
+    y_bw = Warp(state.maps)(h_r)
     beta, sigma2 = state.beta, state.sigma2
     ssd = (np.sum((state.Y - beta[:, None] * state.XT) ** 2, axis=1)
            + np.sum((y_bw - beta[:, None] * x) ** 2, axis=1))

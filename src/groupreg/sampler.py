@@ -258,9 +258,10 @@ class ChainState:
     NNGP table holds every row of the model's NNGP terms, neighbor sets nbr
     and weights B (N + 1, V, k), variances F (N + 1, V): family 0 is the
     template's rows (the padded predecessor slots at the site itself, with
-    B = 0), family i + 1 subject i's. `warps` samples every maps[i] at
-    T(S), one `Warp` of all of them, for the reverse step, and `band`
-    assembles the X step's precision."""
+    B = 0), family i + 1 subject i's. `warps`, `Warp(maps)`, samples every
+    maps[i] at T(S), S the template sites, which are the maps' own lattice
+    sites, for the reverse step, and `band` assembles the X step's
+    precision."""
 
     X: np.ndarray
     maps: list
@@ -345,10 +346,11 @@ def transform_terms(prior, h, other):
 def refresh_caches(state, geom):
     """Factor the pattern table at state.rho; set the state's NNGP caches,
     the table for the template and every subject's current transform (its
-    (B, F) from `rho_weights`, the one path that fills them), and one `Warp`
-    of all subject maps at the template sites, for the reverse step. Raises
+    (B, F) from `rho_weights`, the one path that fills them), and
+    `Warp(state.maps)`, which samples every subject map at T(S) for the
+    reverse step. Raises
     OutOfLibraryBounds when a T_i leaves the library."""
-    state.warps = Warp(state.maps, geom.locations)
+    state.warps = Warp(state.maps)
     state.factor = kriging_factor(geom.library, state.rho)
     inside, (state.dist, state.entry, nbr, _, _) = subject_geometry(state.T, geom, state.factor,
                                                                     state.alpha)
@@ -976,21 +978,21 @@ def initialize(maps, config):
     Needs only the maps' lattice: the neighbor library is sized afterwards
     from the transforms found here (`library_margin`).
 
-    Every warp goes through a prebuilt `Warp`: one of all subject maps for
-    the back-warps, built once, which samples every subject's map at its
-    transform in one call, and one of each pass's template, which every
-    subject's candidates, LM points and scale regression share. So the
-    first pass samples each coarse-grid candidate once, not once per
-    subject, and each round of the subjects' lock-step LM fits samples all
-    their points in one call (`fit_affine`).
+    Every warp goes through a prebuilt `Warp`, which samples at T(S) for S
+    the maps' lattice sites: `Warp(maps)` for the back-warps, built once,
+    which samples every subject's map at its transform in one call, and a
+    `Warp` of each pass's template, which every subject's candidates, LM
+    points and scale regression share. So the first pass samples each
+    coarse-grid candidate once, not once per subject, and each round of the
+    subjects' lock-step LM fits samples all their points in one call
+    (`fit_affine`).
     """
     lattice = common_lattice(maps)
     for amap in maps:
         if np.ptp(amap.values) == 0.0:
             raise DegenerateInput("constant map: scale regression undefined")
 
-    pts = lattice.locations()
-    back = Warp(maps, pts)
+    back = Warp(maps)
     y = np.stack([amap.values for amap in maps])
     x = np.mean(y, axis=0)
     n = len(maps)
@@ -999,7 +1001,7 @@ def initialize(maps, config):
 
     grid = coarse_grid(lattice)
     for passes in range(1, config.init_iters + 1):
-        warp = Warp(ActivationMap(lattice, x), pts)
+        warp = Warp(ActivationMap(lattice, x))
         ts = fit_transforms(warp, y, betas, ts, grid if passes == 1 else ())
         betas = np.array([fit_scale(yi, xt) for yi, xt in zip(y, warp(ts))])
         ts, _ = standardize(ts)
@@ -1012,7 +1014,7 @@ def initialize(maps, config):
             break
 
     ts_r = np.array([affine_inverse(t) for t in ts])
-    xt = Warp(ActivationMap(lattice, x), pts)(ts)
+    xt = Warp(ActivationMap(lattice, x))(ts)
     y_bw = back(ts_r)
     sigma2 = np.maximum(np.mean((y - betas[:, None] * xt) ** 2, axis=1), 1e-12)
     alpha = max(float(np.var(x)), 1e-12)

@@ -5,11 +5,13 @@ Three scenarios: a 1D indicator template on [-5, 5] (grid 0.05, noise sd
 built-in "7"-like glyph on a 28x28 lattice rotated per subject. Curves are
 generated by evaluating the template at affinely transformed arguments,
 Y_i(s) = X(T_i(s)) + noise; the glyph is rotated about the image center by
-cubic interpolation.
+cubic interpolation, subject i by the i-th angle of the cycle -15, 0, 15
+degrees.
 
-True transforms are drawn seeded (shifts uniform within 10% of the domain,
-scales in [0.9, 1.1]) and standardized to Karcher mean identity so the
-generating template lives in the midpoint space the model estimates.
+The curves' true transforms are drawn seeded (shifts uniform within 10% of
+the domain, scales in [0.9, 1.1]) and, for more than one subject,
+standardized to Karcher mean identity so the generating template lives in
+the midpoint space the model estimates.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ class ScenarioSpec:
     n_subjects: int = 3
     noise_sd: float = -1.0          # < 0: scenario default
     seed: int = 0
-    glyph_angles_deg: tuple = ()    # empty: default (-15, 0, +15, ...) cycle
-    curve_params: tuple = ()        # explicit 1D (scale, shift) truths; empty: draw seeded
 
     def __post_init__(self):
         if self.scenario not in SCENARIO_DEFAULT_NOISE:
@@ -87,13 +87,7 @@ def _curves(template_fn, lattice, spec):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed,
                                                        spawn_key=(7,)))
     locs = lattice.locations()
-    if spec.curve_params:
-        if len(spec.curve_params) != spec.n_subjects:
-            raise ValidationError("curve_params must cover n_subjects")
-        transforms = [AffineTransform.from_parts(np.array([[sc]]), np.array([-sh]))
-                      for sc, sh in spec.curve_params]
-    else:
-        transforms = draw_true_transforms_1d(lattice, spec.n_subjects, rng)
+    transforms = draw_true_transforms_1d(lattice, spec.n_subjects, rng)
     sd = spec.effective_noise_sd
     maps = []
     for t in transforms:
@@ -143,7 +137,7 @@ def rotation_about_center(lattice, angle_rad):
 def rotate_glyph(amap, angle_deg):
     """Rotate an image counterclockwise (in index coordinates) about its center."""
     t = rotation_about_center(amap.lattice, -np.deg2rad(angle_deg))
-    return amap.with_values(Warp(amap, amap.lattice.locations())(t.matrix))
+    return amap.with_values(Warp(amap)(t.matrix))
 
 
 def gen_rotated_glyphs(spec):
@@ -152,13 +146,7 @@ def gen_rotated_glyphs(spec):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed,
                                                        spawn_key=(11,)))
     glyph = base_glyph()
-    if spec.glyph_angles_deg:
-        angles = tuple(spec.glyph_angles_deg)[:spec.n_subjects]
-        if len(angles) < spec.n_subjects:
-            raise ValidationError("glyph_angles_deg must cover n_subjects")
-    else:
-        cycle = (-15.0, 0.0, 15.0)
-        angles = tuple(cycle[i % 3] for i in range(spec.n_subjects))
+    angles = tuple((-15.0, 0.0, 15.0)[i % 3] for i in range(spec.n_subjects))
     sd = spec.effective_noise_sd
     maps = []
     transforms = []

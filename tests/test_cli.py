@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import groupreg
-from groupreg import cli, sampler
+from groupreg import baseline, cli, sampler
 from groupreg.cli import main
 from groupreg.config import parse_config
 from groupreg.errors import NonPositiveScale
@@ -148,17 +148,22 @@ def test_fit_failing_while_recording_exits_3_and_writes_only_the_snapshot(
     assert all(beta < 0 for beta in snapshot["beta"])
 
 
-def _fail_alpha_from_sweep_1(monkeypatch):
-    update_alpha = sampler.update_alpha
+def _fail_from_sweep_1(monkeypatch, module, name):
+    """Make `module.name`, which a chain calls once per sweep, fail from sweep 1."""
+    step = getattr(module, name)
     calls = []
 
     def failing(*args):
         calls.append(args)
         if len(calls) > 1:
             raise NonPositiveScale("test: forced failure in a sweep")
-        return update_alpha(*args)
+        return step(*args)
 
-    monkeypatch.setattr(sampler, "update_alpha", failing)
+    monkeypatch.setattr(module, name, failing)
+
+
+def _fail_alpha_from_sweep_1(monkeypatch):
+    _fail_from_sweep_1(monkeypatch, sampler, "update_alpha")
 
 
 @pytest.mark.parametrize("command", ["fit", "waic-scan"])
@@ -177,7 +182,7 @@ def test_symmetric_sweep_failure_exits_3_and_writes_only_the_snapshot(
     assert len(snapshot["transforms"]) == len(snapshot["reverse_transforms"]) == 3
 
 
-@pytest.mark.parametrize("command", ["fit", "waic-scan"])
+@pytest.mark.parametrize("command", ["fit", "fit-baseline", "waic-scan"])
 def test_out_holds_one_runs_files_after_abort_and_after_success(tmp_path, monkeypatch,
                                                                 command):
     """Success, abort, success into one --out: an abort deletes the files the
@@ -200,7 +205,10 @@ def test_out_holds_one_runs_files_after_abort_and_after_success(tmp_path, monkey
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     success = run_files()
     assert files() == success
-    _fail_alpha_from_sweep_1(monkeypatch)
+    if command == "fit-baseline":
+        _fail_from_sweep_1(monkeypatch, baseline, "conventional_sigma2_conditional")
+    else:
+        _fail_alpha_from_sweep_1(monkeypatch)
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "snapshot.json"]
     monkeypatch.undo()
@@ -240,6 +248,7 @@ def test_fit_baseline_writes_its_artifacts_reproducibly(tmp_path):
     assert sorted(p.name for p in runs[0].iterdir()) == [
         "diagnostics.json", "manifest.json", "samples.bin", "samples.csv"]
     manifest = json.loads((runs[0] / "manifest.json").read_text())
+    assert manifest["command"] == "fit-baseline"
     assert manifest["config"]["model"] == "conventional"
     assert manifest["artifacts"] == ["diagnostics.json", "samples.bin", "samples.csv"]
     assert (runs[0] / "samples.bin").read_bytes() == (runs[1] / "samples.bin").read_bytes()

@@ -92,7 +92,7 @@ def test_lattices_of_tiny_spacing_match_only_their_own_copies():
     with pytest.raises(DegenerateInput, match="share one lattice"):
         common_lattice(pair)
     with pytest.raises(ValueError, match="share one lattice"):
-        Warp(pair, pair[0].lattice.locations())
+        Warp(pair)
     for lattice in LATTICES.values():
         for scale in (1.0, 1e-9):
             a = Lattice(lattice.shape, scale * lattice.spacing, scale * lattice.origin)

@@ -470,7 +470,7 @@ def test_a_sweep_builds_no_random_generator(monkeypatch):
 
 def fit_from_grid(y_map, x_map, beta, start, grid=()):
     """One subject's set-up fit: the best of `start` and `grid`, refined."""
-    warp = Warp(x_map, y_map.lattice.locations())
+    warp = Warp(x_map)
     y, betas = y_map.values[None], np.array([beta])
     return fit_affine(warp, y, betas, *best_candidates(warp, y, betas, start[None], grid))[0]
 
@@ -506,7 +506,7 @@ def test_fit_affine_falls_back_to_the_best_candidate(monkeypatch, x, fun):
     fallback is per subject, so the other subject's fit is its own."""
     glyph = base_glyph()
     start = rotation_about_center(glyph.lattice, np.deg2rad(5.0)).matrix
-    warp = Warp(glyph, glyph.lattice.locations())
+    warp = Warp(glyph)
     y = np.stack([glyph.values, 1.2 * glyph.values])
     beta = np.array([1.0, 1.0])
     starts = np.array([start, start])
@@ -580,7 +580,7 @@ def test_set_up_samples_once_per_lm_round(monkeypatch, scenario):
     assert len(sent) == sum(sum(counts) for *_, counts in fits)
     for call, i, q, (r, jac) in sent:
         warp, y, beta, _ = fits[call]
-        vals, want_jac = warp.value_and_jacobian(q.reshape(d, d + 1))
+        (vals,), (want_jac,) = warp.value_and_jacobian(q.reshape(1, d, d + 1))
         assert np.array_equal(r, beta[i] * vals - y[i])
         assert np.array_equal(jac, beta[i] * want_jac)
         assert jac.strides == want_jac.strides
@@ -591,7 +591,7 @@ def test_best_candidates_is_the_first_smallest_objective():
     sums, in the order [start, *grid], and ties go to the earlier candidate."""
     maps = small_glyph()
     lattice = maps[0].lattice
-    warp = Warp(maps[1], lattice.locations())
+    warp = Warp(maps[1])
     y = np.stack([m.values for m in maps])
     beta = np.array([0.8, 1.0, 1.3])
     grid = coarse_grid(lattice)
@@ -635,14 +635,14 @@ def test_levenberg_marquardt_matches_minpack(dim, start):
     it takes at most 5 points more than lmder evaluates. Its points are the
     scalar loop's, bit for bit."""
     y, x, beta = noisy_fit_problem(dim)
-    warp = Warp(x, y.lattice.locations())
+    warp = Warp(x)
     t0 = np.eye(dim + 1)
     if start == "best-of-grid":
         grid = coarse_grid(y.lattice)
         t0 = grid[int(np.argmin([np.sum((y.values - beta * warp(t)) ** 2) for t in grid]))]
 
     def point(p):
-        vals, jac = warp.value_and_jacobian(p.reshape(dim, dim + 1))
+        (vals,), (jac,) = warp.value_and_jacobian(p.reshape(1, dim, dim + 1))
         return beta * vals - y.values, beta * jac
 
     points, scalar_points = [], []
@@ -815,7 +815,7 @@ def scalar_levenberg_marquardt(point, p):
 def per_subject_fit_affine(y_map, x_map, beta, start, grid=()):
     """The set-up's transform fit with a `Warp` and a grid search per subject:
     the oracle of `best_candidates` followed by `fit_affine`, with the scalar LM."""
-    warp = Warp(x_map, y_map.lattice.locations())
+    warp = Warp(x_map)
     y = y_map.values
 
     def objective(h):
@@ -829,7 +829,7 @@ def per_subject_fit_affine(y_map, x_map, beta, start, grid=()):
     d = len(best) - 1
 
     def point(p):
-        xt, jac = warp.value_and_jacobian(p.reshape(d, d + 1))
+        (xt,), (jac,) = warp.value_and_jacobian(p.reshape(1, d, d + 1))
         return beta * xt - y, beta * jac
 
     p, f = scalar_levenberg_marquardt(point, best[:d].ravel())
@@ -847,8 +847,7 @@ def per_subject_initialize(maps, config):
     """`initialize` with every subject's transform fit on its own
     (`per_subject_fit_affine`), and one `Warp` per call: its oracle."""
     lattice = maps[0].lattice
-    pts = lattice.locations()
-    back = [Warp(amap, pts) for amap in maps]
+    back = [Warp(amap) for amap in maps]
     x = np.mean([amap.values for amap in maps], axis=0)
     n = len(maps)
     ts = np.array([np.eye(lattice.dim + 1)] * n)
@@ -858,7 +857,7 @@ def per_subject_initialize(maps, config):
         x_map = ActivationMap(lattice, x)
         ts = np.array([per_subject_fit_affine(maps[i], x_map, betas[i], ts[i],
                                               grid if it == 0 else ()) for i in range(n)])
-        warp = Warp(x_map, pts)
+        warp = Warp(x_map)
         for i in range(n):
             betas[i] = fit_scale(maps[i].values, warp(ts[i]))
         ts, _ = standardize(ts)
@@ -872,7 +871,7 @@ def per_subject_initialize(maps, config):
     x_map = ActivationMap(lattice, x)
     ts_r = np.array([affine_inverse(t) for t in ts])
     y = np.stack([amap.values for amap in maps])
-    warp = Warp(x_map, pts)
+    warp = Warp(x_map)
     xt = np.stack([warp(t) for t in ts])
     y_bw = np.stack([w(t_r) for w, t_r in zip(back, ts_r)])
     sigma2 = np.maximum(np.mean((y - betas[:, None] * xt) ** 2, axis=1), 1e-12)
@@ -952,7 +951,7 @@ def test_glyph_grid_search_holds_no_stack_of_warped_templates():
     maps, _ = generate(ScenarioSpec("glyph", n_subjects=3, seed=7))
     lattice = maps[0].lattice
     y = np.stack([m.values for m in maps])
-    warp = Warp(ActivationMap(lattice, np.mean(y, axis=0)), lattice.locations())
+    warp = Warp(ActivationMap(lattice, np.mean(y, axis=0)))
     grid = coarse_grid(lattice)
     starts = np.array([np.eye(3)] * 3)
     tracemalloc.start()
@@ -995,10 +994,11 @@ class _TwoCallWarp:
 
     chunk = 5       # matrices per call of the candidate search; any size gives the same bits
 
-    def __init__(self, maps, sites):
+    def __init__(self, maps):
         self.amap = maps if isinstance(maps, ActivationMap) else None
-        self.maps, self.sites = maps, sites
-        self.dim = sites.shape[1]
+        self.maps = maps
+        self.sites = (maps if self.amap is not None else maps[0]).lattice.locations()
+        self.dim = self.sites.shape[1]
 
     def __call__(self, t):
         if self.amap is None:
@@ -1015,7 +1015,7 @@ class _TwoCallWarp:
         for top in tops:
             h = np.eye(top.shape[0] + 1)
             h[:-1] = top
-            _, jac = Warp(self.amap, self.sites).value_and_jacobian(top)
+            _, (jac,) = Warp(self.amap).value_and_jacobian(top[None])
             vals.append(interpolate(self.amap, apply_stack(h[None], self.sites)[0]))
             jacs.append(jac.T)
         return np.array(vals), np.array(jacs).swapaxes(1, 2)
@@ -1453,7 +1453,7 @@ def loop_forward_transform(i, state, geom, hp, adapt, delta, accept_draw):
 
 def loop_reverse_transform(i, state, geom, hp, adapt, delta, accept_draw):
     h, beta, sigma2 = state.T[i:i + 1], state.beta[i:i + 1], state.sigma2[i:i + 1]
-    warp = Warp(state.maps[i], geom.locations)
+    warp = Warp(state.maps[i])
 
     def target(t_r):
         y_bw = warp(t_r)[None]

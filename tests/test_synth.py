@@ -4,7 +4,8 @@ import pytest
 from groupreg.errors import ValidationError
 from groupreg.synth import (ScenarioSpec, base_glyph, cosine_template,
                             gen_cosine_curves, gen_indicator_curves,
-                            gen_rotated_glyphs, generate, rotate_glyph)
+                            gen_rotated_glyphs, generate, indicator_template,
+                            rotate_glyph)
 from groupreg.transforms import affine_apply, karcher_mean, lie_log
 
 
@@ -17,20 +18,27 @@ class TestIndicator:
         lower, upper = lat.bounds()
         assert lower[0] == pytest.approx(-5.0) and upper[0] == pytest.approx(5.0)
 
-    def test_noise_free_identity_exact(self):
-        spec = ScenarioSpec("indicator", n_subjects=1, noise_sd=0.0,
-                            curve_params=((1.0, 0.0),))
-        maps, truth = gen_indicator_curves(spec)
-        assert np.array_equal(maps[0].values, truth.template.values)
+    def test_noise_free_maps_are_the_template_at_the_true_transforms(self):
+        """Y_i(s) = X(T_i(s)) exactly, with X the indicator of [-1, 1]."""
+        maps, truth = gen_indicator_curves(ScenarioSpec("indicator", noise_sd=0.0, seed=3))
+        locs = maps[0].lattice.locations()
+        for amap, t in zip(maps, truth.transforms):
+            assert np.array_equal(amap.values, indicator_template(affine_apply(t, locs)[:, 0]))
 
     def test_known_shift_moves_support(self):
-        spec = ScenarioSpec("indicator", n_subjects=1, noise_sd=0.0,
-                            curve_params=((1.0, 0.5),))
-        maps, _ = gen_indicator_curves(spec)
+        """T(s) = scale s - shift moves the support [-1, 1] to [(shift - 1) /
+        scale, (shift + 1) / scale]: the sites at 1 lie there, the first and
+        the last within one spacing of its ends."""
+        maps, truth = gen_indicator_curves(ScenarioSpec("indicator", noise_sd=0.0, seed=3))
         s = maps[0].lattice.locations()[:, 0]
-        on = s[maps[0].values > 0.5]
-        assert on.min() == pytest.approx(-0.5, abs=1e-9)
-        assert on.max() == pytest.approx(1.5, abs=1e-9)
+        spacing = maps[0].lattice.spacing[0]
+        for amap, t in zip(maps, truth.transforms):
+            scale, shift = t.matrix[0, 0], -t.matrix[0, 1]
+            lo, hi = (shift - 1.0) / scale, (shift + 1.0) / scale
+            on = s[amap.values > 0.5]
+            assert lo - 1e-9 <= on.min() < lo + spacing
+            assert hi - spacing < on.max() <= hi + 1e-9
+            assert np.all(amap.values[(s > on.min()) & (s < on.max())] == 1.0)
 
     def test_default_noise_sd(self):
         assert ScenarioSpec("indicator").effective_noise_sd == 0.5
@@ -65,10 +73,10 @@ class TestCosine:
 
 class TestGlyph:
     def test_zero_angle_is_base(self):
-        spec = ScenarioSpec("glyph", n_subjects=1, noise_sd=0.0,
-                            glyph_angles_deg=(0.0,))
-        maps, truth = gen_rotated_glyphs(spec)
-        assert np.array_equal(maps[0].values, truth.template.values)
+        """Subject 1 of the -15, 0, 15 degree cycle is the base glyph."""
+        maps, truth = gen_rotated_glyphs(ScenarioSpec("glyph", noise_sd=0.0))
+        assert truth.angles_deg == (-15.0, 0.0, 15.0)
+        assert np.array_equal(maps[1].values, truth.template.values)
 
     def test_shape_28x28(self):
         assert base_glyph().lattice.shape == (28, 28)
