@@ -21,6 +21,11 @@ these runs left there (the files its manifest.json lists, the manifest, a
 snapshot.json) is deleted first (`_clear_previous_run`). `inverse-warp`
 refuses maps on another lattice than the store's. Exit codes: 0 ok, 2
 config error, 3 numerical failure, 4 invariant-audit failure.
+
+The handlers that use `baseline` or `audit` import it themselves, so a
+symmetric `fit` loads neither: where no bytecode is cached, a process
+compiles every module it imports, and these two took 8-14 ms of the
+package's 63-82 ms (`python -X importtime`, 2-core x86-64 machine).
 """
 
 from __future__ import annotations
@@ -38,14 +43,12 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .baseline import ConventionalChain, inverse_warp
 from .config import RunConfig, load_config, parse_lambda_r_grid
 from .errors import ConfigError, GroupregError, NumericalError, ValidationError
 from .grids import ActivationMap, Lattice, common_lattice, read_map_csv, write_map_csv
 from .sampler import Chain, ChainAborted, initialize, summarize
 from .store import export_csv, load_store, save_store
 from .synth import ScenarioSpec, generate
-from .audit import run_all_audits
 
 
 def _build_parser():
@@ -220,7 +223,9 @@ def _cmd_simulate(args):
 def _cmd_fit(args):
     cfg = _load_run_config(args)
     maps, _ = _load_maps(cfg)
-    chain_class = ConventionalChain if cfg.model == "conventional" else Chain
+    chain_class = Chain
+    if cfg.model == "conventional":
+        from .baseline import ConventionalChain as chain_class
     store, diagnostics = chain_class(maps, cfg).run()
     with _staging(args.out, args.command, cfg) as path:
         save_store(store, path("samples.bin"))
@@ -303,6 +308,8 @@ def _cmd_inverse_warp(args):
     if len(summary.mean_forward) != len(maps):
         raise ValidationError(
             f"store has {len(summary.mean_forward)} subjects, config supplies {len(maps)} maps")
+    from .baseline import inverse_warp
+
     warped, mean_map = inverse_warp(maps, summary.mean_forward)
     with _staging(args.out, "inverse-warp", cfg) as path:
         for i, amap in enumerate(warped):
@@ -313,6 +320,8 @@ def _cmd_inverse_warp(args):
 
 
 def _cmd_audit(args):
+    from .audit import run_all_audits
+
     cfg = _load_run_config(args)
     results, passed = run_all_audits(seed=cfg.seed)
     for r in results:

@@ -17,32 +17,34 @@ stencil of every clipped point, which therefore reads zeros as it would
 unclipped; the clip also keeps the integer cast defined for any finite
 query. Stencil values come from one `take` at the flat offsets, weights are
 [1, t, t^2, t^3] @ `_M_CR`, and the stencil is contracted one axis at a
-time, last axis first, by one loop for any d. On request the kernel also
-returns the derivative along each index axis, from the same stencil values
-with the weights [0, 1, 2t, 3t^2] @ `_M_CR` on that axis; the Catmull-Rom
-interpolant is C^1, so this is its exact gradient. A query point that is
-not finite gives NaN, and so does one whose image or index coordinates
-overflow, without a warning.
+time, last axis first, by one loop for any d. The stencils' flat indices,
+their values and the weight tables are written into buffers that each thread
+keeps and reuses (`_SCRATCH`), so a kernel pass allocates only arrays of a
+few doubles a point. On request the kernel also returns the derivative along
+each index axis, from the same stencil values with the weights [0, 1, 2t,
+3t^2] @ `_M_CR` on that axis; the Catmull-Rom interpolant is C^1, so this is
+its exact gradient. A query point that is not finite gives NaN, and so does
+one whose image or index coordinates overflow, without a warning.
 
 `Warp(maps)` samples one map, or several on one lattice, at T(S) for many
 affine T, S the lattice's own sites, which every caller samples at: the
-reverse step's Y_i at T_i^r(S) (`sampler.ChainState.warps`), the set-up's
-X at T_i(S) and its back-warps, the pull-backs at T_i^-1(S)
+reverse step's Y_i at T_i^r(S) (`sampler.ChainState.warps`), the set-up's X
+at T_i(S) and its back-warps, the pull-backs at T_i^-1(S)
 (`baseline.inverse_warp`), `model.gibbs_log_posterior` and the glyph
 rotations of `synth`. It keeps S as a (d, V) array, and `warp(h)`, h the
 matrix of T, computes the index coordinates (A S + b - origin) / spacing in
-that layout, which gives the bits of `interpolate(amap, affine_apply(h, S))`.
-`warp(h)` also takes an (n, d + 1, d + 1) stack of matrices, and a single
-matrix is its n = 1 case. One private loop, `Warp._passes`, forms the index
-coordinates and map offsets and runs the kernel passes, `warp.chunk`
-matrices each, as many as keep a pass's (4^d, points) stencil values within
-`spatial._BLOCK_BYTES`: 2 on a 28x28 lattice, 40 on a 201-site curve. Each
-point's arithmetic does not depend on the others in its pass, so a stacked
-call gives the bits of one call per matrix. Several maps' padded grids are
-stacked, (maps, padded shape), and a point's flat stencil index is offset
-by its map's place in the stack, so the kernel and its arithmetic are those
-of one map. Row k of a stack is sampled on map `which[k]`, or on map k when
-no `which` is given, and has the bits of a one-map `Warp` of that map.
+that layout, which gives the bits of `interpolate(amap, affine_apply(h,
+S))`. `warp(h)` also takes an (n, d + 1, d + 1) stack of matrices, and a
+single matrix is its n = 1 case. The stack is sampled in kernel passes of
+`warp.chunk` matrices, as many as keep a pass within `_PASS_POINTS` query
+points: 5 on a 28x28 lattice, 19 on a 201-site curve. One private method,
+`Warp._pass`, forms a pass's index coordinates and map offsets and samples
+them. Each point's arithmetic does not depend on the others in its pass, so
+a stacked call gives the bits of one call per matrix. Several maps' padded
+grids are stacked, (maps, padded shape), and a point's flat stencil index is
+offset by its map's place in the stack, so the kernel and its arithmetic are
+those of one map. Row k of a stack is sampled on map `which[k]`, or on map k
+when no `which` is given, and has the bits of a one-map `Warp` of that map.
 
 `warp.value_and_jacobian(tops)` gives, for an (m, d, d + 1) stack of the top
 d rows of homogeneous matrices H, the values on the first map with their
@@ -59,9 +61,10 @@ oracle for `Warp`.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-from . import spatial
 from .grids import MIN_AXIS_SITES
 
 # Catmull-Rom basis: the weights of p_{-1}, p_0, p_1, p_2 at fractional
@@ -74,6 +77,32 @@ _M_CR = 0.5 * np.array([[0.0, 2.0, 0.0, 0.0],
 # A stencil based at n + 1 spans sites n .. n + 3, so 4 zero sites per side
 # hold every stencil the clip allows.
 _PAD = 4
+
+# Query points per kernel pass. A pass writes its stencils and weight tables
+# into its thread's buffers (`_SCRATCH`), and every other array it makes
+# holds at most 4 doubles a point: 128 000 bytes on a lattice of up to 4000
+# sites, under glibc's default 128 KiB mmap threshold, so such a pass maps
+# and faults in no fresh pages.
+# Passes whose fresh arrays were larger did: the glyph's coarse-grid search
+# (N = 3, 525 candidates), each pass allocating its own arrays, took 38-51
+# ms at 2 matrices a pass and 54-114 ms at 4 to 10, each search faulting in
+# 20 000-30 000 pages (fresh processes, 2-core x86-64 machine, glibc's
+# malloc defaults). With the buffers it took 30-34 ms at 5 matrices a pass
+# and 37-42 ms at 2 (in one process, a new `Warp` per search).
+_PASS_POINTS = 4000
+
+
+class _Scratch(threading.local):
+    """One thread's kernel buffers, grown to the largest pass met, and their
+    views for each (d, points) met (`Warp._buffers`)."""
+
+    def __init__(self):
+        self.floats = np.empty(0)
+        self.ints = np.empty(0, dtype=np.intp)
+        self.views = {}
+
+
+_SCRATCH = _Scratch()
 
 
 class Warp:
@@ -122,8 +151,8 @@ class Warp:
         self._sites = self._sites_h[:-1]
         self._origin = lat.origin[:, None]
         self._spacing = lat.spacing[:, None]
-        # Matrices per kernel pass: a pass holds (4^d, chunk V) stencil values.
-        self.chunk = max(1, spatial._BLOCK_BYTES // (8 * 4 ** lat.dim * lat.n_sites))
+        # Matrices per kernel pass, chunk V points at most _PASS_POINTS.
+        self.chunk = max(1, _PASS_POINTS // lat.n_sites)
 
     def sample(self, u, deriv=False, offset=None):
         """Values at index coordinates u, (d, q) and C-contiguous; returns (q,).
@@ -142,60 +171,81 @@ class Warp:
             finite = finite.all(axis=0)
             u = np.where(finite, u, 0.0)
 
-        u = np.clip(u, -3.0, self._upper)
+        u = np.minimum(np.maximum(u, -3.0), self._upper)
         base = np.floor(u)
         first = (self._strides @ base + self._first).astype(np.intp)
         if offset is not None:
             first += offset
-        vals = self._padded.take(self._offsets + first).reshape((4,) * self.dim + (q,))
+        idx, vals, (powers, w, dw) = self._buffers(q)
+        np.add(self._offsets, first, out=idx)
+        # mode="clip" writes straight into `vals`; every index is in range.
+        self._padded.take(idx, out=vals, mode="clip")
+        vals = vals.reshape((4,) * self.dim + (q,))
 
         t = (u - base).ravel()
-        powers = np.empty((4, t.size))
         powers[0] = 1.0
         powers[1] = t
         np.multiply(t, t, out=powers[2])
         np.multiply(powers[2], t, out=powers[3])
-        w = _M_CR.T @ powers                                # (4, d q)
+        np.matmul(_M_CR.T, powers, out=w)                   # (4, d q)
         if deriv:
             powers[0] = 0.0
             powers[1] = 1.0
             np.multiply(t, 2.0, out=powers[2])
             np.multiply(3.0 * t, t, out=powers[3])
-            dw = _M_CR.T @ powers                           # (4, d q)
+            np.matmul(_M_CR.T, powers, out=dw)              # (4, d q)
         # Contract the stencil's axes last to first. The derivative along an
-        # axis starts from the values' partial contraction before that axis,
-        # and `grads` holds those begun so far, last axis first.
-        out, grads = vals, []
+        # axis starts from the values' partial contraction before that axis;
+        # `partial` holds those begun so far, and the contractions along axis
+        # 0 finish them into their rows of `grad`.
+        out, partial = vals, {}
+        grad = np.empty((self.dim, q)) if deriv else None
         for axis in reversed(range(self.dim)):
             cols = slice(axis * q, (axis + 1) * q)
             if deriv:
-                grads = ([np.einsum("...kq,kq->...q", g, w[:, cols]) for g in grads]
-                         + [np.einsum("...kq,kq->...q", out, dw[:, cols])])
+                for j in partial:
+                    partial[j] = np.einsum("...kq,kq->...q", partial[j], w[:, cols],
+                                           out=grad[j] if axis == 0 else None)
+                partial[axis] = np.einsum("...kq,kq->...q", out, dw[:, cols],
+                                          out=grad[axis] if axis == 0 else None)
             out = np.einsum("...kq,kq->...q", out, w[:, cols])
         if not all_finite:
             out[~finite] = np.nan
         if not deriv:
             return out
-        grad = np.array(grads[::-1])
         if not all_finite:
             grad[:, ~finite] = np.nan
         return out, grad
 
-    def _passes(self, tops, which=None, deriv=False):
-        """Sample an (n, d, d + 1) stack of top rows [A | b] at [A | b] (S, 1),
-        `chunk` matrices per kernel pass, row k on map which[k] if `which` is
-        given, else on map 0; yields each pass's rows of the stack and its
-        `sample`, matrix k's points at columns k V .. k V + V - 1. A T(S)
-        that overflows gives NaN columns, as a non-finite query does."""
-        v = self._sites.shape[1]
-        for lo in range(0, len(tops), self.chunk):
-            part = tops[lo:lo + self.chunk]
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = (part[:, :, :-1] @ self._sites + part[:, :, -1:] - self._origin) / self._spacing
-            u = np.ascontiguousarray(u.swapaxes(0, 1)).reshape(self.dim, -1)
-            offset = (None if which is None
-                      else np.repeat(which[lo:lo + self.chunk] * self._map_size, v))
-            yield slice(lo, lo + len(part)), self.sample(u, deriv, offset)
+    def _buffers(self, q):
+        """Views for q points of the thread's kernel buffers (`_SCRATCH`):
+        the stencils' flat indices and values, (4^d, q) each, and the weight
+        tables, (3, 4, d q)."""
+        views = _SCRATCH.views.get((self.dim, q))
+        if views is None:
+            k, n = 4 ** self.dim, (4 ** self.dim + 12 * self.dim) * q
+            if _SCRATCH.floats.size < n or _SCRATCH.ints.size < k * q:
+                _SCRATCH.floats = np.empty(max(n, _SCRATCH.floats.size))
+                _SCRATCH.ints = np.empty(max(k * q, _SCRATCH.ints.size), dtype=np.intp)
+                _SCRATCH.views.clear()
+            views = _SCRATCH.views[self.dim, q] = (
+                _SCRATCH.ints[:k * q].reshape(k, q), _SCRATCH.floats[:k * q].reshape(k, q),
+                _SCRATCH.floats[k * q:n].reshape(3, 4, self.dim * q))
+        return views
+
+    def _pass(self, tops, which=None, deriv=False):
+        """`sample` of one kernel pass: an (n, d, d + 1) stack of top rows
+        [A | b] at [A | b] (S, 1), row k on map which[k] if `which` is given,
+        else on map 0; matrix k's points are at columns k V .. k V + V - 1. A
+        T(S) that overflows gives NaN columns, as a non-finite query does."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = tops[:, :, :-1] @ self._sites
+            u += tops[:, :, -1:]
+            u -= self._origin
+            u /= self._spacing
+        u = np.ascontiguousarray(u.swapaxes(0, 1)).reshape(self.dim, -1)
+        offset = None if which is None else np.repeat(which * self._map_size, self._sites.shape[1])
+        return self.sample(u, deriv, offset)
 
     def __call__(self, h, which=None):
         single = h.ndim == 2
@@ -205,7 +255,9 @@ class Warp:
                 raise ValueError(f"{len(stack)} matrices for {self.n_maps} maps need `which`")
             which = np.arange(self.n_maps)
         out = np.empty((len(stack), self._sites.shape[1]))
-        for rows, vals in self._passes(stack[:, :-1], which):
+        for lo in range(0, len(stack), self.chunk):
+            rows = slice(lo, lo + self.chunk)
+            vals = self._pass(stack[rows, :-1], None if which is None else which[rows])
             out[rows] = vals.reshape(-1, out.shape[1])
         return out[0] if single else out
 
@@ -224,7 +276,9 @@ class Warp:
         d, v = self.dim, self._sites.shape[1]
         vals = np.empty((len(tops), v))
         jac = np.empty((len(tops), d, d + 1, v))
-        for rows, (part_vals, grad) in self._passes(tops, deriv=True):
+        for lo in range(0, len(tops), self.chunk):
+            rows = slice(lo, lo + self.chunk)
+            part_vals, grad = self._pass(tops[rows], deriv=True)
             vals[rows] = part_vals.reshape(-1, v)
             grad /= self._spacing
             np.multiply(grad.reshape(d, -1, 1, v).swapaxes(0, 1), self._sites_h, out=jac[rows])

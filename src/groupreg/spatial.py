@@ -50,12 +50,17 @@ in units of the spacing, so equal distances compare equal and ties break
 toward the smaller index: a spacing of 0.1 gives the sets of a spacing of 1.
 With unequal spacings the weighted keys are the same floats wherever the
 lattice sits, and ties among them break the same way. Both tables are built
-by selection (`_nearest`), not by sorting every row: a partition finds each
-row's k-th smallest distance, and only the distances at or below it are
-sorted. Rows are ranked in blocks sized so that one (rows, V) array takes
-`_BLOCK_BYTES`, so the builds need O(V) memory per block row instead of an
-(n_lib, V, d) tensor or a V x V matrix, and O(V) time per row plus the sort
-of its candidates (k, and any ties at the k-th distance), not O(V log V).
+over windows (`_ranked_sites`): each row is ranked (`_nearest`, a stable
+argsort) over a box of sites around the row's nearest lattice site, and kept
+if its k-th key lies strictly below every key outside the box; the rows that
+are not are ranked again in a box about twice as wide, up to the whole
+lattice. Most rows are kept in the first box, of about 2k sites, so the
+builds take time linear in the lattice, not in its square:
+`model.build_geometry` (margin 9, m = 10) took 0.08 s on a 128x128 lattice
+and 10 ms on 28x28, where ranking each row against all V sites took 2.8-3.5
+s and 29-49 ms (2-core x86-64 machine; `tools/geometry_times.py`). Rows are
+ranked in blocks of about `_BLOCK_BYTES` of keys, so the builds hold no
+(n_lib, V) array, and no (n_lib, V, d) tensor or V x V matrix.
 """
 
 from __future__ import annotations
@@ -69,18 +74,10 @@ from .grids import Lattice
 
 JITTER = 1e-10
 VAR_FLOOR = 1e-12
-# One (rows, V) array of a neighbor-table build block. The builds hold a few
-# such arrays at once, and smaller blocks build faster too: on a 28x28
-# lattice with margin 9 the library took 16-22 ms at 256 kB against 28-38 ms
-# at 4 MB, and the predecessor sets 5-7 ms against 10-13 ms. Since the template
-# step keeps its pair buffers (`sampler.TemplateBand`), sweep speed does not
-# depend on the block: glyph28 sweeps ran at 76-102/s after a build with
-# 256 kB blocks and 76-109/s with 4 MB ones (fresh processes, one core of a
-# 2-core x86-64 machine), where a sweep that allocated several MB of
-# temporaries ran a third slower with small blocks, glibc having sized its
-# mmap threshold from the largest block freed. `library_weights` gathers its
-# per-row inverses in chunks of the same size, into one buffer that the
-# library holds (`NeighborLibrary.gather`).
+# The keys of one block of rows of a neighbor-table build (`_ranked_sites`:
+# 1310 rows of a 25-site box at m = 10), and one chunk of the per-row
+# inverses that `library_weights` gathers, in every sweep, into one buffer
+# that the library holds (`NeighborLibrary.gather`).
 _BLOCK_BYTES = 1 << 18
 
 
@@ -144,59 +141,86 @@ def _site_coords(shape, low=0):
     return np.stack(np.unravel_index(np.arange(int(np.prod(shape))), shape), axis=-1) + low
 
 
-def _offset_d2(points, lattice):
-    """(len(points), V) squared distances from integer index coordinates to
-    every site of the lattice, in row-major site order, formed from the index
-    offsets in units of the finest spacing: integers when the spacing is
-    equal on every axis, so equal distances compare equal.
-
-    One (len(points), n) table per axis, broadcast over the grid and summed.
-    """
-    shape = lattice.shape
-    weight = (lattice.spacing / lattice.spacing.min()) ** 2
-    return sum(
-        (w * (points[:, axis, None] - np.arange(n)) ** 2).reshape(
-            (len(points),) + tuple(n if a == axis else 1 for a in range(len(shape))))
-        for axis, (n, w) in enumerate(zip(shape, weight))).reshape(len(points), -1)
-
-
 def _nearest(d2, k):
-    """The first k columns of np.argsort(d2, axis=1, kind="stable"), 1 <= k <= d2.shape[1].
+    """The first k columns of a stable argsort of each row of d2, so ties go
+    to the smaller column."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
-    Selection, not a full sort: np.partition finds each row's k-th smallest
-    value, and only the entries at or below it, ties included, are sorted,
-    by row and then value, stably from ascending column order. So ties go to
-    the smaller column as in the full sort, for any float keys.
+
+def _ranked_sites(points, lattice, k, predecessors=False):
+    """The k lattice sites nearest each of `points`, (n, d) integer index
+    coordinates: the first k columns of each row's stable argsort of its keys
+    over all V sites, so ties go to the smaller index; (n, k). With
+    `predecessors`, point l is site l and only the sites before it count: the
+    others' keys are inf, and a row of fewer than k predecessors ends in -1s.
+
+    A site's key is the sum over axes, axis 0 first, of w_a (p_a - s_a)^2,
+    w_a = (spacing_a / finest spacing)^2. Each row is ranked (`_nearest`)
+    over the sites of a box of (2 r + 1)^d sites around its nearest lattice
+    site, shifted inside the lattice at its edges, r the least whose box
+    holds 2k sites or the whole lattice; the box's columns run in site order. The row is kept if
+    its k-th key is strictly below the smallest key of any site outside the
+    box: that of the outside site nearest along one axis and at the row's
+    nearest site on the others. Then every site ranked at or above the k-th
+    lies in the box, and the box ranks them as the whole row does. Other rows
+    are ranked again in a box of radius 2r, and the whole lattice is the last
+    box. Rows are ranked in blocks of about _BLOCK_BYTES of keys.
     """
-    n = d2.shape[1]
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    flat = np.flatnonzero(d2 <= kth)
-    row = flat // n
-    flat = flat[np.lexsort((d2.reshape(-1)[flat], row))]
-    counts = np.bincount(row, minlength=len(d2))
-    return flat[(np.cumsum(counts) - counts)[:, None] + np.arange(k)] % n
+    shape = np.asarray(lattice.shape)
+    weight = (lattice.spacing / lattice.spacing.min()) ** 2
+
+    def keys(diff):
+        return sum(w * diff[..., a] ** 2 for a, w in enumerate(weight))
+
+    near = np.clip(points, 0, shape - 1)
+    sites = np.empty((len(points), k), dtype=int)
+    radius = 1
+    while np.prod(np.minimum(2 * radius + 1, shape)) < min(2 * k, lattice.n_sites):
+        radius += 1
+    pending = np.arange(len(points))
+    while pending.size:
+        width = np.minimum(2 * radius + 1, shape)
+        box = _site_coords(width)
+        flat_box = np.ravel_multi_index(tuple(box.T), lattice.shape)
+        step = max(1, _BLOCK_BYTES // (8 * len(box)))
+        failed = []
+        for start in range(0, pending.size, step):
+            rows = pending[start:start + step]
+            p, c = points[rows], near[rows]
+            lo = np.clip(c - radius, 0, shape - width)
+            key = keys(p[:, None, :] - lo[:, None, :] - box)
+            cols = np.ravel_multi_index(tuple(lo.T), lattice.shape)[:, None] + flat_box
+            if predecessors:
+                key[cols >= rows[:, None]] = np.inf
+            pick = _nearest(key, k)
+            pick_keys = np.take_along_axis(key, pick, axis=1)
+            bound = np.full(len(rows), np.inf)
+            for a in range(len(shape)):
+                for s, outside in ((lo[:, a] - 1, lo[:, a] > 0),
+                                   (lo[:, a] + width[a], lo[:, a] + width[a] < shape[a])):
+                    at = c.copy()
+                    at[:, a] = s
+                    bound = np.where(outside, np.minimum(bound, keys(p - at)), bound)
+            kept = (len(box) == lattice.n_sites) | (pick_keys[:, -1] < bound)
+            sites[rows[kept]] = np.where(pick_keys[kept] < np.inf,
+                                         np.take_along_axis(cols[kept], pick[kept], axis=1), -1)
+            failed.append(rows[~kept])
+        pending = np.concatenate(failed)
+        radius *= 2
+    return sites
 
 
 def build_ordered_neighbor_sets(lattice, m):
     """m-nearest predecessors of each lattice site in row-major order.
 
     Returns a (V, m) int array padded with -1: row l holds the min(m, l)
-    sites among {0, ..., l-1} nearest to site l, ranked by the distances the
-    library ranks (`_offset_d2`), ties toward the smaller index.
+    sites among {0, ..., l-1} nearest to site l, ranked by the keys the
+    library ranks (`_ranked_sites`), ties toward the smaller index.
     """
     sites = _site_coords(lattice.shape)
-    v = len(sites)
-    k = min(m, v)
-    out = np.full((v, m), -1, dtype=int)
-    rows = max(1, _BLOCK_BYTES // (8 * v))
-    for start in range(0, v, rows):
-        stop = min(start + rows, v)
-        d2 = _offset_d2(sites[start:stop], lattice)
-        d2[np.arange(start, stop)[:, None] <= np.arange(v)] = np.inf   # not predecessors
-        nearest = _nearest(d2, k)
-        # Row l < k selects its l predecessors, then k - l non-predecessors at inf.
-        out[start:stop, :k] = np.where(np.take_along_axis(d2, nearest, axis=1) < np.inf,
-                                       nearest, -1)
+    k = min(m, len(sites))
+    out = np.full((len(sites), m), -1, dtype=int)
+    out[:, :k] = _ranked_sites(sites, lattice, k, predecessors=True)
     return out
 
 
@@ -259,13 +283,8 @@ def build_neighbor_library(lattice, margin, m):
         origin=lattice.origin - margin * lattice.spacing,
     )
     template = _site_coords(lattice.shape)
-    entries = _site_coords(enlarged.shape, -margin)
     k = min(m, lattice.n_sites)
-    rows = max(1, _BLOCK_BYTES // (8 * lattice.n_sites))
-    neighbor_indices = np.empty((len(entries), k), dtype=int)
-    for start in range(0, len(entries), rows):
-        neighbor_indices[start:start + rows] = _nearest(
-            _offset_d2(entries[start:start + rows], lattice), k)
+    neighbor_indices = _ranked_sites(_site_coords(enlarged.shape, -margin), lattice, k)
     # Group by offset shape, then merge the shapes whose distance matrices
     # are equal bit for bit (mirror images are), keyed on the matrices' bits.
     offsets = template[neighbor_indices] - template[neighbor_indices[:, :1]]
@@ -303,12 +322,14 @@ def join_predecessor_patterns(library, neighbor_sets):
     mask = sets >= 0
     nbr = np.where(mask, sets, np.arange(len(sets))[:, None])
     coords = _site_coords(library.template.shape)
-    offsets = coords[nbr] - coords[:, None, :]          # 0 at the padded slots
-    ids, first = _pattern_table(np.concatenate([offsets.reshape(len(offsets), -1), mask], axis=1))
-    off, mask = offsets[first] * library.template.spacing, mask[first]
+    # Offsets are 0 at the padded slots. Only the patterns' own are kept.
+    ids, first = _pattern_table(np.concatenate(
+        [(coords[nbr] - coords[:, None, :]).reshape(len(nbr), -1), mask], axis=1))
+    offsets = coords[nbr[first]] - coords[first, None, :]
+    off, mask = offsets * library.template.spacing, mask[first]
     pair = mask[:, :, None] & mask[:, None, :]
     nbr_dist = np.where(pair | np.eye(k, dtype=bool),
-                        _offset_distances(offsets[first], library.template.spacing), np.inf)
+                        _offset_distances(offsets, library.template.spacing), np.inf)
     target_dist = np.where(mask, np.sqrt(np.einsum("pkd,pkd->pk", off, off)), np.inf)
     n_lib = len(library.pattern_dist)
     return (replace(library, pattern_dist=np.concatenate([library.pattern_dist, nbr_dist])),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import groupreg
-from groupreg import baseline, cli, sampler
+from groupreg import audit, baseline, cli, sampler
 from groupreg.cli import main
 from groupreg.config import parse_config
 from groupreg.errors import NonPositiveScale
@@ -322,7 +322,7 @@ def test_inverse_warp_of_maps_on_another_lattice_exits_2(tmp_path, capsys):
 
 def test_failing_audit_exits_4(monkeypatch, capsys):
     failing = [{"name": "test.check", "value": 1.0, "tol": 0.5, "passed": False}]
-    monkeypatch.setattr(cli, "run_all_audits", lambda seed: (failing, False))
+    monkeypatch.setattr(audit, "run_all_audits", lambda seed: (failing, False))
     assert main(["audit"]) == 4
     assert "[FAIL] test.check" in capsys.readouterr().out
 

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupreg import spatial
+from groupreg import interp
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.interp import Warp, interpolate
 from groupreg.sampler import coarse_grid
@@ -306,11 +307,11 @@ class TestStackedWarp:
     and a `Warp` of several maps is, row by row, the one-map `Warp` of each
     row's map."""
 
-    @pytest.mark.parametrize("block_bytes", [None, 1, 1 << 22], ids=["cap", "one", "large"])
+    @pytest.mark.parametrize("pass_points", [None, 1, 1 << 22], ids=["cap", "one", "large"])
     @pytest.mark.parametrize("name", sorted(STACK_LATTICES))
-    def test_stack_is_the_per_matrix_calls(self, monkeypatch, name, block_bytes):
-        if block_bytes is not None:
-            monkeypatch.setattr(spatial, "_BLOCK_BYTES", block_bytes)
+    def test_stack_is_the_per_matrix_calls(self, monkeypatch, name, pass_points):
+        if pass_points is not None:
+            monkeypatch.setattr(interp, "_PASS_POINTS", pass_points)
         lattice = STACK_LATTICES[name]
         rng = np.random.default_rng(len(name))
         maps = [ActivationMap(lattice, rng.normal(size=lattice.n_sites)) for _ in range(3)]
@@ -372,6 +373,30 @@ class TestStackedWarp:
             want = np.array([interpolate(m, affine_apply(h, sites)) for m, h in zip(maps, part)])
             assert np.array_equal(warp(part), want, equal_nan=True)
 
+    def test_threads_sample_with_their_own_buffers(self):
+        """Each thread keeps its own kernel buffers (`interp._SCRATCH`), so
+        stacks sampled in two threads at once give the bits of sampling them
+        one after the other."""
+        lattice = STACK_LATTICES["glyph"]
+        rng = np.random.default_rng(9)
+        warps = [Warp(ActivationMap(lattice, rng.normal(size=lattice.n_sites))) for _ in range(2)]
+        stacks = [_stack_of_525(lattice, rng) for _ in range(2)]
+        want = [warp(stack) for warp, stack in zip(warps, stacks)]
+        got = [[], []]
+
+        def sample(j):
+            for _ in range(3):
+                got[j].append(warps[j](stacks[j]))
+
+        threads = [threading.Thread(target=sample, args=(j,)) for j in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for rows, expect in zip(got, want):
+            assert len(rows) == 3
+            assert all(np.array_equal(row, expect, equal_nan=True) for row in rows)
+
     def test_several_maps_need_one_lattice_and_a_map_per_row(self):
         lattice = STACK_LATTICES["glyph"]
         other = Lattice((28, 28), np.array([1.0, 1.0]), np.ones(2))
@@ -385,13 +410,13 @@ class TestStackedWarp:
     @pytest.mark.parametrize("name", sorted(STACK_LATTICES))
     def test_passes_hold_at_most_the_byte_cap(self, monkeypatch, name):
         """Each kernel pass samples `chunk` matrices' sites, the most whose
-        (4^d, points) stencil values fit `spatial._BLOCK_BYTES`, and the last
-        pass the rest, for the values and for the values with their Jacobian."""
+        points fit `interp._PASS_POINTS` (4 doubles a point, so 128 000
+        bytes), and the last pass the rest, for the values and for the values
+        with their Jacobian."""
         lattice = STACK_LATTICES[name]
-        d, q = lattice.dim, lattice.n_sites
+        q = lattice.n_sites
         warp = Warp(ActivationMap(lattice, np.ones(q)))
-        per_matrix = 8 * 4 ** d * q
-        assert warp.chunk * per_matrix <= spatial._BLOCK_BYTES < (warp.chunk + 1) * per_matrix
+        assert warp.chunk * q <= interp._PASS_POINTS < (warp.chunk + 1) * q
         points = []
         sample = Warp.sample
         monkeypatch.setattr(Warp, "sample",
@@ -450,7 +475,7 @@ class TestValueAndJacobian:
         sites = amap.lattice.locations()
         rng = np.random.default_rng(20 + dim)
         warp = Warp(amap)
-        monkeypatch.setattr(spatial, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(interp, "_PASS_POINTS", 1)
         one_per_pass = Warp(amap)
         monkeypatch.undo()
         for scale in (0.0, 1e-3, 0.1, 0.5):

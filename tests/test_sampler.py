@@ -610,6 +610,26 @@ def test_best_candidates_is_the_first_smallest_objective():
     assert objs[1] == 0.0 and np.shares_memory(best[1], starts)
 
 
+def test_best_candidates_do_not_depend_on_the_pass_size():
+    """The glyph's first-pass search (N = 3, 525 candidates) gives the same
+    candidates and objectives at 1 matrix per kernel pass, at the default
+    pass and with every candidate in one pass."""
+    maps, _ = generate(ScenarioSpec("glyph", n_subjects=3, seed=7))
+    lattice = maps[0].lattice
+    y = np.stack([m.values for m in maps])
+    warp = Warp(ActivationMap(lattice, np.mean(y, axis=0)))
+    grid = coarse_grid(lattice)
+    assert len(grid) == 525 and 1 < warp.chunk < len(grid)
+    starts = np.array([np.eye(3)] * 3)
+    beta = np.array([0.9, 1.0, 1.1])
+    want_best, want_objs = best_candidates(warp, y, beta, starts, grid)
+    for chunk in (1, len(grid)):
+        warp.chunk = chunk
+        best, objs = best_candidates(warp, y, beta, starts, grid)
+        assert objs == want_objs
+        assert all(np.array_equal(a, b) for a, b in zip(best, want_best))
+
+
 def noisy_fit_problem(dim):
     """(Y, X, beta) of a warp fit with noise, so the optimum's residual is not 0."""
     rng = np.random.default_rng(11)
@@ -944,16 +964,17 @@ def test_set_up_samples_each_grid_candidate_once(monkeypatch, model, scenario):
 
 def test_glyph_grid_search_holds_no_stack_of_warped_templates():
     """The first pass's candidate search on the 28x28 glyph (N = 3, 525
-    candidates) peaked at 0.66 MB under tracemalloc (numpy 2.4): the
-    temporaries of one kernel pass over 2 candidates, its stencil values and
-    their flat indices 0.2 MB each. One (526, 784) stack of warped values
-    alone is 3.3 MB. The bound is 1 MB."""
+    candidates), once a search has grown the thread's kernel buffers (1.75
+    MB at 5 candidates per pass), peaked at 0.62 MB under tracemalloc (numpy
+    2.4): the other temporaries of one kernel pass. One (526, 784) stack of
+    warped values alone is 3.3 MB. The bound is 1 MB."""
     maps, _ = generate(ScenarioSpec("glyph", n_subjects=3, seed=7))
     lattice = maps[0].lattice
     y = np.stack([m.values for m in maps])
     warp = Warp(ActivationMap(lattice, np.mean(y, axis=0)))
     grid = coarse_grid(lattice)
     starts = np.array([np.eye(3)] * 3)
+    best_candidates(warp, y, np.ones(3), starts, grid)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from groupreg import spatial
 from groupreg.errors import OutOfLibraryBounds
 from groupreg.grids import Lattice, make_lattice_1d
+from groupreg.model import Hyperparams, build_geometry
 from groupreg.spatial import (_BLOCK_BYTES, JITTER, VAR_FLOOR, CovarianceParams,
                               _offset_distances, _pattern_table, _site_coords,
                               batched_nngp_weights,
@@ -258,6 +260,47 @@ class TestSelectionAgainstArgsort:
         assert np.array_equal(lib.pattern_dist[lib.pattern_ids], dist[ids])
         assert len(lib.pattern_dist) == len(dist)
 
+    def test_128x128_rows_against_the_oracle(self):
+        """On 128x128 (margin 9, m = 10) a seeded sample of rows, with the
+        enlarged lattice's corners and the sites 1 to m, are the oracles'
+        rows. The whole oracle library would take about 2.8 GB."""
+        lat, m = grid2d(128), 10
+        margin = 9
+        lib = build_neighbor_library(lat, margin, m)
+        sets = build_ordered_neighbor_sets(lat, m)
+        template = _site_coords(lat.shape)
+        entries = _site_coords((128 + 2 * margin,) * 2, -margin)
+        rng = np.random.default_rng(128)
+        n_lib = len(entries)
+        for row in np.r_[0, 145, n_lib - 146, n_lib - 1, rng.choice(n_lib, 300, replace=False)]:
+            d2 = ((template - entries[row]) ** 2).sum(axis=1)
+            assert lib.neighbor_indices[row].tolist() == np.argsort(d2, kind="stable")[:m].tolist()
+        for l in np.r_[1:m + 1, rng.choice(np.arange(m + 1, lat.n_sites), 300, replace=False)]:
+            d2 = ((template[:l] - template[l]) ** 2).sum(axis=1)
+            got = sets[l][sets[l] >= 0]
+            assert got.tolist() == np.argsort(d2, kind="stable")[:m].tolist()
+
+    @pytest.mark.parametrize("name,m", [("12x12", "10"), ("anisotropic", "10"),
+                                        ("small", "V-1"), ("small_anisotropic", "V-1")])
+    def test_rows_that_must_widen(self, monkeypatch, name, m):
+        """With a margin far larger than the lattice (40 steps), entries far
+        outside it rank, at m = 10, sites whose keys pass the first box's
+        bound, so their rows are ranked again in wider boxes; at m = V - 1
+        the first box is the whole lattice. Both tables are the oracles'."""
+        lat = grid2d(12) if name == "12x12" else self.LATTICES[name][0]
+        m = self.resolve(m, lat.n_sites)
+        widths = []
+        nearest = spatial._nearest
+        monkeypatch.setattr(spatial, "_nearest",
+                            lambda d2, k: widths.append(d2.shape[1]) or nearest(d2, k))
+        lib = build_neighbor_library(lat, 40, m)
+        sets = build_ordered_neighbor_sets(lat, m)
+        assert (len(set(widths)) > 1) == (m == 10)
+        nbr, ids, dist = argsort_library(lat, 40, m)
+        assert np.array_equal(lib.neighbor_indices, nbr)
+        assert np.array_equal(lib.pattern_dist[lib.pattern_ids], dist[ids])
+        assert np.array_equal(sets, argsort_predecessors(lat, m))
+
     @pytest.mark.parametrize("dtype", [int, float])
     def test_pattern_table_groups_rows_as_unique_rows(self, dtype):
         rng = np.random.default_rng(11)
@@ -298,6 +341,19 @@ class TestNeighborLibrary:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_geometry_build_peak_at_128x128(self):
+        """`build_geometry` on 128x128 (margin 9, m = 10) peaked at 20.4 MB
+        under tracemalloc when each row was ranked against all V sites, in
+        blocks of rows; ranked in boxes it peaks at 17.7 MB (numpy 2.4)."""
+        lat = grid2d(128)
+        tracemalloc.start()
+        try:
+            build_geometry(lat, Hyperparams(m=10), 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20.4e6
 
     def test_indicator_sets_are_exact_and_margin_free(self):
         """Sets rank integer offsets, ties to the smaller index, whatever the margin."""
