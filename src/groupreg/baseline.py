@@ -39,7 +39,7 @@ from .errors import IllConditioned
 from .grids import ActivationMap, common_lattice
 from .interp import Warp
 from .model import TransformPrior, invgamma_logpdf, sigma_s_matrix
-from .sampler import AdaptiveProposal, Chain, coarse_grid, fit_transforms, lie_mh_step
+from .sampler import AdaptiveProposal, Chain, coarse_grid, fit_transforms, lie_mh_step, row_dot
 from .transforms import affine_apply, affine_inverse, apply_stack
 
 KERNEL_JITTER = 1e-8
@@ -91,7 +91,7 @@ def conventional_sigma2_conditional(y, phi, w, hp):
     one subject's map y (V,) and kernel design phi (V, L), or for stacks of them."""
     r = y - phi @ w
     return (hp.a0_sigma + y.shape[-1] / 2.0,
-            hp.a1_sigma + 0.5 * (r[..., None, :] @ r[..., :, None])[..., 0, 0])
+            hp.a1_sigma + 0.5 * row_dot(r, r))
 
 
 def kernel_designs(h, locs, landmarks):
@@ -112,7 +112,7 @@ def conventional_log_target(log_prior, phi, y, w, sigma2):
     `conventional_target` calls it.
     """
     r = y - phi @ w
-    return log_prior - 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / sigma2
+    return log_prior - 0.5 * row_dot(r, r) / sigma2
 
 
 def conventional_target(chain, rows, h):

@@ -521,6 +521,7 @@ def beta_sigma_conditional(state, hp):
     rate is positive and finite.
     """
     x, xt, y, ybw = state.X, state.XT, state.Y, state.Y_bw
+    # An einsum, not the module's `row_dot`: the two may round differently.
     row_dot = lambda a, b: np.einsum("nv,nv->n", a, b)
     lam = 1.0 / (row_dot(xt, xt) + float(x @ x) + hp.lambda0)
     mu = lam * (hp.mu0 * hp.lambda0 + row_dot(xt, y) + ybw @ x)
@@ -777,18 +778,18 @@ def standardize_scales(x, betas, alpha):
 # Initialization
 # ---------------------------------------------------------------------------
 
-def fit_scale(y_values, xt_values):
-    """No-intercept regression coefficient of Y onto X(T)."""
-    den = float(np.dot(xt_values, xt_values))
-    if den <= 0.0:
-        raise DegenerateInput("scale regression undefined: X(T) is identically zero")
-    return float(np.dot(xt_values, y_values)) / den
+def row_dot(a, b):
+    """The dot product of each row of a with the same row of b: (..., V) by
+    (..., V) to (...). Each entry has the bits of `float(a_i @ b_i)` and of
+    `np.dot(a_i, b_i)`: numpy's matmul takes a (1, V) by (V, 1) product as
+    that dot."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def coarse_grid(lattice):
     """Deterministic coarse search grid over the affine group, the set-up's
-    first candidates for each subject's transform (`fit_affine`): a stack of
-    homogeneous matrices, scale-major, then rotation, then shift."""
+    first candidates for each subject's transform (`fit_transforms`): a stack
+    of homogeneous matrices, scale-major, then rotation, then shift."""
     lower, upper = lattice.bounds()
     extent = upper - lower
     center = 0.5 * (lower + upper)
@@ -829,7 +830,8 @@ def lm_points(p):
     relative reductions of ||r||^2 are both below it (ftol), when the step is
     below it relative to p, both scaled by D^1/2 (xtol), or when the cosine
     between r and each column of J is (gtol); and after 100 (n + 1) points,
-    lmder's default cap. `fit_affine` drives one per subject in lock step.
+    lmder's default cap. `levenberg_marquardt` drives one per problem in
+    lock step.
     """
     n = p.size
     r, jac = yield p
@@ -871,97 +873,100 @@ def lm_points(p):
     return p, f
 
 
-def levenberg_marquardt(point, p):
-    """`lm_points` from p for one problem; returns (p, ||r(p)||^2).
+def levenberg_marquardt(points, starts):
+    """`lm_points` from each row of starts (n_problems, n), every problem in
+    lock step; returns each problem's point p (n_problems, n) and ||r(p)||^2
+    (n_problems,).
 
-    `point(p)` returns the residuals r (m,) and their Jacobian J (m, n) at p,
-    both from one call.
+    `points(P, rows)` returns the residuals (live, m) and their Jacobians
+    (live, m, n) of the live problems, whose indices are `rows`, at their
+    points P (live, n), all from one call. A round evaluates every live
+    problem once, and a problem leaves when its fit stops, so a call takes
+    as many rounds as its longest fit has points. When `points` gives each
+    row the bits it gives that row alone, each problem's result is that of
+    the call on its own start.
     """
-    steps = lm_points(p)
-    q = next(steps)
-    while True:
-        try:
-            q = steps.send(point(q))
-        except StopIteration as stop:
-            return stop.value
-
-
-def best_candidates(warp, y, beta, starts, grid=()):
-    """Each subject's best candidate transform for ||Y_i - beta_i X(T)||^2.
-
-    `warp` samples X at T(S); y is (N, V), beta (N,) and starts (N, d + 1,
-    d + 1). Subject i's candidates are starts[i], then the coarse grid's
-    (`coarse_grid`), in that order, and the first smallest objective wins.
-    The starts are sampled in one stacked call. The grid is the same for
-    every subject, so it is sampled once for all of them, one `warp.chunk`
-    of candidates per kernel pass, and each subject's objectives are taken
-    from that chunk's values before the next is sampled: no (n_grid, V)
-    array is held. Each objective is float(r @ r), r = y_i - beta_i X(T).
-    Returns (best, objective): per subject, the winning matrix (starts[i]
-    itself or a row of the grid) and the smallest objective, as lists.
-    """
-    objs = [[float(r @ r)] for r in y - beta[:, None] * warp(starts)]
-    for lo in range(0, len(grid), warp.chunk):
-        xt = warp(grid[lo:lo + warp.chunk])
-        for i, row in enumerate(objs):
-            row.extend(float(r @ r) for r in y[i] - beta[i] * xt)
-    best = [starts[i] if k == 0 else grid[k - 1]
-            for i, k in enumerate(int(np.argmin(row)) for row in objs)]
-    return best, [min(row) for row in objs]
+    fits = [lm_points(p) for p in starts]
+    # Each problem's point to evaluate, and its result once its fit stops.
+    p = np.array([next(fit) for fit in fits])
+    f = np.empty(len(p))
+    done = np.zeros(len(p), dtype=bool)
+    while not done.all():
+        rows = np.flatnonzero(~done)
+        r, jac = points(p[rows], rows)
+        for k, i in enumerate(rows):
+            try:
+                p[i] = fits[i].send((r[k], jac[k]))
+            except StopIteration as stop:
+                p[i], f[i] = stop.value
+                done[i] = True
+    return p, f
 
 
 def fit_affine(warp, y, beta, best, best_obj):
     """Each subject's homogeneous matrix of the affine transform minimizing
-    ||Y_i - beta_i X(T)||^2, refined by Levenberg-Marquardt from its candidate
-    best[i], whose objective is best_obj[i] (`best_candidates`), as an (N,
-    d + 1, d + 1) stack.
+    ||Y_i - beta_i X(T)||^2, refined by Levenberg-Marquardt from its best
+    candidate best[i], whose objective is best_obj[i], as an (N, d + 1,
+    d + 1) stack.
 
-    `warp` samples X at T(S), y is (N, V) and beta (N,). The refinement
-    (`lm_points`, one per subject) runs over the top d rows of the
-    homogeneous matrix, with the exact Jacobian of the residuals:
-    Catmull-Rom interpolation is C^1, so the objective is a smooth sum of
-    squares. The subjects' fits run in lock step: each round samples the
+    `warp` samples X at T(S), y is (N, V), beta (N,), best (N, d + 1, d + 1)
+    and best_obj (N,) (`fit_transforms`). The subjects' fits run in lock
+    step (`levenberg_marquardt`) over the top d rows of their matrices,
+    with the exact Jacobian of the residuals: Catmull-Rom interpolation is
+    C^1, so the objective is a smooth sum of squares. Each round samples the
     map once for every live subject's point, for the residuals and the
-    Jacobians together (`Warp.value_and_jacobian` of the stack), so a set-up
-    pass pays as many rounds as its longest fit has points. Each fit's
-    arithmetic is that of `levenberg_marquardt` on its subject alone. A
-    refined matrix is kept only if it makes a valid `AffineTransform` and
-    its objective is no worse than best_obj[i]; otherwise best[i] is.
+    Jacobians together (`Warp.value_and_jacobian` of the stack), and each
+    row of that call has the bits of the call on its point alone. A refined
+    matrix is kept only if it makes a valid `AffineTransform` and its
+    objective is no worse than best_obj[i]; otherwise best[i] is.
     """
     d = warp.dim
-    fits = [lm_points(h[:d].ravel()) for h in best]
-    points = [next(fit) for fit in fits]
-    found = [None] * len(fits)
-    live = list(range(len(fits)))
-    while live:
-        vals, jac = warp.value_and_jacobian(np.array([points[i] for i in live])
-                                            .reshape(-1, d, d + 1))
-        r = beta[live, None] * vals - y[live]
-        jac = beta[live, None, None] * jac
-        for k, i in enumerate(live):
-            try:
-                points[i] = fits[i].send((r[k], jac[k]))
-            except StopIteration as stop:
-                found[i] = stop.value
-        live = [i for i in live if found[i] is None]
-    out = np.array(best)
-    for i, (p, f) in enumerate(found):
-        if f <= best_obj[i]:
-            h = np.eye(d + 1)
-            h[:d] = p.reshape(d, d + 1)
-            try:
-                out[i] = AffineTransform(h).matrix
-            except SingularTransform:
-                pass
+
+    def points(tops, rows):
+        vals, jac = warp.value_and_jacobian(tops.reshape(-1, d, d + 1))
+        return beta[rows, None] * vals - y[rows], beta[rows, None, None] * jac
+
+    p, f = levenberg_marquardt(points, best[:, :d].reshape(len(best), -1))
+    out = best.copy()
+    for i in np.flatnonzero(f <= best_obj):
+        top = p[i].reshape(d, d + 1)
+        try:
+            out[i] = AffineTransform.from_parts(top[:, :d], top[:, d]).matrix
+        except SingularTransform:
+            pass
     return out
 
 
 def fit_transforms(warp, y, beta, starts, grid):
     """Each subject's transform for ||Y_i - beta_i X(T)||^2, as an (N, d + 1,
-    d + 1) stack: its best candidate (`best_candidates`, of starts[i] and
-    `grid`), refined by `fit_affine` for all subjects at once. Both models'
-    set-ups fit through here."""
-    return fit_affine(warp, y, beta, *best_candidates(warp, y, beta, starts, grid))
+    d + 1) stack: the best of its candidates, starts[i] and then the rows of
+    the stack `grid` (`coarse_grid`, or an empty stack), refined by
+    `fit_affine` for all subjects at once. Both models' set-ups fit through
+    here.
+
+    `warp` samples X at T(S); y is (N, V), beta (N,) and starts (N, d + 1,
+    d + 1). The objectives fill one (N, 1 + len(grid)) table: the starts in
+    one stacked call, then the grid, which is the same for every subject,
+    one `warp.chunk` of candidates per kernel pass, so no (len(grid), V)
+    array is held. Each subject's entries of a pass are formed from its own
+    residual rows: a residual stack over the subjects would cross glibc's
+    128 KiB mmap threshold at N > 4 on the glyph. An entry is row_dot(r, r),
+    r = y_i - beta_i X(T), with the bits of float(r @ r). One argmin per row
+    picks each subject's candidate, so ties go to the earlier candidate, the
+    start first.
+    """
+    objs = np.empty((len(y), 1 + len(grid)))
+    r = y - beta[:, None] * warp(starts)
+    objs[:, 0] = row_dot(r, r)
+    for lo in range(0, len(grid), warp.chunk):
+        xt = warp(grid[lo:lo + warp.chunk])
+        for i in range(len(y)):
+            r = y[i] - beta[i] * xt
+            objs[i, 1 + lo:1 + lo + len(xt)] = row_dot(r, r)
+    k = np.argmin(objs, axis=1)
+    best = starts.copy()
+    best[k > 0] = grid[k[k > 0] - 1]
+    return fit_affine(warp, y, beta, best, objs.min(axis=1))
 
 
 def initialize(maps, config):
@@ -969,14 +974,17 @@ def initialize(maps, config):
 
     Repeats: fit each T_i by warping beta_i X to Y_i (`fit_transforms`: the
     best of the previous T_i and, on the first pass only, the coarse grid,
-    refined by Levenberg-Marquardt on every pass), re-fit
-    beta_i by no-intercept regression (`fit_scale`), standardize T at
-    identity and beta at 1, then re-estimate X as the mean of back-warped
-    maps Y_i(T_i^{-1})/beta_i. Stops after config.init_iters passes or when
-    the template change drops below 1e-4 relative; the state records the
-    passes run (`init_passes`) and the last pass's change (`init_rel_change`).
-    Needs only the maps' lattice: the neighbor library is sized afterwards
-    from the transforms found here (`library_margin`).
+    refined by Levenberg-Marquardt on every pass), re-fit the betas by one
+    row-wise no-intercept regression of each Y_i onto X(T_i) (`row_dot`),
+    standardize T at identity and beta at 1, then re-estimate X as the mean
+    of the back-warped maps Y_i(T_i^{-1})/beta_i. Stops after
+    config.init_iters passes or when the template change drops below 1e-4
+    relative; the state records the passes run (`init_passes`) and the last
+    pass's change (`init_rel_change`), and takes that pass's T_i^{-1} and
+    back-warps as T_r and Y_bw. Needs only the maps' lattice: the neighbor
+    library is sized afterwards from the transforms found here
+    (`library_margin`). Raises DegenerateInput for a constant map, or when
+    an X(T_i) is identically zero: the regression is then undefined.
 
     Every warp goes through a prebuilt `Warp`, which samples at T(S) for S
     the maps' lattice sites: `Warp(maps)` for the back-warps, built once,
@@ -988,34 +996,35 @@ def initialize(maps, config):
     (`fit_affine`).
     """
     lattice = common_lattice(maps)
-    for amap in maps:
-        if np.ptp(amap.values) == 0.0:
-            raise DegenerateInput("constant map: scale regression undefined")
+    y = np.stack([amap.values for amap in maps])
+    if np.any(np.ptp(y, axis=1) == 0.0):
+        raise DegenerateInput("constant map: scale regression undefined")
 
     back = Warp(maps)
-    y = np.stack([amap.values for amap in maps])
     x = np.mean(y, axis=0)
-    n = len(maps)
-    ts = np.array([np.eye(lattice.dim + 1)] * n)
-    betas = np.ones(n)
+    ts = np.array([np.eye(lattice.dim + 1)] * len(maps))
+    betas = np.ones(len(maps))
 
     grid = coarse_grid(lattice)
     for passes in range(1, config.init_iters + 1):
         warp = Warp(ActivationMap(lattice, x))
-        ts = fit_transforms(warp, y, betas, ts, grid if passes == 1 else ())
-        betas = np.array([fit_scale(yi, xt) for yi, xt in zip(y, warp(ts))])
+        ts = fit_transforms(warp, y, betas, ts, grid if passes == 1 else grid[:0])
+        xt = warp(ts)
+        den = row_dot(xt, xt)
+        if np.any(den <= 0.0):
+            raise DegenerateInput("scale regression undefined: X(T) is identically zero")
+        betas = row_dot(xt, y) / den
         ts, _ = standardize(ts)
         betas = betas / np.mean(betas)
-        x_new = np.mean(back(np.array([affine_inverse(t) for t in ts])) / betas[:, None],
-                        axis=0)
+        ts_r = np.array([affine_inverse(t) for t in ts])
+        y_bw = back(ts_r)
+        x_new = np.mean(y_bw / betas[:, None], axis=0)
         rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12)
         x = x_new
         if rel < 1e-4:
             break
 
-    ts_r = np.array([affine_inverse(t) for t in ts])
     xt = Warp(ActivationMap(lattice, x))(ts)
-    y_bw = back(ts_r)
     sigma2 = np.maximum(np.mean((y - betas[:, None] * xt) ** 2, axis=1), 1e-12)
     alpha = max(float(np.var(x)), 1e-12)
     rho = 0.5 * (config.rho_lower + config.rho_upper)

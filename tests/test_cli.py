@@ -67,6 +67,20 @@ def test_fit_failing_at_setup_exits_3_and_writes_nothing(tmp_path, capsys):
     _no_outputs_left(tmp_path, out)
 
 
+def test_fit_of_an_identically_zero_template_exits_3_and_writes_nothing(tmp_path, capsys):
+    """A cosine map and its negative average to the zero template, which
+    leaves the scale regression of initialization undefined."""
+    lattice = Lattice((41,), 0.1, 0.0)
+    cosine = ActivationMap(lattice, np.cos(3.0 * lattice.locations()[:, 0]))
+    paths = _write_maps(tmp_path, [cosine, cosine.with_values(-cosine.values)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"maps={paths[0]},{paths[1]}\ntotal=4\nburn_in=2\nthin=1\n")
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "X(T) is identically zero" in capsys.readouterr().err
+    _no_outputs_left(tmp_path, out)
+
+
 @pytest.mark.parametrize("text", ["scenario=cosine\nthis line has no equals sign\n",
                                   "scenario=cosine\ntotal=many\n",
                                   "scenario=cosine\nno_such_key=1\n",

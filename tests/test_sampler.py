@@ -21,9 +21,9 @@ from groupreg.errors import (DegenerateInput, IllConditioned, NonPositiveScale,
 from groupreg.grids import ActivationMap, Lattice, make_lattice_1d
 from groupreg.interp import Warp, interpolate
 from groupreg.model import TransformPrior
-from groupreg.sampler import (FIT_TOL, AdaptiveProposal, Chain, ChainAborted, best_candidates,
-                              beta_sigma_conditional, coarse_grid, fit_affine, fit_scale,
-                              initialize, levenberg_marquardt, lie_mh_step, rho_weights,
+from groupreg.sampler import (FIT_TOL, AdaptiveProposal, Chain, ChainAborted,
+                              beta_sigma_conditional, coarse_grid, fit_affine, fit_transforms,
+                              initialize, levenberg_marquardt, lie_mh_step, rho_weights, row_dot,
                               template_conditional, transformed_template_conditional,
                               update_beta_sigma, update_forward_transform,
                               update_reverse_transform, update_template,
@@ -439,6 +439,26 @@ def test_chain_needs_at_least_one_map():
         Chain([], RunConfig(total=2, burn_in=1))
 
 
+def test_set_up_of_an_identically_zero_template_is_degenerate():
+    """A cosine map and its negative average to the zero template, so every
+    X(T_i) is zero and the scale regression is undefined."""
+    lattice = make_lattice_1d(-4.0, 4.0, 0.1)
+    cosine = ActivationMap(lattice, np.cos(lattice.locations()[:, 0]))
+    maps = [cosine, cosine.with_values(-cosine.values)]
+    with pytest.raises(DegenerateInput, match=r"X\(T\) is identically zero"):
+        initialize(maps, RunConfig())
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 784), (2, 4, 201)])
+def test_row_dot_has_the_bits_of_one_dot_per_row(shape):
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    got = row_dot(a, b)
+    assert got.shape == shape[:-1]
+    for i in np.ndindex(shape[:-1]):
+        assert got[i] == float(a[i] @ b[i]) == float(np.dot(a[i], b[i]))
+
+
 @pytest.mark.parametrize("sim_seed", [0, 2, 3])
 def test_library_holds_far_initial_transforms(sim_seed):
     """These cosine fits start 8 to 11 grid steps past the lattice, beyond a 5-step library."""
@@ -468,11 +488,10 @@ def test_a_sweep_builds_no_random_generator(monkeypatch):
         assert chain.iteration == 2
 
 
-def fit_from_grid(y_map, x_map, beta, start, grid=()):
+def fit_from_grid(y_map, x_map, beta, start, grid):
     """One subject's set-up fit: the best of `start` and `grid`, refined."""
-    warp = Warp(x_map)
-    y, betas = y_map.values[None], np.array([beta])
-    return fit_affine(warp, y, betas, *best_candidates(warp, y, betas, start[None], grid))[0]
+    return fit_transforms(Warp(x_map), y_map.values[None], np.array([beta]), start[None],
+                          grid)[0]
 
 
 def test_fit_affine_recovers_a_known_warp():
@@ -510,7 +529,7 @@ def test_fit_affine_falls_back_to_the_best_candidate(monkeypatch, x, fun):
     y = np.stack([glyph.values, 1.2 * glyph.values])
     beta = np.array([1.0, 1.0])
     starts = np.array([start, start])
-    objs = [float(r @ r) for r in y - warp(starts)]
+    objs = np.array([float(r @ r) for r in y - warp(starts)])
     steps, made = sampler.lm_points, []
 
     def stub(p):
@@ -521,10 +540,10 @@ def test_fit_affine_falls_back_to_the_best_candidate(monkeypatch, x, fun):
         return (yield from steps(p))
 
     monkeypatch.setattr(sampler, "lm_points", stub)
-    got = fit_affine(warp, y, beta, list(starts), objs)
+    got = fit_affine(warp, y, beta, starts, objs)
     monkeypatch.undo()
     assert np.array_equal(got[0], start)
-    want = fit_affine(warp, y[1:], beta[1:], [start], objs[1:])[0]
+    want = fit_affine(warp, y[1:], beta[1:], starts[1:], objs[1:])[0]
     assert np.array_equal(got[1], want) and not np.array_equal(want, start)
 
 
@@ -586,7 +605,22 @@ def test_set_up_samples_once_per_lm_round(monkeypatch, scenario):
         assert jac.strides == want_jac.strides
 
 
-def test_best_candidates_is_the_first_smallest_objective():
+def candidate_search(monkeypatch, warp, y, beta, starts, grid):
+    """The candidates and their objectives, (N, d + 1, d + 1) and (N,), that
+    `fit_transforms` hands to `fit_affine`, whose refinement is stubbed out
+    for the rest of the test."""
+    handed = []
+
+    def handed_on(warp, y, beta, best, best_obj):
+        handed.append((best, best_obj))
+        return best
+
+    monkeypatch.setattr(sampler, "fit_affine", handed_on)
+    assert fit_transforms(warp, y, beta, starts, grid) is handed[-1][0]
+    return handed[-1]
+
+
+def test_fit_transforms_takes_the_first_smallest_objective(monkeypatch):
     """Subject by subject, the candidates' objectives are today's per-candidate
     sums, in the order [start, *grid], and ties go to the earlier candidate."""
     maps = small_glyph()
@@ -596,9 +630,10 @@ def test_best_candidates_is_the_first_smallest_objective():
     beta = np.array([0.8, 1.0, 1.3])
     grid = coarse_grid(lattice)
     # Subject 1's map is the template and its start the identity, which the
-    # grid holds too: the tie goes to the start.
+    # grid holds too, with a -0.0 entry: the tie goes to the start.
     starts = np.array([grid[17], np.eye(3), grid[400]])
-    best, objs = best_candidates(warp, y, beta, starts, grid)
+    best, objs = candidate_search(monkeypatch, warp, y, beta, starts, grid)
+    assert best.shape == starts.shape and objs.shape == (3,)
     for i in range(3):
         want = []
         for h in [starts[i], *grid]:
@@ -607,10 +642,12 @@ def test_best_candidates_is_the_first_smallest_objective():
         k = int(np.argmin(want))
         assert objs[i] == min(want)
         assert np.array_equal(best[i], ([starts[i], *grid])[k])
-    assert objs[1] == 0.0 and np.shares_memory(best[1], starts)
+    tied = [k for k, h in enumerate(grid) if np.array_equal(h, np.eye(3))]
+    assert len(tied) == 1 and grid[tied[0]].tobytes() != starts[1].tobytes()
+    assert objs[1] == 0.0 and best[1].tobytes() == starts[1].tobytes()
 
 
-def test_best_candidates_do_not_depend_on_the_pass_size():
+def test_fit_transforms_candidates_do_not_depend_on_the_pass_size(monkeypatch):
     """The glyph's first-pass search (N = 3, 525 candidates) gives the same
     candidates and objectives at 1 matrix per kernel pass, at the default
     pass and with every candidate in one pass."""
@@ -622,12 +659,12 @@ def test_best_candidates_do_not_depend_on_the_pass_size():
     assert len(grid) == 525 and 1 < warp.chunk < len(grid)
     starts = np.array([np.eye(3)] * 3)
     beta = np.array([0.9, 1.0, 1.1])
-    want_best, want_objs = best_candidates(warp, y, beta, starts, grid)
+    want_best, want_objs = candidate_search(monkeypatch, warp, y, beta, starts, grid)
     for chunk in (1, len(grid)):
         warp.chunk = chunk
-        best, objs = best_candidates(warp, y, beta, starts, grid)
-        assert objs == want_objs
-        assert all(np.array_equal(a, b) for a, b in zip(best, want_best))
+        best, objs = candidate_search(monkeypatch, warp, y, beta, starts, grid)
+        assert np.array_equal(objs, want_objs)
+        assert np.array_equal(best, want_best)
 
 
 def noisy_fit_problem(dim):
@@ -644,6 +681,15 @@ def noisy_fit_problem(dim):
     clean = interpolate(x, affine_apply(truth, x.lattice.locations()))
     y = x.with_values(1.3 * clean + 0.05 * rng.standard_normal(clean.size))
     return y, x, 1.3
+
+
+def one_problem(point):
+    """`levenberg_marquardt`'s `points` for a single problem whose residuals
+    and Jacobian at p are `point(p)`."""
+    def points(tops, rows):
+        assert len(tops) == len(rows) == 1
+        return tuple(a[None] for a in point(tops[0]))
+    return points
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -666,7 +712,8 @@ def test_levenberg_marquardt_matches_minpack(dim, start):
         return beta * vals - y.values, beta * jac
 
     points, scalar_points = [], []
-    p, f = levenberg_marquardt(lambda q: points.append(q) or point(q), t0[:dim].ravel())
+    (p,), (f,) = levenberg_marquardt(one_problem(lambda q: points.append(q) or point(q)),
+                                     t0[:dim].ravel()[None])
     p_scalar, f_scalar = scalar_levenberg_marquardt(
         lambda q: scalar_points.append(q) or point(q), t0[:dim].ravel())
     assert np.array_equal(p, p_scalar) and f == f_scalar
@@ -691,8 +738,8 @@ def test_levenberg_marquardt_stops_at_a_non_finite_start():
         return np.full(3, np.nan), np.full((3, 2), np.nan)
 
     p0 = np.array([1.0, 2.0])
-    p, f = levenberg_marquardt(point, p0)
-    assert len(calls) == 1 and p is p0 and np.isnan(f)
+    (p,), (f,) = levenberg_marquardt(one_problem(point), p0[None])
+    assert len(calls) == 1 and np.array_equal(p, p0) and np.isnan(f)
 
 
 def test_levenberg_marquardt_never_takes_a_non_finite_point():
@@ -708,7 +755,7 @@ def test_levenberg_marquardt_never_takes_a_non_finite_point():
         e = p[0] - 3.0
         return np.array([np.arctan(e)]), np.array([[1.0 / (1.0 + e * e)]])
 
-    p, f = levenberg_marquardt(point, np.array([-2.0]))
+    (p,), (f,) = levenberg_marquardt(one_problem(point), np.array([[-2.0]]))
     assert any(v > 3.5 for v in visited)
     assert abs(p[0] - 3.0) < 1e-9 and f < 1e-18
 
@@ -723,9 +770,72 @@ def test_levenberg_marquardt_stops_at_the_evaluation_cap():
         calls.append(p)
         return np.sqrt(np.abs(p)), np.diag(0.5 * np.sign(p) / np.sqrt(np.abs(p)))
 
-    p, f = levenberg_marquardt(point, np.array([1.0]))
+    (p,), (f,) = levenberg_marquardt(one_problem(point), np.array([[1.0]]))
     assert len(calls) == 200
     assert 0.0 < f < 1e-30
+
+
+def test_levenberg_marquardt_gives_each_problem_its_own_run():
+    """Problems in lock step, each with its own residual function and stop:
+    the evaluation cap (300 points at n = 2), a non-finite start, a rejected
+    non-finite point, a smooth optimum, a start whose every step is
+    non-finite (so its last point is not its result), and two noisy warp
+    fits. Each problem's point, objective and sequence of points have the
+    bits of its run alone, and its result those of the scalar loop; a
+    problem leaves the rounds when its fit stops, and `points` sees only the
+    live rows."""
+    y, x, beta = noisy_fit_problem(1)
+    warp, m = Warp(x), y.values.size
+
+    def warp_fit(p):
+        (vals,), (jac,) = warp.value_and_jacobian(p.reshape(1, 1, 2))
+        return beta * vals - y.values, beta * jac
+
+    def padded(point):
+        """A scalar problem's residuals and Jacobian, padded with zeros to m
+        rows, the Jacobian in the transposed layout of a warp fit's."""
+        def padded_point(p):
+            r, jac = point(p)
+            return np.pad(r, (0, m - 1)), np.pad(jac, ((0, m - 1), (0, 1))).T.copy().T
+        return padded_point
+
+    problems = [
+        padded(lambda p: (np.sqrt(np.abs(p[:1])),
+                          np.diag(0.5 * np.sign(p[:1]) / np.sqrt(np.abs(p[:1]))))),
+        lambda p: (np.full(m, np.nan), np.full((2, m), np.nan).T),
+        padded(lambda p: ((np.full(1, np.nan), np.full((1, 1), np.nan)) if p[0] > 3.5 else
+                          (np.arctan(p[:1] - 3.0), np.array([[1.0 / (1.0 + (p[0] - 3.0) ** 2)]])))),
+        padded(lambda p: (np.array([np.sinh(p[0] - 0.5)]), np.array([[np.cosh(p[0] - 0.5)]]))),
+        padded(lambda p: ((p[:1], np.ones((1, 1))) if p[0] == 1.0 else
+                          (np.full(1, np.nan), np.full((1, 1), np.nan)))),
+        warp_fit,
+        warp_fit,
+    ]
+    starts = np.array([[1.0, 0.0], [1.0, 2.0], [-2.0, 0.0], [2.0, 0.0], [1.0, 0.0],
+                       [1.0, 0.0], [1.1, 0.3]])
+    seen, alone = [[] for _ in problems], []
+    for point, seen_i, start in zip(problems, seen, starts):
+        alone.append(levenberg_marquardt(one_problem(lambda q: seen_i.append(q) or point(q)),
+                                         start[None]))
+    rounds = []
+
+    def points(tops, rows):
+        rounds.append(list(rows))
+        for q, i in zip(tops, rows):
+            assert np.array_equal(q, seen[i][sum(i in r for r in rounds) - 1])
+        r, jac = zip(*(problems[i](q) for q, i in zip(tops, rows)))
+        # Each row keeps the memory layout of its call alone.
+        return np.stack(r), np.stack([j.T for j in jac]).swapaxes(1, 2)
+
+    p, f = levenberg_marquardt(points, starts)
+    for i, ((p_i,), (f_i,)) in enumerate(alone):
+        p_scalar, f_scalar = scalar_levenberg_marquardt(problems[i], starts[i])
+        assert np.array_equal(p[i], p_i) and np.array_equal(p_i, p_scalar)
+        assert np.array_equal([f[i], f_i], [f_scalar] * 2, equal_nan=True)
+        assert sum(i in r for r in rounds) == len(seen[i])
+    counts = [len(points_i) for points_i in seen]
+    assert len(rounds) == max(counts) == 300 and len(set(counts)) == len(problems)
+    assert all(rows == sorted(rows) for rows in rounds)
 
 
 def coarse_grid_loop(lattice):
@@ -767,21 +877,22 @@ def test_coarse_grid_is_the_loop_of_transforms_bit_for_bit(lattice):
 def test_set_up_builds_the_coarse_grid_once(monkeypatch):
     """`initialize` and the baseline's set-up build one coarse grid each and
     hand it, once for all subjects, to the first pass's candidate search,
-    which both run through `sampler.fit_transforms`."""
+    `sampler.fit_transforms`."""
     built, handed = [], []
-    grid, search = sampler.coarse_grid, sampler.best_candidates
+    grid, search = sampler.coarse_grid, sampler.fit_transforms
 
     def counted_grid(lattice):
         built.append(grid(lattice))
         return built[-1]
 
-    def recorded_search(warp, y, beta, starts, grid=()):
+    def recorded_search(warp, y, beta, starts, grid):
         handed.append((grid, len(y)))
         return search(warp, y, beta, starts, grid)
 
     monkeypatch.setattr(sampler, "coarse_grid", counted_grid)
-    monkeypatch.setattr(sampler, "best_candidates", recorded_search)
+    monkeypatch.setattr(sampler, "fit_transforms", recorded_search)
     monkeypatch.setattr(baseline, "coarse_grid", counted_grid)
+    monkeypatch.setattr(baseline, "fit_transforms", recorded_search)
     maps = indicator()
     initialize(maps, RunConfig(init_iters=2))
     assert len(built) == 1 and len(handed) == 2
@@ -834,7 +945,7 @@ def scalar_levenberg_marquardt(point, p):
 
 def per_subject_fit_affine(y_map, x_map, beta, start, grid=()):
     """The set-up's transform fit with a `Warp` and a grid search per subject:
-    the oracle of `best_candidates` followed by `fit_affine`, with the scalar LM."""
+    the oracle of `fit_transforms`, with the scalar LM."""
     warp = Warp(x_map)
     y = y_map.values
 
@@ -879,7 +990,8 @@ def per_subject_initialize(maps, config):
                                               grid if it == 0 else ()) for i in range(n)])
         warp = Warp(x_map)
         for i in range(n):
-            betas[i] = fit_scale(maps[i].values, warp(ts[i]))
+            xt = warp(ts[i])
+            betas[i] = float(np.dot(xt, maps[i].values)) / float(np.dot(xt, xt))
         ts, _ = standardize(ts)
         betas = betas / np.mean(betas)
         x_new = np.mean([back[i](affine_inverse(ts[i])) / betas[i] for i in range(n)],
@@ -962,23 +1074,25 @@ def test_set_up_samples_each_grid_candidate_once(monkeypatch, model, scenario):
     assert all(q <= template.chunk * v for w, _, q in calls if w is template)
 
 
-def test_glyph_grid_search_holds_no_stack_of_warped_templates():
-    """The first pass's candidate search on the 28x28 glyph (N = 3, 525
-    candidates), once a search has grown the thread's kernel buffers (1.75
-    MB at 5 candidates per pass), peaked at 0.62 MB under tracemalloc (numpy
-    2.4): the other temporaries of one kernel pass. One (526, 784) stack of
-    warped values alone is 3.3 MB. The bound is 1 MB."""
-    maps, _ = generate(ScenarioSpec("glyph", n_subjects=3, seed=7))
+@pytest.mark.parametrize("n", [3, 24])
+def test_glyph_grid_search_holds_no_stack_of_warped_templates(monkeypatch, n):
+    """The first pass's candidate search on the 28x28 glyph (525 candidates),
+    once a search has grown the thread's kernel buffers (1.75 MB at 5
+    candidates per pass), peaked at 0.56 MB for N = 3 and 0.73 MB for N = 24
+    under tracemalloc (numpy 2.4): the other temporaries of one kernel pass,
+    and the (N, 526) objective table. One (526, 784) stack of warped values
+    alone is 3.3 MB. The bound is 1 MB. The LM refinement is stubbed out."""
+    maps, _ = generate(ScenarioSpec("glyph", n_subjects=n, seed=7))
     lattice = maps[0].lattice
     y = np.stack([m.values for m in maps])
     warp = Warp(ActivationMap(lattice, np.mean(y, axis=0)))
     grid = coarse_grid(lattice)
-    starts = np.array([np.eye(3)] * 3)
-    best_candidates(warp, y, np.ones(3), starts, grid)
+    starts = np.array([np.eye(3)] * n)
+    candidate_search(monkeypatch, warp, y, np.ones(n), starts, grid)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        best_candidates(warp, y, np.ones(3), starts, grid)
+        candidate_search(monkeypatch, warp, y, np.ones(n), starts, grid)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
