@@ -45,6 +45,8 @@ grids are stacked, (maps, padded shape), and a point's flat stencil index is
 offset by its map's place in the stack, so the kernel and its arithmetic are
 those of one map. Row k of a stack is sampled on map `which[k]`, or on map k
 when no `which` is given, and has the bits of a one-map `Warp` of that map.
+`warp.refill(values)` writes new values over map 0's in place, so the
+set-up keeps one `Warp` of its template across its passes.
 
 `warp.value_and_jacobian(tops)` gives, for an (m, d, d + 1) stack of the top
 d rows of homogeneous matrices H, the values on the first map with their
@@ -117,7 +119,7 @@ class Warp:
     `which` is not given, with the bits of `Warp(maps[which[k]])(h[k])`. The
     padded grids, the stencil offsets, the clip bounds and S, as a (d, V)
     array with the lattice's origin and spacing as columns, are built here,
-    once.
+    once; `refill` replaces map 0's values and keeps the rest.
     """
 
     def __init__(self, maps):
@@ -135,6 +137,7 @@ class Warp:
         self._padded = np.zeros((len(maps),) + tuple(n + 2 * _PAD for n in lat.shape))
         self._padded[(slice(None),) + (slice(_PAD, -_PAD),) * lat.dim] = np.stack(
             [amap.grid for amap in maps])
+        self._shape = lat.shape
         # Flat index of a stencil's first site (base - 1 per axis) in map 0 is
         # strides @ base + _first, in map j that plus j * _map_size, and the
         # 4^d stencil sites lie at `_offsets` from it, axis 0 outermost.
@@ -153,6 +156,14 @@ class Warp:
         self._spacing = lat.spacing[:, None]
         # Matrices per kernel pass, chunk V points at most _PASS_POINTS.
         self.chunk = max(1, _PASS_POINTS // lat.n_sites)
+
+    def refill(self, values):
+        """Write `values`, (V,) in the lattice's site order, over map 0's, in
+        place: the `Warp` then samples as a new `Warp` of a map with those
+        values does, bit for bit, and keeps no reference to `values`. The
+        padding, the stencil offsets, the clip bounds and S stay as built.
+        """
+        self._padded[(0,) + (slice(_PAD, -_PAD),) * self.dim] = np.reshape(values, self._shape)
 
     def sample(self, u, deriv=False, offset=None):
         """Values at index coordinates u, (d, q) and C-contiguous; returns (q,).

@@ -130,8 +130,8 @@ from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
                       kriging_factor, library_weights, locate_entries, neighbor_distances,
                       nngp_log_density_from_weights)
 from .store import SampleStore
-from .transforms import (AffineTransform, affine_inverse, apply_stack, has_real_log,
-                         karcher_mean, lie_exp, standardize)
+from .transforms import (AffineTransform, affine_inverse, apply_stack, composition_identity_gap,
+                         has_real_log, karcher_mean, lie_exp, standardize)
 
 FLAPACK = "scipy.linalg._flapack"
 
@@ -258,10 +258,10 @@ class ChainState:
     NNGP table holds every row of the model's NNGP terms, neighbor sets nbr
     and weights B (N + 1, V, k), variances F (N + 1, V): family 0 is the
     template's rows (the padded predecessor slots at the site itself, with
-    B = 0), family i + 1 subject i's. `warps`, `Warp(maps)`, samples every
-    maps[i] at T(S), S the template sites, which are the maps' own lattice
-    sites, for the reverse step, and `band` assembles the X step's
-    precision."""
+    B = 0), family i + 1 subject i's. `warps`, `Warp(maps)`, given with the
+    state, samples every maps[i] at T(S), S the template sites, which are
+    the maps' own lattice sites, for the reverse step, and `band` assembles
+    the X step's precision."""
 
     X: np.ndarray
     maps: list
@@ -274,13 +274,13 @@ class ChainState:
     sigma2: np.ndarray
     alpha: float
     rho: float
+    warps: Warp = field(repr=False)
     dist: np.ndarray = field(default=None, repr=False)
     entry: np.ndarray = field(default=None, repr=False)
     nbr: np.ndarray = field(default=None, repr=False)
     B: np.ndarray = field(default=None, repr=False)
     F: np.ndarray = field(default=None, repr=False)
     factor: KrigingFactor = field(default=None, repr=False)  # pattern cache at rho
-    warps: Warp = field(default=None, repr=False)
     band: TemplateBand = field(default=None, repr=False)   # Q's slot tables and buffers
     rho_proposals: int = 0
     rho_accepts: int = 0
@@ -346,11 +346,10 @@ def transform_terms(prior, h, other):
 def refresh_caches(state, geom):
     """Factor the pattern table at state.rho; set the state's NNGP caches,
     the table for the template and every subject's current transform (its
-    (B, F) from `rho_weights`, the one path that fills them), and
-    `Warp(state.maps)`, which samples every subject map at T(S) for the
-    reverse step. Raises
-    OutOfLibraryBounds when a T_i leaves the library."""
-    state.warps = Warp(state.maps)
+    (B, F) from `rho_weights`, the one path that fills them). The state's
+    `warps`, `Warp(state.maps)`, comes with it (`initialize` hands on the
+    one it built), so none is built here. Raises OutOfLibraryBounds when a
+    T_i leaves the library."""
     state.factor = kriging_factor(geom.library, state.rho)
     inside, (state.dist, state.entry, nbr, _, _) = subject_geometry(state.T, geom, state.factor,
                                                                     state.alpha)
@@ -830,8 +829,11 @@ def lm_points(p):
     relative reductions of ||r||^2 are both below it (ftol), when the step is
     below it relative to p, both scaled by D^1/2 (xtol), or when the cosine
     between r and each column of J is (gtol); and after 100 (n + 1) points,
-    lmder's default cap. `levenberg_marquardt` drives one per problem in
-    lock step.
+    lmder's default cap. The gtol and xtol tests run on Python floats, from
+    `tolist()` and numpy's dots: a product, a square root and a comparison
+    round alike in both, so they decide as numpy's array forms would, with
+    fewer numpy calls. `levenberg_marquardt` drives one per problem in lock
+    step.
     """
     n = p.size
     r, jac = yield p
@@ -844,13 +846,14 @@ def lm_points(p):
             a, g = jac.T @ jac, jac.T @ r
             diag = a.diagonal()
             # gtol, which a zero residual meets; and a start that is not finite
-            if not math.isfinite(f) or np.all(np.abs(g) <= FIT_TOL * np.sqrt(f * diag)):
+            if not math.isfinite(f) or all(abs(g_j) <= FIT_TOL * math.sqrt(f * d_j)
+                                           for g_j, d_j in zip(g.tolist(), diag.tolist())):
                 break
             scale = np.where(diag > 0, diag, 1.0) if scale is None else np.maximum(scale, diag)
         damped = a.copy()
         damped.flat[::n + 1] += mu * scale
         h = np.linalg.solve(damped, -g)
-        if np.sqrt(scale @ (h * h)) <= FIT_TOL * np.sqrt(scale @ (p * p)):
+        if math.sqrt(scale @ (h * h)) <= FIT_TOL * math.sqrt(scale @ (p * p)):
             break
         pred = float(h @ (mu * scale * h - g))
         if not pred > 0.0:
@@ -903,28 +906,37 @@ def levenberg_marquardt(points, starts):
     return p, f
 
 
-def fit_affine(warp, y, beta, best, best_obj):
+def fit_affine(warp, y, beta, best):
     """Each subject's homogeneous matrix of the affine transform minimizing
     ||Y_i - beta_i X(T)||^2, refined by Levenberg-Marquardt from its best
-    candidate best[i], whose objective is best_obj[i], as an (N, d + 1,
-    d + 1) stack.
+    candidate best[i], as an (N, d + 1, d + 1) stack.
 
-    `warp` samples X at T(S), y is (N, V), beta (N,), best (N, d + 1, d + 1)
-    and best_obj (N,) (`fit_transforms`). The subjects' fits run in lock
-    step (`levenberg_marquardt`) over the top d rows of their matrices,
-    with the exact Jacobian of the residuals: Catmull-Rom interpolation is
-    C^1, so the objective is a smooth sum of squares. Each round samples the
-    map once for every live subject's point, for the residuals and the
+    `warp` samples X at T(S), y is (N, V), beta (N,) and best (N, d + 1,
+    d + 1) (`fit_transforms`). The subjects' fits run in lock step
+    (`levenberg_marquardt`) over the top d rows of their matrices, with the
+    exact Jacobian of the residuals: Catmull-Rom interpolation is C^1, so
+    the objective is a smooth sum of squares. Each round samples the map
+    once for every live subject's point, for the residuals and the
     Jacobians together (`Warp.value_and_jacobian` of the stack), and each
     row of that call has the bits of the call on its point alone. A refined
     matrix is kept only if it makes a valid `AffineTransform` and its
-    objective is no worse than best_obj[i]; otherwise best[i] is.
+    objective is no worse than best[i]'s, which is the LM's first, so no
+    candidate is warped again to be scored: its ||r||^2, r = beta_i X(T) -
+    Y_i, has the bits of ||Y_i - beta_i X(T)||^2 from `warp(best)`, since
+    negation is exact and `Warp.value_and_jacobian` gives the values of
+    `warp`. Otherwise best[i] is kept.
     """
     d = warp.dim
+    best_obj = None
 
     def points(tops, rows):
+        nonlocal best_obj
         vals, jac = warp.value_and_jacobian(tops.reshape(-1, d, d + 1))
-        return beta[rows, None] * vals - y[rows], beta[rows, None, None] * jac
+        b = beta.take(rows)[:, None]    # `take` gathers at less overhead than indexing
+        r = b * vals - y.take(rows, axis=0)
+        if best_obj is None:        # the first round: every subject at best[i]
+            best_obj = row_dot(r, r)
+        return r, b[:, :, None] * jac
 
     p, f = levenberg_marquardt(points, best[:, :d].reshape(len(best), -1))
     out = best.copy()
@@ -937,23 +949,16 @@ def fit_affine(warp, y, beta, best, best_obj):
     return out
 
 
-def fit_transforms(warp, y, beta, starts, grid):
-    """Each subject's transform for ||Y_i - beta_i X(T)||^2, as an (N, d + 1,
-    d + 1) stack: the best of its candidates, starts[i] and then the rows of
-    the stack `grid` (`coarse_grid`, or an empty stack), refined by
-    `fit_affine` for all subjects at once. Both models' set-ups fit through
-    here.
-
-    `warp` samples X at T(S); y is (N, V), beta (N,) and starts (N, d + 1,
-    d + 1). The objectives fill one (N, 1 + len(grid)) table: the starts in
-    one stacked call, then the grid, which is the same for every subject,
-    one `warp.chunk` of candidates per kernel pass, so no (len(grid), V)
-    array is held. Each subject's entries of a pass are formed from its own
-    residual rows: a residual stack over the subjects would cross glibc's
-    128 KiB mmap threshold at N > 4 on the glyph. An entry is row_dot(r, r),
-    r = y_i - beta_i X(T), with the bits of float(r @ r). One argmin per row
-    picks each subject's candidate, so ties go to the earlier candidate, the
-    start first.
+def candidate_objectives(warp, y, beta, starts, grid):
+    """The (N, 1 + len(grid)) table of each subject's ||Y_i - beta_i X(T)||^2
+    at its candidates, starts[i] and then the rows of `grid`
+    (`fit_transforms`): the starts in one stacked call, then the grid, which
+    is the same for every subject, one `warp.chunk` of candidates per kernel
+    pass, so no (len(grid), V) array is held. Each subject's entries of a
+    pass are formed from its own residual rows: a residual stack over the
+    subjects would cross glibc's 128 KiB mmap threshold at N > 4 on the
+    glyph. An entry is row_dot(r, r), r = y_i - beta_i X(T), with the bits
+    of float(r @ r).
     """
     objs = np.empty((len(y), 1 + len(grid)))
     r = y - beta[:, None] * warp(starts)
@@ -963,10 +968,29 @@ def fit_transforms(warp, y, beta, starts, grid):
         for i in range(len(y)):
             r = y[i] - beta[i] * xt
             objs[i, 1 + lo:1 + lo + len(xt)] = row_dot(r, r)
-    k = np.argmin(objs, axis=1)
+    return objs
+
+
+def fit_transforms(warp, y, beta, starts, grid):
+    """Each subject's transform for ||Y_i - beta_i X(T)||^2, as an (N, d + 1,
+    d + 1) stack: the best of its candidates, starts[i] and then the rows of
+    the stack `grid` (`coarse_grid`, or an empty stack), refined by
+    `fit_affine` for all subjects at once. Both models' set-ups fit through
+    here.
+
+    `warp` samples X at T(S); y is (N, V), beta (N,) and starts (N, d + 1,
+    d + 1). With an empty grid the starts are the candidates, and no start
+    is warped to be scored: the refinement takes each candidate's objective
+    from its own first round (`fit_affine`). Otherwise one argmin per row of
+    `candidate_objectives` picks each subject's candidate, so ties go to the
+    earlier candidate, the start first.
+    """
+    if not len(grid):
+        return fit_affine(warp, y, beta, starts)
+    k = np.argmin(candidate_objectives(warp, y, beta, starts, grid), axis=1)
     best = starts.copy()
     best[k > 0] = grid[k[k > 0] - 1]
-    return fit_affine(warp, y, beta, best, objs.min(axis=1))
+    return fit_affine(warp, y, beta, best)
 
 
 def initialize(maps, config):
@@ -986,14 +1010,17 @@ def initialize(maps, config):
     (`library_margin`). Raises DegenerateInput for a constant map, or when
     an X(T_i) is identically zero: the regression is then undefined.
 
-    Every warp goes through a prebuilt `Warp`, which samples at T(S) for S
-    the maps' lattice sites: `Warp(maps)` for the back-warps, built once,
-    which samples every subject's map at its transform in one call, and a
-    `Warp` of each pass's template, which every subject's candidates, LM
-    points and scale regression share. So the first pass samples each
-    coarse-grid candidate once, not once per subject, and each round of the
-    subjects' lock-step LM fits samples all their points in one call
-    (`fit_affine`).
+    Every warp goes through one of two prebuilt `Warp`s, which sample at
+    T(S) for S the maps' lattice sites: `Warp(maps)` for the back-warps,
+    which samples every subject's map at its transform in one call and
+    becomes the state's `warps`, so the chain does not build it again; and
+    one `Warp` of the template, refilled with each pass's X (`Warp.refill`),
+    which every subject's candidates, LM points and scale regression share,
+    and which samples the final X(T_i). So the first pass samples each
+    coarse-grid candidate once, not once per subject; a later pass samples
+    no start to score it, only its LM points and the N X(T_i) of its scale
+    regression; and each round of the subjects' lock-step LM fits samples
+    all their points in one call (`fit_affine`).
     """
     lattice = common_lattice(maps)
     y = np.stack([amap.values for amap in maps])
@@ -1002,12 +1029,12 @@ def initialize(maps, config):
 
     back = Warp(maps)
     x = np.mean(y, axis=0)
+    warp = Warp(ActivationMap(lattice, x))
     ts = np.array([np.eye(lattice.dim + 1)] * len(maps))
     betas = np.ones(len(maps))
 
     grid = coarse_grid(lattice)
     for passes in range(1, config.init_iters + 1):
-        warp = Warp(ActivationMap(lattice, x))
         ts = fit_transforms(warp, y, betas, ts, grid if passes == 1 else grid[:0])
         xt = warp(ts)
         den = row_dot(xt, xt)
@@ -1021,15 +1048,16 @@ def initialize(maps, config):
         x_new = np.mean(y_bw / betas[:, None], axis=0)
         rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12)
         x = x_new
+        warp.refill(x)
         if rel < 1e-4:
             break
 
-    xt = Warp(ActivationMap(lattice, x))(ts)
+    xt = warp(ts)
     sigma2 = np.maximum(np.mean((y - betas[:, None] * xt) ** 2, axis=1), 1e-12)
     alpha = max(float(np.var(x)), 1e-12)
     rho = 0.5 * (config.rho_lower + config.rho_upper)
     return ChainState(X=x.copy(), maps=list(maps), T=ts, T_r=ts_r, Y=y, XT=xt, Y_bw=y_bw,
-                      beta=betas, sigma2=sigma2, alpha=alpha, rho=rho,
+                      beta=betas, sigma2=sigma2, alpha=alpha, rho=rho, warps=back,
                       init_passes=passes, init_rel_change=float(rel))
 
 
@@ -1145,7 +1173,7 @@ class Chain:
         h, h_r = standardize_forward_transforms(st.T, st.T_r)
         betas, x, alpha = standardize_scales(st.X, st.beta, st.alpha)
         fields = (x, h, h_r, betas, st.sigma2, alpha, st.rho)  # a sweep draws a new sigma2
-        ic_error = np.mean(penalty_terms(st.T, st.T_r)[0])
+        ic_error = np.mean(composition_identity_gap(st.T, st.T_r))
         return fields, pointwise_log_lik(st), ic_error
 
     def snapshot(self):

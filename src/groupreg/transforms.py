@@ -321,7 +321,7 @@ def karcher_mean(h):
     for _ in range(KARCHER_MAX_ITER):
         logs = np.stack([lie_log(g) for g in affine_inverse(mean) @ h])
         step = logs.mean(axis=0)
-        if np.linalg.norm(step) < KARCHER_TOL:
+        if math.sqrt(step @ step) < KARCHER_TOL:   # np.linalg.norm(step), bit for bit
             return mean
         mean = mean @ lie_exp(step)
     raise NoConvergence(f"karcher_mean did not converge in {KARCHER_MAX_ITER} iterations")

@@ -430,6 +430,28 @@ class TestStackedWarp:
             assert points == [warp.chunk * q] * full + ([rest * q] if rest else [])
 
 
+@pytest.mark.parametrize("name", ["curve", "glyph", "anisotropic"])
+def test_refilled_warp_is_a_fresh_warp_of_the_new_values(name):
+    """After `refill`, a `Warp` samples as a new `Warp` of the new values,
+    bit for bit, in `__call__` and `value_and_jacobian`; the values are
+    copied, so writing to the caller's array afterwards changes nothing."""
+    lattice = STACK_LATTICES[name]
+    rng = np.random.default_rng(40 + len(name))
+    old, new = rng.normal(size=(2, lattice.n_sites))
+    warp = Warp(ActivationMap(lattice, old))
+    stack = _stack_of_525(lattice, rng)
+    tops = _tops_around(lattice, rng, 0.1, 8)
+    before = warp(stack)
+    values = new.copy()
+    warp.refill(values)
+    values[:] = np.nan
+    fresh = Warp(ActivationMap(lattice, new))
+    got = warp(stack)
+    assert got.tobytes() == fresh(stack).tobytes() != before.tobytes()
+    for got, want in zip(warp.value_and_jacobian(tops), fresh.value_and_jacobian(tops)):
+        assert got.tobytes() == want.tobytes()
+
+
 def _tops_around(lattice, rng, scale, n):
     """The top rows of n random transforms within `scale` of a 1.6-fold
     stretch about the lattice's center, which sample between the sites and

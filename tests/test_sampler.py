@@ -529,7 +529,6 @@ def test_fit_affine_falls_back_to_the_best_candidate(monkeypatch, x, fun):
     y = np.stack([glyph.values, 1.2 * glyph.values])
     beta = np.array([1.0, 1.0])
     starts = np.array([start, start])
-    objs = np.array([float(r @ r) for r in y - warp(starts)])
     steps, made = sampler.lm_points, []
 
     def stub(p):
@@ -540,10 +539,10 @@ def test_fit_affine_falls_back_to_the_best_candidate(monkeypatch, x, fun):
         return (yield from steps(p))
 
     monkeypatch.setattr(sampler, "lm_points", stub)
-    got = fit_affine(warp, y, beta, starts, objs)
+    got = fit_affine(warp, y, beta, starts)
     monkeypatch.undo()
     assert np.array_equal(got[0], start)
-    want = fit_affine(warp, y[1:], beta[1:], starts[1:], objs[1:])[0]
+    want = fit_affine(warp, y[1:], beta[1:], starts[1:])[0]
     assert np.array_equal(got[1], want) and not np.array_equal(want, start)
 
 
@@ -554,19 +553,21 @@ def test_set_up_samples_once_per_lm_round(monkeypatch, scenario):
     subjects' points, so its derivative passes are the sum over rounds of the
     live subjects split by `chunk`; with `chunk` >= N, the largest point
     count any subject needs. Each subject's fit is sent beta_i times the
-    values at its own point less Y_i, and beta_i times their Jacobian."""
+    values at its own point less Y_i, and beta_i times their Jacobian, by
+    that pass's template: the one template `Warp` is refilled every pass,
+    so each reply is checked against a copy taken when its pass began."""
     maps, _ = generate(ScenarioSpec(scenario, n_subjects=3, seed=1))
     d = maps[0].lattice.dim
     calls = sampled_points(monkeypatch)
-    fits, sent = [], []         # per fit_affine call: (warp, y, beta, points per subject)
+    fits, sent = [], []     # per fit_affine call: (warp, its copy, y, beta, points per subject)
     fit, steps = sampler.fit_affine, sampler.lm_points
 
-    def recorded_fit(warp, y, beta, best, best_obj):
-        fits.append((warp, y, beta, []))
-        return fit(warp, y, beta, best, best_obj)
+    def recorded_fit(warp, y, beta, best):
+        fits.append((warp, copy.deepcopy(warp), y, beta, []))
+        return fit(warp, y, beta, best)
 
     def counted_steps(p):
-        counts = fits[-1][3]
+        counts = fits[-1][4]
         i = len(counts)
         counts.append(0)
         inner = steps(p)
@@ -586,7 +587,7 @@ def test_set_up_samples_once_per_lm_round(monkeypatch, scenario):
     passes = [(w, q) for w, deriv, q in calls if deriv]
     monkeypatch.undo()
     want = 0
-    for warp, y, _, counts in fits:
+    for warp, _, y, _, counts in fits:
         assert len(counts) == len(maps)
         rounds = [sum(c > k for c in counts) for k in range(max(counts))]
         want += sum(-(-live // warp.chunk) for live in rounds)
@@ -598,31 +599,37 @@ def test_set_up_samples_once_per_lm_round(monkeypatch, scenario):
     assert all(any(w is t for t in templates) and q <= w.chunk * v for w, q in passes)
     assert len(sent) == sum(sum(counts) for *_, counts in fits)
     for call, i, q, (r, jac) in sent:
-        warp, y, beta, _ = fits[call]
-        (vals,), (want_jac,) = warp.value_and_jacobian(q.reshape(1, d, d + 1))
+        _, template, y, beta, _ = fits[call]
+        (vals,), (want_jac,) = template.value_and_jacobian(q.reshape(1, d, d + 1))
         assert np.array_equal(r, beta[i] * vals - y[i])
         assert np.array_equal(jac, beta[i] * want_jac)
         assert jac.strides == want_jac.strides
 
 
 def candidate_search(monkeypatch, warp, y, beta, starts, grid):
-    """The candidates and their objectives, (N, d + 1, d + 1) and (N,), that
-    `fit_transforms` hands to `fit_affine`, whose refinement is stubbed out
-    for the rest of the test."""
-    handed = []
+    """The candidates, (N, d + 1, d + 1), that `fit_transforms` hands to
+    `fit_affine`, whose refinement is stubbed out for the rest of the test,
+    and the (N, 1 + len(grid)) objective table it picked them from."""
+    handed, tables, table = [], [], sampler.candidate_objectives
 
-    def handed_on(warp, y, beta, best, best_obj):
-        handed.append((best, best_obj))
+    def handed_on(warp, y, beta, best):
+        handed.append(best)
         return best
 
+    def recorded_table(*args):
+        tables.append(table(*args))
+        return tables[-1]
+
     monkeypatch.setattr(sampler, "fit_affine", handed_on)
-    assert fit_transforms(warp, y, beta, starts, grid) is handed[-1][0]
-    return handed[-1]
+    monkeypatch.setattr(sampler, "candidate_objectives", recorded_table)
+    assert fit_transforms(warp, y, beta, starts, grid) is handed[-1]
+    return handed[-1], tables[-1]
 
 
 def test_fit_transforms_takes_the_first_smallest_objective(monkeypatch):
-    """Subject by subject, the candidates' objectives are today's per-candidate
-    sums, in the order [start, *grid], and ties go to the earlier candidate."""
+    """Subject by subject, the candidates' objectives are the per-candidate
+    sums, bit for bit, in the order [start, *grid], and ties go to the
+    earlier candidate."""
     maps = small_glyph()
     lattice = maps[0].lattice
     warp = Warp(maps[1])
@@ -633,18 +640,18 @@ def test_fit_transforms_takes_the_first_smallest_objective(monkeypatch):
     # grid holds too, with a -0.0 entry: the tie goes to the start.
     starts = np.array([grid[17], np.eye(3), grid[400]])
     best, objs = candidate_search(monkeypatch, warp, y, beta, starts, grid)
-    assert best.shape == starts.shape and objs.shape == (3,)
+    assert best.shape == starts.shape and objs.shape == (3, 1 + len(grid))
     for i in range(3):
         want = []
         for h in [starts[i], *grid]:
             r = y[i] - beta[i] * warp(h)
             want.append(float(r @ r))
         k = int(np.argmin(want))
-        assert objs[i] == min(want)
+        assert objs[i].tobytes() == np.array(want).tobytes()
         assert np.array_equal(best[i], ([starts[i], *grid])[k])
     tied = [k for k, h in enumerate(grid) if np.array_equal(h, np.eye(3))]
     assert len(tied) == 1 and grid[tied[0]].tobytes() != starts[1].tobytes()
-    assert objs[1] == 0.0 and best[1].tobytes() == starts[1].tobytes()
+    assert objs[1, 0] == 0.0 and best[1].tobytes() == starts[1].tobytes()
 
 
 def test_fit_transforms_candidates_do_not_depend_on_the_pass_size(monkeypatch):
@@ -836,6 +843,62 @@ def test_levenberg_marquardt_gives_each_problem_its_own_run():
     counts = [len(points_i) for points_i in seen]
     assert len(rounds) == max(counts) == 300 and len(set(counts)) == len(problems)
     assert all(rows == sorted(rows) for rows in rounds)
+
+
+def linear_problem(columns, residual):
+    """The point function of r(p) = columns p + residual, (m,) from a
+    Jacobian `columns` (m, n) that does not depend on p."""
+    return lambda p: (columns @ p + residual, columns)
+
+
+@pytest.mark.parametrize("case", ["zero-column", "nan-jacobian", "zero-residual", "xtol"])
+def test_lm_stop_tests_on_floats_are_the_array_forms(monkeypatch, case):
+    """`lm_points` evaluates gtol and xtol on Python floats; each case gives
+    the points and the result of the scalar loop, which keeps numpy's array
+    forms, bit for bit. A zero Jacobian column, whose diagonal entry is 0, is
+    scaled by 1, and its gtol entry, 0 <= 0, always holds; NaN Jacobian
+    entries at a finite start do not meet gtol, so one step is solved; a zero
+    residual meets gtol before any step; and a step below FIT_TOL of a large
+    p ends a run on xtol, after a solve that no point follows."""
+    columns = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
+    point, start = {
+        "zero-column": (linear_problem(columns, np.array([-1.0, 0.5, 2.0])), [0.3, 4.0]),
+        "nan-jacobian": (lambda p: (np.array([p[0] - 1.0, 2.0]), np.array([[1.0], [np.nan]])),
+                         [0.5]),
+        "zero-residual": (linear_problem(columns, np.zeros(3)), [0.0, -2.0]),
+        "xtol": (linear_problem(np.array([[1.0], [0.0]]), np.array([-1e12, 1.0])),
+                 [1e12 - 1e4]),
+    }[case]
+    start = np.array(start)
+    events, solve = [], np.linalg.solve
+
+    def solved(a, b):
+        events.append("solve")
+        return solve(a, b)
+
+    def evaluated(p):
+        events.append(p)
+        return point(p)
+
+    monkeypatch.setattr(np.linalg, "solve", solved)
+    (p,), (f,) = levenberg_marquardt(one_problem(evaluated), start[None])
+    lm_events = events[:]
+    events.clear()
+    p_scalar, f_scalar = scalar_levenberg_marquardt(evaluated, start)
+    monkeypatch.undo()
+    assert p.tobytes() == p_scalar.tobytes()
+    assert np.float64(f).tobytes() == np.float64(f_scalar).tobytes()
+    bits = lambda trail: [e if isinstance(e, str) else e.tobytes() for e in trail]
+    assert bits(lm_events) == bits(events)
+    kinds = ["solve" if isinstance(e, str) else "point" for e in lm_events]
+    if case == "zero-column":
+        assert kinds[-1] == "point" and f > 0.0 and p[1] == start[1]
+    elif case == "nan-jacobian":
+        assert kinds == ["point", "solve"] and np.array_equal(p, start)
+    elif case == "zero-residual":
+        assert kinds == ["point"] and f == 0.0
+    else:
+        assert kinds[-1] == "solve" and len(kinds) > 4 and 1.0 < f < 1e4
 
 
 def coarse_grid_loop(lattice):
@@ -1056,10 +1119,11 @@ def sampled_points(monkeypatch):
 def test_set_up_samples_each_grid_candidate_once(monkeypatch, model, scenario):
     """In the first pass the template's `Warp` samples, without derivative,
     each subject's start and the grid's candidates, V sites each, and (in
-    the symmetric model) each subject's fitted T for its scale: the grid's
-    sites once per set-up, not once per subject. At 525 candidates and N = 3
-    that is 531 V points, where a search per subject samples 3 x 526 V for
-    its candidates alone."""
+    the symmetric model) each subject's fitted T for its scale, and then, in
+    the same `Warp`, refilled, each subject's final X(T_i): the grid's sites
+    once per set-up, not once per subject. At 525 candidates and N = 3 that
+    is 534 V points, where a search per subject samples 3 x 526 V for its
+    candidates alone."""
     maps, _ = generate(ScenarioSpec(scenario, n_subjects=3, seed=1))
     lattice = maps[0].lattice
     n_grid, v, n = len(coarse_grid(lattice)), lattice.n_sites, len(maps)
@@ -1070,8 +1134,96 @@ def test_set_up_samples_each_grid_candidate_once(monkeypatch, model, scenario):
         baseline.ConventionalChain(maps, RunConfig(model=model, total=3, burn_in=1, thin=1))
     template = calls[0][0]          # the first pass's template: the first warp sampled
     values = sum(q for w, deriv, q in calls if w is template and not deriv)
-    assert values == (n_grid + (2 if model == "symmetric" else 1) * n) * v
+    assert values == (n_grid + (3 if model == "symmetric" else 1) * n) * v
     assert all(q <= template.chunk * v for w, _, q in calls if w is template)
+
+
+@pytest.mark.parametrize("scenario", ["indicator", "glyph"])
+def test_set_up_rescores_no_start_after_the_first_pass(monkeypatch, scenario):
+    """A pass after the first has no grid, so it scores no candidate: its
+    template samples, without derivative, only the N V points of its scale
+    regression, and the last pass adds the N V of the final X(T_i). The
+    keep rule takes each start's objective from the LM's first round."""
+    maps, _ = generate(ScenarioSpec(scenario, n_subjects=3, seed=1))
+    lattice = maps[0].lattice
+    n_grid, v, n = len(coarse_grid(lattice)), lattice.n_sites, len(maps)
+    calls = sampled_points(monkeypatch)
+    search = sampler.fit_transforms
+
+    def marked_search(warp, y, beta, starts, grid):
+        calls.append(None)
+        return search(warp, y, beta, starts, grid)
+
+    monkeypatch.setattr(sampler, "fit_transforms", marked_search)
+    state = initialize(maps, RunConfig(init_iters=4))
+    monkeypatch.undo()
+    assert state.init_passes > 2
+    template = calls[1][0]
+    marks = [k for k, call in enumerate(calls) if call is None] + [len(calls)]
+    values = [sum(q for w, deriv, q in calls[lo + 1:hi] if w is template and not deriv)
+              for lo, hi in zip(marks, marks[1:])]
+    assert values == [(n_grid + 2 * n) * v] + [n * v] * (state.init_passes - 2) + [2 * n * v]
+    assert all(w is template or w.n_maps == n for w, _, _ in filter(None, calls))
+
+
+@pytest.mark.parametrize("search", ["grid-free", "grid"])
+def test_keep_rule_compares_with_the_candidates_own_objective(monkeypatch, search):
+    """The keep rule compares each refined objective with the handed
+    candidate's ||Y_i - beta_i X(T)||^2 from the LM's first round, which has
+    the bits of float(r @ r) by `warp` of that candidate alone: after a grid
+    search, the smallest of the per-candidate sums. A result whose objective
+    is that float is kept, and one a floating step above it is not. With no
+    grid, `fit_transforms` warps no start: it samples only the LM's points."""
+    maps = small_glyph()
+    warp = Warp(maps[1])
+    y = np.stack([m.values for m in maps[::2]])
+    beta = np.array([0.9, 1.2])
+    starts = np.array([rotation_about_center(maps[1].lattice, np.deg2rad(a)).matrix
+                       for a in (-12.0, 14.0)])
+    grid = coarse_grid(maps[1].lattice)[:0 if search == "grid-free" else None]
+    best, want = [], []
+    for i in range(2):
+        sums = [float(r @ r) for r in (y[i] - beta[i] * warp(h) for h in [starts[i], *grid])]
+        best.append([starts[i], *grid][int(np.argmin(sums))])
+        want.append(min(sums))
+    assert any(not np.array_equal(b, h) for b, h in zip(best, starts)) == (search == "grid")
+    moved = np.array(best)
+    moved[:, :2, 2] += 0.25
+    results = [(moved[0, :2].ravel(), want[0]),
+               (moved[1, :2].ravel(), np.nextafter(want[1], np.inf))]
+    made = []
+
+    def stub(p):
+        k = len(made)
+        made.append(p)
+        yield p
+        return results[k]
+
+    monkeypatch.setattr(sampler, "lm_points", stub)
+    calls = sampled_points(monkeypatch)
+    got = fit_transforms(warp, y, beta, starts, grid)
+    monkeypatch.undo()
+    assert len(made) == 2 and all(deriv for _, deriv, _ in calls) == (search == "grid-free")
+    assert np.array_equal(got[0], moved[0]) and np.array_equal(got[1], best[1])
+
+
+def test_chain_keeps_the_set_up_warp_of_the_maps(monkeypatch):
+    """`initialize` builds two `Warp`s, the maps' and the template's, and the
+    chain's state samples its reverse steps by the maps' one: `refresh_caches`
+    builds none."""
+    built = []
+
+    class Recorded(Warp):
+        def __init__(self, maps):
+            super().__init__(maps)
+            built.append(self)
+
+    monkeypatch.setattr(sampler, "Warp", Recorded)
+    maps = indicator()
+    chain = Chain(maps, RunConfig(total=3, burn_in=1, thin=1))
+    assert len(built) == 2 and chain.state.warps is built[0] and built[0].n_maps == len(maps)
+    sampler.refresh_caches(chain.state, chain.geom)
+    assert len(built) == 2 and chain.state.warps is built[0]
 
 
 @pytest.mark.parametrize("n", [3, 24])
@@ -1134,6 +1286,9 @@ class _TwoCallWarp:
         self.maps = maps
         self.sites = (maps if self.amap is not None else maps[0]).lattice.locations()
         self.dim = self.sites.shape[1]
+
+    def refill(self, values):
+        self.amap = self.amap.with_values(values.copy())
 
     def __call__(self, t):
         if self.amap is None:
