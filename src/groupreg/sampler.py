@@ -54,9 +54,10 @@ On one core of a 2-core x86-64 machine the step takes ~3 ms per sweep on
 replaced (~18 us per site, O(V)); on synthetic lattices the two cross near
 56x56, beyond which the block step is the slower one.
 
-The three banded routines, `dpbtrf`, `dpbtrs` and `dtbtrs`, come from
-scipy's LAPACK extension module `scipy.linalg._flapack`, which
-`load_flapack` finds in scipy's `linalg` directory and runs on its own.
+The three banded routines, `dpbtrf`, `dpbtrs` and `dtbtrs`, and the
+set-up's dense solve, `dgesv` (`gesv`), come from scipy's LAPACK extension
+module `scipy.linalg._flapack`, which `load_flapack` finds in scipy's
+`linalg` directory and runs on its own.
 Importing them from `scipy.linalg.lapack` would run the `scipy.linalg`
 package `__init__`, which loads scipy's array-API layer and through it
 numpy's lazy submodules (`numpy.f2py`, `numpy.testing`, ...): ~300 modules
@@ -163,17 +164,26 @@ def load_flapack(directory):
 
 
 _flapack = load_flapack(os.path.join(scipy.__path__[0], "linalg"))
-dpbtrf, dpbtrs, dtbtrs = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dtbtrs
+dgesv, dpbtrf, dpbtrs, dtbtrs = (_flapack.dgesv, _flapack.dpbtrf, _flapack.dpbtrs,
+                                 _flapack.dtbtrs)
 
 ADAPT_TARGET_RATE = 0.234
 RHO_STEP = 0.1        # standard deviation of the random-walk rho proposal
 LIBRARY_SLACK = 5     # library grid steps beyond the initial transforms' reach
-# The one stopping tolerance of `lm_points`, used as MINPACK's lmder
+# The default stopping tolerance of `lm_points`, used as MINPACK's lmder
 # uses ftol, xtol and gtol: on the relative reduction of ||r||^2, the relative
-# scaled step and the scaled gradient. At 1e-10 the initial template of the
+# scaled step and the scaled gradient. The baseline's one-pass set-up and the
+# symmetric set-up's last pass fit at it. At 1e-10 the initial template of the
 # 1D and glyph scenarios differs from the one at 1e-14 by at most 3e-5 of its
 # largest value, against 4e-4 at 1e-8, for ~25% more LM points.
 FIT_TOL = 1e-10
+# `initialize`'s stop rule, on the relative change of the template over a
+# pass. Every pass up to and including the first whose change falls below
+# it fits at LOOSE_TOL, two orders finer than the rule: a finer fit is not
+# kept when the next pass refits against a moved template. The pass after
+# that one, or the pass at `init_iters`, fits at FIT_TOL and is the last.
+INIT_TOL = 1e-4
+LOOSE_TOL = INIT_TOL / 100
 
 
 class AdaptiveProposal:
@@ -814,26 +824,42 @@ def coarse_grid(lattice):
     return h.reshape(-1, d + 1, d + 1)
 
 
-def lm_points(p):
+def gesv(a, b):
+    """x solving a x = b, (n, n) by (n,), by one call of LAPACK's dgesv (LU
+    with partial pivoting), the routine `np.linalg.solve` calls, without
+    that function's wrapper: ~1.1-1.4 us a call against ~5 us at n = 2 and 6
+    (2-core x86-64, numpy 2.4, scipy 1.17). On 20 000 damped LM systems
+    each, x had the bits of `np.linalg.solve` at n = 2; at n = 6, 285
+    differed, by at most 2.4e-16 relative (the two packages' LAPACK builds).
+    A non-zero info raises np.linalg.LinAlgError, as `np.linalg.solve` does
+    for a singular a.
+    """
+    x, info = dgesv(a, b)[2:]
+    if info:
+        raise np.linalg.LinAlgError(f"Singular matrix (dgesv info {info})")
+    return x
+
+
+def lm_points(p, tol=FIT_TOL):
     """Minimize ||r(p)||^2 from p by Levenberg-Marquardt, as a coroutine: it
     yields each point it needs, is sent that point's residuals r (m,) and
     their Jacobian J (m, n), and returns (p, ||r(p)||^2).
 
-    Each step h solves (J^T J + mu D) h = -J^T r, D the largest diagonal of
-    J^T J met so far (Marquardt's scaling, kept as MINPACK's lmder keeps it),
-    and mu follows Nielsen's update (Madsen, Nielsen & Tingleff 2004, Alg.
-    3.16): with gain ratio rho > 0 the step is taken and mu shrinks by
-    max(1/3, 1 - (2 rho - 1)^3), otherwise mu grows by nu and nu doubles. A
-    point whose residuals are not finite is never taken. With FIT_TOL for
-    each tolerance it stops as lmder does: when the actual and the predicted
-    relative reductions of ||r||^2 are both below it (ftol), when the step is
-    below it relative to p, both scaled by D^1/2 (xtol), or when the cosine
-    between r and each column of J is (gtol); and after 100 (n + 1) points,
-    lmder's default cap. The gtol and xtol tests run on Python floats, from
-    `tolist()` and numpy's dots: a product, a square root and a comparison
-    round alike in both, so they decide as numpy's array forms would, with
-    fewer numpy calls. `levenberg_marquardt` drives one per problem in lock
-    step.
+    Each step h solves (J^T J + mu D) h = -J^T r by one `gesv`, D the
+    largest diagonal of J^T J met so far (Marquardt's scaling, kept as
+    MINPACK's lmder keeps it), and mu follows Nielsen's update (Madsen,
+    Nielsen & Tingleff 2004, Alg. 3.16): with gain ratio rho > 0 the step is
+    taken and mu shrinks by max(1/3, 1 - (2 rho - 1)^3), otherwise mu grows
+    by nu and nu doubles. A point whose residuals are not finite is never
+    taken. With `tol` (default FIT_TOL) for each tolerance it stops as lmder
+    does: when the actual and the predicted relative reductions of ||r||^2
+    are both below it (ftol), when the step is below it relative to p, both
+    scaled by D^1/2 (xtol), or when the cosine between r and each column of
+    J is (gtol); and after 100 (n + 1) points, lmder's default cap. The gtol
+    and xtol tests run on Python floats, from `tolist()` and numpy's dots: a
+    product, a square root and a comparison round alike in both, so they
+    decide as numpy's array forms would, with fewer numpy calls.
+    `levenberg_marquardt` drives one per problem in lock step.
     """
     n = p.size
     r, jac = yield p
@@ -846,14 +872,14 @@ def lm_points(p):
             a, g = jac.T @ jac, jac.T @ r
             diag = a.diagonal()
             # gtol, which a zero residual meets; and a start that is not finite
-            if not math.isfinite(f) or all(abs(g_j) <= FIT_TOL * math.sqrt(f * d_j)
+            if not math.isfinite(f) or all(abs(g_j) <= tol * math.sqrt(f * d_j)
                                            for g_j, d_j in zip(g.tolist(), diag.tolist())):
                 break
             scale = np.where(diag > 0, diag, 1.0) if scale is None else np.maximum(scale, diag)
         damped = a.copy()
         damped.flat[::n + 1] += mu * scale
-        h = np.linalg.solve(damped, -g)
-        if math.sqrt(scale @ (h * h)) <= FIT_TOL * math.sqrt(scale @ (p * p)):
+        h = gesv(damped, -g)
+        if math.sqrt(scale @ (h * h)) <= tol * math.sqrt(scale @ (p * p)):
             break
         pred = float(h @ (mu * scale * h - g))
         if not pred > 0.0:
@@ -862,7 +888,7 @@ def lm_points(p):
         r_new, jac_new = yield p_new
         f_new = float(r_new @ r_new)
         rho = (f - f_new) / pred
-        done = abs(f - f_new) <= FIT_TOL * f and pred <= FIT_TOL * f and rho <= 2.0
+        done = abs(f - f_new) <= tol * f and pred <= tol * f and rho <= 2.0
         taken = rho > 0.0
         if taken:
             p, r, jac, f = p_new, r_new, jac_new, f_new
@@ -876,10 +902,10 @@ def lm_points(p):
     return p, f
 
 
-def levenberg_marquardt(points, starts):
-    """`lm_points` from each row of starts (n_problems, n), every problem in
-    lock step; returns each problem's point p (n_problems, n) and ||r(p)||^2
-    (n_problems,).
+def levenberg_marquardt(points, starts, tol=FIT_TOL):
+    """`lm_points` at tolerance `tol` from each row of starts (n_problems,
+    n), every problem in lock step; returns each problem's point p
+    (n_problems, n) and ||r(p)||^2 (n_problems,).
 
     `points(P, rows)` returns the residuals (live, m) and their Jacobians
     (live, m, n) of the live problems, whose indices are `rows`, at their
@@ -889,7 +915,7 @@ def levenberg_marquardt(points, starts):
     row the bits it gives that row alone, each problem's result is that of
     the call on its own start.
     """
-    fits = [lm_points(p) for p in starts]
+    fits = [lm_points(p, tol) for p in starts]
     # Each problem's point to evaluate, and its result once its fit stops.
     p = np.array([next(fit) for fit in fits])
     f = np.empty(len(p))
@@ -906,10 +932,11 @@ def levenberg_marquardt(points, starts):
     return p, f
 
 
-def fit_affine(warp, y, beta, best):
+def fit_affine(warp, y, beta, best, tol=FIT_TOL):
     """Each subject's homogeneous matrix of the affine transform minimizing
-    ||Y_i - beta_i X(T)||^2, refined by Levenberg-Marquardt from its best
-    candidate best[i], as an (N, d + 1, d + 1) stack.
+    ||Y_i - beta_i X(T)||^2, refined by Levenberg-Marquardt at tolerance
+    `tol` (default FIT_TOL) from its best candidate best[i], as an (N, d + 1,
+    d + 1) stack.
 
     `warp` samples X at T(S), y is (N, V), beta (N,) and best (N, d + 1,
     d + 1) (`fit_transforms`). The subjects' fits run in lock step
@@ -938,7 +965,7 @@ def fit_affine(warp, y, beta, best):
             best_obj = row_dot(r, r)
         return r, b[:, :, None] * jac
 
-    p, f = levenberg_marquardt(points, best[:, :d].reshape(len(best), -1))
+    p, f = levenberg_marquardt(points, best[:, :d].reshape(len(best), -1), tol)
     out = best.copy()
     for i in np.flatnonzero(f <= best_obj):
         top = p[i].reshape(d, d + 1)
@@ -971,12 +998,13 @@ def candidate_objectives(warp, y, beta, starts, grid):
     return objs
 
 
-def fit_transforms(warp, y, beta, starts, grid):
+def fit_transforms(warp, y, beta, starts, grid, tol=FIT_TOL):
     """Each subject's transform for ||Y_i - beta_i X(T)||^2, as an (N, d + 1,
     d + 1) stack: the best of its candidates, starts[i] and then the rows of
     the stack `grid` (`coarse_grid`, or an empty stack), refined by
-    `fit_affine` for all subjects at once. Both models' set-ups fit through
-    here.
+    `fit_affine` at tolerance `tol` for all subjects at once. Both models'
+    set-ups fit through here: the baseline's at the default FIT_TOL, and
+    `initialize` at the tolerance of its pass.
 
     `warp` samples X at T(S); y is (N, V), beta (N,) and starts (N, d + 1,
     d + 1). With an empty grid the starts are the candidates, and no start
@@ -986,11 +1014,11 @@ def fit_transforms(warp, y, beta, starts, grid):
     earlier candidate, the start first.
     """
     if not len(grid):
-        return fit_affine(warp, y, beta, starts)
+        return fit_affine(warp, y, beta, starts, tol)
     k = np.argmin(candidate_objectives(warp, y, beta, starts, grid), axis=1)
     best = starts.copy()
     best[k > 0] = grid[k[k > 0] - 1]
-    return fit_affine(warp, y, beta, best)
+    return fit_affine(warp, y, beta, best, tol)
 
 
 def initialize(maps, config):
@@ -1001,14 +1029,19 @@ def initialize(maps, config):
     refined by Levenberg-Marquardt on every pass), re-fit the betas by one
     row-wise no-intercept regression of each Y_i onto X(T_i) (`row_dot`),
     standardize T at identity and beta at 1, then re-estimate X as the mean
-    of the back-warped maps Y_i(T_i^{-1})/beta_i. Stops after
-    config.init_iters passes or when the template change drops below 1e-4
-    relative; the state records the passes run (`init_passes`) and the last
-    pass's change (`init_rel_change`), and takes that pass's T_i^{-1} and
-    back-warps as T_r and Y_bw. Needs only the maps' lattice: the neighbor
-    library is sized afterwards from the transforms found here
-    (`library_margin`). Raises DegenerateInput for a constant map, or when
-    an X(T_i) is identically zero: the regression is then undefined.
+    of the back-warped maps Y_i(T_i^{-1})/beta_i. The passes fit at
+    LOOSE_TOL until the first whose relative template change falls below
+    INIT_TOL; the pass after it fits at FIT_TOL and is the last, and the
+    pass at config.init_iters, if reached, is always at FIT_TOL. So the
+    returned T_i are fit to FIT_TOL against their own pass's template, as
+    with FIT_TOL on every pass; the precision a loose pass skips would not be
+    kept, since the next pass refits every T_i against a moved template. The
+    state records the passes run (`init_passes`) and the last pass's change
+    (`init_rel_change`), and takes that pass's T_i^{-1} and back-warps as T_r
+    and Y_bw. Needs only the maps' lattice: the neighbor library is sized
+    afterwards from the transforms found here (`library_margin`). Raises
+    DegenerateInput for a constant map, or when an X(T_i) is identically
+    zero: the regression is then undefined.
 
     Every warp goes through one of two prebuilt `Warp`s, which sample at
     T(S) for S the maps' lattice sites: `Warp(maps)` for the back-warps,
@@ -1034,8 +1067,11 @@ def initialize(maps, config):
     betas = np.ones(len(maps))
 
     grid = coarse_grid(lattice)
+    last = False
     for passes in range(1, config.init_iters + 1):
-        ts = fit_transforms(warp, y, betas, ts, grid if passes == 1 else grid[:0])
+        last = last or passes == config.init_iters
+        ts = fit_transforms(warp, y, betas, ts, grid if passes == 1 else grid[:0],
+                            FIT_TOL if last else LOOSE_TOL)
         xt = warp(ts)
         den = row_dot(xt, xt)
         if np.any(den <= 0.0):
@@ -1049,8 +1085,9 @@ def initialize(maps, config):
         rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12)
         x = x_new
         warp.refill(x)
-        if rel < 1e-4:
+        if last:
             break
+        last = rel < INIT_TOL
 
     xt = warp(ts)
     sigma2 = np.maximum(np.mean((y - betas[:, None] * xt) ** 2, axis=1), 1e-12)
