@@ -130,13 +130,15 @@ def conjugacy_audit(seed=0, tol=1e-8):
     results.append(_check("conjugacy.XT_element", abs(closed - move("XT", new_val, l)), tol))
 
     # X as one block: the joint's change under a whole-vector move is the
-    # change of -1/2 x'Qx + b'x.
-    ab, b = template_conditional(state, geom)
-    q = band_to_dense(ab)
-    x = state.X
-    x_new = x + np.random.default_rng(seed + 2).normal(scale=0.5, size=x.size)
-    closed = -0.5 * (x_new @ q @ x_new - x @ q @ x) + b @ (x_new - x)
-    results.append(_check("conjugacy.X_block", abs(closed - move("X", x_new)), tol))
+    # change of -1/2 x'Qx + b'x, with Q, b and so x in the band's order.
+    x_new = state.X + np.random.default_rng(seed + 2).normal(scale=0.5, size=state.X.size)
+
+    def x_block_gap(change):
+        ab, b = template_conditional(state, geom)
+        q, x, y = band_to_dense(ab), state.X[state.band.order], x_new[state.band.order]
+        return abs(-0.5 * (y @ q @ y - x @ q @ x) + b @ (y - x) - change)
+
+    results.append(_check("conjugacy.X_block", x_block_gap(move("X", x_new)), tol))
 
     # beta (sigma^2 held fixed), of subject 1.
     shape, rate, mu_n, lam_n = beta_sigma_conditional(state, hp)
@@ -168,6 +170,17 @@ def conjugacy_audit(seed=0, tol=1e-8):
     closed = (invgamma_logpdf(new_alpha, shape, rate)
               - invgamma_logpdf(state.alpha, shape, rate))
     results.append(_check("conjugacy.alpha", abs(closed - move("alpha", new_alpha)), tol))
+
+    # X as one block again, after alpha moves as `update_alpha` moves it: T
+    # and rho stay, so Q's NNGP part is the band's kept sum, rescaled.
+    alpha, f = state.alpha, state.F
+    state.F, state.alpha = f * (new_alpha / alpha), new_alpha
+    try:
+        gap = (x_block_gap(_joint_change(state, joint, joint(), "X", x_new))
+               if state.band.holds(state) else np.inf)
+    finally:
+        state.F, state.alpha = f, alpha
+    results.append(_check("conjugacy.X_block_reused", gap, tol))
 
     # The baseline's w and sigma^2 against the conventional model's joint.
     rng = np.random.default_rng(seed + 4)

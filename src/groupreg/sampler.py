@@ -43,16 +43,25 @@ rescales F.
 
 X | rest is Gaussian with a sparse banded precision Q (`template_conditional`)
 and is drawn exactly in one block step (Rue 2001): a LAPACK banded Cholesky
-Q = L L^T, then x = Q^-1 b + L^-T z. The bandwidth w is the widest column
-span of this sweep's NNGP rows, about six lattice rows (168 on a 28x28
-lattice), so the step costs O(V w^2) time and O(V w) memory. Q's band slots
-are built once per chain (`TemplateBand`, kept in `ChainState.band`), and a
-sweep only writes the pair values into the chain's buffers and sums them.
-On one core of a 2-core x86-64 machine the step takes ~3 ms per sweep on
-28x28 (assembly ~1.4 ms, factor ~1.5 ms) and ~0.2-0.4 ms on the 1D curves
-(V = 81 and 201), against ~14 ms on 28x28 for the site-by-site Gibbs loop it
-replaced (~18 us per site, O(V)); on synthetic lattices the two cross near
-56x56, beyond which the block step is the slower one.
+Q = L L^T, then x = Q^-1 b + L^-T z. The band numbers the sites in reverse
+Cuthill-McKee order (`band_order`, George & Liu 1981), built once per chain
+from its first state's rows, or row-major where no order is narrower, as on
+every 1D lattice; the draw is made in that order and X is read back by
+site. The bandwidth w is the widest span of this sweep's NNGP rows in that
+order: ~113 band rows on a 28x28 lattice, where row-major needs 169, set
+by ~180 subject rows that run down the side edges. So the step costs O(V w^2)
+time and O(V w) memory. Q's band slots are built once per chain
+(`TemplateBand`, kept in `ChainState.band`); a sweep writes the pair values
+into the chain's buffers and sums them, and Q's NNGP part is kept until rho
+or a T_i moves, then rescaled by 1/alpha (`TemplateBand.precision`). On one
+core of a 2-core x86-64 machine, on a 28x28 glyph state, the step takes
+~1.3 ms on a sweep that reuses the kept part (assembly ~0.15 ms) and
+~3 ms on one that sums anew (assembly ~1.1 ms, factor ~1.1 ms), against
+~4 ms in row-major order with a sum per sweep (assembly ~1.2 ms, factor
+~1.8 ms), and ~0.2-0.4 ms on the 1D curves (V = 81 and 201). The
+site-by-site Gibbs loop it replaced took ~14 ms on 28x28 (~18 us per site,
+O(V)); on synthetic lattices in row-major order the two crossed near
+56x56, beyond which the block step was the slower one.
 
 The three banded routines, `dpbtrf`, `dpbtrs` and `dtbtrs`, and the
 set-up's dense solve, `dgesv` (`gesv`), come from scipy's LAPACK extension
@@ -368,7 +377,7 @@ def refresh_caches(state, geom):
                                  "template site outside the neighbor library")
     state.nbr = np.concatenate([geom.predecessors.nbr[None], nbr])
     state.B, state.F = rho_weights(state, geom, state.factor)
-    state.band = TemplateBand(geom, len(state.T))
+    state.band = TemplateBand(geom, state.entry)
 
 
 # ---------------------------------------------------------------------------
@@ -431,40 +440,144 @@ class _PairFamily:
         self.values *= self.w_ju
 
 
+def _coupling_graph(cols, n_band, v):
+    """The graph on the V template sites in which two sites are adjacent when
+    one row of `cols` holds both; each array of `cols` is a family's rows,
+    column-first, (c, n), and every row fits a band of n_band rows. The pairs
+    are read off one 0/1 band over the rows' `_pair_slots`. Returns the (E,)
+    pairs (j, i), j < i, each site's neighbors, a (V, max degree) table
+    padded with V, and the (V,) degrees."""
+    mark = np.zeros(n_band * v, dtype=bool)
+    for c in cols:
+        mark[_pair_slots(c, n_band)] = True
+    j, d = np.divmod(np.flatnonzero(mark), n_band)
+    j, i = j[d > 0], (j + d)[d > 0]
+    a, b = np.concatenate([j, i]), np.concatenate([i, j])
+    at = np.argsort(a, kind="stable")
+    a, b = a[at], b[at]
+    degree = np.bincount(a, minlength=v)
+    table = np.full((v, degree.max()), v)
+    table[a, np.arange(a.size) - np.repeat(np.cumsum(degree) - degree, degree)] = b
+    return (j, i), table, degree
+
+
+def _cuthill_mckee(table, degree, start):
+    """The Cuthill-McKee order of the sites from `start` (Cuthill & McKee
+    1969): breadth-first, level by level, a level's sites in the order of
+    their first neighbor in the level before, those of one neighbor by
+    ascending degree, ties by index. A level is one pass over its parents'
+    rows of the neighbor table; a site's first parent is the least of its
+    slots there. The template's rows make the graph connected: every site
+    but the first has a predecessor."""
+    v, width = table.shape
+    unseen = np.ones(v + 1, dtype=bool)
+    unseen[[start, v]] = False              # the padding, V, counts as seen
+    first = np.full(v + 1, v * width)
+    levels = [np.array([start])]
+    while True:
+        nbrs = table[levels[-1]].ravel()
+        at = np.flatnonzero(unseen[nbrs])
+        if not at.size:
+            break
+        np.minimum.at(first, nbrs[at], at)
+        new = np.flatnonzero((first < v * width) & unseen)
+        key = ((first[new] // width) * (width + 1) + degree[new]) * v + new
+        levels.append(new[np.argsort(key)])
+        unseen[levels[-1]] = False
+    return np.concatenate(levels)
+
+
+def band_order(cols, lattice):
+    """Each template site's position in Q's band, (V,): the narrowest reverse
+    Cuthill-McKee order (George & Liu 1981) of the sites' coupling graph
+    (`_coupling_graph`) from the midpoints of the lattice's sides, or
+    row-major when none is narrower. No order is narrower than a row's k + 1
+    columns, so a row-major band of that height is kept without a search;
+    every 1D lattice has one. `cols` are the families' rows, (c, n) each."""
+    v = lattice.n_sites
+    n_band = 1 + max(int(np.max(np.ptp(c, axis=0))) for c in cols)
+    pos = np.arange(v)
+    if n_band <= min(max(len(c) for c in cols), v):
+        return pos
+    (j, i), table, degree = _coupling_graph(cols, n_band, v)
+    shape, mid = lattice.shape, [s // 2 for s in lattice.shape]
+    for axis, size in enumerate(shape):
+        for end in (0, size - 1):
+            order = _cuthill_mckee(table, degree, int(np.ravel_multi_index(
+                (*mid[:axis], end, *mid[axis + 1:]), shape)))
+            at = np.empty(v, dtype=np.intp)
+            at[order[::-1]] = np.arange(v)
+            height = 1 + int(np.max(np.abs(at[j] - at[i])))
+            if height < n_band:
+                pos, n_band = at, height
+    return pos
+
+
 class TemplateBand:
     """A chain's workspace for the band of Q in `template_conditional`.
 
     Q sums w w^T / F over the rows of the state's NNGP table: the template's,
     family 0, with columns [l, predecessors] and weights [1, -B], and the
     subjects', each with the columns of its library entry's neighbor set and
-    weights B. Neither kind of row's columns ever change, so the band slots
-    of their pairs (`_pair_slots`) are built once, per template row and per
-    library entry, and built again only when the band height that a state
-    needs changes. A call gathers the subjects' slots by entry, writes every
-    pair's value into buffers held here, and sums all pairs, template rows
-    first, with one bincount. Of size O(V w) it allocates only the band.
+    weights B. The band numbers the sites by `pos`, from `band_order` over
+    the template's rows and the subjects' at the library entries `entry`
+    given, and `order` lists the sites in band order. Neither kind of row's
+    columns ever change, so the band slots of their pairs (`_pair_slots` of
+    pos[cols]) are built once, per template row and per library entry, and
+    built again only when the band height that a state needs changes. A sum
+    gathers the subjects' slots by entry, writes every pair's value into
+    buffers held here, and sums all pairs, template rows first, with one
+    bincount.
+
+    The sum is kept, with the (state.rho, state.T) it was made at and the
+    alpha: the rows' weights B and entries follow from rho and T alone, and
+    their F are proportional to alpha. A state with the same rho and T reads
+    the kept sum times alpha_kept / alpha, which differs from a new sum in
+    the last bits. Of size O(V w) a call allocates only the band it returns
+    and, when it sums anew, the kept sum.
     """
 
-    def __init__(self, geom, n_subjects):
+    def __init__(self, geom, entry):
         v, k = geom.predecessors.nbr.shape
+        n_subjects = len(entry)
         split = (k + 1) * (k + 2) // 2 * v
         self.slots = np.empty(split + k * (k + 1) // 2 * n_subjects * v, dtype=np.intp)
         self.values = np.empty(self.slots.size)
         self.template = _PairFamily(k + 1, v, self.slots[:split], self.values[:split])
         self.template.w[0] = 1.0
         self.subjects = _PairFamily(k, n_subjects * v, self.slots[split:], self.values[split:])
-        self.template_cols = np.vstack([np.arange(v), geom.predecessors.nbr.T])
+        lib = geom.library.neighbor_indices
+        template_cols = np.vstack([np.arange(v), geom.predecessors.nbr.T])
+        used = np.zeros(len(lib), dtype=bool)
+        used[entry.ravel()] = True          # not np.unique: its first call takes ~15 ms
+        self.pos = band_order([template_cols, lib[used].T], geom.lattice)
+        self.order = np.argsort(self.pos)
+        self.template_cols, self.entry_cols = self.pos[template_cols], self.pos[lib.T]
         self.template_span = int(np.max(np.ptp(self.template_cols, axis=0)))
-        self.entry_span = np.ptp(geom.library.neighbor_indices, axis=1)
+        self.entry_span = np.ptp(self.entry_cols, axis=0)
         self.n_band = 0               # the band height the slot tables are built for
         self.entry_slots = None       # (k (k + 1) / 2, n_lib)
+        self.key = None               # (rho, T bytes) of the kept sum
+        self.kept, self.kept_alpha = None, None
 
-    def precision(self, state, geom):
-        """Sum of w w^T / F over the NNGP table: the (n_band, V) band, Fortran-ordered."""
+    def holds(self, state):
+        """Whether the kept sum is the one at the state's rho and T."""
+        return self.key == (state.rho, state.T.tobytes())
+
+    def precision(self, state):
+        """Sum of w w^T / F over the NNGP table: the (n_band, V) band, Fortran-ordered,
+        a new array; the kept sum rescaled to the state's alpha when it `holds`."""
+        if not self.holds(state):
+            self.kept, self.kept_alpha = self.assemble(state), state.alpha
+            self.key = (state.rho, state.T.tobytes())
+        return self.kept * (self.kept_alpha / state.alpha)
+
+    def assemble(self, state):
+        """A new sum of w w^T / F over the state's NNGP table, in band order."""
         n_band = 1 + max(self.template_span, int(np.max(self.entry_span[state.entry])))
         if n_band != self.n_band:
             self.template.slots[...] = _pair_slots(self.template_cols, n_band)
-            self.entry_slots = _pair_slots(geom.library.neighbor_indices.T, n_band)
+            self.entry_slots = _pair_slots(self.entry_cols, n_band)
             self.n_band = n_band
         np.take(self.entry_slots, state.entry.ravel(), axis=1, out=self.subjects.slots,
                 mode="clip")
@@ -479,7 +592,7 @@ class TemplateBand:
 
 
 def template_conditional(state, geom):
-    """Precision Q and linear term b of X | rest ~ N(Q^-1 b, Q^-1).
+    """Precision Q and linear term b of X | rest ~ N(Q^-1 b, Q^-1), in band order.
 
     Q = (I - B_0)^T F_0^-1 (I - B_0) + sum_i B_i^T F_i^-1 B_i
         + (sum_i beta_i^2 / sigma_i^2) I,
@@ -487,16 +600,23 @@ def template_conditional(state, geom):
     over the families of the state's NNGP table. Template row l has columns
     [l, predecessors] and weights [1, -B_0]; the padded predecessor slots
     carry B = 0 and are pointed at l itself. Subject rows are the library
-    sets nbr[1:] with weights B[1:]. Q is returned in LAPACK lower-band storage,
-    Fortran-ordered, Q[j + d, j] at [d, j], assembled by `state.band`.
+    sets nbr[1:] with weights B[1:]. Site l is row and column pos[l] of
+    both, pos = `state.band.pos`, so b is b[state.band.order] of the sites.
+    Q is returned in LAPACK lower-band storage, Fortran-ordered, Q[j + d, j]
+    at [d, j], assembled by `state.band`.
 
-    Its bandwidth is the widest column span of this state's rows, not of
-    every library entry: on 28x28 the state's rows need 169 band rows and the
-    library's widest entry 225, and `dpbtrf` takes ~1.5 ms at 169 against
-    ~2.2 ms at 225 (one core of a 2-core x86-64 machine). The slot tables
-    are rebuilt when the height changes, which no measured chain did. A call
-    costs ~1.4 ms on 28x28, most of it the bincount into the ~1 MB band, and
-    ~0.1-0.4 ms on the 1D curves; besides the band it allocates only O(N V k).
+    Its bandwidth is the widest span in band positions of this state's rows,
+    not of every library entry. On 28x28 the state's rows span ~113 band
+    rows in reverse Cuthill-McKee order against 169 in row-major order, where
+    ~180 subject rows at the lattice's side edges, strips down one or two
+    columns, set it (the library's widest entry spans 225 there), and
+    `dpbtrf` takes ~1.1 ms against ~1.8 ms. The slot tables are rebuilt
+    when the height changes. Q's NNGP part is kept while rho and every T_i
+    stay (`TemplateBand`): in glyph chains of 200 sweeps, 13-78% of sweeps
+    by chain seed, and few once the forward steps adapt. Such a call costs
+    ~0.15 ms on 28x28, one that sums anew ~1.1 ms, most of it the bincount
+    into the band, and ~0.1-0.4 ms on the 1D curves; besides the band it
+    allocates only O(N V k).
     """
     v = state.X.size
     _, _, nbr, weights, f = subject_caches(state)
@@ -504,20 +624,21 @@ def template_conditional(state, geom):
     xt_f = (state.XT / f).ravel()
     b = np.bincount(nbr.ravel(), (weights.reshape(-1, k) * xt_f[:, None]).ravel(), v)
     b += (state.beta / state.sigma2) @ state.Y_bw
-    ab = state.band.precision(state, geom)
+    ab = state.band.precision(state)
     ab[0] += np.sum(state.beta ** 2 / state.sigma2)
-    return ab, b
+    return ab, b[state.band.order]
 
 
 def update_template(state, geom, rng):
-    """Exact block Gibbs draw x = Q^-1 b + L^-T z, with Q = L L^T banded."""
+    """Exact block Gibbs draw x = Q^-1 b + L^-T z, with Q = L L^T banded; the
+    draw is in band order, and X takes it back to the sites, X = y[pos]."""
     ab, b = template_conditional(state, geom)
     chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info != 0:
         raise IllConditioned(f"template precision is not positive definite (dpbtrf info {info})")
     mean, _ = dpbtrs(chol, b, lower=1)
     noise, _ = dtbtrs(chol, rng.standard_normal(b.size), uplo="L", trans="T")
-    state.X = mean + noise
+    state.X = (mean + noise)[state.band.pos]
     return state.X
 
 

@@ -17,7 +17,7 @@ def test_every_audit_check_passes():
               for r in results if not r["passed"]]
     assert passed and not failed, failed
     names = {r["name"] for r in results}
-    assert len(results) == len(names) == 20
+    assert len(results) == len(names) == 21
     assert {"oracle.pattern_weights", "detailed_balance.max_gap_1d",
             "detailed_balance.max_gap_2d", "target.forward", "target.reverse",
             "target.conventional", "target.rho", "conjugacy.conventional_w",
@@ -111,7 +111,8 @@ def edited(name, edit):
     ("alpha_conditional", lambda shape, rate: (shape + 1.0, rate), {"conjugacy.alpha"}),
     ("transformed_template_conditional", lambda mean, var: (mean, 2.0 * var),
      {"conjugacy.XT_element"}),
-    ("template_conditional", lambda ab, b: (ab, 0.5 * b), {"conjugacy.X_block"}),
+    ("template_conditional", lambda ab, b: (ab, 0.5 * b),
+     {"conjugacy.X_block", "conjugacy.X_block_reused"}),
     ("beta_sigma_conditional", lambda shape, rate, mu, lam: (shape, rate, mu + 0.1, lam),
      {"conjugacy.beta", "conjugacy.sigma2", "conjugacy.sigma2_marginal"}),
     ("beta_sigma_conditional", lambda shape, rate, mu, lam: (shape + 1.0, rate, mu, lam),

@@ -240,6 +240,20 @@ def test_rho_weights_from_cached_distances_give_the_chain_of_recomputed_ones(
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def assert_draws_match(state, geom, q, b, n=20000, seed=11):
+    """n block draws of X: mean and covariance against Q^-1 b and Q^-1, both
+    in site order."""
+    cov = np.linalg.inv(q)
+    mean = cov @ b
+    rng = np.random.default_rng(seed)
+    draws = np.array([update_template(state, geom, rng).copy() for _ in range(n)])
+    sd = np.sqrt(np.diag(cov))
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.0 * sd / np.sqrt(n))
+    # Standard error of a Gaussian sample covariance entry: sqrt((S_ii S_jj + S_ij^2) / n).
+    se = np.sqrt((np.outer(sd * sd, sd * sd) + cov * cov) / n)
+    assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 4.0 * se)
+
+
 def test_template_draws_match_block_conditional():
     """20 000 block draws of X: mean and covariance against Q^-1 b and Q^-1."""
     state, geom, _ = _toy_state()
@@ -249,16 +263,26 @@ def test_template_draws_match_block_conditional():
     state.sigma2 *= 100.0
     state.F[1:] *= 100.0
     ab, b = template_conditional(state, geom)
-    cov = np.linalg.inv(band_to_dense(ab))
-    mean = cov @ b
-    rng = np.random.default_rng(11)
-    n = 20000
-    draws = np.array([update_template(state, geom, rng).copy() for _ in range(n)])
-    sd = np.sqrt(np.diag(cov))
-    assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.0 * sd / np.sqrt(n))
-    # Standard error of a Gaussian sample covariance entry: sqrt((S_ii S_jj + S_ij^2) / n).
-    se = np.sqrt((np.outer(sd * sd, sd * sd) + cov * cov) / n)
-    assert np.all(np.abs(np.cov(draws, rowvar=False) - cov) < 4.0 * se)
+    assert_draws_match(state, geom, band_to_dense(ab), b)
+
+
+def test_template_draws_in_band_order_match_the_conditional_in_site_order():
+    """On a 2D lattice of 4 x 10 sites, whose band is narrower in reverse
+    Cuthill-McKee order than row-major, the draws of X, site by site, have
+    the mean and covariance of the site-order assembly's Q^-1 b and Q^-1."""
+    lattice = Lattice((4, 10), np.array([1.0, 1.0]), np.zeros(2))
+    locs = lattice.locations()
+    maps = [ActivationMap(lattice, np.exp(-0.5 * np.sum((locs - [1.5, c]) ** 2, axis=1) / 4.0))
+            for c in (4.0, 4.5, 5.0)]
+    chain = Chain(maps, RunConfig(m=4, total=2, burn_in=1, thin=1, init_iters=3, seed=3))
+    state, geom = chain.state, chain.geom
+    assert not np.array_equal(state.band.pos, np.arange(lattice.n_sites))
+    state.sigma2 *= 100.0
+    state.F[1:] *= 100.0
+    ab, _ = template_conditional(state, geom)
+    site_ab, b = chunked_template_conditional(state, geom, np.arange(lattice.n_sites))
+    assert ab.shape[0] < site_ab.shape[0]
+    assert_draws_match(state, geom, band_to_dense(site_ab), b)
 
 
 def band_terms(cols, w, finv, n_band):
@@ -274,9 +298,10 @@ def band_terms(cols, w, finv, n_band):
         yield slot.ravel(), (wf[p] * w[p:]).ravel()
 
 
-def chunked_template_conditional(state, geom):
-    """(ab, b) of `template_conditional`, assembled anew on each call: every row's
-    slots and values recomputed, chunk by chunk, then summed by one bincount."""
+def chunked_template_conditional(state, geom, pos):
+    """(ab, b) of `template_conditional` with site l at band position pos[l],
+    assembled anew on each call: every row's slots and values recomputed,
+    chunk by chunk, then summed by one bincount."""
     v = state.X.size
     own = np.arange(v)[:, None]
     k = state.nbr.shape[-1]
@@ -288,47 +313,127 @@ def chunked_template_conditional(state, geom):
     rows = [(np.hstack([own, np.where(nsets >= 0, nsets, own)]),
              np.hstack([np.ones((v, 1)), -state.B[0]]), 1.0 / state.F[0]),
             (nbr, weights, 1.0 / state.F[1:].ravel())]
-    families = [(np.ascontiguousarray(c.T), np.ascontiguousarray(w.T), finv)
+    families = [(np.ascontiguousarray(pos[c].T), np.ascontiguousarray(w.T), finv)
                 for c, w, finv in rows]
     n_band = 1 + max(int(np.max(c.max(axis=0) - c.min(axis=0))) for c, _, _ in families)
     slots, values = zip(*(t for f in families for t in band_terms(*f, n_band)))
     ab = np.bincount(np.concatenate(slots), np.concatenate(values), n_band * v)
     ab = ab.reshape(v, n_band).T
     ab[0] += np.sum(state.beta ** 2 / state.sigma2)
-    return ab, b
+    return ab, b[np.argsort(pos)]
 
 
 def assert_template_conditional_is_the_chunked_one(state, geom):
+    """A call that sums anew gives the chunked assembly in the band's order,
+    bit for bit. One that reuses the kept sum gives it rescaled to the
+    state's alpha, bit for bit, and the chunked assembly within 1e-13 of its
+    largest entry: F moves with alpha by one rounded product per sweep."""
+    band, reused = state.band, state.band.holds(state)
     ab, b = template_conditional(state, geom)
-    want_ab, want_b = chunked_template_conditional(state, geom)
+    want_ab, want_b = chunked_template_conditional(state, geom, band.pos)
     assert ab.shape == want_ab.shape and ab.flags.f_contiguous
-    assert np.array_equal(ab, want_ab) and np.array_equal(b, want_b)
-    return ab.shape[0]
+    assert np.array_equal(b, want_b)
+    if reused:
+        kept = band.kept * (band.kept_alpha / state.alpha)
+        kept[0] += np.sum(state.beta ** 2 / state.sigma2)
+        assert np.array_equal(ab, kept)
+        assert np.max(np.abs(ab - want_ab)) <= 1e-13 * np.max(np.abs(want_ab))
+    else:
+        assert np.array_equal(ab, want_ab)
+        assert band.kept_alpha == state.alpha
+    return ab.shape[0], reused
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_template_conditional_is_the_chunked_assembly_bit_for_bit(case):
     """The slot tables built once per chain give the (ab, b) of the full
-    assembly, bit for bit, after every sweep of a chain."""
-    chain = short_chain(case, sweeps=6)
+    assembly after every sweep of a chain: bit for bit after a sweep that
+    moved rho or a T_i, and rescaled from the kept sum after one that moved
+    neither. Both kinds of sweep occur."""
+    chain = short_chain(case, sweeps=12)
+    outcomes = set()
     for _ in range(chain.config.total):
         chain.sweep()
-        assert_template_conditional_is_the_chunked_one(chain.state, chain.geom)
+        outcomes.add(assert_template_conditional_is_the_chunked_one(chain.state, chain.geom)[1])
+    assert outcomes == {False, True}
+
+
+def one_dimensional_states():
+    """The 1D chain states the tests build: the toy, every 1D case after two
+    sweeps, and a 6-site chain at m = 10, each with its band's k."""
+    yield _toy_state()[:2]
+    for case in ("indicator", *PRIOR_CASES):
+        chain = short_chain(case)
+        chain.sweep()
+        chain.sweep()
+        yield chain.state, chain.geom
+    lattice = make_lattice_1d(0.0, 5.0, 1.0)
+    maps = [ActivationMap(lattice, np.sin(lattice.locations()[:, 0] + shift))
+            for shift in (0.0, 0.2, -0.2)]
+    chain = Chain(maps, RunConfig(m=10, total=2, burn_in=1, thin=1, init_iters=3, seed=2))
+    yield chain.state, chain.geom
+
+
+def test_one_dimensional_bands_keep_row_major_order():
+    """A 1D row-major band is as narrow as a template row's k + 1 columns
+    (all V when V <= k), which no order can beat, so the band keeps it, and
+    a call that sums anew is the row-major chunked assembly bit for bit."""
+    for state, geom in one_dimensional_states():
+        v, k = state.X.size, state.nbr.shape[-1]
+        state.band = sampler.TemplateBand(geom, state.entry)
+        assert np.array_equal(state.band.pos, np.arange(v))
+        height, reused = assert_template_conditional_is_the_chunked_one(state, geom)
+        assert height == min(k + 1, v) and not reused
+
+
+def coupling_height(pos, cols):
+    """Band rows an order needs: 1 + the widest span of pos over the rows' columns."""
+    return 1 + max(int(np.max(np.ptp(pos[c], axis=1))) for c in cols)
+
+
+def test_glyph_band_order_is_narrower_than_row_major_and_than_scipys_rcm():
+    """On the 28 x 28 glyph's chain state, the band order is not row-major,
+    and the rows span fewer band rows than in row-major order or in scipy's
+    reverse Cuthill-McKee order of the same coupling graph. Two builds give
+    the same order."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    maps, _ = generate(ScenarioSpec("glyph", n_subjects=3, seed=0))
+    chain = Chain(maps, RunConfig(total=2, burn_in=1, thin=1, seed=0))
+    state, geom = chain.state, chain.geom
+    v, k = state.X.size, state.nbr.shape[-1]
+    cols = [np.hstack([np.arange(v)[:, None], geom.predecessors.nbr]),
+            geom.library.neighbor_indices[state.entry.ravel()]]
+    pairs = np.concatenate([np.stack(np.broadcast_arrays(c[:, :, None], c[:, None, :]),
+                                     axis=-1).reshape(-1, 2) for c in cols])
+    graph = coo_matrix((np.ones(len(pairs)), pairs.T), shape=(v, v)).tocsr()
+    at = np.empty(v, dtype=np.intp)
+    at[reverse_cuthill_mckee(graph, symmetric_mode=True)] = np.arange(v)
+    pos = state.band.pos
+    assert not np.array_equal(pos, np.arange(v))
+    height = coupling_height(pos, cols)
+    assert height < coupling_height(np.arange(v), cols) and height <= coupling_height(at, cols)
+    assert np.array_equal(sampler.TemplateBand(geom, state.entry).pos, pos)
+    assert template_conditional(state, geom)[0].shape[0] == height
 
 
 def test_template_conditional_rebuilds_its_slots_when_the_band_height_changes():
-    """A row moved onto the library entry whose neighbors span the most
-    columns widens the band; moved back, it narrows it again. Slot tables
-    left at the old height would put every pair in the wrong place."""
+    """A row moved onto the library entry whose neighbors span the most band
+    rows widens the band; moved back, it narrows it again. Slot tables left
+    at the old height would put every pair in the wrong place. The entries
+    are edited under a fixed T, so each edit drops the band's kept sum."""
     state, geom, _ = glyph_after_two_sweeps()
     lib = geom.library
-    before = assert_template_conditional_is_the_chunked_one(state, geom)
-    widest = int(np.argmax(np.ptp(lib.neighbor_indices, axis=1)))
+    state.band.key = None
+    before = assert_template_conditional_is_the_chunked_one(state, geom)[0]
+    widest = int(np.argmax(state.band.entry_span))
     entry = state.entry[0, 5]
     for moved in (widest, entry):
         state.entry[0, 5] = moved
         state.nbr[1, 5] = lib.neighbor_indices[moved]
-        height = assert_template_conditional_is_the_chunked_one(state, geom)
+        state.band.key = None
+        height = assert_template_conditional_is_the_chunked_one(state, geom)[0]
         assert (height > before) == (moved == widest)
     assert height == before
 
