@@ -38,7 +38,8 @@ from .spatial import (CovarianceParams, batched_nngp_weights, cov_matrix,
                       dense_gp_log_density, dense_kriging, lookup_neighbors,
                       nngp_log_density, conditional_means,
                       build_neighbor_library, build_ordered_neighbor_sets, kriging_factor,
-                      library_weights, lookup_entries, neighbor_distances)
+                      library_weights, lookup_entries, neighbor_distances,
+                      predecessor_weights)
 from .synth import ScenarioSpec, gen_indicator_curves
 from .transforms import (AffineTransform, affine_apply, affine_compose,
                          affine_inverse, karcher_mean, lie_exp, lie_log)
@@ -423,7 +424,7 @@ def pattern_weights_gap():
         for alpha, rho in ((1.7, 0.05), (0.4, 1.5), (2.5, 3.0)):
             params = CovarianceParams(alpha, rho)
             factor = kriging_factor(lib, rho)
-            b, f = library_weights(pre.target_dist, pre.rows, lib, factor, alpha)
+            b, f = predecessor_weights(pre, rho, alpha)
             worst = max(
                 worst,
                 weights_gap((b[pre.ids], f[pre.ids]),

@@ -30,8 +30,8 @@ from .grids import Lattice
 from .interp import Warp
 from .spatial import (NeighborLibrary, PredecessorPatterns, batched_nngp_weights,
                       build_neighbor_library, build_ordered_neighbor_sets, conditional_means,
-                      join_predecessor_patterns, lookup_neighbors,
-                      nngp_log_density_from_weights)
+                      lookup_neighbors, nngp_log_density_from_weights,
+                      predecessor_patterns)
 from .transforms import apply_stack, composition_identity_gap
 
 
@@ -143,9 +143,9 @@ class ModelGeometry:
 
     The lattice and its NNGP neighbor structures, and the forward and reverse
     transform priors, whose scale is the lattice's coordinate Gram matrix.
-    The library's pattern table holds the template's predecessor patterns
-    too (`spatial.join_predecessor_patterns`); `neighbor_sets` are the
-    template's rows as the oracle (`gibbs_log_posterior`) reads them.
+    `predecessors` groups the template's rows by pattern
+    (`spatial.predecessor_patterns`); `neighbor_sets` are those rows as the
+    oracle (`gibbs_log_posterior`) reads them.
     """
 
     lattice: Lattice
@@ -160,8 +160,8 @@ class ModelGeometry:
 def build_geometry(lattice, hp, margin):
     locs = lattice.locations()
     neighbor_sets = build_ordered_neighbor_sets(lattice, hp.m)
-    library, predecessors = join_predecessor_patterns(
-        build_neighbor_library(lattice, margin, hp.m), neighbor_sets)
+    library = build_neighbor_library(lattice, margin, hp.m)
+    predecessors = predecessor_patterns(lattice, neighbor_sets)
     sigma_s = sigma_s_matrix(locs)
     return ModelGeometry(
         lattice=lattice,

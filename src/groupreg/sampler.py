@@ -26,15 +26,18 @@ The model's NNGP rows form one table in the state, `nbr`, `B` and `F`,
 l given its ordered predecessors, and family i the rows of X(T_i(s_l))
 given its library entry's neighbor set. The transform steps, the X(T_i)
 draw and the X step's precision read families 1..N, the view `B[1:]`. The
-weights come from the pattern cache (`spatial.KrigingFactor`) kept in
-`ChainState.factor`, one `spatial.library_weights` path for both kinds of
-row. The factor is built for the current rho at construction and for each
-rho proposal, kept on accept and dropped on reject; alpha only rescales F.
+template's rows are solved once per predecessor pattern at each rho
+(`spatial.predecessor_weights`). The subjects' weights come from the pattern
+cache (`spatial.KrigingFactor`) kept in `ChainState.factor`, through
+`spatial.library_weights`, one gemm product per library pattern the rows use.
+The factor is built for the current rho at construction and for each rho
+proposal, kept on accept and dropped on reject; alpha only rescales F.
 The distances from each T_i(S) to its neighbor sets do not depend on rho,
 so the state keeps them, `ChainState.dist` (N, V, k), in place of the
 transformed sites: `subject_geometry` computes them, a forward accept
-stores them, and a rho proposal only inverts the patterns the table uses,
-one matrix each, and exponentiates the cached distances (`rho_weights`).
+stores them, and a rho proposal inverts only the library patterns the
+subjects' rows use, one matrix on the 1D curves and 27 on the glyph, and
+exponentiates the cached distances (`rho_weights`).
 The alpha step and each rho proposal take the conditional means B x(N) of
 the whole table in one `conditional_means` call, and sum over it once; rho's
 current-state target reuses the means that the alpha step computed in the
@@ -44,12 +47,14 @@ rescales F.
 X | rest is Gaussian with a sparse banded precision Q (`template_conditional`)
 and is drawn exactly in one block step (Rue 2001): a LAPACK banded Cholesky
 Q = L L^T, then x = Q^-1 b + L^-T z. The band numbers the sites in reverse
-Cuthill-McKee order (`band_order`, George & Liu 1981), built once per chain
-from its first state's rows, or row-major where no order is narrower, as on
-every 1D lattice; the draw is made in that order and X is read back by
-site. The bandwidth w is the widest span of this sweep's NNGP rows in that
-order: ~113 band rows on a 28x28 lattice, where row-major needs 169, set
-by ~180 subject rows that run down the side edges. So the step costs O(V w^2)
+Cuthill-McKee order (`band_order`, George & Liu 1981), built from the
+rows at every library entry the chain's states have used, at the start and
+again whenever a row moves onto an entry that needs a taller band, or
+row-major where no order is narrower, as on every 1D lattice; the draw is
+made in that order and X is read back by site. The bandwidth w is the
+widest span of this sweep's NNGP rows in that order: ~113 band rows on a
+28x28 lattice, where row-major needs 169, set by ~180 subject rows that run
+down the side edges. So the step costs O(V w^2)
 time and O(V w) memory. Q's band slots are built once per chain
 (`TemplateBand`, kept in `ChainState.band`); a sweep writes the pair values
 into the chain's buffers and sums them, and Q's NNGP part is kept until rho
@@ -138,7 +143,7 @@ from .interp import Warp
 from .model import WaicAccumulator, build_geometry, penalty_terms, pointwise_log_lik
 from .spatial import (CovarianceParams, KrigingFactor, conditional_means,
                       kriging_factor, library_weights, locate_entries, neighbor_distances,
-                      nngp_log_density_from_weights)
+                      nngp_log_density_from_weights, predecessor_weights)
 from .store import SampleStore
 from .transforms import (AffineTransform, affine_inverse, apply_stack, composition_identity_gap,
                          has_real_log, karcher_mean, lie_exp, standardize)
@@ -520,12 +525,15 @@ class TemplateBand:
     family 0, with columns [l, predecessors] and weights [1, -B], and the
     subjects', each with the columns of its library entry's neighbor set and
     weights B. The band numbers the sites by `pos`, from `band_order` over
-    the template's rows and the subjects' at the library entries `entry`
-    given, and `order` lists the sites in band order. Neither kind of row's
-    columns ever change, so the band slots of their pairs (`_pair_slots` of
-    pos[cols]) are built once, per template row and per library entry, and
-    built again only when the band height that a state needs changes. A sum
-    gathers the subjects' slots by entry, writes every pair's value into
+    the template's rows and the subjects' at every library entry the chain's
+    states have used (`used`), and `order` lists the sites in band order.
+    Neither kind of row's columns ever change, so the band slots of their
+    pairs (`_pair_slots` of pos[cols]) are built once, per template row and
+    per library entry, and built again only when the band height that a
+    state needs changes. A state that needs a taller band than the order
+    was built for has moved a row onto an entry the order has not seen, and
+    the order and the slot tables are built again over the used entries. A
+    sum gathers the subjects' slots by entry, writes every pair's value into
     buffers held here, and sums all pairs, template rows first, with one
     bincount.
 
@@ -546,19 +554,25 @@ class TemplateBand:
         self.template = _PairFamily(k + 1, v, self.slots[:split], self.values[:split])
         self.template.w[0] = 1.0
         self.subjects = _PairFamily(k, n_subjects * v, self.slots[split:], self.values[split:])
-        lib = geom.library.neighbor_indices
-        template_cols = np.vstack([np.arange(v), geom.predecessors.nbr.T])
-        used = np.zeros(len(lib), dtype=bool)
-        used[entry.ravel()] = True          # not np.unique: its first call takes ~15 ms
-        self.pos = band_order([template_cols, lib[used].T], geom.lattice)
-        self.order = np.argsort(self.pos)
-        self.template_cols, self.entry_cols = self.pos[template_cols], self.pos[lib.T]
-        self.template_span = int(np.max(np.ptp(self.template_cols, axis=0)))
-        self.entry_span = np.ptp(self.entry_cols, axis=0)
-        self.n_band = 0               # the band height the slot tables are built for
-        self.entry_slots = None       # (k (k + 1) / 2, n_lib)
+        self.lattice, self.lib = geom.lattice, geom.library.neighbor_indices
+        self.template_rows = np.vstack([np.arange(v), geom.predecessors.nbr.T])
+        self.used = np.zeros(len(self.lib), dtype=bool)
+        self.used[entry.ravel()] = True     # not np.unique: its first call takes ~15 ms
+        self.number_sites()
         self.key = None               # (rho, T bytes) of the kept sum
         self.kept, self.kept_alpha = None, None
+
+    def number_sites(self):
+        """Build `pos` and `order` over the used entries, and the spans of every
+        row in that order; `height` is the band the used entries' rows need."""
+        self.pos = band_order([self.template_rows, self.lib[self.used].T], self.lattice)
+        self.order = np.argsort(self.pos)
+        self.template_cols, self.entry_cols = self.pos[self.template_rows], self.pos[self.lib.T]
+        self.template_span = int(np.max(np.ptp(self.template_cols, axis=0)))
+        self.entry_span = np.ptp(self.entry_cols, axis=0)
+        self.height = self.span(self.used)
+        self.n_band = 0               # the band height the slot tables are built for
+        self.entry_slots = None       # (k (k + 1) / 2, n_lib)
 
     def holds(self, state):
         """Whether the kept sum is the one at the state's rho and T."""
@@ -572,9 +586,18 @@ class TemplateBand:
             self.key = (state.rho, state.T.tobytes())
         return self.kept * (self.kept_alpha / state.alpha)
 
+    def span(self, entries):
+        """The band rows that the template's rows and the subjects' rows at
+        library `entries` span in the current order."""
+        return 1 + max(self.template_span, int(np.max(self.entry_span[entries])))
+
     def assemble(self, state):
         """A new sum of w w^T / F over the state's NNGP table, in band order."""
-        n_band = 1 + max(self.template_span, int(np.max(self.entry_span[state.entry])))
+        self.used[state.entry.ravel()] = True
+        n_band = self.span(state.entry)
+        if n_band > self.height:
+            self.number_sites()
+            n_band = self.span(state.entry)
         if n_band != self.n_band:
             self.template.slots[...] = _pair_slots(self.template_cols, n_band)
             self.entry_slots = _pair_slots(self.entry_cols, n_band)
@@ -611,12 +634,13 @@ def template_conditional(state, geom):
     ~180 subject rows at the lattice's side edges, strips down one or two
     columns, set it (the library's widest entry spans 225 there), and
     `dpbtrf` takes ~1.1 ms against ~1.8 ms. The slot tables are rebuilt
-    when the height changes. Q's NNGP part is kept while rho and every T_i
-    stay (`TemplateBand`): in glyph chains of 200 sweeps, 13-78% of sweeps
-    by chain seed, and few once the forward steps adapt. Such a call costs
-    ~0.15 ms on 28x28, one that sums anew ~1.1 ms, most of it the bincount
-    into the band, and ~0.1-0.4 ms on the 1D curves; besides the band it
-    allocates only O(N V k).
+    when the height changes, and the order with them when a row needs a
+    taller band than the order was built for. Q's NNGP part is kept while
+    rho and every T_i stay (`TemplateBand`): in glyph chains of 200 sweeps,
+    13-78% of sweeps by chain seed, and few once the forward steps adapt.
+    Such a call costs ~0.15 ms on 28x28, one that sums anew ~1.1 ms, most of
+    it the bincount into the band, and ~0.1-0.4 ms on the 1D curves; besides
+    the band it allocates only O(N V k).
     """
     v = state.X.size
     _, _, nbr, weights, f = subject_caches(state)
@@ -691,13 +715,13 @@ def update_alpha(state, hp, rng):
 
 def rho_weights(state, geom, factor):
     """(B, F) of the NNGP table at the rho of `factor` and the state's alpha,
-    (N + 1, V, k) and (N + 1, V): the template's rows, weighed once per
-    predecessor pattern and gathered by site, and the subjects' from the
-    cached neighbor distances, one `library_weights` path for both."""
+    (N + 1, V, k) and (N + 1, V): the template's rows, solved once per
+    predecessor pattern (`predecessor_weights`) and gathered by site, and the
+    subjects' from the cached neighbor distances (`library_weights`)."""
     library, pre = geom.library, geom.predecessors
     n, v, k = state.dist.shape
     b, f = np.empty((n + 1, v, k)), np.empty((n + 1, v))
-    tb, tf = library_weights(pre.target_dist, pre.rows, library, factor, state.alpha)
+    tb, tf = predecessor_weights(pre, factor.rho, state.alpha)
     b[0], f[0] = np.take(tb, pre.ids, axis=0), np.take(tf, pre.ids)
     library_weights(state.dist.reshape(-1, k), np.take(library.pattern_ids, state.entry.ravel()),
                     library, factor, state.alpha, out=(b[1:].reshape(-1, k), f[1:].reshape(-1)))

@@ -12,34 +12,33 @@ template sites only.
 
 Pattern cache. On a regular lattice the k x k covariance of a neighbor set
 depends only on its distance matrix and on rho, because
-C = alpha (R(rho) + JITTER I). Every NNGP row, a transformed site given its
-library entry's neighbor set or a template site given its ordered
-predecessors, is therefore a row of one table of patterns, each stored as its
-k x k distance matrix (`NeighborLibrary.pattern_dist`). A library pattern is
-a distinct distance matrix: entries are grouped by offset shape (their
-neighbors' offsets in lattice steps), and shapes whose matrices are equal bit
-for bit, such as mirror images, are merged, so equal matrices get one
-inverse and bit-identical weights (88 matrices from 330 offset shapes for the
-2116 entries of a 28x28 lattice with margin 9 and m = 10). A predecessor
-pattern is an offset shape with its padding marked (26 on that lattice), and
-`join_predecessor_patterns` appends these to the library's table. A padded
-slot is at distance 0 from itself and inf from every other slot and from the
-target, so at any rho > 0 its R row and column are those of the identity
-and its r_t is 0: it gets B = 0 exactly and leaves F as the row without it
-has it, as in `batched_nngp_weights`. A `KrigingFactor` holds, for one rho,
-(R + JITTER I)^-1 of the patterns met so far; weights for any alpha follow
-as B = (R + JITTER I)^-1 r_t and F = alpha (1 - B . r_t), with
-r_t = exp(-rho d_t) from the target-to-neighbor distances d_t, so a weights
-call (`library_weights`) costs k exps per row and one small mat-vec instead
-of a k x k solve. The template's rows are weighed once per predecessor
-pattern and gathered by site. A pattern is inverted only when
-`library_weights` first meets it at that rho (`KrigingFactor.invert`), one
-`np.linalg.inv` over the patterns missing, with the bits of inverting all
-of them at once: a chain's transformed sites use few of the library's
-patterns (19 of the glyph's 88), and a rho proposal builds a new factor.
-The table takes P k^2 doubles (about 90 kB for the 28x28 library) plus one
-int per entry or site. `batched_nngp_weights` re-solves every row and stays
-the brute-force oracle the cache is checked against.
+C = alpha (R(rho) + JITTER I). Every NNGP row is therefore a row of a small
+table of patterns, each stored as its k x k distance matrix. A library
+pattern (`NeighborLibrary.pattern_dist`) is a distinct distance matrix of an
+entry's neighbor set, its sites listed in lattice order: entries are grouped
+by offset shape (their neighbors' offsets in lattice steps), and shapes whose
+matrices are equal bit for bit are merged. In lattice order every 1D entry's
+set is a run of k consecutive sites, so a 1D library has one pattern, and the
+2116 entries of a 28x28 lattice with margin 9 and m = 10 have 93 shapes and
+93 matrices. A predecessor pattern (`PredecessorPatterns`) is an offset shape
+of a template site's ordered predecessors with its padding marked (26 on that
+lattice, 11 on a 1D one). A padded slot is at distance 0 from itself and inf
+from every other slot and from the target, so at any rho > 0 its R row and
+column are those of the identity and its r_t is 0: it gets B = 0 exactly and
+leaves F as the row without it has it, as in `batched_nngp_weights`. Weights
+for any alpha follow as B = (R + JITTER I)^-1 r_t and F = alpha (1 - B . r_t),
+with r_t = exp(-rho d_t) from the target-to-neighbor distances d_t. The
+template's rows are weighed once per predecessor pattern by one batched
+solve (`predecessor_weights`) and gathered by site. A `KrigingFactor` holds,
+for one rho, (R + JITTER I)^-1 of the library patterns met so far, each
+inverted when `library_weights` first meets it at that rho
+(`KrigingFactor.invert`), one `np.linalg.inv` over the patterns missing: a
+glyph chain's transformed sites use 27 of the 93, a 1D chain's the one. So a
+weights call costs k exps per row and one gemm product per pattern its rows
+use, r_t inv^T, not a k x k solve per row. The table takes P k^2 doubles
+(about 74 kB for the 28x28 library) plus one int per entry.
+`batched_nngp_weights` re-solves every row and stays the brute-force oracle
+the cache is checked against.
 
 Neighbor ranking. Library entries and template predecessor sets are ranked
 by squared distances formed from integer lattice offsets, each axis weighted
@@ -65,7 +64,7 @@ ranked in blocks of about `_BLOCK_BYTES` of keys, so the builds hold no
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,9 +74,7 @@ from .grids import Lattice
 JITTER = 1e-10
 VAR_FLOOR = 1e-12
 # The keys of one block of rows of a neighbor-table build (`_ranked_sites`:
-# 1310 rows of a 25-site box at m = 10), and one chunk of the per-row
-# inverses that `library_weights` gathers, in every sweep, into one buffer
-# that the library holds (`NeighborLibrary.gather`).
+# 1310 rows of a 25-site box at m = 10).
 _BLOCK_BYTES = 1 << 18
 
 
@@ -236,6 +233,11 @@ def _pattern_table(keys):
     return ids, first
 
 
+def _key_type(lattice):
+    """The least integer type that holds every lattice offset, for grouping keys."""
+    return np.min_scalar_type(-max(lattice.shape))
+
+
 def _offset_distances(offsets, spacing):
     """(P, k, k) distances between the k lattice offsets of each pattern."""
     diff = (offsets[:, :, None, :] - offsets[:, None, :, :]) * spacing
@@ -249,27 +251,19 @@ class NeighborLibrary:
     The enlarged lattice extends the template lattice by `margin` grid steps
     on every side. Lookup maps a continuous point to its nearest enlarged
     lattice site (half-up rounding per axis) and returns that site's
-    precomputed neighbor set. Immutable after construction, but for the
-    contents of `gather`, the buffer into which `library_weights` gathers
-    each chunk of its rows' inverses, one chunk of about _BLOCK_BYTES. A
-    fresh array per chunk lies above glibc's default 128 kB mmap threshold,
-    and a new process could map it, and fault its pages in, anew on every
-    call: a 1000-sweep `groupreg fit` of the indicator curves (sim 0, N = 3)
-    took 185 000 minor faults and 0.25-0.32 s of system time that way, and
-    8 500 faults and 0.03 s with a buffer kept across calls (x86-64 Linux,
-    glibc's malloc defaults), writing the same samples.
+    precomputed neighbor set, its sites in lattice order (ascending index),
+    not ranked by distance. Every entry's set is a row of the pattern table:
+    `pattern_dist[pattern_ids[entry]]` is the distance matrix between its
+    sites. Immutable after construction.
     """
 
     template: Lattice
     enlarged: Lattice
     margin: int
     m: int
-    neighbor_indices: np.ndarray = field(repr=False)  # (n_lib, min(m, V)) int
-    # Entries grouped by the distance matrix of their neighbor sets; the
-    # table holds their patterns, then any `join_predecessor_patterns` adds.
+    neighbor_indices: np.ndarray = field(repr=False)  # (n_lib, min(m, V)) int, ascending
     pattern_ids: np.ndarray = field(repr=False)       # (n_lib,) int
     pattern_dist: np.ndarray = field(repr=False)      # (P, k, k) neighbor distances
-    gather: np.ndarray = field(repr=False)            # (rows, k, k) scratch
 
 
 def build_neighbor_library(lattice, margin, m):
@@ -284,57 +278,56 @@ def build_neighbor_library(lattice, margin, m):
     )
     template = _site_coords(lattice.shape)
     k = min(m, lattice.n_sites)
-    neighbor_indices = _ranked_sites(_site_coords(enlarged.shape, -margin), lattice, k)
+    # The selection ranks; each set is then listed in lattice order.
+    neighbor_indices = np.sort(_ranked_sites(_site_coords(enlarged.shape, -margin), lattice, k),
+                               axis=1)
     # Group by offset shape, then merge the shapes whose distance matrices
-    # are equal bit for bit (mirror images are), keyed on the matrices' bits.
+    # are equal bit for bit, keyed on the matrices' bits.
     offsets = template[neighbor_indices] - template[neighbor_indices[:, :1]]
-    shape_ids, first = _pattern_table(offsets.reshape(len(offsets), -1))
+    shape_ids, first = _pattern_table(offsets.reshape(len(offsets), -1).astype(_key_type(lattice)))
     shape_dist = _offset_distances(offsets[first], lattice.spacing)
     dist_ids, first = _pattern_table(shape_dist.reshape(len(shape_dist), -1))
     return NeighborLibrary(template=lattice, enlarged=enlarged, margin=margin,
                            m=m, neighbor_indices=neighbor_indices,
-                           pattern_ids=dist_ids[shape_ids], pattern_dist=shape_dist[first],
-                           gather=np.empty((max(1, _BLOCK_BYTES // (8 * k * k)), k, k)))
+                           pattern_ids=dist_ids[shape_ids], pattern_dist=shape_dist[first])
 
 
 @dataclass(frozen=True, eq=False)
 class PredecessorPatterns:
-    """The template's NNGP rows, site l given its ordered predecessors, as
-    rows of a library's pattern table (`join_predecessor_patterns`)."""
+    """The template's NNGP rows, site l given its ordered predecessors, grouped
+    by relative shape (`predecessor_patterns`)."""
 
     nbr: np.ndarray = field(repr=False)          # (V, k) predecessors, padded slots at the site
     ids: np.ndarray = field(repr=False)          # (V,) each site's pattern, a row of the next two
-    rows: np.ndarray = field(repr=False)         # (P,) each pattern's row of the library's table
+    dist: np.ndarray = field(repr=False)         # (P, k, k) between neighbors, padding marked
     target_dist: np.ndarray = field(repr=False)  # (P, k) site to neighbors, inf where padded
 
 
-def join_predecessor_patterns(library, neighbor_sets):
-    """Group the `build_ordered_neighbor_sets` rows of the library's template by
-    relative shape (offsets in lattice steps, padding marked), and append the
-    shapes' distance matrices to the library's pattern table.
+def predecessor_patterns(lattice, neighbor_sets):
+    """Group the `build_ordered_neighbor_sets` rows of `lattice` by relative
+    shape (offsets in lattice steps, padding marked), with each shape's
+    distance matrix and target distances.
 
     Only the first k = min(m, V) columns of the sets are read; a site has at
-    most V - 1 predecessors. Returns (library, patterns): a library like the
-    given one but for its longer `pattern_dist`, and the `PredecessorPatterns`.
+    most V - 1 predecessors.
     """
-    k = library.neighbor_indices.shape[1]
+    k = min(neighbor_sets.shape[1], lattice.n_sites)
     sets = neighbor_sets[:, :k]
     mask = sets >= 0
     nbr = np.where(mask, sets, np.arange(len(sets))[:, None])
-    coords = _site_coords(library.template.shape)
+    coords = _site_coords(lattice.shape)
     # Offsets are 0 at the padded slots. Only the patterns' own are kept.
+    key = _key_type(lattice)
     ids, first = _pattern_table(np.concatenate(
-        [(coords[nbr] - coords[:, None, :]).reshape(len(nbr), -1), mask], axis=1))
+        [(coords[nbr] - coords[:, None, :]).reshape(len(nbr), -1).astype(key),
+         mask.astype(key)], axis=1))
     offsets = coords[nbr[first]] - coords[first, None, :]
-    off, mask = offsets * library.template.spacing, mask[first]
+    off, mask = offsets * lattice.spacing, mask[first]
     pair = mask[:, :, None] & mask[:, None, :]
-    nbr_dist = np.where(pair | np.eye(k, dtype=bool),
-                        _offset_distances(offsets, library.template.spacing), np.inf)
+    nbr_dist = np.where(pair | np.eye(k, dtype=bool), _offset_distances(offsets, lattice.spacing),
+                        np.inf)
     target_dist = np.where(mask, np.sqrt(np.einsum("pkd,pkd->pk", off, off)), np.inf)
-    n_lib = len(library.pattern_dist)
-    return (replace(library, pattern_dist=np.concatenate([library.pattern_dist, nbr_dist])),
-            PredecessorPatterns(nbr=nbr, ids=ids, rows=n_lib + np.arange(len(first)),
-                                target_dist=target_dist))
+    return PredecessorPatterns(nbr=nbr, ids=ids, dist=nbr_dist, target_dist=target_dist)
 
 
 def locate_entries(points, library):
@@ -424,32 +417,36 @@ def batched_nngp_weights(targets, neighbor_idx, source_locations, params):
     return b, np.maximum(f, VAR_FLOOR * params.alpha)
 
 
+def _correlations(dist, rho):
+    """R + JITTER I of each (k, k) distance matrix of a (P, k, k) stack at decay rho."""
+    r = np.exp(-rho * dist)
+    diag = np.arange(r.shape[1])
+    r[:, diag, diag] += JITTER
+    return r
+
+
 @dataclass(frozen=True, eq=False)
 class KrigingFactor:
-    """Unit-alpha kriging factors of a pattern table at one rho, the library's
-    `pattern_dist`: every NNGP row's, the template's and the subjects'.
+    """Unit-alpha kriging factors of a library's pattern table at one rho.
 
     The inverses are filled in on first use (`invert`): `inv[p]` holds
     pattern p's (R + JITTER I)^-1 only where `inverted[p]`.
     """
 
     rho: float
-    dist: np.ndarray = field(repr=False)      # (P, k, k) the library's pattern_dist
     inv: np.ndarray = field(repr=False)       # (P, k, k)
     inverted: np.ndarray = field(repr=False)  # (P,) bool
 
-    def invert(self, ids):
-        """Invert every pattern among `ids` not inverted yet, in one call."""
+    def invert(self, ids, pattern_dist):
+        """Invert every pattern among `ids` not inverted yet, in one call, from
+        the library's (P, k, k) `pattern_dist`."""
         need = np.zeros(self.inverted.size, dtype=bool)
         need[ids] = True
         missing = np.flatnonzero(need & ~self.inverted)
         if not missing.size:
             return
-        r = np.exp(-self.rho * self.dist[missing])
-        diag = np.arange(r.shape[1])
-        r[:, diag, diag] += JITTER
         try:
-            self.inv[missing] = np.linalg.inv(r)
+            self.inv[missing] = np.linalg.inv(_correlations(pattern_dist[missing], self.rho))
         except np.linalg.LinAlgError as exc:
             raise IllConditioned("neighbor covariance not invertible after jitter") from exc
         self.inverted[missing] = True
@@ -458,9 +455,9 @@ class KrigingFactor:
 def kriging_factor(library, rho):
     """The library's pattern table at decay `rho`, each pattern inverted as
     `library_weights` meets it."""
-    dist = library.pattern_dist
-    return KrigingFactor(rho=float(rho), dist=dist, inv=np.empty(dist.shape),
-                         inverted=np.zeros(len(dist), dtype=bool))
+    shape = library.pattern_dist.shape
+    return KrigingFactor(rho=float(rho), inv=np.empty(shape),
+                         inverted=np.zeros(shape[0], dtype=bool))
 
 
 def neighbor_distances(targets, nbr, source_locations):
@@ -484,43 +481,76 @@ def neighbor_distances(targets, nbr, source_locations):
     return np.sqrt(d2, out=d2)
 
 
-def library_weights(dist, ids, library, factor, alpha, out=None):
-    """(B, F) of NNGP rows, each given the distances `dist` (q, k) from its
-    target to its neighbors and `ids` (q,), its pattern's row of the library's
-    table; into `out`, a (B, F) pair of (q, k) and (q,) arrays, if given.
-
-    A transformed site's pattern is its library entry's,
-    library.pattern_ids[entry], and with dist = neighbor_distances(targets,
-    library.neighbor_indices[entries], source_locations) the result equals
-    batched_nngp_weights(targets, library.neighbor_indices[entries],
-    source_locations, CovarianceParams(alpha, factor.rho)) up to rounding. A
-    template site's is its predecessor pattern's, whose row this weighs
-    once for every site of the pattern (`PredecessorPatterns`). The patterns
-    the rows use are inverted first if the factor has not yet
-    (`KrigingFactor.invert`). Each row's k x k inverse is gathered and
-    contracted in chunks of about _BLOCK_BYTES, into the library's `gather`
-    buffer, so a call holds one chunk of them, not one per row, and
-    allocates none; each row's B is the same whatever the chunk. Rows are
-    gathered, not grouped by pattern: on chain states a grouped einsum keeps
-    these bits but took as long on glyph (2352 rows, 19 patterns) and ~2.5x
-    as long on the 1D curves (243-603 rows, 9 patterns), and a grouped
-    matmul changes the bits.
-    """
-    r_t = np.exp(-factor.rho * dist)
-    factor.invert(ids)
-    q, k = r_t.shape
-    b, f = (np.empty((q, k)), np.empty(q)) if out is None else out
-    rows = len(library.gather)
-    for start in range(0, q, rows):
-        part = slice(start, start + rows)
-        inv = library.gather[:len(ids[part])]
-        # mode="clip" writes straight into `out`; the default "raise" buffers it.
-        np.take(factor.inv, ids[part], axis=0, out=inv, mode="clip")
-        np.einsum("qkj,qj->qk", inv, r_t[part], out=b[part])
-    np.einsum("qk,qk->q", b, r_t, out=f)
+def _variances(b, r_t, alpha, out=None):
+    """F = alpha (1 - B . r_t) of each row, clamped at VAR_FLOOR * alpha; into `out`."""
+    f = np.einsum("qk,qk->q", b, r_t, out=out)
     np.subtract(1.0, f, out=f)
     f *= alpha
-    return b, np.maximum(f, VAR_FLOOR * alpha, out=f)
+    return np.maximum(f, VAR_FLOOR * alpha, out=f)
+
+
+def _pattern_product(r_t, inv, out):
+    """out = r_t inv^T, (n, k), by one gemm: a lone row is computed as a
+    two-row product and its first row kept, since numpy hands a one-row
+    product to gemv, whose last bits differ from gemm's."""
+    if len(r_t) == 1:
+        out[:] = np.matmul(np.repeat(r_t, 2, axis=0), inv.T)[:1]
+    else:
+        np.matmul(r_t, inv.T, out=out)
+
+
+def library_weights(dist, ids, library, factor, alpha, out=None):
+    """(B, F) of transformed sites' NNGP rows, each given the distances `dist`
+    (q, k) from its target to its library entry's neighbor set and `ids`
+    (q,), its entry's pattern, library.pattern_ids[entry]; into `out`, a
+    (B, F) pair of (q, k) and (q,) arrays, if given.
+
+    With dist = neighbor_distances(targets, library.neighbor_indices[entries],
+    source_locations) the result equals batched_nngp_weights(targets,
+    library.neighbor_indices[entries], source_locations,
+    CovarianceParams(alpha, factor.rho)) up to rounding. The patterns the rows
+    use are inverted first if the factor has not yet (`KrigingFactor.invert`).
+    The rows are grouped by pattern, by a stable argsort of `ids` that is
+    skipped when one pattern holds every row (every 1D library has one), and
+    each group's B is one matrix product, r_t inv^T, by gemm
+    (`_pattern_product`). So every row has the bits it has in a call of its
+    own, whatever the other rows, their order and their patterns, and a
+    stack of subjects weighs as a loop over them does.
+    """
+    r_t = np.exp(-factor.rho * dist)
+    factor.invert(ids, library.pattern_dist)
+    q, k = r_t.shape
+    b, f = (np.empty((q, k)), np.empty(q)) if out is None else out
+    if not q:
+        return b, f
+    if ids.min() == ids.max():
+        _pattern_product(r_t, factor.inv[ids[0]], b)
+        return b, _variances(b, r_t, alpha, out=f)
+    # The rows go into b in pattern order, and each group's product into
+    # r_t's buffer, so the call holds two (q, k) arrays, not four.
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    cuts = np.r_[0, np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1, q]
+    r_sorted, b_sorted = np.take(r_t, order, axis=0, out=b, mode="clip"), r_t
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        _pattern_product(r_sorted[lo:hi], factor.inv[sorted_ids[lo]], b_sorted[lo:hi])
+    f[order] = _variances(b_sorted, r_sorted, alpha)
+    b[order] = b_sorted
+    return b, f
+
+
+def predecessor_weights(patterns, rho, alpha):
+    """(B, F) of the template's predecessor patterns (`PredecessorPatterns`) at
+    (alpha, rho), (P, k) and (P,): one row per pattern, solved by one batched
+    np.linalg.solve; site l's row is its pattern's, patterns.ids[l]. Padded
+    slots get B = 0 exactly (see the pattern cache in the module docstring).
+    """
+    r_t = np.exp(-rho * patterns.target_dist)
+    try:
+        b = np.linalg.solve(_correlations(patterns.dist, rho), r_t[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned("neighbor covariance not invertible after jitter") from exc
+    return b, _variances(b, r_t, alpha)
 
 
 def conditional_means(values, neighbor_idx, weights):

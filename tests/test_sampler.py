@@ -29,7 +29,7 @@ from groupreg.sampler import (FIT_TOL, AdaptiveProposal, Chain, ChainAborted,
                               update_reverse_transform, update_template,
                               update_transformed_template)
 from groupreg.spatial import (batched_nngp_weights, kriging_factor, library_weights,
-                              neighbor_distances)
+                              neighbor_distances, predecessor_weights)
 from groupreg.store import save_store
 from groupreg.synth import (ScenarioSpec, base_glyph, gen_indicator_curves, generate,
                             indicator_template, rotate_glyph, rotation_about_center)
@@ -226,7 +226,7 @@ def test_rho_weights_from_cached_distances_give_the_chain_of_recomputed_ones(
         b, f = library_weights(neighbor_distances(locs, lib.neighbor_indices[entries],
                                                   geom.locations),
                                lib.pattern_ids[entries], lib, factor, state.alpha)
-        tb, tf = library_weights(pre.target_dist, pre.rows, lib, factor, state.alpha)
+        tb, tf = predecessor_weights(pre, factor.rho, state.alpha)
         return (np.concatenate([tb[pre.ids][None], b.reshape(n, v, k)]),
                 np.concatenate([tf[pre.ids][None], f.reshape(n, v)]))
 
@@ -238,6 +238,20 @@ def test_rho_weights_from_cached_distances_give_the_chain_of_recomputed_ones(
         paths.append(tmp_path / f"run{run}.bin")
         save_store(store, paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_a_curves_rho_proposal_inverts_one_matrix(monkeypatch):
+    """Every 1D library entry's set is a run of k consecutive sites, one
+    pattern, so a rho proposal inverts one k x k matrix; the template's 11
+    predecessor patterns are solved, not inverted."""
+    chain = short_chain("indicator")
+    state, geom = chain.state, chain.geom
+    shapes, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+    means = spatial.conditional_means(state.X, state.nbr, state.B)
+    factor = sampler.rho_target(state, geom, 1.1 * state.rho, means)[2]
+    assert shapes == [(1, 10, 10)] and factor.inverted.tolist() == [True]
+    assert len(geom.predecessors.dist) == 11
 
 
 def assert_draws_match(state, geom, q, b, n=20000, seed=11):
@@ -420,22 +434,53 @@ def test_glyph_band_order_is_narrower_than_row_major_and_than_scipys_rcm():
 
 def test_template_conditional_rebuilds_its_slots_when_the_band_height_changes():
     """A row moved onto the library entry whose neighbors span the most band
-    rows widens the band; moved back, it narrows it again. Slot tables left
-    at the old height would put every pair in the wrong place. The entries
-    are edited under a fixed T, so each edit drops the band's kept sum."""
+    rows widens the band past the height its order was built for, so the
+    order is built again over the used entries, this one among them; moved
+    back, the row leaves the band no taller. Slot tables left at the old
+    height would put every pair in the wrong place. The entries are edited
+    under a fixed T, so each edit drops the band's kept sum."""
     state, geom, _ = glyph_after_two_sweeps()
-    lib = geom.library
-    state.band.key = None
+    band, lib = state.band, geom.library.neighbor_indices
+    band.key = None
     before = assert_template_conditional_is_the_chunked_one(state, geom)[0]
-    widest = int(np.argmax(state.band.entry_span))
+    widest = int(np.argmax(band.entry_span))
     entry = state.entry[0, 5]
+    heights = []
     for moved in (widest, entry):
         state.entry[0, 5] = moved
-        state.nbr[1, 5] = lib.neighbor_indices[moved]
-        state.band.key = None
-        height = assert_template_conditional_is_the_chunked_one(state, geom)[0]
-        assert (height > before) == (moved == widest)
-    assert height == before
+        state.nbr[1, 5] = lib[moved]
+        band.key = None
+        heights.append(assert_template_conditional_is_the_chunked_one(state, geom)[0])
+    template_rows = np.vstack([np.arange(state.X.size), geom.predecessors.nbr.T])
+    assert band.used[widest]
+    assert np.array_equal(band.pos, sampler.band_order([template_rows, lib[band.used].T],
+                                                       geom.lattice))
+    assert before < heights[0] and heights[1] <= heights[0]
+
+
+def test_a_row_moved_onto_an_unseen_edge_entry_builds_the_band_order_again():
+    """On the 28x28 glyph's chain state the rows fit a band of 113 rows, and
+    library entry 1234, two steps past the lattice's right edge, whose
+    neighbors are a strip down that edge, spans 156 in its order. A row moved
+    onto it makes the band number the sites again over every entry the chain
+    has used, this one among them: the band is then the height `band_order`
+    gives over those entries, below 156."""
+    maps, _ = generate(ScenarioSpec("glyph", n_subjects=3, seed=0))
+    chain = Chain(maps, RunConfig(total=2, burn_in=1, thin=1, seed=0))
+    state, geom = chain.state, chain.geom
+    band, lib, edge = state.band, geom.library.neighbor_indices, 1234
+    assert band.height == 113 and 1 + band.entry_span[edge] == 156 and not band.used[edge]
+    state.entry[0, 5] = edge
+    state.nbr[1, 5] = lib[edge]
+    height = assert_template_conditional_is_the_chunked_one(state, geom)[0]
+    used = np.zeros(len(lib), dtype=bool)
+    used[state.entry.ravel()] = True
+    assert np.array_equal(band.used, used)
+    v = state.X.size
+    cols = [np.hstack([np.arange(v)[:, None], geom.predecessors.nbr]), lib[used]]
+    pos = sampler.band_order([c.T for c in cols], geom.lattice)
+    assert np.array_equal(band.pos, pos)
+    assert height == band.height == coupling_height(pos, cols) < 156
 
 
 def test_template_conditional_allocates_little_beyond_its_band():

@@ -8,13 +8,13 @@ from groupreg.errors import OutOfLibraryBounds
 from groupreg.grids import Lattice, make_lattice_1d
 from groupreg.model import Hyperparams, build_geometry
 from groupreg.spatial import (_BLOCK_BYTES, JITTER, VAR_FLOOR, CovarianceParams,
-                              _offset_distances, _pattern_table, _site_coords,
+                              _offset_distances, _pattern_table, _ranked_sites, _site_coords,
                               batched_nngp_weights,
                               build_neighbor_library, build_ordered_neighbor_sets,
                               conditional_means, cov_matrix, dense_gp_log_density,
-                              dense_kriging, join_predecessor_patterns, kriging_factor,
-                              library_weights, locate_entries, lookup_entries,
-                              lookup_neighbors, neighbor_distances, nngp_log_density)
+                              dense_kriging, kriging_factor, library_weights, locate_entries,
+                              lookup_entries, lookup_neighbors, neighbor_distances,
+                              nngp_log_density, predecessor_patterns, predecessor_weights)
 from groupreg.synth import ScenarioSpec, gen_indicator_curves
 from groupreg.transforms import AffineTransform, affine_apply
 
@@ -72,19 +72,32 @@ def unique_rows_table(keys):
 
 
 def argsort_library(lattice, margin, m):
-    """Brute-force oracle of `build_neighbor_library`: (neighbor_indices,
-    pattern_ids, pattern_dist) from a full stable argsort of every entry's
-    weighted squared offsets to all template sites, grouped by np.unique(axis=0)."""
+    """Brute-force oracle of `build_neighbor_library`: (ranked, pattern_ids,
+    pattern_dist), the ranked rows from a full stable argsort of every entry's
+    weighted squared offsets to all template sites, and the patterns of those
+    rows in lattice order, grouped by np.unique(axis=0)."""
     template = _site_coords(lattice.shape)
     entries = _site_coords(tuple(n + 2 * margin for n in lattice.shape), -margin)
     weight = (lattice.spacing / lattice.spacing.min()) ** 2
     d2 = sum(w * (entries[:, None, a] - template[None, :, a]) ** 2 for a, w in enumerate(weight))
-    nbr = np.argsort(d2, axis=1, kind="stable")[:, :min(m, lattice.n_sites)]
+    ranked = np.argsort(d2, axis=1, kind="stable")[:, :min(m, lattice.n_sites)]
+    nbr = np.sort(ranked, axis=1)
     offsets = template[nbr] - template[nbr[:, :1]]
     shape_ids, first = unique_rows_table(offsets.reshape(len(offsets), -1))
     shape_dist = _offset_distances(offsets[first], lattice.spacing)
     dist_ids, first = unique_rows_table(shape_dist.reshape(len(shape_dist), -1))
-    return nbr, dist_ids[shape_ids], shape_dist[first]
+    return ranked, dist_ids[shape_ids], shape_dist[first]
+
+
+def ranked_entries(library):
+    """The library's rows as `_ranked_sites` ranks them, nearest first: the
+    rows the library lists in lattice order."""
+    return _ranked_sites(_site_coords(library.enlarged.shape, -library.margin), library.template,
+                         library.neighbor_indices.shape[1])
+
+
+def assert_library_rows_are_ranked_rows_sorted(library, ranked):
+    assert np.array_equal(library.neighbor_indices, np.sort(ranked, axis=1))
 
 
 class TestExpCov:
@@ -186,8 +199,7 @@ class TestOrderedNeighborSets:
             lat = Lattice((28, 28), np.array([0.1, 0.1]), np.array(origin))
             sets = build_ordered_neighbor_sets(lat, 10)
             assert np.array_equal(sets, unit)
-            _, patterns = join_predecessor_patterns(build_neighbor_library(lat, 0, 10), sets)
-            assert len(patterns.rows) == 26
+            assert len(predecessor_patterns(lat, sets).dist) == 26
 
 
 class TestSelectionAgainstArgsort:
@@ -226,8 +238,7 @@ class TestSelectionAgainstArgsort:
             # ranking float norms gave these sets too.
             assert np.array_equal(sets, float_norm_predecessors(lat.locations(), m))
         if m <= 10:
-            library = build_neighbor_library(lat, 0, m)
-            joined, patterns = join_predecessor_patterns(library, sets)
+            patterns = predecessor_patterns(lat, sets)
             k = min(m, lat.n_sites)
             coords = _site_coords(lat.shape)
             mask = sets[:, :k] >= 0
@@ -235,17 +246,14 @@ class TestSelectionAgainstArgsort:
                                - coords[:, None, :], 0)
             _, first = unique_rows_table(
                 np.concatenate([offsets.reshape(len(offsets), -1), mask], axis=1))
-            n_lib = len(library.pattern_dist)
-            assert np.array_equal(patterns.rows, n_lib + np.arange(len(first)))
-            assert np.array_equal(joined.pattern_dist[:n_lib], library.pattern_dist)
-            assert len(joined.pattern_dist) == n_lib + len(first)
+            assert len(patterns.dist) == len(patterns.target_dist) == len(first)
             own = np.arange(lat.n_sites)[:, None]
             assert np.array_equal(patterns.nbr, np.where(mask, sets[:, :k], own))
             # Padded slots: 0 from themselves, inf from every other slot and the site.
             pair = mask[:, :, None] & mask[:, None, :]
             want = np.where(pair | np.eye(k, dtype=bool), _offset_distances(offsets, lat.spacing),
                             np.inf)
-            assert np.array_equal(joined.pattern_dist[patterns.rows[patterns.ids]], want)
+            assert np.array_equal(patterns.dist[patterns.ids], want)
             target = np.sqrt(np.sum((offsets * lat.spacing) ** 2, axis=-1))
             assert np.array_equal(patterns.target_dist[patterns.ids],
                                   np.where(mask, target, np.inf))
@@ -255,10 +263,14 @@ class TestSelectionAgainstArgsort:
         lat, margin = self.LATTICES[name]
         m = self.resolve(m, lat.n_sites)
         lib = build_neighbor_library(lat, margin, m)
-        nbr, ids, dist = argsort_library(lat, margin, m)
-        assert np.array_equal(lib.neighbor_indices, nbr)
+        ranked, ids, dist = argsort_library(lat, margin, m)
+        assert np.array_equal(ranked_entries(lib), ranked)
+        assert_library_rows_are_ranked_rows_sorted(lib, ranked)
         assert np.array_equal(lib.pattern_dist[lib.pattern_ids], dist[ids])
         assert len(lib.pattern_dist) == len(dist)
+        if lat.dim == 1:
+            # Every 1D set is a run of k consecutive sites: in lattice order, one pattern.
+            assert len(lib.pattern_dist) == 1
 
     def test_128x128_rows_against_the_oracle(self):
         """On 128x128 (margin 9, m = 10) a seeded sample of rows, with the
@@ -267,6 +279,8 @@ class TestSelectionAgainstArgsort:
         lat, m = grid2d(128), 10
         margin = 9
         lib = build_neighbor_library(lat, margin, m)
+        ranked = ranked_entries(lib)
+        assert_library_rows_are_ranked_rows_sorted(lib, ranked)
         sets = build_ordered_neighbor_sets(lat, m)
         template = _site_coords(lat.shape)
         entries = _site_coords((128 + 2 * margin,) * 2, -margin)
@@ -274,7 +288,7 @@ class TestSelectionAgainstArgsort:
         n_lib = len(entries)
         for row in np.r_[0, 145, n_lib - 146, n_lib - 1, rng.choice(n_lib, 300, replace=False)]:
             d2 = ((template - entries[row]) ** 2).sum(axis=1)
-            assert lib.neighbor_indices[row].tolist() == np.argsort(d2, kind="stable")[:m].tolist()
+            assert ranked[row].tolist() == np.argsort(d2, kind="stable")[:m].tolist()
         for l in np.r_[1:m + 1, rng.choice(np.arange(m + 1, lat.n_sites), 300, replace=False)]:
             d2 = ((template[:l] - template[l]) ** 2).sum(axis=1)
             got = sets[l][sets[l] >= 0]
@@ -296,8 +310,9 @@ class TestSelectionAgainstArgsort:
         lib = build_neighbor_library(lat, 40, m)
         sets = build_ordered_neighbor_sets(lat, m)
         assert (len(set(widths)) > 1) == (m == 10)
-        nbr, ids, dist = argsort_library(lat, 40, m)
-        assert np.array_equal(lib.neighbor_indices, nbr)
+        ranked, ids, dist = argsort_library(lat, 40, m)
+        assert np.array_equal(ranked_entries(lib), ranked)
+        assert_library_rows_are_ranked_rows_sorted(lib, ranked)
         assert np.array_equal(lib.pattern_dist[lib.pattern_ids], dist[ids])
         assert np.array_equal(sets, argsort_predecessors(lat, m))
 
@@ -318,8 +333,10 @@ class TestNeighborLibrary:
         lat = grid2d(4)
         lib = build_neighbor_library(lat, 0, 3)
         assert lib.neighbor_indices.shape[0] == 16
+        ranked = ranked_entries(lib)
+        assert_library_rows_are_ranked_rows_sorted(lib, ranked)
         for i in range(16):
-            assert lib.neighbor_indices[i, 0] == i
+            assert ranked[i, 0] == i
 
     def test_1d_margin_point(self):
         lib = build_neighbor_library(make_lattice_1d(0, 9, 1.0), 2, 2)
@@ -345,7 +362,10 @@ class TestNeighborLibrary:
     def test_geometry_build_peak_at_128x128(self):
         """`build_geometry` on 128x128 (margin 9, m = 10) peaked at 20.4 MB
         under tracemalloc when each row was ranked against all V sites, in
-        blocks of rows; ranked in boxes it peaks at 17.7 MB (numpy 2.4)."""
+        blocks of rows, and at 17.7 MB ranked in boxes, with the rows grouped
+        by int64 keys. With keys of the least integer type that holds a
+        lattice offset it peaks at 10.8 MB (numpy 2.4); the bound keeps the
+        old bound's headroom over its peak, 20.4 / 17.7."""
         lat = grid2d(128)
         tracemalloc.start()
         try:
@@ -353,15 +373,17 @@ class TestNeighborLibrary:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20.4e6
+        assert peak <= 12.4e6
 
     def test_indicator_sets_are_exact_and_margin_free(self):
         """Sets rank integer offsets, ties to the smaller index, whatever the margin."""
         lat = gen_indicator_curves(ScenarioSpec("indicator", n_subjects=1, seed=0))[0][0].lattice
         small, large = build_neighbor_library(lat, 5, 10), build_neighbor_library(lat, 9, 10)
         assert np.array_equal(small.neighbor_indices, large.neighbor_indices[4:-4])
+        ranked = ranked_entries(large)
+        assert_library_rows_are_ranked_rows_sorted(large, ranked)
         sites = np.arange(lat.n_sites)
-        for entry, got in zip(range(-9, lat.n_sites + 9), large.neighbor_indices):
+        for entry, got in zip(range(-9, lat.n_sites + 9), ranked):
             expect = np.argsort(np.abs(entry - sites), kind="stable")[:10]
             assert got.tolist() == expect.tolist()
 
@@ -369,11 +391,12 @@ class TestNeighborLibrary:
         lat = make_lattice_1d(0.0, 9.0, 1.0)
         locs = lat.locations()
         lib = build_neighbor_library(lat, 2, 2)
+        ranked = ranked_entries(lib)
         for p in (-2.0, -1.0, 0.0, 4.0, 11.0):
-            got = lookup_neighbors(np.array([p]), lib)
             d = np.abs(locs[:, 0] - round(p))
             expect = np.argsort(d, kind="stable")[:2]
-            assert got.tolist() == expect.tolist()
+            assert ranked[lookup_entries(np.array([p]), lib)].tolist() == expect.tolist()
+            assert lookup_neighbors(np.array([p]), lib).tolist() == sorted(expect.tolist())
 
 
 class TestPatternTable:
@@ -394,20 +417,26 @@ class TestPatternTable:
         # No two patterns hold the same matrix: every repeat was merged.
         flat = lib.pattern_dist.reshape(len(lib.pattern_dist), -1)
         assert len(np.unique(flat, axis=0)) == len(flat)
-        # Swapping the axes of a shape keeps its matrix on the square lattice,
-        # so such shapes share a pattern; with unequal spacings it changes
-        # every matrix, so they cannot.
+        # Swapping the axes of every site keeps each matrix on the square
+        # lattice; with unequal spacings it changes every matrix.
         swapped = _offset_distances(sites[..., ::-1], lat.spacing)
         same = np.all(swapped == own, axis=(1, 2))
         assert same.all() if name == "glyph" else not same.any()
 
-    def test_glyph_library_has_88_matrices_from_330_shapes(self):
+    def test_glyph_library_has_93_matrices_from_93_shapes(self):
+        """Ranked nearest first, the 2116 sets of the 28x28 library (margin 9,
+        m = 10) took 330 shapes, one set taking several as its entries ranked
+        its sites in other orders, and mirror images shared a matrix: 88. In
+        lattice order a set has one shape, and a mirror image lists its sites
+        in another order, so has another matrix: 93 shapes and 93 matrices."""
         lat, margin = self.LATTICES["glyph"]
         lib = build_neighbor_library(lat, margin, 10)
         sites = _site_coords(lat.shape)[lib.neighbor_indices]
         shapes = (sites - sites[:, :1]).reshape(len(sites), -1)
-        assert len(np.unique(shapes, axis=0)) == 330
-        assert lib.pattern_dist.shape == (88, 10, 10)
+        assert len(np.unique(shapes, axis=0)) == 93
+        assert lib.pattern_dist.shape == (93, 10, 10)
+        ranked = _site_coords(lat.shape)[ranked_entries(lib)]
+        assert len(np.unique((ranked - ranked[:, :1]).reshape(len(ranked), -1), axis=0)) == 330
 
 
 class TestLookup:
@@ -422,9 +451,10 @@ class TestLookup:
         assert got.tolist() == expect.tolist()
 
     def test_lattice_point_own_set(self):
-        got = lookup_neighbors(np.array([2.0, 4.0]), self.lib)
+        entry = lookup_entries(np.array([2.0, 4.0]), self.lib)
         flat_idx = 2 * 6 + 4
-        assert got[0] == flat_idx
+        assert ranked_entries(self.lib)[entry, 0] == flat_idx
+        assert flat_idx in lookup_neighbors(np.array([2.0, 4.0]), self.lib)
 
     def test_half_up_tie(self):
         got = lookup_neighbors(np.array([2.5, 2.5]), self.lib)
@@ -479,14 +509,14 @@ class TestLookup:
 
 
 class TestLibraryWeights:
-    """`library_weights` gathers the rows' inverses in chunks of about _BLOCK_BYTES."""
+    """`library_weights` weighs each pattern's rows by one gemm product."""
 
     def setup_method(self):
         self.lat = Lattice((28, 28), np.array([1.0, 1.0]), np.zeros(2))
         self.lib = build_neighbor_library(self.lat, 9, 10)
         locs = self.lat.locations()
         self.factor = kriging_factor(self.lib, 0.7)
-        # Four rotated and shifted copies of the sites: 3136 rows, ten chunks.
+        # Four rotated and shifted copies of the sites: 3136 rows.
         rng = np.random.default_rng(5)
         targets = np.concatenate([
             affine_apply(AffineTransform.from_parts(
@@ -504,16 +534,45 @@ class TestLibraryWeights:
         r[:, diag, diag] += JITTER
         return np.linalg.inv(r)
 
-    def test_chunks_give_the_one_shot_gather_bit_for_bit(self):
-        r_t = np.exp(-self.factor.rho * self.dist)
-        inv = self.eager_inverses()[self.lib.pattern_ids[self.entries]]
-        b = np.einsum("qkj,qj->qk", inv, r_t)
-        f = np.maximum(1.3 * (1.0 - np.einsum("qk,qk->q", b, r_t)), VAR_FLOOR * 1.3)
+    def two_row_products(self, rows, alpha=1.3):
+        """(B, F) of each of `rows`, its B its own two-row gemm product against
+        the eager inverse of its pattern."""
+        inv = self.eager_inverses()[self.ids[rows]]
+        r_t = np.exp(-self.factor.rho * self.dist[rows])
+        b = np.array([np.matmul(np.stack([r, r]), i.T)[0] for r, i in zip(r_t, inv)])
+        f = np.maximum(alpha * (1.0 - np.einsum("qk,qk->q", b, r_t)), VAR_FLOOR * alpha)
+        return b, f
+
+    def test_rows_are_their_own_two_row_products_bit_for_bit(self):
         got_b, got_f = library_weights(self.dist, self.ids, self.lib, self.factor, 1.3)
-        assert len(self.entries) > 8 * _BLOCK_BYTES // inv[0].nbytes
+        b, f = self.two_row_products(np.arange(len(self.ids)))
         assert np.array_equal(got_b, b) and np.array_equal(got_f, f)
 
-    def test_peak_memory_is_one_chunk_not_one_inverse_per_row(self):
+    def test_every_row_has_the_bits_of_its_own_call(self):
+        """Any permutation and any split of the rows into calls, one-row calls
+        and one-row groups among them, gives each row the B and F of a call on
+        that row alone."""
+        rng = np.random.default_rng(9)
+        _, lone = np.unique(self.ids, return_index=True)   # one row of every pattern met
+        rows = np.concatenate([lone, rng.choice(len(self.ids), 600, replace=False)])
+        alone = [library_weights(self.dist[[r]], self.ids[[r]], self.lib, self.factor, 1.3)
+                 for r in rows]
+        alone_b = np.concatenate([b for b, _ in alone])
+        alone_f = np.concatenate([f for _, f in alone])
+        # The patterns' lone rows in one call, the rest in another; then a
+        # permutation in calls of 1, 2, 37, 1, 259 and 263 rows.
+        calls = [*np.split(np.arange(len(rows)), [len(lone)]),
+                 *np.split(rng.permutation(len(rows)), [1, 3, 40, 41, 300])]
+        singletons = 0
+        for part in calls:
+            b, f = library_weights(self.dist[rows[part]], self.ids[rows[part]], self.lib,
+                                   self.factor, 1.3)
+            assert np.array_equal(b, alone_b[part]) and np.array_equal(f, alone_f[part])
+            counts = np.unique(self.ids[rows[part]], return_counts=True)[1]
+            singletons += np.sum(counts == 1) * (len(part) > 1)
+        assert singletons > 1
+
+    def test_peak_memory_holds_no_inverse_per_row(self):
         q, k = self.dist.shape
         tracemalloc.start()
         try:
@@ -522,14 +581,14 @@ class TestLibraryWeights:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # r_t, B and a few (q,) arrays, plus one chunk: 1.3 MB. The one-shot
-        # gather alone took q k^2 8 B = 2.5 MB here, and the call 3.1 MB.
-        assert peak <= 3 * q * k * 8 + 2 * _BLOCK_BYTES, peak
+        # r_t, B and a few (q,) arrays: 0.6 MB. A gather of one inverse per
+        # row alone takes q k^2 8 B = 2.5 MB here.
+        assert peak <= 3 * q * k * 8, peak
 
     def test_calls_allocate_no_chunk(self):
-        """The inverses are gathered into the library's buffer: a call's peak
-        is its (q, k) arrays, r_t and B, and a few (q,) ones (0.58 MB here),
-        and no chunk of inverses (0.26 MB) on top."""
+        """A call's peak is its (q, k) arrays, r_t and B, and a few (q,) ones
+        (0.58 MB here): no chunk of gathered inverses on top, and no sorted
+        copy of the rows."""
         q, k = self.dist.shape
         library_weights(self.dist, self.ids, self.lib, self.factor, 1.3)   # inverts
         tracemalloc.start()
@@ -545,18 +604,15 @@ class TestLibraryWeights:
         """A factor inverts a pattern when a weights call first meets it. After
         three calls over overlapping thirds of the rows, the patterns met, and
         only those, are inverted, each with the bits of the eager inverse of
-        all patterns at once, and the calls' (B, F) are those of the eager
-        inverses."""
+        all patterns at once, and the calls' (B, F) are the rows' two-row
+        products against the eager inverses."""
         eager = self.eager_inverses()
-        ids = self.lib.pattern_ids[self.entries]
         assert not self.factor.inverted.any()
-        for rows in (slice(0, 1200), slice(1000, 2200), slice(2000, None)):
-            got_b, _ = library_weights(self.dist[rows], self.ids[rows], self.lib,
-                                       self.factor, 1.3)
-            want_b = np.einsum("qkj,qj->qk", eager[ids[rows]],
-                               np.exp(-self.factor.rho * self.dist[rows]))
-            assert np.array_equal(got_b, want_b)
-        met = np.unique(ids)
+        for rows in (np.arange(0, 1200), np.arange(1000, 2200), np.arange(2000, len(self.ids))):
+            got = library_weights(self.dist[rows], self.ids[rows], self.lib, self.factor, 1.3)
+            want = self.two_row_products(rows)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        met = np.unique(self.ids)
         assert np.array_equal(np.flatnonzero(self.factor.inverted), met)
         assert 0 < met.size < len(eager)
         assert np.array_equal(self.factor.inv[met], eager[met])
@@ -574,10 +630,9 @@ class TestPredecessorPadding:
     def test_padded_slots_get_no_weight_and_leave_f_unchanged(self, lattice, rho):
         m, alpha = 10, 1.3
         sets = build_ordered_neighbor_sets(lattice, m)
-        library, patterns = join_predecessor_patterns(build_neighbor_library(lattice, 2, m), sets)
-        factor = kriging_factor(library, rho)
+        patterns = predecessor_patterns(lattice, sets)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            b, f = library_weights(patterns.target_dist, patterns.rows, library, factor, alpha)
+            b, f = predecessor_weights(patterns, rho, alpha)
         b, f = b[patterns.ids], f[patterns.ids]
         locs = lattice.locations()
         params = CovarianceParams(alpha, rho)

@@ -17,7 +17,9 @@ A time cell is the mean ms per sweep, its record included. The ratio cell
 splits each chain into ROUNDS equal runs of sweeps: it is the median over
 the rounds of HEAD's time over the base's in the same round, with the least
 and the largest of those ratios. `n_band` is the height, in rows, of each
-chain's last template band, and "reused" the share of HEAD's sweeps whose
+chain's last template band, "patterns" the number of library patterns its
+last state's subject rows use (the groups of the weights call,
+`spatial.library_weights`), and "reused" the share of HEAD's sweeps whose
 X step rescaled the band's kept NNGP sum (no T_i and no rho moved since it
 was summed). The three cases take about 20 s with a base, 10 s without, on
 a 2-core x86-64 machine. The times depend on the machine and its load, so
@@ -34,6 +36,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 CASES = [("glyph", 0, 600), ("cosine", 1, 1200), ("indicator", 1, 1200)]
 ROUNDS = 5
@@ -90,7 +94,8 @@ def main(argv):
         head = ["case", *(f"{name} ms/sweep" for name in names)]
         if len(names) == 2:
             head.append("HEAD / base, median (min-max)")
-        head += [*(f"{name} n_band" for name in names), "HEAD reused"]
+        head += [*(f"{name} {column}" for name in names for column in ("n_band", "patterns")),
+                 "HEAD reused"]
         print("| " + " | ".join(head) + " |")
         print("|" + "---|" * len(head))
         for scenario, sim, sweeps in CASES:
@@ -104,7 +109,10 @@ def main(argv):
                 ratios = [sum(seconds["HEAD"][r:r + step]) / sum(seconds["base"][r:r + step])
                           for r in range(0, step * ROUNDS, step)]
                 row.append(f"{median(ratios):.3f} ({min(ratios):.3f}-{max(ratios):.3f})")
-            row += [str(chains[name].state.band.n_band) for name in names]
+            for name in names:
+                state, library = chains[name].state, chains[name].geom.library
+                row += [str(state.band.n_band),
+                        str(len(np.unique(library.pattern_ids[state.entry])))]
             row.append(f"{reused / sweeps:.2f}")
             print("| " + " | ".join(row) + " |", flush=True)
 
